@@ -31,6 +31,7 @@ from .propagator import (  # noqa: F401
 from .floquet import (  # noqa: F401
     FloquetMatrix,
     QuasienergySpectrum,
+    TruncationError,
     build_floquet_matrix,
     complex_eigenvalues,
     convergence_check,

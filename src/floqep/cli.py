@@ -10,6 +10,7 @@ codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, render, verify
-from .berry import spectrum_region_scan
+from .berry import DefectivePointError, NearEPError, spectrum_region_scan
 from .config import ConfigError, RunConfig, load_config
+from .floquet import TruncationError
 from .propagator import NumericalError
 from .sweep import (
     FailureBudgetExceeded,
@@ -217,6 +219,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+# One parser per process: a parser is a web of reference cycles that only
+# a full garbage collection frees, and the vectorised sweeps allocate too
+# few objects to trigger one, so a parser per call piled up in memory
+# over repeated in-process calls.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floqep",
@@ -273,7 +280,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, FailureBudgetExceeded) as exc:
+    # numerical failures, ValueError subclasses among them, before the catch-all
+    except (
+        NumericalError, FailureBudgetExceeded, DefectivePointError, NearEPError, TruncationError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

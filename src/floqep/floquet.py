@@ -29,6 +29,10 @@ _PAULI = {0: SIGMA_X, 1: SIGMA_Y, 2: SIGMA_Z}
 DEFAULT_CUTOFF = 20  # 2*(2*20+1) = 82-dimensional truncation
 
 
+class TruncationError(ValueError):
+    """No eigenvalue of the truncated Floquet matrix lies in the central third."""
+
+
 @dataclass(eq=False)
 class FloquetMatrix:
     """Dense truncated frequency-space Hamiltonian."""
@@ -157,7 +161,7 @@ def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
     n_idx = np.where(on_edge, n_idx - 1, n_idx)
     keep = 3 * np.abs(n_idx) <= cutoff
     if not np.any(keep):
-        raise ValueError("no eigenvalues survived central-third filtering")
+        raise TruncationError("no eigenvalues survived central-third filtering")
     folded_vals = re_f[keep] + 1.0j * eigs.imag[keep]
 
     tol = 1e-4 * omega

@@ -32,6 +32,8 @@ SMALL_PHASE = 1e-4
 
 DEFAULT_STEPS_PER_PERIOD = 200_000
 
+UNIT_ROUNDOFF = 2.0 ** -53
+
 
 class NumericalError(RuntimeError):
     """Non-finite value produced during propagation."""
@@ -82,30 +84,98 @@ class MonodromyResult:
     defectiveness: float
 
 
-def _expm_pauli_elements(dx, dy, dz, tau):
+def _mul(x, y):
+    """Product of complex numbers held as ``(real, imag)`` pairs.
+
+    Written out so that no step is fused: the same four products and two
+    sums as Python's complex multiply, whatever numpy's SIMD dispatch.
+    """
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _add(x, y):
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _div(x, y):
+    """Quotient of ``(real, imag)`` pairs by Smith's method, as Python's complex division."""
+    (xr, xi), (yr, yi) = x, y
+    real_big = np.abs(yr) >= np.abs(yi)
+    ratio = np.where(real_big, yi / yr, yr / yi)
+    denom = np.where(real_big, yr + yi * ratio, yr * ratio + yi)
+    return (
+        np.where(real_big, xr + xi * ratio, xr * ratio + xi) / denom,
+        np.where(real_big, xi - xr * ratio, xi * ratio - xr) / denom,
+    )
+
+
+def _complex(x):
+    out = np.empty(np.broadcast_shapes(np.shape(x[0]), np.shape(x[1])), dtype=complex)
+    out.real, out.imag = x
+    return out
+
+
+def _series(z2, coeffs, last):
+    """``1 + z2*(c0 + z2*(c1 + ... + z2/last))`` for ``coeffs = (..., c1, c0)``."""
+    t = (z2[0] / last, z2[1] / last)
+    for c in coeffs:
+        t = _mul(z2, (c + t[0], t[1]))
+    return 1.0 + t[0], t[1]
+
+
+def _dot(d):
+    """``d.d`` of a Bloch vector of ``(real, imag)`` pairs."""
+    dx, dy, dz = d
+    return _add(_add(_mul(dx, dx), _mul(dy, dy)), _mul(dz, dz))
+
+
+def _cos_sinc(dd, tau):
+    """``cos z`` and ``sin(z)/z`` for ``z = sqrt(dd) * tau``, as pairs.
+
+    ``sqrt`` is on the principal branch; below ``|z| = SMALL_PHASE`` both
+    switch to their 5-term Taylor series.
+    """
+    with np.errstate(all="ignore"):
+        mu = np.sqrt(_complex(dd))
+        z = (mu.real * tau, mu.imag * tau)
+        zc = _complex(z)
+        cos_z, sin_z = np.cos(zc), np.sin(zc)
+        cosz, sinc = (cos_z.real, cos_z.imag), _div((sin_z.real, sin_z.imag), z)
+        small = np.hypot(*z) < SMALL_PHASE
+        if small.any():
+            z2 = _mul(z, z)
+            taylor = (
+                _series(z2, (-1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0), 40320.0),
+                _series(z2, (-1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0), 362880.0),
+            )
+            cosz, sinc = (
+                (np.where(small, t[0], c[0]), np.where(small, t[1], c[1]))
+                for t, c in zip(taylor, (cosz, sinc))
+            )
+    return cosz, sinc
+
+
+def _expm_pauli_elements(d, factors, tau):
     """Entries of ``exp(-i tau d.sigma)`` for a traceless Bloch vector.
 
     Closed form ``cos(mu tau) I - i tau sinc(mu tau) (d.sigma)`` with
-    ``mu = sqrt(d.d)`` on the principal branch.  Returns the four matrix
-    entries as Python complex scalars (row-major).
+    ``mu = sqrt(d.d)``; ``factors`` is :func:`_cos_sinc` of ``d.d``.  The
+    components are ``(real, imag)`` pairs and ``tau`` is real; they may be
+    arrays, and every operation is elementwise, so an entry's bits do not
+    depend on the array it sits in.  Returns the four matrix entries
+    (row-major) as ``(real, imag)`` pairs.
     """
-    dd = dx * dx + dy * dy + dz * dz
-    mu = cmath.sqrt(dd)
-    z = mu * tau
-    if abs(z) < SMALL_PHASE:
-        z2 = z * z
-        cosz = 1.0 + z2 * (-1.0 / 2.0 + z2 * (1.0 / 24.0 + z2 * (-1.0 / 720.0 + z2 / 40320.0)))
-        sinc = 1.0 + z2 * (-1.0 / 6.0 + z2 * (1.0 / 120.0 + z2 * (-1.0 / 5040.0 + z2 / 362880.0)))
-    else:
-        cosz = cmath.cos(z)
-        sinc = cmath.sin(z) / z
-    a = -1.0j * tau * sinc
-    return (
-        cosz + a * dz,
-        a * (dx - 1.0j * dy),
-        a * (dx + 1.0j * dy),
-        cosz - a * dz,
-    )
+    dx, dy, dz = d
+    cosz, sinc = factors
+    with np.errstate(all="ignore"):
+        a = (tau * sinc[1], -tau * sinc[0])  # -i tau sinc
+        a_dz = _mul(a, dz)
+        return (
+            _add(cosz, a_dz),
+            _mul(a, (dx[0] + dy[1], dx[1] - dy[0])),  # a (dx - i dy)
+            _mul(a, (dx[0] - dy[1], dx[1] + dy[0])),  # a (dx + i dy)
+            (cosz[0] - a_dz[0], cosz[1] - a_dz[1]),
+        )
 
 
 def expm_two_level(H, tau: float) -> np.ndarray:
@@ -118,8 +188,10 @@ def expm_two_level(H, tau: float) -> np.ndarray:
     if not (np.all(np.isfinite(H.view(float))) and math.isfinite(tau)):
         raise ValueError("H and tau must be finite")
     dec = bloch_decompose(H)
-    e00, e01, e10, e11 = _expm_pauli_elements(
-        complex(dec.d[0]), complex(dec.d[1]), complex(dec.d[2]), tau
+    d = [(x.real, x.imag) for x in dec.d]
+    tau = float(tau)
+    e00, e01, e10, e11 = (
+        complex(*e) for e in _expm_pauli_elements(d, _cos_sinc(_dot(d), tau), tau)
     )
     out = np.array([[e00, e01], [e10, e11]], dtype=complex)
     if dec.d0 != 0:
@@ -155,49 +227,79 @@ def segment_hamiltonians(model: ModelSpec) -> SegmentSequence:
     )
 
 
-def quasienergy_from_trace(c: complex, T: float) -> complex:
+def quasienergy_from_trace(c, T):
     """Quasienergy ``eps_F = arccos(c)/T`` on the principal branch.
 
     ``Re eps_F`` lies in ``[0, pi/T]``; the sign of the imaginary part is
-    fixed >= 0 (the spectrum is the pair ``+/- eps_F``).
+    fixed >= 0 (the spectrum is the pair ``+/- eps_F``).  ``c`` and ``T``
+    may be arrays (elementwise); scalars give a Python complex.
     """
-    if not T > 0:
+    T = np.asarray(T, dtype=float)
+    if not np.all(T > 0):
         raise ValueError("T must be positive")
-    w = np.arccos(complex(c))
-    if w.imag < -1e-10:
+    with np.errstate(all="ignore"):
+        w = np.arccos(np.asarray(c, dtype=complex))
         # flip to the Im >= 0 representative of cos(w) = c, staying in
         # the Re in [0, pi] strip (for real c this is exact); noise-level
         # negative imaginary parts are kept to avoid distorting Re w
-        w = -w if w.real <= math.pi / 2.0 else 2.0 * math.pi - w
-    return complex(w) / T
+        w = np.where(
+            w.imag < -1e-10, np.where(w.real <= math.pi / 2.0, -w, 2.0 * math.pi - w), w
+        )
+        eps = np.empty(np.broadcast_shapes(w.shape, T.shape), dtype=complex)
+        eps.real = w.real / T
+        eps.imag = w.imag / T
+    return complex(eps) if eps.ndim == 0 else eps
 
 
-def _segment_product(segments: SegmentSequence):
-    """Ordered product of segment exponentials; segment 0 applied first."""
-    g00, g01, g10, g11 = 1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j
-    for idx in range(len(segments)):
-        dx, dy, dz = (
-            complex(segments.ds[idx, 0]),
-            complex(segments.ds[idx, 1]),
-            complex(segments.ds[idx, 2]),
-        )
-        tau = float(segments.durations[idx])
-        e00, e01, e10, e11 = _expm_pauli_elements(dx, dy, dz, tau)
-        # left-multiply: G <- E G
-        g00, g01, g10, g11 = (
-            e00 * g00 + e01 * g10,
-            e00 * g01 + e01 * g11,
-            e10 * g00 + e11 * g10,
-            e10 * g01 + e11 * g11,
-        )
-        if not (
-            math.isfinite(g00.real) and math.isfinite(g00.imag)
-            and math.isfinite(g11.real) and math.isfinite(g11.imag)
-            and math.isfinite(g01.real) and math.isfinite(g01.imag)
-            and math.isfinite(g10.real) and math.isfinite(g10.imag)
-        ):
-            raise NumericalError(f"non-finite propagator after segment {idx + 1}")
-    return g00, g01, g10, g11
+def _segment_product(a, b, gammas, taus):
+    """Ordered product of the segment exponentials for a batch of cells.
+
+    Cell ``k`` has drive strength ``gammas[k]`` and segment duration
+    ``taus[k]``; its segment ``l`` has the Bloch vector
+    ``a[l] + gammas[k] * b[l]`` (``a`` and ``b`` are ``(n_seg, 3)``
+    complex), and segment 0 is applied first.  Each distinct row pair
+    ``(a[l], b[l])`` gets one exponential for the whole (1-D) batch, and
+    the product runs on the 2x2 entries as an array axis.  All arithmetic
+    is elementwise, so a cell gives the same bits alone or at any position
+    of any batch.
+
+    Returns the four entries of ``G`` (row-major) and the forward rounding
+    bound ``n_seg * 8u * prod_l ||E_l||_F`` on the half-trace (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Cells whose
+    product is not finite come back as NaN in all four entries.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    distinct: dict = {}
+    order = [distinct.setdefault((tuple(a[l]), tuple(b[l])), len(distinct)) for l in range(len(a))]
+    with np.errstate(all="ignore"):
+        E, norms, factors = [], [], {}
+        for av, bv in distinct:
+            d = [(av[k].real + gammas * bv[k].real, av[k].imag + gammas * bv[k].imag)
+                 for k in range(3)]
+            # distinct vectors often share d.d (the square-wave signs square
+            # away), so its transcendental factors are computed once
+            dd = _dot(d)
+            key = dd[0].tobytes() + dd[1].tobytes()
+            if key not in factors:
+                factors[key] = _cos_sinc(dd, taus)
+            e00, e01, e10, e11 = _expm_pauli_elements(d, factors[key], taus)
+            # the (real, imag) parts of E as [row, col, cell]
+            re, im = (np.array([[e00[p], e01[p]], [e10[p], e11[p]]]) for p in (0, 1))
+            E.append((re, im))
+            sq = re * re + im * im
+            norms.append(np.sqrt(sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]))
+        del factors
+        G, norm = E[order[0]], norms[order[0]]
+        for l in order[1:]:
+            # left-multiply: G[r, c] <- E[r, 0] G[0, c] + E[r, 1] G[1, c]
+            col = [tuple(part[:, k, None] for part in E[l]) for k in (0, 1)]
+            row = [tuple(part[None, k] for part in G) for k in (0, 1)]
+            G = _add(_mul(col[0], row[0]), _mul(col[1], row[1]))
+            norm = norm * norms[l]
+    G = _complex(G)
+    G[:, :, ~np.all(np.isfinite(G), axis=(0, 1))] = np.nan
+    return G[0, 0], G[0, 1], G[1, 0], G[1, 1], len(order) * 8.0 * UNIT_ROUNDOFF * norm
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -277,7 +379,7 @@ def _result_from_G(G: np.ndarray, T: float) -> MonodromyResult:
         raise NumericalError("non-finite monodromy matrix")
     c = complex(0.5 * (G[0, 0] + G[1, 1]))
     eps = quasienergy_from_trace(c, T)
-    defect = float(np.linalg.norm(G - c * np.eye(2), "fro"))
+    defect = float(defectiveness(G[0, 0], G[0, 1], G[1, 0], G[1, 1], c))
     sin_w = cmath.sin(eps * T)
     if abs(sin_w) > 1e-14:
         gv = bloch_decompose(G).d
@@ -309,13 +411,53 @@ def monodromy(
     """
     if engine == "piecewise":
         segments = segment_hamiltonians(model)
-        g00, g01, g10, g11 = _segment_product(segments)
-        G = np.array([[g00, g01], [g10, g11]], dtype=complex)
+        # the grid kernel on a one-cell batch, so a cell has the same bits here
+        g00, g01, g10, g11, _ = _segment_product(
+            segments.ds, np.zeros_like(segments.ds), np.zeros(1), segments.durations[:1]
+        )
+        if not np.isfinite(g00[0]):
+            raise NumericalError("non-finite propagator in the segment product")
+        G = np.array([[g00[0], g01[0]], [g10[0], g11[0]]], dtype=complex)
     elif engine == "integrate":
         G = _integrate_monodromy(model, steps_per_period)
     else:
         raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
     return _result_from_G(G, model.period)
+
+
+def defectiveness(g00, g01, g10, g11, c):
+    """``||G - c*I||_F`` from the entries of ``G`` (elementwise over arrays)."""
+    with np.errstate(all="ignore"):
+        return np.sqrt(
+            np.abs(g00 - c) ** 2 + np.abs(g01) ** 2 + np.abs(g10) ** 2 + np.abs(g11 - c) ** 2
+        )
+
+
+def indicator_from_trace(c, im_tol: float = 1e-9):
+    """Signed degeneracy indicator ``f`` of half-trace(s) ``c``.
+
+    ``f = |Re c| - 1`` while the half-trace is numerically real (negative
+    in the stable phase, positive in the broken phase), else ``f = |Im c|``
+    deep in the broken phase.  Elementwise over arrays; a scalar gives a
+    float.
+    """
+    c = np.asarray(c, dtype=complex)
+    f = np.where(np.abs(c.imag) < im_tol, np.abs(c.real) - 1.0, np.abs(c.imag))
+    return float(f) if f.ndim == 0 else f
+
+
+_KINDS = np.array([EPKind.NONE, EPKind.DIABOLIC, EPKind.EP], dtype=object)
+
+
+def root_kinds(f, defect, defect_tol: float = 1e-6, root_tol: float = 1e-6):
+    """Classify indicator values ``f`` (elementwise, as :class:`EPKind`).
+
+    At a root ``|f| <= root_tol`` the point is an exceptional point when
+    the propagator retains a nilpotent part (``defect > defect_tol``, see
+    :func:`defectiveness`), diabolic otherwise; elsewhere ``NONE``.
+    """
+    code = np.where(np.abs(f) <= root_tol, np.where(np.asarray(defect) > defect_tol, 2, 1), 0)
+    return _KINDS[code]
 
 
 def ep_indicator(
@@ -326,19 +468,8 @@ def ep_indicator(
 ) -> tuple[float, EPKind]:
     """Signed degeneracy indicator and its classification.
 
-    ``f = |Re c| - 1`` while the half-trace is numerically real (negative
-    in the stable phase, positive in the broken phase), else ``f = |Im c|``
-    deep in the broken phase.  At a root ``|f| <= root_tol`` the point is
-    an exceptional point when the propagator retains a nilpotent part
-    (``defectiveness > defect_tol``), diabolic otherwise.
+    ``f`` is :func:`indicator_from_trace` of the half-trace, and the kind
+    is :func:`root_kinds` of ``f`` and the propagator's defectiveness.
     """
-    c = result.half_trace
-    if abs(c.imag) < im_tol:
-        f = abs(c.real) - 1.0
-    else:
-        f = abs(c.imag)
-    if abs(f) <= root_tol:
-        kind = EPKind.EP if result.defectiveness > defect_tol else EPKind.DIABOLIC
-    else:
-        kind = EPKind.NONE
-    return f, kind
+    f = indicator_from_trace(result.half_trace, im_tol)
+    return f, root_kinds(f, result.defectiveness, defect_tol, root_tol)

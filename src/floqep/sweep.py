@@ -1,15 +1,21 @@
-"""Parallel (gamma, omega) grids, EP contour tracing, and persistence.
+"""(gamma, omega) grids, EP contour tracing, and persistence.
 
-Grid cells are independent pure-function evaluations, so a sweep is
-farmed out to a process pool in column tasks and reassembled by index;
-the output is bit-identical for any worker count.  Per-cell numerical
-failures become NaN sentinels and are logged; more than 1% failures
-aborts the sweep.
+The piecewise engine evaluates a grid in fixed-size, row-major blocks of
+cells, each one call of the batched segment-product kernel, in-process;
+the block size is a constant, so the output does not depend on the
+worker count.  The per-cell engines (``floquet``, ``monodromy-integrate``)
+farm frequency columns out to a process pool and reassemble them by
+index, bit-identical for any worker count.  Numerical failures become NaN
+sentinel cells, summarised in one log line; more than 1% failures aborts
+the sweep.  EP contours come from the indicator on the grid blocks, a
+lockstep bisection of every sign-change bracket, and one batched
+classification of the roots.
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import json
 import logging
 import math
@@ -24,11 +30,15 @@ from . import __version__
 from .berry import berry_phase_loop
 from .floquet import max_im_quasienergy
 from .model import PresetTemplate
-from .propagator import (
+from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
     EPKind,
+    NumericalError,
+    defectiveness,
     ep_indicator,
+    indicator_from_trace,
     monodromy,
     quasienergy_from_trace,
+    root_kinds,
     segment_hamiltonians,
     _segment_product,
 )
@@ -40,6 +50,9 @@ ENGINES = ("floquet", "monodromy-piecewise", "monodromy-integrate")
 INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 
 DEFAULT_FAILURE_BUDGET = 0.01
+
+# cells per kernel call; fixed, so no result depends on how a grid is split
+BLOCK_CELLS = 512
 
 
 class FailureBudgetExceeded(RuntimeError):
@@ -77,6 +90,10 @@ class GridSpec:
     @property
     def omegas(self) -> np.ndarray:
         return np.linspace(self.omega_min, self.omega_max, self.omega_count)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gamma and omega of every node, row-major (gamma fastest)."""
+        return np.tile(self.gammas, self.omega_count), np.repeat(self.omegas, self.gamma_count)
 
 
 @dataclass(eq=False)
@@ -119,15 +136,72 @@ class BerrySweep:
     metadata: dict
 
 
-def _cell_half_trace(template: PresetTemplate, gamma, omega, engine, steps):
+@functools.lru_cache(maxsize=32)
+def _segment_vectors(template: PresetTemplate):
+    """Segment vectors ``(a, b)`` of a square preset (read-only arrays).
+
+    Every preset is affine in gamma, and its segment midpoints sit at
+    fixed drive phases, so segment ``l`` has the Bloch vector
+    ``a[l] + gamma * b[l]`` at every omega.
+    """
+    a = segment_hamiltonians(template.instantiate(0.0, 1.0)).ds
+    b = segment_hamiltonians(template.instantiate(1.0, 1.0)).ds - a
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _block_propagators(template: PresetTemplate, gammas, omegas, engine, steps):
+    """Propagators at the cells ``(gammas[k], omegas[k])``, block by block.
+
+    Yields ``(cells, T, G, bound)`` per block of :data:`BLOCK_CELLS`:
+    the slice, the periods, the four entries of ``G`` and the kernel's
+    rounding bound on the half-trace.  The piecewise engine is one kernel
+    call per block; the integrate engine runs cell by cell (bound None).
+    """
     if engine == "monodromy-piecewise":
-        model = template.instantiate(float(gamma), float(omega))
-        g00, _, _, g11 = _segment_product(segment_hamiltonians(model))
-        return 0.5 * (g00 + g11)
-    if engine == "monodromy-integrate":
-        model = template.instantiate(float(gamma), float(omega))
-        return monodromy(model, engine="integrate", steps_per_period=steps).half_trace
-    raise ValueError(f"engine {engine!r} has no half-trace route")
+        a, b = _segment_vectors(template)
+    for start in range(0, len(gammas), BLOCK_CELLS):
+        cells = slice(start, start + BLOCK_CELLS)
+        T = 2.0 * math.pi / omegas[cells]
+        if engine == "monodromy-piecewise":
+            *G, bound = _segment_product(a, b, gammas[cells], T / len(a))
+        else:
+            Gs = np.array([
+                monodromy(template.instantiate(float(g), float(w)), "integrate", steps).G
+                for g, w in zip(gammas[cells], omegas[cells])
+            ]).reshape(-1, 4)
+            G, bound = Gs.T, None
+        yield cells, T, G, bound
+
+
+def _indicator_at(template: PresetTemplate, gammas, omegas, engine, steps) -> np.ndarray:
+    """EP indicator ``f`` at the cells; a non-finite propagator raises."""
+    f = np.empty(len(gammas))
+    for cells, _, (g00, _, _, g11), _ in _block_propagators(template, gammas, omegas, engine, steps):
+        f[cells] = indicator_from_trace(0.5 * (g00 + g11))
+    n_bad = int(np.count_nonzero(~np.isfinite(f)))
+    if n_bad:
+        raise NumericalError(f"non-finite propagator at {n_bad} of {f.size} cells")
+    return f
+
+
+def _undecided(c, bound, T) -> np.ndarray:
+    """Cells whose stability verdict lies within the rounding bound.
+
+    ``max Im eps`` crosses the threshold where ``|c| - 1`` reaches
+    ``(threshold * T)**2 / 2``; a numerically real ``c`` that close to it
+    may fall either side, depending only on the rounding.
+    """
+    gap = np.abs(c) - 1.0 - 0.5 * (INSTABILITY_THRESHOLD * T) ** 2
+    return (np.abs(c.imag) <= bound) & (np.abs(gap) <= bound)
+
+
+def _cell_half_trace(template: PresetTemplate, gamma, omega, engine, steps):
+    if engine not in ("monodromy-piecewise", "monodromy-integrate"):
+        raise ValueError(f"engine {engine!r} has no half-trace route")
+    model = template.instantiate(float(gamma), float(omega))
+    eng = "piecewise" if engine == "monodromy-piecewise" else "integrate"
+    return monodromy(model, engine=eng, steps_per_period=steps).half_trace
 
 
 def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff, steps) -> float:
@@ -148,7 +222,7 @@ def _column_task(args):
             vals[i] = _cell_max_im(template, g, omega, engine, cutoff, steps)
         except Exception as exc:  # recorded as NaN sentinel, budget-checked later
             vals[i] = np.nan
-            errors.append((j, i, f"{type(exc).__name__}: {exc}"))
+            errors.append(f"{type(exc).__name__}: {exc}")
     return j, vals, errors
 
 
@@ -157,6 +231,40 @@ def _engine_family_check(template: PresetTemplate, engine: str):
         raise ValueError("the floquet engine needs a smooth-family model")
     if engine == "monodromy-piecewise" and template.family != "square":
         raise ValueError("the piecewise engine needs a square-family model")
+
+
+def _piecewise_map(template: PresetTemplate, grid: GridSpec):
+    """``max Im eps`` on the grid in kernel blocks, plus the undecided count."""
+    gammas, omegas = grid.cells()
+    values = np.empty(gammas.size)
+    undecided = 0
+    for cells, T, (g00, _, _, g11), bound in _block_propagators(
+        template, gammas, omegas, grid.engine, 0
+    ):
+        c = 0.5 * (g00 + g11)
+        values[cells] = np.abs(quasienergy_from_trace(c, T).imag)
+        undecided += int(np.count_nonzero(_undecided(c, bound, T)))
+    return values.reshape(grid.omega_count, grid.gamma_count), undecided
+
+
+def _cell_map(template, grid, threads, cutoff, steps):
+    """``max Im eps`` cell by cell, frequency columns over a process pool."""
+    gammas = grid.gammas
+    tasks = [
+        (j, float(w), template, gammas, grid.engine, cutoff, steps)
+        for j, w in enumerate(grid.omegas)
+    ]
+    if threads > 1:
+        with Pool(processes=threads) as pool:
+            results = pool.map(_column_task, tasks, chunksize=1)
+    else:
+        results = [_column_task(t) for t in tasks]
+    values = np.empty((grid.omega_count, grid.gamma_count))
+    errors = []
+    for j, vals, errs in results:
+        values[j] = vals
+        errors.extend(errs)
+    return values, errors
 
 
 def phase_diagram(
@@ -169,30 +277,28 @@ def phase_diagram(
 ) -> PhaseDiagram:
     """Evaluate ``max Im eps`` on every grid node.
 
-    Cells are independent; with ``threads > 1`` the frequency columns are
-    distributed over a process pool and written back into pre-assigned
-    rows, so the result does not depend on the worker count.
+    The piecewise engine runs in-process in fixed blocks whatever
+    ``threads`` is, and counts the cells whose verdict is within its
+    rounding bound of the threshold (``undecided_cells``).  The per-cell
+    engines distribute frequency columns over ``threads`` processes and
+    write them back into pre-assigned rows.  Either way the result does
+    not depend on the worker count.
     """
     _engine_family_check(template, grid.engine)
-    gammas = grid.gammas
-    tasks = [
-        (j, float(w), template, gammas, grid.engine, cutoff, steps_per_period)
-        for j, w in enumerate(grid.omegas)
-    ]
-    if threads > 1:
-        with Pool(processes=threads) as pool:
-            results = pool.map(_column_task, tasks, chunksize=1)
+    if grid.engine == "monodromy-piecewise":
+        values, undecided = _piecewise_map(template, grid)
+        errors = []
     else:
-        results = [_column_task(t) for t in tasks]
-
-    values = np.empty((grid.omega_count, grid.gamma_count))
-    errors = []
-    for j, vals, errs in results:
-        values[j] = vals
-        errors.extend(errs)
-    for j, i, msg in errors:
-        log.warning("cell (omega index %d, gamma index %d) failed: %s", j, i, msg)
-    n_bad = int(np.sum(~np.isfinite(values)))
+        values, errors = _cell_map(template, grid, threads, cutoff, steps_per_period)
+        undecided = None
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        log.warning(
+            "%d of %d cells failed; first (omega index, gamma index): %s%s",
+            len(bad), values.size, ", ".join(f"({j}, {i})" for j, i in bad[:5]),
+            f"; first error: {errors[0]}" if errors else "",
+        )
+    n_bad = len(bad)
     if n_bad > failure_budget * values.size:
         raise FailureBudgetExceeded(
             f"{n_bad} of {values.size} cells failed (> {failure_budget:.0%} budget)"
@@ -203,6 +309,7 @@ def phase_diagram(
         "cutoff": cutoff,
         "steps_per_period": steps_per_period,
         "failed_cells": n_bad,
+        "undecided_cells": undecided,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
     }
@@ -236,18 +343,14 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
     return windows
 
 
-def _ep_f_value(c: complex, im_tol: float = 1e-9) -> float:
-    if abs(c.imag) < im_tol:
-        return abs(c.real) - 1.0
-    return abs(c.imag)
-
-
-def _classify_root(template, gamma, omega, engine, steps, f_tol):
-    model = template.instantiate(float(gamma), float(omega))
-    eng = "piecewise" if engine == "monodromy-piecewise" else "integrate"
-    res = monodromy(model, engine=eng, steps_per_period=steps)
-    f, kind = ep_indicator(res, root_tol=f_tol)
-    return f, kind
+def _classify_root(template, gammas, omegas, engine, steps, f_tol) -> list[EPKind]:
+    """Kinds of the roots at the cells ``(gammas[k], omegas[k])``, in one batch."""
+    kinds = []
+    for _, _, (g00, g01, g10, g11), _ in _block_propagators(template, gammas, omegas, engine, steps):
+        c = 0.5 * (g00 + g11)
+        f = indicator_from_trace(c)
+        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c), root_tol=f_tol))
+    return kinds
 
 
 def trace_ep_contours(
@@ -259,12 +362,13 @@ def trace_ep_contours(
 ) -> EPContourSet:
     """Locate and link degeneracy roots of the half-trace indicator.
 
-    Each frequency column is scanned in gamma for sign changes of the
-    indicator ``f``; every bracket is bisected until both the bracket
-    width and ``|f|`` at the root fall below ``f_tol``.  Roots that
-    cannot be pinned down (indicator discontinuity) are dropped and
-    logged.  Exceptional points in neighbouring columns are linked by
-    nearest-gamma matching within 3 grid cells.
+    The indicator ``f`` is evaluated on every node; each frequency column
+    is scanned in gamma for sign changes, and all brackets of all columns
+    are bisected together until both the bracket width and ``|f|`` at the
+    root fall below ``f_tol``.  Roots that cannot be pinned down
+    (indicator discontinuity) are dropped and logged.  Exceptional points
+    in neighbouring columns are linked by nearest-gamma matching within 3
+    grid cells.
     """
     if grid.engine == "floquet":
         raise ValueError("EP contour tracing needs a monodromy engine")
@@ -274,7 +378,45 @@ def trace_ep_contours(
     dgamma = float(gammas[1] - gammas[0])
 
     def f_at(g, w):
-        return _ep_f_value(_cell_half_trace(template, g, w, grid.engine, steps_per_period))
+        return _indicator_at(template, g, w, grid.engine, steps_per_period)
+
+    fs = f_at(*grid.cells()).reshape(grid.omega_count, grid.gamma_count)
+    # roots on a node (tangency roots never change sign), then brackets
+    node_j, node_i = np.nonzero(np.abs(fs) <= f_tol)
+    f0, f1 = fs[:, :-1], fs[:, 1:]
+    br_j, br_i = np.nonzero((np.abs(f0) > f_tol) & (np.abs(f1) > f_tol) & ~(f0 * f1 > 0))
+
+    # every bracket bisected in lockstep, each with its own stop rule
+    lo, hi, flo = gammas[br_i], gammas[br_i + 1], f0[br_j, br_i]
+    w_br = omegas[br_j]
+    found = np.full(br_i.size, np.nan)
+    active = np.arange(br_i.size)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        fmid = f_at(mid, w_br[active])
+        done = ((hi[active] - lo[active] < 1e-6) & (np.abs(fmid) <= f_tol)) | (fmid == 0.0)
+        found[active[done]] = mid[done]
+        active, mid, fmid = active[~done], mid[~done], fmid[~done]
+        same = (fmid > 0) == (flo[active] > 0)
+        lo[active[same]], flo[active[same]] = mid[same], fmid[same]
+        hi[active[~same]] = mid[~same]
+    for k in active:
+        log.warning(
+            "EP root lost during bisection at omega=%.6g, gamma in [%.6g, %.6g]",
+            w_br[k], gammas[br_i[k]], gammas[br_i[k] + 1],
+        )
+
+    ok = ~np.isnan(found)
+    root_j = np.concatenate([node_j, br_j[ok]])
+    root_g = np.concatenate([gammas[node_i], found[ok]])
+    kinds = _classify_root(
+        template, root_g, omegas[root_j], grid.engine, steps_per_period, f_tol
+    )
+    column_roots: list[list[tuple[float, EPKind]]] = [[] for _ in omegas]
+    for j, g, kind in zip(root_j, root_g, kinds):
+        column_roots[j].append((float(g), kind))
 
     open_lines: list[list[ContourPoint]] = []
     open_last_col: list[int] = []
@@ -282,45 +424,7 @@ def trace_ep_contours(
     singletons: list[list[ContourPoint]] = []
 
     for j, w in enumerate(omegas):
-        fs = np.array([f_at(g, w) for g in gammas])
-        roots: list[tuple[float, EPKind]] = []
-        for i in range(len(gammas)):
-            if abs(fs[i]) <= f_tol:
-                # root on a node (tangency roots never change sign)
-                if roots and abs(roots[-1][0] - gammas[i]) < 0.5 * dgamma:
-                    continue
-                _, kind = _classify_root(
-                    template, gammas[i], w, grid.engine, steps_per_period, f_tol
-                )
-                roots.append((float(gammas[i]), kind))
-        for i in range(len(gammas) - 1):
-            f0, f1 = fs[i], fs[i + 1]
-            if abs(f0) <= f_tol or abs(f1) <= f_tol or f0 * f1 > 0:
-                continue
-            lo, hi, flo = float(gammas[i]), float(gammas[i + 1]), f0
-            fmid, mid = f0, lo
-            it = 0
-            while it < max_iter:
-                mid = 0.5 * (lo + hi)
-                fmid = f_at(mid, w)
-                if hi - lo < 1e-6 and abs(fmid) <= f_tol:
-                    break
-                if fmid == 0.0:
-                    break
-                if (fmid > 0) == (flo > 0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-                it += 1
-            if it >= max_iter:
-                log.warning(
-                    "EP root lost during bisection at omega=%.6g, gamma in [%.6g, %.6g]",
-                    w, gammas[i], gammas[i + 1],
-                )
-                continue
-            _, kind = _classify_root(template, mid, w, grid.engine, steps_per_period, f_tol)
-            roots.append((float(mid), kind))
-
+        roots = column_roots[j]
         roots.sort(key=lambda r: r[0])
         ep_roots = [g for g, kind in roots if kind is EPKind.EP]
         for g, kind in roots:

@@ -1,11 +1,15 @@
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 import floqep.cli as cli
 import floqep.verify as verify_mod
+from floqep.berry import biorthonormalize, instantaneous_eigensystem
 from floqep.config import ConfigError, load_config, parse_config, serialize_config
+from floqep.floquet import fold_spectrum
+from floqep.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 
 def write_config(path, **overrides):
@@ -132,6 +136,34 @@ class TestPhaseDiagramCommand:
             raise FailureBudgetExceeded("synthetic")
 
         monkeypatch.setattr(cli, "phase_diagram", boom)
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
+
+    def test_exit_2_on_overflowing_grid(self, tmp_path, capsys):
+        # large gamma and small omega overflow the propagator in most cells
+        p = tmp_path / "cfg.json"
+        write_config(p, gamma={"min": 0.0, "max": 1e300, "count": 12},
+                     omega={"min": 0.05, "max": 0.1, "count": 2})
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fail",
+        [
+            # every eigenvalue outside the central third of the ladder
+            lambda: fold_spectrum(np.array([100.0 + 0j]), 1.0, 3),
+            # d = (1, i, 0): d.d = 0, a single eigenvector
+            lambda: instantaneous_eigensystem(SIGMA_X + 1j * SIGMA_Y),
+            # d = (1, i, 1e-9): coalescing eigenvectors
+            lambda: biorthonormalize(
+                instantaneous_eigensystem(SIGMA_X + 1j * SIGMA_Y + 1e-9 * SIGMA_Z)
+            ),
+        ],
+        ids=["fold-truncation", "defective-point", "near-ep"],
+    )
+    def test_exit_2_on_numerical_value_errors(self, tmp_path, monkeypatch, fail):
+        monkeypatch.setattr(cli, "phase_diagram", lambda *a, **kw: fail())
         p = tmp_path / "cfg.json"
         write_config(p)
         assert cli.main(["phase-diagram", "--config", str(p)]) == 2

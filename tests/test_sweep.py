@@ -3,8 +3,15 @@ import pytest
 
 import floqep.sweep as sweep_mod
 from floqep.model import PresetTemplate
-from floqep.propagator import monodromy
+from floqep.propagator import (
+    _ordered_product,
+    _segment_product,
+    indicator_from_trace,
+    monodromy,
+    quasienergy_from_trace,
+)
 from floqep.sweep import (
+    INSTABILITY_THRESHOLD,
     BerrySweep,
     EPContourSet,
     FailureBudgetExceeded,
@@ -12,7 +19,6 @@ from floqep.sweep import (
     PhaseDiagram,
     _cell_half_trace,
     _cell_max_im,
-    _ep_f_value,
     berry_gamma_sweep,
     instability_window,
     load,
@@ -87,35 +93,86 @@ class TestPhaseDiagram:
                 minus = monodromy(tpl.instantiate(-g, w), engine="piecewise").max_im_eps
                 assert plus == pytest.approx(minus, abs=1e-12)
 
+    @staticmethod
+    def _overflow_kernel(monkeypatch, hit):
+        """Run the real kernel, with gamma 1e300 (an overflow) where ``hit``."""
+        real = sweep_mod._segment_product
+
+        def overflowing(a, b, gammas, taus):
+            gammas = np.where(hit(gammas, 2.0 * np.pi / (len(a) * taus)), 1e300, gammas)
+            return real(a, b, gammas, taus)
+
+        monkeypatch.setattr(sweep_mod, "_segment_product", overflowing)
+
     def test_failure_budget(self, monkeypatch):
-        calls = {"n": 0}
-        real = sweep_mod._cell_max_im
-
-        def flaky(template, gamma, omega, engine, cutoff, steps):
-            calls["n"] += 1
-            if calls["n"] % 7 == 0:  # ~14% failures
-                raise RuntimeError("synthetic cell failure")
-            return real(template, gamma, omega, engine, cutoff, steps)
-
-        monkeypatch.setattr(sweep_mod, "_cell_max_im", flaky)
+        # ~14% of the cells overflow
+        self._overflow_kernel(monkeypatch, lambda g, w: np.arange(g.size) % 7 == 6)
         grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-piecewise")
         with pytest.raises(FailureBudgetExceeded):
             phase_diagram(PT3, grid)
 
-    def test_isolated_failures_become_nan(self, monkeypatch):
-        real = sweep_mod._cell_max_im
-
-        def once_flaky(template, gamma, omega, engine, cutoff, steps):
-            if abs(gamma - 1.0) < 1e-12 and abs(omega - 0.4) < 1e-12:
-                raise RuntimeError("synthetic")
-            return real(template, gamma, omega, engine, cutoff, steps)
-
-        monkeypatch.setattr(sweep_mod, "_cell_max_im", once_flaky)
+    def test_isolated_failures_become_nan(self, monkeypatch, caplog):
+        self._overflow_kernel(
+            monkeypatch, lambda g, w: (np.abs(g - 1.0) < 1e-12) & (np.abs(w - 0.4) < 1e-12)
+        )
         grid = GridSpec(0.0, 1.0, 21, 0.4, 2.8, 13, engine="monodromy-piecewise")
-        diag = phase_diagram(PT3, grid)
+        with caplog.at_level("WARNING", logger="floqep.sweep"), np.errstate(all="raise"):
+            diag = phase_diagram(PT3, grid)
         assert np.isnan(diag.values[0, -1])
         assert np.sum(~np.isfinite(diag.values)) == 1
         assert diag.metadata["failed_cells"] == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 of 273 cells failed; first (omega index, gamma index): (0, 20)"
+        ]
+
+    def test_per_cell_engine_failures(self, monkeypatch, caplog):
+        real = sweep_mod._cell_max_im
+
+        def flaky(template, gamma, omega, engine, cutoff, steps):
+            if gamma > 0.9 and omega < 0.5:
+                raise RuntimeError("synthetic")
+            return real(template, gamma, omega, engine, cutoff, steps)
+
+        monkeypatch.setattr(sweep_mod, "_cell_max_im", flaky)
+        grid = GridSpec(0.0, 1.0, 11, 0.4, 2.8, 10, engine="monodromy-integrate")
+        with caplog.at_level("WARNING", logger="floqep.sweep"):
+            diag = phase_diagram(PT3, grid, steps_per_period=400)
+        assert diag.metadata["failed_cells"] == 1
+        assert diag.metadata["undecided_cells"] is None
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 of 110 cells failed; first (omega index, gamma index): (0, 10); "
+            "first error: RuntimeError: synthetic"
+        ]
+        grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-integrate")
+        with pytest.raises(FailureBudgetExceeded):
+            phase_diagram(PT3, grid, steps_per_period=400)
+
+
+class TestNoiseFloor:
+    def test_order_flips_are_undecided(self):
+        # at omega = 1/3 the beta=3 PT half-trace sits on |c| = 1 for most
+        # gamma, so its verdict is decided by the rounding alone
+        grid = GridSpec(0.0, 5.0, 200, 1.0 / 3.0, 0.5, 2, engine="monodromy-piecewise")
+        diag = phase_diagram(PT3, grid)
+        gammas, omegas = grid.cells()
+        periods = 2.0 * np.pi / omegas
+        a, b = sweep_mod._segment_vectors(PT3)
+        g00, _, _, g11, bound = _segment_product(a, b, gammas, periods / len(a))
+        undecided = sweep_mod._undecided(0.5 * (g00 + g11), bound, periods)
+        assert np.count_nonzero(undecided) == diag.metadata["undecided_cells"]
+
+        # the same exponentials: the kernel's product of one segment
+        mats = np.stack([
+            np.stack(_segment_product(a[l:l + 1], b[l:l + 1], gammas, periods / len(a))[:4], -1)
+            for l in range(len(a))
+        ]).reshape(len(a), -1, 2, 2)
+        flipped = np.zeros(gammas.size, dtype=bool)
+        for k, T in enumerate(periods):
+            c_tree = 0.5 * np.trace(_ordered_product(mats[:, k]))
+            tree_unstable = abs(quasienergy_from_trace(c_tree, T).imag) > INSTABILITY_THRESHOLD
+            flipped[k] = tree_unstable != (diag.values.flat[k] > INSTABILITY_THRESHOLD)
+        assert np.count_nonzero(flipped) > 10
+        assert np.all(undecided[flipped])
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +211,7 @@ class TestEPContours:
         n_checked = 0
         for line in cs.contours:
             for pt in line:
-                f = _ep_f_value(
+                f = indicator_from_trace(
                     _cell_half_trace(tpl, pt.gamma, pt.omega, grid.engine, 0)
                 )
                 assert abs(f) < 1e-6
@@ -182,6 +239,38 @@ class TestEPContours:
             assert all(b > a for a, b in zip(omegas, omegas[1:]))
             for a, b in zip(line, line[1:]):
                 assert abs(b.gamma - a.gamma) <= 3 * dgamma + 1e-12
+
+    def test_roots_match_scalar_bisection(self, contours):
+        # the old route, one bracket at a time: the lockstep bisection must
+        # keep its midpoints and stop rule, so the roots are the same floats
+        tpl, grid, cs = contours
+        gammas = grid.gammas
+
+        def f_at(g, w):
+            return indicator_from_trace(_cell_half_trace(tpl, g, w, grid.engine, 0))
+
+        want = []
+        for w in grid.omegas:
+            fs = [f_at(g, w) for g in gammas]
+            roots = [g for g, f in zip(gammas, fs) if abs(f) <= 1e-6]
+            for i in range(len(gammas) - 1):
+                f0, f1 = fs[i], fs[i + 1]
+                if abs(f0) <= 1e-6 or abs(f1) <= 1e-6 or f0 * f1 > 0:
+                    continue
+                lo, hi, flo = gammas[i], gammas[i + 1], f0
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    fmid = f_at(mid, w)
+                    if (hi - lo < 1e-6 and abs(fmid) <= 1e-6) or fmid == 0.0:
+                        roots.append(mid)
+                        break
+                    if (fmid > 0) == (flo > 0):
+                        lo, flo = mid, fmid
+                    else:
+                        hi = mid
+            want += [(float(w), float(g)) for g in sorted(roots)]
+        got = sorted((pt.omega, pt.gamma) for line in cs.contours for pt in line)
+        assert got == sorted(want)
 
     def test_rejects_floquet_engine(self):
         grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 3, engine="floquet")
