@@ -6,7 +6,11 @@ closed parameter loop is complex.  It is computed here as a discrete
 biorthogonal Wilson loop: per-step overlaps of the tracked left and right
 frames, with the forward and backward logarithms averaged.  The averaged
 form is gauge invariant, second-order accurate in the step size, and for
-Hermitian loops its imaginary part cancels identically.
+Hermitian loops its imaginary part cancels identically.  A Richardson
+loop at ``n`` steps computes its frames once, at ``2n`` points, and runs
+the ``n``-step loop on their even points.  ``Re theta`` is reported on
+``[-pi, pi]``; on the ``+/-pi`` plateau each band takes the edge whose
+sign matches its ``Im theta``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,10 @@ class BerryPhaseResult:
 _DEFECT_REL_TOL = 1e-10
 
 
+def _abs2(z):
+    return np.abs(z) ** 2
+
+
 def _raw_eigenframes(d0, d):
     """Closed-form eigensystem for a batch of Bloch vectors.
 
@@ -73,60 +81,60 @@ def _raw_eigenframes(d0, d):
     band has the descending-(Re, Im) eigenvalue).  Eigenvectors come from
     the adjugate columns of ``H - eps I``; the larger-norm column is
     selected per point for stability.  Left rows are the transpose-system
-    eigenvectors (``dy -> -dy``).
+    eigenvectors (``dy -> -dy``).  Every operation is pointwise, so a
+    point's frames do not depend on the rest of the batch.
     """
     d = np.asarray(d, dtype=complex)
-    single = d.ndim == 1
-    if single:
+    if d.ndim == 1:
         d = d[None, :]
     n = d.shape[0]
     d0_arr = np.broadcast_to(np.asarray(d0, dtype=complex), (n,))
-    dd = np.einsum("nk,nk->n", d, d)
-    mu = np.sqrt(dd)
-    dnorm = np.linalg.norm(np.abs(d), axis=1)
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    mu = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dnorm = np.sqrt(_abs2(dx) + _abs2(dy) + _abs2(dz))
     defective = (np.abs(mu) < _DEFECT_REL_TOL * dnorm) & (dnorm > 0)
     eps = np.stack([d0_arr + mu, d0_arr - mu], axis=1)
     gap = np.abs(2.0 * mu)
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
+    w2, wc2 = _abs2(w), _abs2(wc)
     right = np.empty((n, 2, 2), dtype=complex)
     left = np.empty((n, 2, 2), dtype=complex)
-    for b, s in enumerate((1.0, -1.0)):
-        smu = s * mu
-        c1 = np.stack([dz + smu, dx + 1.0j * dy], axis=-1)
-        c2 = np.stack([dx - 1.0j * dy, smu - dz], axis=-1)
-        use2 = np.einsum("nc,nc->n", np.abs(c2), np.abs(c2)) > np.einsum(
-            "nc,nc->n", np.abs(c1), np.abs(c1)
-        )
-        right[:, b] = np.where(use2[:, None], c2, c1)
-        l1 = np.stack([dz + smu, dx - 1.0j * dy], axis=-1)
-        l2 = np.stack([dx + 1.0j * dy, smu - dz], axis=-1)
-        use2 = np.einsum("nc,nc->n", np.abs(l2), np.abs(l2)) > np.einsum(
-            "nc,nc->n", np.abs(l1), np.abs(l1)
-        )
-        left[:, b] = np.where(use2[:, None], l2, l1)
+    for b, smu in enumerate((mu, -mu)):
+        p, q = dz + smu, smu - dz
+        p2, q2 = _abs2(p), _abs2(q)
+        # right: columns (p, w) and (wc, q); left: rows (p, wc) and (w, q)
+        use2 = wc2 + q2 > p2 + w2
+        right[:, b, 0] = np.where(use2, wc, p)
+        right[:, b, 1] = np.where(use2, q, w)
+        use2 = w2 + q2 > p2 + wc2
+        left[:, b, 0] = np.where(use2, w, p)
+        left[:, b, 1] = np.where(use2, q, wc)
     return eps, right, left, gap, defective
 
 
-def _canonical_gauge(right, left):
-    """Deterministic per-point gauge: unit-norm right with its dominant
-    component rotated real-positive, left rescaled to unit pairing.
+def _canonical_gauge(r0, r1, l0, l1):
+    """Deterministic gauge on component arrays: unit-norm right
+    ``(r0, r1)`` with its dominant component rotated real-positive, and
+    unit-norm left ``(l0, l1)``.
 
     The dominant component prefers index 0 unless index 1 is larger by a
     relative margin, so near-ties cannot flip the choice between
-    neighbouring loop points.  Returns the pairing overlaps before the
-    final left rescaling, for near-EP detection.
+    neighbouring loop points.  Also returns the pairing overlap
+    ``left . right`` of the unit frames, for near-EP detection; dividing
+    the left frame by it makes the pair biorthonormal.
     """
-    rnorm = np.linalg.norm(right, axis=-1, keepdims=True)
-    lnorm = np.linalg.norm(left, axis=-1, keepdims=True)
+    a0, a1 = np.abs(r0), np.abs(r1)
+    rnorm = np.sqrt(a0 * a0 + a1 * a1)
+    lnorm = np.sqrt(_abs2(l0) + _abs2(l1))
     if np.any(rnorm == 0) or np.any(lnorm == 0):
         raise DefectivePointError("zero eigenvector encountered")
-    right = right / rnorm
-    left = left / lnorm
-    use1 = np.abs(right[..., 1]) > np.abs(right[..., 0]) * (1.0 + 1e-9)
-    pick = np.where(use1, right[..., 1], right[..., 0])
-    right = right * (np.abs(pick) / pick)[..., None]
-    raw_overlap = np.einsum("...bc,...bc->...b", left, right)
-    return right, left, raw_overlap
+    use1 = a1 > a0 * (1.0 + 1e-9)
+    # |pick| / pick, and 1 / rnorm, as one complex factor
+    scale = np.conj(np.where(use1, r1, r0)) * (1.0 / (np.where(use1, a1, a0) * rnorm))
+    r0, r1 = r0 * scale, r1 * scale
+    inv = 1.0 / lnorm
+    l0, l1 = l0 * inv, l1 * inv
+    return r0, r1, l0, l1, l0 * r0 + l1 * r1
 
 
 def instantaneous_eigensystem(H) -> EigensystemInstant:
@@ -142,11 +150,14 @@ def instantaneous_eigensystem(H) -> EigensystemInstant:
         raise DefectivePointError(
             "defective point: d.d = 0 with nonzero Bloch vector (single eigenvector)"
         )
-    right, left, _ = _canonical_gauge(right, left)
+    # both bands at once: each component array runs over the bands
+    r0, r1, l0, l1, _ = _canonical_gauge(
+        right[0, :, 0], right[0, :, 1], left[0, :, 0], left[0, :, 1]
+    )
     return EigensystemInstant(
         eigenvalues=eps[0],
-        right=right[0],
-        left=left[0],
+        right=np.stack([r0, r1], axis=-1),
+        left=np.stack([l0, l1], axis=-1),
         biorthonormal=False,
         gap=float(gap[0]),
     )
@@ -172,6 +183,20 @@ def biorthonormalize(e: EigensystemInstant, overlap_tol: float = 1e-8) -> Eigens
     )
 
 
+def _step_dots(a, b, b_close):
+    """``a[k] . b[k+1]`` for each loop step ``k``; the closing step pairs
+    ``a[n-1]`` with ``b_close`` in place of ``b[0]``.
+
+    ``a``, ``b`` and ``b_close`` are pairs of components.
+    """
+    (a0, a1), (b0, b1) = a, b
+    out = np.empty(a0.shape, dtype=complex)
+    np.multiply(a0[:-1], b0[1:], out=out[:-1])
+    out[:-1] += a1[:-1] * b1[1:]
+    out[-1] = a0[-1] * b_close[0] + a1[-1] * b_close[1]
+    return out
+
+
 def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "raise"):
     """Complex phase of the discrete biorthogonal Wilson loop.
 
@@ -182,6 +207,10 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
     loop by maximal overlap; each step contributes the average of the
     forward and backward principal logarithms, which keeps Hermitian
     loops exactly real and converges at second order.
+
+    The work runs on the 1-D component arrays ``right[:, b, c]``, band by
+    band, with the dot products and ``log z = log|z| + i arg z`` written
+    out; no ``(n, 2, 2)`` overlap stack is formed.
 
     Returns ``(theta, closed, min_overlap, skipped)`` where ``closed`` is
     False if band identities swap over the loop and ``skipped`` counts
@@ -194,61 +223,93 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
     n = right.shape[0]
     if n < 3:
         raise ValueError("need at least 3 loop points")
-    right, left, raw_ov = _canonical_gauge(right, left)
-    bad = np.abs(raw_ov) < overlap_tol
-    if np.any(bad):
-        if on_ep == "raise":
-            raise EPOnPathError(
-                f"biorthogonal overlap below {overlap_tol:.1e} at "
-                f"{int(np.sum(np.any(bad, axis=-1)))} loop points"
-            )
-        raw_ov = np.where(bad, 1.0, raw_ov)
-    left = left / raw_ov[..., None]
+    R, L, bad = [], [], []
+    for b in (0, 1):
+        r0, r1, l0, l1, ov = _canonical_gauge(
+            right[:, b, 0], right[:, b, 1], left[:, b, 0], left[:, b, 1]
+        )
+        bad.append(np.abs(ov) < overlap_tol)
+        inv = 1.0 / np.where(bad[b], 1.0, ov)  # biorthonormal where the pairing allows
+        R.append((r0, r1))
+        L.append((l0 * inv, l1 * inv))
+    skipped = int(np.count_nonzero(bad[0]) + np.count_nonzero(bad[1]))
+    if skipped and on_ep == "raise":
+        raise EPOnPathError(
+            f"biorthogonal overlap below {overlap_tol:.1e} at "
+            f"{int(np.count_nonzero(bad[0] | bad[1]))} loop points"
+        )
 
-    of = np.einsum("kac,kbc->kab", left, np.roll(right, -1, axis=0))
-    ob = np.einsum("kac,kbc->kab", np.roll(left, -1, axis=0), right)
-    swap = np.abs(of[:, 0, 0] * of[:, 1, 1]) < np.abs(of[:, 0, 1] * of[:, 1, 0])
-    par = np.zeros(n + 1, dtype=int)
-    par[1:] = np.cumsum(swap.astype(int)) % 2
-    closed = par[n] == 0
-    ks = np.arange(n)
+    def first(f):
+        return f[0][0], f[1][0]
+
+    diag = np.abs(_step_dots(L[0], R[0], first(R[0])) * _step_dots(L[1], R[1], first(R[1])))
+    off = np.abs(_step_dots(L[0], R[1], first(R[1])) * _step_dots(L[1], R[0], first(R[0])))
+    # par[k]: whether the band identities have traded frame slots by point k
+    par = np.zeros(n + 1, dtype=bool)
+    np.logical_xor.accumulate(diag < off, out=par[1:])
+    closed = not par[n]
     theta = np.empty(2, dtype=complex)
     min_overlap = np.inf
-    skipped = int(np.sum(bad))
     for band in (0, 1):
-        ia = par[:n] ^ band
-        ja = par[1:] ^ band
-        o_fwd = of[ks, ia, ja]
-        o_bwd = ob[ks, ja, ia]
-        step_min = min(np.min(np.abs(o_fwd)), np.min(np.abs(o_bwd)))
+        in_slot1 = par[:n] if band == 0 else ~par[:n]
+        Rt = tuple(np.where(in_slot1, R[1][c], R[0][c]) for c in (0, 1))
+        Lt = tuple(np.where(in_slot1, L[1][c], L[0][c]) for c in (0, 1))
+        # the closing step lands in the slot the band holds after a full turn
+        close = int(par[n]) ^ band
+        o_fwd = _step_dots(Lt, Rt, first(R[close]))
+        o_bwd = _step_dots(Rt, Lt, first(L[close]))
+        a_fwd, a_bwd = np.abs(o_fwd), np.abs(o_bwd)
+        step_min = min(np.min(a_fwd), np.min(a_bwd))
         min_overlap = min(min_overlap, float(step_min))
-        weak = (np.abs(o_fwd) < overlap_tol) | (np.abs(o_bwd) < overlap_tol)
+        weak = (a_fwd < overlap_tol) | (a_bwd < overlap_tol)
         if np.any(weak):
             if on_ep == "raise":
                 raise EPOnPathError(
                     f"step overlap below {overlap_tol:.1e}: phase undefined through an EP"
                 )
-            o_fwd = np.where(weak, 1.0, o_fwd)
-            o_bwd = np.where(weak, 1.0, o_bwd)
-            skipped += int(np.sum(weak))
-        theta[band] = 0.5j * (np.sum(np.log(o_fwd)) - np.sum(np.log(o_bwd)))
-    return theta, bool(closed), min_overlap, skipped
+            o_fwd[weak] = o_bwd[weak] = 1.0
+            a_fwd[weak] = a_bwd[weak] = 1.0
+            skipped += int(np.count_nonzero(weak))
+        # 0.5j * (sum log o_fwd - sum log o_bwd), with log o = log|o| + i arg o
+        arg = _sum_arg(o_fwd) - _sum_arg(o_bwd)
+        log_abs = _sum_log_abs(o_fwd, a_fwd) - _sum_log_abs(o_bwd, a_bwd)
+        theta[band] = complex(-0.5 * arg, 0.5 * log_abs)
+    return theta, closed, min_overlap, skipped
+
+
+def _sum_arg(z):
+    return np.sum(np.arctan2(z.imag, z.real))
+
+
+def _sum_log_abs(z, a):
+    """Sum of ``log |z|``, given ``a = |z|``.
+
+    Where ``|z|`` is near 1, as the step overlaps mostly are, it is
+    ``log1p(|z|^2 - 1) / 2``: ``log(a)`` would leave an absolute error of
+    ~1e-16 per step there, which adds up over the loop.
+    """
+    x, y = z.real, z.imag
+    with np.errstate(divide="ignore"):  # log1p(-1) at a tiny |z|, which the where drops
+        near_one = 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y)
+    return np.sum(np.where((a > 0.5) & (a < 2.0), near_one, np.log(a)))
 
 
 def _principal_theta(theta: complex, band: int) -> complex:
-    """Reduce ``Re theta`` to the principal interval ``(-pi, pi]``.
+    """Reduce ``Re theta`` modulo 2*pi to ``[-pi, pi]``.
 
     The phase is defined modulo 2*pi; this picks a deterministic
     representative.  On the ``+/-pi`` plateau the raw windings of the two
-    bands land on the same edge, so the edge sign is resolved by the sign
-    of the imaginary part (band order as final tie-break), which keeps
-    the two bands on opposite representatives.
+    bands land on either edge, so a value within 1e-9 of either edge takes
+    the edge of its imaginary part: ``+pi`` for ``Im > 1e-12``, ``-pi``
+    for ``Im < -1e-12``, and band order as the tie-break (band 0 at
+    ``+pi``).  The two bands, whose imaginary parts are opposite, thus sit
+    on opposite edges, and rounding cannot move a value to the other one.
     """
     re = theta.real - 2.0 * math.pi * math.floor((theta.real + math.pi) / (2.0 * math.pi))
-    if re <= -math.pi + 1e-9:
-        take_plus = theta.imag > 1e-12 or (abs(theta.imag) <= 1e-12 and band == 0)
-        if take_plus:
-            re += 2.0 * math.pi
+    if abs(re) >= math.pi - 1e-9:
+        plus = theta.imag > 1e-12 or (abs(theta.imag) <= 1e-12 and band == 0)
+        if plus != (re > 0):
+            re += 2.0 * math.pi if plus else -2.0 * math.pi
     return complex(re, theta.imag)
 
 
@@ -277,10 +338,14 @@ def berry_phase_loop(
     """Complex geometric phase of the cyclic model over one period.
 
     The loop parameter is ``s in [0, T)`` sampled at ``steps`` uniform
-    points.  With ``richardson=True`` the loop is recomputed at doubled
+    points.  With ``richardson=True`` the loop is also computed at doubled
     resolution and the two values extrapolated, removing the leading
     second-order discretization error; the step-doubling difference is
-    reported as a convergence certificate.
+    reported as a convergence certificate.  The frames are computed once,
+    at the ``2 * steps`` points: their even points are the ``steps``-point
+    loop bit for bit, so the coarse loop runs on those views.  ``Re theta``
+    is reported on ``[-pi, pi]``, a value at the ``+/-pi`` edge on the edge
+    of the sign of ``Im theta`` (see :func:`_principal_theta`).
 
     For a Hermitian loop (real Bloch vector throughout) the half solid
     angle subtended by the normalized Bloch path is attached for
@@ -292,8 +357,15 @@ def berry_phase_loop(
     if on_ep not in ("raise", "flag"):
         raise ValueError("on_ep must be 'raise' or 'flag'")
 
-    s, d, eps, right, left, gap = _loop_frames(model, steps, overlap_tol, on_ep)
-    theta1, closed1, min_ov1, skipped1 = wilson_loop_phase(
+    s, d, _, right, left, gap = _loop_frames(
+        model, 2 * steps if richardson else steps, overlap_tol, on_ep
+    )
+    if richardson:
+        right2, left2 = right, left
+        # the even points of the 2n grid are the n grid bit for bit
+        # (2k * (T/2n) == k * (T/n)) and every frame operation is pointwise
+        s, d, right, left, gap = s[::2], d[::2], right[::2], left[::2], gap[::2]
+    theta1, closed1, _, skipped1 = wilson_loop_phase(
         right, left, overlap_tol=overlap_tol, on_ep=on_ep
     )
     flags = tuple(float(v) for v in s[gap < gap_tol])
@@ -303,7 +375,6 @@ def berry_phase_loop(
     closed = closed1
     skipped = skipped1
     if richardson:
-        _, _, _, right2, left2, _ = _loop_frames(model, 2 * steps, overlap_tol, on_ep)
         theta2, closed2, _, skipped2 = wilson_loop_phase(
             right2, left2, overlap_tol=overlap_tol, on_ep=on_ep
         )

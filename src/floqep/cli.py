@@ -2,9 +2,11 @@
 
 Subcommands: ``phase-diagram``, ``ep-contours``, ``berry``,
 ``spectrum-scan``, ``verify``.  Progress goes to stderr; results go to
-files in the output directory (plus the verify report on stdout).  Exit
-codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification failure.
+files in the output directory (plus the verify report on stdout).  Log
+records of the ``floqep`` loggers go to stderr at WARNING and above,
+INFO and above with ``-v``, ERROR only with ``-q``.  Exit codes:
+0 success, 1 configuration error, 2 numerical failure, 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -40,6 +43,27 @@ EXIT_VERIFY = 3
 
 def _progress(msg: str):
     print(msg, file=sys.stderr)
+
+
+class _StderrHandler(logging.Handler):
+    """Writes records to the ``sys.stderr`` current at emit time, so a
+    stream replaced after the first ``main()`` call is still honoured."""
+
+    def emit(self, record):
+        try:
+            print(self.format(record), file=sys.stderr)
+        except Exception:
+            self.handleError(record)
+
+
+def _configure_logging(level: int):
+    """Set the ``floqep`` logger level; attach one stderr handler per process."""
+    logger = logging.getLogger("floqep")
+    logger.setLevel(level)
+    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
 
 
 def _resolve_threads(args, config: RunConfig | None) -> int:
@@ -234,6 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"floqep {__version__}")
+    verbosity = parser.add_mutually_exclusive_group()
+    verbosity.add_argument("-v", "--verbose", dest="log_level", action="store_const",
+                           const=logging.INFO, help="also log INFO records")
+    verbosity.add_argument("-q", "--quiet", dest="log_level", action="store_const",
+                           const=logging.ERROR, help="log errors only")
+    parser.set_defaults(log_level=logging.WARNING)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, berry_steps=False):
@@ -275,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except ConfigError as exc:

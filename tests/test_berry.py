@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import floqep.berry as berry_module
 from floqep.berry import (
     DefectivePointError,
     EPOnPathError,
     NearEPError,
     SpectralRegion,
     _loop_frames,
+    _principal_theta,
     berry_phase_loop,
     biorthonormalize,
     classify_instantaneous,
@@ -16,6 +18,7 @@ from floqep.berry import (
     wilson_loop_phase,
 )
 from floqep.model import (
+    PRESET_NAMES,
     Axis,
     DriveTerm,
     Hermiticity,
@@ -27,6 +30,110 @@ from floqep.model import (
     Waveform,
     preset,
 )
+
+
+def _reference_wilson_loop_phase(right, left, overlap_tol=1e-8, on_ep="raise"):
+    """The einsum/np.roll Wilson loop on (n, 2, 2) stacks, kept as the
+    oracle for the component-array kernel in floqep.berry."""
+    right = np.asarray(right, dtype=complex)
+    left = np.asarray(left, dtype=complex)
+    n = right.shape[0]
+    rnorm = np.linalg.norm(right, axis=-1, keepdims=True)
+    lnorm = np.linalg.norm(left, axis=-1, keepdims=True)
+    if np.any(rnorm == 0) or np.any(lnorm == 0):
+        raise DefectivePointError("zero eigenvector encountered")
+    right = right / rnorm
+    left = left / lnorm
+    use1 = np.abs(right[..., 1]) > np.abs(right[..., 0]) * (1.0 + 1e-9)
+    pick = np.where(use1, right[..., 1], right[..., 0])
+    right = right * (np.abs(pick) / pick)[..., None]
+    raw_ov = np.einsum("...bc,...bc->...b", left, right)
+    bad = np.abs(raw_ov) < overlap_tol
+    if np.any(bad):
+        if on_ep == "raise":
+            raise EPOnPathError("biorthogonal overlap below tolerance")
+        raw_ov = np.where(bad, 1.0, raw_ov)
+    left = left / raw_ov[..., None]
+
+    of = np.einsum("kac,kbc->kab", left, np.roll(right, -1, axis=0))
+    ob = np.einsum("kac,kbc->kab", np.roll(left, -1, axis=0), right)
+    swap = np.abs(of[:, 0, 0] * of[:, 1, 1]) < np.abs(of[:, 0, 1] * of[:, 1, 0])
+    par = np.zeros(n + 1, dtype=int)
+    par[1:] = np.cumsum(swap.astype(int)) % 2
+    closed = par[n] == 0
+    ks = np.arange(n)
+    theta = np.empty(2, dtype=complex)
+    min_overlap = np.inf
+    skipped = int(np.sum(bad))
+    for band in (0, 1):
+        ia = par[:n] ^ band
+        ja = par[1:] ^ band
+        o_fwd = of[ks, ia, ja]
+        o_bwd = ob[ks, ja, ia]
+        step_min = min(np.min(np.abs(o_fwd)), np.min(np.abs(o_bwd)))
+        min_overlap = min(min_overlap, float(step_min))
+        weak = (np.abs(o_fwd) < overlap_tol) | (np.abs(o_bwd) < overlap_tol)
+        if np.any(weak):
+            if on_ep == "raise":
+                raise EPOnPathError("step overlap below tolerance")
+            o_fwd = np.where(weak, 1.0, o_fwd)
+            o_bwd = np.where(weak, 1.0, o_bwd)
+            skipped += int(np.sum(weak))
+        theta[band] = 0.5j * (np.sum(np.log(o_fwd)) - np.sum(np.log(o_bwd)))
+    return theta, bool(closed), min_overlap, skipped
+
+
+def _swapping_frames(n, seed):
+    """Biorthogonal frames G(s) v_b(phi) and G(s)^-T v_b(phi) whose basis
+    turns by pi/2 over the loop, so the bands trade places once (the loop
+    does not close), under random per-point gauges, with the band slots
+    exchanged at a few isolated points on top."""
+    rng = np.random.default_rng(seed)
+    s = 2.0 * np.pi * np.arange(n) / n
+    phi = 0.5 * np.pi * np.arange(n) / n
+    a, b = 0.3 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+    G = np.eye(2) + np.cos(s)[:, None, None] * a + np.sin(s)[:, None, None] * b
+    v = np.stack([np.c_[np.cos(phi), np.sin(phi)], np.c_[-np.sin(phi), np.cos(phi)]], axis=1)
+    right = np.einsum("kij,kbj->kbi", G, v)
+    left = np.einsum("kji,kbj->kbi", np.linalg.inv(G), v)
+    gauge = (0.2 + 4.8 * rng.random((n, 2))) * np.exp(2j * np.pi * rng.random((n, 2)))
+    right, left = right * gauge[:, :, None], left / gauge[:, :, None]
+    for k in rng.choice(np.arange(2, n - 2), size=3, replace=False):
+        right[k], left[k] = right[k, ::-1].copy(), left[k, ::-1].copy()
+    return right, left
+
+
+def _defective_frames(kind):
+    """Preset frames with planted defects against an overlap tolerance of
+    1e-2: ``bad`` pairings (left nearly bilinear-orthogonal to right),
+    ``weak`` steps (left nearly orthogonal to the previous right) or a
+    ``zero`` eigenvector.  The planted overlaps are 1e-3, well above
+    rounding, so the step minimum compares to the last digits."""
+    m = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
+    _, _, _, right, left, _ = _loop_frames(m, 1024, 1e-8, "raise")
+    right, left = right.copy(), left.copy()
+
+    def nearly_orthogonal(r):
+        return np.array([-r[1], r[0]]) + 1e-3 * r.conj() / np.vdot(r, r).real
+
+    if kind == "bad":
+        for k, b in ((100, 0), (500, 1), (501, 1)):
+            left[k, b] = nearly_orthogonal(right[k, b])
+    elif kind == "weak":
+        for k, b in ((300, 0), (700, 1)):
+            left[k + 1, b] = nearly_orthogonal(right[k, b])
+    else:
+        right[400, 1] = 0.0
+    return right, left
+
+
+def _assert_matches_reference(right, left, overlap_tol=1e-8, on_ep="raise"):
+    got = wilson_loop_phase(right, left, overlap_tol, on_ep)
+    want = _reference_wilson_loop_phase(right, left, overlap_tol, on_ep)
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12
+    assert got[1] == want[1] and got[3] == want[3]
+    assert got[2] == pytest.approx(want[2], rel=1e-12, abs=0.0)
+    return got
 
 
 def equator_model(amplitude=1.0):
@@ -144,6 +251,42 @@ class TestWilsonLoop:
         with pytest.raises(ValueError):
             wilson_loop_phase(np.zeros((4, 2, 2)), np.zeros((3, 2, 2)))
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta, gamma", [(1, 0.5), (3, 0.5)])
+    def test_reference_on_preset_loops(self, name, beta, gamma):
+        m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
+        for n in (512, 2048):
+            _, _, _, right, left, _ = _loop_frames(m, n, 1e-8, "raise")
+            assert _assert_matches_reference(right, left)[1]
+
+    def test_reference_on_plateau_loop(self):
+        m = preset("apt-cosx-siny", J=1.0, gamma=1.5, omega=1.0, beta=1)
+        _, _, _, right, left, _ = _loop_frames(m, 4096, 1e-8, "raise")
+        _assert_matches_reference(right, left)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_reference_on_band_swaps(self, seed):
+        right, left = _swapping_frames(600, seed)
+        theta, closed, _, skipped = _assert_matches_reference(right, left)
+        assert not closed and skipped == 0
+
+    @pytest.mark.parametrize("kind", ["bad", "weak"])
+    def test_reference_on_flagged_overlaps(self, kind):
+        right, left = _defective_frames(kind)
+        _, _, min_overlap, skipped = _assert_matches_reference(right, left, 1e-2, "flag")
+        assert skipped > 0
+        assert kind == "bad" or min_overlap < 1e-2
+        for fn in (wilson_loop_phase, _reference_wilson_loop_phase):
+            with pytest.raises(EPOnPathError):
+                fn(right, left, 1e-2, "raise")
+
+    def test_zero_eigenvector_raises(self):
+        right, left = _defective_frames("zero")
+        for fn in (wilson_loop_phase, _reference_wilson_loop_phase):
+            for on_ep in ("raise", "flag"):
+                with pytest.raises(DefectivePointError):
+                    fn(right, left, on_ep=on_ep)
+
 
 class TestBerryLoop:
     def test_equator(self):
@@ -211,6 +354,75 @@ class TestBerryLoop:
     def test_steps_validation(self):
         with pytest.raises(ValueError, match="steps"):
             berry_phase_loop(equator_model(), steps=128)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
+        m = PresetTemplate(name, beta=3, family="smooth").instantiate(0.7, 1.0)
+        frames = zip(_loop_frames(m, 2 * n, 1e-8, "raise"), _loop_frames(m, n, 1e-8, "raise"))
+        for fine, coarse in frames:
+            assert np.ascontiguousarray(fine[::2]).tobytes() == coarse.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, beta, gamma, on_ep, gap_tol, steps",
+        [(name, 3, 0.5, "raise", 1e-6, 1024) for name in PRESET_NAMES]
+        + [
+            ("pt-cosy-sinz", 1, 1.0000001, "flag", 1e-3, 1024),
+            # a gamma of the 64-gamma sweep on the plateau, at the CLI's default steps
+            ("apt-cosx-siny", 1, 0.05 + 53 * 2.9 / 63, "raise", 1e-6, 8192),
+        ],
+    )
+    def test_shared_frames_match_two_passes(self, name, beta, gamma, on_ep, gap_tol, steps):
+        m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
+        s, _, _, right, left, gap = _loop_frames(m, steps, 1e-8, on_ep)
+        theta1, closed1, _, skipped1 = _reference_wilson_loop_phase(right, left, on_ep=on_ep)
+        _, _, _, right2, left2, _ = _loop_frames(m, 2 * steps, 1e-8, on_ep)
+        theta2, closed2, _, skipped2 = _reference_wilson_loop_phase(right2, left2, on_ep=on_ep)
+        flags = tuple(float(v) for v in s[gap < gap_tol])
+        r = berry_phase_loop(m, steps=steps, richardson=True, on_ep=on_ep, gap_tol=gap_tol)
+        assert r.degeneracy_flags == flags
+        assert r.certified == (closed1 and closed2 and skipped1 + skipped2 == 0 and not flags)
+        assert r.step_delta == pytest.approx(float(np.max(np.abs(theta2 - theta1))), abs=1e-12)
+        if r.certified:
+            want = [_principal_theta(complex(t), b) for b, t in enumerate((4 * theta2 - theta1) / 3)]
+            assert np.max(np.abs(r.theta - want)) <= 1e-12
+
+    def test_one_frame_pass_two_wilson_loops(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            fn = getattr(berry_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("_loop_frames", "wilson_loop_phase"):
+            monkeypatch.setattr(berry_module, name, counted(name))
+        berry_phase_loop(cap_model(0.8), steps=512, richardson=True)
+        assert calls == ["_loop_frames", "wilson_loop_phase", "wilson_loop_phase"]
+
+    def test_plateau_bands_on_opposite_edges(self):
+        # on the +/-pi plateau (gamma > 1) each band sits on the edge of
+        # the sign of its imaginary part, so the two never share an edge
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        gammas = np.linspace(0.05, 2.95, 64)
+        for g in gammas[gammas > 1.0]:
+            theta = berry_phase_loop(tpl.instantiate(g, 1.0), steps=8192).theta
+            assert np.sign(theta.real).tolist() == np.sign(theta.imag).tolist()
+            assert (theta[0].real > 0) != (theta[1].real > 0)
+
+    def test_principal_theta_edges(self):
+        pi = np.pi
+        for re in (pi - 1e-11, -pi + 1e-11, 3 * pi - 1e-11, -3 * pi + 1e-11):
+            assert _principal_theta(complex(re, 2.0), 1).real == pytest.approx(pi, abs=1e-10)
+            assert _principal_theta(complex(re, -2.0), 0).real == pytest.approx(-pi, abs=1e-10)
+            assert _principal_theta(complex(re, 0.0), 0).real == pytest.approx(pi, abs=1e-10)
+            assert _principal_theta(complex(re, 0.0), 1).real == pytest.approx(-pi, abs=1e-10)
+        assert _principal_theta(complex(pi - 1e-6, -2.0), 0).real == pytest.approx(pi - 1e-6)
+        assert _principal_theta(complex(2 * pi + 0.5, 1.0), 1) == complex(0.5, 1.0)
 
     def test_beta3_gamma_sweep_step_doubling(self):
         # below gamma=1 the beta=3 loop never collides bands and the

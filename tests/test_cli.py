@@ -1,4 +1,5 @@
 import json
+import logging
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -234,6 +235,52 @@ class TestOtherCommands:
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["berry", "--config", str(p)]) == 1
+
+
+class TestVerbosity:
+    @pytest.fixture(autouse=True)
+    def _restore_floqep_logger(self):
+        logger = logging.getLogger("floqep")
+        level, handlers = logger.level, list(logger.handlers)
+        yield
+        logger.setLevel(level)
+        logger.handlers[:] = handlers
+
+    @pytest.mark.parametrize(
+        "flags, level",
+        [([], logging.WARNING), (["-v"], logging.INFO), (["--verbose"], logging.INFO),
+         (["-q"], logging.ERROR), (["--quiet"], logging.ERROR)],
+    )
+    def test_flags_set_floqep_level(self, flags, level):
+        assert cli.main(flags + ["phase-diagram"]) == 1  # no --config: exits after configuring
+        assert logging.getLogger("floqep").level == level
+
+    def test_flags_are_exclusive(self):
+        with pytest.raises(SystemExit):
+            cli.main(["-v", "-q", "phase-diagram"])
+
+    def test_one_handler_and_warnings_by_default(self, caplog, capsys):
+        sweep_log = logging.getLogger("floqep.sweep")
+        for _ in range(3):
+            cli.main(["phase-diagram"])
+        capsys.readouterr()
+        sweep_log.warning("3 of 9 cells failed")
+        sweep_log.info("sweep done")
+        assert capsys.readouterr().err.count("cells failed") == 1
+        assert [r.getMessage() for r in caplog.records] == ["3 of 9 cells failed"]
+
+        caplog.clear()
+        cli.main(["-q", "phase-diagram"])
+        capsys.readouterr()
+        sweep_log.warning("3 of 9 cells failed")
+        sweep_log.error("sweep aborted")
+        assert capsys.readouterr().err.strip() == "ERROR floqep.sweep: sweep aborted"
+        assert [r.getMessage() for r in caplog.records] == ["sweep aborted"]
+
+        caplog.clear()
+        cli.main(["-v", "phase-diagram"])
+        sweep_log.info("sweep done")
+        assert [r.getMessage() for r in caplog.records] == ["sweep done"]
 
 
 class TestVerifyCommand:
