@@ -10,7 +10,9 @@ Hermitian loops its imaginary part cancels identically.  A Richardson
 loop at ``n`` steps computes its frames once, at ``2n`` points, and runs
 the ``n``-step loop on their even points.  ``Re theta`` is reported on
 ``[-pi, pi]``; on the ``+/-pi`` plateau each band takes the edge whose
-sign matches its ``Im theta``.
+sign matches its ``Im theta``.  A step across an exceptional point,
+where the two band pairings tie, keeps the band slots and leaves the
+loop uncertified.
 """
 
 from __future__ import annotations
@@ -64,10 +66,13 @@ class BerryPhaseResult:
     half_solid_angle: float | None
     richardson: bool
     step_delta: float | None      # max band |theta(2n) - theta(n)|
-    certified: bool               # False if EP steps were skipped or bands swapped
+    certified: bool               # False if EP steps were skipped or bands swapped or tied
 
 
 _DEFECT_REL_TOL = 1e-10
+# step pairings this close are undecided: across an EP the two agree to
+# ~1e-14 relative, anywhere else they differ by more than 0.5
+_TIE_REL_TOL = 1e-9
 
 
 def _abs2(z):
@@ -212,9 +217,15 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
     band, with the dot products and ``log z = log|z| + i arg z`` written
     out; no ``(n, 2, 2)`` overlap stack is formed.
 
+    A step whose two band pairings agree to within ``1e-9`` relative, as
+    where the loop crosses an exceptional point, cannot tell the bands
+    apart: it keeps their frame slots, whatever the rounding, and leaves
+    the loop open.
+
     Returns ``(theta, closed, min_overlap, skipped)`` where ``closed`` is
-    False if band identities swap over the loop and ``skipped`` counts
-    steps dropped in ``on_ep='flag'`` mode.
+    False if band identities swap over the loop or a step cannot tell
+    them apart, and ``skipped`` counts steps dropped in ``on_ep='flag'``
+    mode.
     """
     right = np.asarray(right, dtype=complex)
     left = np.asarray(left, dtype=complex)
@@ -244,10 +255,14 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
 
     diag = np.abs(_step_dots(L[0], R[0], first(R[0])) * _step_dots(L[1], R[1], first(R[1])))
     off = np.abs(_step_dots(L[0], R[1], first(R[1])) * _step_dots(L[1], R[0], first(R[0])))
+    # a step across an EP pairs each band with either successor equally
+    # well; rounding must not pick one, so such a step keeps the slots and
+    # the loop is not reported closed
+    tie = np.abs(diag - off) <= _TIE_REL_TOL * np.maximum(diag, off)
     # par[k]: whether the band identities have traded frame slots by point k
     par = np.zeros(n + 1, dtype=bool)
-    np.logical_xor.accumulate(diag < off, out=par[1:])
-    closed = not par[n]
+    np.logical_xor.accumulate((diag < off) & ~tie, out=par[1:])
+    closed = not par[n] and not np.any(tie)
     theta = np.empty(2, dtype=complex)
     min_overlap = np.inf
     for band in (0, 1):

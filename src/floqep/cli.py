@@ -4,7 +4,7 @@ Subcommands: ``phase-diagram``, ``ep-contours``, ``berry``,
 ``spectrum-scan``, ``verify``.  Progress goes to stderr; results go to
 files in the output directory (plus the verify report on stdout).  Log
 records of the ``floqep`` loggers go to stderr at WARNING and above,
-INFO and above with ``-v``, ERROR only with ``-q``.  Exit codes:
+ERROR only with ``-q``.  Exit codes:
 0 success, 1 configuration error, 2 numerical failure, 3 verification
 failure.
 """
@@ -45,25 +45,19 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
-class _StderrHandler(logging.Handler):
-    """Writes records to the ``sys.stderr`` current at emit time, so a
-    stream replaced after the first ``main()`` call is still honoured."""
-
-    def emit(self, record):
-        try:
-            print(self.format(record), file=sys.stderr)
-        except Exception:
-            self.handleError(record)
+_STDERR_HANDLER = logging.StreamHandler()
+_STDERR_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 def _configure_logging(level: int):
-    """Set the ``floqep`` logger level; attach one stderr handler per process."""
+    """Set the ``floqep`` logger level; one stderr handler per process,
+    pointed at the current ``sys.stderr``."""
     logger = logging.getLogger("floqep")
     logger.setLevel(level)
-    if not any(isinstance(h, _StderrHandler) for h in logger.handlers):
-        handler = _StderrHandler()
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        logger.addHandler(handler)
+    # assigned, not setStream(): that flushes the old stream, which may be closed
+    _STDERR_HANDLER.stream = sys.stderr
+    if _STDERR_HANDLER not in logger.handlers:
+        logger.addHandler(_STDERR_HANDLER)
 
 
 def _resolve_threads(args, config: RunConfig | None) -> int:
@@ -258,12 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"floqep {__version__}")
-    verbosity = parser.add_mutually_exclusive_group()
-    verbosity.add_argument("-v", "--verbose", dest="log_level", action="store_const",
-                           const=logging.INFO, help="also log INFO records")
-    verbosity.add_argument("-q", "--quiet", dest="log_level", action="store_const",
-                           const=logging.ERROR, help="log errors only")
-    parser.set_defaults(log_level=logging.WARNING)
+    parser.add_argument("-q", "--quiet", dest="log_level", action="store_const",
+                        const=logging.ERROR, default=logging.WARNING,
+                        help="log errors only")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, berry_steps=False):

@@ -280,6 +280,26 @@ class TestWilsonLoop:
             with pytest.raises(EPOnPathError):
                 fn(right, left, 1e-2, "raise")
 
+    def test_ep_crossings_do_not_follow_rounding(self):
+        # d.d = 1 + 1.69 cos(2 omega t) changes sign four times on this
+        # loop; across each EP the two band pairings tie, and the einsum
+        # kernel's swap decisions, hence theta, follow last-bit rounding
+        m = preset("pt-cosy-sinz", J=1.0, gamma=1.3, omega=1.0, beta=1)
+        n = 1024
+        _, _, _, right, left, _ = _loop_frames(m, n, 1e-8, "flag")
+        theta, closed, _, skipped = wilson_loop_phase(right, left, on_ep="flag")
+        assert not closed and skipped == 0
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            gauge = (0.2 + 4.8 * rng.random((n, 2))) * np.exp(2j * np.pi * rng.random((n, 2)))
+            got = wilson_loop_phase(
+                right * gauge[:, :, None], left / gauge[:, :, None], on_ep="flag"
+            )
+            assert np.max(np.abs(got[0] - theta)) <= 1e-12
+            assert not got[1] and got[3] == 0
+        r = berry_phase_loop(m, steps=n, richardson=True, on_ep="flag")
+        assert not r.certified and np.all(np.isfinite(r.theta))
+
     def test_zero_eigenvector_raises(self):
         right, left = _defective_frames("zero")
         for fn in (wilson_loop_phase, _reference_wilson_loop_phase):
@@ -375,9 +395,9 @@ class TestBerryLoop:
     def test_shared_frames_match_two_passes(self, name, beta, gamma, on_ep, gap_tol, steps):
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
         s, _, _, right, left, gap = _loop_frames(m, steps, 1e-8, on_ep)
-        theta1, closed1, _, skipped1 = _reference_wilson_loop_phase(right, left, on_ep=on_ep)
+        theta1, closed1, _, skipped1 = wilson_loop_phase(right, left, on_ep=on_ep)
         _, _, _, right2, left2, _ = _loop_frames(m, 2 * steps, 1e-8, on_ep)
-        theta2, closed2, _, skipped2 = _reference_wilson_loop_phase(right2, left2, on_ep=on_ep)
+        theta2, closed2, _, skipped2 = wilson_loop_phase(right2, left2, on_ep=on_ep)
         flags = tuple(float(v) for v in s[gap < gap_tol])
         r = berry_phase_loop(m, steps=steps, richardson=True, on_ep=on_ep, gap_tol=gap_tol)
         assert r.degeneracy_flags == flags

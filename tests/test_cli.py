@@ -248,16 +248,11 @@ class TestVerbosity:
 
     @pytest.mark.parametrize(
         "flags, level",
-        [([], logging.WARNING), (["-v"], logging.INFO), (["--verbose"], logging.INFO),
-         (["-q"], logging.ERROR), (["--quiet"], logging.ERROR)],
+        [([], logging.WARNING), (["-q"], logging.ERROR), (["--quiet"], logging.ERROR)],
     )
     def test_flags_set_floqep_level(self, flags, level):
         assert cli.main(flags + ["phase-diagram"]) == 1  # no --config: exits after configuring
         assert logging.getLogger("floqep").level == level
-
-    def test_flags_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            cli.main(["-v", "-q", "phase-diagram"])
 
     def test_one_handler_and_warnings_by_default(self, caplog, capsys):
         sweep_log = logging.getLogger("floqep.sweep")
@@ -276,11 +271,6 @@ class TestVerbosity:
         sweep_log.error("sweep aborted")
         assert capsys.readouterr().err.strip() == "ERROR floqep.sweep: sweep aborted"
         assert [r.getMessage() for r in caplog.records] == ["sweep aborted"]
-
-        caplog.clear()
-        cli.main(["-v", "phase-diagram"])
-        sweep_log.info("sweep done")
-        assert [r.getMessage() for r in caplog.records] == ["sweep done"]
 
 
 class TestVerifyCommand:
