@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -33,6 +32,7 @@ from .sweep import (
     persist,
     phase_diagram,
     trace_ep_contours,
+    write_table,
 )
 
 EXIT_OK = 0
@@ -200,33 +200,27 @@ def cmd_spectrum_scan(args) -> int:
     config = _load(args)
     if not config.gamma.is_range:
         raise ConfigError("spectrum-scan needs a gamma range")
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
         f"instantaneous-spectrum scan: {config.preset} beta={config.beta}, "
         f"{config.gamma.count} gamma values"
     )
     scan = spectrum_region_scan(config.template, gammas)
-    csv_path = out / "spectrum_scan.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("gamma,classification\n")
-        for g, cls in zip(scan.gammas, scan.classifications):
-            fh.write(f"{g:.12e},{cls}\n")
-    meta = {
-        "schema_version": 1,
-        "format": "spectrum-scan",
-        "model": config.template.label,
-        "samples": scan.samples,
-        "thresholds": [
-            {"gamma": t.gamma, "below": t.below, "above": t.above}
-            for t in scan.thresholds
-        ],
-        "version": __version__,
-    }
-    with open(csv_path.with_name(csv_path.name + ".meta.json"), "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    csv_path = write_table(
+        Path(config.out_dir) / "spectrum_scan.csv",
+        "gamma,classification",
+        (map("{:.12e}".format, scan.gammas), scan.classifications),
+        "spectrum-scan",
+        {
+            "model": config.template.label,
+            "samples": scan.samples,
+            "thresholds": [
+                {"gamma": t.gamma, "below": t.below, "above": t.above}
+                for t in scan.thresholds
+            ],
+            "version": __version__,
+        },
+    )
     _progress(f"wrote {csv_path}; thresholds at {[round(t.gamma, 6) for t in scan.thresholds]}")
     return EXIT_OK
 

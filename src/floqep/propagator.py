@@ -24,6 +24,7 @@ from .model import (
     SMOOTH_WAVEFORMS,
     bloch_decompose,
     bloch_vector_at,
+    matrix_from_bloch_vector,
 )
 
 # below this |mu*tau| the cos/sinc factors switch to 5-term Taylor series,
@@ -56,15 +57,9 @@ class SegmentSequence:
 
     ds: np.ndarray          # (n, 3) complex
     durations: np.ndarray   # (n,) float
-    total: float
 
     def __len__(self) -> int:
         return len(self.durations)
-
-    def hamiltonian(self, index: int) -> np.ndarray:
-        from .model import matrix_from_bloch_vector
-
-        return matrix_from_bloch_vector(self.ds[index])
 
 
 @dataclass(eq=False)
@@ -220,11 +215,7 @@ def segment_hamiltonians(model: ModelSpec) -> SegmentSequence:
     tau = model.period / n_seg
     mids = (np.arange(n_seg) + 0.5) * tau
     ds = bloch_vector_at(model, mids)
-    return SegmentSequence(
-        ds=ds,
-        durations=np.full(n_seg, tau),
-        total=model.period,
-    )
+    return SegmentSequence(ds=ds, durations=np.full(n_seg, tau))
 
 
 def quasienergy_from_trace(c, T):
@@ -342,8 +333,6 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
         n_seg = len(segments)
         m = int(math.ceil(steps_per_period / n_seg))
         g = np.eye(2, dtype=complex)
-        from .model import matrix_from_bloch_vector
-
         for idx in range(n_seg):
             tau = float(segments.durations[idx])
             h = tau / m
@@ -355,8 +344,6 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     h = T / n
     edges = np.arange(n + 1) * h
     mids = (np.arange(n) + 0.5) * h
-    from .model import matrix_from_bloch_vector  # noqa: F401  (vectorized below)
-
     d_edges = bloch_vector_at(model, edges)
     d_mids = bloch_vector_at(model, mids)
 

@@ -34,20 +34,11 @@ def _lerp_color(t: float) -> tuple[int, int, int]:
     return tuple(int(round(a + t * (b - a))) for a, b in zip(_DARK, _BRIGHT))
 
 
-def _svg_header(width: float, height: float) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(width)}" '
-        f'height="{_num(height)}" viewBox="0 0 {_num(width)} {_num(height)}">',
-        f'<rect x="0" y="0" width="{_num(width)}" height="{_num(height)}" fill="#ffffff"/>',
-    ]
-
-
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def _axes(lines: list[str], x_label: str, y_label: str, xlim, ylim):
+def _axes(lines: list[str], y_label: str, xlim, ylim):
     x0, y0 = _MARGIN_L, _MARGIN_T + _PLOT_H
     x1, y1 = _MARGIN_L + _PLOT_W, _MARGIN_T
     lines.append(
@@ -76,7 +67,7 @@ def _axes(lines: list[str], x_label: str, y_label: str, xlim, ylim):
         )
     lines.append(
         f'<text x="{_num(x0 + _PLOT_W / 2)}" y="{_num(y0 + 36)}" font-size="13" '
-        f'text-anchor="middle" font-family="sans-serif">{x_label}</text>'
+        'text-anchor="middle" font-family="sans-serif">gamma</text>'
     )
     lines.append(
         f'<text x="{_num(16.0)}" y="{_num(y1 + _PLOT_H / 2)}" font-size="13" '
@@ -91,6 +82,32 @@ def _data_to_px(x, xlim):
 
 def _data_to_py(y, ylim):
     return _MARGIN_T + _PLOT_H - (y - ylim[0]) / (ylim[1] - ylim[0]) * _PLOT_H
+
+
+def _page(body: list[str], y_label: str, xlim, ylim, path, title) -> str:
+    """One SVG page: background, optional title, ``body``, then the
+    (gamma, ``y_label``) axes.  Returns the text; writes it when ``path``
+    is given."""
+    width = _MARGIN_L + _PLOT_W + _MARGIN_R
+    height = _MARGIN_T + _PLOT_H + _MARGIN_B
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_num(width)}" '
+        f'height="{_num(height)}" viewBox="0 0 {_num(width)} {_num(height)}">',
+        f'<rect x="0" y="0" width="{_num(width)}" height="{_num(height)}" fill="#ffffff"/>',
+    ]
+    if title:
+        lines.append(
+            f'<text x="{_num(width / 2)}" y="18" font-size="13" text-anchor="middle" '
+            f'font-family="sans-serif">{title}</text>'
+        )
+    lines.extend(body)
+    _axes(lines, y_label, xlim, ylim)
+    lines.append("</svg>")
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        Path(path).write_text(text)
+    return text
 
 
 def _ppm_base64(values: np.ndarray, vmax: float) -> str:
@@ -123,15 +140,7 @@ def heatmap_svg(
     finite = diagram.values[np.isfinite(diagram.values)]
     vmax = float(finite.max()) if finite.size and finite.max() > 0 else 1.0
 
-    width = _MARGIN_L + _PLOT_W + _MARGIN_R
-    height = _MARGIN_T + _PLOT_H + _MARGIN_B
-    lines = _svg_header(width, height)
-    if title:
-        lines.append(
-            f'<text x="{_num(width / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
-
+    lines = []
     if max(grid.gamma_count, grid.omega_count) > 200:
         payload = _ppm_base64(diagram.values, vmax)
         lines.append(
@@ -158,12 +167,7 @@ def heatmap_svg(
                 )
     if contours is not None:
         lines.extend(_contour_elements(contours, xlim, ylim))
-    _axes(lines, "gamma", "omega", xlim, ylim)
-    lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _page(lines, "omega", xlim, ylim, path, title)
 
 
 def _contour_elements(contours: EPContourSet, xlim, ylim) -> list[str]:
@@ -197,21 +201,7 @@ def _contour_elements(contours: EPContourSet, xlim, ylim) -> list[str]:
 
 def contours_svg(contours: EPContourSet, xlim, ylim, path=None, title=None) -> str:
     """EP contours alone on (gamma, omega) axes."""
-    width = _MARGIN_L + _PLOT_W + _MARGIN_R
-    height = _MARGIN_T + _PLOT_H + _MARGIN_B
-    lines = _svg_header(width, height)
-    if title:
-        lines.append(
-            f'<text x="{_num(width / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
-    lines.extend(_contour_elements(contours, xlim, ylim))
-    _axes(lines, "gamma", "omega", xlim, ylim)
-    lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _page(_contour_elements(contours, xlim, ylim), "omega", xlim, ylim, path, title)
 
 
 def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
@@ -231,14 +221,7 @@ def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
     ylim = (ylo - pad, yhi + pad)
     xlim = (float(g[0]), float(g[-1]))
 
-    width = _MARGIN_L + _PLOT_W + _MARGIN_R
-    height = _MARGIN_T + _PLOT_H + _MARGIN_B
-    lines = _svg_header(width, height)
-    if title:
-        lines.append(
-            f'<text x="{_num(width / 2)}" y="18" font-size="13" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
+    lines = []
     if ylim[0] < 0 < ylim[1]:
         y0px = _data_to_py(0.0, ylim)
         lines.append(
@@ -259,9 +242,4 @@ def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
             f'font-size="11" text-anchor="end" font-family="sans-serif" '
             f'fill="{color}">{label}</text>'
         )
-    _axes(lines, "gamma", "theta", xlim, ylim)
-    lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return _page(lines, "theta", xlim, ylim, path, title)

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import datetime
 import functools
+import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -541,13 +542,9 @@ def berry_gamma_sweep(
 
 
 # ----------------------------------------------------------------------
-# persistence
+# persistence: every result is one CSV table plus a JSON sidecar
 
 _SCHEMA_VERSION = 1
-
-_DIAGRAM_HEADER = "omega,gamma,max_im_eps"
-_CONTOUR_HEADER = "contour_id,omega,gamma,kind"
-_BERRY_HEADER = "gamma,band,re_theta,im_theta,flags"
 
 
 def _fmt(x: float) -> str:
@@ -581,164 +578,144 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
     return doc
 
 
-def persist(result, path) -> Path:
-    """Write a result to ``path`` (CSV plus a JSON metadata sidecar)."""
+def write_table(path, header: str, columns, fmt: str, payload: dict) -> Path:
+    """Write ``columns`` (one iterable of CSV fields per header field)
+    under ``header``, row by row, then the sidecar of format ``fmt``
+    carrying ``payload``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(result, PhaseDiagram):
-        _save_diagram(result, path)
-    elif isinstance(result, EPContourSet):
-        _save_contours(result, path)
-    elif isinstance(result, BerrySweep):
-        _save_berry(result, path)
-    else:
-        raise TypeError(f"cannot persist {type(result).__name__}")
+    row = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(map(row.__mod__, zip(*columns)))
+    _write_meta(path, fmt, payload)
     return path
 
 
-def load(path):
-    """Inverse of :func:`persist`; dispatches on the CSV header."""
-    path = Path(path)
-    with open(path, newline="\n") as fh:
-        header = fh.readline().strip()
-    if header == _DIAGRAM_HEADER:
-        return _load_diagram(path)
-    if header == _CONTOUR_HEADER:
-        return _load_contours(path)
-    if header == _BERRY_HEADER:
-        return _load_berry(path)
-    raise ValueError(f"unrecognized file header {header!r} in {path}")
-
-
-def _save_diagram(diagram: PhaseDiagram, path: Path):
-    gammas = diagram.grid.gammas
-    omegas = diagram.grid.omegas
-    lines = [_DIAGRAM_HEADER]
-    for j, w in enumerate(omegas):
-        for i, g in enumerate(gammas):
-            lines.append(f"{_fmt(w)},{_fmt(g)},{_fmt(diagram.values[j, i])}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _diagram_table(diagram: PhaseDiagram):
     grid = diagram.grid
-    _write_meta(
-        path,
-        "phase-diagram",
-        {
-            "grid": {
-                "gamma_min": grid.gamma_min,
-                "gamma_max": grid.gamma_max,
-                "gamma_count": grid.gamma_count,
-                "omega_min": grid.omega_min,
-                "omega_max": grid.omega_max,
-                "omega_count": grid.omega_count,
-                "engine": grid.engine,
-            },
-            "metadata": diagram.metadata,
-        },
+    omegas = [_fmt(w) for w in grid.omegas]
+    gammas = [_fmt(g) for g in grid.gammas]
+    columns = (
+        (w for w in omegas for _ in gammas),  # omega outer
+        gammas * len(omegas),
+        map(_fmt, diagram.values.ravel().tolist()),
     )
+    return columns, {"grid": asdict(grid), "metadata": diagram.metadata}
 
 
-def _load_diagram(path: Path) -> PhaseDiagram:
-    doc = _read_meta(path, "phase-diagram")
+def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:
     grid = GridSpec(**doc["grid"])
-    values = np.full((grid.omega_count, grid.gamma_count), np.nan)
-    with open(path, newline="\n") as fh:
-        header = fh.readline().strip()
-        if header != _DIAGRAM_HEADER:
-            raise ValueError(f"malformed phase-diagram file {path}")
-        count = 0
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"malformed row in {path}: {line!r}")
-            j, i = divmod(count, grid.gamma_count)
-            if j >= grid.omega_count:
-                raise ValueError(f"too many rows in {path}")
-            values[j, i] = float(parts[2])
-            count += 1
-    if count != grid.omega_count * grid.gamma_count:
+    values = np.fromiter((float(row[2]) for row in rows), dtype=float)
+    if values.size != grid.omega_count * grid.gamma_count:
         raise ValueError(
-            f"row count {count} does not match grid "
+            f"row count {values.size} does not match grid "
             f"{grid.omega_count}x{grid.gamma_count} in {path}"
         )
+    values = values.reshape(grid.omega_count, grid.gamma_count)
     return PhaseDiagram(grid=grid, values=values, metadata=doc["metadata"])
 
 
-def _save_contours(contours: EPContourSet, path: Path):
-    lines = [_CONTOUR_HEADER]
-    for cid, line in enumerate(contours.contours):
-        for pt in line:
-            lines.append(f"{cid},{_fmt(pt.omega)},{_fmt(pt.gamma)},{pt.kind}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_meta(
-        path,
-        "ep-contours",
-        {"tolerance": contours.tolerance, "metadata": contours.metadata},
-    )
+def _contours_table(contours: EPContourSet):
+    rows = [
+        (str(cid), _fmt(pt.omega), _fmt(pt.gamma), pt.kind)
+        for cid, line in enumerate(contours.contours)
+        for pt in line
+    ]
+    return tuple(zip(*rows)), {"tolerance": contours.tolerance, "metadata": contours.metadata}
 
 
-def _load_contours(path: Path) -> EPContourSet:
-    doc = _read_meta(path, "ep-contours")
+def _contours_from(rows, doc: dict, path: Path) -> EPContourSet:
     lines: dict[int, list[ContourPoint]] = {}
-    with open(path, newline="\n") as fh:
-        header = fh.readline().strip()
-        if header != _CONTOUR_HEADER:
-            raise ValueError(f"malformed contour file {path}")
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            cid_s, w_s, g_s, kind = raw.split(",")
-            lines.setdefault(int(cid_s), []).append(
-                ContourPoint(float(w_s), float(g_s), kind)
-            )
-    contours = tuple(tuple(lines[k]) for k in sorted(lines))
+    for cid, w, g, kind in rows:
+        if kind not in (EPKind.EP.value, EPKind.DIABOLIC.value):
+            raise ValueError(f"unknown contour kind {kind!r} in {path}")
+        lines.setdefault(int(cid), []).append(ContourPoint(float(w), float(g), kind))
     return EPContourSet(
-        contours=contours, tolerance=doc["tolerance"], metadata=doc["metadata"]
+        contours=tuple(tuple(lines[k]) for k in sorted(lines)),
+        tolerance=doc["tolerance"],
+        metadata=doc["metadata"],
     )
 
 
-def _save_berry(sweep: BerrySweep, path: Path):
-    lines = [_BERRY_HEADER]
-    for i, g in enumerate(sweep.gammas):
-        flag_s = ";".join(_fmt(v) for v in sweep.flags[i])
-        for b in (0, 1):
-            th = sweep.thetas[i, b]
-            lines.append(f"{_fmt(g)},{b},{_fmt(th.real)},{_fmt(th.imag)},{flag_s}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    _write_meta(path, "berry", {"metadata": sweep.metadata})
+def _berry_table(sweep: BerrySweep):
+    gammas = [_fmt(g) for g in sweep.gammas]
+    flags = [";".join(map(_fmt, f)) for f in sweep.flags]
+    columns = (
+        (g for g in gammas for _ in range(2)),  # one row per band
+        ("0", "1") * len(gammas),
+        map(_fmt, sweep.thetas.real.ravel().tolist()),
+        map(_fmt, sweep.thetas.imag.ravel().tolist()),
+        (f for f in flags for _ in range(2)),
+    )
+    return columns, {"metadata": sweep.metadata}
 
 
-def _load_berry(path: Path) -> BerrySweep:
-    doc = _read_meta(path, "berry")
-    gammas: list[float] = []
-    flags: list[tuple] = []
-    rows: list[list[complex]] = []
-    with open(path, newline="\n") as fh:
-        header = fh.readline().strip()
-        if header != _BERRY_HEADER:
-            raise ValueError(f"malformed berry file {path}")
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            g_s, b_s, re_s, im_s, flag_s = raw.split(",")
-            band = int(b_s)
-            if band == 0:
-                gammas.append(float(g_s))
-                flags.append(
-                    tuple(float(v) for v in flag_s.split(";")) if flag_s else ()
-                )
-                rows.append([0.0j, 0.0j])
-            rows[-1][band] = complex(float(re_s), float(im_s))
+def _berry_from(rows, doc: dict, path: Path) -> BerrySweep:
+    gammas, thetas, flags = [], [], []
+    for row0, row1 in itertools.zip_longest(rows, rows):  # consecutive rows in pairs
+        if row1 is None or (row0[1], row1[1]) != ("0", "1") or row0[0] != row1[0]:
+            raise ValueError(f"rows of {path} are not (band 0, band 1) pairs of one gamma")
+        gammas.append(float(row0[0]))
+        thetas.append([complex(float(row[2]), float(row[3])) for row in (row0, row1)])
+        flags.append(tuple(float(v) for v in row0[4].split(";")) if row0[4] else ())
     return BerrySweep(
-        gammas=np.array(gammas),
-        thetas=np.array(rows),
+        gammas=np.array(gammas, dtype=float),
+        thetas=np.array(thetas, dtype=complex).reshape(-1, 2),
         flags=tuple(flags),
         metadata=doc["metadata"],
     )
+
+
+class _Format(NamedTuple):
+    name: str        # the sidecar's "format"
+    header: str      # the CSV's first line
+    result: type
+    to_table: Callable    # result -> (columns, sidecar payload)
+    from_rows: Callable   # (rows, sidecar, path) -> result
+
+
+_FORMATS = (
+    _Format("phase-diagram", "omega,gamma,max_im_eps",
+            PhaseDiagram, _diagram_table, _diagram_from),
+    _Format("ep-contours", "contour_id,omega,gamma,kind",
+            EPContourSet, _contours_table, _contours_from),
+    _Format("berry", "gamma,band,re_theta,im_theta,flags",
+            BerrySweep, _berry_table, _berry_from),
+)
+
+
+def persist(result, path) -> Path:
+    """Write a result to ``path`` (CSV plus a JSON metadata sidecar)."""
+    for fmt in _FORMATS:
+        if isinstance(result, fmt.result):
+            columns, payload = fmt.to_table(result)
+            return write_table(path, fmt.header, columns, fmt.name, payload)
+    raise TypeError(f"cannot persist {type(result).__name__}")
+
+
+def load(path):
+    """Inverse of :func:`persist`; dispatches on the CSV header.
+
+    A row with the wrong field count, or rows that do not fit their
+    format, raise ``ValueError``.
+    """
+    path = Path(path)
+    with open(path, newline="\n") as fh:
+        header = fh.readline().strip()
+        fmt = next((f for f in _FORMATS if f.header == header), None)
+        if fmt is None:
+            raise ValueError(f"unrecognized file header {header!r} in {path}")
+        doc = _read_meta(path, fmt.name)
+        return fmt.from_rows(_rows(fh, header.count(",") + 1, path), doc, path)
+
+
+def _rows(lines, n_fields: int, path: Path):
+    """The non-blank ``lines`` split into their ``n_fields`` CSV fields."""
+    for line in lines:
+        line = line.strip()
+        if line:
+            fields = line.split(",")
+            if len(fields) != n_fields:
+                raise ValueError(f"malformed row in {path}: {line!r}")
+            yield fields

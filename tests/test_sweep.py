@@ -13,6 +13,7 @@ from floqep.propagator import (
 from floqep.sweep import (
     INSTABILITY_THRESHOLD,
     BerrySweep,
+    ContourPoint,
     EPContourSet,
     FailureBudgetExceeded,
     GridSpec,
@@ -377,6 +378,30 @@ class TestPersistence:
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValueError, match="row count"):
+            load(p)
+
+    @pytest.mark.parametrize(
+        "result, rows, match",
+        [
+            ("diagram", ["1.0,2.0"], "malformed row"),
+            ("contours", ["0,1.0,2.0"], "malformed row"),
+            ("berry", ["1.0,0,0.0,0.0"], "malformed row"),
+            ("contours", ["0,1.0,2.0,Bogus"], "unknown contour kind 'Bogus'"),
+            ("berry", ["1.0,1,0.0,0.0,", "1.0,0,0.0,0.0,"], "pairs"),  # band 1 first
+            ("berry", ["1.0,0,0.0,0.0,", "1.0,1,0.0,0.0,", "2.0,0,0.0,0.0,"], "pairs"),
+            ("berry", ["1.0,0,0.0,0.0,", "2.0,1,0.0,0.0,"], "pairs"),  # two gammas
+        ],
+    )
+    def test_rejects_bad_rows(self, diagram, tmp_path, result, rows, match):
+        results = {
+            "diagram": diagram,
+            "contours": EPContourSet(((ContourPoint(1.0, 0.5, "EP"),),), 1e-6, {}),
+            "berry": BerrySweep(np.array([1.0]), np.zeros((1, 2), complex), ((),), {}),
+        }
+        p = persist(results[result], tmp_path / "r.csv")
+        header = p.read_text().splitlines()[0]
+        p.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=match):
             load(p)
 
     def test_unknown_type(self, tmp_path):
