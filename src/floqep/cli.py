@@ -117,26 +117,27 @@ def _grid_from(config: RunConfig) -> GridSpec:
 
 def cmd_phase_diagram(args) -> int:
     config = _load(args)
+    tpl = config.template
     threads = _resolve_threads(args, config)
     grid = _grid_from(config)
     out = Path(config.out_dir)
     _progress(
-        f"phase diagram: {config.preset} beta={config.beta} {config.family}, "
+        f"phase diagram: {tpl.name} beta={tpl.beta} {tpl.family}, "
         f"{grid.gamma_count}x{grid.omega_count} grid, engine {grid.engine}, "
         f"{threads} thread(s)"
     )
     diagram = phase_diagram(
-        config.template, grid, threads=threads, cutoff=config.cutoff
+        tpl, grid, threads=threads, cutoff=config.cutoff
     )
     csv_path = persist(diagram, out / "phase_diagram.csv")
     contours = None
     if args.overlay_contours:
         _progress("tracing EP contours for overlay")
-        contours = trace_ep_contours(config.template, grid)
+        contours = trace_ep_contours(tpl, grid)
         persist(contours, out / "ep_contours.csv")
     render.heatmap_svg(
         diagram, out / "phase_diagram.svg", contours=contours,
-        title=f"max Im eps: {config.template.label}",
+        title=f"max Im eps: {tpl.label}",
     )
     _progress(f"wrote {csv_path} and {out / 'phase_diagram.svg'}")
     return EXIT_OK
@@ -144,22 +145,23 @@ def cmd_phase_diagram(args) -> int:
 
 def cmd_ep_contours(args) -> int:
     config = _load(args)
+    tpl = config.template
     grid = _grid_from(config)
     if grid.engine == "floquet":
         raise ConfigError("ep-contours needs a monodromy engine")
     out = Path(config.out_dir)
     _progress(
-        f"EP contours: {config.preset} beta={config.beta} {config.family}, "
+        f"EP contours: {tpl.name} beta={tpl.beta} {tpl.family}, "
         f"{grid.gamma_count}x{grid.omega_count} grid"
     )
-    contours = trace_ep_contours(config.template, grid)
+    contours = trace_ep_contours(tpl, grid)
     csv_path = persist(contours, out / "ep_contours.csv")
     render.contours_svg(
         contours,
         (grid.gamma_min, grid.gamma_max),
         (grid.omega_min, grid.omega_max),
         out / "ep_contours.svg",
-        title=f"EP contours: {config.template.label}",
+        title=f"EP contours: {tpl.label}",
     )
     n_pts = sum(len(line) for line in contours.contours)
     _progress(f"wrote {csv_path} ({len(contours.contours)} contours, {n_pts} points)")
@@ -168,6 +170,7 @@ def cmd_ep_contours(args) -> int:
 
 def cmd_berry(args) -> int:
     config = _load(args)
+    tpl = config.template
     threads = _resolve_threads(args, config)
     if not config.gamma.is_range:
         raise ConfigError("berry needs a gamma range")
@@ -175,12 +178,12 @@ def cmd_berry(args) -> int:
     out = Path(config.out_dir)
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
-        f"complex phase sweep: {config.preset} beta={config.beta}, "
+        f"complex phase sweep: {tpl.name} beta={tpl.beta}, "
         f"{config.gamma.count} gamma values, {config.berry_steps} steps, "
         f"richardson={'on' if config.richardson else 'off'}"
     )
     sweep = berry_gamma_sweep(
-        config.template,
+        tpl,
         gammas,
         omega=omega,
         steps=config.berry_steps,
@@ -188,7 +191,7 @@ def cmd_berry(args) -> int:
         threads=threads,
     )
     csv_path = persist(sweep, out / "berry.csv")
-    render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {config.template.label}")
+    render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
     _progress(
         f"wrote {csv_path}; step-doubling certificate: max delta = "
         f"{sweep.metadata['max_step_delta']}"
@@ -198,21 +201,22 @@ def cmd_berry(args) -> int:
 
 def cmd_spectrum_scan(args) -> int:
     config = _load(args)
+    tpl = config.template
     if not config.gamma.is_range:
         raise ConfigError("spectrum-scan needs a gamma range")
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
-        f"instantaneous-spectrum scan: {config.preset} beta={config.beta}, "
+        f"instantaneous-spectrum scan: {tpl.name} beta={tpl.beta}, "
         f"{config.gamma.count} gamma values"
     )
-    scan = spectrum_region_scan(config.template, gammas)
+    scan = spectrum_region_scan(tpl, gammas)
     csv_path = write_table(
         Path(config.out_dir) / "spectrum_scan.csv",
         "gamma,classification",
         (map("{:.12e}".format, scan.gammas), scan.classifications),
         "spectrum-scan",
         {
-            "model": config.template.label,
+            "model": tpl.label,
             "samples": scan.samples,
             "thresholds": [
                 {"gamma": t.gamma, "below": t.below, "above": t.above}

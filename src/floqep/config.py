@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import PRESET_NAMES, PresetTemplate
+from .model import PresetTemplate
 from .sweep import ENGINES
 
 SCHEMA_VERSION = 1
@@ -80,10 +80,7 @@ def _axis_to(axis: AxisSpec) -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str
-    J: float
-    beta: int
-    family: str
+    template: PresetTemplate
     gamma: AxisSpec
     omega: AxisSpec
     engine: str
@@ -92,10 +89,6 @@ class RunConfig:
     richardson: bool
     threads: int | None
     out_dir: str
-
-    @property
-    def template(self) -> PresetTemplate:
-        return PresetTemplate(name=self.preset, J=self.J, beta=self.beta, family=self.family)
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -108,20 +101,15 @@ def parse_config(doc: dict) -> RunConfig:
     model = doc.get("model")
     if not isinstance(model, dict):
         raise ConfigError("missing 'model' object")
-    preset_name = model.get("preset")
-    if preset_name not in PRESET_NAMES:
-        raise ConfigError(
-            f"unknown preset {preset_name!r}; known: {', '.join(PRESET_NAMES)}"
+    try:
+        template = PresetTemplate(
+            model.get("preset"),
+            J=float(model.get("J", 1.0)),
+            beta=model.get("beta", 1),
+            family=model.get("family", "smooth"),
         )
-    beta = model.get("beta", 1)
-    if not isinstance(beta, int) or isinstance(beta, bool) or beta < 1:
-        raise ConfigError("model.beta must be an integer >= 1")
-    family = model.get("family", "smooth")
-    if family not in ("smooth", "square"):
-        raise ConfigError("model.family must be 'smooth' or 'square'")
-    J = float(model.get("J", 1.0))
-    if not math.isfinite(J):
-        raise ConfigError("model.J must be finite")
+    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric J such as null
+        raise ConfigError(f"model: {exc}") from exc
 
     gamma = _axis_from(doc.get("gamma", {"value": 0.5}), "gamma")
     gamma.validate("gamma", nonnegative=True)
@@ -134,8 +122,8 @@ def parse_config(doc: dict) -> RunConfig:
     cutoff = doc.get("cutoff", 20)
     if not isinstance(cutoff, int) or cutoff < 1:
         raise ConfigError("cutoff must be a positive integer")
-    if cutoff < beta:
-        raise ConfigError(f"cutoff {cutoff} below the largest drive harmonic {beta}")
+    if cutoff < template.beta:
+        raise ConfigError(f"cutoff {cutoff} below the largest drive harmonic {template.beta}")
     berry_steps = doc.get("berry_steps", 8192)
     if not isinstance(berry_steps, int) or berry_steps < 256:
         raise ConfigError("berry_steps must be an integer >= 256")
@@ -150,10 +138,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError("out_dir must be a non-empty string")
 
     return RunConfig(
-        preset=preset_name,
-        J=J,
-        beta=beta,
-        family=family,
+        template=template,
         gamma=gamma,
         omega=omega,
         engine=engine,
@@ -170,10 +155,10 @@ def serialize_config(config: RunConfig) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
         "model": {
-            "preset": config.preset,
-            "J": config.J,
-            "beta": config.beta,
-            "family": config.family,
+            "preset": config.template.name,
+            "J": config.template.J,
+            "beta": config.template.beta,
+            "family": config.template.family,
         },
         "gamma": _axis_to(config.gamma),
         "omega": _axis_to(config.omega),

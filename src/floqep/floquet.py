@@ -102,11 +102,14 @@ def fourier_components(model: ModelSpec) -> dict[int, np.ndarray]:
     return comps
 
 
-def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> FloquetMatrix:
-    """Assemble the truncated matrix for harmonics ``n = -N..N``."""
-    n_max = model.max_multiplier
+def _check_cutoff(cutoff: int, n_max: int):
     if cutoff < n_max:
         raise ValueError(f"cutoff {cutoff} below largest drive harmonic {n_max}")
+
+
+def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> FloquetMatrix:
+    """Assemble the truncated matrix for harmonics ``n = -N..N``."""
+    _check_cutoff(cutoff, model.max_multiplier)
     comps = fourier_components(model)
     nb = 2 * cutoff + 1
     dim = 2 * nb

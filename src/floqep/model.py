@@ -225,56 +225,87 @@ def orthogonality_check(model: ModelSpec, samples: int = 128) -> float:
     return float(np.max(np.abs(dots)))
 
 
-def _family_waveforms(family: str) -> tuple[Waveform, Waveform]:
-    if family == "smooth":
-        return Waveform.COS, Waveform.SIN
-    if family == "square":
-        return Waveform.SQUARE_COS, Waveform.SQUARE_SIN
-    raise ValueError(f"unknown waveform family {family!r} (use 'smooth' or 'square')")
-
-
-def _pt_cosy_cosz(J, gamma, beta, cos_w, sin_w):
-    # static X coupling, Hermitian cos-Y drive at omega, anti-Hermitian
-    # cos-Z drive at beta*omega with a negative amplitude (gain-loss sign)
-    return (
-        DriveTerm(Axis.X, J),
-        DriveTerm(Axis.Y, gamma, cos_w, 1, Hermiticity.HERMITIAN),
-        DriveTerm(Axis.Z, -gamma, cos_w, beta, Hermiticity.ANTI_HERMITIAN),
-    )
-
-
-def _pt_cosy_sinz(J, gamma, beta, cos_w, sin_w):
-    return (
-        DriveTerm(Axis.X, J),
-        DriveTerm(Axis.Y, gamma, cos_w, 1, Hermiticity.HERMITIAN),
-        DriveTerm(Axis.Z, gamma, sin_w, beta, Hermiticity.ANTI_HERMITIAN),
-    )
-
-
-def _apt_cosx_cosy(J, gamma, beta, cos_w, sin_w):
-    return (
-        DriveTerm(Axis.X, gamma, cos_w, 1, Hermiticity.ANTI_HERMITIAN),
-        DriveTerm(Axis.Y, gamma, cos_w, beta, Hermiticity.ANTI_HERMITIAN),
-        DriveTerm(Axis.Z, J),
-    )
-
-
-def _apt_cosx_siny(J, gamma, beta, cos_w, sin_w):
-    return (
-        DriveTerm(Axis.X, gamma, cos_w, 1, Hermiticity.ANTI_HERMITIAN),
-        DriveTerm(Axis.Y, gamma, sin_w, beta, Hermiticity.ANTI_HERMITIAN),
-        DriveTerm(Axis.Z, J),
-    )
-
-
-_PRESETS = {
-    "pt-cosy-cosz": _pt_cosy_cosz,
-    "pt-cosy-sinz": _pt_cosy_sinz,
-    "apt-cosx-cosy": _apt_cosx_cosy,
-    "apt-cosx-siny": _apt_cosx_siny,
+# Every preset as data, per term: axis, hermiticity, waveform slot (the
+# family's constant, cos or sin), harmonic (1 or beta) and gamma
+# coefficient.  A coefficient of 0 marks the static coupling J; any other
+# term has amplitude ``coef * gamma``, so every preset is affine in gamma.
+_CONST, _COS, _SIN = range(3)
+_BETA = "beta"
+_H, _A = Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN
+_PRESET_TABLE = {
+    "pt-cosy-cosz": (
+        (Axis.X, _H, _CONST, 1, 0.0),
+        (Axis.Y, _H, _COS, 1, 1.0),
+        (Axis.Z, _A, _COS, _BETA, -1.0),
+    ),
+    "pt-cosy-sinz": (
+        (Axis.X, _H, _CONST, 1, 0.0),
+        (Axis.Y, _H, _COS, 1, 1.0),
+        (Axis.Z, _A, _SIN, _BETA, 1.0),
+    ),
+    "apt-cosx-cosy": (
+        (Axis.X, _A, _COS, 1, 1.0),
+        (Axis.Y, _A, _COS, _BETA, 1.0),
+        (Axis.Z, _H, _CONST, 1, 0.0),
+    ),
+    "apt-cosx-siny": (
+        (Axis.X, _A, _COS, 1, 1.0),
+        (Axis.Y, _A, _SIN, _BETA, 1.0),
+        (Axis.Z, _H, _CONST, 1, 0.0),
+    ),
+}
+_FAMILY_WAVEFORMS = {
+    "smooth": (Waveform.CONSTANT, Waveform.COS, Waveform.SIN),
+    "square": (Waveform.CONSTANT, Waveform.SQUARE_COS, Waveform.SQUARE_SIN),
 }
 
-PRESET_NAMES = tuple(sorted(_PRESETS))
+PRESET_NAMES = tuple(sorted(_PRESET_TABLE))
+
+
+@dataclass(frozen=True)
+class PresetTemplate:
+    """One of the named two-frequency drive models, everything fixed but
+    ``(gamma, omega)``; all four fields are checked here (``ValueError``).
+
+    ``name`` is ``pt-cosy-cosz``, ``pt-cosy-sinz`` (a static X coupling
+    ``J``, a Hermitian Y drive and an anti-Hermitian Z drive) or
+    ``apt-cosx-cosy``, ``apt-cosx-siny`` (a static Z coupling, two
+    anti-Hermitian drives).  The second drive runs at ``beta * omega``
+    for an integer ``beta >= 1``; ``family`` is ``smooth`` for sinusoids,
+    ``square`` for their sign (piecewise constant).  Sweeps instantiate
+    one concrete :class:`ModelSpec` per grid cell.
+    """
+
+    name: str
+    J: float = 1.0
+    beta: int = 1
+    family: str = "smooth"
+
+    def __post_init__(self):
+        if self.name not in PRESET_NAMES:
+            raise ValueError(f"unknown preset {self.name!r}; known: {', '.join(PRESET_NAMES)}")
+        if not isinstance(self.beta, int) or isinstance(self.beta, bool) or self.beta < 1:
+            raise ValueError("beta must be a positive integer")
+        if self.family not in ("smooth", "square"):
+            raise ValueError(f"unknown waveform family {self.family!r} (use 'smooth' or 'square')")
+        if not math.isfinite(self.J):
+            raise ValueError("J must be finite")
+
+    def instantiate(self, gamma: float, omega: float) -> ModelSpec:
+        """The model at drive strength ``gamma`` and base frequency ``omega``."""
+        waveforms = _FAMILY_WAVEFORMS[self.family]
+        terms = tuple(
+            DriveTerm(axis, coef * gamma if coef else self.J, waveforms[slot],
+                      self.beta if harmonic is _BETA else harmonic, hermiticity)
+            for axis, hermiticity, slot, harmonic, coef in _PRESET_TABLE[self.name]
+        )
+        label = (f"{self.name}[J={self.J:g},gamma={gamma:g},omega={omega:g},"
+                 f"beta={self.beta},{self.family}]")
+        return ModelSpec(terms=terms, base_omega=omega, label=label)
+
+    @property
+    def label(self) -> str:
+        return f"{self.name}[J={self.J:g},beta={self.beta},{self.family}]"
 
 
 def preset(
@@ -285,59 +316,6 @@ def preset(
     beta: int = 1,
     family: str = "smooth",
 ) -> ModelSpec:
-    """Build one of the named two-frequency drive models.
-
-    Parameters
-    ----------
-    name : str
-        One of ``pt-cosy-cosz``, ``pt-cosy-sinz``, ``apt-cosx-cosy``,
-        ``apt-cosx-siny``.  The ``pt-*`` models pair a static X coupling
-        with a Hermitian Y drive and an anti-Hermitian Z drive; the
-        ``apt-*`` models pair a static Z coupling with two anti-Hermitian
-        drives.
-    J, gamma : float
-        Static coupling and drive strength (energy units of ``J``).
-    omega : float
-        Base drive frequency; the second drive runs at ``beta * omega``.
-    beta : int
-        Harmonic ratio of the two drives, integer >= 1.
-    family : str
-        ``smooth`` for sinusoids, ``square`` for their sign (piecewise
-        constant) counterparts.
-    """
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; known: {', '.join(PRESET_NAMES)}")
-    if not isinstance(beta, int) or isinstance(beta, bool):
-        raise ValueError("beta must be a positive integer")
-    if beta < 1:
-        raise ValueError("beta must be a positive integer")
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValueError("omega must be positive and finite")
-    if not (math.isfinite(J) and math.isfinite(gamma)):
-        raise ValueError("J and gamma must be finite")
-    cos_w, sin_w = _family_waveforms(family)
-    terms = _PRESETS[name](J, gamma, beta, cos_w, sin_w)
-    label = f"{name}[J={J:g},gamma={gamma:g},omega={omega:g},beta={beta},{family}]"
-    return ModelSpec(terms=terms, base_omega=omega, label=label)
-
-
-@dataclass(frozen=True)
-class PresetTemplate:
-    """A preset with everything fixed except ``(gamma, omega)``.
-
-    Sweeps instantiate one concrete :class:`ModelSpec` per grid cell.
-    """
-
-    name: str
-    J: float = 1.0
-    beta: int = 1
-    family: str = "smooth"
-
-    def instantiate(self, gamma: float, omega: float) -> ModelSpec:
-        return preset(
-            self.name, J=self.J, gamma=gamma, omega=omega, beta=self.beta, family=self.family
-        )
-
-    @property
-    def label(self) -> str:
-        return f"{self.name}[J={self.J:g},beta={self.beta},{self.family}]"
+    """Build one of the named drive models at one ``(gamma, omega)``;
+    the parameters are those of :class:`PresetTemplate`."""
+    return PresetTemplate(name, J, beta, family).instantiate(gamma, omega)

@@ -316,6 +316,11 @@ def _rk4_transfer(a_start, a_mid, a_end, h):
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_steps(steps_per_period: int):
+    if steps_per_period < 4:
+        raise ValueError("steps_per_period must be >= 4")
+
+
 def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     """Fixed-step RK4 solution of ``G' = -i H(t) G`` over one period.
 
@@ -325,8 +330,7 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     powering.  The composition order is a fixed pairwise tree, making the
     result bitwise reproducible.
     """
-    if steps_per_period < 4:
-        raise ValueError("steps_per_period must be >= 4")
+    _check_steps(steps_per_period)
     T = model.period
     if model.is_square_family:
         segments = segment_hamiltonians(model)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_loop
-from .floquet import max_im_quasienergy
+from .floquet import _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
     EPKind,
@@ -41,6 +41,7 @@ from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by p
     quasienergy_from_trace,
     root_kinds,
     segment_hamiltonians,
+    _check_steps,
     _segment_product,
 )
 
@@ -286,6 +287,11 @@ def phase_diagram(
     not depend on the worker count.
     """
     _engine_family_check(template, grid.engine)
+    # argument errors raise here: inside a cell they would only become NaN
+    if grid.engine == "floquet":
+        _check_cutoff(cutoff, template.beta)  # beta: a preset's largest harmonic
+    elif grid.engine == "monodromy-integrate":
+        _check_steps(steps_per_period)
     if grid.engine == "monodromy-piecewise":
         values, undecided = _piecewise_map(template, grid)
         errors = []
@@ -385,7 +391,7 @@ def trace_ep_contours(
     # roots on a node (tangency roots never change sign), then brackets
     node_j, node_i = np.nonzero(np.abs(fs) <= f_tol)
     f0, f1 = fs[:, :-1], fs[:, 1:]
-    br_j, br_i = np.nonzero((np.abs(f0) > f_tol) & (np.abs(f1) > f_tol) & ~(f0 * f1 > 0))
+    br_j, br_i = np.nonzero((np.abs(f0) > f_tol) & (np.abs(f1) > f_tol) & ((f0 > 0) != (f1 > 0)))
 
     # every bracket bisected in lockstep, each with its own stop rule
     lo, hi, flo = gammas[br_i], gammas[br_i + 1], f0[br_j, br_i]
@@ -606,7 +612,16 @@ def _diagram_table(diagram: PhaseDiagram):
 
 def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:
     grid = GridSpec(**doc["grid"])
-    values = np.fromiter((float(row[2]) for row in rows), dtype=float)
+    cells = itertools.product(map(_fmt, grid.omegas), map(_fmt, grid.gammas))  # omega outer
+
+    def values_checked():
+        for w, g, v in rows:
+            cell = next(cells, None)  # None past the grid: left to the row count check
+            if cell is not None and (w, g) != cell:
+                raise ValueError(f"row ({w}, {g}) is not grid cell ({cell[0]}, {cell[1]}) in {path}")
+            yield float(v)
+
+    values = np.fromiter(values_checked(), dtype=float)
     if values.size != grid.omega_count * grid.gamma_count:
         raise ValueError(
             f"row count {values.size} does not match grid "

@@ -62,6 +62,8 @@ class TestConfig:
             {"berry_steps": 10},
             {"threads": 0},
             {"out_dir": ""},
+            {"model": {"preset": "pt-cosy-cosz", "J": None}},
+            {"model": {"preset": "pt-cosy-cosz", "J": float("inf")}},
         ],
     )
     def test_invalid_configs(self, patch):
@@ -121,6 +123,12 @@ class TestPhaseDiagramCommand:
         p = tmp_path / "cfg.json"
         write_config(p, engine="bogus")
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+
+    def test_exit_1_on_bad_model(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "pt-cosy-cosz", "beta": True})
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "configuration error: model: beta" in capsys.readouterr().err
 
     def test_exit_1_on_missing_config(self):
         assert cli.main(["phase-diagram"]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,29 @@ from floqep.model import (
 )
 
 ALL_PRESETS = ("pt-cosy-cosz", "pt-cosy-sinz", "apt-cosx-cosy", "apt-cosx-siny")
+
+_H, _A = Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN
+# every preset's terms at beta = 3: (axis, amplitude, waveform, harmonic,
+# hermiticity), amplitude "J", "g" (gamma) or "-g", waveform None (static),
+# "cos" or "sin" of the family
+PRESET_TERMS = {
+    "pt-cosy-cosz": (
+        (Axis.X, "J", None, 1, _H), (Axis.Y, "g", "cos", 1, _H), (Axis.Z, "-g", "cos", 3, _A),
+    ),
+    "pt-cosy-sinz": (
+        (Axis.X, "J", None, 1, _H), (Axis.Y, "g", "cos", 1, _H), (Axis.Z, "g", "sin", 3, _A),
+    ),
+    "apt-cosx-cosy": (
+        (Axis.X, "g", "cos", 1, _A), (Axis.Y, "g", "cos", 3, _A), (Axis.Z, "J", None, 1, _H),
+    ),
+    "apt-cosx-siny": (
+        (Axis.X, "g", "cos", 1, _A), (Axis.Y, "g", "sin", 3, _A), (Axis.Z, "J", None, 1, _H),
+    ),
+}
+FAMILY_WAVEFORMS = {
+    "smooth": {None: Waveform.CONSTANT, "cos": Waveform.COS, "sin": Waveform.SIN},
+    "square": {None: Waveform.CONSTANT, "cos": Waveform.SQUARE_COS, "sin": Waveform.SQUARE_SIN},
+}
 
 
 def random_matrix(rng):
@@ -89,24 +114,21 @@ class TestDriveTerm:
 
 
 class TestPresets:
-    def test_pt_cosy_cosz_structure(self):
-        m = preset("pt-cosy-cosz", J=1.0, gamma=0.5, omega=0.8, beta=3)
-        assert len(m.terms) == 3
-        static, y_drive, z_drive = m.terms
-        assert static.axis is Axis.X and static.waveform is Waveform.CONSTANT
-        assert y_drive.axis is Axis.Y and y_drive.multiplier == 1
-        assert y_drive.hermiticity is Hermiticity.HERMITIAN
-        assert z_drive.axis is Axis.Z and z_drive.multiplier == 3
-        assert z_drive.hermiticity is Hermiticity.ANTI_HERMITIAN
-        assert z_drive.amplitude == -0.5
-
-    def test_apt_cosx_cosy_structure(self):
-        m = preset("apt-cosx-cosy", J=1.0, gamma=0.5, omega=0.8, beta=3)
-        x_drive, y_drive, static = m.terms
-        assert x_drive.hermiticity is Hermiticity.ANTI_HERMITIAN
-        assert y_drive.hermiticity is Hermiticity.ANTI_HERMITIAN
-        assert x_drive.multiplier == 1 and y_drive.multiplier == 3
-        assert static.axis is Axis.Z and static.amplitude == 1.0
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    def test_preset_terms(self, name, family):
+        waveform = FAMILY_WAVEFORMS[family]
+        for gamma in (0.5, 0.0):
+            amplitude = {"J": 1.3, "g": gamma, "-g": -gamma}
+            m = preset(name, J=1.3, gamma=gamma, omega=0.8, beta=3, family=family)
+            want = [
+                DriveTerm(axis, amplitude[amp], waveform[wf], mult, herm)
+                for axis, amp, wf, mult, herm in PRESET_TERMS[name]
+            ]
+            assert list(m.terms) == want
+            # == does not see the sign of zero: -gamma is -0.0 at gamma = 0
+            signs = [math.copysign(1.0, t.amplitude) for t in m.terms]
+            assert signs == [math.copysign(1.0, t.amplitude) for t in want]
 
     def test_hamiltonian_at_zero_pt(self):
         m = preset("pt-cosy-cosz", J=1.0, gamma=0.5, omega=0.8, beta=3)
@@ -191,6 +213,23 @@ class TestModelProperties:
 
 
 class TestPresetTemplate:
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"name": "pt-nope"},
+            {"beta": 0},
+            {"beta": 1.5},
+            {"beta": True},
+            {"family": "triangle"},
+            {"J": math.inf},
+            {"J": math.nan},
+        ],
+        ids=["name", "beta-0", "beta-1.5", "beta-True", "family", "J-inf", "J-nan"],
+    )
+    def test_rejects_bad_fields_on_construction(self, field):
+        with pytest.raises(ValueError):
+            PresetTemplate(**{"name": "pt-cosy-cosz", **field})
+
     def test_instantiate(self):
         tpl = PresetTemplate("apt-cosx-cosy", J=1.0, beta=3, family="square")
         m = tpl.instantiate(0.4, 1.1)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,21 @@ class TestCellKernels:
         grid = GridSpec(0, 1, 4, 0.5, 2, 4, engine="monodromy-piecewise")
         with pytest.raises(ValueError, match="square"):
             phase_diagram(PT3_SMOOTH, grid)
+
+    @pytest.mark.parametrize(
+        "template, engine, kwargs, match",
+        [
+            (PT3, "monodromy-integrate", {"steps_per_period": 3}, "steps_per_period"),
+            (PT3_SMOOTH, "floquet", {"cutoff": 2}, "cutoff 2 below"),
+        ],
+        ids=["integrate-steps", "floquet-cutoff"],
+    )
+    def test_argument_errors_raise_before_the_cells(self, template, engine, kwargs, match):
+        # a bad argument fails every cell alike: it must not turn into NaN
+        # cells and FailureBudgetExceeded (a numerical failure)
+        grid = GridSpec(0.2, 1.0, 3, 0.6, 1.0, 2, engine=engine)
+        with pytest.raises(ValueError, match=match):
+            phase_diagram(template, grid, **kwargs)
 
 
 class TestPhaseDiagram:
@@ -273,6 +290,13 @@ class TestEPContours:
         got = sorted((pt.omega, pt.gamma) for line in cs.contours for pt in line)
         assert got == sorted(want)
 
+    def test_sign_changes_without_overflow(self):
+        # |f| is 1e212 to 1e271 here: the product of two neighbours overflows
+        tpl = PresetTemplate("apt-cosx-siny", beta=3, family="square")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace_ep_contours(tpl, GridSpec(4.5, 5.0, 6, 0.07, 0.08, 2))
+
     def test_rejects_floquet_engine(self):
         grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 3, engine="floquet")
         with pytest.raises(ValueError, match="monodromy"):
@@ -402,6 +426,18 @@ class TestPersistence:
         header = p.read_text().splitlines()[0]
         p.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ValueError, match=match):
+            load(p)
+
+    @pytest.mark.parametrize("edit", ["swap", "rewrite"])
+    def test_rejects_rows_off_the_grid(self, diagram, tmp_path, edit):
+        p = persist(diagram, tmp_path / "d.csv")
+        lines = p.read_text().splitlines()
+        if edit == "swap":
+            lines[1], lines[2] = lines[2], lines[1]
+        else:
+            lines[3] = "9.9,7.7," + lines[3].split(",")[2]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="is not grid cell"):
             load(p)
 
     def test_unknown_type(self, tmp_path):
