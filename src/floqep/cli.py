@@ -80,25 +80,9 @@ def _resolve_threads(args, config: RunConfig | None) -> int:
 def _load(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config <path> is required for this subcommand")
-    config = load_config(args.config)
-    if args.engine is not None:
-        config = _replace(config, engine=args.engine)
-    if args.cutoff is not None:
-        config = _replace(config, cutoff=args.cutoff)
-    if args.steps is not None:
-        config = _replace(config, berry_steps=args.steps)
-    if args.out is not None:
-        config = _replace(config, out_dir=args.out)
-    return config
-
-
-def _replace(config: RunConfig, **kw) -> RunConfig:
-    import dataclasses
-
-    from .config import parse_config, serialize_config
-
-    doc = serialize_config(dataclasses.replace(config, **kw))
-    return parse_config(doc)  # re-validate overrides
+    flags = {"engine": args.engine, "cutoff": args.cutoff,
+             "berry_steps": args.steps, "out_dir": args.out}
+    return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
 def _grid_from(config: RunConfig) -> GridSpec:

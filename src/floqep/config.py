@@ -17,6 +17,11 @@ class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
 
 
+def _is_int(value) -> bool:
+    """An integer, not a boolean (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """Either a single value or a uniform range for one sweep axis."""
@@ -67,15 +72,9 @@ def _axis_from(doc, name) -> AxisSpec:
     extra = set(doc) - {"min", "max", "count"}
     if extra:
         raise ConfigError(f"{name}: unexpected keys {sorted(extra)}")
-    if not isinstance(doc["count"], int):
+    if not _is_int(doc["count"]):
         raise ConfigError(f"{name}: count must be an integer")
     return AxisSpec(min=float(doc["min"]), max=float(doc["max"]), count=doc["count"])
-
-
-def _axis_to(axis: AxisSpec) -> dict:
-    if axis.is_range:
-        return {"min": axis.min, "max": axis.max, "count": axis.count}
-    return {"value": axis.value}
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,18 @@ def parse_config(doc: dict) -> RunConfig:
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
     cutoff = doc.get("cutoff", 20)
-    if not isinstance(cutoff, int) or cutoff < 1:
+    if not _is_int(cutoff) or cutoff < 1:
         raise ConfigError("cutoff must be a positive integer")
     if cutoff < template.beta:
         raise ConfigError(f"cutoff {cutoff} below the largest drive harmonic {template.beta}")
     berry_steps = doc.get("berry_steps", 8192)
-    if not isinstance(berry_steps, int) or berry_steps < 256:
+    if not _is_int(berry_steps) or berry_steps < 256:
         raise ConfigError("berry_steps must be an integer >= 256")
     richardson = doc.get("richardson", True)
     if not isinstance(richardson, bool):
         raise ConfigError("richardson must be a boolean")
     threads = doc.get("threads")
-    if threads is not None and (not isinstance(threads, int) or threads < 1):
+    if threads is not None and (not _is_int(threads) or threads < 1):
         raise ConfigError("threads must be a positive integer")
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
@@ -150,30 +149,10 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def serialize_config(config: RunConfig) -> dict:
-    """Inverse of :func:`parse_config` (parse(serialize(c)) == c)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "model": {
-            "preset": config.template.name,
-            "J": config.template.J,
-            "beta": config.template.beta,
-            "family": config.template.family,
-        },
-        "gamma": _axis_to(config.gamma),
-        "omega": _axis_to(config.omega),
-        "engine": config.engine,
-        "cutoff": config.cutoff,
-        "berry_steps": config.berry_steps,
-        "richardson": config.richardson,
-        "out_dir": config.out_dir,
-    }
-    if config.threads is not None:
-        doc["threads"] = config.threads
-    return doc
-
-
-def load_config(path) -> RunConfig:
+def load_config(path, overrides: dict | None = None) -> RunConfig:
+    """Read the configuration at ``path`` and validate it in one
+    :func:`parse_config` call, after the top-level fields in ``overrides``
+    have replaced the file's (whose own values are then never checked)."""
     path = Path(path)
     try:
         with open(path) as fh:
@@ -182,4 +161,6 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    if overrides and isinstance(doc, dict):
+        doc.update(overrides)
     return parse_config(doc)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .berry import berry_phase_loop
-from .floquet import _check_cutoff, max_im_quasienergy
+from .floquet import TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
     EPKind,
@@ -216,16 +216,38 @@ def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff, steps) 
 
 
 def _column_task(args):
-    j, omega, template, gammas, engine, cutoff, steps = args
+    omega, template, gammas, engine, cutoff, steps = args
     vals = np.empty(len(gammas))
     errors = []
     for i, g in enumerate(gammas):
         try:
             vals[i] = _cell_max_im(template, g, omega, engine, cutoff, steps)
-        except Exception as exc:  # recorded as NaN sentinel, budget-checked later
+        # numerical failures only (RuntimeError: NumericalError, eigensolver
+        # non-convergence): NaN sentinel, budget-checked later
+        except (RuntimeError, TruncationError) as exc:
             vals[i] = np.nan
             errors.append(f"{type(exc).__name__}: {exc}")
-    return j, vals, errors
+    return vals, errors
+
+
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """``[fn(t) for t in tasks]``, over a pool of ``threads`` processes
+    when ``threads > 1``; ``Pool.map`` keeps the order."""
+    if threads > 1:
+        with Pool(processes=threads) as pool:
+            return pool.map(fn, tasks, chunksize=1)
+    return [fn(t) for t in tasks]
+
+
+def _run_metadata(template: PresetTemplate, **fields) -> dict:
+    """A result's sidecar metadata: the model label, ``fields``, a UTC
+    timestamp and the package version."""
+    return {
+        "model": template.label,
+        **fields,
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "version": __version__,
+    }
 
 
 def _engine_family_check(template: PresetTemplate, engine: str):
@@ -251,22 +273,12 @@ def _piecewise_map(template: PresetTemplate, grid: GridSpec):
 
 def _cell_map(template, grid, threads, cutoff, steps):
     """``max Im eps`` cell by cell, frequency columns over a process pool."""
-    gammas = grid.gammas
     tasks = [
-        (j, float(w), template, gammas, grid.engine, cutoff, steps)
-        for j, w in enumerate(grid.omegas)
+        (float(w), template, grid.gammas, grid.engine, cutoff, steps) for w in grid.omegas
     ]
-    if threads > 1:
-        with Pool(processes=threads) as pool:
-            results = pool.map(_column_task, tasks, chunksize=1)
-    else:
-        results = [_column_task(t) for t in tasks]
-    values = np.empty((grid.omega_count, grid.gamma_count))
-    errors = []
-    for j, vals, errs in results:
-        values[j] = vals
-        errors.extend(errs)
-    return values, errors
+    results = _map_tasks(_column_task, tasks, threads)
+    values = np.array([vals for vals, _ in results])
+    return values, [e for _, errs in results for e in errs]
 
 
 def phase_diagram(
@@ -310,16 +322,10 @@ def phase_diagram(
         raise FailureBudgetExceeded(
             f"{n_bad} of {values.size} cells failed (> {failure_budget:.0%} budget)"
         )
-    metadata = {
-        "model": template.label,
-        "engine": grid.engine,
-        "cutoff": cutoff,
-        "steps_per_period": steps_per_period,
-        "failed_cells": n_bad,
-        "undecided_cells": undecided,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-    }
+    metadata = _run_metadata(
+        template, engine=grid.engine, cutoff=cutoff, steps_per_period=steps_per_period,
+        failed_cells=n_bad, undecided_cells=undecided,
+    )
     return PhaseDiagram(grid=grid, values=values, metadata=metadata)
 
 
@@ -373,9 +379,17 @@ def trace_ep_contours(
     is scanned in gamma for sign changes, and all brackets of all columns
     are bisected together until both the bracket width and ``|f|`` at the
     root fall below ``f_tol``.  Roots that cannot be pinned down
-    (indicator discontinuity) are dropped and logged.  Exceptional points
-    in neighbouring columns are linked by nearest-gamma matching within 3
-    grid cells.
+    (indicator discontinuity) are dropped and logged.
+
+    Linking takes the columns in omega order and each column's roots in
+    gamma order.  A diabolic root is a singleton line.  The exceptional
+    points of a column continue the lines open from the previous column:
+    the (line, root) pairs, sorted by ``(|gamma gap|, line index, root
+    index)``, are accepted greedily while the gap is at most 3 grid steps
+    in gamma and neither side is taken.  A root left over starts a new
+    line, placed after the continued lines in root order (this order
+    breaks later ties); a line not continued closes.  Lines are returned
+    sorted by their first point ``(omega, gamma)``.
     """
     if grid.engine == "floquet":
         raise ValueError("EP contour tracing needs a monodromy engine")
@@ -424,84 +438,56 @@ def trace_ep_contours(
     column_roots: list[list[tuple[float, EPKind]]] = [[] for _ in omegas]
     for j, g, kind in zip(root_j, root_g, kinds):
         column_roots[j].append((float(g), kind))
-
-    open_lines: list[list[ContourPoint]] = []
-    open_last_col: list[int] = []
-    closed_lines: list[list[ContourPoint]] = []
-    singletons: list[list[ContourPoint]] = []
-
-    for j, w in enumerate(omegas):
-        roots = column_roots[j]
-        roots.sort(key=lambda r: r[0])
-        ep_roots = [g for g, kind in roots if kind is EPKind.EP]
-        for g, kind in roots:
-            if kind is EPKind.DIABOLIC:
-                singletons.append([ContourPoint(float(w), g, kind.value)])
-
-        # link EP roots to polylines ending in the previous column
-        still_open: list[list[ContourPoint]] = []
-        still_cols: list[int] = []
-        candidates = [
-            (li, line) for li, (line, col) in enumerate(zip(open_lines, open_last_col))
-            if col == j - 1
-        ]
-        used = set()
-        assigned: dict[int, int] = {}
-        pairs = sorted(
-            (
-                (abs(line[-1].gamma - g), li, ri)
-                for li, line in candidates
-                for ri, g in enumerate(ep_roots)
-            ),
-        )
-        for dist, li, ri in pairs:
-            if dist > 3.0 * dgamma or li in used or ri in assigned:
-                continue
-            used.add(li)
-            assigned[ri] = li
-        for ri, g in enumerate(ep_roots):
-            if ri in assigned:
-                line = open_lines[assigned[ri]]
-                line.append(ContourPoint(float(w), g, EPKind.EP.value))
-            else:
-                open_lines.append([ContourPoint(float(w), g, EPKind.EP.value)])
-                open_last_col.append(j)
-        for li, (line, col) in enumerate(zip(open_lines, open_last_col)):
-            if li in used:
-                still_open.append(line)
-                still_cols.append(j)
-            elif col == j:  # just created
-                still_open.append(line)
-                still_cols.append(j)
-            elif col <= j - 1:
-                closed_lines.append(line)
-            else:
-                still_open.append(line)
-                still_cols.append(col)
-        open_lines, open_last_col = still_open, still_cols
-
-    closed_lines.extend(open_lines)
-    closed_lines.extend(singletons)
-    closed_lines.sort(key=lambda line: (line[0].omega, line[0].gamma))
-    metadata = {
-        "model": template.label,
-        "engine": grid.engine,
-        "tolerance": f_tol,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-    }
     return EPContourSet(
-        contours=tuple(tuple(line) for line in closed_lines),
+        contours=tuple(map(tuple, _link_ep_roots(omegas, column_roots, dgamma))),
         tolerance=f_tol,
-        metadata=metadata,
+        metadata=_run_metadata(template, engine=grid.engine, tolerance=f_tol),
     )
 
 
+def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoint]]:
+    """Polylines from the ``(gamma, kind)`` roots of each frequency column,
+    by the rule :func:`trace_ep_contours` states; ``dgamma`` is the grid's
+    gamma step."""
+    closed: list[list[ContourPoint]] = []
+    singletons: list[list[ContourPoint]] = []
+    open_lines: list[list[ContourPoint]] = []
+    for w, roots in zip(omegas, column_roots):
+        w = float(w)
+        roots = sorted(roots, key=lambda r: r[0])
+        singletons += [
+            [ContourPoint(w, g, kind.value)] for g, kind in roots if kind is EPKind.DIABOLIC
+        ]
+        ep_roots = [g for g, kind in roots if kind is EPKind.EP]
+        pairs = sorted(
+            (abs(line[-1].gamma - g), li, ri)
+            for li, line in enumerate(open_lines)
+            for ri, g in enumerate(ep_roots)
+        )
+        continued, line_of = set(), {}  # line_of: root index -> line index
+        for dist, li, ri in pairs:
+            if dist <= 3.0 * dgamma and li not in continued and ri not in line_of:
+                continued.add(li)
+                line_of[ri] = li
+        new = []
+        for ri, g in enumerate(ep_roots):
+            point = ContourPoint(w, g, EPKind.EP.value)
+            if ri in line_of:
+                open_lines[line_of[ri]].append(point)
+            else:
+                new.append([point])
+        closed += [line for li, line in enumerate(open_lines) if li not in continued]
+        open_lines = [line for li, line in enumerate(open_lines) if li in continued] + new
+    lines = closed + open_lines + singletons
+    lines.sort(key=lambda line: (line[0].omega, line[0].gamma))
+    return lines
+
+
 def _berry_task(args):
-    idx, gamma, template, omega, steps, richardson, on_ep = args
+    gamma, template, omega, steps, richardson, on_ep = args
     model = template.instantiate(float(gamma), float(omega))
     res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep=on_ep)
-    return idx, res.theta, res.degeneracy_flags, res.step_delta, res.certified
+    return res.theta, res.degeneracy_flags, res.step_delta, res.certified
 
 
 def berry_gamma_sweep(
@@ -519,31 +505,17 @@ def berry_gamma_sweep(
     loop grazes an exceptional point without aborting the whole curve.
     """
     gammas = np.asarray(gammas, dtype=float)
-    tasks = [
-        (i, float(g), template, omega, steps, richardson, on_ep)
-        for i, g in enumerate(gammas)
-    ]
-    if threads > 1:
-        with Pool(processes=threads) as pool:
-            results = pool.map(_berry_task, tasks, chunksize=1)
-    else:
-        results = [_berry_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
-    thetas = np.array([r[1] for r in results])
-    flags = tuple(tuple(r[2]) for r in results)
-    deltas = [r[3] for r in results if r[3] is not None and r[4]]
-    uncertified = [float(gammas[r[0]]) for r in results if not r[4]]
-    metadata = {
-        "model": template.label,
-        "omega": omega,
-        "steps": steps,
-        "richardson": richardson,
-        "max_step_delta": max(deltas) if deltas else None,
-        "all_certified": not uncertified,
-        "uncertified_gammas": uncertified,
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "version": __version__,
-    }
+    tasks = [(float(g), template, omega, steps, richardson, on_ep) for g in gammas]
+    results = _map_tasks(_berry_task, tasks, threads)
+    thetas = np.array([r[0] for r in results])
+    flags = tuple(tuple(r[1]) for r in results)
+    deltas = [r[2] for r in results if r[2] is not None and r[3]]
+    uncertified = [float(g) for g, r in zip(gammas, results) if not r[3]]
+    metadata = _run_metadata(
+        template, omega=omega, steps=steps, richardson=richardson,
+        max_step_delta=max(deltas) if deltas else None,
+        all_certified=not uncertified, uncertified_gammas=uncertified,
+    )
     return BerrySweep(gammas=gammas, thetas=thetas, flags=flags, metadata=metadata)
 
 

@@ -8,7 +8,7 @@ import pytest
 import floqep.cli as cli
 import floqep.verify as verify_mod
 from floqep.berry import biorthonormalize, instantaneous_eigensystem
-from floqep.config import ConfigError, load_config, parse_config, serialize_config
+from floqep.config import ConfigError, load_config, parse_config
 from floqep.floquet import fold_spectrum
 from floqep.model import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -28,12 +28,6 @@ def write_config(path, **overrides):
 
 
 class TestConfig:
-    def test_roundtrip_identity(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        write_config(p, threads=3)
-        cfg = load_config(p)
-        assert parse_config(serialize_config(cfg)) == cfg
-
     def test_scalar_axes(self):
         cfg = parse_config(
             {
@@ -64,6 +58,9 @@ class TestConfig:
             {"out_dir": ""},
             {"model": {"preset": "pt-cosy-cosz", "J": None}},
             {"model": {"preset": "pt-cosy-cosz", "J": float("inf")}},
+            # booleans are not integers; beta 1 so that True passes cutoff >= beta
+            {"model": {"preset": "pt-cosy-cosz", "beta": 1, "family": "square"}, "cutoff": True},
+            {"threads": True},
         ],
     )
     def test_invalid_configs(self, patch):
@@ -189,6 +186,31 @@ class TestPhaseDiagramCommand:
         assert cli.main(["phase-diagram", "--config", str(p)]) == 0
         monkeypatch.setenv("FLOQUET_EP_THREADS", "zero")
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+
+
+class TestOverrideFlags:
+    def test_flags_reach_the_run(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        write_config(
+            p,
+            model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"},
+            gamma={"min": 0.2, "max": 1.0, "count": 2},
+            omega={"min": 0.7, "max": 1.4, "count": 2},
+            out_dir="",  # invalid, but replaced by --out before validation
+        )
+        out = tmp_path / "flagged"
+        argv = ["--config", str(p), "--out", str(out)]
+        assert cli.main(["phase-diagram", *argv, "--engine", "floquet", "--cutoff", "5"]) == 0
+        meta = json.loads((out / "phase_diagram.csv.meta.json").read_text())["metadata"]
+        assert (meta["engine"], meta["cutoff"]) == ("floquet", 5)
+        assert cli.main(["berry", *argv, "--steps", "256"]) == 0
+        assert json.loads((out / "berry.csv.meta.json").read_text())["metadata"]["steps"] == 256
+
+    @pytest.mark.parametrize("flag", [["--cutoff", "0"], ["--steps", "100"]])
+    def test_invalid_flag_exits_1(self, tmp_path, flag):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert cli.main(["phase-diagram", "--config", str(p), *flag]) == 1
 
 
 class TestOtherCommands:

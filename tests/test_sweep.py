@@ -6,6 +6,7 @@ import pytest
 import floqep.sweep as sweep_mod
 from floqep.model import PresetTemplate
 from floqep.propagator import (
+    EPKind,
     _ordered_product,
     _segment_product,
     indicator_from_trace,
@@ -85,6 +86,13 @@ class TestCellKernels:
         grid = GridSpec(0.2, 1.0, 3, 0.6, 1.0, 2, engine=engine)
         with pytest.raises(ValueError, match=match):
             phase_diagram(template, grid, **kwargs)
+
+    def test_programming_errors_propagate_from_the_cells(self):
+        # a float cutoff passes the argument check and breaks every cell: only
+        # numerical failures may become NaN cells and FailureBudgetExceeded
+        grid = GridSpec(0.2, 1, 3, 0.6, 1, 2, engine="floquet")
+        with pytest.raises(TypeError):
+            phase_diagram(PresetTemplate("pt-cosy-cosz", beta=1), grid, cutoff=2.5)
 
 
 class TestPhaseDiagram:
@@ -215,6 +223,54 @@ class TestInstabilityWindow:
             instability_window(diagram, 2.0)
 
 
+def _reference_link(omegas, column_roots, dgamma):
+    """Reference linker, with each open line's last column tracked
+    explicitly; :func:`sweep._link_ep_roots` must give the same lines."""
+    open_lines, open_last_col, closed_lines, singletons = [], [], [], []
+    for j, w in enumerate(omegas):
+        roots = sorted(column_roots[j], key=lambda r: r[0])
+        ep_roots = [g for g, kind in roots if kind is EPKind.EP]
+        for g, kind in roots:
+            if kind is EPKind.DIABOLIC:
+                singletons.append([ContourPoint(float(w), g, kind.value)])
+        still_open, still_cols = [], []
+        candidates = [
+            (li, line) for li, (line, col) in enumerate(zip(open_lines, open_last_col))
+            if col == j - 1
+        ]
+        used, assigned = set(), {}
+        pairs = sorted(
+            (abs(line[-1].gamma - g), li, ri)
+            for li, line in candidates
+            for ri, g in enumerate(ep_roots)
+        )
+        for dist, li, ri in pairs:
+            if dist > 3.0 * dgamma or li in used or ri in assigned:
+                continue
+            used.add(li)
+            assigned[ri] = li
+        for ri, g in enumerate(ep_roots):
+            if ri in assigned:
+                open_lines[assigned[ri]].append(ContourPoint(float(w), g, EPKind.EP.value))
+            else:
+                open_lines.append([ContourPoint(float(w), g, EPKind.EP.value)])
+                open_last_col.append(j)
+        for li, (line, col) in enumerate(zip(open_lines, open_last_col)):
+            if li in used or col == j:
+                still_open.append(line)
+                still_cols.append(j)
+            elif col <= j - 1:
+                closed_lines.append(line)
+            else:
+                still_open.append(line)
+                still_cols.append(col)
+        open_lines, open_last_col = still_open, still_cols
+    closed_lines.extend(open_lines)
+    closed_lines.extend(singletons)
+    closed_lines.sort(key=lambda line: (line[0].omega, line[0].gamma))
+    return closed_lines
+
+
 @pytest.fixture(scope="module")
 def contours():
     grid = GridSpec(0.0, 1.2, 61, 0.6, 1.0, 5, engine="monodromy-piecewise")
@@ -289,6 +345,53 @@ class TestEPContours:
             want += [(float(w), float(g)) for g in sorted(roots)]
         got = sorted((pt.omega, pt.gamma) for line in cs.contours for pt in line)
         assert got == sorted(want)
+
+    @pytest.mark.parametrize(
+        "template, grid",
+        [
+            (PresetTemplate("apt-cosx-cosy", beta=3, family="square"),
+             GridSpec(0.0, 1.2, 61, 0.6, 1.0, 5)),  # the contours fixture
+            (PresetTemplate("apt-cosx-siny", beta=3, family="square"),
+             GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)),  # the ep-contours benchmark's shape
+            (PresetTemplate("apt-cosx-siny", beta=3, family="square"),
+             GridSpec(0.0, 1.5, 151, 0.05, 0.1, 2)),  # criterion C05's grid
+        ],
+        ids=["fixture", "benchmark-shape", "c05"],
+    )
+    def test_linker_matches_reference(self, monkeypatch, template, grid):
+        calls = []
+        real = sweep_mod._link_ep_roots
+
+        def spy(omegas, column_roots, dgamma):
+            calls.append((omegas, [list(roots) for roots in column_roots], dgamma))
+            return real(omegas, column_roots, dgamma)
+
+        monkeypatch.setattr(sweep_mod, "_link_ep_roots", spy)
+        cs = trace_ep_contours(template, grid)
+        [(omegas, column_roots, dgamma)] = calls
+        assert any(len(line) > 1 for line in cs.contours)
+        assert cs.contours == tuple(map(tuple, _reference_link(omegas, column_roots, dgamma)))
+
+    def test_linker_tie_order(self):
+        # every gap below is exact in binary: ties are real ties
+        EP, DIABOLIC = EPKind.EP, EPKind.DIABOLIC
+        omegas = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        column_roots = [
+            [(1.5, EP), (1.0, EP)],
+            [(1.25, EP), (2.0, DIABOLIC), (0.5, EP)],  # 1.25: equidistant lines, first wins
+            [(0.875, EP)],  # equidistant from the continued line and the new one
+            [(1.125, EP), (0.625, EP)],  # equidistant roots: the first in gamma wins
+            [(1.875, EP)],  # exactly 3 steps from 1.125: still linked
+        ]
+        want = [
+            [(1.0, 1.0, "EP"), (2.0, 1.25, "EP"), (3.0, 0.875, "EP"), (4.0, 0.625, "EP")],
+            [(1.0, 1.5, "EP")],
+            [(2.0, 0.5, "EP")],
+            [(2.0, 2.0, "Diabolic")],
+            [(4.0, 1.125, "EP"), (5.0, 1.875, "EP")],
+        ]
+        for link in (sweep_mod._link_ep_roots, _reference_link):
+            assert [list(map(tuple, line)) for line in link(omegas, column_roots, 0.25)] == want
 
     def test_sign_changes_without_overflow(self):
         # |f| is 1e212 to 1e271 here: the product of two neighbours overflows
