@@ -73,6 +73,8 @@ _DEFECT_REL_TOL = 1e-10
 # step pairings this close are undecided: across an EP the two agree to
 # ~1e-14 relative, anywhere else they differ by more than 0.5
 _TIE_REL_TOL = 1e-9
+SPECTRUM_TOL = 1e-10  # |Re mu| or |Im mu| below this counts as zero
+THRESHOLD_TOL = 1e-6  # a spectrum class boundary is bisected to this width in gamma
 
 
 def _abs2(z):
@@ -512,13 +514,13 @@ class SpectrumRegionScan:
     samples: int
 
 
-def classify_instantaneous(model: ModelSpec, samples: int = 256, tol: float = 1e-10):
+def classify_instantaneous(model: ModelSpec, samples: int = 256):
     """Classify the instantaneous eigenvalue pair over one loop."""
     s = np.arange(samples) * (model.period / samples)
     d = bloch_vector_at(model, s)
     mu = np.sqrt(np.einsum("nk,nk->n", d, d))
-    is_real = np.abs(mu.imag) < tol
-    is_imag = (np.abs(mu.real) < tol) & ~is_real
+    is_real = np.abs(mu.imag) < SPECTRUM_TOL
+    is_imag = (np.abs(mu.real) < SPECTRUM_TOL) & ~is_real
     is_cplx = ~is_real & ~is_imag
     if np.any(is_cplx):
         return SpectralRegion.MIXED
@@ -530,16 +532,13 @@ def classify_instantaneous(model: ModelSpec, samples: int = 256, tol: float = 1e
 
 
 def spectrum_region_scan(
-    template: PresetTemplate,
-    gammas,
-    samples: int = 256,
-    omega: float = 1.0,
-    bisect_tol: float = 1e-6,
+    template: PresetTemplate, gammas, samples: int = 256
 ) -> SpectrumRegionScan:
     """Classify the instantaneous spectrum across a gamma range.
 
     Classification boundaries between consecutive grid points are
-    refined by bisection to ``bisect_tol``.
+    refined by bisection to ``THRESHOLD_TOL``.  The loop is sampled at
+    fixed drive phases, so omega (set to 1) does not enter.
     """
     if samples < 64:
         raise ValueError("samples must be >= 64")
@@ -548,7 +547,7 @@ def spectrum_region_scan(
         raise ValueError("gammas must be a 1-d array with at least 2 values")
 
     def classify(g):
-        return classify_instantaneous(template.instantiate(g, omega), samples)
+        return classify_instantaneous(template.instantiate(g, 1.0), samples)
 
     classes = [classify(g) for g in gammas]
     thresholds = []
@@ -557,7 +556,7 @@ def spectrum_region_scan(
             continue
         lo, hi = float(gammas[i]), float(gammas[i + 1])
         cls_lo = classes[i]
-        while hi - lo > bisect_tol:
+        while hi - lo > THRESHOLD_TOL:
             mid = 0.5 * (lo + hi)
             # any departure from the left class marks the boundary; exactly
             # at a degeneracy rounding can produce an eps-wide stray class

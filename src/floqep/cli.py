@@ -5,8 +5,8 @@ Subcommands: ``phase-diagram``, ``ep-contours``, ``berry``,
 files in the output directory (plus the verify report on stdout).  Log
 records of the ``floqep`` loggers go to stderr at WARNING and above,
 ERROR only with ``-q``.  Exit codes:
-0 success, 1 configuration error, 2 numerical failure, 3 verification
-failure.
+0 success, 1 configuration or usage error, 2 numerical failure,
+3 verification failure.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ def _configure_logging(level: int):
         logger.addHandler(_STDERR_HANDLER)
 
 
-def _resolve_threads(args, config: RunConfig | None) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    if config is not None and config.threads is not None:
+def _resolve_threads(config: RunConfig) -> int:
+    """``--threads`` or the configuration's, then ``FLOQUET_EP_THREADS``, then 1."""
+    if config.threads is not None:
         return config.threads
     env = os.environ.get("FLOQUET_EP_THREADS")
     if env:
@@ -77,11 +76,21 @@ def _resolve_threads(args, config: RunConfig | None) -> int:
     return 1
 
 
+# flags that replace a configuration field: flag -> (field, type, help)
+_OVERRIDES = {
+    "--out": ("out_dir", str, "output directory override"),
+    "--threads": ("threads", int,
+                  "worker processes (default: config, then FLOQUET_EP_THREADS, then 1)"),
+    "--engine": ("engine", str, "engine override"),
+    "--cutoff": ("cutoff", int, "Floquet harmonic cutoff override"),
+    "--steps": ("berry_steps", int, "loop steps override"),
+}
+
+
 def _load(args) -> RunConfig:
     if not args.config:
         raise ConfigError("--config <path> is required for this subcommand")
-    flags = {"engine": args.engine, "cutoff": args.cutoff,
-             "berry_steps": args.steps, "out_dir": args.out}
+    flags = {field: getattr(args, field, None) for field, _, _ in _OVERRIDES.values()}
     return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
@@ -102,7 +111,7 @@ def _grid_from(config: RunConfig) -> GridSpec:
 def cmd_phase_diagram(args) -> int:
     config = _load(args)
     tpl = config.template
-    threads = _resolve_threads(args, config)
+    threads = _resolve_threads(config)
     grid = _grid_from(config)
     out = Path(config.out_dir)
     _progress(
@@ -110,14 +119,13 @@ def cmd_phase_diagram(args) -> int:
         f"{grid.gamma_count}x{grid.omega_count} grid, engine {grid.engine}, "
         f"{threads} thread(s)"
     )
-    diagram = phase_diagram(
-        tpl, grid, threads=threads, cutoff=config.cutoff
-    )
-    csv_path = persist(diagram, out / "phase_diagram.csv")
     contours = None
-    if args.overlay_contours:
+    if args.overlay_contours:  # first: an engine without contours fails before the map
         _progress("tracing EP contours for overlay")
         contours = trace_ep_contours(tpl, grid)
+    diagram = phase_diagram(tpl, grid, threads=threads, cutoff=config.cutoff)
+    csv_path = persist(diagram, out / "phase_diagram.csv")
+    if contours is not None:
         persist(contours, out / "ep_contours.csv")
     render.heatmap_svg(
         diagram, out / "phase_diagram.svg", contours=contours,
@@ -131,8 +139,6 @@ def cmd_ep_contours(args) -> int:
     config = _load(args)
     tpl = config.template
     grid = _grid_from(config)
-    if grid.engine == "floquet":
-        raise ConfigError("ep-contours needs a monodromy engine")
     out = Path(config.out_dir)
     _progress(
         f"EP contours: {tpl.name} beta={tpl.beta} {tpl.family}, "
@@ -155,10 +161,9 @@ def cmd_ep_contours(args) -> int:
 def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
-    threads = _resolve_threads(args, config)
-    if not config.gamma.is_range:
-        raise ConfigError("berry needs a gamma range")
-    omega = config.omega.value if not config.omega.is_range else 1.0
+    threads = _resolve_threads(config)
+    if not config.gamma.is_range or config.omega.is_range:
+        raise ConfigError("berry needs a gamma range and a scalar omega")
     out = Path(config.out_dir)
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
@@ -169,7 +174,7 @@ def cmd_berry(args) -> int:
     sweep = berry_gamma_sweep(
         tpl,
         gammas,
-        omega=omega,
+        omega=config.omega.value,
         steps=config.berry_steps,
         richardson=config.richardson,
         threads=threads,
@@ -219,13 +224,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 1; argparse's 2 means a numerical failure
+        raise ConfigError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 # One parser per process: a parser is a web of reference cycles that only
 # a full garbage collection frees, and the vectorised sweeps allocate too
 # few objects to trigger one, so a parser per call piled up in memory
 # over repeated in-process calls.
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="floqep",
         description=(
             "Stability maps, exceptional-point contours, and complex "
@@ -239,34 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log errors only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, berry_steps=False):
-        p.add_argument("--config", type=str, help="path to the JSON run configuration")
-        p.add_argument("--out", type=str, default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (default: config, then FLOQUET_EP_THREADS, then 1)")
-        p.add_argument("--engine", type=str, default=None, help="engine override")
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="Floquet harmonic cutoff override")
-        p.add_argument("--steps", type=int, default=None,
-                       help="loop steps override for the berry subcommand")
+    def run_command(name, func, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="path to the JSON run configuration")
+        for flag in ("--out", "--threads", *flags):
+            field, kind, text = _OVERRIDES[flag]
+            p.add_argument(flag, dest=field, type=kind, metavar=flag[2:].upper(), help=text)
+        return p
 
-    p = sub.add_parser("phase-diagram", help="stability map over a (gamma, omega) grid")
-    common(p)
+    p = run_command("phase-diagram", cmd_phase_diagram,
+                    "stability map over a (gamma, omega) grid", "--engine", "--cutoff")
     p.add_argument("--overlay-contours", action="store_true",
                    help="also trace EP contours and overlay them on the heatmap")
-    p.set_defaults(func=cmd_phase_diagram)
-
-    p = sub.add_parser("ep-contours", help="exceptional-point contours")
-    common(p)
-    p.set_defaults(func=cmd_ep_contours)
-
-    p = sub.add_parser("berry", help="complex geometric phase vs gamma")
-    common(p)
-    p.set_defaults(func=cmd_berry)
-
-    p = sub.add_parser("spectrum-scan", help="instantaneous-spectrum region scan")
-    common(p)
-    p.set_defaults(func=cmd_spectrum_scan)
+    run_command("ep-contours", cmd_ep_contours, "exceptional-point contours", "--engine")
+    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--steps")
+    run_command("spectrum-scan", cmd_spectrum_scan, "instantaneous-spectrum region scan")
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
     p.add_argument("--level", choices=("fast", "full"), default="fast")
@@ -276,10 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _configure_logging(args.log_level)
     try:
+        args = build_parser().parse_args(argv)
+        _configure_logging(args.log_level)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

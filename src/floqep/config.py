@@ -22,6 +22,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value, name: str) -> float:
+    """``value`` as a float: an integer or a float, not a boolean, string or null."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ConfigError(f"{name} must be a number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """Either a single value or a uniform range for one sweep axis."""
@@ -65,7 +72,7 @@ def _axis_from(doc, name) -> AxisSpec:
         extra = set(doc) - {"value"}
         if extra:
             raise ConfigError(f"{name}: unexpected keys {sorted(extra)}")
-        return AxisSpec(value=float(doc["value"]))
+        return AxisSpec(value=_number(doc["value"], f"{name}: value"))
     missing = {"min", "max", "count"} - set(doc)
     if missing:
         raise ConfigError(f"{name}: missing keys {sorted(missing)}")
@@ -74,7 +81,8 @@ def _axis_from(doc, name) -> AxisSpec:
         raise ConfigError(f"{name}: unexpected keys {sorted(extra)}")
     if not _is_int(doc["count"]):
         raise ConfigError(f"{name}: count must be an integer")
-    return AxisSpec(min=float(doc["min"]), max=float(doc["max"]), count=doc["count"])
+    lo, hi = (_number(doc[key], f"{name}: {key}") for key in ("min", "max"))
+    return AxisSpec(min=lo, max=hi, count=doc["count"])
 
 
 @dataclass(frozen=True)
@@ -103,11 +111,11 @@ def parse_config(doc: dict) -> RunConfig:
     try:
         template = PresetTemplate(
             model.get("preset"),
-            J=float(model.get("J", 1.0)),
+            J=_number(model.get("J", 1.0), "J"),
             beta=model.get("beta", 1),
             family=model.get("family", "smooth"),
         )
-    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric J such as null
+    except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
     gamma = _axis_from(doc.get("gamma", {"value": 0.5}), "gamma")

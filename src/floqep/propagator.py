@@ -32,6 +32,8 @@ from .model import (
 SMALL_PHASE = 1e-4
 
 DEFAULT_STEPS_PER_PERIOD = 200_000
+REAL_TRACE_TOL = 1e-9  # |Im c| below this: a numerically real half-trace
+DEFECT_TOL = 1e-6  # ||G - c*I||_F above this at a root: an exceptional point
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -316,11 +318,6 @@ def _rk4_transfer(a_start, a_mid, a_end, h):
     return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _check_steps(steps_per_period: int):
-    if steps_per_period < 4:
-        raise ValueError("steps_per_period must be >= 4")
-
-
 def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     """Fixed-step RK4 solution of ``G' = -i H(t) G`` over one period.
 
@@ -330,7 +327,8 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     powering.  The composition order is a fixed pairwise tree, making the
     result bitwise reproducible.
     """
-    _check_steps(steps_per_period)
+    if steps_per_period < 4:
+        raise ValueError("steps_per_period must be >= 4")
     T = model.period
     if model.is_square_family:
         segments = segment_hamiltonians(model)
@@ -424,7 +422,7 @@ def defectiveness(g00, g01, g10, g11, c):
         )
 
 
-def indicator_from_trace(c, im_tol: float = 1e-9):
+def indicator_from_trace(c):
     """Signed degeneracy indicator ``f`` of half-trace(s) ``c``.
 
     ``f = |Re c| - 1`` while the half-trace is numerically real (negative
@@ -433,34 +431,29 @@ def indicator_from_trace(c, im_tol: float = 1e-9):
     float.
     """
     c = np.asarray(c, dtype=complex)
-    f = np.where(np.abs(c.imag) < im_tol, np.abs(c.real) - 1.0, np.abs(c.imag))
+    f = np.where(np.abs(c.imag) < REAL_TRACE_TOL, np.abs(c.real) - 1.0, np.abs(c.imag))
     return float(f) if f.ndim == 0 else f
 
 
 _KINDS = np.array([EPKind.NONE, EPKind.DIABOLIC, EPKind.EP], dtype=object)
 
 
-def root_kinds(f, defect, defect_tol: float = 1e-6, root_tol: float = 1e-6):
+def root_kinds(f, defect, root_tol: float = 1e-6):
     """Classify indicator values ``f`` (elementwise, as :class:`EPKind`).
 
     At a root ``|f| <= root_tol`` the point is an exceptional point when
-    the propagator retains a nilpotent part (``defect > defect_tol``, see
+    the propagator retains a nilpotent part (``defect > DEFECT_TOL``, see
     :func:`defectiveness`), diabolic otherwise; elsewhere ``NONE``.
     """
-    code = np.where(np.abs(f) <= root_tol, np.where(np.asarray(defect) > defect_tol, 2, 1), 0)
+    code = np.where(np.abs(f) <= root_tol, np.where(np.asarray(defect) > DEFECT_TOL, 2, 1), 0)
     return _KINDS[code]
 
 
-def ep_indicator(
-    result: MonodromyResult,
-    im_tol: float = 1e-9,
-    defect_tol: float = 1e-6,
-    root_tol: float = 1e-6,
-) -> tuple[float, EPKind]:
+def ep_indicator(result: MonodromyResult, root_tol: float = 1e-6) -> tuple[float, EPKind]:
     """Signed degeneracy indicator and its classification.
 
     ``f`` is :func:`indicator_from_trace` of the half-trace, and the kind
     is :func:`root_kinds` of ``f`` and the propagator's defectiveness.
     """
-    f = indicator_from_trace(result.half_trace, im_tol)
-    return f, root_kinds(f, result.defectiveness, defect_tol, root_tol)
+    f = indicator_from_trace(result.half_trace)
+    return f, root_kinds(f, result.defectiveness, root_tol)

@@ -23,6 +23,7 @@ _PLOT_H = 420.0
 
 _DARK = (8, 8, 40)
 _BRIGHT = (252, 238, 80)
+_FAILED = (255, 0, 255)  # a non-finite (failed) cell
 
 
 def _num(x: float) -> str:
@@ -119,6 +120,7 @@ def _ppm_base64(values: np.ndarray, vmax: float) -> str:
     rgb = np.empty((nrow, ncol, 3), dtype=np.uint8)
     for ch in range(3):
         rgb[..., ch] = np.round(_DARK[ch] + t * (_BRIGHT[ch] - _DARK[ch])).astype(np.uint8)
+    rgb[~np.isfinite(values)] = _FAILED
     rgb = rgb[::-1]  # top row = largest omega
     return base64.b64encode(header + rgb.tobytes()).decode()
 
@@ -156,14 +158,10 @@ def heatmap_svg(
             py = _MARGIN_T + _PLOT_H - (j + 1) * chh
             for i in range(grid.gamma_count):
                 v = diagram.values[j, i]
-                if np.isfinite(v):
-                    r, g, b = _lerp_color(v / vmax)
-                    fill = f"rgb({r},{g},{b})"
-                else:
-                    fill = "rgb(255,0,255)"  # NaN sentinel
+                r, g, b = _lerp_color(v / vmax) if np.isfinite(v) else _FAILED
                 lines.append(
                     f'<rect x="{_num(_MARGIN_L + i * cw)}" y="{_num(py)}" '
-                    f'width="{_num(cw + 0.5)}" height="{_num(chh + 0.5)}" fill="{fill}"/>'
+                    f'width="{_num(cw + 0.5)}" height="{_num(chh + 0.5)}" fill="rgb({r},{g},{b})"/>'
                 )
     if contours is not None:
         lines.extend(_contour_elements(contours, xlim, ylim))

@@ -32,6 +32,7 @@ from .berry import berry_phase_loop
 from .floquet import TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
+    DEFAULT_STEPS_PER_PERIOD,
     EPKind,
     NumericalError,
     defectiveness,
@@ -41,7 +42,6 @@ from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by p
     quasienergy_from_trace,
     root_kinds,
     segment_hamiltonians,
-    _check_steps,
     _segment_product,
 )
 
@@ -51,7 +51,9 @@ ENGINES = ("floquet", "monodromy-piecewise", "monodromy-integrate")
 
 INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 
-DEFAULT_FAILURE_BUDGET = 0.01
+FAILURE_BUDGET = 0.01  # a larger share of failed cells aborts a map
+ROOT_TOL = 1e-6  # an EP root's |f|, and the bisection's last bracket width
+MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
 # cells per kernel call; fixed, so no result depends on how a grid is split
 BLOCK_CELLS = 512
@@ -152,13 +154,14 @@ def _segment_vectors(template: PresetTemplate):
     return a, b
 
 
-def _block_propagators(template: PresetTemplate, gammas, omegas, engine, steps):
+def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     """Propagators at the cells ``(gammas[k], omegas[k])``, block by block.
 
     Yields ``(cells, T, G, bound)`` per block of :data:`BLOCK_CELLS`:
     the slice, the periods, the four entries of ``G`` and the kernel's
     rounding bound on the half-trace.  The piecewise engine is one kernel
-    call per block; the integrate engine runs cell by cell (bound None).
+    call per block; the integrate engine runs cell by cell (bound None)
+    at :data:`DEFAULT_STEPS_PER_PERIOD`.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
@@ -169,17 +172,17 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine, steps):
             *G, bound = _segment_product(a, b, gammas[cells], T / len(a))
         else:
             Gs = np.array([
-                monodromy(template.instantiate(float(g), float(w)), "integrate", steps).G
+                monodromy(template.instantiate(float(g), float(w)), "integrate").G
                 for g, w in zip(gammas[cells], omegas[cells])
             ]).reshape(-1, 4)
             G, bound = Gs.T, None
         yield cells, T, G, bound
 
 
-def _indicator_at(template: PresetTemplate, gammas, omegas, engine, steps) -> np.ndarray:
+def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
     """EP indicator ``f`` at the cells; a non-finite propagator raises."""
     f = np.empty(len(gammas))
-    for cells, _, (g00, _, _, g11), _ in _block_propagators(template, gammas, omegas, engine, steps):
+    for cells, _, (g00, _, _, g11), _ in _block_propagators(template, gammas, omegas, engine):
         f[cells] = indicator_from_trace(0.5 * (g00 + g11))
     n_bad = int(np.count_nonzero(~np.isfinite(f)))
     if n_bad:
@@ -198,30 +201,30 @@ def _undecided(c, bound, T) -> np.ndarray:
     return (np.abs(c.imag) <= bound) & (np.abs(gap) <= bound)
 
 
-def _cell_half_trace(template: PresetTemplate, gamma, omega, engine, steps):
+def _cell_half_trace(template: PresetTemplate, gamma, omega, engine):
     if engine not in ("monodromy-piecewise", "monodromy-integrate"):
         raise ValueError(f"engine {engine!r} has no half-trace route")
     model = template.instantiate(float(gamma), float(omega))
     eng = "piecewise" if engine == "monodromy-piecewise" else "integrate"
-    return monodromy(model, engine=eng, steps_per_period=steps).half_trace
+    return monodromy(model, engine=eng).half_trace
 
 
-def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff, steps) -> float:
+def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff) -> float:
     if engine == "floquet":
         model = template.instantiate(float(gamma), float(omega))
         return max_im_quasienergy(model, cutoff)
-    c = _cell_half_trace(template, gamma, omega, engine, steps)
+    c = _cell_half_trace(template, gamma, omega, engine)
     eps = quasienergy_from_trace(c, 2.0 * math.pi / float(omega))
     return abs(eps.imag)
 
 
 def _column_task(args):
-    omega, template, gammas, engine, cutoff, steps = args
+    omega, template, gammas, engine, cutoff = args
     vals = np.empty(len(gammas))
     errors = []
     for i, g in enumerate(gammas):
         try:
-            vals[i] = _cell_max_im(template, g, omega, engine, cutoff, steps)
+            vals[i] = _cell_max_im(template, g, omega, engine, cutoff)
         # numerical failures only (RuntimeError: NumericalError, eigensolver
         # non-convergence): NaN sentinel, budget-checked later
         except (RuntimeError, TruncationError) as exc:
@@ -263,7 +266,7 @@ def _piecewise_map(template: PresetTemplate, grid: GridSpec):
     values = np.empty(gammas.size)
     undecided = 0
     for cells, T, (g00, _, _, g11), bound in _block_propagators(
-        template, gammas, omegas, grid.engine, 0
+        template, gammas, omegas, grid.engine
     ):
         c = 0.5 * (g00 + g11)
         values[cells] = np.abs(quasienergy_from_trace(c, T).imag)
@@ -271,11 +274,9 @@ def _piecewise_map(template: PresetTemplate, grid: GridSpec):
     return values.reshape(grid.omega_count, grid.gamma_count), undecided
 
 
-def _cell_map(template, grid, threads, cutoff, steps):
+def _cell_map(template, grid, threads, cutoff):
     """``max Im eps`` cell by cell, frequency columns over a process pool."""
-    tasks = [
-        (float(w), template, grid.gammas, grid.engine, cutoff, steps) for w in grid.omegas
-    ]
+    tasks = [(float(w), template, grid.gammas, grid.engine, cutoff) for w in grid.omegas]
     results = _map_tasks(_column_task, tasks, threads)
     values = np.array([vals for vals, _ in results])
     return values, [e for _, errs in results for e in errs]
@@ -286,8 +287,6 @@ def phase_diagram(
     grid: GridSpec,
     threads: int = 1,
     cutoff: int = 20,
-    steps_per_period: int = 200_000,
-    failure_budget: float = DEFAULT_FAILURE_BUDGET,
 ) -> PhaseDiagram:
     """Evaluate ``max Im eps`` on every grid node.
 
@@ -302,13 +301,11 @@ def phase_diagram(
     # argument errors raise here: inside a cell they would only become NaN
     if grid.engine == "floquet":
         _check_cutoff(cutoff, template.beta)  # beta: a preset's largest harmonic
-    elif grid.engine == "monodromy-integrate":
-        _check_steps(steps_per_period)
     if grid.engine == "monodromy-piecewise":
         values, undecided = _piecewise_map(template, grid)
         errors = []
     else:
-        values, errors = _cell_map(template, grid, threads, cutoff, steps_per_period)
+        values, errors = _cell_map(template, grid, threads, cutoff)
         undecided = None
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
@@ -318,12 +315,12 @@ def phase_diagram(
             f"; first error: {errors[0]}" if errors else "",
         )
     n_bad = len(bad)
-    if n_bad > failure_budget * values.size:
+    if n_bad > FAILURE_BUDGET * values.size:
         raise FailureBudgetExceeded(
-            f"{n_bad} of {values.size} cells failed (> {failure_budget:.0%} budget)"
+            f"{n_bad} of {values.size} cells failed (> {FAILURE_BUDGET:.0%} budget)"
         )
     metadata = _run_metadata(
-        template, engine=grid.engine, cutoff=cutoff, steps_per_period=steps_per_period,
+        template, engine=grid.engine, cutoff=cutoff, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
         failed_cells=n_bad, undecided_cells=undecided,
     )
     return PhaseDiagram(grid=grid, values=values, metadata=metadata)
@@ -356,30 +353,24 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
     return windows
 
 
-def _classify_root(template, gammas, omegas, engine, steps, f_tol) -> list[EPKind]:
+def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     """Kinds of the roots at the cells ``(gammas[k], omegas[k])``, in one batch."""
     kinds = []
-    for _, _, (g00, g01, g10, g11), _ in _block_propagators(template, gammas, omegas, engine, steps):
+    for _, _, (g00, g01, g10, g11), _ in _block_propagators(template, gammas, omegas, engine):
         c = 0.5 * (g00 + g11)
         f = indicator_from_trace(c)
-        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c), root_tol=f_tol))
+        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c), root_tol=ROOT_TOL))
     return kinds
 
 
-def trace_ep_contours(
-    template: PresetTemplate,
-    grid: GridSpec,
-    f_tol: float = 1e-6,
-    steps_per_period: int = 200_000,
-    max_iter: int = 200,
-) -> EPContourSet:
+def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     """Locate and link degeneracy roots of the half-trace indicator.
 
     The indicator ``f`` is evaluated on every node; each frequency column
     is scanned in gamma for sign changes, and all brackets of all columns
     are bisected together until both the bracket width and ``|f|`` at the
-    root fall below ``f_tol``.  Roots that cannot be pinned down
-    (indicator discontinuity) are dropped and logged.
+    root fall below ``ROOT_TOL``.  A root not pinned down within
+    ``MAX_BISECTIONS`` steps (indicator discontinuity) is dropped and logged.
 
     Linking takes the columns in omega order and each column's roots in
     gamma order.  A diabolic root is a singleton line.  The exceptional
@@ -399,25 +390,26 @@ def trace_ep_contours(
     dgamma = float(gammas[1] - gammas[0])
 
     def f_at(g, w):
-        return _indicator_at(template, g, w, grid.engine, steps_per_period)
+        return _indicator_at(template, g, w, grid.engine)
 
     fs = f_at(*grid.cells()).reshape(grid.omega_count, grid.gamma_count)
     # roots on a node (tangency roots never change sign), then brackets
-    node_j, node_i = np.nonzero(np.abs(fs) <= f_tol)
+    node_j, node_i = np.nonzero(np.abs(fs) <= ROOT_TOL)
     f0, f1 = fs[:, :-1], fs[:, 1:]
-    br_j, br_i = np.nonzero((np.abs(f0) > f_tol) & (np.abs(f1) > f_tol) & ((f0 > 0) != (f1 > 0)))
+    off_root = (np.abs(f0) > ROOT_TOL) & (np.abs(f1) > ROOT_TOL)
+    br_j, br_i = np.nonzero(off_root & ((f0 > 0) != (f1 > 0)))
 
     # every bracket bisected in lockstep, each with its own stop rule
     lo, hi, flo = gammas[br_i], gammas[br_i + 1], f0[br_j, br_i]
     w_br = omegas[br_j]
     found = np.full(br_i.size, np.nan)
     active = np.arange(br_i.size)
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECTIONS):
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
         fmid = f_at(mid, w_br[active])
-        done = ((hi[active] - lo[active] < 1e-6) & (np.abs(fmid) <= f_tol)) | (fmid == 0.0)
+        done = ((hi[active] - lo[active] < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
         found[active[done]] = mid[done]
         active, mid, fmid = active[~done], mid[~done], fmid[~done]
         same = (fmid > 0) == (flo[active] > 0)
@@ -432,16 +424,14 @@ def trace_ep_contours(
     ok = ~np.isnan(found)
     root_j = np.concatenate([node_j, br_j[ok]])
     root_g = np.concatenate([gammas[node_i], found[ok]])
-    kinds = _classify_root(
-        template, root_g, omegas[root_j], grid.engine, steps_per_period, f_tol
-    )
+    kinds = _classify_root(template, root_g, omegas[root_j], grid.engine)
     column_roots: list[list[tuple[float, EPKind]]] = [[] for _ in omegas]
     for j, g, kind in zip(root_j, root_g, kinds):
         column_roots[j].append((float(g), kind))
     return EPContourSet(
         contours=tuple(map(tuple, _link_ep_roots(omegas, column_roots, dgamma))),
-        tolerance=f_tol,
-        metadata=_run_metadata(template, engine=grid.engine, tolerance=f_tol),
+        tolerance=ROOT_TOL,
+        metadata=_run_metadata(template, engine=grid.engine, tolerance=ROOT_TOL),
     )
 
 
@@ -484,9 +474,9 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
 
 
 def _berry_task(args):
-    gamma, template, omega, steps, richardson, on_ep = args
+    gamma, template, omega, steps, richardson = args
     model = template.instantiate(float(gamma), float(omega))
-    res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep=on_ep)
+    res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
     return res.theta, res.degeneracy_flags, res.step_delta, res.certified
 
 
@@ -496,16 +486,16 @@ def berry_gamma_sweep(
     omega: float = 1.0,
     steps: int = 8192,
     richardson: bool = True,
-    on_ep: str = "flag",
     threads: int = 1,
 ) -> BerrySweep:
     """Geometric phase of both bands for each gamma (deterministic order).
 
-    ``on_ep='flag'`` by default so a sweep can cross drive strengths whose
-    loop grazes an exceptional point without aborting the whole curve.
+    Each loop runs with ``on_ep='flag'``, so a sweep can cross drive
+    strengths whose loop grazes an exceptional point without aborting the
+    whole curve.
     """
     gammas = np.asarray(gammas, dtype=float)
-    tasks = [(float(g), template, omega, steps, richardson, on_ep) for g in gammas]
+    tasks = [(float(g), template, omega, steps, richardson) for g in gammas]
     results = _map_tasks(_berry_task, tasks, threads)
     thetas = np.array([r[0] for r in results])
     flags = tuple(tuple(r[1]) for r in results)

@@ -104,8 +104,8 @@ def criterion_large_gamma_instability():
     tpl_sm = PresetTemplate("apt-cosx-cosy", beta=3, family="smooth")
     from .sweep import _cell_max_im
 
-    vals_sq = [_cell_max_im(tpl_sq, 5.0, w, "monodromy-piecewise", 20, 0) for w in omegas]
-    vals_sm = [_cell_max_im(tpl_sm, 5.0, w, "floquet", 20, 0) for w in omegas]
+    vals_sq = [_cell_max_im(tpl_sq, 5.0, w, "monodromy-piecewise", 20) for w in omegas]
+    vals_sm = [_cell_max_im(tpl_sm, 5.0, w, "floquet", 20) for w in omegas]
     worst = min(min(vals_sq), min(vals_sm))
     ok = worst > 1e-8
     return ok, f"min max Im eps over 12 frequencies = {worst:.3e} (> 0)"

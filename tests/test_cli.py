@@ -1,3 +1,4 @@
+import base64
 import json
 import logging
 import xml.etree.ElementTree as ET
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 
 import floqep.cli as cli
+import floqep.render as render
 import floqep.verify as verify_mod
 from floqep.berry import biorthonormalize, instantaneous_eigensystem
 from floqep.config import ConfigError, load_config, parse_config
 from floqep.floquet import fold_spectrum
 from floqep.model import SIGMA_X, SIGMA_Y, SIGMA_Z
+from floqep.sweep import GridSpec, PhaseDiagram
 
 
 def write_config(path, **overrides):
@@ -61,6 +64,14 @@ class TestConfig:
             # booleans are not integers; beta 1 so that True passes cutoff >= beta
             {"model": {"preset": "pt-cosy-cosz", "beta": 1, "family": "square"}, "cutoff": True},
             {"threads": True},
+            # real-valued fields take numbers only, not booleans, strings or null
+            {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "J": True}},
+            {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "J": "1.0"}},
+            {"gamma": {"value": "0.5"}},
+            {"gamma": {"value": None}},
+            {"omega": {"min": True, "max": 2.5, "count": 3}},
+            {"omega": {"min": 1.0, "max": "2.5", "count": 3}},
+            {"gamma": {"min": None, "max": 2.0, "count": 3}},
         ],
     )
     def test_invalid_configs(self, patch):
@@ -72,6 +83,11 @@ class TestConfig:
         }
         doc.update(patch)
         with pytest.raises(ConfigError):
+            parse_config(doc)
+
+    def test_model_message_has_one_prefix(self):
+        doc = {"schema_version": 1, "model": {"preset": "pt-cosy-cosz", "J": True}}
+        with pytest.raises(ConfigError, match="^model: J must be a number$"):
             parse_config(doc)
 
     def test_missing_file(self, tmp_path):
@@ -107,6 +123,16 @@ class TestPhaseDiagramCommand:
         assert (out / "ep_contours.csv").exists()
         ET.parse(out / "phase_diagram.svg")
 
+    def test_overlay_with_floquet_fails_before_the_map(self, tmp_path, monkeypatch):
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"},
+                     engine="floquet")
+        calls = []
+        monkeypatch.setattr(cli, "phase_diagram", lambda *a, **kw: calls.append(a))
+        assert cli.main(["phase-diagram", "--config", str(p), "--overlay-contours"]) == 1
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_raster_branch_for_large_grids(self, tmp_path):
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"min": 0.0, "max": 2.0, "count": 201},
@@ -115,6 +141,21 @@ class TestPhaseDiagramCommand:
         svg = (tmp_path / "out" / "phase_diagram.svg").read_text()
         assert "data:image/x-portable-pixmap;base64," in svg
         ET.parse(tmp_path / "out" / "phase_diagram.svg")
+
+    def test_raster_paints_failed_cells(self):
+        grid = GridSpec(0.0, 2.0, 201, 0.4, 2.8, 2)
+        values = np.zeros((2, 201))
+        values[0, 7] = np.nan
+        values[1, 3] = 1.0
+        svg = render.heatmap_svg(PhaseDiagram(grid, values, {}))
+        ppm = base64.b64decode(svg.split("base64,")[1].split('"')[0])
+        header = b"P6 201 2 255\n"
+        assert ppm.startswith(header)
+        rgb = np.frombuffer(ppm[len(header):], dtype=np.uint8).reshape(2, 201, 3)[::-1]
+        assert tuple(rgb[0, 7]) == (255, 0, 255)
+        assert tuple(rgb[1, 3]) == (252, 238, 80)
+        colours = {tuple(px) for px in rgb.reshape(-1, 3)}
+        assert colours == {(8, 8, 40), (255, 0, 255), (252, 238, 80)}
 
     def test_exit_1_on_bad_config(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -203,14 +244,47 @@ class TestOverrideFlags:
         assert cli.main(["phase-diagram", *argv, "--engine", "floquet", "--cutoff", "5"]) == 0
         meta = json.loads((out / "phase_diagram.csv.meta.json").read_text())["metadata"]
         assert (meta["engine"], meta["cutoff"]) == ("floquet", 5)
+        write_config(p, gamma={"min": 0.2, "max": 1.0, "count": 2}, omega={"value": 0.9},
+                     model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"})
         assert cli.main(["berry", *argv, "--steps", "256"]) == 0
-        assert json.loads((out / "berry.csv.meta.json").read_text())["metadata"]["steps"] == 256
+        meta = json.loads((out / "berry.csv.meta.json").read_text())["metadata"]
+        assert (meta["steps"], meta["omega"]) == (256, 0.9)
 
-    @pytest.mark.parametrize("flag", [["--cutoff", "0"], ["--steps", "100"]])
-    def test_invalid_flag_exits_1(self, tmp_path, flag):
+    @pytest.mark.parametrize(
+        "flag",  # the subcommand, then the flag it reads
+        [["phase-diagram", "--cutoff", "0"], ["berry", "--steps", "100"],
+         ["phase-diagram", "--threads", "0"]],
+    )
+    def test_invalid_flag_exits_1(self, tmp_path, flag, monkeypatch):
         p = tmp_path / "cfg.json"
         write_config(p)
-        assert cli.main(["phase-diagram", "--config", str(p), *flag]) == 1
+        monkeypatch.setattr(cli, "phase_diagram", None)  # the run must not start
+        monkeypatch.setattr(cli, "berry_gamma_sweep", None)
+        assert cli.main([*flag, "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["phase-diagram", "--bogus"],
+            [],
+            ["phase-diagram", "--threads", "x"],
+            ["ep-contours", "--cutoff", "5"],  # a flag its subcommand does not read
+            ["berry", "--engine", "floquet"],
+            ["spectrum-scan", "--steps", "512"],
+            ["phase-diagram", "--steps", "512"],
+        ],
+    )
+    def test_usage_errors_exit_1(self, tmp_path, argv, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert cli.main([*argv, "--config", str(p)] if argv else []) == 1
+        assert "usage: floqep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["berry", "--help"]])
+    def test_help_and_version_exit_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
 
 
 class TestOtherCommands:
@@ -265,6 +339,14 @@ class TestOtherCommands:
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["berry", "--config", str(p)]) == 1
+
+    def test_berry_rejects_omega_range(self, tmp_path, monkeypatch, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "apt-cosx-siny", "beta": 1, "family": "smooth"},
+                     omega={"min": 0.5, "max": 3.0, "count": 4})
+        monkeypatch.setattr(cli, "berry_gamma_sweep", None)  # the sweep must not start
+        assert cli.main(["berry", "--config", str(p)]) == 1
+        assert "scalar omega" in capsys.readouterr().err
 
 
 class TestVerbosity:

@@ -99,7 +99,7 @@ def test_matches_integration_oracle_on_c07_domain(template, batch):
 def test_worker_count_bit_identity(template, n_gamma, n_omega, engine):
     grid = GridSpec(0.0, 2.5, n_gamma, 0.3, 3.0, n_omega, engine=engine)
     blobs = {
-        phase_diagram(template, grid, threads=t, steps_per_period=64).values.tobytes()
+        phase_diagram(template, grid, threads=t).values.tobytes()
         for t in (1, 2, 4)
     }
     assert len(blobs) == 1

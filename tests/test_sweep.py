@@ -60,7 +60,7 @@ class TestCellKernels:
         rng = np.random.default_rng(17)
         for _ in range(10):
             g, w = rng.uniform(0.1, 2), rng.uniform(0.4, 3)
-            got = _cell_max_im(PT3, g, w, "monodromy-piecewise", 20, 0)
+            got = _cell_max_im(PT3, g, w, "monodromy-piecewise", 20)
             want = monodromy(PT3.instantiate(g, w), engine="piecewise").max_im_eps
             assert got == want
 
@@ -74,11 +74,8 @@ class TestCellKernels:
 
     @pytest.mark.parametrize(
         "template, engine, kwargs, match",
-        [
-            (PT3, "monodromy-integrate", {"steps_per_period": 3}, "steps_per_period"),
-            (PT3_SMOOTH, "floquet", {"cutoff": 2}, "cutoff 2 below"),
-        ],
-        ids=["integrate-steps", "floquet-cutoff"],
+        [(PT3_SMOOTH, "floquet", {"cutoff": 2}, "cutoff 2 below")],
+        ids=["floquet-cutoff"],
     )
     def test_argument_errors_raise_before_the_cells(self, template, engine, kwargs, match):
         # a bad argument fails every cell alike: it must not turn into NaN
@@ -154,15 +151,15 @@ class TestPhaseDiagram:
     def test_per_cell_engine_failures(self, monkeypatch, caplog):
         real = sweep_mod._cell_max_im
 
-        def flaky(template, gamma, omega, engine, cutoff, steps):
+        def flaky(template, gamma, omega, engine, cutoff):
             if gamma > 0.9 and omega < 0.5:
                 raise RuntimeError("synthetic")
-            return real(template, gamma, omega, engine, cutoff, steps)
+            return real(template, gamma, omega, engine, cutoff)
 
         monkeypatch.setattr(sweep_mod, "_cell_max_im", flaky)
         grid = GridSpec(0.0, 1.0, 11, 0.4, 2.8, 10, engine="monodromy-integrate")
         with caplog.at_level("WARNING", logger="floqep.sweep"):
-            diag = phase_diagram(PT3, grid, steps_per_period=400)
+            diag = phase_diagram(PT3, grid)
         assert diag.metadata["failed_cells"] == 1
         assert diag.metadata["undecided_cells"] is None
         assert [r.getMessage() for r in caplog.records] == [
@@ -171,7 +168,7 @@ class TestPhaseDiagram:
         ]
         grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-integrate")
         with pytest.raises(FailureBudgetExceeded):
-            phase_diagram(PT3, grid, steps_per_period=400)
+            phase_diagram(PT3, grid)
 
 
 class TestNoiseFloor:
@@ -286,7 +283,7 @@ class TestEPContours:
         for line in cs.contours:
             for pt in line:
                 f = indicator_from_trace(
-                    _cell_half_trace(tpl, pt.gamma, pt.omega, grid.engine, 0)
+                    _cell_half_trace(tpl, pt.gamma, pt.omega, grid.engine)
                 )
                 assert abs(f) < 1e-6
                 n_checked += 1
@@ -321,7 +318,7 @@ class TestEPContours:
         gammas = grid.gammas
 
         def f_at(g, w):
-            return indicator_from_trace(_cell_half_trace(tpl, g, w, grid.engine, 0))
+            return indicator_from_trace(_cell_half_trace(tpl, g, w, grid.engine))
 
         want = []
         for w in grid.omegas:
