@@ -21,7 +21,6 @@ from .model import (  # noqa: F401
 from .propagator import (  # noqa: F401
     EPKind,
     MonodromyResult,
-    SegmentSequence,
     ep_indicator,
     expm_two_level,
     monodromy,

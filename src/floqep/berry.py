@@ -75,32 +75,31 @@ _DEFECT_REL_TOL = 1e-10
 _TIE_REL_TOL = 1e-9
 SPECTRUM_TOL = 1e-10  # |Re mu| or |Im mu| below this counts as zero
 THRESHOLD_TOL = 1e-6  # a spectrum class boundary is bisected to this width in gamma
+DEFAULT_LOOP_STEPS = 8192
+MIN_LOOP_STEPS = 256
 
 
 def _abs2(z):
     return np.abs(z) ** 2
 
 
-def _raw_eigenframes(d0, d):
-    """Closed-form eigensystem for a batch of Bloch vectors.
+def _raw_eigenframes(d):
+    """Closed-form eigenframes for a batch of Bloch vectors ``(n, 3)``.
 
-    Eigenvalues are ``d0 +/- sqrt(d.d)`` (principal branch, so the first
-    band has the descending-(Re, Im) eigenvalue).  Eigenvectors come from
-    the adjugate columns of ``H - eps I``; the larger-norm column is
-    selected per point for stability.  Left rows are the transpose-system
-    eigenvectors (``dy -> -dy``).  Every operation is pointwise, so a
-    point's frames do not depend on the rest of the batch.
+    The bands of ``d0*I + d.sigma`` are ``d0 +/- mu`` with
+    ``mu = sqrt(d.d)`` (principal branch, so the first band has the
+    descending-(Re, Im) eigenvalue); the frames do not depend on ``d0``.
+    Eigenvectors come from the adjugate columns of ``H - eps I``; the
+    larger-norm column is selected per point for stability.  Left rows are
+    the transpose-system eigenvectors (``dy -> -dy``).  Every operation is
+    pointwise, so a point's frames do not depend on the rest of the batch.
+    Returns ``(mu, right, left, gap, defective)``.
     """
-    d = np.asarray(d, dtype=complex)
-    if d.ndim == 1:
-        d = d[None, :]
     n = d.shape[0]
-    d0_arr = np.broadcast_to(np.asarray(d0, dtype=complex), (n,))
     dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
     mu = np.sqrt(dx * dx + dy * dy + dz * dz)
     dnorm = np.sqrt(_abs2(dx) + _abs2(dy) + _abs2(dz))
     defective = (np.abs(mu) < _DEFECT_REL_TOL * dnorm) & (dnorm > 0)
-    eps = np.stack([d0_arr + mu, d0_arr - mu], axis=1)
     gap = np.abs(2.0 * mu)
     w, wc = dx + 1.0j * dy, dx - 1.0j * dy
     w2, wc2 = _abs2(w), _abs2(wc)
@@ -116,7 +115,7 @@ def _raw_eigenframes(d0, d):
         use2 = w2 + q2 > p2 + wc2
         left[:, b, 0] = np.where(use2, w, p)
         left[:, b, 1] = np.where(use2, q, wc)
-    return eps, right, left, gap, defective
+    return mu, right, left, gap, defective
 
 
 def _canonical_gauge(r0, r1, l0, l1):
@@ -151,8 +150,8 @@ def instantaneous_eigensystem(H) -> EigensystemInstant:
     nonzero Bloch vector: the matrix then has a single eigenvector and no
     biorthogonal pair exists.
     """
-    dec = bloch_decompose(H)
-    eps, right, left, gap, defective = _raw_eigenframes(dec.d0, dec.d)
+    d0, d = bloch_decompose(H)
+    mu, right, left, gap, defective = _raw_eigenframes(d[None, :])
     if defective[0]:
         raise DefectivePointError(
             "defective point: d.d = 0 with nonzero Bloch vector (single eigenvector)"
@@ -162,7 +161,7 @@ def instantaneous_eigensystem(H) -> EigensystemInstant:
         right[0, :, 0], right[0, :, 1], left[0, :, 0], left[0, :, 1]
     )
     return EigensystemInstant(
-        eigenvalues=eps[0],
+        eigenvalues=np.array([d0 + mu[0], d0 - mu[0]]),
         right=np.stack([r0, r1], axis=-1),
         left=np.stack([l0, l1], axis=-1),
         biorthonormal=False,
@@ -330,23 +329,23 @@ def _principal_theta(theta: complex, band: int) -> complex:
     return complex(re, theta.imag)
 
 
-def _loop_frames(model: ModelSpec, steps: int, overlap_tol: float, on_ep: str):
-    T = model.period
-    s = np.arange(steps) * (T / steps)
+def _loop_frames(model: ModelSpec, steps: int, on_ep: str):
+    """Loop positions ``s``, Bloch vectors, right and left frames and band
+    gap at ``steps`` uniform points of one period."""
+    s = np.arange(steps) * (model.period / steps)
     d = bloch_vector_at(model, s)
-    eps, right, left, gap, defective = _raw_eigenframes(np.zeros(steps), d)
-    if np.any(defective):
-        if on_ep == "raise":
-            raise EPOnPathError(
-                f"loop passes through a defective point at s = "
-                f"{float(s[np.argmax(defective)]):.6g}"
-            )
-    return s, d, eps, right, left, gap
+    _, right, left, gap, defective = _raw_eigenframes(d)
+    if on_ep == "raise" and np.any(defective):
+        raise EPOnPathError(
+            f"loop passes through a defective point at s = "
+            f"{float(s[np.argmax(defective)]):.6g}"
+        )
+    return s, d, right, left, gap
 
 
 def berry_phase_loop(
     model: ModelSpec,
-    steps: int = 8192,
+    steps: int = DEFAULT_LOOP_STEPS,
     richardson: bool = True,
     on_ep: str = "raise",
     gap_tol: float = 1e-6,
@@ -369,14 +368,12 @@ def berry_phase_loop(
     reference; the phase equals it modulo 2*pi up to discretization
     error.
     """
-    if steps < 256:
-        raise ValueError("steps must be >= 256")
+    if steps < MIN_LOOP_STEPS:
+        raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}")
     if on_ep not in ("raise", "flag"):
         raise ValueError("on_ep must be 'raise' or 'flag'")
 
-    s, d, _, right, left, gap = _loop_frames(
-        model, 2 * steps if richardson else steps, overlap_tol, on_ep
-    )
+    s, d, right, left, gap = _loop_frames(model, 2 * steps if richardson else steps, on_ep)
     if richardson:
         right2, left2 = right, left
         # the even points of the 2n grid are the n grid bit for bit

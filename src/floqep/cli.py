@@ -33,6 +33,7 @@ from .sweep import (
     phase_diagram,
     trace_ep_contours,
     write_table,
+    _fmt,
 )
 
 EXIT_OK = 0
@@ -202,7 +203,7 @@ def cmd_spectrum_scan(args) -> int:
     csv_path = write_table(
         Path(config.out_dir) / "spectrum_scan.csv",
         "gamma,classification",
-        (map("{:.12e}".format, scan.gammas), scan.classifications),
+        (map(_fmt, scan.gammas), scan.classifications),
         "spectrum-scan",
         {
             "model": tpl.label,

@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .berry import DEFAULT_LOOP_STEPS, MIN_LOOP_STEPS
+from .floquet import DEFAULT_CUTOFF
 from .model import PresetTemplate
 from .sweep import ENGINES
 
@@ -126,14 +128,14 @@ def parse_config(doc: dict) -> RunConfig:
     engine = doc.get("engine", "monodromy-piecewise")
     if engine not in ENGINES:
         raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
-    cutoff = doc.get("cutoff", 20)
+    # whether cutoff reaches beta matters to the floquet engine only;
+    # phase_diagram checks it there
+    cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
     if not _is_int(cutoff) or cutoff < 1:
         raise ConfigError("cutoff must be a positive integer")
-    if cutoff < template.beta:
-        raise ConfigError(f"cutoff {cutoff} below the largest drive harmonic {template.beta}")
-    berry_steps = doc.get("berry_steps", 8192)
-    if not _is_int(berry_steps) or berry_steps < 256:
-        raise ConfigError("berry_steps must be an integer >= 256")
+    berry_steps = doc.get("berry_steps", DEFAULT_LOOP_STEPS)
+    if not _is_int(berry_steps) or berry_steps < MIN_LOOP_STEPS:
+        raise ConfigError(f"berry_steps must be an integer >= {MIN_LOOP_STEPS}")
     richardson = doc.get("richardson", True)
     if not isinstance(richardson, bool):
         raise ConfigError("richardson must be a boolean")

@@ -59,7 +59,6 @@ class QuasienergySpectrum:
     folded: tuple
     ladder_residual: float
     max_im: float
-    kept: int
 
 
 def fourier_components(model: ModelSpec) -> dict[int, np.ndarray]:
@@ -108,20 +107,21 @@ def _check_cutoff(cutoff: int, n_max: int):
 
 
 def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> FloquetMatrix:
-    """Assemble the truncated matrix for harmonics ``n = -N..N``."""
+    """Assemble the truncated matrix for harmonics ``n = -N..N``.
+
+    Each Fourier component ``H^(k)`` fills block diagonal ``k`` in one
+    write, on the ``(block row, row, block column, column)`` view.
+    """
     _check_cutoff(cutoff, model.max_multiplier)
-    comps = fourier_components(model)
     nb = 2 * cutoff + 1
-    dim = 2 * nb
-    mat = np.zeros((dim, dim), dtype=complex)
+    mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    blocks = mat.reshape(nb, 2, nb, 2)
+    for k, comp in fourier_components(model).items():
+        rows = np.arange(max(k, 0), nb + min(k, 0))
+        blocks[rows, :, rows - k, :] = comp
     w = model.base_omega
-    for bi, m in enumerate(range(-cutoff, cutoff + 1)):
-        for bj, n in enumerate(range(-cutoff, cutoff + 1)):
-            k = m - n
-            if k in comps:
-                mat[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] = comps[k]
-        mat[2 * bi, 2 * bi] += m * w
-        mat[2 * bi + 1, 2 * bi + 1] += m * w
+    diag = np.arange(2 * nb)
+    mat[diag, diag] += np.repeat(np.arange(-cutoff, cutoff + 1) * w, 2)
     return FloquetMatrix(cutoff=cutoff, base_omega=w, matrix=mat)
 
 
@@ -193,7 +193,6 @@ def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
         folded=tuple(centers),
         ladder_residual=float(residual),
         max_im=max_im,
-        kept=int(np.sum(keep)),
     )
 
 

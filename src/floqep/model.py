@@ -19,7 +19,6 @@ import numpy as np
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY = np.eye(2, dtype=complex)
 
 
 class Axis(Enum):
@@ -103,28 +102,14 @@ class ModelSpec:
             for t in self.terms
         )
 
-    @property
-    def is_smooth_family(self) -> bool:
-        return all(
-            t.waveform is Waveform.CONSTANT or t.waveform in SMOOTH_WAVEFORMS
-            for t in self.terms
-        )
 
-
-@dataclass(frozen=True, eq=False)
-class BlochDecomposition:
-    """Coefficients of ``M = d0*I + d[0]*X + d[1]*Y + d[2]*Z``."""
-
-    d0: complex
-    d: np.ndarray  # shape (3,), complex
-
-
-def bloch_decompose(matrix) -> BlochDecomposition:
+def bloch_decompose(matrix) -> tuple[complex, np.ndarray]:
     """Project a 2x2 matrix onto the identity and Pauli basis.
 
-    Returns ``d0 = tr(M)/2`` and ``d_k = tr(sigma_k M)/2``.  The real and
-    imaginary parts of ``d`` separate the Hermitian and anti-Hermitian
-    drive vectors of a traceless Hamiltonian.
+    Returns ``(d0, d)`` with ``d0 = tr(M)/2`` and ``d_k = tr(sigma_k M)/2``,
+    so ``M = d0*I + d . sigma``.  The real and imaginary parts of ``d``
+    separate the Hermitian and anti-Hermitian drive vectors of a traceless
+    Hamiltonian.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (2, 2):
@@ -138,28 +123,24 @@ def bloch_decompose(matrix) -> BlochDecomposition:
         ],
         dtype=complex,
     )
-    return BlochDecomposition(d0=complex(d0), d=d)
+    return complex(d0), d
 
 
-def bloch_recompose(dec: BlochDecomposition) -> np.ndarray:
-    """Rebuild the 2x2 matrix from its Bloch coefficients."""
-    dx, dy, dz = dec.d
-    return np.array(
-        [
-            [dec.d0 + dz, dx - 1.0j * dy],
-            [dx + 1.0j * dy, dec.d0 - dz],
-        ],
-        dtype=complex,
-    )
+def bloch_recompose(d0, d) -> np.ndarray:
+    """Rebuild the 2x2 matrix ``d0*I + d . sigma``."""
+    return d0 * np.eye(2) + matrix_from_bloch_vector(d)
 
 
 def matrix_from_bloch_vector(d) -> np.ndarray:
-    """2x2 matrix ``d . sigma`` for a complex 3-vector ``d`` (traceless)."""
-    dx, dy, dz = d
-    return np.array(
-        [[dz, dx - 1.0j * dy], [dx + 1.0j * dy, -dz]],
-        dtype=complex,
-    )
+    """Matrices ``d . sigma`` (traceless) for complex Bloch vectors of
+    shape ``(..., 3)``; the result has shape ``(..., 2, 2)``."""
+    d = np.asarray(d, dtype=complex)
+    out = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = d[..., 2]
+    out[..., 0, 1] = d[..., 0] - 1.0j * d[..., 1]
+    out[..., 1, 0] = d[..., 0] + 1.0j * d[..., 1]
+    out[..., 1, 1] = -d[..., 2]
+    return out
 
 
 def _waveform_values(waveform: Waveform, theta):

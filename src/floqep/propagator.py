@@ -34,6 +34,7 @@ SMALL_PHASE = 1e-4
 DEFAULT_STEPS_PER_PERIOD = 200_000
 REAL_TRACE_TOL = 1e-9  # |Im c| below this: a numerically real half-trace
 DEFECT_TOL = 1e-6  # ||G - c*I||_F above this at a root: an exceptional point
+ROOT_TOL = 1e-6  # |f| at most this: a root of the degeneracy indicator
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
@@ -49,22 +50,6 @@ class EPKind(Enum):
 
 
 @dataclass(eq=False)
-class SegmentSequence:
-    """Equal-length constant-Hamiltonian segments spanning one period.
-
-    ``ds[l]`` is the Bloch vector of segment ``l`` (0-indexed; segment 0
-    is applied first).  A square-family model with largest harmonic
-    ``beta`` yields ``4*beta`` segments of duration ``T/(4*beta)``.
-    """
-
-    ds: np.ndarray          # (n, 3) complex
-    durations: np.ndarray   # (n,) float
-
-    def __len__(self) -> int:
-        return len(self.durations)
-
-
-@dataclass(eq=False)
 class MonodromyResult:
     """One-period propagator and the quantities derived from its trace.
 
@@ -76,7 +61,6 @@ class MonodromyResult:
     G: np.ndarray
     half_trace: complex
     eps_F: complex
-    n_F: np.ndarray
     max_im_eps: float
     defectiveness: float
 
@@ -184,20 +168,21 @@ def expm_two_level(H, tau: float) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     if not (np.all(np.isfinite(H.view(float))) and math.isfinite(tau)):
         raise ValueError("H and tau must be finite")
-    dec = bloch_decompose(H)
-    d = [(x.real, x.imag) for x in dec.d]
+    d0, d = bloch_decompose(H)
+    d = [(x.real, x.imag) for x in d]
     tau = float(tau)
     e00, e01, e10, e11 = (
         complex(*e) for e in _expm_pauli_elements(d, _cos_sinc(_dot(d), tau), tau)
     )
     out = np.array([[e00, e01], [e10, e11]], dtype=complex)
-    if dec.d0 != 0:
-        out *= cmath.exp(-1.0j * dec.d0 * tau)
+    if d0 != 0:
+        out *= cmath.exp(-1.0j * d0 * tau)
     return out
 
 
-def segment_hamiltonians(model: ModelSpec) -> SegmentSequence:
-    """Split a square-family model into its constant segments.
+def segment_hamiltonians(model: ModelSpec) -> np.ndarray:
+    """Bloch vectors ``(n_seg, 3)`` of a square-family model's constant
+    segments, segment 0 first; each lasts ``model.period / n_seg``.
 
     The segment count is four times the least common multiple of the
     drive harmonics (= ``4*beta`` for the presets), which puts every sign
@@ -215,9 +200,7 @@ def segment_hamiltonians(model: ModelSpec) -> SegmentSequence:
             mults.append(term.multiplier)
     n_seg = 4 * math.lcm(*mults) if mults else 4
     tau = model.period / n_seg
-    mids = (np.arange(n_seg) + 0.5) * tau
-    ds = bloch_vector_at(model, mids)
-    return SegmentSequence(ds=ds, durations=np.full(n_seg, tau))
+    return bloch_vector_at(model, (np.arange(n_seg) + 0.5) * tau)
 
 
 def quasienergy_from_trace(c, T):
@@ -331,35 +314,23 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
         raise ValueError("steps_per_period must be >= 4")
     T = model.period
     if model.is_square_family:
-        segments = segment_hamiltonians(model)
-        n_seg = len(segments)
-        m = int(math.ceil(steps_per_period / n_seg))
+        ds = segment_hamiltonians(model)
+        m = int(math.ceil(steps_per_period / len(ds)))
+        h = T / len(ds) / m
         g = np.eye(2, dtype=complex)
-        for idx in range(n_seg):
-            tau = float(segments.durations[idx])
-            h = tau / m
-            a = -1.0j * matrix_from_bloch_vector(segments.ds[idx])
+        for d in ds:
+            a = -1.0j * matrix_from_bloch_vector(d)
             step = _rk4_transfer(a, a, a, h)
             g = np.linalg.matrix_power(step, m) @ g
         return g
     n = int(steps_per_period)
     h = T / n
-    edges = np.arange(n + 1) * h
-    mids = (np.arange(n) + 0.5) * h
-    d_edges = bloch_vector_at(model, edges)
-    d_mids = bloch_vector_at(model, mids)
 
-    def as_matrices(d):
-        out = np.empty(d.shape[:-1] + (2, 2), dtype=complex)
-        out[..., 0, 0] = d[..., 2]
-        out[..., 0, 1] = d[..., 0] - 1.0j * d[..., 1]
-        out[..., 1, 0] = d[..., 0] + 1.0j * d[..., 1]
-        out[..., 1, 1] = -d[..., 2]
-        return -1.0j * out
+    def a_at(t):
+        return -1.0j * matrix_from_bloch_vector(bloch_vector_at(model, t))
 
-    a_edges = as_matrices(d_edges)
-    a_mids = as_matrices(d_mids)
-    steps = _rk4_transfer(a_edges[:-1], a_mids, a_edges[1:], h)
+    a_edges = a_at(np.arange(n + 1) * h)
+    steps = _rk4_transfer(a_edges[:-1], a_at((np.arange(n) + 0.5) * h), a_edges[1:], h)
     return _ordered_product(steps)
 
 
@@ -369,18 +340,10 @@ def _result_from_G(G: np.ndarray, T: float) -> MonodromyResult:
     c = complex(0.5 * (G[0, 0] + G[1, 1]))
     eps = quasienergy_from_trace(c, T)
     defect = float(defectiveness(G[0, 0], G[0, 1], G[1, 0], G[1, 1], c))
-    sin_w = cmath.sin(eps * T)
-    if abs(sin_w) > 1e-14:
-        gv = bloch_decompose(G).d
-        n_F = (1.0j / sin_w) * gv
-    else:
-        # degenerate propagator: rotation axis undefined
-        n_F = np.zeros(3, dtype=complex)
     return MonodromyResult(
         G=G,
         half_trace=c,
         eps_F=eps,
-        n_F=n_F,
         max_im_eps=abs(eps.imag),
         defectiveness=defect,
     )
@@ -399,10 +362,10 @@ def monodromy(
     family).
     """
     if engine == "piecewise":
-        segments = segment_hamiltonians(model)
+        ds = segment_hamiltonians(model)
         # the grid kernel on a one-cell batch, so a cell has the same bits here
         g00, g01, g10, g11, _ = _segment_product(
-            segments.ds, np.zeros_like(segments.ds), np.zeros(1), segments.durations[:1]
+            ds, np.zeros_like(ds), np.zeros(1), np.full(1, model.period / len(ds))
         )
         if not np.isfinite(g00[0]):
             raise NumericalError("non-finite propagator in the segment product")
@@ -438,7 +401,7 @@ def indicator_from_trace(c):
 _KINDS = np.array([EPKind.NONE, EPKind.DIABOLIC, EPKind.EP], dtype=object)
 
 
-def root_kinds(f, defect, root_tol: float = 1e-6):
+def root_kinds(f, defect, root_tol: float = ROOT_TOL):
     """Classify indicator values ``f`` (elementwise, as :class:`EPKind`).
 
     At a root ``|f| <= root_tol`` the point is an exceptional point when
@@ -449,7 +412,7 @@ def root_kinds(f, defect, root_tol: float = 1e-6):
     return _KINDS[code]
 
 
-def ep_indicator(result: MonodromyResult, root_tol: float = 1e-6) -> tuple[float, EPKind]:
+def ep_indicator(result: MonodromyResult, root_tol: float = ROOT_TOL) -> tuple[float, EPKind]:
     """Signed degeneracy indicator and its classification.
 
     ``f`` is :func:`indicator_from_trace` of the half-trace, and the kind

@@ -28,11 +28,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .berry import berry_phase_loop
-from .floquet import TruncationError, _check_cutoff, max_im_quasienergy
+from .berry import DEFAULT_LOOP_STEPS, berry_phase_loop
+from .floquet import DEFAULT_CUTOFF, TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
     DEFAULT_STEPS_PER_PERIOD,
+    ROOT_TOL,
     EPKind,
     NumericalError,
     defectiveness,
@@ -52,7 +53,6 @@ ENGINES = ("floquet", "monodromy-piecewise", "monodromy-integrate")
 INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 
 FAILURE_BUDGET = 0.01  # a larger share of failed cells aborts a map
-ROOT_TOL = 1e-6  # an EP root's |f|, and the bisection's last bracket width
 MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
 # cells per kernel call; fixed, so no result depends on how a grid is split
@@ -76,6 +76,12 @@ class GridSpec:
     engine: str = "monodromy-piecewise"
 
     def __post_init__(self):
+        counts = (self.gamma_count, self.omega_count)
+        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in counts):
+            raise ValueError("grid counts must be integers")
+        bounds = (self.gamma_min, self.gamma_max, self.omega_min, self.omega_max)
+        if not all(math.isfinite(x) for x in bounds):
+            raise ValueError("grid bounds must be finite")
         if self.gamma_count < 2 or self.omega_count < 2:
             raise ValueError("grid counts must be >= 2")
         if not self.omega_min > 0:
@@ -148,8 +154,8 @@ def _segment_vectors(template: PresetTemplate):
     fixed drive phases, so segment ``l`` has the Bloch vector
     ``a[l] + gamma * b[l]`` at every omega.
     """
-    a = segment_hamiltonians(template.instantiate(0.0, 1.0)).ds
-    b = segment_hamiltonians(template.instantiate(1.0, 1.0)).ds - a
+    a = segment_hamiltonians(template.instantiate(0.0, 1.0))
+    b = segment_hamiltonians(template.instantiate(1.0, 1.0)) - a
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
@@ -286,7 +292,7 @@ def phase_diagram(
     template: PresetTemplate,
     grid: GridSpec,
     threads: int = 1,
-    cutoff: int = 20,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> PhaseDiagram:
     """Evaluate ``max Im eps`` on every grid node.
 
@@ -359,7 +365,7 @@ def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     for _, _, (g00, g01, g10, g11), _ in _block_propagators(template, gammas, omegas, engine):
         c = 0.5 * (g00 + g11)
         f = indicator_from_trace(c)
-        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c), root_tol=ROOT_TOL))
+        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c)))
     return kinds
 
 
@@ -484,7 +490,7 @@ def berry_gamma_sweep(
     template: PresetTemplate,
     gammas,
     omega: float = 1.0,
-    steps: int = 8192,
+    steps: int = DEFAULT_LOOP_STEPS,
     richardson: bool = True,
     threads: int = 1,
 ) -> BerrySweep:

@@ -265,7 +265,7 @@ def criterion_property_suites():
 
     # Wilson-loop gauge invariance under random frame rescalings
     model = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-    _, _, _, right, left, _ = _loop_frames(model, 512, 1e-8, "raise")
+    _, _, right, left, _ = _loop_frames(model, 512, "raise")
     theta0, *_ = wilson_loop_phase(right, left)
     scale = (0.2 + 4.8 * rng.random((512, 2))) * np.exp(2j * np.pi * rng.random((512, 2)))
     theta1, *_ = wilson_loop_phase(right * scale[:, :, None], left / scale[:, :, None])

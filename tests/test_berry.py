@@ -110,7 +110,7 @@ def _defective_frames(kind):
     ``zero`` eigenvector.  The planted overlaps are 1e-3, well above
     rounding, so the step minimum compares to the last digits."""
     m = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-    _, _, _, right, left, _ = _loop_frames(m, 1024, 1e-8, "raise")
+    _, _, right, left, _ = _loop_frames(m, 1024, "raise")
     right, left = right.copy(), left.copy()
 
     def nearly_orthogonal(r):
@@ -228,7 +228,7 @@ class TestBiorthonormalize:
 class TestWilsonLoop:
     def test_gauge_invariance(self):
         model = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-        _, _, _, right, left, _ = _loop_frames(model, 512, 1e-8, "raise")
+        _, _, right, left, _ = _loop_frames(model, 512, "raise")
         theta0, closed, _, _ = wilson_loop_phase(right, left)
         assert closed
         rng = np.random.default_rng(13)
@@ -256,12 +256,12 @@ class TestWilsonLoop:
     def test_reference_on_preset_loops(self, name, beta, gamma):
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
         for n in (512, 2048):
-            _, _, _, right, left, _ = _loop_frames(m, n, 1e-8, "raise")
+            _, _, right, left, _ = _loop_frames(m, n, "raise")
             assert _assert_matches_reference(right, left)[1]
 
     def test_reference_on_plateau_loop(self):
         m = preset("apt-cosx-siny", J=1.0, gamma=1.5, omega=1.0, beta=1)
-        _, _, _, right, left, _ = _loop_frames(m, 4096, 1e-8, "raise")
+        _, _, right, left, _ = _loop_frames(m, 4096, "raise")
         _assert_matches_reference(right, left)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -286,7 +286,7 @@ class TestWilsonLoop:
         # kernel's swap decisions, hence theta, follow last-bit rounding
         m = preset("pt-cosy-sinz", J=1.0, gamma=1.3, omega=1.0, beta=1)
         n = 1024
-        _, _, _, right, left, _ = _loop_frames(m, n, 1e-8, "flag")
+        _, _, right, left, _ = _loop_frames(m, n, "flag")
         theta, closed, _, skipped = wilson_loop_phase(right, left, on_ep="flag")
         assert not closed and skipped == 0
         rng = np.random.default_rng(7)
@@ -379,7 +379,7 @@ class TestBerryLoop:
     @pytest.mark.parametrize("n", [256, 1024])
     def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
         m = PresetTemplate(name, beta=3, family="smooth").instantiate(0.7, 1.0)
-        frames = zip(_loop_frames(m, 2 * n, 1e-8, "raise"), _loop_frames(m, n, 1e-8, "raise"))
+        frames = zip(_loop_frames(m, 2 * n, "raise"), _loop_frames(m, n, "raise"))
         for fine, coarse in frames:
             assert np.ascontiguousarray(fine[::2]).tobytes() == coarse.tobytes()
 
@@ -394,9 +394,9 @@ class TestBerryLoop:
     )
     def test_shared_frames_match_two_passes(self, name, beta, gamma, on_ep, gap_tol, steps):
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
-        s, _, _, right, left, gap = _loop_frames(m, steps, 1e-8, on_ep)
+        s, _, right, left, gap = _loop_frames(m, steps, on_ep)
         theta1, closed1, _, skipped1 = wilson_loop_phase(right, left, on_ep=on_ep)
-        _, _, _, right2, left2, _ = _loop_frames(m, 2 * steps, 1e-8, on_ep)
+        _, _, right2, left2, _ = _loop_frames(m, 2 * steps, on_ep)
         theta2, closed2, _, skipped2 = wilson_loop_phase(right2, left2, on_ep=on_ep)
         flags = tuple(float(v) for v in s[gap < gap_tol])
         r = berry_phase_loop(m, steps=steps, richardson=True, on_ep=on_ep, gap_tol=gap_tol)

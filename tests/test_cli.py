@@ -61,7 +61,7 @@ class TestConfig:
             {"out_dir": ""},
             {"model": {"preset": "pt-cosy-cosz", "J": None}},
             {"model": {"preset": "pt-cosy-cosz", "J": float("inf")}},
-            # booleans are not integers; beta 1 so that True passes cutoff >= beta
+            # booleans are not integers
             {"model": {"preset": "pt-cosy-cosz", "beta": 1, "family": "square"}, "cutoff": True},
             {"threads": True},
             # real-valued fields take numbers only, not booleans, strings or null
@@ -261,6 +261,27 @@ class TestOverrideFlags:
         monkeypatch.setattr(cli, "phase_diagram", None)  # the run must not start
         monkeypatch.setattr(cli, "berry_gamma_sweep", None)
         assert cli.main([*flag, "--config", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "ep-contours", "berry", "spectrum-scan"])
+    def test_cutoff_below_beta_only_matters_to_floquet(self, tmp_path, command):
+        # none of these reads cutoff, so its default 20 below beta 25 is no error
+        p = tmp_path / "cfg.json"
+        if command == "berry":
+            write_config(p, model={"preset": "pt-cosy-cosz", "beta": 25, "family": "smooth"},
+                         gamma={"min": 0.2, "max": 0.4, "count": 2}, omega={"value": 1.0},
+                         berry_steps=256)
+        else:
+            write_config(p, model={"preset": "pt-cosy-cosz", "beta": 25, "family": "square"},
+                         gamma={"min": 0.2, "max": 0.4, "count": 3},
+                         omega={"min": 0.8, "max": 1.2, "count": 2})
+        assert cli.main([command, "--config", str(p)]) == 0
+
+    def test_floquet_cutoff_below_beta_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"})
+        argv = ["phase-diagram", "--config", str(p), "--engine", "floquet", "--cutoff", "2"]
+        assert cli.main(argv) == 1
+        assert "cutoff 2 below" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,8 +9,25 @@ from floqep.floquet import (
     fourier_components,
     max_im_quasienergy,
 )
-from floqep.model import SIGMA_Y, SIGMA_Z, preset
+from floqep.model import PRESET_NAMES, SIGMA_Y, SIGMA_Z, preset
 from floqep.propagator import monodromy
+
+
+def _reference_floquet_matrix(model, cutoff):
+    """The Floquet matrix block pair by block pair: block ``(m, n)`` is
+    ``H^(m-n)``, plus ``m*omega`` on the diagonal."""
+    comps = fourier_components(model)
+    nb = 2 * cutoff + 1
+    mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
+    w = model.base_omega
+    for bi, m in enumerate(range(-cutoff, cutoff + 1)):
+        for bj, n in enumerate(range(-cutoff, cutoff + 1)):
+            k = m - n
+            if k in comps:
+                mat[2 * bi : 2 * bi + 2, 2 * bj : 2 * bj + 2] = comps[k]
+        mat[2 * bi, 2 * bi] += m * w
+        mat[2 * bi + 1, 2 * bi + 1] += m * w
+    return mat
 
 
 def matched_max_distance(a, b):
@@ -51,6 +68,14 @@ class TestFourierComponents:
 
 
 class TestBuildMatrix:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_matches_blockwise_reference(self, name, beta):
+        m = preset(name, gamma=0.7, omega=0.9, beta=beta)
+        for cutoff in (beta, 5, 20):
+            want = _reference_floquet_matrix(m, cutoff)
+            assert np.array_equal(build_floquet_matrix(m, cutoff).matrix, want)
+
     def test_dimension_82(self):
         m = preset("pt-cosy-cosz", beta=3)
         fm = build_floquet_matrix(m, 20)

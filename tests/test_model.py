@@ -54,21 +54,21 @@ def random_matrix(rng):
 
 class TestBloch:
     def test_identity(self):
-        dec = bloch_decompose(np.eye(2))
-        assert dec.d0 == 1.0
-        assert np.all(dec.d == 0.0)
+        d0, d = bloch_decompose(np.eye(2))
+        assert d0 == 1.0
+        assert np.all(d == 0.0)
 
     def test_basis_expansion(self):
-        dec = bloch_decompose(SIGMA_X + 1j * SIGMA_Z)
-        assert dec.d0 == 0.0
-        assert np.allclose(dec.d, [1.0, 0.0, 1.0j], atol=0)
+        d0, d = bloch_decompose(SIGMA_X + 1j * SIGMA_Z)
+        assert d0 == 0.0
+        assert np.allclose(d, [1.0, 0.0, 1.0j], atol=0)
 
     def test_roundtrip_random(self):
         # reconstruction must be exact to a few ulp of the matrix scale
         rng = np.random.default_rng(42)
         for _ in range(1000):
             m = random_matrix(rng)
-            back = bloch_recompose(bloch_decompose(m))
+            back = bloch_recompose(*bloch_decompose(m))
             for part in (np.real, np.imag):
                 diff = np.abs(part(back) - part(m))
                 tol = 4.0 * np.spacing(np.max(np.abs(part(m))))
@@ -235,4 +235,4 @@ class TestPresetTemplate:
         m = tpl.instantiate(0.4, 1.1)
         assert m.base_omega == 1.1
         assert m.terms[0].amplitude == 0.4
-        assert m.is_square_family and not m.is_smooth_family
+        assert m.is_square_family

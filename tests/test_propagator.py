@@ -100,32 +100,30 @@ class TestSegments:
     def test_counts_and_durations(self):
         for beta in (1, 2, 3, 5):
             m = preset("pt-cosy-cosz", beta=beta, omega=0.8, family="square")
-            segs = segment_hamiltonians(m)
-            assert len(segs) == 4 * beta
-            assert np.allclose(segs.durations, m.period / (4 * beta))
-            assert abs(segs.durations.sum() - m.period) < 1e-14 * m.period
+            ds = segment_hamiltonians(m)
+            assert len(ds) == 4 * beta
 
     def test_pt_sign_vectors_beta1(self):
         m = preset("pt-cosy-cosz", gamma=0.5, beta=1, family="square")
-        segs = segment_hamiltonians(m)
-        v_y = (segs.ds[:, 1].real / 0.5).astype(int)
-        v_z = (-segs.ds[:, 2].imag / 0.5).astype(int)
+        ds = segment_hamiltonians(m)
+        v_y = (ds[:, 1].real / 0.5).astype(int)
+        v_z = (-ds[:, 2].imag / 0.5).astype(int)
         assert v_y.tolist() == [1, -1, -1, 1]
         assert v_z.tolist() == [1, -1, -1, 1]
 
     def test_pt_sign_vectors_beta2(self):
         m = preset("pt-cosy-cosz", gamma=0.5, beta=2, family="square")
-        segs = segment_hamiltonians(m)
-        v_y = (segs.ds[:, 1].real / 0.5).astype(int)
-        v_z = (-segs.ds[:, 2].imag / 0.5).astype(int)
+        ds = segment_hamiltonians(m)
+        v_y = (ds[:, 1].real / 0.5).astype(int)
+        v_z = (-ds[:, 2].imag / 0.5).astype(int)
         assert v_y.tolist() == [1, 1, -1, -1, -1, -1, 1, 1]
         assert v_z.tolist() == [1, -1, -1, 1, 1, -1, -1, 1]
 
     def test_apt_cs_sign_vectors_beta1(self):
         m = preset("apt-cosx-siny", gamma=0.5, beta=1, family="square")
-        segs = segment_hamiltonians(m)
-        v_x = (segs.ds[:, 0].imag / 0.5).astype(int)
-        v_y = (segs.ds[:, 1].imag / 0.5).astype(int)
+        ds = segment_hamiltonians(m)
+        v_x = (ds[:, 0].imag / 0.5).astype(int)
+        v_y = (ds[:, 1].imag / 0.5).astype(int)
         assert v_x.tolist() == [1, -1, -1, 1]
         assert v_y.tolist() == [1, 1, -1, -1]
 
@@ -246,7 +244,6 @@ class TestEPIndicator:
             G=G,
             half_trace=complex(c),
             eps_F=eps,
-            n_F=np.zeros(3, complex),
             max_im_eps=abs(eps.imag),
             defectiveness=float(np.linalg.norm(G - c * np.eye(2), "fro")),
         )

@@ -48,6 +48,26 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0, 1, 4, 0.5, 2, 4, engine="nope")
 
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            ((0, float("nan"), 3, 0.5, 1, 2), "finite"),
+            ((0, float("inf"), 3, 0.5, 1, 2), "finite"),
+            ((float("nan"), 1, 3, 0.5, 1, 2), "finite"),
+            ((0, 1, 3, 0.5, float("inf"), 2), "finite"),
+            ((0, 1, 3.0, 0.5, 1, 2), "integers"),
+            ((0, 1, 3, 0.5, 1, 2.0), "integers"),
+            ((0, 1, True, 0.5, 1, 2), "integers"),
+        ],
+    )
+    def test_rejects_non_finite_bounds_and_non_integer_counts(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            GridSpec(*args)
+
+    def test_numpy_integer_counts(self):
+        g = GridSpec(0, 1, np.int64(3), 0.5, 2.5, np.int32(5))
+        assert g.cells()[0].size == 15
+
     def test_axes(self):
         g = GridSpec(0, 1, 3, 0.5, 2.5, 5)
         assert np.allclose(g.gammas, [0, 0.5, 1])
@@ -481,6 +501,17 @@ class TestPersistence:
         doc["schema_version"] = 99
         meta_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="schema version"):
+            load(p)
+
+    def test_non_finite_sidecar_grid(self, diagram, tmp_path):
+        import json
+
+        p = persist(diagram, tmp_path / "d.csv")
+        meta_path = tmp_path / "d.csv.meta.json"
+        doc = json.loads(meta_path.read_text())
+        doc["grid"]["gamma_max"] = float("nan")
+        meta_path.write_text(json.dumps(doc))  # json writes NaN, and reads it back
+        with pytest.raises(ValueError, match="grid bounds must be finite"):
             load(p)
 
     def test_malformed_header(self, tmp_path):
