@@ -6,6 +6,26 @@ blocks ``H^(m-n) + m*omega*I*delta_mn`` for block row ``m`` and column
 ``eps_alpha + n*omega``; folding the central part of the ladder into the
 first zone recovers the two quasienergies of the driven two-level
 system.
+
+:func:`max_im_quasienergy` solves the same truncated matrix through two
+exact reductions read off the drive terms, each used when every term
+admits it:
+
+- *half-period parity*: ``H(t + T/2) = P H(t) P`` for ``P`` = sigma_z or
+  sigma_x, so the matrix commutes with ``diag((-1)^m) (x) P`` and splits
+  into two ``(2N+1)``-dimensional sectors (all four presets at odd
+  ``beta``: sigma_x for ``pt-*``, sigma_z for ``apt-*``);
+- *real gauge*: ``D = diag(i^(u*m + v*s))`` for block ``m``, component
+  ``s`` makes ``D^-1 K D`` real (``pt-cosy-cosz`` at odd ``beta``,
+  ``pt-cosy-sinz`` and ``apt-cosx-cosy`` at even ``beta``,
+  ``apt-cosx-siny`` at every ``beta``), so the sectors are solved in real
+  arithmetic and their complex eigenvalues come in exact conjugate
+  pairs; a stable cell reads exactly 0.
+
+Any other model (``pt-cosy-cosz`` at even ``beta``, custom models
+without these symmetries) takes the dense complex solve of
+:func:`build_floquet_matrix` and :func:`complex_eigenvalues`, which also
+serves as the reference the reduced solve is tested against.
 """
 
 from __future__ import annotations
@@ -15,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    Axis,
     Hermiticity,
     ModelSpec,
     Waveform,
@@ -126,16 +147,19 @@ def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> Floq
 
 
 def complex_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a dense complex matrix, sorted by (Re, Im).
+    """All eigenvalues of a dense matrix, as a complex array sorted by (Re, Im).
 
     Backed by the LAPACK dense non-symmetric solver (Hessenberg
-    reduction plus implicitly shifted QR).  Non-convergence raises
-    instead of returning a truncated spectrum.
+    reduction plus implicitly shifted QR).  A real matrix is solved in
+    real arithmetic, so its complex eigenvalues come in exact conjugate
+    pairs.  Non-convergence raises instead of returning a truncated
+    spectrum.
     """
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     try:
         eigs = np.linalg.eigvals(m)
@@ -144,15 +168,13 @@ def complex_eigenvalues(matrix) -> np.ndarray:
     return np.sort_complex(eigs)
 
 
-def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
-    """Fold raw ladder eigenvalues into the first zone and cluster bands.
+def _central_third(eigs, omega: float, cutoff: int) -> np.ndarray:
+    """Fold raw ladder eigenvalues into the first zone, keeping the central third.
 
     Each eigenvalue is assigned the ladder index ``n = round(Re e / omega)``
     and shifted by ``-n*omega``.  Eigenvalues with ``|n| > cutoff/3`` are
     discarded: the truncation corrupts the outer ladders, and keeping the
-    central third is enough once the cutoff is converged.  The survivors
-    are clustered (joint Re/Im proximity ``1e-4*omega``) into at most two
-    bands.
+    central third is enough once the cutoff is converged.
     """
     if omega <= 0:
         raise ValueError("omega must be positive")
@@ -165,7 +187,17 @@ def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
     keep = 3 * np.abs(n_idx) <= cutoff
     if not np.any(keep):
         raise TruncationError("no eigenvalues survived central-third filtering")
-    folded_vals = re_f[keep] + 1.0j * eigs.imag[keep]
+    return re_f[keep] + 1.0j * eigs.imag[keep]
+
+
+def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
+    """Fold raw ladder eigenvalues into the first zone and cluster bands.
+
+    The central third of the ladder is folded as in
+    :func:`_central_third`; the survivors are clustered (joint Re/Im
+    proximity ``1e-4*omega``) into at most two bands.
+    """
+    folded_vals = _central_third(eigs, omega, cutoff)
 
     tol = 1e-4 * omega
     order = np.lexsort((folded_vals.imag, folded_vals.real))
@@ -196,11 +228,70 @@ def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
     )
 
 
+def _reductions(model: ModelSpec) -> tuple[Axis | None, tuple[int, int] | None]:
+    """The half-period parity axis and the real gauge ``(u, v)`` the model admits.
+
+    A term at harmonic ``k`` (0 for a constant) on Pauli axis ``a`` keeps
+    the parity ``diag((-1)^m) (x) P`` when ``(-1)^k`` times the sign
+    ``P sigma_a P = +/-sigma_a`` is +1.  Under ``D = diag(i^(u*m + v*s))``
+    its entries gain the phase ``i^(-u*k)`` and, off the diagonal,
+    ``i^(-/+v)``; the entry is real when the number of factors of ``i``,
+    ``k*u + [a != Z]*v + [a = Y] + [anti-Hermitian] + [sin]``, is even.
+    A gauge with ``v`` odd turns a sigma_x parity into a sigma_y one, so
+    only ``(1, 0)`` goes with sigma_x.  Either entry is ``None`` when no
+    choice fits every term.
+    """
+    terms = [(0 if t.waveform is Waveform.CONSTANT else t.multiplier, t) for t in model.terms]
+    parity = next((p for p in (Axis.Z, Axis.X)
+                   if all(k % 2 == (t.axis is not p) for k, t in terms)), None)
+
+    def real_under(u, v):
+        return all(
+            (k * u + (t.axis is not Axis.Z) * v + (t.axis is Axis.Y)
+             + (t.hermiticity is Hermiticity.ANTI_HERMITIAN) + (t.waveform is Waveform.SIN)) % 2 == 0
+            for k, t in terms
+        )
+
+    gauges = [(1, 0)] if parity is Axis.X else [(1, 0), (0, 1), (1, 1)]
+    return parity, next((g for g in gauges if real_under(*g)), None)
+
+
+_I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _sector_eigenvalues(model: ModelSpec, cutoff: int) -> np.ndarray:
+    """All eigenvalues of the truncated Floquet matrix, sorted by (Re, Im),
+    solved in the symmetry sectors and real gauge the model admits."""
+    mat = build_floquet_matrix(model, cutoff).matrix
+    parity, gauge = _reductions(model)
+    nb = 2 * cutoff + 1
+    blocks = np.arange(-cutoff, cutoff + 1)
+    if gauge is not None:
+        u, v = gauge
+        phase = _I_POWERS[(np.repeat(u * blocks, 2) + np.tile([0, v], nb)) % 4]
+        mat = (phase.conj()[:, None] * mat) * phase
+        if np.any(mat.imag):
+            raise RuntimeError(f"real gauge {gauge} left imaginary entries in {model.label!r}")
+        mat = mat.real
+    if parity is None:
+        return complex_eigenvalues(mat)
+    # per block, the coefficients of the sector's basis vector on the two components
+    sign = np.where(blocks % 2, -1.0, 1.0)
+    if parity is Axis.Z:
+        bases = [np.stack([sign == eps, sign != eps], axis=1).astype(float) for eps in (1.0, -1.0)]
+    else:
+        bases = [np.sqrt(0.5) * np.stack([np.ones(nb), eps * sign], axis=1) for eps in (1.0, -1.0)]
+    quad = mat.reshape(nb, 2, nb, 2)
+    return np.sort_complex(np.concatenate([
+        complex_eigenvalues(np.einsum("ma,manb,nb->mn", c, quad, c)) for c in bases
+    ]))
+
+
 def max_im_quasienergy(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> float:
-    """Largest |Im quasienergy| of the truncated Floquet spectrum."""
-    fm = build_floquet_matrix(model, cutoff)
-    eigs = complex_eigenvalues(fm.matrix)
-    return fold_spectrum(eigs, model.base_omega, cutoff).max_im
+    """Largest |Im quasienergy| over the central third of the truncated
+    Floquet spectrum (the ``max_im`` of :func:`fold_spectrum`)."""
+    eigs = _sector_eigenvalues(model, cutoff)
+    return float(np.max(np.abs(_central_third(eigs, model.base_omega, cutoff).imag)))
 
 
 def convergence_check(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> tuple[bool, float]:

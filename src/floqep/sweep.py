@@ -579,7 +579,10 @@ def _diagram_table(diagram: PhaseDiagram):
 
 
 def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:
-    grid = GridSpec(**doc["grid"])
+    try:
+        grid = GridSpec(**doc["grid"])
+    except TypeError as exc:  # a non-numeric bound, or a missing or unknown field
+        raise ValueError(f"malformed grid in {_meta_path(path)}: {exc}") from exc
     cells = itertools.product(map(_fmt, grid.omegas), map(_fmt, grid.gammas))  # omega outer
 
     def values_checked():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from floqep.floquet import (
+    _reductions,
+    _sector_eigenvalues,
     build_floquet_matrix,
     complex_eigenvalues,
     convergence_check,
@@ -9,8 +11,20 @@ from floqep.floquet import (
     fourier_components,
     max_im_quasienergy,
 )
-from floqep.model import PRESET_NAMES, SIGMA_Y, SIGMA_Z, preset
+from floqep.model import (
+    PRESET_NAMES,
+    SIGMA_Y,
+    SIGMA_Z,
+    Axis,
+    DriveTerm,
+    Hermiticity,
+    ModelSpec,
+    PresetTemplate,
+    Waveform,
+    preset,
+)
 from floqep.propagator import monodromy
+from floqep.sweep import INSTABILITY_THRESHOLD, GridSpec, phase_diagram
 
 
 def _reference_floquet_matrix(model, cutoff):
@@ -144,6 +158,14 @@ class TestEigenvalues:
             sigma_min = np.linalg.svd(m - lam * np.eye(40), compute_uv=False)[-1]
             assert sigma_min / norm < 1e-10
 
+    def test_real_matrix_gives_exact_conjugate_pairs(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((30, 30))
+        eigs = complex_eigenvalues(m)
+        assert eigs.dtype == complex and np.count_nonzero(eigs.imag) >= 2
+        assert np.array_equal(np.sort_complex(eigs.conj()), eigs)
+        assert matched_max_distance(eigs, complex_eigenvalues(m.astype(complex))) < 1e-10
+
     def test_validation(self):
         with pytest.raises(ValueError):
             complex_eigenvalues(np.ones((2, 3)))
@@ -231,3 +253,82 @@ class TestConjugationClosure:
             m = preset(name, J=1.0, gamma=0.4, omega=0.9, beta=3)
             eigs = complex_eigenvalues(build_floquet_matrix(m, 20).matrix)
             assert matched_max_distance(eigs, np.conj(eigs)) < 1e-8
+
+
+def _dense_max_im(model, cutoff=20):
+    eigs = complex_eigenvalues(build_floquet_matrix(model, cutoff).matrix)
+    return fold_spectrum(eigs, model.base_omega, cutoff).max_im
+
+
+# no half-period parity (the X coupling and the Z drive need opposite
+# parities of the harmonic) and no real gauge (the Y drive at an even harmonic)
+ASYMMETRIC = ModelSpec(
+    terms=(
+        DriveTerm(Axis.X, 1.0),
+        DriveTerm(Axis.Z, 0.6, Waveform.COS, 2),
+        DriveTerm(Axis.Y, 0.4, Waveform.COS, 2),
+        DriveTerm(Axis.Z, 0.5, Waveform.COS, 1, Hermiticity.ANTI_HERMITIAN),
+    ),
+    base_omega=0.9,
+)
+
+
+class TestReducedSolve:
+    # (parity axis, real gauge applies) at odd and at even beta
+    REDUCTIONS = {
+        "pt-cosy-cosz": ((Axis.X, True), (None, False)),
+        "pt-cosy-sinz": ((Axis.X, False), (None, True)),
+        "apt-cosx-cosy": ((Axis.Z, False), (None, True)),
+        "apt-cosx-siny": ((Axis.Z, True), (None, True)),
+    }
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_which_reduction_applies(self, name, beta):
+        parity, gauge = _reductions(preset(name, beta=beta))
+        assert (parity, gauge is not None) == self.REDUCTIONS[name][beta % 2 == 0]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_matches_dense_eigenvalues(self, name, beta):
+        for gamma, omega in [(0.0, 0.9), (0.7, 1.3), (1.6, 0.45)]:
+            m = preset(name, gamma=gamma, omega=omega, beta=beta)
+            dense = complex_eigenvalues(build_floquet_matrix(m, 20).matrix)
+            reduced = _sector_eigenvalues(m, 20)
+            assert reduced.shape == dense.shape
+            assert matched_max_distance(reduced, dense) < 1e-10
+
+    def test_sigma_x_parity_takes_no_odd_v_gauge(self):
+        # real under (0, 1) only, which would turn the sigma_x parity into sigma_y
+        m = ModelSpec(
+            terms=(
+                DriveTerm(Axis.X, 0.5, hermiticity=Hermiticity.ANTI_HERMITIAN),
+                DriveTerm(Axis.Y, 0.8, Waveform.COS, 1),
+                DriveTerm(Axis.Z, 0.6, Waveform.COS, 3),
+            ),
+            base_omega=1.1,
+        )
+        assert _reductions(m) == (Axis.X, None)
+        dense = complex_eigenvalues(build_floquet_matrix(m, 20).matrix)
+        assert matched_max_distance(_sector_eigenvalues(m, 20), dense) < 1e-10
+
+    @pytest.mark.parametrize("model", [
+        ASYMMETRIC,
+        preset("pt-cosy-cosz", gamma=0.8, omega=0.7, beta=2),
+        preset("pt-cosy-cosz", gamma=0.05, omega=2.0 / 3.0, beta=4),
+    ], ids=["custom", "pt-beta2", "pt-beta4"])
+    def test_unreduced_model_is_bit_identical_to_dense(self, model):
+        assert _reductions(model) == (None, None)
+        assert max_im_quasienergy(model, 20) == _dense_max_im(model)
+
+    def test_grid_verdicts_match_dense(self):
+        tpl = PresetTemplate("pt-cosy-cosz", beta=3)
+        grid = GridSpec(0.0, 2.0, 8, 0.3, 3.0, 8, engine="floquet")
+        reduced = phase_diagram(tpl, grid, cutoff=20).values
+        gammas, omegas = grid.cells()
+        dense = np.array([_dense_max_im(tpl.instantiate(g, w)) for g, w in zip(gammas, omegas)])
+        dense = dense.reshape(reduced.shape)
+        assert np.max(np.abs(reduced - dense)) < 1e-12
+        unstable = reduced > INSTABILITY_THRESHOLD
+        assert np.array_equal(unstable, dense > INSTABILITY_THRESHOLD)
+        assert 0 < np.count_nonzero(unstable) < unstable.size

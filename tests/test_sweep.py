@@ -514,6 +514,18 @@ class TestPersistence:
         with pytest.raises(ValueError, match="grid bounds must be finite"):
             load(p)
 
+    @pytest.mark.parametrize("key, value", [("gamma_max", "3.0"), ("gamma_step", 0.1)])
+    def test_malformed_sidecar_grid(self, diagram, tmp_path, key, value):
+        import json
+
+        p = persist(diagram, tmp_path / "d.csv")
+        meta_path = tmp_path / "d.csv.meta.json"
+        doc = json.loads(meta_path.read_text())
+        doc["grid"][key] = value
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="malformed grid"):
+            load(p)
+
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("bogus,header\n1,2\n")
