@@ -41,15 +41,11 @@ from .floquet import (  # noqa: F401
 from .berry import (  # noqa: F401
     BerryPhaseResult,
     DefectivePointError,
-    EigensystemInstant,
     EPOnPathError,
-    NearEPError,
     SpectralRegion,
     SpectrumRegionScan,
     berry_phase_loop,
-    biorthonormalize,
     half_solid_angle,
-    instantaneous_eigensystem,
     spectrum_region_scan,
     wilson_loop_phase,
 )

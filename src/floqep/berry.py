@@ -1,18 +1,21 @@
 """Biorthogonal eigenframes and complex geometric phases on closed loops.
 
-For a non-Hermitian two-level Hamiltonian the left and right eigenvectors
-are not related by conjugation, and the geometric phase accumulated on a
-closed parameter loop is complex.  It is computed here as a discrete
-biorthogonal Wilson loop: per-step overlaps of the tracked left and right
-frames, with the forward and backward logarithms averaged.  The averaged
-form is gauge invariant, second-order accurate in the step size, and for
-Hermitian loops its imaginary part cancels identically.  A Richardson
-loop at ``n`` steps computes its frames once, at ``2n`` points, and runs
-the ``n``-step loop on their even points.  ``Re theta`` is reported on
-``[-pi, pi]``; on the ``+/-pi`` plateau each band takes the edge whose
-sign matches its ``Im theta``.  A step across an exceptional point,
-where the two band pairings tie, keeps the band slots and leaves the
-loop uncertified.
+For a non-Hermitian two-level Hamiltonian the left and right
+eigenvectors are not related by conjugation, and the geometric phase
+accumulated on a closed parameter loop is complex.  A loop is
+parametrized by the drive phase ``theta = omega*t`` in ``[0, 2*pi)``:
+the phase depends on the closed path ``d(theta)`` only, not on how fast
+it is traversed, so omega does not enter.  It is computed here as a
+discrete biorthogonal Wilson loop: per-step overlaps of the tracked left
+and right frames, with the forward and backward logarithms averaged.
+The averaged form is gauge invariant, second-order accurate in the step
+size, and for Hermitian loops its imaginary part cancels identically.  A
+Richardson loop at ``n`` steps computes its frames once, at ``2n``
+points, and runs the ``n``-step loop on their even points.  ``Re theta``
+is reported on ``[-pi, pi]``; on the ``+/-pi`` plateau each band takes
+the edge whose sign matches its ``Im theta``.  A step across an
+exceptional point, where the two band pairings tie, keeps the band slots
+and leaves the loop uncertified.
 """
 
 from __future__ import annotations
@@ -23,15 +26,11 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ModelSpec, PresetTemplate, bloch_decompose, bloch_vector_at
+from .model import ModelSpec, PresetTemplate, bloch_vector_at
 
 
 class DefectivePointError(ValueError):
-    """The matrix has a doubly degenerate eigenvalue with one eigenvector."""
-
-
-class NearEPError(ValueError):
-    """Left/right overlap too small to biorthonormalize reliably."""
+    """A loop point has no eigenframe pair: an eigenvector came out zero."""
 
 
 class EPOnPathError(RuntimeError):
@@ -39,32 +38,12 @@ class EPOnPathError(RuntimeError):
 
 
 @dataclass(eq=False)
-class EigensystemInstant:
-    """Instantaneous eigensystem with band-major storage.
-
-    ``right[b]`` is the right eigenvector of band ``b`` and ``left[b]``
-    the left row vector (``left[b] @ H = eps[b] * left[b]``); the
-    biorthogonal pairing is the plain dot product ``left[b] @ right[b]``
-    with no conjugation.  Bands are ordered by descending (Re, Im)
-    eigenvalue.
-    """
-
-    eigenvalues: np.ndarray  # (2,) complex
-    right: np.ndarray        # (2, 2) rows = bands
-    left: np.ndarray         # (2, 2) rows = bands
-    biorthonormal: bool
-    gap: float
-
-
-@dataclass(eq=False)
 class BerryPhaseResult:
     """Complex geometric phase per band for one closed loop."""
 
     theta: np.ndarray             # (2,) complex, band-major
-    steps: int
-    degeneracy_flags: tuple       # loop positions s with gap < tolerance
+    degeneracy_flags: tuple       # drive phases with gap < GAP_TOL
     half_solid_angle: float | None
-    richardson: bool
     step_delta: float | None      # max band |theta(2n) - theta(n)|
     certified: bool               # False if EP steps were skipped or bands swapped or tied
 
@@ -73,8 +52,11 @@ _DEFECT_REL_TOL = 1e-10
 # step pairings this close are undecided: across an EP the two agree to
 # ~1e-14 relative, anywhere else they differ by more than 0.5
 _TIE_REL_TOL = 1e-9
+GAP_TOL = 1e-6  # a loop point with band gap below this is a degeneracy flag
+OVERLAP_TOL = 1e-8  # a pairing or step overlap below this is dropped or raises
 SPECTRUM_TOL = 1e-10  # |Re mu| or |Im mu| below this counts as zero
 THRESHOLD_TOL = 1e-6  # a spectrum class boundary is bisected to this width in gamma
+SCAN_SAMPLES = 256  # loop points of an instantaneous-spectrum classification
 DEFAULT_LOOP_STEPS = 8192
 MIN_LOOP_STEPS = 256
 
@@ -143,50 +125,9 @@ def _canonical_gauge(r0, r1, l0, l1):
     return r0, r1, l0, l1, l0 * r0 + l1 * r1
 
 
-def instantaneous_eigensystem(H) -> EigensystemInstant:
-    """Eigenvalues and unit-norm left/right eigenvectors of a 2x2 matrix.
-
-    Raises :class:`DefectivePointError` when ``d.d`` vanishes for a
-    nonzero Bloch vector: the matrix then has a single eigenvector and no
-    biorthogonal pair exists.
-    """
-    d0, d = bloch_decompose(H)
-    mu, right, left, gap, defective = _raw_eigenframes(d[None, :])
-    if defective[0]:
-        raise DefectivePointError(
-            "defective point: d.d = 0 with nonzero Bloch vector (single eigenvector)"
-        )
-    # both bands at once: each component array runs over the bands
-    r0, r1, l0, l1, _ = _canonical_gauge(
-        right[0, :, 0], right[0, :, 1], left[0, :, 0], left[0, :, 1]
-    )
-    return EigensystemInstant(
-        eigenvalues=np.array([d0 + mu[0], d0 - mu[0]]),
-        right=np.stack([r0, r1], axis=-1),
-        left=np.stack([l0, l1], axis=-1),
-        biorthonormal=False,
-        gap=float(gap[0]),
-    )
-
-
-def biorthonormalize(e: EigensystemInstant, overlap_tol: float = 1e-8) -> EigensystemInstant:
-    """Rescale left vectors so ``left[b] @ right[b] = 1``.
-
-    Raises :class:`NearEPError` when a pairing overlap of the unit-norm
-    frames falls below ``overlap_tol`` (coalescing eigenvectors).
-    """
-    ov = np.einsum("bc,bc->b", e.left, e.right)
-    if np.any(np.abs(ov) < overlap_tol):
-        raise NearEPError(
-            f"left/right overlap {np.min(np.abs(ov)):.3e} below {overlap_tol:.1e}"
-        )
-    return EigensystemInstant(
-        eigenvalues=e.eigenvalues,
-        right=e.right,
-        left=e.left / ov[:, None],
-        biorthonormal=True,
-        gap=e.gap,
-    )
+def _check_on_ep(on_ep: str):
+    if on_ep not in ("raise", "flag"):
+        raise ValueError(f"on_ep must be 'raise' or 'flag', got {on_ep!r}")
 
 
 def _step_dots(a, b, b_close):
@@ -203,7 +144,7 @@ def _step_dots(a, b, b_close):
     return out
 
 
-def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "raise"):
+def wilson_loop_phase(right, left, on_ep: str = "raise"):
     """Complex phase of the discrete biorthogonal Wilson loop.
 
     ``right[k, b]`` / ``left[k, b]`` are the band-``b`` frames at loop
@@ -223,11 +164,15 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
     apart: it keeps their frame slots, whatever the rounding, and leaves
     the loop open.
 
+    A pairing or step overlap below ``OVERLAP_TOL`` raises
+    :class:`EPOnPathError` with ``on_ep='raise'``; with ``on_ep='flag'`` it
+    is dropped and counted.
+
     Returns ``(theta, closed, min_overlap, skipped)`` where ``closed`` is
     False if band identities swap over the loop or a step cannot tell
-    them apart, and ``skipped`` counts steps dropped in ``on_ep='flag'``
-    mode.
+    them apart, and ``skipped`` counts the dropped overlaps.
     """
+    _check_on_ep(on_ep)
     right = np.asarray(right, dtype=complex)
     left = np.asarray(left, dtype=complex)
     if right.ndim != 3 or right.shape[1:] != (2, 2) or right.shape != left.shape:
@@ -240,14 +185,14 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
         r0, r1, l0, l1, ov = _canonical_gauge(
             right[:, b, 0], right[:, b, 1], left[:, b, 0], left[:, b, 1]
         )
-        bad.append(np.abs(ov) < overlap_tol)
+        bad.append(np.abs(ov) < OVERLAP_TOL)
         inv = 1.0 / np.where(bad[b], 1.0, ov)  # biorthonormal where the pairing allows
         R.append((r0, r1))
         L.append((l0 * inv, l1 * inv))
     skipped = int(np.count_nonzero(bad[0]) + np.count_nonzero(bad[1]))
     if skipped and on_ep == "raise":
         raise EPOnPathError(
-            f"biorthogonal overlap below {overlap_tol:.1e} at "
+            f"biorthogonal overlap below {OVERLAP_TOL:.1e} at "
             f"{int(np.count_nonzero(bad[0] | bad[1]))} loop points"
         )
 
@@ -277,11 +222,11 @@ def wilson_loop_phase(right, left, overlap_tol: float = 1e-8, on_ep: str = "rais
         a_fwd, a_bwd = np.abs(o_fwd), np.abs(o_bwd)
         step_min = min(np.min(a_fwd), np.min(a_bwd))
         min_overlap = min(min_overlap, float(step_min))
-        weak = (a_fwd < overlap_tol) | (a_bwd < overlap_tol)
+        weak = (a_fwd < OVERLAP_TOL) | (a_bwd < OVERLAP_TOL)
         if np.any(weak):
             if on_ep == "raise":
                 raise EPOnPathError(
-                    f"step overlap below {overlap_tol:.1e}: phase undefined through an EP"
+                    f"step overlap below {OVERLAP_TOL:.1e}: phase undefined through an EP"
                 )
             o_fwd[weak] = o_bwd[weak] = 1.0
             a_fwd[weak] = a_bwd[weak] = 1.0
@@ -330,17 +275,19 @@ def _principal_theta(theta: complex, band: int) -> complex:
 
 
 def _loop_frames(model: ModelSpec, steps: int, on_ep: str):
-    """Loop positions ``s``, Bloch vectors, right and left frames and band
-    gap at ``steps`` uniform points of one period."""
-    s = np.arange(steps) * (model.period / steps)
-    d = bloch_vector_at(model, s)
+    """Drive phases ``theta_k = 2*pi*k/steps``, and the Bloch vectors,
+    right and left frames and band gap at the times ``t_k = k*T/steps``
+    where the drive reaches them."""
+    k = np.arange(steps)
+    phases = k * (2.0 * math.pi / steps)
+    d = bloch_vector_at(model, k * (model.period / steps))
     _, right, left, gap, defective = _raw_eigenframes(d)
     if on_ep == "raise" and np.any(defective):
         raise EPOnPathError(
-            f"loop passes through a defective point at s = "
-            f"{float(s[np.argmax(defective)]):.6g}"
+            f"loop passes through a defective point at drive phase "
+            f"{float(phases[np.argmax(defective)]):.6g}"
         )
-    return s, d, right, left, gap
+    return phases, d, right, left, gap
 
 
 def berry_phase_loop(
@@ -348,13 +295,13 @@ def berry_phase_loop(
     steps: int = DEFAULT_LOOP_STEPS,
     richardson: bool = True,
     on_ep: str = "raise",
-    gap_tol: float = 1e-6,
-    overlap_tol: float = 1e-8,
 ) -> BerryPhaseResult:
     """Complex geometric phase of the cyclic model over one period.
 
-    The loop parameter is ``s in [0, T)`` sampled at ``steps`` uniform
-    points.  With ``richardson=True`` the loop is also computed at doubled
+    The loop parameter is the drive phase ``theta = omega*t in [0, 2*pi)``
+    sampled at ``steps`` uniform points; the points with a band gap below
+    ``GAP_TOL`` are reported, as drive phases, in ``degeneracy_flags``.
+    With ``richardson=True`` the loop is also computed at doubled
     resolution and the two values extrapolated, removing the leading
     second-order discretization error; the step-doubling difference is
     reported as a convergence certificate.  The frames are computed once,
@@ -370,28 +317,23 @@ def berry_phase_loop(
     """
     if steps < MIN_LOOP_STEPS:
         raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}")
-    if on_ep not in ("raise", "flag"):
-        raise ValueError("on_ep must be 'raise' or 'flag'")
+    _check_on_ep(on_ep)
 
-    s, d, right, left, gap = _loop_frames(model, 2 * steps if richardson else steps, on_ep)
+    phases, d, right, left, gap = _loop_frames(model, 2 * steps if richardson else steps, on_ep)
     if richardson:
         right2, left2 = right, left
         # the even points of the 2n grid are the n grid bit for bit
         # (2k * (T/2n) == k * (T/n)) and every frame operation is pointwise
-        s, d, right, left, gap = s[::2], d[::2], right[::2], left[::2], gap[::2]
-    theta1, closed1, _, skipped1 = wilson_loop_phase(
-        right, left, overlap_tol=overlap_tol, on_ep=on_ep
-    )
-    flags = tuple(float(v) for v in s[gap < gap_tol])
+        phases, d, right, left, gap = phases[::2], d[::2], right[::2], left[::2], gap[::2]
+    theta1, closed1, _, skipped1 = wilson_loop_phase(right, left, on_ep=on_ep)
+    flags = tuple(float(v) for v in phases[gap < GAP_TOL])
 
     step_delta = None
     theta = theta1
     closed = closed1
     skipped = skipped1
     if richardson:
-        theta2, closed2, _, skipped2 = wilson_loop_phase(
-            right2, left2, overlap_tol=overlap_tol, on_ep=on_ep
-        )
+        theta2, closed2, _, skipped2 = wilson_loop_phase(right2, left2, on_ep=on_ep)
         step_delta = float(np.max(np.abs(theta2 - theta1)))
         theta = (4.0 * theta2 - theta1) / 3.0
         closed = closed1 and closed2
@@ -411,10 +353,8 @@ def berry_phase_loop(
         theta = np.array([_principal_theta(complex(theta[b]), b) for b in (0, 1)])
     return BerryPhaseResult(
         theta=theta,
-        steps=steps,
         degeneracy_flags=flags,
         half_solid_angle=hsa,
-        richardson=richardson,
         step_delta=step_delta,
         certified=bool(closed and skipped == 0 and not flags),
     )
@@ -508,13 +448,12 @@ class SpectrumRegionScan:
     gammas: np.ndarray
     classifications: tuple
     thresholds: tuple
-    samples: int
 
 
-def classify_instantaneous(model: ModelSpec, samples: int = 256):
-    """Classify the instantaneous eigenvalue pair over one loop."""
-    s = np.arange(samples) * (model.period / samples)
-    d = bloch_vector_at(model, s)
+def classify_instantaneous(model: ModelSpec):
+    """Classify the instantaneous eigenvalue pair at ``SCAN_SAMPLES``
+    points of one loop."""
+    d = bloch_vector_at(model, np.arange(SCAN_SAMPLES) * (model.period / SCAN_SAMPLES))
     mu = np.sqrt(np.einsum("nk,nk->n", d, d))
     is_real = np.abs(mu.imag) < SPECTRUM_TOL
     is_imag = (np.abs(mu.real) < SPECTRUM_TOL) & ~is_real
@@ -528,23 +467,19 @@ def classify_instantaneous(model: ModelSpec, samples: int = 256):
     return SpectralRegion.SOME_COMPLEX
 
 
-def spectrum_region_scan(
-    template: PresetTemplate, gammas, samples: int = 256
-) -> SpectrumRegionScan:
+def spectrum_region_scan(template: PresetTemplate, gammas) -> SpectrumRegionScan:
     """Classify the instantaneous spectrum across a gamma range.
 
     Classification boundaries between consecutive grid points are
     refined by bisection to ``THRESHOLD_TOL``.  The loop is sampled at
     fixed drive phases, so omega (set to 1) does not enter.
     """
-    if samples < 64:
-        raise ValueError("samples must be >= 64")
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or gammas.size < 2:
         raise ValueError("gammas must be a 1-d array with at least 2 values")
 
     def classify(g):
-        return classify_instantaneous(template.instantiate(g, 1.0), samples)
+        return classify_instantaneous(template.instantiate(g, 1.0))
 
     classes = [classify(g) for g in gammas]
     thresholds = []
@@ -570,5 +505,4 @@ def spectrum_region_scan(
         gammas=gammas,
         classifications=tuple(c.value for c in classes),
         thresholds=tuple(thresholds),
-        samples=samples,
     )

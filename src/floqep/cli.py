@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, render, verify
-from .berry import DefectivePointError, NearEPError, spectrum_region_scan
+from .berry import SCAN_SAMPLES, DefectivePointError, spectrum_region_scan
 from .config import ConfigError, RunConfig, load_config
 from .floquet import TruncationError
 from .propagator import NumericalError
@@ -163,8 +163,8 @@ def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
     threads = _resolve_threads(config)
-    if not config.gamma.is_range or config.omega.is_range:
-        raise ConfigError("berry needs a gamma range and a scalar omega")
+    if not config.gamma.is_range:  # omega is not read: a loop runs in drive phase
+        raise ConfigError("berry needs a gamma range")
     out = Path(config.out_dir)
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
@@ -175,7 +175,6 @@ def cmd_berry(args) -> int:
     sweep = berry_gamma_sweep(
         tpl,
         gammas,
-        omega=config.omega.value,
         steps=config.berry_steps,
         richardson=config.richardson,
         threads=threads,
@@ -207,7 +206,7 @@ def cmd_spectrum_scan(args) -> int:
         "spectrum-scan",
         {
             "model": tpl.label,
-            "samples": scan.samples,
+            "samples": SCAN_SAMPLES,
             "thresholds": [
                 {"gamma": t.gamma, "below": t.below, "above": t.above}
                 for t in scan.thresholds
@@ -283,9 +282,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # numerical failures, ValueError subclasses among them, before the catch-all
-    except (
-        NumericalError, FailureBudgetExceeded, DefectivePointError, NearEPError, TruncationError,
-    ) as exc:
+    except (NumericalError, FailureBudgetExceeded, DefectivePointError, TruncationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

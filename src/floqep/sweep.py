@@ -9,7 +9,8 @@ index, bit-identical for any worker count.  Numerical failures become NaN
 sentinel cells, summarised in one log line; more than 1% failures aborts
 the sweep.  EP contours come from the indicator on the grid blocks, a
 lockstep bisection of every sign-change bracket, and one batched
-classification of the roots.
+classification of the roots.  A Berry sweep runs one loop per gamma over
+the same pool, each loop in drive phase, so it takes no omega.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ class BerrySweep:
 
     gammas: np.ndarray
     thetas: np.ndarray  # (n, 2) complex
-    flags: tuple        # per gamma: tuple of flagged loop positions
+    flags: tuple        # per gamma: tuple of flagged drive phases
     metadata: dict
 
 
@@ -325,9 +326,13 @@ def phase_diagram(
         raise FailureBudgetExceeded(
             f"{n_bad} of {values.size} cells failed (> {FAILURE_BUDGET:.0%} budget)"
         )
+    # each engine records the settings it read
+    settings = {
+        "floquet": {"cutoff": cutoff},
+        "monodromy-integrate": {"steps_per_period": DEFAULT_STEPS_PER_PERIOD},
+    }.get(grid.engine, {})
     metadata = _run_metadata(
-        template, engine=grid.engine, cutoff=cutoff, steps_per_period=DEFAULT_STEPS_PER_PERIOD,
-        failed_cells=n_bad, undecided_cells=undecided,
+        template, engine=grid.engine, **settings, failed_cells=n_bad, undecided_cells=undecided,
     )
     return PhaseDiagram(grid=grid, values=values, metadata=metadata)
 
@@ -480,8 +485,9 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
 
 
 def _berry_task(args):
-    gamma, template, omega, steps, richardson = args
-    model = template.instantiate(float(gamma), float(omega))
+    gamma, template, steps, richardson = args
+    # at omega = 1 the time t is the drive phase theta, bit for bit
+    model = template.instantiate(float(gamma), 1.0)
     res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
     return res.theta, res.degeneracy_flags, res.step_delta, res.certified
 
@@ -489,26 +495,27 @@ def _berry_task(args):
 def berry_gamma_sweep(
     template: PresetTemplate,
     gammas,
-    omega: float = 1.0,
     steps: int = DEFAULT_LOOP_STEPS,
     richardson: bool = True,
     threads: int = 1,
 ) -> BerrySweep:
     """Geometric phase of both bands for each gamma (deterministic order).
 
-    Each loop runs with ``on_ep='flag'``, so a sweep can cross drive
-    strengths whose loop grazes an exceptional point without aborting the
-    whole curve.
+    A loop is one turn of the drive phase, which omega only traverses
+    faster or slower, so the sweep takes no omega; its flags are drive
+    phases in ``[0, 2*pi)``.  Each loop runs with ``on_ep='flag'``, so a
+    sweep can cross drive strengths whose loop grazes an exceptional point
+    without aborting the whole curve.
     """
     gammas = np.asarray(gammas, dtype=float)
-    tasks = [(float(g), template, omega, steps, richardson) for g in gammas]
+    tasks = [(float(g), template, steps, richardson) for g in gammas]
     results = _map_tasks(_berry_task, tasks, threads)
     thetas = np.array([r[0] for r in results])
     flags = tuple(tuple(r[1]) for r in results)
     deltas = [r[2] for r in results if r[2] is not None and r[3]]
     uncertified = [float(g) for g, r in zip(gammas, results) if not r[3]]
     metadata = _run_metadata(
-        template, omega=omega, steps=steps, richardson=richardson,
+        template, steps=steps, richardson=richardson,
         max_step_delta=max(deltas) if deltas else None,
         all_certified=not uncertified, uncertified_gammas=uncertified,
     )

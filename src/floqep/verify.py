@@ -250,7 +250,7 @@ def criterion_instantaneous_thresholds():
     worst = 0.0
     for name in ("pt-cosy-sinz", "apt-cosx-siny"):
         tpl = PresetTemplate(name, beta=1, family="smooth")
-        scan = spectrum_region_scan(tpl, np.array([0.5, 1.5]), samples=256)
+        scan = spectrum_region_scan(tpl, np.array([0.5, 1.5]))
         if not scan.thresholds:
             return False, f"{name}: no threshold found in [0.5, 1.5]"
         worst = max(worst, abs(scan.thresholds[0].gamma - 1.0))

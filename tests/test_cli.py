@@ -9,11 +9,10 @@ import pytest
 import floqep.cli as cli
 import floqep.render as render
 import floqep.verify as verify_mod
-from floqep.berry import biorthonormalize, instantaneous_eigensystem
 from floqep.config import ConfigError, load_config, parse_config
 from floqep.floquet import fold_spectrum
-from floqep.model import SIGMA_X, SIGMA_Y, SIGMA_Z
-from floqep.sweep import GridSpec, PhaseDiagram
+from floqep.model import PresetTemplate
+from floqep.sweep import GridSpec, PhaseDiagram, berry_gamma_sweep
 
 
 def write_config(path, **overrides):
@@ -200,20 +199,21 @@ class TestPhaseDiagramCommand:
         [
             # every eigenvalue outside the central third of the ladder
             lambda: fold_spectrum(np.array([100.0 + 0j]), 1.0, 3),
-            # d = (1, i, 0): d.d = 0, a single eigenvector
-            lambda: instantaneous_eigensystem(SIGMA_X + 1j * SIGMA_Y),
-            # d = (1, i, 1e-9): coalescing eigenvectors
-            lambda: biorthonormalize(
-                instantaneous_eigensystem(SIGMA_X + 1j * SIGMA_Y + 1e-9 * SIGMA_Z)
+            # J = 0 and gamma = 0: the loop's Bloch vector is 0, and so is
+            # every eigenvector built from it
+            lambda: berry_gamma_sweep(
+                PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth"),
+                [0.0, 0.5], steps=256,
             ),
         ],
-        ids=["fold-truncation", "defective-point", "near-ep"],
+        ids=["fold-truncation", "defective-point"],
     )
-    def test_exit_2_on_numerical_value_errors(self, tmp_path, monkeypatch, fail):
+    def test_exit_2_on_numerical_value_errors(self, tmp_path, monkeypatch, capsys, fail):
         monkeypatch.setattr(cli, "phase_diagram", lambda *a, **kw: fail())
         p = tmp_path / "cfg.json"
         write_config(p)
         assert cli.main(["phase-diagram", "--config", str(p)]) == 2
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_engine_family_mismatch_exit_1(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -248,7 +248,7 @@ class TestOverrideFlags:
                      model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"})
         assert cli.main(["berry", *argv, "--steps", "256"]) == 0
         meta = json.loads((out / "berry.csv.meta.json").read_text())["metadata"]
-        assert (meta["steps"], meta["omega"]) == (256, 0.9)
+        assert meta["steps"] == 256 and "omega" not in meta
 
     @pytest.mark.parametrize(
         "flag",  # the subcommand, then the flag it reads
@@ -361,13 +361,20 @@ class TestOtherCommands:
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["berry", "--config", str(p)]) == 1
 
-    def test_berry_rejects_omega_range(self, tmp_path, monkeypatch, capsys):
-        p = tmp_path / "cfg.json"
-        write_config(p, model={"preset": "apt-cosx-siny", "beta": 1, "family": "smooth"},
-                     omega={"min": 0.5, "max": 3.0, "count": 4})
-        monkeypatch.setattr(cli, "berry_gamma_sweep", None)  # the sweep must not start
-        assert cli.main(["berry", "--config", str(p)]) == 1
-        assert "scalar omega" in capsys.readouterr().err
+    def test_berry_ignores_omega(self, tmp_path):
+        # a loop runs in drive phase: any omega, scalar or range, gives the
+        # bytes of omega 1
+        csv = {}
+        for name, omega in [("one", {"value": 1.0}), ("scalar", {"value": 0.9}),
+                            ("range", {"min": 0.5, "max": 3.0, "count": 4})]:
+            p = tmp_path / f"{name}.json"
+            # gamma = 1 puts flags in the file
+            write_config(p, model={"preset": "pt-cosy-sinz", "beta": 1, "family": "smooth"},
+                         gamma={"min": 0.5, "max": 1.5, "count": 3}, omega=omega,
+                         berry_steps=256, out_dir=str(tmp_path / name))
+            assert cli.main(["berry", "--config", str(p)]) == 0
+            csv[name] = (tmp_path / name / "berry.csv").read_bytes()
+        assert csv["scalar"] == csv["range"] == csv["one"]
 
 
 class TestVerbosity:

@@ -187,3 +187,30 @@ def test_spectrum_scan_bytes(tmp_path):
     assert (out / "spectrum_scan.csv").read_bytes() == SCAN_CSV.encode()
     meta = SCAN_META.replace("VERSION", json.dumps(floqep.__version__))
     assert (out / "spectrum_scan.csv.meta.json").read_bytes() == meta.encode()
+
+
+# gamma = 1.0 puts the loop through two defective points: NaN theta, and
+# the flags at the drive phases pi/2 and 3pi/2
+BERRY_CSV = """\
+gamma,band,re_theta,im_theta,flags
+5.000000000000e-01,0,-3.053113317719e-16,-4.006653049017e-01,
+5.000000000000e-01,1,-2.035408878479e-16,4.006653049017e-01,
+1.000000000000e+00,0,nan,nan,1.570796326795e+00;4.712388980385e+00
+1.000000000000e+00,1,nan,nan,1.570796326795e+00;4.712388980385e+00
+1.500000000000e+00,0,-2.445010958046e+00,-9.810193519872e-01,
+1.500000000000e+00,1,-6.965816955441e-01,9.810193519872e-01,
+"""
+
+
+def test_berry_bytes(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "model": {"preset": "pt-cosy-sinz", "beta": 1, "family": "smooth"},
+        "gamma": {"min": 0.5, "max": 1.5, "count": 3},
+        "omega": {"value": 1.0},
+        "berry_steps": 256,
+        "out_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["berry", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "berry.csv").read_bytes() == BERRY_CSV.encode()

@@ -6,6 +6,7 @@ import pytest
 import floqep.sweep as sweep_mod
 from floqep.model import PresetTemplate
 from floqep.propagator import (
+    DEFAULT_STEPS_PER_PERIOD,
     EPKind,
     _ordered_product,
     _segment_product,
@@ -135,6 +136,23 @@ class TestPhaseDiagram:
                 plus = monodromy(tpl.instantiate(g, w), engine="piecewise").max_im_eps
                 minus = monodromy(tpl.instantiate(-g, w), engine="piecewise").max_im_eps
                 assert plus == pytest.approx(minus, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "template, engine, settings",
+        [
+            (PT3, "monodromy-piecewise", {}),
+            (PT3_SMOOTH, "floquet", {"cutoff": 7}),
+            (PT3_SMOOTH, "monodromy-integrate", {"steps_per_period": DEFAULT_STEPS_PER_PERIOD}),
+        ],
+        ids=["piecewise", "floquet", "integrate"],
+    )
+    def test_sidecar_records_the_settings_the_engine_read(
+        self, monkeypatch, template, engine, settings
+    ):
+        monkeypatch.setattr(sweep_mod, "_cell_max_im", lambda *args: 0.0)  # only the sidecar matters
+        grid = GridSpec(0.0, 1.0, 2, 0.5, 1.0, 2, engine=engine)
+        meta = phase_diagram(template, grid, cutoff=7).metadata
+        assert {k: meta[k] for k in ("cutoff", "steps_per_period") if k in meta} == settings
 
     @staticmethod
     def _overflow_kernel(monkeypatch, hit):
