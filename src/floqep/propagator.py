@@ -12,6 +12,7 @@ identity.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -227,52 +228,88 @@ def quasienergy_from_trace(c, T):
     return complex(eps) if eps.ndim == 0 else eps
 
 
+@functools.lru_cache(maxsize=32)
+def _distinct_segments(rows: bytes):
+    """``(order, first)`` for the segment rows ``(a[l], b[l])``, packed as complex bytes.
+
+    Rows compare by value, so ``-0.0`` matches ``0.0``.  ``order[l]`` is
+    the distinct row of segment ``l``, and ``first[j]`` the first segment
+    with distinct row ``j``.
+    """
+    distinct: dict = {}
+    order = tuple(
+        distinct.setdefault(tuple(r), len(distinct))
+        for r in np.frombuffer(rows, dtype=complex).reshape(-1, 6)
+    )
+    return order, tuple(order.index(j) for j in range(len(distinct)))
+
+
+def _segment_exponentials(a, b, gammas, taus):
+    """The distinct segment exponentials of a batch, stacked.
+
+    Returns ``(order, E, norms)``: segment ``l`` of cell ``k`` has the
+    exponential ``E[order[l], :, :, :, k]`` as ``[part, row, col]`` and
+    its Frobenius norm ``norms[order[l], k]``.
+    """
+    order, first = _distinct_segments(np.concatenate([a, b], axis=1).tobytes())
+    a, b = a[first, :, None], b[first, :, None]
+    d = (a.real + gammas * b.real, a.imag + gammas * b.imag)
+    # d.d as _dot forms it: the three squares at once, then their sum
+    sq = _mul(d, d)
+    dd = tuple(s[:, 0] + s[:, 1] + s[:, 2] for s in sq)
+    # distinct vectors often share d.d bit for bit (the square-wave signs
+    # square away), so its transcendental factors are computed once
+    keys = [dd[0][j].tobytes() + dd[1][j].tobytes() for j in range(len(first))]
+    unique = list(dict.fromkeys(keys))
+    factors = _cos_sinc(tuple(x[[keys.index(k) for k in unique]] for x in dd), taus)
+    rows = [unique.index(k) for k in keys]
+    e = _expm_pauli_elements(
+        [(d[0][:, k], d[1][:, k]) for k in range(3)], [(x[0][rows], x[1][rows]) for x in factors], taus
+    )
+    E = np.moveaxis(np.array([[[e[0][p], e[1][p]], [e[2][p], e[3][p]]] for p in (0, 1)]), 3, 0)
+    sq = E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1]
+    return order, E, np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
+
+
 def _segment_product(a, b, gammas, taus):
     """Ordered product of the segment exponentials for a batch of cells.
 
     Cell ``k`` has drive strength ``gammas[k]`` and segment duration
     ``taus[k]``; its segment ``l`` has the Bloch vector
     ``a[l] + gammas[k] * b[l]`` (``a`` and ``b`` are ``(n_seg, 3)``
-    complex), and segment 0 is applied first.  Each distinct row pair
-    ``(a[l], b[l])`` gets one exponential for the whole (1-D) batch, and
-    the product runs on the 2x2 entries as an array axis.  All arithmetic
-    is elementwise, so a cell gives the same bits alone or at any position
-    of any batch.
+    complex), and segment 0 is applied first.  The distinct row pairs
+    ``(a[l], b[l])`` are stacked on a leading axis, and their
+    exponentials for the whole (1-D) batch come from one pass over
+    ``(n_distinct, cells)`` arrays.  The left-multiplies then run on one
+    ``[part, row, col, cell]`` array through a preallocated buffer: the
+    unfused products and sums of :func:`_mul` and :func:`_add`, in their
+    order.  All arithmetic is elementwise, so a cell gives the same bits
+    alone or at any position of any batch.
 
     Returns the four entries of ``G`` (row-major) and the forward rounding
     bound ``n_seg * 8u * prod_l ||E_l||_F`` on the half-trace (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Cells whose
     product is not finite come back as NaN in all four entries.
     """
+    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
     gammas = np.asarray(gammas, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    distinct: dict = {}
-    order = [distinct.setdefault((tuple(a[l]), tuple(b[l])), len(distinct)) for l in range(len(a))]
     with np.errstate(all="ignore"):
-        E, norms, factors = [], [], {}
-        for av, bv in distinct:
-            d = [(av[k].real + gammas * bv[k].real, av[k].imag + gammas * bv[k].imag)
-                 for k in range(3)]
-            # distinct vectors often share d.d (the square-wave signs square
-            # away), so its transcendental factors are computed once
-            dd = _dot(d)
-            key = dd[0].tobytes() + dd[1].tobytes()
-            if key not in factors:
-                factors[key] = _cos_sinc(dd, taus)
-            e00, e01, e10, e11 = _expm_pauli_elements(d, factors[key], taus)
-            # the (real, imag) parts of E as [row, col, cell]
-            re, im = (np.array([[e00[p], e01[p]], [e10[p], e11[p]]]) for p in (0, 1))
-            E.append((re, im))
-            sq = re * re + im * im
-            norms.append(np.sqrt(sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]))
-        del factors
-        G, norm = E[order[0]], norms[order[0]]
+        order, E, norms = _segment_exponentials(a, b, gammas, taus)
+        # left-multiply G[r, c] <- E[r, 0] G[0, c] + E[r, 1] G[1, c]: every
+        # product x[px] * y[py] of E[r, k] and G[k, c] at once, then, in
+        # place, the (real, imag) parts into prod[0] and their sum over k
+        G = E[order[0]].copy()
+        prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
+        x0y0, x0y1, x1y0, x1y1 = prod[0, 0], prod[0, 1], prod[1, 0], prod[1, 1]
+        left, right = E[:, :, None, :, :, None], G[None, :, None]
         for l in order[1:]:
-            # left-multiply: G[r, c] <- E[r, 0] G[0, c] + E[r, 1] G[1, c]
-            col = [tuple(part[:, k, None] for part in E[l]) for k in (0, 1)]
-            row = [tuple(part[None, k] for part in G) for k in (0, 1)]
-            G = _add(_mul(col[0], row[0]), _mul(col[1], row[1]))
-            norm = norm * norms[l]
+            np.multiply(left[l], right, out=prod)
+            np.subtract(x0y0, x1y1, out=x0y0)
+            np.add(x0y1, x1y0, out=x0y1)
+            np.add(prod[0, :, :, 0], prod[0, :, :, 1], out=G)
+        # accumulate multiplies in order: the same rounding as a loop
+        norm = np.multiply.accumulate(norms[list(order)], axis=0)[-1]
     G = _complex(G)
     G[:, :, ~np.all(np.isfinite(G), axis=(0, 1))] = np.nan
     return G[0, 0], G[0, 1], G[1, 0], G[1, 1], len(order) * 8.0 * UNIT_ROUNDOFF * norm

@@ -2,9 +2,12 @@
 
 The kernel evaluates whole blocks of (gamma, omega) cells; these tests
 pin down that a cell's result does not depend on the block it sits in,
-that it is the propagator of the one-cell route, and that it stays
-unimodular and agrees with the integration oracle.
+that it is the propagator of the one-cell route, that it stays
+unimodular and agrees with the integration oracle, and that it gives the
+bits of the frozen per-segment reference below.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,19 @@ from hypothesis import strategies as st
 
 import floqep.sweep as sweep_mod
 from floqep.model import PRESET_NAMES, PresetTemplate
-from floqep.propagator import _segment_product, monodromy
+from floqep.propagator import (
+    SMALL_PHASE,
+    UNIT_ROUNDOFF,
+    _add,
+    _complex,
+    _cos_sinc,
+    _dot,
+    _expm_pauli_elements,
+    _mul,
+    _segment_product,
+    monodromy,
+    segment_hamiltonians,
+)
 from floqep.sweep import GridSpec, phase_diagram
 
 
@@ -132,3 +147,105 @@ def test_non_finite_cells_become_nan():
     a = np.array([[0.0, 0.0, 710.0j]])
     G = np.stack(_segment_product(a, np.zeros_like(a), [0.0], [1.0])[:4])
     assert np.all(np.isnan(G))
+
+
+def _reference_segment_product(a, b, gammas, taus):
+    """The kernel before its distinct segments were stacked: one
+    exponential per distinct ``(a[l], b[l])`` row (its cos/sinc factors
+    once per distinct ``d.d``) and a per-step product on ``(real, imag)``
+    pairs.  Kept to pin the bits of :func:`_segment_product`."""
+    gammas = np.asarray(gammas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    distinct: dict = {}
+    order = [distinct.setdefault((tuple(a[l]), tuple(b[l])), len(distinct)) for l in range(len(a))]
+    with np.errstate(all="ignore"):
+        E, norms, factors = [], [], {}
+        for av, bv in distinct:
+            d = [(av[k].real + gammas * bv[k].real, av[k].imag + gammas * bv[k].imag)
+                 for k in range(3)]
+            dd = _dot(d)
+            key = dd[0].tobytes() + dd[1].tobytes()
+            if key not in factors:
+                factors[key] = _cos_sinc(dd, taus)
+            e00, e01, e10, e11 = _expm_pauli_elements(d, factors[key], taus)
+            re, im = (np.array([[e00[p], e01[p]], [e10[p], e11[p]]]) for p in (0, 1))
+            E.append((re, im))
+            sq = re * re + im * im
+            norms.append(np.sqrt(sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]))
+        G, norm = E[order[0]], norms[order[0]]
+        for l in order[1:]:
+            col = [tuple(part[:, k, None] for part in E[l]) for k in (0, 1)]
+            row = [tuple(part[None, k] for part in G) for k in (0, 1)]
+            G = _add(_mul(col[0], row[0]), _mul(col[1], row[1]))
+            norm = norm * norms[l]
+    G = _complex(G)
+    G[:, :, ~np.all(np.isfinite(G), axis=(0, 1))] = np.nan
+    return G[0, 0], G[0, 1], G[1, 0], G[1, 1], len(order) * 8.0 * UNIT_ROUNDOFF * norm
+
+
+# d.d = 1 - 2 gamma^2 on every segment of the apt presets: an EP line,
+# where |mu tau| falls below SMALL_PHASE and cos/sinc take the Taylor branch
+EP_GAMMA = math.sqrt(0.5)
+# cells that take the kernel's edge branches: the EP line and its
+# neighbours, gamma = 0, and overflows that come back as NaN
+EDGE_GAMMAS = (0.0, EP_GAMMA, math.nextafter(EP_GAMMA, 1.0), 1e150, 1e300)
+# omega so high that |mu tau| < SMALL_PHASE on every preset
+TAYLOR_OMEGAS = (1e5, 1e7)
+
+
+def assert_same_bits(a, b, gammas, taus):
+    got = _segment_product(a, b, gammas, taus)
+    want = _reference_segment_product(a, b, gammas, taus)
+    for x, y in zip(got, want, strict=True):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+mixed_cells = st.lists(
+    st.tuples(
+        st.one_of(st.floats(0.0, 5.0), st.sampled_from(EDGE_GAMMAS)),
+        st.one_of(st.floats(0.05, 4.0), st.sampled_from(TAYLOR_OMEGAS)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@examples(80)
+@given(templates, mixed_cells)
+def test_bits_match_the_frozen_reference(template, batch):
+    a, b = sweep_mod._segment_vectors(template)
+    gammas, omegas = (np.array(x) for x in zip(*batch))
+    assert_same_bits(a, b, gammas, 2.0 * np.pi / omegas / len(a))
+
+
+@examples(6)
+@given(templates, st.integers(0, 2**32 - 1))
+def test_bits_match_the_frozen_reference_beyond_one_block(template, seed):
+    rng = np.random.default_rng(seed)
+    n = sweep_mod.BLOCK_CELLS + 89
+    gammas = np.where(rng.random(n) < 0.1, rng.choice(EDGE_GAMMAS, n), rng.uniform(0.0, 5.0, n))
+    omegas = np.where(rng.random(n) < 0.1, rng.choice(TAYLOR_OMEGAS, n), rng.uniform(0.05, 4.0, n))
+    a, b = sweep_mod._segment_vectors(template)
+    assert_same_bits(a, b, gammas, 2.0 * np.pi / omegas / len(a))
+
+
+@examples(30)
+@given(templates, st.one_of(st.floats(0.0, 5.0), st.sampled_from(EDGE_GAMMAS)), st.floats(0.05, 4.0))
+def test_bits_match_the_frozen_reference_on_the_one_cell_route(template, gamma, omega):
+    # monodromy(model, "piecewise"): the model's own segments, b = 0
+    model = template.instantiate(gamma, omega)
+    ds = segment_hamiltonians(model)
+    assert_same_bits(ds, np.zeros_like(ds), np.zeros(1), np.full(1, model.period / len(ds)))
+
+
+@pytest.mark.parametrize("name", ["apt-cosx-cosy", "apt-cosx-siny"])
+def test_ep_line_takes_the_taylor_branch(name):
+    # the edge cells above do reach the branch they are there for
+    a, b = sweep_mod._segment_vectors(PresetTemplate(name, beta=3, family="square"))
+    d = a + EP_GAMMA * b
+    tau = 2.0 * np.pi / 1.3 / len(a)
+    assert np.all(np.abs(np.sqrt((d * d).sum(axis=1))) * tau < SMALL_PHASE)
+    gammas = np.array([EP_GAMMA, 1e300, 0.4])
+    g00, *_ = _segment_product(a, b, gammas, np.full(3, tau))
+    assert np.isnan(g00[1]) and np.all(np.isfinite(g00[[0, 2]]))
+    assert_same_bits(a, b, gammas, np.full(3, tau))
