@@ -212,7 +212,8 @@ def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
         ("Im band 1", sweep.thetas[:, 1].imag, "#7a2bd8"),
     ]
     ys = np.concatenate([s[1] for s in series])
-    ylo, yhi = float(ys.min()), float(ys.max())
+    ys = ys[np.isfinite(ys)]  # a gamma whose loop has no phase reads NaN
+    ylo, yhi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
     if yhi - ylo < 1e-12:
         ylo, yhi = ylo - 1.0, yhi + 1.0
     pad = 0.05 * (yhi - ylo)
@@ -228,13 +229,18 @@ def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
             'stroke="#c0c0c0" stroke-width="0.8"/>'
         )
     for idx, (label, yvals, color) in enumerate(series):
-        coords = " ".join(
-            f"{_num(_data_to_px(x, xlim))},{_num(_data_to_py(y, ylim))}"
-            for x, y in zip(g, yvals)
-        )
-        lines.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.6"/>'
-        )
+        finite = np.isfinite(yvals)
+        # a NaN breaks the curve
+        for run in np.split(np.arange(g.size), np.flatnonzero(~finite)):
+            coords = " ".join(
+                f"{_num(_data_to_px(g[i], xlim))},{_num(_data_to_py(yvals[i], ylim))}"
+                for i in run[finite[run]]
+            )
+            if coords:
+                lines.append(
+                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                    'stroke-width="1.6"/>'
+                )
         lines.append(
             f'<text x="{_num(_MARGIN_L + _PLOT_W - 8)}" y="{_num(_MARGIN_T + 16 + 14 * idx)}" '
             f'font-size="11" text-anchor="end" font-family="sans-serif" '

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .berry import DEFAULT_LOOP_STEPS, berry_phase_loop
+from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop
 from .floquet import DEFAULT_CUTOFF, TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
@@ -488,7 +488,12 @@ def _berry_task(args):
     gamma, template, steps, richardson = args
     # at omega = 1 the time t is the drive phase theta, bit for bit
     model = template.instantiate(float(gamma), 1.0)
-    res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
+    try:
+        res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
+    except DefectivePointError:
+        # a loop through d = 0 (H = 0) has no eigenframes there, and so, like
+        # a loop whose overlaps were dropped, no phase
+        return np.full(2, complex(np.nan, np.nan)), (), None, False
     return res.theta, res.degeneracy_flags, res.step_delta, res.certified
 
 
@@ -505,7 +510,8 @@ def berry_gamma_sweep(
     faster or slower, so the sweep takes no omega; its flags are drive
     phases in ``[0, 2*pi)``.  Each loop runs with ``on_ep='flag'``, so a
     sweep can cross drive strengths whose loop grazes an exceptional point
-    without aborting the whole curve.
+    without aborting the whole curve; a loop through a zero Bloch vector
+    reads NaN and uncertified.
     """
     gammas = np.asarray(gammas, dtype=float)
     tasks = [(float(g), template, steps, richardson) for g in gammas]

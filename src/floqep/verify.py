@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .berry import berry_phase_loop, half_solid_angle, spectrum_region_scan, wilson_loop_phase, _loop_frames
+from .berry import (
+    _loop_frames,
+    _Workspace,
+    berry_phase_loop,
+    half_solid_angle,
+    spectrum_region_scan,
+    wilson_loop_phase,
+)
 from .floquet import build_floquet_matrix, complex_eigenvalues, convergence_check, fold_spectrum
 from .model import Axis, DriveTerm, ModelSpec, PresetTemplate, Waveform, preset
 from .propagator import EPKind, monodromy
@@ -265,7 +272,9 @@ def criterion_property_suites():
 
     # Wilson-loop gauge invariance under random frame rescalings
     model = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-    _, _, right, left, _ = _loop_frames(model, 512, "raise")
+    ws = _Workspace(512)
+    _loop_frames(model, 512, "raise", ws)
+    right, left = ws.frames()
     theta0, *_ = wilson_loop_phase(right, left)
     scale = (0.2 + 4.8 * rng.random((512, 2))) * np.exp(2j * np.pi * rng.random((512, 2)))
     theta1, *_ = wilson_loop_phase(right * scale[:, :, None], left / scale[:, :, None])

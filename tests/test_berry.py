@@ -1,16 +1,29 @@
+import math
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import floqep.berry as berry_module
 from floqep.berry import (
+    _DEFECT_REL_TOL,
+    _TIE_REL_TOL,
+    DEFAULT_LOOP_STEPS,
+    GAP_TOL,
+    MIN_LOOP_STEPS,
     OVERLAP_TOL,
+    BerryPhaseResult,
     DefectivePointError,
     EPOnPathError,
     SpectralRegion,
     _canonical_gauge,
+    _check_on_ep,
+    _defective,
     _loop_frames,
     _principal_theta,
     _raw_eigenframes,
+    _Workspace,
     berry_phase_loop,
     classify_instantaneous,
     half_solid_angle,
@@ -39,12 +52,226 @@ def _eigensystem(H):
     (``left[b] @ right[b] = 1``), band-major, of one 2x2 matrix, through
     the loop kernel's ``_raw_eigenframes`` and ``_canonical_gauge``."""
     d0, d = bloch_decompose(H)
-    mu, right, left, _, _ = _raw_eigenframes(d[None, :])
-    r0, r1, l0, l1, ov = _canonical_gauge(
-        right[0, :, 0], right[0, :, 1], left[0, :, 0], left[0, :, 1]
+    ws = _Workspace(1)
+    mu = _raw_eigenframes(d[None, :], ws)[0][0]
+    _canonical_gauge(ws)
+    right, left = ws.frames()
+    return np.array([d0 + mu, d0 - mu]), right[0], left[0]
+
+
+def _frames(model, n):
+    """The raw right and left frames, ``(n, 2, 2)``, of an ``n``-point loop
+    of ``model``, as the loop kernel builds them before its gauge."""
+    ws = _Workspace(n)
+    _raw_eigenframes(bloch_vector_at(model, np.arange(n) * (model.period / n)), ws)
+    return ws.frames()
+
+
+# The loop kernel as it stood before the workspace version in floqep.berry:
+# per-call arrays, strided (n, 2, 2) frame stacks, and a separate gauge in
+# each Wilson loop.  Kept verbatim as the bit-for-bit reference.
+
+
+def _reference_abs2(z):
+    return np.abs(z) ** 2
+
+
+def _reference_raw_eigenframes(d):
+    n = d.shape[0]
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    mu = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dnorm = np.sqrt(_reference_abs2(dx) + _reference_abs2(dy) + _reference_abs2(dz))
+    defective = (np.abs(mu) < _DEFECT_REL_TOL * dnorm) & (dnorm > 0)
+    gap = np.abs(2.0 * mu)
+    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
+    w2, wc2 = _reference_abs2(w), _reference_abs2(wc)
+    right = np.empty((n, 2, 2), dtype=complex)
+    left = np.empty((n, 2, 2), dtype=complex)
+    for b, smu in enumerate((mu, -mu)):
+        p, q = dz + smu, smu - dz
+        p2, q2 = _reference_abs2(p), _reference_abs2(q)
+        # right: columns (p, w) and (wc, q); left: rows (p, wc) and (w, q)
+        use2 = wc2 + q2 > p2 + w2
+        right[:, b, 0] = np.where(use2, wc, p)
+        right[:, b, 1] = np.where(use2, q, w)
+        use2 = w2 + q2 > p2 + wc2
+        left[:, b, 0] = np.where(use2, w, p)
+        left[:, b, 1] = np.where(use2, q, wc)
+    return mu, right, left, gap, defective
+
+
+def _reference_canonical_gauge(r0, r1, l0, l1):
+    a0, a1 = np.abs(r0), np.abs(r1)
+    rnorm = np.sqrt(a0 * a0 + a1 * a1)
+    lnorm = np.sqrt(_reference_abs2(l0) + _reference_abs2(l1))
+    if np.any(rnorm == 0) or np.any(lnorm == 0):
+        raise DefectivePointError("zero eigenvector encountered")
+    use1 = a1 > a0 * (1.0 + 1e-9)
+    # |pick| / pick, and 1 / rnorm, as one complex factor
+    scale = np.conj(np.where(use1, r1, r0)) * (1.0 / (np.where(use1, a1, a0) * rnorm))
+    r0, r1 = r0 * scale, r1 * scale
+    inv = 1.0 / lnorm
+    l0, l1 = l0 * inv, l1 * inv
+    return r0, r1, l0, l1, l0 * r0 + l1 * r1
+
+
+def _reference_step_dots(a, b, b_close):
+    (a0, a1), (b0, b1) = a, b
+    out = np.empty(a0.shape, dtype=complex)
+    np.multiply(a0[:-1], b0[1:], out=out[:-1])
+    out[:-1] += a1[:-1] * b1[1:]
+    out[-1] = a0[-1] * b_close[0] + a1[-1] * b_close[1]
+    return out
+
+
+def _reference_component_wilson_loop_phase(right, left, on_ep: str = "raise"):
+    _check_on_ep(on_ep)
+    right = np.asarray(right, dtype=complex)
+    left = np.asarray(left, dtype=complex)
+    if right.ndim != 3 or right.shape[1:] != (2, 2) or right.shape != left.shape:
+        raise ValueError("expected frames of shape (n, 2, 2)")
+    n = right.shape[0]
+    if n < 3:
+        raise ValueError("need at least 3 loop points")
+    R, L, bad = [], [], []
+    for b in (0, 1):
+        r0, r1, l0, l1, ov = _reference_canonical_gauge(
+            right[:, b, 0], right[:, b, 1], left[:, b, 0], left[:, b, 1]
+        )
+        bad.append(np.abs(ov) < OVERLAP_TOL)
+        inv = 1.0 / np.where(bad[b], 1.0, ov)  # biorthonormal where the pairing allows
+        R.append((r0, r1))
+        L.append((l0 * inv, l1 * inv))
+    skipped = int(np.count_nonzero(bad[0]) + np.count_nonzero(bad[1]))
+    if skipped and on_ep == "raise":
+        raise EPOnPathError(
+            f"biorthogonal overlap below {OVERLAP_TOL:.1e} at "
+            f"{int(np.count_nonzero(bad[0] | bad[1]))} loop points"
+        )
+
+    def first(f):
+        return f[0][0], f[1][0]
+
+    diag = np.abs(
+        _reference_step_dots(L[0], R[0], first(R[0])) * _reference_step_dots(L[1], R[1], first(R[1]))
     )
-    left = np.stack([l0, l1], axis=-1) / ov[:, None]
-    return np.array([d0 + mu[0], d0 - mu[0]]), np.stack([r0, r1], axis=-1), left
+    off = np.abs(
+        _reference_step_dots(L[0], R[1], first(R[1])) * _reference_step_dots(L[1], R[0], first(R[0]))
+    )
+    # a step across an EP pairs each band with either successor equally
+    # well; rounding must not pick one, so such a step keeps the slots and
+    # the loop is not reported closed
+    tie = np.abs(diag - off) <= _TIE_REL_TOL * np.maximum(diag, off)
+    # par[k]: whether the band identities have traded frame slots by point k
+    par = np.zeros(n + 1, dtype=bool)
+    np.logical_xor.accumulate((diag < off) & ~tie, out=par[1:])
+    closed = not par[n] and not np.any(tie)
+    theta = np.empty(2, dtype=complex)
+    min_overlap = np.inf
+    for band in (0, 1):
+        in_slot1 = par[:n] if band == 0 else ~par[:n]
+        Rt = tuple(np.where(in_slot1, R[1][c], R[0][c]) for c in (0, 1))
+        Lt = tuple(np.where(in_slot1, L[1][c], L[0][c]) for c in (0, 1))
+        # the closing step lands in the slot the band holds after a full turn
+        close = int(par[n]) ^ band
+        o_fwd = _reference_step_dots(Lt, Rt, first(R[close]))
+        o_bwd = _reference_step_dots(Rt, Lt, first(L[close]))
+        a_fwd, a_bwd = np.abs(o_fwd), np.abs(o_bwd)
+        step_min = min(np.min(a_fwd), np.min(a_bwd))
+        min_overlap = min(min_overlap, float(step_min))
+        weak = (a_fwd < OVERLAP_TOL) | (a_bwd < OVERLAP_TOL)
+        if np.any(weak):
+            if on_ep == "raise":
+                raise EPOnPathError(
+                    f"step overlap below {OVERLAP_TOL:.1e}: phase undefined through an EP"
+                )
+            o_fwd[weak] = o_bwd[weak] = 1.0
+            a_fwd[weak] = a_bwd[weak] = 1.0
+            skipped += int(np.count_nonzero(weak))
+        # 0.5j * (sum log o_fwd - sum log o_bwd), with log o = log|o| + i arg o
+        arg = _reference_sum_arg(o_fwd) - _reference_sum_arg(o_bwd)
+        log_abs = _reference_sum_log_abs(o_fwd, a_fwd) - _reference_sum_log_abs(o_bwd, a_bwd)
+        theta[band] = complex(-0.5 * arg, 0.5 * log_abs)
+    return theta, closed, min_overlap, skipped
+
+
+def _reference_sum_arg(z):
+    return np.sum(np.arctan2(z.imag, z.real))
+
+
+def _reference_sum_log_abs(z, a):
+    x, y = z.real, z.imag
+    with np.errstate(divide="ignore"):  # log1p(-1) at a tiny |z|, which the where drops
+        near_one = 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y)
+    return np.sum(np.where((a > 0.5) & (a < 2.0), near_one, np.log(a)))
+
+
+def _reference_loop_frames(model: ModelSpec, steps: int, on_ep: str):
+    k = np.arange(steps)
+    phases = k * (2.0 * math.pi / steps)
+    d = bloch_vector_at(model, k * (model.period / steps))
+    _, right, left, gap, defective = _reference_raw_eigenframes(d)
+    if on_ep == "raise" and np.any(defective):
+        raise EPOnPathError(
+            f"loop passes through a defective point at drive phase "
+            f"{float(phases[np.argmax(defective)]):.6g}"
+        )
+    return phases, d, right, left, gap
+
+
+def _reference_berry_phase_loop(
+    model: ModelSpec,
+    steps: int = DEFAULT_LOOP_STEPS,
+    richardson: bool = True,
+    on_ep: str = "raise",
+) -> BerryPhaseResult:
+    if steps < MIN_LOOP_STEPS:
+        raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}")
+    _check_on_ep(on_ep)
+
+    phases, d, right, left, gap = _reference_loop_frames(
+        model, 2 * steps if richardson else steps, on_ep
+    )
+    if richardson:
+        right2, left2 = right, left
+        # the even points of the 2n grid are the n grid bit for bit
+        # (2k * (T/2n) == k * (T/n)) and every frame operation is pointwise
+        phases, d, right, left, gap = phases[::2], d[::2], right[::2], left[::2], gap[::2]
+    theta1, closed1, _, skipped1 = _reference_component_wilson_loop_phase(right, left, on_ep=on_ep)
+    flags = tuple(float(v) for v in phases[gap < GAP_TOL])
+
+    step_delta = None
+    theta = theta1
+    closed = closed1
+    skipped = skipped1
+    if richardson:
+        theta2, closed2, _, skipped2 = _reference_component_wilson_loop_phase(
+            right2, left2, on_ep=on_ep
+        )
+        step_delta = float(np.max(np.abs(theta2 - theta1)))
+        theta = (4.0 * theta2 - theta1) / 3.0
+        closed = closed1 and closed2
+        skipped += skipped2
+
+    hsa = None
+    if float(np.max(np.abs(d.imag))) <= 1e-12 * max(float(np.max(np.abs(d))), 1e-300):
+        hsa = half_solid_angle(d.real)
+
+    if skipped > max(2, 0.01 * steps):
+        # the loop sits essentially on an exceptional point: with a
+        # significant fraction of the overlaps dropped, no meaningful
+        # phase remains
+        theta = np.full(2, complex(np.nan, np.nan))
+        step_delta = None
+    else:
+        theta = np.array([_principal_theta(complex(theta[b]), b) for b in (0, 1)])
+    return BerryPhaseResult(
+        theta=theta,
+        degeneracy_flags=flags,
+        half_solid_angle=hsa,
+        step_delta=step_delta,
+        certified=bool(closed and skipped == 0 and not flags),
+    )
 
 
 def _reference_wilson_loop_phase(right, left, on_ep="raise"):
@@ -127,7 +354,7 @@ def _defective_frames(kind):
     biorthonormal rescaling by that pairing lifts the step overlap
     140-fold, so weak steps are planted at 1e-11 to come out near 1e-9."""
     m = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-    _, _, right, left, _ = _loop_frames(m, 1024, "raise")
+    right, left = _frames(m, 1024)
     right, left = right.copy(), left.copy()
 
     def nearly_orthogonal(r, overlap):
@@ -182,14 +409,15 @@ class TestInstantaneousEigensystem:
         assert np.allclose(eigenvalues, [1.0, -1.0])
         assert np.allclose(right[0], [1.0, 0.0])
         assert np.allclose(right[1], [0.0, 1.0])
-        assert _raw_eigenframes(np.array([[0.0, 0.0, 1.0 + 0j]]))[3][0] == pytest.approx(2.0)
+        gap = _raw_eigenframes(np.array([[0.0, 0.0, 1.0 + 0j]]), _Workspace(1))[1]
+        assert gap[0] == pytest.approx(2.0)
 
     def test_cosy_sinz_instantaneous_formula(self):
         # eigenvalues of the loop Hamiltonian: +/- sqrt(1 + g^2 cos(4 pi s/T))
         g = 0.8
         m = preset("pt-cosy-sinz", J=1.0, gamma=g, omega=1.0, beta=1)
         s = np.array([0.0, 0.13, 0.37, 0.61]) * m.period
-        mu = _raw_eigenframes(bloch_vector_at(m, s))[0]
+        mu = _raw_eigenframes(bloch_vector_at(m, s), _Workspace(s.size))[0]
         want = np.sqrt((1.0 + g * g * np.cos(4 * np.pi * s / m.period)).astype(complex))
         assert np.max(np.abs(mu - want)) < 1e-12
 
@@ -216,13 +444,13 @@ class TestInstantaneousEigensystem:
 
     def test_defective_point(self):
         # d = (0, 1, -i): d.d = 0 with d nonzero, a single eigenvector
-        defective = _raw_eigenframes(bloch_decompose(SIGMA_Y - 1j * SIGMA_Z)[1][None, :])[4]
-        assert defective.tolist() == [True]
+        d = bloch_decompose(SIGMA_Y - 1j * SIGMA_Z)[1][None, :]
+        assert _defective(d, _raw_eigenframes(d, _Workspace(1))[0]).tolist() == [True]
         # d = 0: the adjugate eigenvectors vanish, and no frame pair exists
-        _, right, left, _, defective = _raw_eigenframes(np.zeros((1, 3), dtype=complex))
-        assert defective.tolist() == [False]
+        d, ws = np.zeros((1, 3), dtype=complex), _Workspace(1)
+        assert _defective(d, _raw_eigenframes(d, ws)[0]).tolist() == [False]
         with pytest.raises(DefectivePointError, match="zero eigenvector"):
-            _canonical_gauge(right[:, 0, 0], right[:, 0, 1], left[:, 0, 0], left[:, 0, 1])
+            _canonical_gauge(ws)
 
 
 class TestBiorthonormalize:
@@ -239,10 +467,11 @@ class TestBiorthonormalize:
 
     def test_near_ep_raises(self):
         # d = (1, i, eps): d.d = eps^2, so the unit-frame overlap is ~eps
-        d = np.tile([1.0, 1.0j, 1e-9], (4, 1))
-        _, right, left, _, _ = _raw_eigenframes(d)
-        ov = _canonical_gauge(right[:, 0, 0], right[:, 0, 1], left[:, 0, 0], left[:, 0, 1])[4]
-        assert np.all(np.abs(ov) < OVERLAP_TOL)
+        ws = _Workspace(4)
+        _raw_eigenframes(np.tile([1.0, 1.0j, 1e-9], (4, 1)), ws)
+        right, left = ws.frames()
+        _canonical_gauge(ws)
+        assert np.all(ws.bad[0])
         with pytest.raises(EPOnPathError, match="biorthogonal overlap"):
             wilson_loop_phase(right, left)
 
@@ -250,7 +479,7 @@ class TestBiorthonormalize:
 class TestWilsonLoop:
     def test_gauge_invariance(self):
         model = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-        _, _, right, left, _ = _loop_frames(model, 512, "raise")
+        right, left = _frames(model, 512)
         theta0, closed, _, _ = wilson_loop_phase(right, left)
         assert closed
         rng = np.random.default_rng(13)
@@ -278,12 +507,12 @@ class TestWilsonLoop:
     def test_reference_on_preset_loops(self, name, beta, gamma):
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
         for n in (512, 2048):
-            _, _, right, left, _ = _loop_frames(m, n, "raise")
+            right, left = _frames(m, n)
             assert _assert_matches_reference(right, left)[1]
 
     def test_reference_on_plateau_loop(self):
         m = preset("apt-cosx-siny", J=1.0, gamma=1.5, omega=1.0, beta=1)
-        _, _, right, left, _ = _loop_frames(m, 4096, "raise")
+        right, left = _frames(m, 4096)
         _assert_matches_reference(right, left)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -310,7 +539,7 @@ class TestWilsonLoop:
         # kernel's swap decisions, hence theta, follow last-bit rounding
         m = preset("pt-cosy-sinz", J=1.0, gamma=1.3, omega=1.0, beta=1)
         n = 1024
-        _, _, right, left, _ = _loop_frames(m, n, "flag")
+        right, left = _frames(m, n)
         theta, closed, _, skipped = wilson_loop_phase(right, left, on_ep="flag")
         assert not closed and skipped == 0
         rng = np.random.default_rng(7)
@@ -331,7 +560,7 @@ class TestWilsonLoop:
         m = preset("pt-cosy-sinz", J=1.0, gamma=1.0, omega=1.0, beta=1)
         with pytest.raises(ValueError, match="on_ep must be 'raise' or 'flag', got 'rase'"):
             if entry == "wilson_loop_phase":
-                wilson_loop_phase(*_loop_frames(m, 1024, "flag")[2:4], on_ep="rase")
+                wilson_loop_phase(*_frames(m, 1024), on_ep="rase")
             else:
                 berry_phase_loop(m, steps=1024, on_ep="rase")
 
@@ -422,10 +651,13 @@ class TestBerryLoop:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("n", [256, 1024])
     def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
+        # ... and so are the gauged frames and their bad-pairing marks
         m = PresetTemplate(name, beta=3, family="smooth").instantiate(0.7, 1.0)
-        frames = zip(_loop_frames(m, 2 * n, "raise"), _loop_frames(m, n, "raise"))
-        for fine, coarse in frames:
-            assert np.ascontiguousarray(fine[::2]).tobytes() == coarse.tobytes()
+        fine_ws, coarse_ws = _Workspace(2 * n), _Workspace(n)
+        pairs = list(zip(_loop_frames(m, 2 * n, "raise", fine_ws), _loop_frames(m, n, "raise", coarse_ws)))
+        pairs += [(getattr(fine_ws, a).T, getattr(coarse_ws, a).T) for a in ("right", "left", "bad")]
+        for fine, coarse in pairs:
+            assert np.ascontiguousarray(fine[::2]).tobytes() == np.ascontiguousarray(coarse).tobytes()
 
     @pytest.mark.parametrize(
         "name, beta, gamma, on_ep, gap_tol, steps",
@@ -442,10 +674,9 @@ class TestBerryLoop:
         # gap_tol 1e-3 puts flags on the loop that grazes the degenerate strip
         monkeypatch.setattr(berry_module, "GAP_TOL", gap_tol)
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
-        phases, _, right, left, gap = _loop_frames(m, steps, on_ep)
-        theta1, closed1, _, skipped1 = wilson_loop_phase(right, left, on_ep=on_ep)
-        _, _, right2, left2, _ = _loop_frames(m, 2 * steps, on_ep)
-        theta2, closed2, _, skipped2 = wilson_loop_phase(right2, left2, on_ep=on_ep)
+        phases, _, gap = _loop_frames(m, steps, on_ep, _Workspace(steps))
+        theta1, closed1, _, skipped1 = wilson_loop_phase(*_frames(m, steps), on_ep=on_ep)
+        theta2, closed2, _, skipped2 = wilson_loop_phase(*_frames(m, 2 * steps), on_ep=on_ep)
         flags = tuple(float(v) for v in phases[gap < gap_tol])
         r = berry_phase_loop(m, steps=steps, richardson=True, on_ep=on_ep)
         assert r.degeneracy_flags == flags
@@ -467,10 +698,29 @@ class TestBerryLoop:
 
             return wrapper
 
-        for name in ("_loop_frames", "wilson_loop_phase"):
+        # one frame-and-gauge pass at the 2n points, then the Wilson core on
+        # the n even points and on all 2n; the public wrapper would gauge again
+        for name in ("_loop_frames", "_canonical_gauge", "_wilson_core", "wilson_loop_phase"):
             monkeypatch.setattr(berry_module, name, counted(name))
         berry_phase_loop(cap_model(0.8), steps=512, richardson=True)
-        assert calls == ["_loop_frames", "wilson_loop_phase", "wilson_loop_phase"]
+        assert calls == ["_loop_frames", "_canonical_gauge", "_wilson_core", "_wilson_core"]
+
+    def test_second_loop_heap_peak(self):
+        # deterministic, not a timing gate: the 8192-step Richardson loop
+        # of the per-call kernel peaked at 8.6 MiB of transient heap; with
+        # the workspace allocated, a second loop, workspace included, stays
+        # below that
+        m = preset("apt-cosx-siny", J=1.0, gamma=0.9, omega=1.0, beta=1)
+        berry_module._thread_workspace.cache_clear()
+        tracemalloc.start()
+        try:
+            berry_phase_loop(m, steps=8192)
+            tracemalloc.reset_peak()
+            berry_phase_loop(m, steps=8192)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.6 * 2**20
 
     def test_plateau_bands_on_opposite_edges(self):
         # on the +/-pi plateau (gamma > 1) each band sits on the edge of
@@ -503,6 +753,117 @@ class TestBerryLoop:
             assert r.step_delta is not None and r.step_delta < 1e-4
         r = berry_phase_loop(tpl.instantiate(2.5, 1.0), steps=4096, richardson=True)
         assert r.step_delta > 1e-3  # on-loop band collisions: not converged
+
+
+def _loop_outcome(fn, *args, **kwargs):
+    """A loop's result as bytes and values, or its exception as type and message."""
+    try:
+        r = fn(*args, **kwargs)
+    except (DefectivePointError, EPOnPathError) as exc:
+        return type(exc), str(exc)
+    if isinstance(r, BerryPhaseResult):
+        return r.theta.tobytes(), r.degeneracy_flags, r.step_delta, r.certified, r.half_solid_angle
+    theta, closed, min_overlap, skipped = r
+    return theta.tobytes(), closed, min_overlap, skipped
+
+
+# on the +/-pi plateau: a gamma of the 64-gamma sweep, as in the shared-frames test
+PLATEAU_GAMMA = 0.05 + 53 * 2.9 / 63
+
+
+class TestReferenceBits:
+    """The workspace kernel against the per-call kernel it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_preset_loops(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="smooth")
+        for gamma in (0.5, PLATEAU_GAMMA):
+            m = tpl.instantiate(gamma, 1.0)
+            for steps in (256, 1024, 8192):
+                for richardson in (True, False):
+                    args = (m, steps, richardson, "flag")
+                    got = _loop_outcome(berry_phase_loop, *args)
+                    assert got == _loop_outcome(_reference_berry_phase_loop, *args)
+
+    @pytest.mark.parametrize("on_ep", ["raise", "flag"])
+    def test_flags_case(self, on_ep):
+        # the beta=1 loop at gamma = 1 crosses defective points
+        m = preset("pt-cosy-sinz", J=1.0, gamma=1.0, omega=1.0, beta=1)
+        for steps in (256, 1024, 8192):
+            for richardson in (True, False):
+                args = (m, steps, richardson, on_ep)
+                got = _loop_outcome(berry_phase_loop, *args)
+                assert got == _loop_outcome(_reference_berry_phase_loop, *args)
+                assert on_ep == "raise" or got[1] == (np.pi / 2, 3 * np.pi / 2)
+
+    @pytest.mark.parametrize("on_ep", ["raise", "flag"])
+    def test_hermitian_loops(self, on_ep):
+        for model in (equator_model(), cap_model(0.8)):
+            for steps, richardson in ((256, False), (1024, True)):
+                args = (model, steps, richardson, on_ep)
+                got = _loop_outcome(berry_phase_loop, *args)
+                assert got == _loop_outcome(_reference_berry_phase_loop, *args)
+
+    @pytest.mark.parametrize(
+        "frames",
+        [lambda seed=seed: _swapping_frames(600, seed) for seed in (1, 2, 3)]
+        + [lambda kind=kind: _defective_frames(kind) for kind in ("bad", "weak", "zero")],
+        ids=["swap-1", "swap-2", "swap-3", "bad", "weak", "zero"],
+    )
+    @pytest.mark.parametrize("on_ep", ["raise", "flag"])
+    def test_wilson_loop_frames(self, frames, on_ep):
+        right, left = frames()
+        got = _loop_outcome(wilson_loop_phase, right, left, on_ep)
+        assert got == _loop_outcome(_reference_component_wilson_loop_phase, right, left, on_ep)
+
+
+class TestWorkspace:
+    def test_interleaved_sizes_match_alone(self):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        runs = [(512, 0.3), (8192, 1.5), (512, 0.7)]
+        alone = []
+        for steps, gamma in runs:
+            berry_module._thread_workspace.cache_clear()
+            alone.append(_loop_outcome(berry_phase_loop, tpl.instantiate(gamma, 1.0), steps))
+        # each loop leaves its buffers to the next one of its size
+        for (steps, gamma), want in zip(runs, alone):
+            assert _loop_outcome(berry_phase_loop, tpl.instantiate(gamma, 1.0), steps) == want
+
+    def test_results_do_not_alias_the_workspace(self):
+        tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
+        m1, m2 = tpl.instantiate(0.4, 1.0), tpl.instantiate(0.8, 1.0)
+        r = berry_phase_loop(m1, steps=1024)
+        ws = berry_module._workspace(2048)
+        frames = _loop_frames(m1, 2048, "raise", ws)
+        w = wilson_loop_phase(*_frames(m1, 2048))
+        kept = [a.copy() for a in (r.theta, *frames, w[0])]
+        berry_phase_loop(m2, steps=1024)
+        wilson_loop_phase(*_frames(m2, 2048))
+        assert berry_module._workspace(2048) is ws
+        for arr, want in zip((r.theta, *frames, w[0]), kept):
+            assert arr.tobytes() == want.tobytes()
+            for buf in (ws.right, ws.left, ws.bad, ws.c, ws.f, ws.m):
+                assert not np.shares_memory(arr, buf)
+
+    def test_threads_keep_their_own_workspace(self):
+        # concurrent loops of one size: each thread's buffers are its own
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        gammas = [0.3, 0.6, 1.2, 1.6]
+        want = [_loop_outcome(berry_phase_loop, tpl.instantiate(g, 1.0), 2048) for g in gammas]
+        got = [None] * len(gammas)
+
+        def run(i):
+            for _ in range(3):
+                got[i] = _loop_outcome(berry_phase_loop, tpl.instantiate(gammas[i], 1.0), 2048)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gammas))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert got == want
 
 
 class TestHalfSolidAngle:

@@ -9,10 +9,11 @@ import pytest
 import floqep.cli as cli
 import floqep.render as render
 import floqep.verify as verify_mod
+from floqep.berry import berry_phase_loop
 from floqep.config import ConfigError, load_config, parse_config
 from floqep.floquet import fold_spectrum
 from floqep.model import PresetTemplate
-from floqep.sweep import GridSpec, PhaseDiagram, berry_gamma_sweep
+from floqep.sweep import GridSpec, PhaseDiagram
 
 
 def write_config(path, **overrides):
@@ -201,9 +202,11 @@ class TestPhaseDiagramCommand:
             lambda: fold_spectrum(np.array([100.0 + 0j]), 1.0, 3),
             # J = 0 and gamma = 0: the loop's Bloch vector is 0, and so is
             # every eigenvector built from it
-            lambda: berry_gamma_sweep(
-                PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth"),
-                [0.0, 0.5], steps=256,
+            lambda: berry_phase_loop(
+                PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth").instantiate(
+                    0.0, 1.0
+                ),
+                steps=256, on_ep="flag",
             ),
         ],
         ids=["fold-truncation", "defective-point"],

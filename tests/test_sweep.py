@@ -1,10 +1,12 @@
 import warnings
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
 import floqep.sweep as sweep_mod
 from floqep.model import PresetTemplate
+from floqep.render import berry_svg
 from floqep.propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     EPKind,
@@ -443,12 +445,37 @@ class TestEPContours:
 
 class TestBerrySweep:
     def test_deterministic_threads(self):
+        # 8192 steps with Richardson is the CLI default, where each worker
+        # reuses one loop workspace across its gammas
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
         gammas = np.array([0.3, 0.6, 1.4])
-        a = berry_gamma_sweep(tpl, gammas, steps=512, richardson=False, threads=1)
-        b = berry_gamma_sweep(tpl, gammas, steps=512, richardson=False, threads=2)
-        assert a.thetas.tobytes() == b.thetas.tobytes()
-        assert a.metadata["all_certified"]
+        for steps, richardson in ((512, False), (8192, True)):
+            a = berry_gamma_sweep(tpl, gammas, steps=steps, richardson=richardson, threads=1)
+            b = berry_gamma_sweep(tpl, gammas, steps=steps, richardson=richardson, threads=2)
+            assert a.thetas.tobytes() == b.thetas.tobytes()
+            assert a.flags == b.flags
+            assert a.metadata["max_step_delta"] == b.metadata["max_step_delta"]
+            assert a.metadata["all_certified"] and b.metadata["all_certified"]
+
+    def test_zero_bloch_vector_reads_nan(self, tmp_path):
+        # J = 0 and gamma = 0: H = 0 on the whole loop, which has no
+        # eigenframes; the sweep keeps its other gammas
+        tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth")
+        sw = berry_gamma_sweep(tpl, [0.0, 0.5], steps=256)
+        alone = berry_gamma_sweep(tpl, [0.5], steps=256)
+        assert np.isnan(sw.thetas[0].view(float)).all()
+        assert sw.flags == ((), alone.flags[0])
+        assert sw.thetas[1].tobytes() == alone.thetas[0].tobytes()
+        assert sw.metadata["uncertified_gammas"] == [0.0]
+        assert not sw.metadata["all_certified"] and alone.metadata["all_certified"]
+        assert sw.metadata["max_step_delta"] == alone.metadata["max_step_delta"]
+        persist(sw, tmp_path / "b.csv")
+        loaded = load(tmp_path / "b.csv")
+        assert np.isnan(loaded.thetas[0].view(float)).all()
+        assert np.max(np.abs(loaded.thetas[1] - sw.thetas[1])) < 1e-12
+        svg = ET.fromstring(berry_svg(loaded))
+        assert "nan" not in ET.tostring(svg).decode()
+        assert len(svg.findall(".//{*}polyline")) == 4
 
 
 class TestPersistence:
