@@ -605,8 +605,8 @@ def spectrum_region_scan(template: PresetTemplate, gammas) -> SpectrumRegionScan
     """Classify the instantaneous spectrum across a gamma range.
 
     Classification boundaries between consecutive grid points are
-    refined by bisection to ``THRESHOLD_TOL``.  The loop is sampled at
-    fixed drive phases, so omega (set to 1) does not enter.
+    bisected to ``THRESHOLD_TOL`` or to adjacent doubles.  The loop is
+    sampled at fixed drive phases, so omega (set to 1) does not enter.
     """
     gammas = np.asarray(gammas, dtype=float)
     if gammas.ndim != 1 or gammas.size < 2:
@@ -622,8 +622,7 @@ def spectrum_region_scan(template: PresetTemplate, gammas) -> SpectrumRegionScan
             continue
         lo, hi = float(gammas[i]), float(gammas[i + 1])
         cls_lo = classes[i]
-        while hi - lo > THRESHOLD_TOL:
-            mid = 0.5 * (lo + hi)
+        while hi - lo > THRESHOLD_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
             # any departure from the left class marks the boundary; exactly
             # at a degeneracy rounding can produce an eps-wide stray class
             if classify(mid) is cls_lo:

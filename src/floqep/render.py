@@ -1,13 +1,15 @@
 """Dependency-free SVG rendering for diagrams, contours, and curves.
 
-Heatmaps up to 200x200 are drawn as per-cell rectangles; larger grids are
-embedded as a base64 PPM raster.  All numbers are formatted with fixed
-precision so identical inputs produce identical bytes.
+A heatmap of any size is embedded as a base64 PNG raster, one pixel per
+cell, scaled with nearest-neighbour sampling.  All numbers are formatted
+with fixed precision so identical inputs produce identical bytes.
 """
 
 from __future__ import annotations
 
 import base64
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +32,11 @@ def _num(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _lerp_color(t: float) -> tuple[int, int, int]:
-    t = min(max(t, 0.0), 1.0)
-    return tuple(int(round(a + t * (b - a))) for a, b in zip(_DARK, _BRIGHT))
+def _limits(lo: float, hi: float) -> tuple[float, float]:
+    """An axis range, widened by 1 on each side when narrower than 1e-12."""
+    if hi - lo < 1e-12:
+        return lo - 1.0, hi + 1.0
+    return lo, hi
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -47,7 +51,7 @@ def _axes(lines: list[str], y_label: str, xlim, ylim):
         f'height="{_num(_PLOT_H)}" fill="none" stroke="#000000" stroke-width="1"/>'
     )
     for tx in _ticks(*xlim):
-        px = x0 + (tx - xlim[0]) / (xlim[1] - xlim[0]) * _PLOT_W
+        px = _data_to_px(tx, xlim)
         lines.append(
             f'<line x1="{_num(px)}" y1="{_num(y0)}" x2="{_num(px)}" y2="{_num(y0 + 5)}" '
             'stroke="#000000" stroke-width="1"/>'
@@ -57,7 +61,7 @@ def _axes(lines: list[str], y_label: str, xlim, ylim):
             f'text-anchor="middle" font-family="sans-serif">{_num(tx)}</text>'
         )
     for ty in _ticks(*ylim):
-        py = y0 - (ty - ylim[0]) / (ylim[1] - ylim[0]) * _PLOT_H
+        py = _data_to_py(ty, ylim)
         lines.append(
             f'<line x1="{_num(x0 - 5)}" y1="{_num(py)}" x2="{_num(x0)}" y2="{_num(py)}" '
             'stroke="#000000" stroke-width="1"/>'
@@ -111,18 +115,30 @@ def _page(body: list[str], y_label: str, xlim, ylim, path, title) -> str:
     return text
 
 
-def _ppm_base64(values: np.ndarray, vmax: float) -> str:
-    """P6 raster, one pixel per cell, row 0 at the top (max omega)."""
+def _png_base64(values: np.ndarray) -> str:
+    """8-bit truecolour PNG, one pixel per cell, row 0 at the top (max
+    omega): dark (0) to bright (the largest value), failed cells magenta."""
     nrow, ncol = values.shape
-    header = f"P6 {ncol} {nrow} 255\n".encode()
-    t = np.where(np.isfinite(values), values, 0.0) / vmax
-    t = np.clip(t, 0.0, 1.0)
+    finite = np.isfinite(values)
+    top = values[finite].max(initial=0.0)
+    t = np.clip(np.where(finite, values, 0.0) / (top if top > 0 else 1.0), 0.0, 1.0)
     rgb = np.empty((nrow, ncol, 3), dtype=np.uint8)
     for ch in range(3):
-        rgb[..., ch] = np.round(_DARK[ch] + t * (_BRIGHT[ch] - _DARK[ch])).astype(np.uint8)
-    rgb[~np.isfinite(values)] = _FAILED
-    rgb = rgb[::-1]  # top row = largest omega
-    return base64.b64encode(header + rgb.tobytes()).decode()
+        rgb[..., ch] = np.round(_DARK[ch] + t * (_BRIGHT[ch] - _DARK[ch]))
+    rgb[~finite] = _FAILED
+    rows = np.pad(rgb[::-1].reshape(nrow, 3 * ncol), ((0, 0), (1, 0)))  # lead byte: filter 0
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        body = kind + data
+        return struct.pack(">I", len(data)) + body + struct.pack(">I", zlib.crc32(body))
+
+    png = (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", struct.pack(">IIBBBBB", ncol, nrow, 8, 2, 0, 0, 0))
+        + chunk(b"IDAT", zlib.compress(rows.tobytes(), 6))
+        + chunk(b"IEND", b"")
+    )
+    return base64.b64encode(png).decode()
 
 
 def heatmap_svg(
@@ -137,32 +153,14 @@ def heatmap_svg(
     circles).  Returns the SVG text; writes it when ``path`` is given.
     """
     grid = diagram.grid
-    xlim = (grid.gamma_min, grid.gamma_max)
-    ylim = (grid.omega_min, grid.omega_max)
-    finite = diagram.values[np.isfinite(diagram.values)]
-    vmax = float(finite.max()) if finite.size and finite.max() > 0 else 1.0
-
-    lines = []
-    if max(grid.gamma_count, grid.omega_count) > 200:
-        payload = _ppm_base64(diagram.values, vmax)
-        lines.append(
-            f'<image x="{_num(_MARGIN_L)}" y="{_num(_MARGIN_T)}" '
-            f'width="{_num(_PLOT_W)}" height="{_num(_PLOT_H)}" '
-            'preserveAspectRatio="none" '
-            f'href="data:image/x-portable-pixmap;base64,{payload}"/>'
-        )
-    else:
-        cw = _PLOT_W / grid.gamma_count
-        chh = _PLOT_H / grid.omega_count
-        for j in range(grid.omega_count):
-            py = _MARGIN_T + _PLOT_H - (j + 1) * chh
-            for i in range(grid.gamma_count):
-                v = diagram.values[j, i]
-                r, g, b = _lerp_color(v / vmax) if np.isfinite(v) else _FAILED
-                lines.append(
-                    f'<rect x="{_num(_MARGIN_L + i * cw)}" y="{_num(py)}" '
-                    f'width="{_num(cw + 0.5)}" height="{_num(chh + 0.5)}" fill="rgb({r},{g},{b})"/>'
-                )
+    xlim = _limits(grid.gamma_min, grid.gamma_max)
+    ylim = _limits(grid.omega_min, grid.omega_max)
+    lines = [
+        f'<image x="{_num(_MARGIN_L)}" y="{_num(_MARGIN_T)}" '
+        f'width="{_num(_PLOT_W)}" height="{_num(_PLOT_H)}" '
+        'preserveAspectRatio="none" image-rendering="pixelated" '
+        f'href="data:image/png;base64,{_png_base64(diagram.values)}"/>'
+    ]
     if contours is not None:
         lines.extend(_contour_elements(contours, xlim, ylim))
     return _page(lines, "omega", xlim, ylim, path, title)
@@ -199,6 +197,7 @@ def _contour_elements(contours: EPContourSet, xlim, ylim) -> list[str]:
 
 def contours_svg(contours: EPContourSet, xlim, ylim, path=None, title=None) -> str:
     """EP contours alone on (gamma, omega) axes."""
+    xlim, ylim = _limits(*xlim), _limits(*ylim)
     return _page(_contour_elements(contours, xlim, ylim), "omega", xlim, ylim, path, title)
 
 
@@ -214,11 +213,10 @@ def berry_svg(sweep: BerrySweep, path=None, title=None) -> str:
     ys = np.concatenate([s[1] for s in series])
     ys = ys[np.isfinite(ys)]  # a gamma whose loop has no phase reads NaN
     ylo, yhi = (float(ys.min()), float(ys.max())) if ys.size else (0.0, 0.0)
-    if yhi - ylo < 1e-12:
-        ylo, yhi = ylo - 1.0, yhi + 1.0
+    ylo, yhi = _limits(ylo, yhi)
     pad = 0.05 * (yhi - ylo)
     ylim = (ylo - pad, yhi + pad)
-    xlim = (float(g[0]), float(g[-1]))
+    xlim = _limits(float(g[0]), float(g[-1]))
 
     lines = []
     if ylim[0] < 0 < ylim[1]:

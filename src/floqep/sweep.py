@@ -241,10 +241,11 @@ def _column_task(args):
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:
-    """``[fn(t) for t in tasks]``, over a pool of ``threads`` processes
-    when ``threads > 1``; ``Pool.map`` keeps the order."""
-    if threads > 1:
-        with Pool(processes=threads) as pool:
+    """``[fn(t) for t in tasks]``, over a pool of ``min(threads, len(tasks))``
+    processes when that is above 1; ``Pool.map`` keeps the order."""
+    processes = min(threads, len(tasks))
+    if processes > 1:
+        with Pool(processes=processes) as pool:
             return pool.map(fn, tasks, chunksize=1)
     return [fn(t) for t in tasks]
 

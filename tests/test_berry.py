@@ -966,3 +966,19 @@ class TestSpectrumRegions:
         g1 = scan.thresholds[0].gamma
         g2 = scan.thresholds[1].gamma
         assert 0.7 < g1 < 0.8 < 2.0 < g2 < 2.2
+
+    def test_bisection_ends_at_large_gamma(self, monkeypatch):
+        # above 2**33 adjacent doubles lie more than THRESHOLD_TOL apart
+        calls = []
+
+        def counted(model):
+            calls.append(None)
+            if len(calls) > 200:
+                raise AssertionError("the bisection does not end")
+            return classify_instantaneous(model)
+
+        monkeypatch.setattr(berry_module, "classify_instantaneous", counted)
+        J = 1e10
+        scan = spectrum_region_scan(PresetTemplate("pt-cosy-sinz", J=J), [5e9, 1.5e10])
+        assert len(scan.thresholds) == 1
+        assert abs(scan.thresholds[0].gamma - J) <= 1e-6 * J

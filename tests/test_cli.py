@@ -1,7 +1,10 @@
 import base64
 import json
 import logging
+import re
+import struct
 import xml.etree.ElementTree as ET
+import zlib
 
 import numpy as np
 import pytest
@@ -13,7 +16,42 @@ from floqep.berry import berry_phase_loop
 from floqep.config import ConfigError, load_config, parse_config
 from floqep.floquet import fold_spectrum
 from floqep.model import PresetTemplate
-from floqep.sweep import GridSpec, PhaseDiagram
+from floqep.sweep import EPContourSet, GridSpec, PhaseDiagram, berry_gamma_sweep, load
+
+DARK, BRIGHT, FAILED = (8, 8, 40), (252, 238, 80), (255, 0, 255)
+
+
+def png_pixels(svg: str) -> np.ndarray:
+    """The one embedded heatmap PNG, checked chunk by chunk, as an
+    ``(rows, cols, 3)`` array with row 0 at the top of the image."""
+    assert svg.count("data:image/png;base64,") == 1
+    png = base64.b64decode(svg.split("data:image/png;base64,")[1].split('"')[0])
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    chunks, pos = [], 8
+    while pos < len(png):
+        (n,) = struct.unpack(">I", png[pos:pos + 4])
+        kind, data = png[pos + 4:pos + 8], png[pos + 8:pos + 8 + n]
+        assert struct.unpack(">I", png[pos + 8 + n:pos + 12 + n]) == (zlib.crc32(kind + data),)
+        chunks.append((kind, data))
+        pos += 12 + n
+    assert pos == len(png)
+    assert [kind for kind, _ in chunks] == [b"IHDR", b"IDAT", b"IEND"] and chunks[2][1] == b""
+    w, h, *fields = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert fields == [8, 2, 0, 0, 0]  # 8-bit truecolour, deflate, filter set 0, no interlace
+    rows = np.frombuffer(zlib.decompress(chunks[1][1]), dtype=np.uint8).reshape(h, 1 + 3 * w)
+    assert not rows[:, 0].any()  # filter type 0 on every row
+    return rows[:, 1:].reshape(h, w, 3)
+
+
+def colour_map(values: np.ndarray) -> np.ndarray:
+    """Cell by cell: dark (0) to bright (max), failed magenta, grid order."""
+    finite = values[np.isfinite(values)]
+    vmax = finite.max() if finite.size and finite.max() > 0 else 1.0
+    out = np.empty(values.shape + (3,), dtype=np.uint8)
+    for idx, v in np.ndenumerate(values):
+        t = min(max(v / vmax, 0.0), 1.0)
+        out[idx] = [round(a + t * (b - a)) for a, b in zip(DARK, BRIGHT)] if np.isfinite(v) else FAILED
+    return out
 
 
 def write_config(path, **overrides):
@@ -139,23 +177,37 @@ class TestPhaseDiagramCommand:
                      omega={"min": 0.4, "max": 2.8, "count": 3})
         assert cli.main(["phase-diagram", "--config", str(p)]) == 0
         svg = (tmp_path / "out" / "phase_diagram.svg").read_text()
-        assert "data:image/x-portable-pixmap;base64," in svg
+        assert png_pixels(svg).shape == (3, 201, 3)
         ET.parse(tmp_path / "out" / "phase_diagram.svg")
 
+    def test_png_pixels_are_the_csv_colour_map(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 0
+        values = load(tmp_path / "out" / "phase_diagram.csv").values
+        svg = (tmp_path / "out" / "phase_diagram.svg").read_text()
+        assert len(set(map(tuple, colour_map(values).reshape(-1, 3)))) > 2
+        assert np.array_equal(png_pixels(svg)[::-1], colour_map(values))
+
     def test_raster_paints_failed_cells(self):
-        grid = GridSpec(0.0, 2.0, 201, 0.4, 2.8, 2)
-        values = np.zeros((2, 201))
-        values[0, 7] = np.nan
-        values[1, 3] = 1.0
-        svg = render.heatmap_svg(PhaseDiagram(grid, values, {}))
-        ppm = base64.b64decode(svg.split("base64,")[1].split('"')[0])
-        header = b"P6 201 2 255\n"
-        assert ppm.startswith(header)
-        rgb = np.frombuffer(ppm[len(header):], dtype=np.uint8).reshape(2, 201, 3)[::-1]
-        assert tuple(rgb[0, 7]) == (255, 0, 255)
-        assert tuple(rgb[1, 3]) == (252, 238, 80)
-        colours = {tuple(px) for px in rgb.reshape(-1, 3)}
-        assert colours == {(8, 8, 40), (255, 0, 255), (252, 238, 80)}
+        for rows, cols in ((2, 201), (8, 8)):
+            grid = GridSpec(0.0, 2.0, cols, 0.4, 2.8, rows)
+            values = np.zeros((rows, cols))
+            values[0, 7] = np.nan
+            values[rows - 1, 3] = 1.0
+            px = png_pixels(render.heatmap_svg(PhaseDiagram(grid, values, {})))
+            assert px.shape == (rows, cols, 3)
+            assert tuple(px[0, 3]) == BRIGHT  # the top row is the largest omega
+            assert tuple(px[rows - 1, 7]) == FAILED
+            assert {tuple(c) for c in px.reshape(-1, 3)} == {DARK, FAILED, BRIGHT}
+            assert np.array_equal(px[::-1], colour_map(values))
+
+    def test_no_per_cell_rects(self):
+        grid = GridSpec(0.0, 2.0, 200, 0.4, 2.8, 200)
+        values = np.random.default_rng(0).random((200, 200))
+        svg = ET.fromstring(render.heatmap_svg(PhaseDiagram(grid, values, {})))
+        assert len(svg.findall(".//{*}rect")) == 2  # the background and the plot frame
+        assert len(svg.findall(".//{*}image")) == 1
 
     def test_exit_1_on_bad_config(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -230,6 +282,23 @@ class TestPhaseDiagramCommand:
         assert cli.main(["phase-diagram", "--config", str(p)]) == 0
         monkeypatch.setenv("FLOQUET_EP_THREADS", "zero")
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+
+
+class TestDegenerateAxes:
+    @staticmethod
+    def check(svg: str):
+        ET.fromstring(svg)
+        text = re.sub(r'base64,[^"]*', "", svg)  # a payload may spell "nan" by chance
+        assert "nan" not in text and "inf" not in text
+
+    def test_heatmap_and_contours_with_one_gamma(self):
+        grid = GridSpec(1.0, 1.0, 2, 0.5, 1.0, 3)
+        self.check(render.heatmap_svg(PhaseDiagram(grid, np.ones((3, 2)), {})))
+        self.check(render.contours_svg(EPContourSet((), 1e-9, {}), (1.0, 1.0), (0.5, 0.5)))
+
+    def test_berry_with_one_gamma(self):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        self.check(render.berry_svg(berry_gamma_sweep(tpl, [0.5], steps=256)))
 
 
 class TestOverrideFlags:

@@ -478,6 +478,50 @@ class TestBerrySweep:
         assert len(svg.findall(".//{*}polyline")) == 4
 
 
+class TestPoolSize:
+    class FakePool:
+        """Records the process count it is asked for and maps in-process."""
+
+        processes = []
+
+        def __init__(self, processes):
+            self.processes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(self.FakePool, "processes", [])
+        monkeypatch.setattr(sweep_mod, "Pool", self.FakePool)
+        return self.FakePool.processes
+
+    def test_no_more_processes_than_columns(self, pools):
+        tpl = PresetTemplate("pt-cosy-cosz", beta=1, family="smooth")
+        grid = GridSpec(0.2, 0.8, 2, 1.0, 2.0, 2, engine="floquet")
+        wide = phase_diagram(tpl, grid, threads=64, cutoff=8).values
+        assert pools == [2]
+        assert wide.tobytes() == phase_diagram(tpl, grid, threads=1, cutoff=8).values.tobytes()
+
+    def test_no_more_processes_than_gammas(self, pools):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        wide = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=64)
+        assert pools == [2]
+        one = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=1)
+        assert wide.thetas.tobytes() == one.thetas.tobytes() and wide.flags == one.flags
+
+    def test_one_task_runs_in_process(self, pools):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        berry_gamma_sweep(tpl, [0.3], steps=256, threads=64)
+        assert pools == []
+
+
 class TestPersistence:
     @pytest.fixture()
     def diagram(self):
