@@ -46,6 +46,7 @@ from .berry import (  # noqa: F401
     SpectrumRegionScan,
     berry_phase_loop,
     half_solid_angle,
+    spectral_phase_loop,
     spectrum_region_scan,
     wilson_loop_phase,
 )

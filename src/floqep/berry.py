@@ -5,8 +5,12 @@ eigenvectors are not related by conjugation, and the geometric phase
 accumulated on a closed parameter loop is complex.  A loop is
 parametrized by the drive phase ``theta = omega*t`` in ``[0, 2*pi)``:
 the phase depends on the closed path ``d(theta)`` only, not on how fast
-it is traversed, so omega does not enter.  It is computed here as a
-discrete biorthogonal Wilson loop: per-step overlaps of the tracked left
+it is traversed, so omega does not enter.  It is computed two ways.  A
+smooth loop with an open gap takes the spectral route: the trapezoid
+rule on ``i * loop integral of L dR / (L R)`` over one adjugate frame,
+with the exact ``dd/dtheta``, which converges exponentially in the point
+count; see :func:`spectral_phase_loop`.  Any loop can take the discrete
+biorthogonal Wilson loop: per-step overlaps of the tracked left
 and right frames, with the forward and backward logarithms averaged.
 The averaged form is gauge invariant, second-order accurate in the step
 size, and for Hermitian loops its imaginary part cancels identically.  A
@@ -26,10 +30,17 @@ import math
 import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, PresetTemplate, bloch_vector_at
+from .model import (
+    SQUARE_WAVEFORMS,
+    ModelSpec,
+    PresetTemplate,
+    bloch_phase_derivative,
+    bloch_vector_at,
+)
 
 
 class DefectivePointError(ValueError):
@@ -62,6 +73,9 @@ THRESHOLD_TOL = 1e-6  # a spectrum class boundary is bisected to this width in g
 SCAN_SAMPLES = 256  # loop points of an instantaneous-spectrum classification
 DEFAULT_LOOP_STEPS = 8192
 MIN_LOOP_STEPS = 256
+SPECTRAL_TOL = 1e-12  # the largest |theta(n) - theta(n/2)| a spectral loop accepts
+SPECTRAL_MIN_POINTS = 128  # the first spectral grid, compared with its 64 even points
+SPECTRAL_MAX_POINTS = 4096  # a spectral loop not accepted on this many points declines
 
 
 def _abs2(z, out):
@@ -492,6 +506,116 @@ def berry_phase_loop(
         step_delta=step_delta,
         certified=bool(closed and skipped == 0 and not flags),
     )
+
+
+class SpectralPhase(NamedTuple):
+    """The complex phase of one loop by the spectral route."""
+
+    theta: np.ndarray  # (2,) complex, band-major, Re on [-pi, pi]
+    points: int        # drive phases of the accepted trapezoid sum
+    delta: float       # max band |theta(points) - theta(points / 2)|
+
+
+def _spectral_sums(model: ModelSpec, points: int):
+    """Trapezoid values of ``i * loop integral of L dR / (L R)`` for both
+    bands, on ``points`` uniform drive phases and on their even half, as
+    ``(fine, coarse)`` complex pairs; None where the integrand cannot be
+    trusted there.
+
+    ``eps`` follows ``sqrt(d.d)`` continuously from point to point: the
+    principal root can jump to its negative between neighbours (a
+    ``-0.0`` imaginary part on a negative ``d.d`` does), so it is not the
+    band.  Each band keeps one adjugate column on the whole loop,
+    ``R = (d_z + eps, d_x + i d_y)`` and ``L = (d_z + eps, d_x - i d_y)``
+    with ``L R = 2 eps (eps + d_z)``, or, if ``eps + d_z`` comes closer to
+    0, ``R = (d_x - i d_y, eps - d_z)`` and ``L = (d_x + i d_y, eps - d_z)``
+    with ``L R = 2 eps (eps - d_z)``; the two gauges differ by a factor
+    that varies along the loop, so they are never mixed.
+
+    It declines on a non-finite value, a gap ``|2 eps|`` below
+    ``GAP_TOL``, a step of ``arg(d.d)`` of pi/2 or more (which a sign
+    change of a real ``d.d`` is: the loop crosses an exceptional point
+    between two samples), a band that comes back as the other one after a
+    turn, or a frame that vanishes.
+    """
+    t = np.arange(points) * (model.period / points)
+    d = bloch_vector_at(model, t)
+    dd = bloch_phase_derivative(model, t)
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    ddx, ddy, ddz = dd[:, 0], dd[:, 1], dd[:, 2]
+    # summed in the order of _raw_eigenframes, so both routes start band 0
+    # on the same root
+    q = dx * dx
+    q += dy * dy
+    q += dz * dz
+    if not (np.isfinite(q).all() and np.isfinite(dd).all()):
+        return None
+    root = np.sqrt(q)
+    if np.min(np.abs(2.0 * root)) < GAP_TOL:
+        return None
+    if np.any((q * np.roll(q, 1).conj()).real <= 0.0):
+        return None
+    # with arg(d.d) steps below pi/2, a root step of more than pi/2 is a
+    # jump to the other root
+    flip = (root * np.roll(root, 1).conj()).real < 0.0
+    flip[0] = False
+    eps = np.where(np.logical_xor.accumulate(flip), -root, root)
+    if (eps[-1] * eps[0].conj()).real < 0.0:
+        return None
+    deps = (dx * ddx + dy * ddy + dz * ddz) / eps
+    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
+    dw, dwc = ddx + 1.0j * ddy, ddx - 1.0j * ddy
+    fine, coarse = np.empty(2, dtype=complex), np.empty(2, dtype=complex)
+    for band, (e, de) in enumerate(((eps, deps), (-eps, -deps))):
+        a, b = e + dz, e - dz
+        if np.min(np.abs(a)) >= np.min(np.abs(b)):
+            g, num = a, a * (de + ddz) + wc * dw
+        else:
+            g, num = b, b * (de - ddz) + w * dwc
+        if not g.all():
+            return None
+        f = num / (2.0 * e * g)
+        fine[band] = f.sum() * (2.0j * math.pi / points)
+        coarse[band] = f[::2].sum() * (4.0j * math.pi / points)
+    if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
+        return None
+    return fine, coarse
+
+
+def spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
+    """Complex geometric phase of a smooth loop by the trapezoid rule,
+    or None where this route cannot be trusted.
+
+    A smooth model's ``d(theta)`` is a trigonometric polynomial, so with
+    the gap open the integrand of ``i * loop integral of L dR / (L R)`` is
+    analytic and periodic, and the trapezoid rule converges exponentially
+    (Trefethen & Weideman, SIAM Rev. 56, 2014); the value is the
+    biorthogonal complex phase (Garrison & Wright, Phys. Lett. A 128,
+    1988), band 0 starting on the principal root as in
+    :func:`berry_phase_loop`.  The grid doubles from
+    ``SPECTRAL_MIN_POINTS`` until the fine and coarse sums agree within
+    ``SPECTRAL_TOL``, and returns the fine value with that ``delta``.
+
+    None for a square waveform, for any loop that
+    :func:`_spectral_sums` declines, and for no agreement by
+    ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.
+    """
+    if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
+        return None
+    points = SPECTRAL_MIN_POINTS
+    # an overflow surfaces as a non-finite value, which declines
+    with np.errstate(over="ignore", invalid="ignore"):
+        while points <= SPECTRAL_MAX_POINTS:
+            sums = _spectral_sums(model, points)
+            if sums is None:
+                return None
+            fine, coarse = sums
+            delta = float(np.max(np.abs(fine - coarse)))
+            if delta <= SPECTRAL_TOL:
+                theta = np.array([_principal_theta(complex(fine[b]), b) for b in (0, 1)])
+                return SpectralPhase(theta, points, delta)
+            points *= 2
+    return None
 
 
 def _solid_angle_pivot(u: np.ndarray) -> np.ndarray:

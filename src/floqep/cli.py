@@ -169,8 +169,8 @@ def cmd_berry(args) -> int:
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
         f"complex phase sweep: {tpl.name} beta={tpl.beta}, "
-        f"{config.gamma.count} gamma values, {config.berry_steps} steps, "
-        f"richardson={'on' if config.richardson else 'off'}"
+        f"{config.gamma.count} gamma values; Wilson fallback at "
+        f"{config.berry_steps} steps, richardson={'on' if config.richardson else 'off'}"
     )
     sweep = berry_gamma_sweep(
         tpl,
@@ -181,8 +181,10 @@ def cmd_berry(args) -> int:
     )
     csv_path = persist(sweep, out / "berry.csv")
     render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
+    routes = [loop["route"] for loop in sweep.metadata["loops"]]
     _progress(
-        f"wrote {csv_path}; step-doubling certificate: max delta = "
+        f"wrote {csv_path}; {routes.count('spectral')} spectral and "
+        f"{routes.count('wilson')} Wilson loops, max delta = "
         f"{sweep.metadata['max_step_delta']}"
     )
     return EXIT_OK

@@ -176,12 +176,42 @@ def bloch_vector_at(model: ModelSpec, t):
     d = np.zeros(t_arr.shape + (3,), dtype=complex)
     w = model.base_omega
     for term in model.terms:
-        vals = _waveform_values(term.waveform, term.multiplier * w * t_arr)
-        coeff = term.amplitude * vals
-        if term.hermiticity is Hermiticity.ANTI_HERMITIAN:
-            coeff = 1.0j * coeff
-        d[..., term.axis.value] += coeff
+        _add_term(d, term, _waveform_values(term.waveform, term.multiplier * w * t_arr))
     return d
+
+
+def bloch_phase_derivative(model: ModelSpec, t):
+    """Exact derivative ``dd/dtheta`` of the Bloch vector in the drive
+    phase ``theta = base_omega*t``, at the times ``t`` (shape as for
+    :func:`bloch_vector_at`).
+
+    A term ``cos(m*theta)`` gives ``-m*sin(m*theta)``, a term
+    ``sin(m*theta)`` gives ``m*cos(m*theta)`` and a constant term nothing;
+    a square waveform has no derivative and raises ``ValueError``.
+    """
+    t_arr = np.asarray(t, dtype=float)
+    dd = np.zeros(t_arr.shape + (3,), dtype=complex)
+    w = model.base_omega
+    for term in model.terms:
+        if term.waveform is Waveform.CONSTANT:
+            continue
+        if term.waveform not in SMOOTH_WAVEFORMS:
+            raise ValueError(f"a {term.waveform.value} drive has no derivative")
+        m = term.multiplier
+        if term.waveform is Waveform.COS:
+            vals = -m * np.sin(m * w * t_arr)
+        else:
+            vals = m * np.cos(m * w * t_arr)
+        _add_term(dd, term, vals)
+    return dd
+
+
+def _add_term(d, term: DriveTerm, values):
+    """Add ``term``'s amplitude times ``values`` to its axis of ``d``."""
+    coeff = term.amplitude * values
+    if term.hermiticity is Hermiticity.ANTI_HERMITIAN:
+        coeff = 1.0j * coeff
+    d[..., term.axis.value] += coeff
 
 
 def hamiltonian_at(model: ModelSpec, t: float) -> np.ndarray:

@@ -10,7 +10,8 @@ sentinel cells, summarised in one log line; more than 1% failures aborts
 the sweep.  EP contours come from the indicator on the grid blocks, a
 lockstep bisection of every sign-change bracket, and one batched
 classification of the roots.  A Berry sweep runs one loop per gamma over
-the same pool, each loop in drive phase, so it takes no omega.
+the same pool, each loop in drive phase, so it takes no omega: the
+spectral route where it accepts the loop, else the Wilson loop.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop
+from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
 from .floquet import DEFAULT_CUTOFF, TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
@@ -486,16 +487,25 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
 
 
 def _berry_task(args):
+    """One gamma's ``(theta, flags, certified, loop)``, where ``loop`` is
+    the sidecar's record of the route taken: the spectral route where it
+    accepts the loop, else the Wilson loop at ``steps``."""
     gamma, template, steps, richardson = args
     # at omega = 1 the time t is the drive phase theta, bit for bit
     model = template.instantiate(float(gamma), 1.0)
+    spectral = spectral_phase_loop(model)
+    if spectral is not None:
+        loop = {"route": "spectral", "points": spectral.points, "delta": spectral.delta}
+        return spectral.theta, (), True, loop
+    loop = {"route": "wilson", "points": 2 * steps if richardson else steps, "delta": None}
     try:
         res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
     except DefectivePointError:
         # a loop through d = 0 (H = 0) has no eigenframes there, and so, like
         # a loop whose overlaps were dropped, no phase
-        return np.full(2, complex(np.nan, np.nan)), (), None, False
-    return res.theta, res.degeneracy_flags, res.step_delta, res.certified
+        return np.full(2, complex(np.nan, np.nan)), (), False, loop
+    loop["delta"] = res.step_delta
+    return res.theta, res.degeneracy_flags, res.certified, loop
 
 
 def berry_gamma_sweep(
@@ -509,22 +519,27 @@ def berry_gamma_sweep(
 
     A loop is one turn of the drive phase, which omega only traverses
     faster or slower, so the sweep takes no omega; its flags are drive
-    phases in ``[0, 2*pi)``.  Each loop runs with ``on_ep='flag'``, so a
-    sweep can cross drive strengths whose loop grazes an exceptional point
-    without aborting the whole curve; a loop through a zero Bloch vector
-    reads NaN and uncertified.
+    phases in ``[0, 2*pi)``.  A loop takes
+    :func:`~floqep.berry.spectral_phase_loop` where that accepts it, and
+    otherwise falls back to the Wilson loop, which ``steps`` and
+    ``richardson`` steer.  The Wilson loop runs with ``on_ep='flag'``, so
+    a sweep can cross drive strengths whose loop grazes an exceptional
+    point without aborting the whole curve; a loop through a zero Bloch
+    vector reads NaN and uncertified.  The metadata's ``loops`` records
+    each gamma's route, points and delta.
     """
     gammas = np.asarray(gammas, dtype=float)
     tasks = [(float(g), template, steps, richardson) for g in gammas]
     results = _map_tasks(_berry_task, tasks, threads)
     thetas = np.array([r[0] for r in results])
     flags = tuple(tuple(r[1]) for r in results)
-    deltas = [r[2] for r in results if r[2] is not None and r[3]]
-    uncertified = [float(g) for g, r in zip(gammas, results) if not r[3]]
+    loops = [r[3] for r in results]
+    deltas = [r[3]["delta"] for r in results if r[2] and r[3]["delta"] is not None]
+    uncertified = [float(g) for g, r in zip(gammas, results) if not r[2]]
     metadata = _run_metadata(
         template, steps=steps, richardson=richardson,
         max_step_delta=max(deltas) if deltas else None,
-        all_certified=not uncertified, uncertified_gammas=uncertified,
+        all_certified=not uncertified, uncertified_gammas=uncertified, loops=loops,
     )
     return BerrySweep(gammas=gammas, thetas=thetas, flags=flags, metadata=metadata)
 

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from floqep.berry import (
     GAP_TOL,
     MIN_LOOP_STEPS,
     OVERLAP_TOL,
+    SPECTRAL_MAX_POINTS,
+    SPECTRAL_MIN_POINTS,
+    SPECTRAL_TOL,
     BerryPhaseResult,
     DefectivePointError,
     EPOnPathError,
@@ -23,10 +27,12 @@ from floqep.berry import (
     _loop_frames,
     _principal_theta,
     _raw_eigenframes,
+    _spectral_sums,
     _Workspace,
     berry_phase_loop,
     classify_instantaneous,
     half_solid_angle,
+    spectral_phase_loop,
     spectrum_region_scan,
     wilson_loop_phase,
 )
@@ -864,6 +870,179 @@ class TestWorkspace:
             t.join(timeout=60)
             assert not t.is_alive()
         assert got == want
+
+
+def _quiet_spectral(model):
+    """``spectral_phase_loop(model)``, failing on any RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return spectral_phase_loop(model)
+
+
+# loops whose d.d is real and changes sign on the loop: each crosses
+# exceptional points, so no phase is certified there
+EP_CROSSING_LOOPS = [
+    ("pt-cosy-cosz", 3, 1.5),
+    ("pt-cosy-cosz", 3, 2.5),
+    ("apt-cosx-cosy", 2, 0.9),
+    ("apt-cosx-cosy", 2, 1.5),
+    ("pt-cosy-sinz", 1, 1.5),
+]
+
+
+class TestSpectralRoute:
+    @pytest.mark.parametrize(
+        "name, beta, gamma",
+        [("apt-cosx-siny", 1, g) for g in (0.3, 0.9, 1.5, 2.5)]
+        + [("apt-cosx-siny", 3, g) for g in (0.3, 0.7)]
+        + [("pt-cosy-sinz", 1, 0.9), ("pt-cosy-cosz", 1, 0.4), ("apt-cosx-cosy", 2, 0.4)],
+    )
+    def test_matches_richardson_wilson(self, name, beta, gamma):
+        m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
+        self._check_matches_wilson(m)
+
+    def test_tilted_hermitian_circle(self):
+        # d_z changes sign on the loop, so which adjugate column is the
+        # larger changes from point to point; the loop keeps one throughout
+        m = ModelSpec(
+            terms=(
+                DriveTerm(Axis.X, 0.6),
+                DriveTerm(Axis.Y, 1.0, Waveform.COS, 1),
+                DriveTerm(Axis.Z, 1.0, Waveform.SIN, 1),
+            ),
+            base_omega=1.0,
+        )
+        got = self._check_matches_wilson(m)
+        # half the solid angle of a circle 1 from the x axis at distance 0.6
+        want = np.pi * (1.0 - 0.6 / np.sqrt(1.36))
+        assert np.abs(got.theta.real) == pytest.approx([want, want], abs=1e-12)
+
+    def test_loop_through_the_south_pole(self):
+        # d = (0, 0, -1) at drive phase pi, where band 0's first adjugate
+        # column (d_z + eps, d_x + i d_y) vanishes: that band takes the other
+        m = ModelSpec(
+            terms=(
+                DriveTerm(Axis.X, 0.5),
+                DriveTerm(Axis.X, 0.5, Waveform.COS, 1),
+                DriveTerm(Axis.Y, 0.5, Waveform.SIN, 1),
+                DriveTerm(Axis.Z, -1.0),
+            ),
+            base_omega=1.0,
+        )
+        self._check_matches_wilson(m)
+
+    @staticmethod
+    def _check_matches_wilson(m):
+        wilson = berry_phase_loop(m, steps=8192, richardson=True)
+        assert wilson.certified
+        got = _quiet_spectral(m)
+        assert got is not None and got.delta <= SPECTRAL_TOL
+        assert SPECTRAL_MIN_POINTS <= got.points <= SPECTRAL_MAX_POINTS
+        assert np.max(np.abs(got.theta - wilson.theta)) <= 1e-10
+        return got
+
+    @pytest.mark.parametrize("name, beta, gamma", EP_CROSSING_LOOPS)
+    def test_declines_ep_crossing_loops(self, name, beta, gamma):
+        m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
+        d = bloch_vector_at(m, np.arange(4096) * (m.period / 4096))
+        dd = np.einsum("nk,nk->n", d, d)
+        sign_changes = np.count_nonzero(np.diff(np.sign(dd.real), append=np.sign(dd.real[:1])))
+        assert np.all(dd.imag == 0.0) and 4 <= sign_changes <= 8
+        assert _quiet_spectral(m) is None
+        assert not berry_phase_loop(m, on_ep="flag").certified
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_square_family_declines(self, name):
+        m = PresetTemplate(name, beta=2, family="square").instantiate(0.4, 1.0)
+        assert _quiet_spectral(m) is None
+
+    def test_zero_bloch_vector_declines(self):
+        m = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth").instantiate(0.0, 1.0)
+        assert _quiet_spectral(m) is None
+
+    def test_gap_below_tolerance_declines(self):
+        # d.d = 1 + gamma^2 cos(2 theta) stays positive, but its minimum at
+        # the sample pi/2 is 2e-14: a gap of 2.8e-7
+        m = preset("pt-cosy-sinz", gamma=1.0 - 1e-14, beta=1)
+        assert _spectral_sums(m, SPECTRAL_MIN_POINTS) is None
+        assert _quiet_spectral(m) is None
+
+    def test_band_that_does_not_close_declines(self):
+        # d_x + i d_y = 2 e^{i theta} and d_x - i d_y = 2, so d.d = 1 + 4 e^{i theta}
+        # circles 0 once, 3 away from it: eps comes back as -eps
+        H, A = Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN
+        m = ModelSpec(
+            terms=(
+                DriveTerm(Axis.X, 1.0, Waveform.COS),
+                DriveTerm(Axis.X, 1.0, Waveform.SIN, 1, A),
+                DriveTerm(Axis.X, 1.0),
+                DriveTerm(Axis.Y, 1.0, Waveform.SIN, 1, H),
+                DriveTerm(Axis.Y, -1.0, Waveform.COS, 1, A),
+                DriveTerm(Axis.Y, 1.0, hermiticity=A),
+                DriveTerm(Axis.Z, 1.0),
+            ),
+            base_omega=1.0,
+        )
+        d = bloch_vector_at(m, np.arange(256) * (m.period / 256))
+        dd = np.einsum("nk,nk->n", d, d)
+        assert np.min(np.abs(dd)) > 2.9
+        assert np.allclose(dd, 1.0 + 4.0 * np.exp(1j * np.arange(256) * (2 * np.pi / 256)))
+        assert _spectral_sums(m, SPECTRAL_MIN_POINTS) is None
+        assert _quiet_spectral(m) is None
+        assert not berry_phase_loop(m, steps=1024, on_ep="flag").certified
+
+    def test_overflow_declines(self):
+        m = ModelSpec(
+            terms=(DriveTerm(Axis.X, 1e200, Waveform.COS, 1), DriveTerm(Axis.Z, 1.0)),
+            base_omega=1.0,
+        )
+        assert _quiet_spectral(m) is None
+
+    def test_no_convergence_declines(self):
+        # d.d = 1 + gamma^2 cos(2 theta) stays positive, but its dip at pi/2
+        # is ~1e-4 wide, finer than the largest grid
+        m = preset("pt-cosy-sinz", gamma=1.0 - 1e-8, beta=1)
+        assert _spectral_sums(m, SPECTRAL_MAX_POINTS) is not None
+        assert _quiet_spectral(m) is None
+
+    def test_negative_zero_does_not_swap_bands(self, monkeypatch):
+        # On the imaginary-gap loop, d.d is negative with a zero imaginary
+        # part, so the sign of that zero picks the principal root.
+        # bloch_vector_at gives +0.0 there throughout; the patched copy signs
+        # the zero parts of d so that d.d's is -0.0 on the second half of
+        # the loop, which leaves every value of d and d.d as it was.
+        m = preset("apt-cosx-siny", gamma=1.5, beta=1)
+
+        def signed_zeros(model, t):
+            d = bloch_vector_at(model, t)
+            half = slice(d.shape[0] // 2, None)
+            # the x and y drives are anti-Hermitian, the z coupling Hermitian:
+            # each square's imaginary part 2 Re Im becomes -0.0
+            d.real[half, :2] = np.copysign(0.0, -d.imag[half, :2])
+            d.imag[half, 2] = np.copysign(0.0, -d.real[half, 2])
+            return d
+
+        t = np.arange(128) * (m.period / 128)
+        plain, patched = bloch_vector_at(m, t), signed_zeros(m, t)
+        assert np.array_equal(plain, patched)
+        dx, dy, dz = patched.T
+        roots = np.sqrt(dx * dx + dy * dy + dz * dz)
+        assert np.any(roots.imag > 0) and np.any(roots.imag < 0)
+        wilson = berry_phase_loop(m, steps=8192)
+        monkeypatch.setattr(berry_module, "bloch_vector_at", signed_zeros)
+        got = _quiet_spectral(m)
+        assert got is not None
+        assert np.max(np.abs(got.theta - wilson.theta)) <= 1e-10
+        assert got.theta[0].imag < 0 < got.theta[1].imag
+
+    def test_delta_monotone_under_doubling(self):
+        m = PresetTemplate("apt-cosx-siny", beta=3, family="smooth").instantiate(0.7, 1.0)
+        deltas = [
+            float(np.max(np.abs(np.subtract(*_spectral_sums(m, n))))) for n in (128, 256, 512)
+        ]
+        assert deltas[0] > deltas[1] > SPECTRAL_TOL >= deltas[2]
+        got = _quiet_spectral(m)
+        assert (got.points, got.delta) == (512, deltas[2])
 
 
 class TestHalfSolidAngle:

@@ -396,7 +396,7 @@ class TestOtherCommands:
         assert all(r.split(",")[3] in ("EP", "Diabolic") for r in lines[1:])
         ET.parse(out / "ep_contours.svg")
 
-    def test_berry(self, tmp_path):
+    def test_berry(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(
             p,
@@ -413,6 +413,12 @@ class TestOtherCommands:
         ET.parse(out / "berry.svg")
         meta = json.loads((out / "berry.csv.meta.json").read_text())
         assert "max_step_delta" in meta["metadata"]
+        # gamma = 1 closes the gap on the whole loop: the one Wilson loop
+        routes = [loop["route"] for loop in meta["metadata"]["loops"]]
+        assert routes == ["spectral", "spectral", "wilson", "spectral", "spectral"]
+        err = capsys.readouterr().err
+        assert "Wilson fallback at 512 steps, richardson=on" in err
+        assert "4 spectral and 1 Wilson loops" in err
 
     def test_spectrum_scan(self, tmp_path):
         p = tmp_path / "cfg.json"

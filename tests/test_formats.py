@@ -189,12 +189,14 @@ def test_spectrum_scan_bytes(tmp_path):
     assert (out / "spectrum_scan.csv.meta.json").read_bytes() == meta.encode()
 
 
-# gamma = 1.0 puts the loop through two defective points: NaN theta, and
-# the flags at the drive phases pi/2 and 3pi/2
+# gamma = 0.5 takes the spectral route; gamma = 1.0 puts the loop through
+# two defective points: NaN theta, and the flags at the drive phases pi/2
+# and 3pi/2; gamma = 1.5 crosses exceptional points.  The last two fall
+# back to the 256-step Wilson loop.
 BERRY_CSV = """\
 gamma,band,re_theta,im_theta,flags
-5.000000000000e-01,0,-3.053113317719e-16,-4.006653049017e-01,
-5.000000000000e-01,1,-2.035408878479e-16,4.006653049017e-01,
+5.000000000000e-01,0,8.719671245022e-17,-4.006653052961e-01,
+5.000000000000e-01,1,-8.719671245022e-17,4.006653052961e-01,
 1.000000000000e+00,0,nan,nan,1.570796326795e+00;4.712388980385e+00
 1.000000000000e+00,1,nan,nan,1.570796326795e+00;4.712388980385e+00
 1.500000000000e+00,0,-2.445010958046e+00,-9.810193519872e-01,
@@ -214,3 +216,7 @@ def test_berry_bytes(tmp_path):
     }))
     assert cli.main(["berry", "--config", str(cfg)]) == 0
     assert (tmp_path / "out" / "berry.csv").read_bytes() == BERRY_CSV.encode()
+    # the spectral row is the 8192-step Richardson Wilson loop's value
+    spectral = load(tmp_path / "out" / "berry.csv").thetas[0]
+    wilson = floqep.berry_phase_loop(floqep.preset("pt-cosy-sinz", gamma=0.5), steps=8192)
+    assert np.max(np.abs(spectral - wilson.theta)) <= 1e-10

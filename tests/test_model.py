@@ -14,6 +14,7 @@ from floqep.model import (
     SIGMA_Y,
     SIGMA_Z,
     bloch_decompose,
+    bloch_phase_derivative,
     bloch_recompose,
     bloch_vector_at,
     hamiltonian_at,
@@ -210,6 +211,23 @@ class TestModelProperties:
         m = preset("pt-cosy-cosz")
         with pytest.raises(ValueError):
             orthogonality_check(m, samples=1)
+
+
+class TestPhaseDerivative:
+    @pytest.mark.parametrize("name", ALL_PRESETS)
+    @pytest.mark.parametrize("beta", [1, 3])
+    def test_matches_central_difference(self, name, beta):
+        # d/dtheta at omega = 0.7 is (1/omega) d/dt
+        m = preset(name, gamma=0.8, omega=0.7, beta=beta)
+        t = np.linspace(0.0, m.period, 37)
+        h = 1e-5
+        fd = (bloch_vector_at(m, t + h) - bloch_vector_at(m, t - h)) / (2 * h * m.base_omega)
+        assert bloch_phase_derivative(m, t).shape == (37, 3)
+        np.testing.assert_allclose(bloch_phase_derivative(m, t), fd, rtol=0, atol=1e-8)
+
+    def test_square_waveform_has_no_derivative(self):
+        with pytest.raises(ValueError, match="square-cos"):
+            bloch_phase_derivative(preset("pt-cosy-cosz", family="square"), 0.3)
 
 
 class TestPresetTemplate:

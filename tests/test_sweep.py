@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import floqep.sweep as sweep_mod
+from floqep.berry import berry_phase_loop
 from floqep.model import PresetTemplate
 from floqep.render import berry_svg
 from floqep.propagator import (
@@ -445,9 +446,18 @@ class TestEPContours:
 
 class TestBerrySweep:
     def test_deterministic_threads(self):
-        # 8192 steps with Richardson is the CLI default, where each worker
-        # reuses one loop workspace across its gammas
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        # these smooth loops all take the spectral route
+        self._check_deterministic_threads("smooth", "spectral")
+
+    def test_deterministic_threads_wilson_route(self):
+        # square loops fall back to the Wilson loop, which at 8192 steps with
+        # Richardson (the CLI default) reuses one loop workspace per worker
+        # across its gammas
+        self._check_deterministic_threads("square", "wilson")
+
+    @staticmethod
+    def _check_deterministic_threads(family, route):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family=family)
         gammas = np.array([0.3, 0.6, 1.4])
         for steps, richardson in ((512, False), (8192, True)):
             a = berry_gamma_sweep(tpl, gammas, steps=steps, richardson=richardson, threads=1)
@@ -455,7 +465,41 @@ class TestBerrySweep:
             assert a.thetas.tobytes() == b.thetas.tobytes()
             assert a.flags == b.flags
             assert a.metadata["max_step_delta"] == b.metadata["max_step_delta"]
+            assert a.metadata["loops"] == b.metadata["loops"]
+            assert {loop["route"] for loop in a.metadata["loops"]} == {route}
             assert a.metadata["all_certified"] and b.metadata["all_certified"]
+
+    def test_wilson_fallback_is_the_wilson_loop(self):
+        # square loops and loops across exceptional points keep the Wilson
+        # loop's theta, flags and certificate bit for bit
+        cases = [(PresetTemplate("pt-cosy-sinz", beta=1, family="square"), [0.5, 1.5])]
+        cases += [
+            (PresetTemplate(name, beta=beta, family="smooth"), [gamma])
+            for name, beta, gamma in (
+                ("pt-cosy-cosz", 3, 1.5), ("pt-cosy-cosz", 3, 2.5), ("apt-cosx-cosy", 2, 0.9),
+                ("apt-cosx-cosy", 2, 1.5), ("pt-cosy-sinz", 1, 1.5),
+            )
+        ]
+        for tpl, gammas in cases:
+            sw = berry_gamma_sweep(tpl, gammas, steps=1024)
+            for g, theta, flags, loop in zip(gammas, sw.thetas, sw.flags, sw.metadata["loops"]):
+                want = berry_phase_loop(tpl.instantiate(g, 1.0), 1024, True, on_ep="flag")
+                assert theta.tobytes() == want.theta.tobytes() and flags == want.degeneracy_flags
+                assert loop == {"route": "wilson", "points": 2048, "delta": want.step_delta}
+                assert (g in sw.metadata["uncertified_gammas"]) == (not want.certified)
+                assert tpl.family == "square" or not want.certified
+
+    def test_loop_records(self):
+        # gamma 0.5 goes spectral; gamma 1.0 touches defective points and
+        # 1.5 crosses exceptional points, so both fall back, uncertified
+        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
+        sw = berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, richardson=False)
+        loops = sw.metadata["loops"]
+        assert [loop["route"] for loop in loops] == ["spectral", "wilson", "wilson"]
+        assert [loop["points"] for loop in loops] == [128, 256, 256]
+        assert [loop["delta"] for loop in loops[1:]] == [None, None]
+        assert sw.metadata["max_step_delta"] == loops[0]["delta"] <= 1e-12
+        assert sw.metadata["uncertified_gammas"] == [1.0, 1.5]
 
     def test_zero_bloch_vector_reads_nan(self, tmp_path):
         # J = 0 and gamma = 0: H = 0 on the whole loop, which has no
@@ -469,6 +513,7 @@ class TestBerrySweep:
         assert sw.metadata["uncertified_gammas"] == [0.0]
         assert not sw.metadata["all_certified"] and alone.metadata["all_certified"]
         assert sw.metadata["max_step_delta"] == alone.metadata["max_step_delta"]
+        assert sw.metadata["loops"][0] == {"route": "wilson", "points": 512, "delta": None}
         persist(sw, tmp_path / "b.csv")
         loaded = load(tmp_path / "b.csv")
         assert np.isnan(loaded.thetas[0].view(float)).all()
