@@ -32,6 +32,7 @@ from .sweep import (
     persist,
     phase_diagram,
     trace_ep_contours,
+    csv_lines,
     write_table,
     _fmt,
 )
@@ -204,7 +205,7 @@ def cmd_spectrum_scan(args) -> int:
     csv_path = write_table(
         Path(config.out_dir) / "spectrum_scan.csv",
         "gamma,classification",
-        (map(_fmt, scan.gammas), scan.classifications),
+        csv_lines((map(_fmt, scan.gammas), scan.classifications)),
         "spectrum-scan",
         {
             "model": tpl.label,

@@ -7,6 +7,16 @@ means bounded, stable dynamics; a complex pair means exponential growth.
 Roots of ``|c| = 1`` are degeneracies: exceptional points when ``G`` keeps
 only one eigenvector, diabolic points when ``G`` is proportional to the
 identity.
+
+A drive with the half-period parity ``H(t + T/2) = P H(t) P`` (``P`` =
+sigma_x or sigma_z; every preset at odd beta) repeats its first half
+conjugated by ``P``, so ``G = P G_h P G_h = M^2`` with ``G_h`` the
+half-period product and ``M = P G_h``.  Since ``det M = -1``, the trace
+``t = tr M`` gives ``c = 1 + t^2/2`` and ``eps_F T = 2 arcsin(-i t/2)``.
+Near ``c = +1``, ``arccos(c)`` keeps only half the digits of ``c``,
+because ``c - 1`` is second order in ``eps_F``; ``t`` is first order
+there, so the arcsin of ``t`` keeps them all.  It also costs half the
+segment products.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -204,6 +214,33 @@ def segment_hamiltonians(model: ModelSpec) -> np.ndarray:
     return bloch_vector_at(model, (np.arange(n_seg) + 0.5) * tau)
 
 
+# the signs P d P gives the components of a Bloch vector d, per parity axis P
+_PARITY_SIGNS = {"z": np.array([-1.0, -1.0, 1.0]), "x": np.array([1.0, -1.0, -1.0])}
+
+
+def half_period_parity(model: ModelSpec) -> str | None:
+    """The axis ``P`` (``"z"`` or ``"x"``) with ``H(t + T/2) = P H(t) P``
+    at every amplitude of a square-family model's terms, or None.
+
+    It is read off each term's segment vectors at unit amplitude, as
+    ``d[l + n/2] = P d[l] P`` compared exactly (``-0.0`` matches
+    ``0.0``), so a term of zero amplitude does not lend the model a
+    parity that its drive lacks.  Every preset has it at odd beta:
+    sigma_x for ``pt-*``, sigma_z for ``apt-*``.
+    """
+    return _unit_terms_parity(tuple(replace(term, amplitude=1.0) for term in model.terms))
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_terms_parity(terms) -> str | None:
+    # the segments sit at fixed drive phases, so the frequency does not matter
+    units = [segment_hamiltonians(ModelSpec((term,), 1.0)) for term in terms]
+    for axis, signs in _PARITY_SIGNS.items():
+        if all(np.array_equal(d[len(d) // 2:], d[:len(d) // 2] * signs) for d in units):
+            return axis
+    return None
+
+
 def quasienergy_from_trace(c, T):
     """Quasienergy ``eps_F = arccos(c)/T`` on the principal branch.
 
@@ -215,17 +252,76 @@ def quasienergy_from_trace(c, T):
     if not np.all(T > 0):
         raise ValueError("T must be positive")
     with np.errstate(all="ignore"):
-        w = np.arccos(np.asarray(c, dtype=complex))
-        # flip to the Im >= 0 representative of cos(w) = c, staying in
-        # the Re in [0, pi] strip (for real c this is exact); noise-level
-        # negative imaginary parts are kept to avoid distorting Re w
-        w = np.where(
-            w.imag < -1e-10, np.where(w.real <= math.pi / 2.0, -w, 2.0 * math.pi - w), w
-        )
-        eps = np.empty(np.broadcast_shapes(w.shape, T.shape), dtype=complex)
-        eps.real = w.real / T
-        eps.imag = w.imag / T
+        return _on_branch(np.arccos(np.asarray(c, dtype=complex)), T)
+
+
+def _on_branch(w, T):
+    """``w/T`` for ``cos(w) = c`` and ``Re w`` in ``[0, pi]``, flipped to
+    the ``Im >= 0`` representative (see :func:`quasienergy_from_trace`)."""
+    # stay in the Re in [0, pi] strip (for real c this is exact); noise-level
+    # negative imaginary parts are kept to avoid distorting Re w
+    w = np.where(
+        w.imag < -1e-10, np.where(w.real <= math.pi / 2.0, -w, 2.0 * math.pi - w), w
+    )
+    eps = np.empty(np.broadcast_shapes(w.shape, T.shape), dtype=complex)
+    eps.real = w.real / T
+    eps.imag = w.imag / T
     return complex(eps) if eps.ndim == 0 else eps
+
+
+class Traces:
+    """The trace quantities of a batch of one-period propagators (arrays).
+
+    Built from the entries of ``G``, or, on the half-period route
+    (``half_period``), of ``M = P G_h``.  There ``t = tr M`` is
+    ``parity_trace``, ``c = 1 + t^2/2``, ``eps_F T = 2 arcsin(-i t/2)``
+    on the branch of :func:`quasienergy_from_trace`, and, since
+    Cayley-Hamilton with ``det M = -1`` gives ``G = t M + I``,
+    ``||G - c*I||_F = |t| ||M - (t/2) I||_F``.  ``eps_F`` and
+    ``defectiveness`` are computed on first use.
+    """
+
+    def __init__(self, entries, T, half_period: bool):
+        self._entries = entries
+        self._T = np.asarray(T, dtype=float)
+        with np.errstate(all="ignore"):
+            if half_period:
+                t = entries[0] + entries[3]
+                self.parity_trace, self.half_trace = t, 1.0 + (0.5 * t) * t
+            else:
+                self.parity_trace, self.half_trace = None, 0.5 * (entries[0] + entries[3])
+
+    @functools.cached_property
+    def eps_F(self) -> np.ndarray:
+        t = self.parity_trace
+        if t is None:
+            return quasienergy_from_trace(self.half_trace, self._T)
+        with np.errstate(all="ignore"):
+            w = _doubled_arcsin(t)
+            return _on_branch(np.where(w.real < 0.0, -w, w), self._T)  # -w: same cosine, Re >= 0
+
+    @functools.cached_property
+    def defectiveness(self) -> np.ndarray:
+        t = self.parity_trace
+        if t is None:
+            return defectiveness(*self._entries, self.half_trace)
+        m00, m01, m10, m11 = self._entries
+        h = 0.5 * t
+        with np.errstate(all="ignore"):
+            off = np.abs(m00 - h) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(m11 - h) ** 2
+            return np.abs(t) * np.sqrt(off)
+
+
+def _doubled_arcsin(t):
+    """``2 arcsin(-i t/2)``: ``eps_F T`` up to its branch, ``Re`` in ``[-pi, pi]``."""
+    return 2.0 * np.arcsin(_complex((0.5 * t.imag, -0.5 * t.real)))
+
+
+def _parity_product(axis, g00, g01, g10, g11):
+    """Entries of ``M = P G_h`` for the parity axis ``P`` of ``G_h``'s drive."""
+    if axis == "x":
+        return g10, g11, g00, g01
+    return g00, g01, -g10, -g11
 
 
 @functools.lru_cache(maxsize=32)
@@ -371,19 +467,22 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     return _ordered_product(steps)
 
 
-def _result_from_G(G: np.ndarray, T: float) -> MonodromyResult:
-    if not np.all(np.isfinite(G.view(float))):
-        raise NumericalError("non-finite monodromy matrix")
-    c = complex(0.5 * (G[0, 0] + G[1, 1]))
-    eps = quasienergy_from_trace(c, T)
-    defect = float(defectiveness(G[0, 0], G[0, 1], G[1, 0], G[1, 1], c))
-    return MonodromyResult(
-        G=G,
-        half_trace=c,
-        eps_F=eps,
-        max_im_eps=abs(eps.imag),
-        defectiveness=defect,
-    )
+def piecewise_traces(a, b, gammas, T, parity) -> tuple[Traces, np.ndarray]:
+    """:class:`Traces` and the kernel's rounding bound for a batch of cells.
+
+    The cells and segments are those of :func:`_segment_product`, with
+    periods ``T``.  With a ``parity`` axis (see
+    :func:`half_period_parity`) only the first half of the segments is
+    multiplied, and the bound is the half product's; otherwise the whole
+    period is.
+    """
+    tau = T / len(a)
+    if parity is None:
+        *G, bound = _segment_product(a, b, gammas, tau)
+        return Traces(G, T, half_period=False), bound
+    half = len(a) // 2
+    *G_h, bound = _segment_product(a[:half], b[:half], gammas, tau)
+    return Traces(_parity_product(parity, *G_h), T, half_period=True), bound
 
 
 def monodromy(
@@ -394,24 +493,40 @@ def monodromy(
     """One-period propagator of the model.
 
     ``engine='piecewise'`` multiplies the closed-form segment
-    exponentials of a square-family model.  ``engine='integrate'`` runs
-    the fixed-step RK4 integrator (the oracle route, valid for any
-    family).
+    exponentials of a square-family model, on a one-cell batch of the
+    grid kernel, so a cell has the same bits here as in a sweep: ``G`` is
+    the full-period product, and with the half-period parity everything
+    else comes from the half-period route (:func:`piecewise_traces`).
+    ``engine='integrate'`` runs the fixed-step RK4 integrator (the oracle
+    route, valid for any family).
     """
+    T = np.full(1, model.period)
     if engine == "piecewise":
         ds = segment_hamiltonians(model)
-        # the grid kernel on a one-cell batch, so a cell has the same bits here
-        g00, g01, g10, g11, _ = _segment_product(
-            ds, np.zeros_like(ds), np.zeros(1), np.full(1, model.period / len(ds))
-        )
-        if not np.isfinite(g00[0]):
+        zero, cell = np.zeros_like(ds), np.zeros(1)
+        G = np.stack(_segment_product(ds, zero, cell, T / len(ds))[:4])
+        if not np.isfinite(G[0, 0]):
             raise NumericalError("non-finite propagator in the segment product")
-        G = np.array([[g00[0], g01[0]], [g10[0], g11[0]]], dtype=complex)
+        parity = half_period_parity(model)
+        if parity is None:
+            traces = Traces(G, T, half_period=False)
+        else:
+            traces = piecewise_traces(ds, zero, cell, T, parity)[0]
     elif engine == "integrate":
-        G = _integrate_monodromy(model, steps_per_period)
+        G = _integrate_monodromy(model, steps_per_period).reshape(4, 1)
+        if not np.all(np.isfinite(G.view(float))):
+            raise NumericalError("non-finite monodromy matrix")
+        traces = Traces(G, T, half_period=False)
     else:
         raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
-    return _result_from_G(G, model.period)
+    eps = complex(traces.eps_F[0])
+    return MonodromyResult(
+        G=G.reshape(2, 2),
+        half_trace=complex(traces.half_trace[0]),
+        eps_F=eps,
+        max_im_eps=abs(eps.imag),
+        defectiveness=float(traces.defectiveness[0]),
+    )
 
 
 def defectiveness(g00, g01, g10, g11, c):

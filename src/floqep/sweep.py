@@ -1,17 +1,19 @@
 """(gamma, omega) grids, EP contour tracing, and persistence.
 
 The piecewise engine evaluates a grid in fixed-size, row-major blocks of
-cells, each one call of the batched segment-product kernel, in-process;
-the block size is a constant, so the output does not depend on the
-worker count.  The per-cell engines (``floquet``, ``monodromy-integrate``)
-farm frequency columns out to a process pool and reassemble them by
-index, bit-identical for any worker count.  Numerical failures become NaN
-sentinel cells, summarised in one log line; more than 1% failures aborts
-the sweep.  EP contours come from the indicator on the grid blocks, a
-lockstep bisection of every sign-change bracket, and one batched
-classification of the roots.  A Berry sweep runs one loop per gamma over
-the same pool, each loop in drive phase, so it takes no omega: the
-spectral route where it accepts the loop, else the Wilson loop.
+cells, each one call of the batched segment-product kernel, in-process,
+over half the period where the preset has the half-period parity (see
+:mod:`floqep.propagator`); the block size is a constant, so the output
+does not depend on the worker count.  The per-cell engines (``floquet``,
+``monodromy-integrate``) farm frequency columns out to a process pool
+and reassemble them by index, bit-identical for any worker count.
+Numerical failures become NaN sentinel cells, summarised in one log
+line; more than 1% failures aborts the sweep.  EP contours come from the
+indicator on the grid blocks, a lockstep bisection of every sign-change
+bracket, and one batched classification of the roots.  A Berry sweep
+runs one loop per gamma over the same pool, each loop in drive phase, so
+it takes no omega: the spectral route where it accepts the loop, else
+the Wilson loop.
 """
 
 from __future__ import annotations
@@ -33,18 +35,23 @@ from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
 from .floquet import DEFAULT_CUTOFF, TruncationError, _check_cutoff, max_im_quasienergy
 from .model import PresetTemplate
-from .propagator import (  # noqa: F401  (ep_indicator: re-exported, traced by perfbench)
+from .propagator import (  # noqa: F401  (unused names: re-exported, traced by perfbench)
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
     EPKind,
+    MonodromyResult,
     NumericalError,
-    defectiveness,
+    Traces,
     ep_indicator,
+    half_period_parity,
     indicator_from_trace,
     monodromy,
+    piecewise_traces,
     quasienergy_from_trace,
     root_kinds,
     segment_hamiltonians,
+    _complex,
+    _doubled_arcsin,
     _segment_product,
 )
 
@@ -162,68 +169,108 @@ def _segment_vectors(template: PresetTemplate):
     return a, b
 
 
-def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
-    """Propagators at the cells ``(gammas[k], omegas[k])``, block by block.
+@functools.lru_cache(maxsize=32)
+def _segment_parity(template: PresetTemplate):
+    """The half-period parity axis of a square preset, or None (the same at every gamma)."""
+    return half_period_parity(template.instantiate(1.0, 1.0))
 
-    Yields ``(cells, T, G, bound)`` per block of :data:`BLOCK_CELLS`:
-    the slice, the periods, the four entries of ``G`` and the kernel's
-    rounding bound on the half-trace.  The piecewise engine is one kernel
-    call per block; the integrate engine runs cell by cell (bound None)
-    at :data:`DEFAULT_STEPS_PER_PERIOD`.
+
+def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
+    """Propagator traces at the cells ``(gammas[k], omegas[k])``, block by block.
+
+    Yields ``(cells, T, traces, bound)`` per block of :data:`BLOCK_CELLS`:
+    the slice, the periods, the :class:`~floqep.propagator.Traces` and the
+    kernel's rounding bound.  The piecewise engine is one kernel call per
+    block, over the first half of the segments where the preset has the
+    half-period parity (every preset at odd beta), and then the bound is
+    the half product's; see :func:`~floqep.propagator.piecewise_traces`.
+    The integrate engine runs cell by cell (bound None) at
+    :data:`DEFAULT_STEPS_PER_PERIOD`.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
+        parity = _segment_parity(template)
     for start in range(0, len(gammas), BLOCK_CELLS):
         cells = slice(start, start + BLOCK_CELLS)
         T = 2.0 * math.pi / omegas[cells]
         if engine == "monodromy-piecewise":
-            *G, bound = _segment_product(a, b, gammas[cells], T / len(a))
+            traces, bound = piecewise_traces(a, b, gammas[cells], T, parity)
         else:
-            Gs = np.array([
+            G = np.array([
                 monodromy(template.instantiate(float(g), float(w)), "integrate").G
                 for g, w in zip(gammas[cells], omegas[cells])
             ]).reshape(-1, 4)
-            G, bound = Gs.T, None
-        yield cells, T, G, bound
+            traces, bound = Traces(G.T, T, half_period=False), None
+        yield cells, T, traces, bound
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
     """EP indicator ``f`` at the cells; a non-finite propagator raises."""
     f = np.empty(len(gammas))
-    for cells, _, (g00, _, _, g11), _ in _block_propagators(template, gammas, omegas, engine):
-        f[cells] = indicator_from_trace(0.5 * (g00 + g11))
+    for cells, _, traces, _ in _block_propagators(template, gammas, omegas, engine):
+        f[cells] = indicator_from_trace(traces.half_trace)
     n_bad = int(np.count_nonzero(~np.isfinite(f)))
     if n_bad:
         raise NumericalError(f"non-finite propagator at {n_bad} of {f.size} cells")
     return f
 
 
-def _undecided(c, bound, T) -> np.ndarray:
-    """Cells whose stability verdict lies within the rounding bound.
+def _undecided(traces, bound, T) -> np.ndarray:
+    """Cells whose stability verdict rests on the rounding alone.
 
-    ``max Im eps`` crosses the threshold where ``|c| - 1`` reaches
-    ``(threshold * T)**2 / 2``; a numerically real ``c`` that close to it
-    may fall either side, depending only on the rounding.
+    Full-period route: ``max Im eps`` crosses the threshold where
+    ``|c| - 1`` reaches ``(threshold * T)**2 / 2``, and a numerically
+    real ``c`` within ``bound`` of that may fall either side.
+
+    Half-period route: the verdict differs somewhere in the box of
+    half-width ``s``, twice the half product's bound, around ``t``.
+    ``|Im eps_F| T = |Im 2 arcsin(-i t/2)|`` grows with ``|Re t|`` and
+    ``|Im t|``, so over the box it is least at the point nearest 0 and
+    greatest at the corner ``t + s (+/-1 +/- i)`` farthest from it; those
+    two verdicts decide.  Only the cells that the first-order bound
+    ``|dw| <= 2 |dt| / |sqrt(4 + t^2)| = 2 |dt| / sqrt(2 |1 + c|)`` on
+    ``w = eps_F T``, doubled for the higher orders, puts near the
+    threshold are tried.
     """
-    gap = np.abs(c) - 1.0 - 0.5 * (INSTABILITY_THRESHOLD * T) ** 2
-    return (np.abs(c.imag) <= bound) & (np.abs(gap) <= bound)
+    t = traces.parity_trace
+    if t is None:
+        c = traces.half_trace
+        gap = np.abs(c) - 1.0 - 0.5 * (INSTABILITY_THRESHOLD * T) ** 2
+        return (np.abs(c.imag) <= bound) & (np.abs(gap) <= bound)
+    step = 2.0 * bound  # |dt| <= sqrt(2) step
+    undecided = np.zeros(t.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        gap = np.abs(np.abs(traces.eps_F.imag) - INSTABILITY_THRESHOLD) * T
+        near = np.flatnonzero(gap * np.sqrt(np.abs(1.0 + traces.half_trace)) <= 4.0 * step)
+    if near.size:
+        t, s, T = t[near], step[near], T[near]
+        least = _complex((t.real - np.clip(t.real, -s, s), t.imag - np.clip(t.imag, -s, s)))
+        most = _complex((t.real + np.copysign(s, t.real), t.imag + np.copysign(s, t.imag)))
+        undecided[near] = _unstable(least, T) != _unstable(most, T)
+    return undecided
 
 
-def _cell_half_trace(template: PresetTemplate, gamma, omega, engine):
+def _unstable(t, T) -> np.ndarray:
+    """The map's verdict ``max Im eps > threshold`` at parity traces ``t``."""
+    return np.abs(_doubled_arcsin(t).imag / T) > INSTABILITY_THRESHOLD
+
+
+def _cell_monodromy(template: PresetTemplate, gamma, omega, engine) -> MonodromyResult:
     if engine not in ("monodromy-piecewise", "monodromy-integrate"):
         raise ValueError(f"engine {engine!r} has no half-trace route")
     model = template.instantiate(float(gamma), float(omega))
-    eng = "piecewise" if engine == "monodromy-piecewise" else "integrate"
-    return monodromy(model, engine=eng).half_trace
+    return monodromy(model, engine=engine.removeprefix("monodromy-"))
+
+
+def _cell_half_trace(template: PresetTemplate, gamma, omega, engine):
+    return _cell_monodromy(template, gamma, omega, engine).half_trace
 
 
 def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff) -> float:
     if engine == "floquet":
         model = template.instantiate(float(gamma), float(omega))
         return max_im_quasienergy(model, cutoff)
-    c = _cell_half_trace(template, gamma, omega, engine)
-    eps = quasienergy_from_trace(c, 2.0 * math.pi / float(omega))
-    return abs(eps.imag)
+    return _cell_monodromy(template, gamma, omega, engine).max_im_eps
 
 
 def _column_task(args):
@@ -274,12 +321,9 @@ def _piecewise_map(template: PresetTemplate, grid: GridSpec):
     gammas, omegas = grid.cells()
     values = np.empty(gammas.size)
     undecided = 0
-    for cells, T, (g00, _, _, g11), bound in _block_propagators(
-        template, gammas, omegas, grid.engine
-    ):
-        c = 0.5 * (g00 + g11)
-        values[cells] = np.abs(quasienergy_from_trace(c, T).imag)
-        undecided += int(np.count_nonzero(_undecided(c, bound, T)))
+    for cells, T, traces, bound in _block_propagators(template, gammas, omegas, grid.engine):
+        values[cells] = np.abs(traces.eps_F.imag)
+        undecided += int(np.count_nonzero(_undecided(traces, bound, T)))
     return values.reshape(grid.omega_count, grid.gamma_count), undecided
 
 
@@ -369,10 +413,9 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
 def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     """Kinds of the roots at the cells ``(gammas[k], omegas[k])``, in one batch."""
     kinds = []
-    for _, _, (g00, g01, g10, g11), _ in _block_propagators(template, gammas, omegas, engine):
-        c = 0.5 * (g00 + g11)
-        f = indicator_from_trace(c)
-        kinds.extend(root_kinds(f, defectiveness(g00, g01, g10, g11, c)))
+    for _, _, traces, _ in _block_propagators(template, gammas, omegas, engine):
+        f = indicator_from_trace(traces.half_trace)
+        kinds.extend(root_kinds(f, traces.defectiveness))
     return kinds
 
 
@@ -581,30 +624,35 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
     return doc
 
 
-def write_table(path, header: str, columns, fmt: str, payload: dict) -> Path:
-    """Write ``columns`` (one iterable of CSV fields per header field)
-    under ``header``, row by row, then the sidecar of format ``fmt``
-    carrying ``payload``."""
+def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
+    """Write the CSV line ``header``, then ``chunks`` (strings of whole
+    lines) as they come, then the sidecar of format ``fmt`` carrying
+    ``payload``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        fh.writelines(map(row.__mod__, zip(*columns)))
+        fh.writelines(chunks)
     _write_meta(path, fmt, payload)
     return path
 
 
+def csv_lines(columns):
+    """One CSV line per row of ``columns`` (one iterable of fields per column)."""
+    row = ",".join(["%s"] * len(columns)) + "\n"
+    return map(row.__mod__, zip(*columns))
+
+
 def _diagram_table(diagram: PhaseDiagram):
     grid = diagram.grid
-    omegas = [_fmt(w) for w in grid.omegas]
-    gammas = [_fmt(g) for g in grid.gammas]
-    columns = (
-        (w for w in omegas for _ in gammas),  # omega outer
-        gammas * len(omegas),
-        map(_fmt, diagram.values.ravel().tolist()),
+    # one chunk per omega row: a template holding the row's omega and gamma
+    # fields, formatted once with the row's values; %.12e writes what _fmt does
+    cells = [_fmt(g) + ",%.12e\n" for g in grid.gammas]
+    chunks = (
+        (_fmt(w) + ",").join(["", *cells]) % tuple(row.tolist())
+        for w, row in zip(grid.omegas, diagram.values)
     )
-    return columns, {"grid": asdict(grid), "metadata": diagram.metadata}
+    return chunks, {"grid": asdict(grid), "metadata": diagram.metadata}
 
 
 def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:
@@ -637,7 +685,8 @@ def _contours_table(contours: EPContourSet):
         for cid, line in enumerate(contours.contours)
         for pt in line
     ]
-    return tuple(zip(*rows)), {"tolerance": contours.tolerance, "metadata": contours.metadata}
+    columns = tuple(zip(*rows))
+    return csv_lines(columns), {"tolerance": contours.tolerance, "metadata": contours.metadata}
 
 
 def _contours_from(rows, doc: dict, path: Path) -> EPContourSet:
@@ -663,7 +712,7 @@ def _berry_table(sweep: BerrySweep):
         map(_fmt, sweep.thetas.imag.ravel().tolist()),
         (f for f in flags for _ in range(2)),
     )
-    return columns, {"metadata": sweep.metadata}
+    return csv_lines(columns), {"metadata": sweep.metadata}
 
 
 def _berry_from(rows, doc: dict, path: Path) -> BerrySweep:
@@ -686,7 +735,7 @@ class _Format(NamedTuple):
     name: str        # the sidecar's "format"
     header: str      # the CSV's first line
     result: type
-    to_table: Callable    # result -> (columns, sidecar payload)
+    to_table: Callable    # result -> (CSV line chunks, sidecar payload)
     from_rows: Callable   # (rows, sidecar, path) -> result
 
 
@@ -704,8 +753,8 @@ def persist(result, path) -> Path:
     """Write a result to ``path`` (CSV plus a JSON metadata sidecar)."""
     for fmt in _FORMATS:
         if isinstance(result, fmt.result):
-            columns, payload = fmt.to_table(result)
-            return write_table(path, fmt.header, columns, fmt.name, payload)
+            chunks, payload = fmt.to_table(result)
+            return write_table(path, fmt.header, chunks, fmt.name, payload)
     raise TypeError(f"cannot persist {type(result).__name__}")
 
 

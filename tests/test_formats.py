@@ -13,6 +13,7 @@ import pytest
 
 import floqep
 import floqep.cli as cli
+import floqep.sweep as sweep_mod
 from floqep.sweep import (
     BerrySweep,
     ContourPoint,
@@ -220,3 +221,48 @@ def test_berry_bytes(tmp_path):
     spectral = load(tmp_path / "out" / "berry.csv").thetas[0]
     wilson = floqep.berry_phase_loop(floqep.preset("pt-cosy-sinz", gamma=0.5), steps=8192)
     assert np.max(np.abs(spectral - wilson.theta)) <= 1e-10
+
+
+def _per_field_diagram_csv(diagram) -> str:
+    """The phase-diagram CSV as the per-field encoder wrote it: every field
+    through ``f"{float(x):.12e}"``, omega outer, one line per cell."""
+    def fmt(x):
+        return f"{float(x):.12e}"
+
+    lines = ["omega,gamma,max_im_eps\n"]
+    for w, row in zip(diagram.grid.omegas, diagram.values):
+        lines += [f"{fmt(w)},{fmt(g)},{fmt(v)}\n" for g, v in zip(diagram.grid.gammas, row)]
+    return "".join(lines)
+
+
+def _one_cell_grid() -> GridSpec:
+    # the row template's smallest case; GridSpec itself needs two nodes per axis
+    grid = object.__new__(GridSpec)
+    for name, value in zip(
+        ("gamma_min", "gamma_max", "gamma_count", "omega_min", "omega_max", "omega_count", "engine"),
+        (0.25, 0.25, 1, 0.7, 0.7, 1, "monodromy-piecewise"),
+    ):
+        object.__setattr__(grid, name, value)
+    return grid
+
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 2.5e-9, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("shape", ["rows", "one-cell"])
+def test_row_chunks_match_the_per_field_encoder(shape, tmp_path):
+    rng = np.random.default_rng(7)
+    if shape == "one-cell":
+        grid = _one_cell_grid()
+        values = np.array([[-0.0]])
+    else:
+        grid = GridSpec(0.0, 4.7, 17, 0.21, 2.9, 9, engine="monodromy-piecewise")
+        values = rng.lognormal(-10.0, 6.0, (9, 17)) * rng.choice([-1.0, 1.0], (9, 17))
+        values.flat[rng.choice(values.size, len(SPECIAL), replace=False)] = SPECIAL
+    diagram = PhaseDiagram(grid, values, {"model": "m"})
+    path = persist(diagram, tmp_path / "map.csv")
+    assert path.read_bytes() == _per_field_diagram_csv(diagram).encode()
+    # streamed: one chunk of whole lines per omega row, made as it is written
+    chunks, _ = sweep_mod._diagram_table(diagram)
+    assert iter(chunks) is chunks
+    assert [chunk.count("\n") for chunk in chunks] == [grid.gamma_count] * grid.omega_count

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import floqep.sweep as sweep_mod
 from floqep.model import (
+    PRESET_NAMES,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -13,9 +15,13 @@ from floqep.propagator import (
     EPKind,
     MonodromyResult,
     NumericalError,
+    _segment_product,
     ep_indicator,
     expm_two_level,
+    Traces,
+    half_period_parity,
     monodromy,
+    piecewise_traces,
     quasienergy_from_trace,
     segment_hamiltonians,
 )
@@ -199,6 +205,66 @@ class TestMonodromy:
         m = preset("pt-cosy-cosz", family="square")
         with pytest.raises(ValueError, match="unknown engine"):
             monodromy(m, engine="magnus")
+
+
+def _grid_cells(n=40):
+    gammas, omegas = np.meshgrid(np.linspace(0.0, 5.0, n), np.linspace(0.2, 3.0, n))
+    return gammas.ravel(), 2.0 * np.pi / omegas.ravel()
+
+
+class TestHalfPeriod:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_parity_axis(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        want = None if beta % 2 == 0 else {"pt": "x", "apt": "z"}[name.split("-")[0]]
+        # the same at every gamma, 0 included, where the static term alone would have one
+        for gamma in (0.0, 1.3):
+            assert half_period_parity(tpl.instantiate(gamma, 0.7)) == want
+        # the segment vectors have it
+        a, b = sweep_mod._segment_vectors(tpl)
+        h = len(a) // 2
+        signs = {"x": [1.0, -1.0, -1.0], "z": [-1.0, -1.0, 1.0]}
+        for axis, sign in signs.items():
+            assert (np.array_equal(a[h:], a[:h] * sign) and np.array_equal(b[h:], b[:h] * sign)) == (want == axis)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 3])
+    def test_identity_against_the_full_period(self, name, beta):
+        # c = 1 + t^2/2 and ||G - cI|| = |t| ||M - t/2 I|| against the full product
+        a, b = sweep_mod._segment_vectors(PresetTemplate(name, beta=beta, family="square"))
+        gammas, T = _grid_cells()
+        parity = half_period_parity(PresetTemplate(name, beta=beta, family="square").instantiate(1.0, 1.0))
+        half, _ = piecewise_traces(a, b, gammas, T, parity)
+        g00, g01, g10, g11, _ = _segment_product(a, b, gammas, T / len(a))
+        full = Traces((g00, g01, g10, g11), T, half_period=False)
+        scale = np.maximum(np.abs(full.half_trace), 1.0)
+        assert np.all(np.abs(half.half_trace - full.half_trace) <= 2e-12 * scale)
+        norm = np.sqrt(sum(np.abs(g) ** 2 for g in (g00, g01, g10, g11)))
+        assert np.all(np.abs(half.defectiveness - full.defectiveness) <= 1e-11 * norm)
+        # the branch of quasienergy_from_trace, which arccos(c) resolves away from |c| = 1
+        eps_T = half.eps_F * T
+        assert np.all(eps_T.imag >= -1e-10)
+        assert np.all(np.abs(np.cos(eps_T) - full.half_trace) <= 1e-9 * scale)
+        away = np.abs(np.abs(full.half_trace) - 1.0) > 1e-3
+        assert np.allclose(eps_T[away], full.eps_F[away] * T[away], rtol=1e-9, atol=1e-12)
+
+    def test_monodromy_keeps_the_full_period_G(self):
+        model = preset("pt-cosy-cosz", gamma=0.7, omega=0.9, beta=3, family="square")
+        ds = segment_hamiltonians(model)
+        G = np.stack(_segment_product(ds, np.zeros_like(ds), np.zeros(1),
+                                      np.full(1, model.period / len(ds)))[:4])
+        r = monodromy(model, "piecewise")
+        assert r.G.tobytes() == G.reshape(2, 2).tobytes()
+        assert r.half_trace == pytest.approx(0.5 * np.trace(r.G), rel=1e-12)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_c_plus_one_is_diabolic(self, name):
+        # at gamma = 0 and omega = 2J/k, G = +/-I; where G = +I (t = 0) the
+        # half-period route gives a defectiveness of exactly 0
+        r = monodromy(preset(name, J=1.0, gamma=0.0, omega=0.5, beta=3, family="square"), "piecewise")
+        assert abs(r.half_trace - 1.0) < 1e-12
+        assert r.defectiveness < 1e-12 and ep_indicator(r)[1] is EPKind.DIABOLIC
 
 
 class TestQuasienergy:

@@ -4,18 +4,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import floqep.propagator as propagator_mod
 import floqep.sweep as sweep_mod
 from floqep.berry import berry_phase_loop
-from floqep.model import PresetTemplate
+from floqep.model import PRESET_NAMES, PresetTemplate
 from floqep.render import berry_svg
 from floqep.propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     EPKind,
-    _ordered_product,
-    _segment_product,
+    ep_indicator,
     indicator_from_trace,
     monodromy,
-    quasienergy_from_trace,
+    piecewise_traces,
 )
 from floqep.sweep import (
     INSTABILITY_THRESHOLD,
@@ -160,13 +160,15 @@ class TestPhaseDiagram:
     @staticmethod
     def _overflow_kernel(monkeypatch, hit):
         """Run the real kernel, with gamma 1e300 (an overflow) where ``hit``."""
-        real = sweep_mod._segment_product
+        real = propagator_mod._segment_product
+        # the half-period route passes half the segments, each still period / n_seg long
+        n_seg = len(sweep_mod._segment_vectors(PT3)[0])
 
         def overflowing(a, b, gammas, taus):
-            gammas = np.where(hit(gammas, 2.0 * np.pi / (len(a) * taus)), 1e300, gammas)
+            gammas = np.where(hit(gammas, 2.0 * np.pi / (n_seg * taus)), 1e300, gammas)
             return real(a, b, gammas, taus)
 
-        monkeypatch.setattr(sweep_mod, "_segment_product", overflowing)
+        monkeypatch.setattr(propagator_mod, "_segment_product", overflowing)
 
     def test_failure_budget(self, monkeypatch):
         # ~14% of the cells overflow
@@ -212,31 +214,106 @@ class TestPhaseDiagram:
             phase_diagram(PT3, grid)
 
 
+def _oracle_max_im(mp, template, gamma, omega):
+    """``max Im eps`` from the full-period segment product in 40-digit
+    arithmetic, on the same double inputs as the kernel: the segment
+    vectors, gamma and the segment duration."""
+    a, b = sweep_mod._segment_vectors(template)
+    T = 2.0 * np.pi / np.array([omega])
+    tau = mp.mpf(float((T / len(a))[0]))
+    with mp.workdps(40):
+        G = mp.eye(2)
+        for l in range(len(a)):
+            dx, dy, dz = (mp.mpc(complex(a[l, k])) + mp.mpf(gamma) * mp.mpc(complex(b[l, k]))
+                          for k in range(3))
+            mu = mp.sqrt(dx * dx + dy * dy + dz * dz)
+            sinc = mp.sin(mu * tau) / mu if mu != 0 else tau
+            d_sigma = mp.matrix([[dz, dx - 1j * dy], [dx + 1j * dy, -dz]])
+            G = (mp.cos(mu * tau) * mp.eye(2) - 1j * sinc * d_sigma) * G
+        return float(abs(mp.im(mp.acos((G[0, 0] + G[1, 1]) / 2))) / mp.mpf(float(T[0])))
+
+
 class TestNoiseFloor:
-    def test_order_flips_are_undecided(self):
-        # at omega = 1/3 the beta=3 PT half-trace sits on |c| = 1 for most
-        # gamma, so its verdict is decided by the rounding alone
+    def test_omega_third_row_matches_the_oracle(self):
+        # at omega = 1/3 the beta=3 PT half-trace sits on c = +1 for most
+        # gamma, where arccos(c) keeps half the digits of c: the full-period
+        # route leaves those verdicts to the rounding, the half-period route
+        # decides them as 40-digit arithmetic on the same inputs does
+        mp = pytest.importorskip("mpmath")
         grid = GridSpec(0.0, 5.0, 200, 1.0 / 3.0, 0.5, 2, engine="monodromy-piecewise")
         diag = phase_diagram(PT3, grid)
-        gammas, omegas = grid.cells()
-        periods = 2.0 * np.pi / omegas
-        a, b = sweep_mod._segment_vectors(PT3)
-        g00, _, _, g11, bound = _segment_product(a, b, gammas, periods / len(a))
-        undecided = sweep_mod._undecided(0.5 * (g00 + g11), bound, periods)
-        assert np.count_nonzero(undecided) == diag.metadata["undecided_cells"]
+        assert diag.metadata["undecided_cells"] == 0
+        gammas = grid.gammas
+        want = np.array([_oracle_max_im(mp, PT3, g, 1.0 / 3.0) > INSTABILITY_THRESHOLD
+                         for g in gammas])
+        assert np.array_equal(diag.values[0] > INSTABILITY_THRESHOLD, want)
 
-        # the same exponentials: the kernel's product of one segment
-        mats = np.stack([
-            np.stack(_segment_product(a[l:l + 1], b[l:l + 1], gammas, periods / len(a))[:4], -1)
-            for l in range(len(a))
-        ]).reshape(len(a), -1, 2, 2)
-        flipped = np.zeros(gammas.size, dtype=bool)
-        for k, T in enumerate(periods):
-            c_tree = 0.5 * np.trace(_ordered_product(mats[:, k]))
-            tree_unstable = abs(quasienergy_from_trace(c_tree, T).imag) > INSTABILITY_THRESHOLD
-            flipped[k] = tree_unstable != (diag.values.flat[k] > INSTABILITY_THRESHOLD)
-        assert np.count_nonzero(flipped) > 10
-        assert np.all(undecided[flipped])
+        a, b = sweep_mod._segment_vectors(PT3)
+        T = 2.0 * np.pi / np.full(gammas.size, 1.0 / 3.0)
+        full, _ = piecewise_traces(a, b, gammas, T, None)
+        misread = (np.abs(full.eps_F.imag) > INSTABILITY_THRESHOLD) != want
+        assert np.count_nonzero(~want) > 100 and np.count_nonzero(misread) > 10
+
+
+class TestHalfPeriodRoute:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_monodromy_takes_the_sweep_route(self, name):
+        # odd beta: the one-cell route gives the bits of the map and of the
+        # contour classifier, which is what re-evaluating a file relies on
+        tpl = PresetTemplate(name, beta=3, family="square")
+        grid = GridSpec(0.0, 3.0, 9, 0.3, 2.5, 6, engine="monodromy-piecewise")
+        values = phase_diagram(tpl, grid).values.ravel()
+        roots = [pt for line in trace_ep_contours(tpl, grid).contours for pt in line]
+        assert roots
+        gammas = np.concatenate([grid.cells()[0], [pt.gamma for pt in roots]])
+        omegas = np.concatenate([grid.cells()[1], [pt.omega for pt in roots]])
+        (_, _, traces, _), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
+        kinds = sweep_mod._classify_root(tpl, gammas, omegas, grid.engine)
+        for k, (g, w) in enumerate(zip(gammas, omegas)):
+            r = monodromy(tpl.instantiate(g, w), "piecewise")
+            if k < values.size:
+                assert np.float64(r.max_im_eps).tobytes() == values[k].tobytes()
+            assert np.complex128(r.half_trace).tobytes() == traces.half_trace[k].tobytes()
+            assert np.float64(r.defectiveness).tobytes() == traces.defectiveness[k].tobytes()
+            assert ep_indicator(r)[1] is kinds[k]
+        assert [pt.kind for pt in roots] == [kind.value for kind in kinds[values.size:]]
+
+    @pytest.mark.parametrize("beta", [2, 4])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_even_beta_keeps_the_full_period(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        assert sweep_mod._segment_parity(tpl) is None
+        grid = GridSpec(0.0, 5.0, 40, 0.2, 3.0, 30, engine="monodromy-piecewise")
+        gammas, omegas = grid.cells()
+        a, b = sweep_mod._segment_vectors(tpl)
+        T = 2.0 * np.pi / omegas
+        g00, _, _, g11, _ = propagator_mod._segment_product(a, b, gammas, T / len(a))
+        want = np.abs(propagator_mod.quasienergy_from_trace(0.5 * (g00 + g11), T).imag)
+        assert phase_diagram(tpl, grid).values.ravel().tobytes() == want.tobytes()
+
+    def test_a_verdict_on_the_threshold_is_undecided(self):
+        # gamma bisected to adjacent doubles across a stability edge: the two
+        # verdicts differ by the rounding alone, so both count as undecided
+        gammas = np.linspace(0.0, 3.0, 61)
+        omegas = np.full(gammas.size, 0.9)
+        (_, _, traces, _), = sweep_mod._block_propagators(PT3, gammas, omegas, "monodromy-piecewise")
+        unstable = np.abs(traces.eps_F.imag) > INSTABILITY_THRESHOLD
+        edges = np.flatnonzero(unstable[:-1] != unstable[1:])
+        assert edges.size
+        for i in edges:
+            lo, hi = gammas[i], gammas[i + 1]
+            while np.nextafter(lo, hi) != hi:
+                mid = 0.5 * (lo + hi)
+                (_, _, tr, _), = sweep_mod._block_propagators(PT3, np.array([mid]), omegas[:1], "monodromy-piecewise")
+                if (abs(tr.eps_F[0].imag) > INSTABILITY_THRESHOLD) == unstable[i]:
+                    lo = mid
+                else:
+                    hi = mid
+            (_, T, tr, bound), = sweep_mod._block_propagators(
+                PT3, np.array([lo, hi]), omegas[:2], "monodromy-piecewise"
+            )
+            assert (np.abs(tr.eps_F.imag) > INSTABILITY_THRESHOLD).tolist() == [unstable[i], not unstable[i]]
+            assert sweep_mod._undecided(tr, bound, T).all()
 
 
 @pytest.fixture(scope="module")
