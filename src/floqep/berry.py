@@ -15,9 +15,8 @@ and right frames, with the forward and backward logarithms averaged.
 The averaged form is gauge invariant, second-order accurate in the step
 size, and for Hermitian loops its imaginary part cancels identically.  A
 Richardson loop at ``n`` steps builds and gauges its frames once, at
-``2n`` points, and runs the ``n``-step loop on views of their even
-points; a loop's arrays live in one workspace that the next loop of the
-same size reuses.  ``Re theta`` is reported on ``[-pi, pi]``; on the
+``2n`` points, as plain per-loop arrays, and runs the ``n``-step loop on
+views of their even points.  ``Re theta`` is reported on ``[-pi, pi]``; on the
 ``+/-pi`` plateau each band takes the edge whose sign matches its
 ``Im theta``.  A step across an exceptional point, where the two band
 pairings tie, keeps the band slots and leaves the loop uncertified.
@@ -25,9 +24,7 @@ pairings tie, keeps the band slots and leaves the loop uncertified.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -78,58 +75,8 @@ SPECTRAL_MIN_POINTS = 128  # the first spectral grid, compared with its 64 even 
 SPECTRAL_MAX_POINTS = 4096  # a spectral loop not accepted on this many points declines
 
 
-def _abs2(z, out):
-    np.abs(z, out=out)
-    return np.multiply(out, out, out=out)
-
-
-def _select(out, cond, a, b):
-    """``np.where(cond, a, b)``, written into ``out``."""
-    np.copyto(out, b)
-    np.copyto(out, a, where=cond)
-
-
-class _Workspace:
-    """The arrays of one loop of ``points`` points, reused from loop to loop.
-
-    ``right[b, c]`` and ``left[b, c]`` hold component ``c`` of the band-``b``
-    frames, each one contiguous array over the loop points, and ``bad[b]``
-    marks the points whose band-``b`` pairing overlap is below
-    ``OVERLAP_TOL``.  The scratch rows (complex ``c``, real ``f``, boolean
-    ``m``) serve the frame build, the gauge and the Wilson loop in turn.
-    """
-
-    def __init__(self, points: int):
-        self.right = np.empty((2, 2, points), dtype=complex)
-        self.left = np.empty((2, 2, points), dtype=complex)
-        self.bad = np.empty((2, points), dtype=bool)
-        self.c = np.empty((7, points), dtype=complex)
-        self.f = np.empty((6, points))
-        self.m = np.empty((3, points + 1), dtype=bool)
-
-    def frames(self):
-        """Copies of the frames as ``(points, 2, 2)`` stacks, ``[point, band, component]``."""
-        return (
-            np.ascontiguousarray(self.right.transpose(2, 0, 1)),
-            np.ascontiguousarray(self.left.transpose(2, 0, 1)),
-        )
-
-
-@functools.lru_cache(maxsize=1)
-def _thread_workspace(points: int, thread: int) -> _Workspace:
-    return _Workspace(points)
-
-
-def _workspace(points: int) -> _Workspace:
-    """The workspace of a ``points``-point loop, kept for the next loop of
-    that size; each thread gets its own, so concurrent loops never share
-    buffers."""
-    return _thread_workspace(points, threading.get_ident())
-
-
-def _raw_eigenframes(d, ws):
-    """Closed-form eigenframes for a batch of Bloch vectors ``(n, 3)``,
-    written into ``ws.right`` and ``ws.left``.
+def _raw_eigenframes(d):
+    """Closed-form eigenframes for a batch of Bloch vectors ``(n, 3)``.
 
     The bands of ``d0*I + d.sigma`` are ``d0 +/- mu`` with
     ``mu = sqrt(d.d)`` (principal branch, so the first band has the
@@ -138,43 +85,25 @@ def _raw_eigenframes(d, ws):
     larger-norm column is selected per point for stability.  Left rows are
     the transpose-system eigenvectors (``dy -> -dy``).  Every operation is
     pointwise, so a point's frames do not depend on the rest of the batch.
-    Returns ``(mu, gap)``; ``mu`` is a scratch row of ``ws``, valid until
-    the next stage.
+    Returns ``(mu, gap, right, left)``; ``right[b, c]`` and ``left[b, c]``
+    hold component ``c`` of the band-``b`` frames over the loop points.
     """
     dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-    mu, w, wc, p, q, t = ws.c[:6]
-    np.multiply(dx, dx, out=mu)
-    mu += np.multiply(dy, dy, out=t)
-    mu += np.multiply(dz, dz, out=t)
-    np.sqrt(mu, out=mu)
-    gap = np.abs(np.multiply(2.0, mu, out=t))
-    np.multiply(1.0j, dy, out=t)
-    np.add(dx, t, out=w)
-    np.subtract(dx, t, out=wc)
-    w2, wc2, p2, q2, s1, s2 = ws.f
-    _abs2(w, w2)
-    _abs2(wc, wc2)
-    use2 = ws.m[0, :-1]
-    np.add(dz, mu, out=p)
-    np.subtract(mu, dz, out=q)
-    _abs2(p, p2)
-    _abs2(q, q2)
-    for b in (0, 1):
-        if b == 1:
-            # p, q = dz - mu, -mu - dz: their moduli are band 0's, swapped
-            np.subtract(dz, mu, out=p)
-            np.subtract(np.negative(mu, out=t), dz, out=q)
-            p2, q2 = q2, p2
-        r0, r1 = ws.right[b]
-        l0, l1 = ws.left[b]
+    mu = np.sqrt(dx * dx + dy * dy + dz * dz)
+    gap = np.abs(2.0 * mu)
+    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
+    w2, wc2 = np.abs(w) ** 2, np.abs(wc) ** 2
+    right = np.empty((2, 2, d.shape[0]), dtype=complex)
+    left = np.empty_like(right)
+    for b, smu in enumerate((mu, -mu)):
+        p, q = dz + smu, smu - dz
+        p2, q2 = np.abs(p) ** 2, np.abs(q) ** 2
         # right: columns (p, w) and (wc, q); left: rows (p, wc) and (w, q)
-        np.greater(np.add(wc2, q2, out=s1), np.add(p2, w2, out=s2), out=use2)
-        _select(r0, use2, wc, p)
-        _select(r1, use2, q, w)
-        np.greater(np.add(w2, q2, out=s1), np.add(p2, wc2, out=s2), out=use2)
-        _select(l0, use2, w, p)
-        _select(l1, use2, q, wc)
-    return mu, gap
+        use2 = wc2 + q2 > p2 + w2
+        right[b] = np.where(use2, wc, p), np.where(use2, q, w)
+        use2 = w2 + q2 > p2 + wc2
+        left[b] = np.where(use2, w, p), np.where(use2, q, wc)
+    return mu, gap, right, left
 
 
 def _defective(d, mu):
@@ -183,52 +112,35 @@ def _defective(d, mu):
     return (np.abs(mu) < _DEFECT_REL_TOL * dnorm) & (dnorm > 0)
 
 
-def _canonical_gauge(ws):
-    """Deterministic biorthonormal gauge, in place on the frames of ``ws``.
+def _canonical_gauge(right, left):
+    """Deterministic biorthonormal gauge, in place on the frames of
+    :func:`_raw_eigenframes`.
 
     Each right frame gets unit norm with its dominant component rotated
     real-positive, and each left frame unit norm, then division by the
     pairing overlap ``left . right`` where that is at least
-    ``OVERLAP_TOL``; ``ws.bad`` marks where it is not, for near-EP
-    detection.  The dominant component prefers index 0 unless index 1 is
-    larger by a relative margin, so near-ties cannot flip the choice
-    between neighbouring loop points.  Every operation is pointwise.
+    ``OVERLAP_TOL``.  Returns ``bad``, where ``bad[b]`` marks the points
+    whose band-``b`` pairing is not, for near-EP detection.  The dominant
+    component prefers index 0 unless index 1 is larger by a relative
+    margin, so near-ties cannot flip the choice between neighbouring loop
+    points.  Every operation is pointwise.
     """
-    a0, a1, rnorm, lnorm, t = ws.f[:5]
-    use1 = ws.m[0, :-1]
-    scale, ov, tc = ws.c[:3]
+    bad = np.empty((2, right.shape[-1]), dtype=bool)
     for b in (0, 1):
-        r0, r1 = ws.right[b]
-        l0, l1 = ws.left[b]
-        np.abs(r0, out=a0)
-        np.abs(r1, out=a1)
-        np.multiply(a0, a0, out=rnorm)
-        rnorm += np.multiply(a1, a1, out=t)
-        np.sqrt(rnorm, out=rnorm)
-        _abs2(l0, lnorm)
-        lnorm += _abs2(l1, t)
-        np.sqrt(lnorm, out=lnorm)
+        (r0, r1), (l0, l1) = right[b], left[b]
+        a0, a1 = np.abs(r0), np.abs(r1)
+        rnorm = np.sqrt(a0 * a0 + a1 * a1)
+        lnorm = np.sqrt(np.abs(l0) ** 2 + np.abs(l1) ** 2)
         if not (rnorm.all() and lnorm.all()):
             raise DefectivePointError("zero eigenvector encountered")
-        np.greater(a1, np.multiply(a0, 1.0 + 1e-9, out=t), out=use1)
+        use1 = a1 > a0 * (1.0 + 1e-9)
         # |pick| / pick, and 1 / rnorm, as one complex factor
-        _select(scale, use1, r1, r0)
-        np.conjugate(scale, out=scale)
-        _select(t, use1, a1, a0)
-        t *= rnorm
-        scale *= np.divide(1.0, t, out=t)
-        r0 *= scale
-        r1 *= scale
-        np.divide(1.0, lnorm, out=lnorm)
-        l0 *= lnorm
-        l1 *= lnorm
-        np.multiply(l0, r0, out=ov)
-        ov += np.multiply(l1, r1, out=tc)
-        np.less(np.abs(ov, out=t), OVERLAP_TOL, out=ws.bad[b])
-        np.copyto(ov, 1.0, where=ws.bad[b])  # biorthonormal where the pairing allows
-        np.divide(1.0, ov, out=ov)
-        l0 *= ov
-        l1 *= ov
+        right[b] *= np.conj(np.where(use1, r1, r0)) * (1.0 / (np.where(use1, a1, a0) * rnorm))
+        left[b] *= 1.0 / lnorm
+        ov = l0 * r0 + l1 * r1
+        bad[b] = np.abs(ov) < OVERLAP_TOL
+        left[b] *= 1.0 / np.where(bad[b], 1.0, ov)  # biorthonormal where the pairing allows
+    return bad
 
 
 def _check_on_ep(on_ep: str):
@@ -236,97 +148,71 @@ def _check_on_ep(on_ep: str):
         raise ValueError(f"on_ep must be 'raise' or 'flag', got {on_ep!r}")
 
 
-def _step_dots(a, b, b_close, out, tmp):
-    """``a[k] . b[k+1]`` for each loop step ``k``, into ``out``; the
-    closing step pairs ``a[n-1]`` with ``b_close`` in place of ``b[0]``.
+def _step_dots(a, b, b_close):
+    """``a[k] . b[k+1]`` for each loop step ``k``; the closing step pairs
+    ``a[n-1]`` with ``b_close`` in place of ``b[0]``.
 
     ``a``, ``b`` and ``b_close`` are pairs of components.
     """
     (a0, a1), (b0, b1) = a, b
+    out = np.empty(a0.shape, dtype=complex)
     np.multiply(a0[:-1], b0[1:], out=out[:-1])
-    out[:-1] += np.multiply(a1[:-1], b1[1:], out=tmp[:-1])
+    out[:-1] += a1[:-1] * b1[1:]
     out[-1] = a0[-1] * b_close[0] + a1[-1] * b_close[1]
     return out
 
 
-def _wilson_core(ws, stride: int, on_ep: str):
-    """The Wilson loop on every ``stride``-th point of the gauged frames in
-    ``ws``; see :func:`wilson_loop_phase`."""
-    R = ws.right[..., ::stride]
-    L = ws.left[..., ::stride]
-    bad = ws.bad[:, ::stride]
+def _wilson_core(R, L, bad, on_ep: str):
+    """The Wilson loop on gauged frames ``(band, component, point)`` and
+    their ``bad`` pairing marks, as :func:`_canonical_gauge` leaves them;
+    see :func:`wilson_loop_phase`."""
     n = R.shape[-1]
-    skipped = int(np.count_nonzero(bad[0]) + np.count_nonzero(bad[1]))
+    skipped = int(np.count_nonzero(bad))
     if skipped and on_ep == "raise":
         raise EPOnPathError(
             f"biorthogonal overlap below {OVERLAP_TOL:.1e} at "
             f"{int(np.count_nonzero(bad[0] | bad[1]))} loop points"
         )
-    c, f = ws.c[:, :n], ws.f[:, :n]
-    m0, m1, par = ws.m[0, :n], ws.m[1, :n], ws.m[2, : n + 1]
-
-    def first(frames, b):
-        return frames[b, 0, 0], frames[b, 1, 0]
-
-    dots = [_step_dots(L[b], R[b], first(R, b), c[b], c[4]) for b in (0, 1)]
-    diag, off, s1, s2 = f[:4]
-    np.abs(np.multiply(dots[0], dots[1], out=c[4]), out=diag)
-    x = _step_dots(L[0], R[1], first(R, 1), c[2], c[4])
-    x *= _step_dots(L[1], R[0], first(R, 0), c[3], c[4])
-    np.abs(x, out=off)
+    dots = [_step_dots(L[b], R[b], R[b, :, 0]) for b in (0, 1)]
+    diag = np.abs(dots[0] * dots[1])
+    off = np.abs(_step_dots(L[0], R[1], R[1, :, 0]) * _step_dots(L[1], R[0], R[0, :, 0]))
     # a step across an EP pairs each band with either successor equally
     # well; rounding must not pick one, so such a step keeps the slots and
     # the loop is not reported closed
-    tie = np.less_equal(
-        np.abs(np.subtract(diag, off, out=s1), out=s1),
-        np.multiply(_TIE_REL_TOL, np.maximum(diag, off, out=s2), out=s2),
-        out=m0,
-    )
+    tie = np.abs(diag - off) <= _TIE_REL_TOL * np.maximum(diag, off)
     # par[k]: whether the band identities have traded frame slots by point k
-    np.logical_and(np.less(diag, off, out=m1), np.logical_not(tie, out=par[1:]), out=m1)
-    par[0] = False
-    np.logical_xor.accumulate(m1, out=par[1:])
+    par = np.zeros(n + 1, dtype=bool)
+    np.logical_xor.accumulate((diag < off) & ~tie, out=par[1:])
     closed = not par[n] and not tie.any()
-    swapped = bool(par.any())
     theta = np.empty(2, dtype=complex)
     min_overlap = np.inf
-    a_fwd, a_bwd = f[:2]
     for band in (0, 1):
         # the closing step lands in the slot the band holds after a full turn
         close = int(par[n]) ^ band
-        if swapped:
-            in_slot1 = par[:n] if band == 0 else np.logical_not(par[:n], out=m0)
-            Rt, Lt = c[0:2], c[2:4]
-            for comp in (0, 1):
-                _select(Rt[comp], in_slot1, R[1, comp], R[0, comp])
-                _select(Lt[comp], in_slot1, L[1, comp], L[0, comp])
-            o_fwd = _step_dots(Lt, Rt, first(R, close), c[4], c[6])
-            o_bwd = _step_dots(Rt, Lt, first(L, close), c[5], c[6])
+        if par.any():
+            in_slot1 = par[:n] if band == 0 else ~par[:n]
+            Rt, Lt = np.where(in_slot1, R[1], R[0]), np.where(in_slot1, L[1], L[0])
+            o_fwd = _step_dots(Lt, Rt, R[close, :, 0])
         else:
             # the band never leaves its slot: its forward overlaps are the
             # diagonal step dots
+            Rt, Lt = R[band], L[band]
             o_fwd = dots[band]
-            o_bwd = _step_dots(R[band], L[band], first(L, close), c[2], c[4])
-        np.abs(o_fwd, out=a_fwd)
-        np.abs(o_bwd, out=a_bwd)
-        step_min = min(np.min(a_fwd), np.min(a_bwd))
-        min_overlap = min(min_overlap, float(step_min))
-        weak = np.logical_or(
-            np.less(a_fwd, OVERLAP_TOL, out=m0), np.less(a_bwd, OVERLAP_TOL, out=m1), out=m1
-        )
+        o_bwd = _step_dots(Rt, Lt, L[close, :, 0])
+        a_fwd, a_bwd = np.abs(o_fwd), np.abs(o_bwd)
+        min_overlap = min(min_overlap, float(min(np.min(a_fwd), np.min(a_bwd))))
+        weak = (a_fwd < OVERLAP_TOL) | (a_bwd < OVERLAP_TOL)
         if weak.any():
             if on_ep == "raise":
                 raise EPOnPathError(
                     f"step overlap below {OVERLAP_TOL:.1e}: phase undefined through an EP"
                 )
-            for arr in (o_fwd, o_bwd, a_fwd, a_bwd):
-                np.copyto(arr, 1.0, where=weak)
+            o_fwd[weak] = o_bwd[weak] = 1.0
+            a_fwd[weak] = a_bwd[weak] = 1.0
             skipped += int(np.count_nonzero(weak))
         # 0.5j * (sum log o_fwd - sum log o_bwd), with log o = log|o| + i arg o
-        arg = _sum_arg(o_fwd, s1) - _sum_arg(o_bwd, s1)
-        log_abs = _sum_log_abs(o_fwd, a_fwd, s1, s2, m0, m1) - _sum_log_abs(
-            o_bwd, a_bwd, s1, s2, m0, m1
-        )
+        arg = _sum_arg(o_fwd) - _sum_arg(o_bwd)
+        log_abs = _sum_log_abs(o_fwd, a_fwd) - _sum_log_abs(o_bwd, a_bwd)
         theta[band] = complex(-0.5 * arg, 0.5 * log_abs)
     return theta, closed, min_overlap, skipped
 
@@ -367,20 +253,16 @@ def wilson_loop_phase(right, left, on_ep: str = "raise"):
     n = right.shape[0]
     if n < 3:
         raise ValueError("need at least 3 loop points")
-    ws = _workspace(n)
-    np.copyto(ws.right, right.transpose(1, 2, 0))
-    np.copyto(ws.left, left.transpose(1, 2, 0))
-    _canonical_gauge(ws)
-    return _wilson_core(ws, 1, on_ep)
+    R, L = right.transpose(1, 2, 0).copy(), left.transpose(1, 2, 0).copy()
+    return _wilson_core(R, L, _canonical_gauge(R, L), on_ep)
 
 
-def _sum_arg(z, out):
-    return np.sum(np.arctan2(z.imag, z.real, out=out))
+def _sum_arg(z):
+    return np.sum(np.arctan2(z.imag, z.real))
 
 
-def _sum_log_abs(z, a, out, tmp, near, far):
-    """Sum of ``log |z|``, given ``a = |z|``; ``out``, ``tmp``, ``near``
-    and ``far`` are scratch of ``z``'s length.
+def _sum_log_abs(z, a):
+    """Sum of ``log |z|``, given ``a = |z|``.
 
     Where ``|z|`` is near 1, as the step overlaps mostly are, it is
     ``log1p(|z|^2 - 1) / 2``: ``log(a)`` would leave an absolute error of
@@ -388,14 +270,9 @@ def _sum_log_abs(z, a, out, tmp, near, far):
     one of the two logarithms, and the sum runs over all points at once.
     """
     x, y = z.real, z.imag
-    np.subtract(x, 1.0, out=out)
-    out *= np.add(x, 1.0, out=tmp)
-    out += np.multiply(y, y, out=tmp)
-    np.logical_and(np.greater(a, 0.5, out=near), np.less(a, 2.0, out=far), out=near)
-    np.log1p(out, out=out, where=near)
-    np.multiply(0.5, out, out=out, where=near)
-    np.log(a, out=out, where=np.logical_not(near, out=far))
-    return np.sum(out)
+    with np.errstate(divide="ignore"):  # log1p(-1) at a tiny |z|, which the where drops
+        near_one = 0.5 * np.log1p((x - 1.0) * (x + 1.0) + y * y)
+    return np.sum(np.where((a > 0.5) & (a < 2.0), near_one, np.log(a)))
 
 
 def _principal_theta(theta: complex, band: int) -> complex:
@@ -417,14 +294,15 @@ def _principal_theta(theta: complex, band: int) -> complex:
     return complex(re, theta.imag)
 
 
-def _loop_frames(model: ModelSpec, steps: int, on_ep: str, ws: _Workspace):
-    """Drive phases ``theta_k = 2*pi*k/steps``, and the Bloch vectors and
-    band gap at the times ``t_k = k*T/steps`` where the drive reaches them;
-    the gauged frames at those points go into ``ws``."""
+def _loop_frames(model: ModelSpec, steps: int, on_ep: str):
+    """Drive phases ``theta_k = 2*pi*k/steps``, the Bloch vectors and band
+    gap at the times ``t_k = k*T/steps`` where the drive reaches them, and
+    the gauged frames there with their ``bad`` pairing marks, as
+    ``(phases, d, gap, right, left, bad)``."""
     k = np.arange(steps)
     phases = k * (2.0 * math.pi / steps)
     d = bloch_vector_at(model, k * (model.period / steps))
-    mu, gap = _raw_eigenframes(d, ws)
+    mu, gap, right, left = _raw_eigenframes(d)
     if on_ep == "raise":
         defective = _defective(d, mu)
         if np.any(defective):
@@ -432,8 +310,8 @@ def _loop_frames(model: ModelSpec, steps: int, on_ep: str, ws: _Workspace):
                 f"loop passes through a defective point at drive phase "
                 f"{float(phases[np.argmax(defective)]):.6g}"
             )
-    _canonical_gauge(ws)
-    return phases, d, gap
+    bad = _canonical_gauge(right, left)
+    return phases, d, gap, right, left, bad
 
 
 def berry_phase_loop(
@@ -466,14 +344,16 @@ def berry_phase_loop(
         raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}")
     _check_on_ep(on_ep)
 
-    points = 2 * steps if richardson else steps
-    ws = _workspace(points)
-    phases, d, gap = _loop_frames(model, points, on_ep, ws)
+    phases, d, gap, right, left, bad = _loop_frames(
+        model, 2 * steps if richardson else steps, on_ep
+    )
     # the even points of the 2n grid are the n grid bit for bit
     # (2k * (T/2n) == k * (T/n)) and every frame operation is pointwise
-    stride = 2 if richardson else 1
-    phases, d, gap = phases[::stride], d[::stride], gap[::stride]
-    theta1, closed1, _, skipped1 = _wilson_core(ws, stride, on_ep)
+    n_grid = slice(None, None, 2 if richardson else 1)
+    phases, d, gap = phases[n_grid], d[n_grid], gap[n_grid]
+    theta1, closed1, _, skipped1 = _wilson_core(
+        right[..., n_grid], left[..., n_grid], bad[:, n_grid], on_ep
+    )
     flags = tuple(float(v) for v in phases[gap < GAP_TOL])
 
     step_delta = None
@@ -481,7 +361,7 @@ def berry_phase_loop(
     closed = closed1
     skipped = skipped1
     if richardson:
-        theta2, closed2, _, skipped2 = _wilson_core(ws, 1, on_ep)
+        theta2, closed2, _, skipped2 = _wilson_core(right, left, bad, on_ep)
         step_delta = float(np.max(np.abs(theta2 - theta1)))
         theta = (4.0 * theta2 - theta1) / 3.0
         closed = closed1 and closed2

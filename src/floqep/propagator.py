@@ -242,11 +242,17 @@ def _unit_terms_parity(terms) -> str | None:
 
 
 def quasienergy_from_trace(c, T):
-    """Quasienergy ``eps_F = arccos(c)/T`` on the principal branch.
+    """Quasienergy ``eps_F = w/T`` with ``cos(w) = c`` and ``Im w >= 0``.
 
-    ``Re eps_F`` lies in ``[0, pi/T]``; the sign of the imaginary part is
-    fixed >= 0 (the spectrum is the pair ``+/- eps_F``).  ``c`` and ``T``
-    may be arrays (elementwise); scalars give a Python complex.
+    The spectrum is the pair ``+/- eps_F`` modulo ``2*pi/T``, and the
+    representative is the one with ``Im w`` fixed >= 0 (up to -1e-10 of
+    noise).  ``Re w`` lies in ``[0, pi]`` wherever the principal
+    ``arccos(c)`` already has ``Im >= -1e-10``, every real ``c`` included.
+    Elsewhere, for non-real ``c`` with ``Im c > 0``, no representative of
+    ``+/-w mod 2*pi`` has both ``Re`` in ``[0, pi]`` and ``Im >= 0``:
+    ``w`` is ``-arccos(c)`` or ``2*pi - arccos(c)``, so ``Re w`` lies in
+    ``[-pi/2, 0)`` or ``(pi, 3*pi/2)``.  ``c`` and ``T`` may be arrays
+    (elementwise); scalars give a Python complex.
     """
     T = np.asarray(T, dtype=float)
     if not np.all(T > 0):
@@ -256,10 +262,11 @@ def quasienergy_from_trace(c, T):
 
 
 def _on_branch(w, T):
-    """``w/T`` for ``cos(w) = c`` and ``Re w`` in ``[0, pi]``, flipped to
-    the ``Im >= 0`` representative (see :func:`quasienergy_from_trace`)."""
-    # stay in the Re in [0, pi] strip (for real c this is exact); noise-level
-    # negative imaginary parts are kept to avoid distorting Re w
+    """``w/T`` for the principal ``w = arccos(c)``, ``Re w`` in ``[0, pi]``,
+    flipped to the ``Im >= 0`` representative, which leaves that strip for
+    non-real ``c`` (see :func:`quasienergy_from_trace`)."""
+    # the flip nearest the strip: -w to [-pi/2, 0), 2*pi - w to (pi, 3*pi/2);
+    # noise-level negative imaginary parts are kept to avoid distorting Re w
     w = np.where(
         w.imag < -1e-10, np.where(w.real <= math.pi / 2.0, -w, 2.0 * math.pi - w), w
     )

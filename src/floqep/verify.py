@@ -17,7 +17,6 @@ import numpy as np
 
 from .berry import (
     _loop_frames,
-    _Workspace,
     berry_phase_loop,
     half_solid_angle,
     spectrum_region_scan,
@@ -272,9 +271,7 @@ def criterion_property_suites():
 
     # Wilson-loop gauge invariance under random frame rescalings
     model = preset("apt-cosx-siny", J=1.0, gamma=0.7, omega=1.0, beta=1)
-    ws = _Workspace(512)
-    _loop_frames(model, 512, "raise", ws)
-    right, left = ws.frames()
+    right, left = (f.transpose(2, 0, 1) for f in _loop_frames(model, 512, "raise")[3:5])
     theta0, *_ = wilson_loop_phase(right, left)
     scale = (0.2 + 4.8 * rng.random((512, 2))) * np.exp(2j * np.pi * rng.random((512, 2)))
     theta1, *_ = wilson_loop_phase(right * scale[:, :, None], left / scale[:, :, None])

@@ -28,7 +28,6 @@ from floqep.berry import (
     _principal_theta,
     _raw_eigenframes,
     _spectral_sums,
-    _Workspace,
     berry_phase_loop,
     classify_instantaneous,
     half_solid_angle,
@@ -58,19 +57,16 @@ def _eigensystem(H):
     (``left[b] @ right[b] = 1``), band-major, of one 2x2 matrix, through
     the loop kernel's ``_raw_eigenframes`` and ``_canonical_gauge``."""
     d0, d = bloch_decompose(H)
-    ws = _Workspace(1)
-    mu = _raw_eigenframes(d[None, :], ws)[0][0]
-    _canonical_gauge(ws)
-    right, left = ws.frames()
-    return np.array([d0 + mu, d0 - mu]), right[0], left[0]
+    mu, _, right, left = _raw_eigenframes(d[None, :])
+    _canonical_gauge(right, left)
+    return np.array([d0 + mu[0], d0 - mu[0]]), right[..., 0], left[..., 0]
 
 
 def _frames(model, n):
     """The raw right and left frames, ``(n, 2, 2)``, of an ``n``-point loop
     of ``model``, as the loop kernel builds them before its gauge."""
-    ws = _Workspace(n)
-    _raw_eigenframes(bloch_vector_at(model, np.arange(n) * (model.period / n)), ws)
-    return ws.frames()
+    _, _, right, left = _raw_eigenframes(bloch_vector_at(model, np.arange(n) * (model.period / n)))
+    return tuple(np.ascontiguousarray(f.transpose(2, 0, 1)) for f in (right, left))
 
 
 # The loop kernel as it stood before the workspace version in floqep.berry:
@@ -415,7 +411,7 @@ class TestInstantaneousEigensystem:
         assert np.allclose(eigenvalues, [1.0, -1.0])
         assert np.allclose(right[0], [1.0, 0.0])
         assert np.allclose(right[1], [0.0, 1.0])
-        gap = _raw_eigenframes(np.array([[0.0, 0.0, 1.0 + 0j]]), _Workspace(1))[1]
+        gap = _raw_eigenframes(np.array([[0.0, 0.0, 1.0 + 0j]]))[1]
         assert gap[0] == pytest.approx(2.0)
 
     def test_cosy_sinz_instantaneous_formula(self):
@@ -423,7 +419,7 @@ class TestInstantaneousEigensystem:
         g = 0.8
         m = preset("pt-cosy-sinz", J=1.0, gamma=g, omega=1.0, beta=1)
         s = np.array([0.0, 0.13, 0.37, 0.61]) * m.period
-        mu = _raw_eigenframes(bloch_vector_at(m, s), _Workspace(s.size))[0]
+        mu = _raw_eigenframes(bloch_vector_at(m, s))[0]
         want = np.sqrt((1.0 + g * g * np.cos(4 * np.pi * s / m.period)).astype(complex))
         assert np.max(np.abs(mu - want)) < 1e-12
 
@@ -451,12 +447,13 @@ class TestInstantaneousEigensystem:
     def test_defective_point(self):
         # d = (0, 1, -i): d.d = 0 with d nonzero, a single eigenvector
         d = bloch_decompose(SIGMA_Y - 1j * SIGMA_Z)[1][None, :]
-        assert _defective(d, _raw_eigenframes(d, _Workspace(1))[0]).tolist() == [True]
+        assert _defective(d, _raw_eigenframes(d)[0]).tolist() == [True]
         # d = 0: the adjugate eigenvectors vanish, and no frame pair exists
-        d, ws = np.zeros((1, 3), dtype=complex), _Workspace(1)
-        assert _defective(d, _raw_eigenframes(d, ws)[0]).tolist() == [False]
+        d = np.zeros((1, 3), dtype=complex)
+        mu, _, right, left = _raw_eigenframes(d)
+        assert _defective(d, mu).tolist() == [False]
         with pytest.raises(DefectivePointError, match="zero eigenvector"):
-            _canonical_gauge(ws)
+            _canonical_gauge(right, left)
 
 
 class TestBiorthonormalize:
@@ -473,13 +470,11 @@ class TestBiorthonormalize:
 
     def test_near_ep_raises(self):
         # d = (1, i, eps): d.d = eps^2, so the unit-frame overlap is ~eps
-        ws = _Workspace(4)
-        _raw_eigenframes(np.tile([1.0, 1.0j, 1e-9], (4, 1)), ws)
-        right, left = ws.frames()
-        _canonical_gauge(ws)
-        assert np.all(ws.bad[0])
+        _, _, right, left = _raw_eigenframes(np.tile([1.0, 1.0j, 1e-9], (4, 1)))
+        frames = [f.transpose(2, 0, 1).copy() for f in (right, left)]
+        assert np.all(_canonical_gauge(right, left)[0])
         with pytest.raises(EPOnPathError, match="biorthogonal overlap"):
-            wilson_loop_phase(right, left)
+            wilson_loop_phase(*frames)
 
 
 class TestWilsonLoop:
@@ -659,9 +654,9 @@ class TestBerryLoop:
     def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
         # ... and so are the gauged frames and their bad-pairing marks
         m = PresetTemplate(name, beta=3, family="smooth").instantiate(0.7, 1.0)
-        fine_ws, coarse_ws = _Workspace(2 * n), _Workspace(n)
-        pairs = list(zip(_loop_frames(m, 2 * n, "raise", fine_ws), _loop_frames(m, n, "raise", coarse_ws)))
-        pairs += [(getattr(fine_ws, a).T, getattr(coarse_ws, a).T) for a in ("right", "left", "bad")]
+        pairs = list(zip(_loop_frames(m, 2 * n, "raise"), _loop_frames(m, n, "raise")))
+        # the point axis leads in phases, d and gap, and ends the frames and marks
+        pairs = pairs[:3] + [(fine.T, coarse.T) for fine, coarse in pairs[3:]]
         for fine, coarse in pairs:
             assert np.ascontiguousarray(fine[::2]).tobytes() == np.ascontiguousarray(coarse).tobytes()
 
@@ -680,7 +675,7 @@ class TestBerryLoop:
         # gap_tol 1e-3 puts flags on the loop that grazes the degenerate strip
         monkeypatch.setattr(berry_module, "GAP_TOL", gap_tol)
         m = PresetTemplate(name, beta=beta, family="smooth").instantiate(gamma, 1.0)
-        phases, _, gap = _loop_frames(m, steps, on_ep, _Workspace(steps))
+        phases, _, gap, *_ = _loop_frames(m, steps, on_ep)
         theta1, closed1, _, skipped1 = wilson_loop_phase(*_frames(m, steps), on_ep=on_ep)
         theta2, closed2, _, skipped2 = wilson_loop_phase(*_frames(m, 2 * steps), on_ep=on_ep)
         flags = tuple(float(v) for v in phases[gap < gap_tol])
@@ -713,11 +708,9 @@ class TestBerryLoop:
 
     def test_second_loop_heap_peak(self):
         # deterministic, not a timing gate: the 8192-step Richardson loop
-        # of the per-call kernel peaked at 8.6 MiB of transient heap; with
-        # the workspace allocated, a second loop, workspace included, stays
-        # below that
+        # of the earlier per-call kernel peaked at 8.6 MiB of transient
+        # heap; with its frames gauged once, a second loop stays below that
         m = preset("apt-cosx-siny", J=1.0, gamma=0.9, omega=1.0, beta=1)
-        berry_module._thread_workspace.cache_clear()
         tracemalloc.start()
         try:
             berry_phase_loop(m, steps=8192)
@@ -760,6 +753,33 @@ class TestBerryLoop:
         r = berry_phase_loop(tpl.instantiate(2.5, 1.0), steps=4096, richardson=True)
         assert r.step_delta > 1e-3  # on-loop band collisions: not converged
 
+    def test_interleaved_sizes_match_alone(self):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        runs = [(512, 0.3), (8192, 1.5), (512, 0.7)]
+        alone = [_loop_outcome(berry_phase_loop, tpl.instantiate(g, 1.0), n) for n, g in runs]
+        # a loop's result does not depend on the loops run before it
+        for (steps, gamma), want in zip(runs[::-1], alone[::-1]):
+            assert _loop_outcome(berry_phase_loop, tpl.instantiate(gamma, 1.0), steps) == want
+
+    def test_concurrent_loops_match_alone(self):
+        # nor on loops of the same size running in other threads
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        gammas = [0.3, 0.6, 1.2, 1.6]
+        want = [_loop_outcome(berry_phase_loop, tpl.instantiate(g, 1.0), 2048) for g in gammas]
+        got = [None] * len(gammas)
+
+        def run(i):
+            for _ in range(3):
+                got[i] = _loop_outcome(berry_phase_loop, tpl.instantiate(gammas[i], 1.0), 2048)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gammas))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert got == want
+
 
 def _loop_outcome(fn, *args, **kwargs):
     """A loop's result as bytes and values, or its exception as type and message."""
@@ -778,12 +798,17 @@ PLATEAU_GAMMA = 0.05 + 53 * 2.9 / 63
 
 
 class TestReferenceBits:
-    """The workspace kernel against the per-call kernel it replaced, bit for bit."""
+    """The loop kernel against the per-call reference kernel, bit for bit."""
 
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    # square loops take the Wilson route only: the spectral route declines them
+    @pytest.mark.parametrize(
+        "name, family",
+        [pytest.param(name, "smooth", id=name) for name in PRESET_NAMES]
+        + [pytest.param(name, "square", id=f"{name}-square") for name in PRESET_NAMES],
+    )
     @pytest.mark.parametrize("beta", [1, 2, 3])
-    def test_preset_loops(self, name, beta):
-        tpl = PresetTemplate(name, beta=beta, family="smooth")
+    def test_preset_loops(self, name, family, beta):
+        tpl = PresetTemplate(name, beta=beta, family=family)
         for gamma in (0.5, PLATEAU_GAMMA):
             m = tpl.instantiate(gamma, 1.0)
             for steps in (256, 1024, 8192):
@@ -822,54 +847,6 @@ class TestReferenceBits:
         right, left = frames()
         got = _loop_outcome(wilson_loop_phase, right, left, on_ep)
         assert got == _loop_outcome(_reference_component_wilson_loop_phase, right, left, on_ep)
-
-
-class TestWorkspace:
-    def test_interleaved_sizes_match_alone(self):
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
-        runs = [(512, 0.3), (8192, 1.5), (512, 0.7)]
-        alone = []
-        for steps, gamma in runs:
-            berry_module._thread_workspace.cache_clear()
-            alone.append(_loop_outcome(berry_phase_loop, tpl.instantiate(gamma, 1.0), steps))
-        # each loop leaves its buffers to the next one of its size
-        for (steps, gamma), want in zip(runs, alone):
-            assert _loop_outcome(berry_phase_loop, tpl.instantiate(gamma, 1.0), steps) == want
-
-    def test_results_do_not_alias_the_workspace(self):
-        tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
-        m1, m2 = tpl.instantiate(0.4, 1.0), tpl.instantiate(0.8, 1.0)
-        r = berry_phase_loop(m1, steps=1024)
-        ws = berry_module._workspace(2048)
-        frames = _loop_frames(m1, 2048, "raise", ws)
-        w = wilson_loop_phase(*_frames(m1, 2048))
-        kept = [a.copy() for a in (r.theta, *frames, w[0])]
-        berry_phase_loop(m2, steps=1024)
-        wilson_loop_phase(*_frames(m2, 2048))
-        assert berry_module._workspace(2048) is ws
-        for arr, want in zip((r.theta, *frames, w[0]), kept):
-            assert arr.tobytes() == want.tobytes()
-            for buf in (ws.right, ws.left, ws.bad, ws.c, ws.f, ws.m):
-                assert not np.shares_memory(arr, buf)
-
-    def test_threads_keep_their_own_workspace(self):
-        # concurrent loops of one size: each thread's buffers are its own
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
-        gammas = [0.3, 0.6, 1.2, 1.6]
-        want = [_loop_outcome(berry_phase_loop, tpl.instantiate(g, 1.0), 2048) for g in gammas]
-        got = [None] * len(gammas)
-
-        def run(i):
-            for _ in range(3):
-                got[i] = _loop_outcome(berry_phase_loop, tpl.instantiate(gammas[i], 1.0), 2048)
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(gammas))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-            assert not t.is_alive()
-        assert got == want
 
 
 def _quiet_spectral(model):

@@ -1,14 +1,19 @@
 import base64
 import json
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import floqep
 import floqep.cli as cli
 import floqep.render as render
 import floqep.verify as verify_mod
@@ -453,6 +458,16 @@ class TestOtherCommands:
             assert cli.main(["berry", "--config", str(p)]) == 0
             csv[name] = (tmp_path / name / "berry.csv").read_bytes()
         assert csv["scalar"] == csv["range"] == csv["one"]
+
+    def test_python_dash_m(self):
+        # the package runs as a module from a checkout, installed or not
+        src = str(Path(floqep.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        run = subprocess.run([sys.executable, "-m", "floqep", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert "verify" in run.stdout
 
 
 class TestVerbosity:

@@ -295,6 +295,20 @@ class TestQuasienergy:
             assert -1e-12 <= eps.real <= np.pi + 1e-12
             assert eps.imag >= -1e-10
             assert abs(np.cos(eps) - c) < 1e-9 * max(1.0, abs(c))
+        # non-real c: with Im arccos(c) < 0 the Im >= 0 representative leaves
+        # the [0, pi] strip, for [-pi/2, 0) or (pi, 3pi/2); the first value
+        # is a cell of the square pt-cosy-sinz beta=3 map
+        cs = [0.99692 + 0.00288j, 0.99692 - 0.00288j, -0.99692 + 0.00288j, 0.5j, -0.5j]
+        cs += list(rng.uniform(-3, 3, 200) + 1j * rng.uniform(-3, 3, 200))
+        for c in cs:
+            eps = quasienergy_from_trace(c, 1.0)
+            assert eps.imag >= -1e-10
+            assert abs(np.cos(eps) - c) < 1e-9 * max(1.0, abs(c))
+            if np.arccos(c).imag >= -1e-10:
+                assert 0.0 <= eps.real <= np.pi
+            else:
+                assert -np.pi / 2 <= eps.real < 0.0 or np.pi < eps.real < 1.5 * np.pi
+        assert quasienergy_from_trace(0.99692 + 0.00288j, 1.0).real < 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
