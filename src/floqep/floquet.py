@@ -12,20 +12,34 @@ exact reductions read off the drive terms, each used when every term
 admits it:
 
 - *half-period parity*: ``H(t + T/2) = P H(t) P`` for ``P`` = sigma_z or
-  sigma_x, so the matrix commutes with ``diag((-1)^m) (x) P`` and splits
-  into two ``(2N+1)``-dimensional sectors (all four presets at odd
-  ``beta``: sigma_x for ``pt-*``, sigma_z for ``apt-*``);
+  sigma_x, so the matrix commutes with ``Pi = diag((-1)^m) (x) P`` and
+  splits into two ``(2N+1)``-dimensional sectors (all four presets at
+  odd ``beta``: sigma_x for ``pt-*``, sigma_z for ``apt-*``), of which
+  only the ``+1`` sector is solved;
 - *real gauge*: ``D = diag(i^(u*m + v*s))`` for block ``m``, component
   ``s`` makes ``D^-1 K D`` real (``pt-cosy-cosz`` at odd ``beta``,
   ``pt-cosy-sinz`` and ``apt-cosx-cosy`` at even ``beta``,
-  ``apt-cosx-siny`` at every ``beta``), so the sectors are solved in real
-  arithmetic and their complex eigenvalues come in exact conjugate
-  pairs; a stable cell reads exactly 0.
+  ``apt-cosx-siny`` at every ``beta``), so the sector is solved in real
+  arithmetic and its complex eigenvalues come in exact conjugate pairs;
+  a stable cell reads exactly 0.
+
+One sector is enough.  With the harmonic shift ``(S psi)_m = psi_(m-1)``,
+the untruncated matrix has ``K S = S (K + omega)`` and ``Pi S = -S Pi``,
+so the ``-1`` sector is the ``+1`` sector shifted by ``omega``: each
+band's ladder appears in the ``+1`` sector on every other rung, and its
+central third holds both bands.  (The two quasienergies of a traceless
+drive are ``+/-eps`` besides, so they share ``|Im eps|``.)
 
 Any other model (``pt-cosy-cosz`` at even ``beta``, custom models
-without these symmetries) takes the dense complex solve of
-:func:`build_floquet_matrix` and :func:`complex_eigenvalues`, which also
-serves as the reference the reduced solve is tested against.
+without these symmetries) keeps the whole matrix, solved as complex.
+The dense route, :func:`build_floquet_matrix`, :func:`complex_eigenvalues`
+and :func:`fold_spectrum`, is the reference the reduced solve is tested
+against.
+
+A phase diagram solves one frequency column at a time
+(:func:`column_max_im`): a preset is affine in gamma, so its sector is
+``S_a + gamma*S_b + omega*diag(m)``, and the column's matrices go through
+one stacked eigensolve per :data:`STACK_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -48,6 +62,12 @@ from .model import (
 _PAULI = {0: SIGMA_X, 1: SIGMA_Y, 2: SIGMA_Z}
 
 DEFAULT_CUTOFF = 20  # 2*(2*20+1) = 82-dimensional truncation
+
+# matrices per stacked eigensolve: bounds a column's memory (a 162x162
+# complex matrix, cutoff 40 without parity, is 0.42 MB)
+STACK_CELLS = 32
+
+_TRUNCATED = "no eigenvalues survived central-third filtering"
 
 
 class TruncationError(ValueError):
@@ -127,8 +147,8 @@ def _check_cutoff(cutoff: int, n_max: int):
         raise ValueError(f"cutoff {cutoff} below largest drive harmonic {n_max}")
 
 
-def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> FloquetMatrix:
-    """Assemble the truncated matrix for harmonics ``n = -N..N``.
+def _harmonic_blocks(model: ModelSpec, cutoff: int) -> np.ndarray:
+    """The truncated matrix without its ``m*omega`` diagonal.
 
     Each Fourier component ``H^(k)`` fills block diagonal ``k`` in one
     write, on the ``(block row, row, block column, column)`` view.
@@ -140,53 +160,69 @@ def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> Floq
     for k, comp in fourier_components(model).items():
         rows = np.arange(max(k, 0), nb + min(k, 0))
         blocks[rows, :, rows - k, :] = comp
+    return mat
+
+
+def build_floquet_matrix(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> FloquetMatrix:
+    """Assemble the truncated matrix for harmonics ``n = -N..N``."""
+    mat = _harmonic_blocks(model, cutoff)
     w = model.base_omega
-    diag = np.arange(2 * nb)
+    diag = np.arange(mat.shape[0])
     mat[diag, diag] += np.repeat(np.arange(-cutoff, cutoff + 1) * w, 2)
     return FloquetMatrix(cutoff=cutoff, base_omega=w, matrix=mat)
 
 
 def complex_eigenvalues(matrix) -> np.ndarray:
-    """All eigenvalues of a dense matrix, as a complex array sorted by (Re, Im).
+    """All eigenvalues of a dense matrix, or of each matrix of a
+    ``(..., n, n)`` stack, as complex arrays sorted by (Re, Im).
 
     Backed by the LAPACK dense non-symmetric solver (Hessenberg
-    reduction plus implicitly shifted QR).  A real matrix is solved in
-    real arithmetic, so its complex eigenvalues come in exact conjugate
-    pairs.  Non-convergence raises instead of returning a truncated
-    spectrum.
+    reduction plus implicitly shifted QR), one matrix after another.  A
+    real matrix is solved in real arithmetic, so its complex eigenvalues
+    come in exact conjugate pairs.  Non-convergence on any matrix raises
+    instead of returning a truncated spectrum.
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     try:
         eigs = np.linalg.eigvals(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise RuntimeError(f"eigensolver did not converge on {m.shape[0]}x{m.shape[0]} matrix") from exc
+    except np.linalg.LinAlgError as exc:
+        n = m.shape[-1]
+        raise RuntimeError(f"eigensolver did not converge on {n}x{n} matrix") from exc
     return np.sort_complex(eigs)
 
 
-def _central_third(eigs, omega: float, cutoff: int) -> np.ndarray:
-    """Fold raw ladder eigenvalues into the first zone, keeping the central third.
+def _central_mask(eigs: np.ndarray, omega: float, cutoff: int):
+    """The folded real parts of ladder eigenvalues (any shape) and the
+    mask of those in the central third.
 
     Each eigenvalue is assigned the ladder index ``n = round(Re e / omega)``
-    and shifted by ``-n*omega``.  Eigenvalues with ``|n| > cutoff/3`` are
-    discarded: the truncation corrupts the outer ladders, and keeping the
-    central third is enough once the cutoff is converged.
+    and shifted by ``-n*omega`` into ``(-omega/2, omega/2]``.  Eigenvalues
+    with ``|n| > cutoff/3`` are dropped: the truncation corrupts the
+    outer ladders, and keeping the central third is enough once the
+    cutoff is converged.
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
-    eigs = np.asarray(eigs, dtype=complex)
-    n_idx = np.floor(eigs.real / omega + 0.5).astype(int)
+    n_idx = np.floor(eigs.real / omega + 0.5)
     re_f = eigs.real - n_idx * omega
     on_edge = re_f <= -0.5 * omega
     re_f = np.where(on_edge, re_f + omega, re_f)
     n_idx = np.where(on_edge, n_idx - 1, n_idx)
-    keep = 3 * np.abs(n_idx) <= cutoff
+    return re_f, 3 * np.abs(n_idx) <= cutoff
+
+
+def _central_third(eigs, omega: float, cutoff: int) -> np.ndarray:
+    """Fold raw ladder eigenvalues into the first zone, keeping the
+    central third (see :func:`_central_mask`)."""
+    if omega <= 0:
+        raise ValueError("omega must be positive")
+    eigs = np.asarray(eigs, dtype=complex)
+    re_f, keep = _central_mask(eigs, omega, cutoff)
     if not np.any(keep):
-        raise TruncationError("no eigenvalues survived central-third filtering")
+        raise TruncationError(_TRUNCATED)
     return re_f[keep] + 1.0j * eigs.imag[keep]
 
 
@@ -259,11 +295,18 @@ def _reductions(model: ModelSpec) -> tuple[Axis | None, tuple[int, int] | None]:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _sector_eigenvalues(model: ModelSpec, cutoff: int) -> np.ndarray:
-    """All eigenvalues of the truncated Floquet matrix, sorted by (Re, Im),
-    solved in the symmetry sectors and real gauge the model admits."""
-    mat = build_floquet_matrix(model, cutoff).matrix
-    parity, gauge = _reductions(model)
+def _sector_matrix(model: ModelSpec, cutoff: int, reductions=None):
+    """The ``+1`` parity sector of the truncated Floquet matrix without its
+    ``m*omega`` diagonal, and the harmonic ``m`` of each of its rows.
+
+    The sector is gauged real where the model admits a real gauge, and
+    is the whole matrix where the model has no parity.  ``reductions``
+    replaces ``_reductions(model)``: a preset reads them once, at a
+    gamma where every term is present, and applies them to its
+    gamma-free part too.
+    """
+    parity, gauge = _reductions(model) if reductions is None else reductions
+    mat = _harmonic_blocks(model, cutoff)
     nb = 2 * cutoff + 1
     blocks = np.arange(-cutoff, cutoff + 1)
     if gauge is not None:
@@ -274,24 +317,73 @@ def _sector_eigenvalues(model: ModelSpec, cutoff: int) -> np.ndarray:
             raise RuntimeError(f"real gauge {gauge} left imaginary entries in {model.label!r}")
         mat = mat.real
     if parity is None:
-        return complex_eigenvalues(mat)
+        return mat, np.repeat(blocks, 2)
     # per block, the coefficients of the sector's basis vector on the two components
-    sign = np.where(blocks % 2, -1.0, 1.0)
+    even = blocks % 2 == 0
     if parity is Axis.Z:
-        bases = [np.stack([sign == eps, sign != eps], axis=1).astype(float) for eps in (1.0, -1.0)]
+        basis = np.stack([even, ~even], axis=1).astype(float)
     else:
-        bases = [np.sqrt(0.5) * np.stack([np.ones(nb), eps * sign], axis=1) for eps in (1.0, -1.0)]
-    quad = mat.reshape(nb, 2, nb, 2)
-    return np.sort_complex(np.concatenate([
-        complex_eigenvalues(np.einsum("ma,manb,nb->mn", c, quad, c)) for c in bases
-    ]))
+        basis = np.sqrt(0.5) * np.stack([np.ones(nb), np.where(even, 1.0, -1.0)], axis=1)
+    return np.einsum("ma,manb,nb->mn", basis, mat.reshape(nb, 2, nb, 2), basis), blocks
+
+
+def _solve_stack(stack: np.ndarray, harmonics, omega: float, cutoff: int):
+    """``max |Im|`` over the central third of each matrix of ``stack``
+    (``m*omega`` added on its diagonal, in place), and each matrix's error.
+
+    The stack is solved in one call; if that fails, matrix by matrix, so
+    a matrix that fails (``RuntimeError``) or keeps no central-third
+    eigenvalue (``TruncationError``) gets NaN and its own exception, and
+    the others their values.  Non-finite entries raise ``ValueError``.
+    """
+    diag = np.arange(stack.shape[-1])
+    stack[:, diag, diag] += omega * harmonics
+    errors = [None] * len(stack)
+    try:
+        eigs = complex_eigenvalues(stack)
+    except RuntimeError:
+        eigs = np.full(stack.shape[:-1], np.nan, dtype=complex)
+        for i, mat in enumerate(stack):
+            try:
+                eigs[i] = complex_eigenvalues(mat)
+            except RuntimeError as exc:
+                errors[i] = exc
+    _, keep = _central_mask(eigs, omega, cutoff)
+    values = np.max(np.abs(eigs.imag), axis=-1, where=keep, initial=-np.inf)
+    for i in np.flatnonzero(~keep.any(axis=-1)):
+        values[i] = np.nan
+        errors[i] = errors[i] or TruncationError(_TRUNCATED)
+    return values, errors
+
+
+def column_max_im(a, b, harmonics, gammas, omega: float, cutoff: int):
+    """``max |Im eps|`` over the central third at each gamma of one frequency
+    column, from the sector matrices ``a + gamma*b + omega*diag(harmonics)``
+    (see :func:`_sector_matrix`), :data:`STACK_CELLS` per eigensolve.
+
+    Returns the values and the error text of each failed cell, in cell
+    order; a failed cell reads NaN.
+    """
+    gammas = np.asarray(gammas, dtype=float)
+    values = np.empty(len(gammas))
+    errors = []
+    for start in range(0, len(gammas), STACK_CELLS):
+        g = gammas[start:start + STACK_CELLS]
+        values[start:start + len(g)], errs = _solve_stack(a + g[:, None, None] * b,
+                                                          harmonics, omega, cutoff)
+        errors.extend(f"{type(e).__name__}: {e}" for e in errs if e is not None)
+    return values, errors
 
 
 def max_im_quasienergy(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> float:
     """Largest |Im quasienergy| over the central third of the truncated
-    Floquet spectrum (the ``max_im`` of :func:`fold_spectrum`)."""
-    eigs = _sector_eigenvalues(model, cutoff)
-    return float(np.max(np.abs(_central_third(eigs, model.base_omega, cutoff).imag)))
+    Floquet spectrum (the ``max_im`` of :func:`fold_spectrum`), solved in
+    the ``+1`` parity sector as a stack of one."""
+    mat, harmonics = _sector_matrix(model, cutoff)
+    (value,), (error,) = _solve_stack(mat[None], harmonics, model.base_omega, cutoff)
+    if error is not None:
+        raise error
+    return float(value)
 
 
 def convergence_check(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> tuple[bool, float]:

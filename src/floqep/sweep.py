@@ -4,9 +4,11 @@ The piecewise engine evaluates a grid in fixed-size, row-major blocks of
 cells, each one call of the batched segment-product kernel, in-process,
 over half the period where the preset has the half-period parity (see
 :mod:`floqep.propagator`); the block size is a constant, so the output
-does not depend on the worker count.  The per-cell engines (``floquet``,
-``monodromy-integrate``) farm frequency columns out to a process pool
-and reassemble them by index, bit-identical for any worker count.
+does not depend on the worker count.  The ``floquet`` and
+``monodromy-integrate`` engines farm frequency columns out to a process
+pool and reassemble them by index, bit-identical for any worker count:
+a ``floquet`` column is stacked eigensolves of one parity sector (see
+:mod:`floqep.floquet`), an ``integrate`` column runs cell by cell.
 Numerical failures become NaN sentinel cells, summarised in one log
 line; more than 1% failures aborts the sweep.  EP contours come from the
 indicator on the grid blocks, a lockstep bisection of every sign-change
@@ -33,7 +35,14 @@ import numpy as np
 
 from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
-from .floquet import DEFAULT_CUTOFF, TruncationError, _check_cutoff, max_im_quasienergy
+from .floquet import (
+    DEFAULT_CUTOFF,
+    _check_cutoff,
+    _reductions,
+    _sector_matrix,
+    column_max_im,
+    max_im_quasienergy,
+)
 from .model import PresetTemplate
 from .propagator import (  # noqa: F401  (unused names: re-exported, traced by perfbench)
     DEFAULT_STEPS_PER_PERIOD,
@@ -170,6 +179,23 @@ def _segment_vectors(template: PresetTemplate):
 
 
 @functools.lru_cache(maxsize=32)
+def _floquet_sector(template: PresetTemplate, cutoff: int):
+    """Sector matrices ``(a, b, harmonics)`` of a smooth preset (read-only arrays).
+
+    The Floquet matrix is affine in gamma, so the ``+1`` parity sector
+    at ``(gamma, omega)`` is ``a + gamma * b + omega * diag(harmonics)``
+    (see :func:`~floqep.floquet._sector_matrix`); its reductions are read
+    at gamma 1, where every drive term is present.
+    """
+    one = template.instantiate(1.0, 1.0)
+    reductions = _reductions(one)
+    a, harmonics = _sector_matrix(template.instantiate(0.0, 1.0), cutoff, reductions)
+    b = _sector_matrix(one, cutoff, reductions)[0] - a
+    a.flags.writeable = b.flags.writeable = harmonics.flags.writeable = False
+    return a, b, harmonics
+
+
+@functools.lru_cache(maxsize=32)
 def _segment_parity(template: PresetTemplate):
     """The half-period parity axis of a square preset, or None (the same at every gamma)."""
     return half_period_parity(template.instantiate(1.0, 1.0))
@@ -275,14 +301,16 @@ def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff) -> floa
 
 def _column_task(args):
     omega, template, gammas, engine, cutoff = args
+    if engine == "floquet":
+        return column_max_im(*_floquet_sector(template, cutoff), gammas, omega, cutoff)
     vals = np.empty(len(gammas))
     errors = []
     for i, g in enumerate(gammas):
         try:
             vals[i] = _cell_max_im(template, g, omega, engine, cutoff)
-        # numerical failures only (RuntimeError: NumericalError, eigensolver
-        # non-convergence): NaN sentinel, budget-checked later
-        except (RuntimeError, TruncationError) as exc:
+        # numerical failures only (RuntimeError: NumericalError): NaN
+        # sentinel, budget-checked later
+        except RuntimeError as exc:
             vals[i] = np.nan
             errors.append(f"{type(exc).__name__}: {exc}")
     return vals, errors
@@ -327,8 +355,8 @@ def _piecewise_map(template: PresetTemplate, grid: GridSpec):
     return values.reshape(grid.omega_count, grid.gamma_count), undecided
 
 
-def _cell_map(template, grid, threads, cutoff):
-    """``max Im eps`` cell by cell, frequency columns over a process pool."""
+def _column_map(template, grid, threads, cutoff):
+    """``max Im eps`` by frequency column, the columns over a process pool."""
     tasks = [(float(w), template, grid.gammas, grid.engine, cutoff) for w in grid.omegas]
     results = _map_tasks(_column_task, tasks, threads)
     values = np.array([vals for vals, _ in results])
@@ -345,7 +373,7 @@ def phase_diagram(
 
     The piecewise engine runs in-process in fixed blocks whatever
     ``threads`` is, and counts the cells whose verdict is within its
-    rounding bound of the threshold (``undecided_cells``).  The per-cell
+    rounding bound of the threshold (``undecided_cells``).  The other
     engines distribute frequency columns over ``threads`` processes and
     write them back into pre-assigned rows.  Either way the result does
     not depend on the worker count.
@@ -358,7 +386,7 @@ def phase_diagram(
         values, undecided = _piecewise_map(template, grid)
         errors = []
     else:
-        values, errors = _cell_map(template, grid, threads, cutoff)
+        values, errors = _column_map(template, grid, threads, cutoff)
         undecided = None
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):

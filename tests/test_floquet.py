@@ -1,9 +1,13 @@
+import logging
+
 import numpy as np
 import pytest
 
+import floqep.floquet as floquet_mod
+import floqep.sweep as sweep_mod
 from floqep.floquet import (
     _reductions,
-    _sector_eigenvalues,
+    _sector_matrix,
     build_floquet_matrix,
     complex_eigenvalues,
     convergence_check,
@@ -260,6 +264,12 @@ def _dense_max_im(model, cutoff=20):
     return fold_spectrum(eigs, model.base_omega, cutoff).max_im
 
 
+def _sector_eigenvalues(model, cutoff=20):
+    """All eigenvalues of the model's ``+1`` parity sector (the whole matrix without parity)."""
+    mat, harmonics = _sector_matrix(model, cutoff)
+    return complex_eigenvalues(mat + np.diag(model.base_omega * harmonics))
+
+
 # no half-period parity (the X coupling and the Z drive need opposite
 # parities of the harmonic) and no real gauge (the Y drive at an even harmonic)
 ASYMMETRIC = ModelSpec(
@@ -291,12 +301,15 @@ class TestReducedSolve:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])
     def test_matches_dense_eigenvalues(self, name, beta):
+        # one parity sector holds half the dense spectrum, and both bands
+        # in its central third
         for gamma, omega in [(0.0, 0.9), (0.7, 1.3), (1.6, 0.45)]:
             m = preset(name, gamma=gamma, omega=omega, beta=beta)
             dense = complex_eigenvalues(build_floquet_matrix(m, 20).matrix)
             reduced = _sector_eigenvalues(m, 20)
-            assert reduced.shape == dense.shape
+            assert reduced.size == (dense.size // 2 if beta % 2 else dense.size)
             assert matched_max_distance(reduced, dense) < 1e-10
+            assert abs(max_im_quasienergy(m, 20) - _dense_max_im(m)) < 1e-12
 
     def test_sigma_x_parity_takes_no_odd_v_gauge(self):
         # real under (0, 1) only, which would turn the sigma_x parity into sigma_y
@@ -332,3 +345,74 @@ class TestReducedSolve:
         unstable = reduced > INSTABILITY_THRESHOLD
         assert np.array_equal(unstable, dense > INSTABILITY_THRESHOLD)
         assert 0 < np.count_nonzero(unstable) < unstable.size
+
+
+def _stacked_target(template, gamma, omega, cutoff=20):
+    """The matrix that the stacked column solve builds for one cell."""
+    a, b, harmonics = sweep_mod._floquet_sector(template, cutoff)
+    mat = a + gamma * b
+    mat[np.diag_indices_from(mat)] += omega * harmonics
+    return mat
+
+
+class TestStackedColumn:
+    GRID = GridSpec(0.0, 2.5, 12, 0.4, 3.0, 12, engine="floquet")
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_map_matches_single_cells(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta)
+        values = phase_diagram(tpl, self.GRID, cutoff=20).values
+        gammas, omegas = self.GRID.cells()
+        cells = np.array([max_im_quasienergy(tpl.instantiate(g, w), 20)
+                          for g, w in zip(gammas, omegas)]).reshape(values.shape)
+        assert self.GRID.gammas[0] == 0.0
+        if beta % 2:
+            # the sigma_x projection of a + gamma*b rounds apart from that of the cell's matrix
+            assert np.max(np.abs(values - cells)) < 1e-13
+        else:
+            assert values.tobytes() == cells.tobytes()
+
+    def test_chunks_do_not_change_the_map(self, monkeypatch):
+        tpl = PresetTemplate("pt-cosy-sinz", beta=3)
+        whole = phase_diagram(tpl, self.GRID, cutoff=20).values
+        monkeypatch.setattr(floquet_mod, "STACK_CELLS", 5)
+        assert phase_diagram(tpl, self.GRID, cutoff=20).values.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("fault, text", [
+        ("no convergence", "RuntimeError: eigensolver did not converge on 41x41 matrix"),
+        ("outside the central third",
+         "TruncationError: no eigenvalues survived central-third filtering"),
+    ])
+    def test_one_failed_cell_reads_nan(self, monkeypatch, caplog, fault, text):
+        tpl = PresetTemplate("pt-cosy-cosz", beta=3)
+        clean = phase_diagram(tpl, self.GRID, cutoff=20).values
+        j, i = 3, 7
+        target = _stacked_target(tpl, self.GRID.gammas[i], float(self.GRID.omegas[j]))
+        real = np.linalg.eigvals
+
+        def faulty(m):
+            hit = np.all(m == target, axis=(-2, -1))
+            if not np.any(hit):
+                return real(m)
+            if fault == "no convergence":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return np.where(hit[..., None], 1e6, real(m))
+
+        monkeypatch.setattr(np.linalg, "eigvals", faulty)
+        with caplog.at_level(logging.WARNING, logger="floqep.sweep"):
+            diag = phase_diagram(tpl, self.GRID, cutoff=20)
+        failed = ~np.isfinite(diag.values)
+        assert np.argwhere(failed).tolist() == [[j, i]] and np.isnan(diag.values[j, i])
+        assert diag.values[~failed].tobytes() == clean[~failed].tobytes()
+        assert diag.metadata["failed_cells"] == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"1 of 144 cells failed; first (omega index, gamma index): ({j}, {i}); "
+            f"first error: {text}"
+        ]
+
+    def test_non_finite_matrix_raises(self):
+        # omega * m overflows at the second column (numpy warns, as the dense build does)
+        grid = GridSpec(0.0, 1.0, 4, 0.5, 1e307, 2, engine="floquet")
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            phase_diagram(PresetTemplate("pt-cosy-cosz", beta=3), grid, cutoff=20)
