@@ -12,8 +12,9 @@ exact reductions read off the drive terms, each used when every term
 admits it:
 
 - *half-period parity*: ``H(t + T/2) = P H(t) P`` for ``P`` = sigma_z or
-  sigma_x, so the matrix commutes with ``Pi = diag((-1)^m) (x) P`` and
-  splits into two ``(2N+1)``-dimensional sectors (all four presets at
+  sigma_x (:func:`~floqep.model.half_period_parity`, the piecewise
+  engine's rule), so the matrix commutes with ``Pi = diag((-1)^m) (x) P``
+  and splits into two ``(2N+1)``-dimensional sectors (all four presets at
   odd ``beta``: sigma_x for ``pt-*``, sigma_z for ``apt-*``), of which
   only the ``+1`` sector is solved;
 - *real gauge*: ``D = diag(i^(u*m + v*s))`` for block ``m``, component
@@ -57,6 +58,7 @@ from .model import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    half_period_parity,
 )
 
 _PAULI = {0: SIGMA_X, 1: SIGMA_Y, 2: SIGMA_Z}
@@ -267,19 +269,18 @@ def fold_spectrum(eigs, omega: float, cutoff: int) -> QuasienergySpectrum:
 def _reductions(model: ModelSpec) -> tuple[Axis | None, tuple[int, int] | None]:
     """The half-period parity axis and the real gauge ``(u, v)`` the model admits.
 
-    A term at harmonic ``k`` (0 for a constant) on Pauli axis ``a`` keeps
-    the parity ``diag((-1)^m) (x) P`` when ``(-1)^k`` times the sign
-    ``P sigma_a P = +/-sigma_a`` is +1.  Under ``D = diag(i^(u*m + v*s))``
-    its entries gain the phase ``i^(-u*k)`` and, off the diagonal,
-    ``i^(-/+v)``; the entry is real when the number of factors of ``i``,
+    The parity is :func:`~floqep.model.half_period_parity`.  Under
+    ``D = diag(i^(u*m + v*s))`` the entries of a term at harmonic ``k``
+    (0 for a constant) on Pauli axis ``a`` gain the phase ``i^(-u*k)``
+    and, off the diagonal, ``i^(-/+v)``; the entry is real when the
+    number of factors of ``i``,
     ``k*u + [a != Z]*v + [a = Y] + [anti-Hermitian] + [sin]``, is even.
     A gauge with ``v`` odd turns a sigma_x parity into a sigma_y one, so
     only ``(1, 0)`` goes with sigma_x.  Either entry is ``None`` when no
-    choice fits every term.
+    choice fits every term; neither depends on an amplitude.
     """
     terms = [(0 if t.waveform is Waveform.CONSTANT else t.multiplier, t) for t in model.terms]
-    parity = next((p for p in (Axis.Z, Axis.X)
-                   if all(k % 2 == (t.axis is not p) for k, t in terms)), None)
+    parity = half_period_parity(model)
 
     def real_under(u, v):
         return all(
@@ -295,17 +296,14 @@ def _reductions(model: ModelSpec) -> tuple[Axis | None, tuple[int, int] | None]:
 _I_POWERS = np.array([1.0, 1.0j, -1.0, -1.0j])
 
 
-def _sector_matrix(model: ModelSpec, cutoff: int, reductions=None):
+def _sector_matrix(model: ModelSpec, cutoff: int):
     """The ``+1`` parity sector of the truncated Floquet matrix without its
     ``m*omega`` diagonal, and the harmonic ``m`` of each of its rows.
 
     The sector is gauged real where the model admits a real gauge, and
-    is the whole matrix where the model has no parity.  ``reductions``
-    replaces ``_reductions(model)``: a preset reads them once, at a
-    gamma where every term is present, and applies them to its
-    gamma-free part too.
+    is the whole matrix where the model has no parity.
     """
-    parity, gauge = _reductions(model) if reductions is None else reductions
+    parity, gauge = _reductions(model)
     mat = _harmonic_blocks(model, cutoff)
     nb = 2 * cutoff + 1
     blocks = np.arange(-cutoff, cutoff + 1)

@@ -103,6 +103,20 @@ class ModelSpec:
         )
 
 
+def half_period_parity(model: ModelSpec) -> Axis | None:
+    """The axis ``P`` (Z, else X) with ``H(t + T/2) = P H(t) P``, or None.
+
+    The half-period shift multiplies a term at harmonic ``k`` (0 for a
+    constant) by ``(-1)^k``, a square wave as its sinusoid, and ``P``
+    flips every Pauli axis but its own; the two signs must cancel in
+    every term.  Amplitudes do not enter, so a preset has the same answer
+    at every gamma.  Every preset has it at odd beta: sigma_x for
+    ``pt-*``, sigma_z for ``apt-*``.
+    """
+    terms = [(0 if t.waveform is Waveform.CONSTANT else t.multiplier, t.axis) for t in model.terms]
+    return next((p for p in (Axis.Z, Axis.X) if all(k % 2 == (a is not p) for k, a in terms)), None)
+
+
 def bloch_decompose(matrix) -> tuple[complex, np.ndarray]:
     """Project a 2x2 matrix onto the identity and Pauli basis.
 

@@ -9,7 +9,8 @@ only one eigenvector, diabolic points when ``G`` is proportional to the
 identity.
 
 A drive with the half-period parity ``H(t + T/2) = P H(t) P`` (``P`` =
-sigma_x or sigma_z; every preset at odd beta) repeats its first half
+sigma_x or sigma_z; every preset at odd beta; read from the drive terms
+by :func:`~floqep.model.half_period_parity`) repeats its first half
 conjugated by ``P``, so ``G = P G_h P G_h = M^2`` with ``G_h`` the
 half-period product and ``M = P G_h``.  Since ``det M = -1``, the trace
 ``t = tr M`` gives ``c = 1 + t^2/2`` and ``eps_F T = 2 arcsin(-i t/2)``.
@@ -24,17 +25,19 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .model import (
+    Axis,
     ModelSpec,
     Waveform,
     SMOOTH_WAVEFORMS,
     bloch_decompose,
     bloch_vector_at,
+    half_period_parity,
     matrix_from_bloch_vector,
 )
 
@@ -214,33 +217,6 @@ def segment_hamiltonians(model: ModelSpec) -> np.ndarray:
     return bloch_vector_at(model, (np.arange(n_seg) + 0.5) * tau)
 
 
-# the signs P d P gives the components of a Bloch vector d, per parity axis P
-_PARITY_SIGNS = {"z": np.array([-1.0, -1.0, 1.0]), "x": np.array([1.0, -1.0, -1.0])}
-
-
-def half_period_parity(model: ModelSpec) -> str | None:
-    """The axis ``P`` (``"z"`` or ``"x"``) with ``H(t + T/2) = P H(t) P``
-    at every amplitude of a square-family model's terms, or None.
-
-    It is read off each term's segment vectors at unit amplitude, as
-    ``d[l + n/2] = P d[l] P`` compared exactly (``-0.0`` matches
-    ``0.0``), so a term of zero amplitude does not lend the model a
-    parity that its drive lacks.  Every preset has it at odd beta:
-    sigma_x for ``pt-*``, sigma_z for ``apt-*``.
-    """
-    return _unit_terms_parity(tuple(replace(term, amplitude=1.0) for term in model.terms))
-
-
-@functools.lru_cache(maxsize=32)
-def _unit_terms_parity(terms) -> str | None:
-    # the segments sit at fixed drive phases, so the frequency does not matter
-    units = [segment_hamiltonians(ModelSpec((term,), 1.0)) for term in terms]
-    for axis, signs in _PARITY_SIGNS.items():
-        if all(np.array_equal(d[len(d) // 2:], d[:len(d) // 2] * signs) for d in units):
-            return axis
-    return None
-
-
 def quasienergy_from_trace(c, T):
     """Quasienergy ``eps_F = w/T`` with ``cos(w) = c`` and ``Im w >= 0``.
 
@@ -324,9 +300,9 @@ def _doubled_arcsin(t):
     return 2.0 * np.arcsin(_complex((0.5 * t.imag, -0.5 * t.real)))
 
 
-def _parity_product(axis, g00, g01, g10, g11):
+def _parity_product(axis: Axis, g00, g01, g10, g11):
     """Entries of ``M = P G_h`` for the parity axis ``P`` of ``G_h``'s drive."""
-    if axis == "x":
+    if axis is Axis.X:
         return g10, g11, g00, g01
     return g00, g01, -g10, -g11
 
@@ -474,14 +450,14 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     return _ordered_product(steps)
 
 
-def piecewise_traces(a, b, gammas, T, parity) -> tuple[Traces, np.ndarray]:
+def piecewise_traces(a, b, gammas, T, parity: Axis | None) -> tuple[Traces, np.ndarray]:
     """:class:`Traces` and the kernel's rounding bound for a batch of cells.
 
     The cells and segments are those of :func:`_segment_product`, with
     periods ``T``.  With a ``parity`` axis (see
-    :func:`half_period_parity`) only the first half of the segments is
-    multiplied, and the bound is the half product's; otherwise the whole
-    period is.
+    :func:`~floqep.model.half_period_parity`) only the first half of the
+    segments is multiplied, and the bound is the half product's;
+    otherwise the whole period is.
     """
     tau = T / len(a)
     if parity is None:

@@ -35,15 +35,9 @@ import numpy as np
 
 from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
-from .floquet import (
-    DEFAULT_CUTOFF,
-    _check_cutoff,
-    _reductions,
-    _sector_matrix,
-    column_max_im,
-    max_im_quasienergy,
-)
-from .model import PresetTemplate
+from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, column_max_im
+from .floquet import max_im_quasienergy  # noqa: F401  (unused: traced by perfbench)
+from .model import PresetTemplate, half_period_parity
 from .propagator import (  # noqa: F401  (unused names: re-exported, traced by perfbench)
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
@@ -52,7 +46,6 @@ from .propagator import (  # noqa: F401  (unused names: re-exported, traced by p
     NumericalError,
     Traces,
     ep_indicator,
-    half_period_parity,
     indicator_from_trace,
     monodromy,
     piecewise_traces,
@@ -184,13 +177,10 @@ def _floquet_sector(template: PresetTemplate, cutoff: int):
 
     The Floquet matrix is affine in gamma, so the ``+1`` parity sector
     at ``(gamma, omega)`` is ``a + gamma * b + omega * diag(harmonics)``
-    (see :func:`~floqep.floquet._sector_matrix`); its reductions are read
-    at gamma 1, where every drive term is present.
+    (see :func:`~floqep.floquet._sector_matrix`).
     """
-    one = template.instantiate(1.0, 1.0)
-    reductions = _reductions(one)
-    a, harmonics = _sector_matrix(template.instantiate(0.0, 1.0), cutoff, reductions)
-    b = _sector_matrix(one, cutoff, reductions)[0] - a
+    a, harmonics = _sector_matrix(template.instantiate(0.0, 1.0), cutoff)
+    b = _sector_matrix(template.instantiate(1.0, 1.0), cutoff)[0] - a
     a.flags.writeable = b.flags.writeable = harmonics.flags.writeable = False
     return a, b, harmonics
 
@@ -292,10 +282,7 @@ def _cell_half_trace(template: PresetTemplate, gamma, omega, engine):
     return _cell_monodromy(template, gamma, omega, engine).half_trace
 
 
-def _cell_max_im(template: PresetTemplate, gamma, omega, engine, cutoff) -> float:
-    if engine == "floquet":
-        model = template.instantiate(float(gamma), float(omega))
-        return max_im_quasienergy(model, cutoff)
+def _cell_max_im(template: PresetTemplate, gamma, omega, engine) -> float:
     return _cell_monodromy(template, gamma, omega, engine).max_im_eps
 
 
@@ -307,7 +294,7 @@ def _column_task(args):
     errors = []
     for i, g in enumerate(gammas):
         try:
-            vals[i] = _cell_max_im(template, g, omega, engine, cutoff)
+            vals[i] = _cell_max_im(template, g, omega, engine)
         # numerical failures only (RuntimeError: NumericalError): NaN
         # sentinel, budget-checked later
         except RuntimeError as exc:
@@ -382,6 +369,9 @@ def phase_diagram(
     # argument errors raise here: inside a cell they would only become NaN
     if grid.engine == "floquet":
         _check_cutoff(cutoff, template.beta)  # beta: a preset's largest harmonic
+        if not math.isfinite(float(grid.omega_max) * float(cutoff)):
+            raise ValueError(f"omega_max {grid.omega_max:g} times cutoff {cutoff} "
+                             "overflows the Floquet matrix diagonal")
     if grid.engine == "monodromy-piecewise":
         values, undecided = _piecewise_map(template, grid)
         errors = []

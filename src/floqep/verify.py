@@ -22,7 +22,13 @@ from .berry import (
     spectrum_region_scan,
     wilson_loop_phase,
 )
-from .floquet import build_floquet_matrix, complex_eigenvalues, convergence_check, fold_spectrum
+from .floquet import (
+    build_floquet_matrix,
+    complex_eigenvalues,
+    convergence_check,
+    fold_spectrum,
+    max_im_quasienergy,
+)
 from .model import Axis, DriveTerm, ModelSpec, PresetTemplate, Waveform, preset
 from .propagator import EPKind, monodromy
 from .sweep import GridSpec, instability_window, phase_diagram, trace_ep_contours
@@ -110,8 +116,8 @@ def criterion_large_gamma_instability():
     tpl_sm = PresetTemplate("apt-cosx-cosy", beta=3, family="smooth")
     from .sweep import _cell_max_im
 
-    vals_sq = [_cell_max_im(tpl_sq, 5.0, w, "monodromy-piecewise", 20) for w in omegas]
-    vals_sm = [_cell_max_im(tpl_sm, 5.0, w, "floquet", 20) for w in omegas]
+    vals_sq = [_cell_max_im(tpl_sq, 5.0, w, "monodromy-piecewise") for w in omegas]
+    vals_sm = [max_im_quasienergy(tpl_sm.instantiate(5.0, w), 20) for w in omegas]
     worst = min(min(vals_sq), min(vals_sm))
     ok = worst > 1e-8
     return ok, f"min max Im eps over 12 frequencies = {worst:.3e} (> 0)"

@@ -233,6 +233,13 @@ class TestPhaseDiagramCommand:
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
 
+    def test_exit_1_on_overflowing_floquet_diagonal(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"},
+                     omega={"min": 0.5, "max": 1e307, "count": 2}, engine="floquet", cutoff=20)
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "configuration error: omega_max 1e+307" in capsys.readouterr().err
+
     def test_exit_2_on_numerical_failure(self, tmp_path, monkeypatch):
         from floqep.sweep import FailureBudgetExceeded
 

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from floqep.floquet import (
     _reductions,
     _sector_matrix,
     build_floquet_matrix,
+    column_max_im,
     complex_eigenvalues,
     convergence_check,
     fold_spectrum,
@@ -298,6 +300,14 @@ class TestReducedSolve:
         parity, gauge = _reductions(preset(name, beta=beta))
         assert (parity, gauge is not None) == self.REDUCTIONS[name][beta % 2 == 0]
 
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_reductions_do_not_depend_on_gamma(self, name, beta, family):
+        # so a preset's gamma-free part takes the reductions of the whole drive
+        tpl = PresetTemplate(name, beta=beta, family=family)
+        assert _reductions(tpl.instantiate(0.0, 0.8)) == _reductions(tpl.instantiate(1.0, 0.8))
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])
     def test_matches_dense_eigenvalues(self, name, beta):
@@ -412,7 +422,25 @@ class TestStackedColumn:
         ]
 
     def test_non_finite_matrix_raises(self):
-        # omega * m overflows at the second column (numpy warns, as the dense build does)
-        grid = GridSpec(0.0, 1.0, 4, 0.5, 1e307, 2, engine="floquet")
+        # omega * m overflows (numpy warns, as the dense build does); a map
+        # rejects such a grid before any column, so the column is called directly
+        sector = sweep_mod._floquet_sector(PresetTemplate("pt-cosy-cosz", beta=3), 20)
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            phase_diagram(PresetTemplate("pt-cosy-cosz", beta=3), grid, cutoff=20)
+            column_max_im(*sector, np.linspace(0.0, 1.0, 4), 1e307, 20)
+
+    def test_map_rejects_an_overflowing_diagonal(self, monkeypatch):
+        calls = []
+        real = sweep_mod.column_max_im
+        monkeypatch.setattr(sweep_mod, "column_max_im", lambda *a: calls.append(a) or real(*a))
+        tpl = PresetTemplate("pt-cosy-cosz", beta=3)
+
+        def grid(omega_max):
+            return GridSpec(0.0, 1.0, 4, 0.5, omega_max, 2, engine="floquet")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"omega_max 1e\+307 .* cutoff 20"):
+                phase_diagram(tpl, grid(1e307), cutoff=20)
+            assert calls == []
+            diag = phase_diagram(tpl, grid(1e306), cutoff=20)
+        assert len(calls) == 2 and np.all(np.isfinite(diag.values))

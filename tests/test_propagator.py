@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,13 @@ from floqep.model import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    Axis,
+    DriveTerm,
+    Hermiticity,
+    ModelSpec,
     PresetTemplate,
+    Waveform,
+    half_period_parity,
     matrix_from_bloch_vector,
     preset,
 )
@@ -19,7 +27,6 @@ from floqep.propagator import (
     ep_indicator,
     expm_two_level,
     Traces,
-    half_period_parity,
     monodromy,
     piecewise_traces,
     quasienergy_from_trace,
@@ -212,21 +219,52 @@ def _grid_cells(n=40):
     return gammas.ravel(), 2.0 * np.pi / omegas.ravel()
 
 
+# the signs P d P gives the components of a Bloch vector d, per parity axis P
+_PARITY_SIGNS = {Axis.Z: np.array([-1.0, -1.0, 1.0]), Axis.X: np.array([1.0, -1.0, -1.0])}
+
+
+def _reference_parity(model):
+    """The half-period parity read off each term's segment vectors at unit
+    amplitude, as ``d[l + n/2] = P d[l] P`` compared exactly (Z first)."""
+    units = [segment_hamiltonians(ModelSpec((replace(t, amplitude=1.0),), 1.0)) for t in model.terms]
+    for axis, signs in _PARITY_SIGNS.items():
+        if all(np.array_equal(d[len(d) // 2:], d[:len(d) // 2] * signs) for d in units):
+            return axis
+    return None
+
+
 class TestHalfPeriod:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])
     def test_parity_axis(self, name, beta):
         tpl = PresetTemplate(name, beta=beta, family="square")
-        want = None if beta % 2 == 0 else {"pt": "x", "apt": "z"}[name.split("-")[0]]
+        want = None if beta % 2 == 0 else {"pt": Axis.X, "apt": Axis.Z}[name.split("-")[0]]
         # the same at every gamma, 0 included, where the static term alone would have one
         for gamma in (0.0, 1.3):
-            assert half_period_parity(tpl.instantiate(gamma, 0.7)) == want
+            assert half_period_parity(tpl.instantiate(gamma, 0.7)) is want
         # the segment vectors have it
         a, b = sweep_mod._segment_vectors(tpl)
         h = len(a) // 2
-        signs = {"x": [1.0, -1.0, -1.0], "z": [-1.0, -1.0, 1.0]}
-        for axis, sign in signs.items():
-            assert (np.array_equal(a[h:], a[:h] * sign) and np.array_equal(b[h:], b[:h] * sign)) == (want == axis)
+        for axis, sign in _PARITY_SIGNS.items():
+            assert (np.array_equal(a[h:], a[:h] * sign) and np.array_equal(b[h:], b[:h] * sign)) == (want is axis)
+
+    def test_rule_matches_the_segment_vectors(self):
+        # random square models against the exact comparison of their segment vectors
+        rng = np.random.default_rng(20)
+        waveforms = (Waveform.CONSTANT, Waveform.SQUARE_COS, Waveform.SQUARE_SIN)
+        found = {Axis.X: 0, Axis.Z: 0, None: 0}
+        for _ in range(1500):
+            terms = tuple(
+                DriveTerm(Axis(rng.integers(3)), float(rng.choice([0.0, 1.0, -0.7, 2.5])),
+                          waveforms[rng.integers(3)], int(rng.integers(1, 7)),
+                          (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN)[rng.integers(2)])
+                for _ in range(rng.integers(5))
+            )
+            model = ModelSpec(terms, 1.0)
+            parity = half_period_parity(model)
+            assert parity is _reference_parity(model), terms
+            found[parity] += 1
+        assert min(found.values()) > 100  # every outcome is exercised
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("beta", [1, 3])

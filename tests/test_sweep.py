@@ -84,7 +84,7 @@ class TestCellKernels:
         rng = np.random.default_rng(17)
         for _ in range(10):
             g, w = rng.uniform(0.1, 2), rng.uniform(0.4, 3)
-            got = _cell_max_im(PT3, g, w, "monodromy-piecewise", 20)
+            got = _cell_max_im(PT3, g, w, "monodromy-piecewise")
             want = monodromy(PT3.instantiate(g, w), engine="piecewise").max_im_eps
             assert got == want
 
@@ -194,10 +194,10 @@ class TestPhaseDiagram:
     def test_per_cell_engine_failures(self, monkeypatch, caplog):
         real = sweep_mod._cell_max_im
 
-        def flaky(template, gamma, omega, engine, cutoff):
+        def flaky(template, gamma, omega, engine):
             if gamma > 0.9 and omega < 0.5:
                 raise RuntimeError("synthetic")
-            return real(template, gamma, omega, engine, cutoff)
+            return real(template, gamma, omega, engine)
 
         monkeypatch.setattr(sweep_mod, "_cell_max_im", flaky)
         grid = GridSpec(0.0, 1.0, 11, 0.4, 2.8, 10, engine="monodromy-integrate")
