@@ -481,7 +481,8 @@ def monodromy(
     the full-period product, and with the half-period parity everything
     else comes from the half-period route (:func:`piecewise_traces`).
     ``engine='integrate'`` runs the fixed-step RK4 integrator (the oracle
-    route, valid for any family).
+    route, valid for any family).  A propagator that is not finite raises
+    :class:`NumericalError` on either route, under any numpy error state.
     """
     T = np.full(1, model.period)
     if engine == "piecewise":
@@ -496,7 +497,9 @@ def monodromy(
         else:
             traces = piecewise_traces(ds, zero, cell, T, parity)[0]
     elif engine == "integrate":
-        G = _integrate_monodromy(model, steps_per_period).reshape(4, 1)
+        # an overflow is a non-finite G, checked below, not a trap or warning
+        with np.errstate(all="ignore"):
+            G = _integrate_monodromy(model, steps_per_period).reshape(4, 1)
         if not np.all(np.isfinite(G.view(float))):
             raise NumericalError("non-finite monodromy matrix")
         traces = Traces(G, T, half_period=False)

@@ -36,26 +36,25 @@ import numpy as np
 from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
 from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, column_max_im
-from .floquet import max_im_quasienergy  # noqa: F401  (unused: traced by perfbench)
 from .model import PresetTemplate, half_period_parity
-from .propagator import (  # noqa: F401  (unused names: re-exported, traced by perfbench)
+from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
     EPKind,
     MonodromyResult,
     NumericalError,
     Traces,
-    ep_indicator,
     indicator_from_trace,
     monodromy,
     piecewise_traces,
-    quasienergy_from_trace,
     root_kinds,
     segment_hamiltonians,
     _complex,
     _doubled_arcsin,
-    _segment_product,
 )
+# unused here: perfbench wraps these names in this module
+from .floquet import max_im_quasienergy  # noqa: F401
+from .propagator import ep_indicator, quasienergy_from_trace, _segment_product  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -200,8 +199,8 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     block, over the first half of the segments where the preset has the
     half-period parity (every preset at odd beta), and then the bound is
     the half product's; see :func:`~floqep.propagator.piecewise_traces`.
-    The integrate engine runs cell by cell (bound None) at
-    :data:`DEFAULT_STEPS_PER_PERIOD`.
+    The integrate engine is :func:`_oracle_traces` (bound None), whose
+    failed cells are NaN, as the kernel's non-finite cells are.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
@@ -212,12 +211,22 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
         if engine == "monodromy-piecewise":
             traces, bound = piecewise_traces(a, b, gammas[cells], T, parity)
         else:
-            G = np.array([
-                monodromy(template.instantiate(float(g), float(w)), "integrate").G
-                for g, w in zip(gammas[cells], omegas[cells])
-            ]).reshape(-1, 4)
-            traces, bound = Traces(G.T, T, half_period=False), None
+            traces, bound = _oracle_traces(template, gammas[cells], omegas[cells]), None
         yield cells, T, traces, bound
+
+
+def _oracle_traces(template: PresetTemplate, gammas, omegas) -> Traces:
+    """:class:`~floqep.propagator.Traces` of the RK4 oracle at the cells
+    ``(gammas[k], omegas[k])``, one integration per cell at
+    :data:`DEFAULT_STEPS_PER_PERIOD`.  A cell whose propagator is not
+    finite is NaN in all four entries, as in the piecewise kernel."""
+    G = np.empty((len(gammas), 4), dtype=complex)
+    for k, (g, w) in enumerate(zip(gammas, omegas)):
+        try:
+            G[k] = monodromy(template.instantiate(float(g), float(w)), "integrate").G.ravel()
+        except NumericalError:
+            G[k] = np.nan
+    return Traces(G.T, 2.0 * math.pi / np.asarray(omegas, dtype=float), half_period=False)
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
@@ -290,17 +299,9 @@ def _column_task(args):
     omega, template, gammas, engine, cutoff = args
     if engine == "floquet":
         return column_max_im(*_floquet_sector(template, cutoff), gammas, omega, cutoff)
-    vals = np.empty(len(gammas))
-    errors = []
-    for i, g in enumerate(gammas):
-        try:
-            vals[i] = _cell_max_im(template, g, omega, engine)
-        # numerical failures only (RuntimeError: NumericalError): NaN
-        # sentinel, budget-checked later
-        except RuntimeError as exc:
-            vals[i] = np.nan
-            errors.append(f"{type(exc).__name__}: {exc}")
-    return vals, errors
+    # a failed oracle cell is NaN, budget-checked later; its one failure needs no text
+    traces = _oracle_traces(template, gammas, np.full(len(gammas), omega))
+    return np.abs(traces.eps_F.imag), []
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:

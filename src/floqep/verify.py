@@ -114,9 +114,7 @@ def criterion_large_gamma_instability():
     omegas = [0.25 * k for k in range(1, 13)]
     tpl_sq = PresetTemplate("apt-cosx-cosy", beta=3, family="square")
     tpl_sm = PresetTemplate("apt-cosx-cosy", beta=3, family="smooth")
-    from .sweep import _cell_max_im
-
-    vals_sq = [_cell_max_im(tpl_sq, 5.0, w, "monodromy-piecewise") for w in omegas]
+    vals_sq = [monodromy(tpl_sq.instantiate(5.0, w), "piecewise").max_im_eps for w in omegas]
     vals_sm = [max_im_quasienergy(tpl_sm.instantiate(5.0, w), 20) for w in omegas]
     worst = min(min(vals_sq), min(vals_sm))
     ok = worst > 1e-8

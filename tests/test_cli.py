@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 import zlib
 from pathlib import Path
@@ -258,6 +259,16 @@ class TestPhaseDiagramCommand:
                      omega={"min": 0.05, "max": 0.1, "count": 2})
         assert cli.main(["phase-diagram", "--config", str(p)]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["monodromy-piecewise", "monodromy-integrate"])
+    def test_exit_2_on_overflowing_contour_grid(self, tmp_path, capsys, engine):
+        p = tmp_path / "cfg.json"
+        write_config(p, gamma={"min": 0.0, "max": 1e300, "count": 3},
+                     omega={"min": 0.5, "max": 1.0, "count": 2}, engine=engine)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert cli.main(["ep-contours", "--config", str(p)]) == 2
+        assert "non-finite propagator at" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fail",

@@ -120,16 +120,24 @@ def test_worker_count_bit_identity(template, n_gamma, n_omega, engine):
     assert len(blobs) == 1
 
 
-@pytest.mark.parametrize("n_cells", [sweep_mod.BLOCK_CELLS - 1, sweep_mod.BLOCK_CELLS + 3])
-def test_map_blocks_match_single_cells(n_cells):
-    # a grid that does not fill its last block, and one that spills into it
+@pytest.mark.parametrize(
+    "n_cells, engine",
+    [
+        pytest.param(n, engine, id=f"{n}" if engine == "piecewise" else f"{n}-{engine}")
+        for engine in ("piecewise", "integrate")
+        for n in (sweep_mod.BLOCK_CELLS - 1, sweep_mod.BLOCK_CELLS + 3)
+    ],
+)
+def test_map_blocks_match_single_cells(n_cells, engine):
+    # a grid that does not fill its last block, and one that spills into it;
+    # an integrate column is longer than a block
     tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
-    grid = GridSpec(0.0, 5.0, n_cells, 0.4, 2.8, 2)
+    grid = GridSpec(0.0, 5.0, n_cells, 0.4, 2.8, 2, engine=f"monodromy-{engine}")
     values = phase_diagram(tpl, grid).values
     rng = np.random.default_rng(n_cells)
     for j, i in zip(rng.integers(0, 2, 12), rng.integers(0, n_cells, 12)):
         model = tpl.instantiate(float(grid.gammas[i]), float(grid.omegas[j]))
-        assert values[j, i] == monodromy(model, "piecewise").max_im_eps
+        assert values[j, i] == monodromy(model, engine).max_im_eps
 
 
 def test_non_finite_cells_become_nan():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -397,3 +398,11 @@ class TestErrors:
         m = preset("pt-cosy-cosz", gamma=1e308, omega=0.05, beta=1, family="square")
         with pytest.raises(NumericalError, match="segment"):
             monodromy(m, engine="piecewise")
+
+    @pytest.mark.parametrize("engine", ["piecewise", "integrate"])
+    def test_overflow_raises_numerical_error_not_a_trap(self, engine):
+        m = preset("pt-cosy-cosz", gamma=1e300, omega=0.5, beta=3, family="square")
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                monodromy(m, engine=engine)

@@ -152,7 +152,8 @@ class TestPhaseDiagram:
     def test_sidecar_records_the_settings_the_engine_read(
         self, monkeypatch, template, engine, settings
     ):
-        monkeypatch.setattr(sweep_mod, "_cell_max_im", lambda *args: 0.0)  # only the sidecar matters
+        # only the sidecar matters: no oracle cell integrates
+        monkeypatch.setattr(propagator_mod, "_integrate_monodromy", lambda *args: np.eye(2) + 0j)
         grid = GridSpec(0.0, 1.0, 2, 0.5, 1.0, 2, engine=engine)
         meta = phase_diagram(template, grid, cutoff=7).metadata
         assert {k: meta[k] for k in ("cutoff", "steps_per_period") if k in meta} == settings
@@ -191,27 +192,45 @@ class TestPhaseDiagram:
             "1 of 273 cells failed; first (omega index, gamma index): (0, 20)"
         ]
 
+    @staticmethod
+    def _overflow_oracle(monkeypatch, gamma, omega):
+        """Run the real integrator, with gamma 1e300 (an overflow) at the cell ``(gamma, omega)``."""
+        real = propagator_mod._integrate_monodromy
+        hit, overflowing = PT3.instantiate(gamma, omega), PT3.instantiate(1e300, omega)
+        monkeypatch.setattr(
+            propagator_mod, "_integrate_monodromy",
+            lambda model, steps: real(overflowing if model == hit else model, steps),
+        )
+
     def test_per_cell_engine_failures(self, monkeypatch, caplog):
-        real = sweep_mod._cell_max_im
-
-        def flaky(template, gamma, omega, engine):
-            if gamma > 0.9 and omega < 0.5:
-                raise RuntimeError("synthetic")
-            return real(template, gamma, omega, engine)
-
-        monkeypatch.setattr(sweep_mod, "_cell_max_im", flaky)
+        # an overflowing oracle cell is NaN, as a kernel cell is: no trap, no warning
+        self._overflow_oracle(monkeypatch, 1.0, 0.4)
         grid = GridSpec(0.0, 1.0, 11, 0.4, 2.8, 10, engine="monodromy-integrate")
-        with caplog.at_level("WARNING", logger="floqep.sweep"):
+        with (
+            caplog.at_level("WARNING", logger="floqep.sweep"),
+            warnings.catch_warnings(),
+            np.errstate(all="raise"),
+        ):
+            warnings.simplefilter("error")
             diag = phase_diagram(PT3, grid)
+        assert np.isnan(diag.values[0, -1])
+        assert np.sum(~np.isfinite(diag.values)) == 1
         assert diag.metadata["failed_cells"] == 1
         assert diag.metadata["undecided_cells"] is None
         assert [r.getMessage() for r in caplog.records] == [
-            "1 of 110 cells failed; first (omega index, gamma index): (0, 10); "
-            "first error: RuntimeError: synthetic"
+            "1 of 110 cells failed; first (omega index, gamma index): (0, 10)"
         ]
         grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-integrate")
         with pytest.raises(FailureBudgetExceeded):
             phase_diagram(PT3, grid)
+
+    @pytest.mark.parametrize("engine", ["monodromy-piecewise", "monodromy-integrate"])
+    def test_contour_scan_raises_on_non_finite_cells(self, engine):
+        grid = GridSpec(0.0, 1e300, 3, 0.5, 1.0, 2, engine=engine)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(propagator_mod.NumericalError, match="non-finite propagator at"):
+                trace_ep_contours(PT3, grid)
 
 
 def _oracle_max_im(mp, template, gamma, omega):
