@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: ``phase-diagram``, ``ep-contours``, ``berry``,
-``spectrum-scan``, ``verify``.  Progress goes to stderr; results go to
-files in the output directory (plus the verify report on stdout).  Log
-records of the ``floqep`` loggers go to stderr at WARNING and above,
-ERROR only with ``-q``.  Exit codes:
+``spectrum-scan``, ``verify``.  A run subcommand reads one JSON
+configuration, whose fields its flags replace before
+:func:`floqep.config.parse_config` gives every setting its default and
+its check.  Progress goes to stderr; results go to files in the output
+directory (plus the verify report on stdout).  Log records of the
+``floqep`` loggers go to stderr at WARNING and above, ERROR only with
+``-q``.  Exit codes:
 0 success, 1 configuration or usage error, 2 numerical failure,
 3 verification failure.
 """
@@ -14,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -62,27 +64,10 @@ def _configure_logging(level: int):
         logger.addHandler(_STDERR_HANDLER)
 
 
-def _resolve_threads(config: RunConfig) -> int:
-    """``--threads`` or the configuration's, then ``FLOQUET_EP_THREADS``, then 1."""
-    if config.threads is not None:
-        return config.threads
-    env = os.environ.get("FLOQUET_EP_THREADS")
-    if env:
-        try:
-            n = int(env)
-            if n >= 1:
-                return n
-        except ValueError:
-            pass
-        raise ConfigError(f"FLOQUET_EP_THREADS must be a positive integer, got {env!r}")
-    return 1
-
-
 # flags that replace a configuration field: flag -> (field, type, help)
 _OVERRIDES = {
     "--out": ("out_dir", str, "output directory override"),
-    "--threads": ("threads", int,
-                  "worker processes (default: config, then FLOQUET_EP_THREADS, then 1)"),
+    "--threads": ("threads", int, "worker processes (default: config, then 1)"),
     "--engine": ("engine", str, "engine override"),
     "--cutoff": ("cutoff", int, "Floquet harmonic cutoff override"),
     "--steps": ("berry_steps", int, "loop steps override"),
@@ -97,8 +82,8 @@ def _load(args) -> RunConfig:
 
 
 def _grid_from(config: RunConfig) -> GridSpec:
-    if not config.gamma.is_range or not config.omega.is_range:
-        raise ConfigError("phase-diagram and ep-contours need gamma and omega ranges")
+    if not config.omega.is_range:
+        raise ConfigError("phase-diagram and ep-contours need an omega range")
     return GridSpec(
         gamma_min=config.gamma.min,
         gamma_max=config.gamma.max,
@@ -113,19 +98,18 @@ def _grid_from(config: RunConfig) -> GridSpec:
 def cmd_phase_diagram(args) -> int:
     config = _load(args)
     tpl = config.template
-    threads = _resolve_threads(config)
     grid = _grid_from(config)
     out = Path(config.out_dir)
     _progress(
         f"phase diagram: {tpl.name} beta={tpl.beta} {tpl.family}, "
         f"{grid.gamma_count}x{grid.omega_count} grid, engine {grid.engine}, "
-        f"{threads} thread(s)"
+        f"{config.threads} thread(s)"
     )
     contours = None
     if args.overlay_contours:  # first: an engine without contours fails before the map
         _progress("tracing EP contours for overlay")
         contours = trace_ep_contours(tpl, grid)
-    diagram = phase_diagram(tpl, grid, threads=threads, cutoff=config.cutoff)
+    diagram = phase_diagram(tpl, grid, threads=config.threads, cutoff=config.cutoff)
     csv_path = persist(diagram, out / "phase_diagram.csv")
     if contours is not None:
         persist(contours, out / "ep_contours.csv")
@@ -163,9 +147,6 @@ def cmd_ep_contours(args) -> int:
 def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
-    threads = _resolve_threads(config)
-    if not config.gamma.is_range:  # omega is not read: a loop runs in drive phase
-        raise ConfigError("berry needs a gamma range")
     out = Path(config.out_dir)
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
@@ -178,7 +159,7 @@ def cmd_berry(args) -> int:
         gammas,
         steps=config.berry_steps,
         richardson=config.richardson,
-        threads=threads,
+        threads=config.threads,
     )
     csv_path = persist(sweep, out / "berry.csv")
     render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
@@ -194,8 +175,6 @@ def cmd_berry(args) -> int:
 def cmd_spectrum_scan(args) -> int:
     config = _load(args)
     tpl = config.template
-    if not config.gamma.is_range:
-        raise ConfigError("spectrum-scan needs a gamma range")
     gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
         f"instantaneous-spectrum scan: {tpl.name} beta={tpl.beta}, "
@@ -256,17 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="path to the JSON run configuration")
-        for flag in ("--out", "--threads", *flags):
+        for flag in ("--out", *flags):
             field, kind, text = _OVERRIDES[flag]
             p.add_argument(flag, dest=field, type=kind, metavar=flag[2:].upper(), help=text)
         return p
 
-    p = run_command("phase-diagram", cmd_phase_diagram,
-                    "stability map over a (gamma, omega) grid", "--engine", "--cutoff")
+    p = run_command("phase-diagram", cmd_phase_diagram, "stability map over a (gamma, omega) grid",
+                    "--threads", "--engine", "--cutoff")
     p.add_argument("--overlay-contours", action="store_true",
                    help="also trace EP contours and overlay them on the heatmap")
-    run_command("ep-contours", cmd_ep_contours, "exceptional-point contours", "--engine")
-    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--steps")
+    # ep-contours runs serially; it still takes --threads because
+    # perfbench/run.py passes it to every workload
+    run_command("ep-contours", cmd_ep_contours, "exceptional-point contours",
+                "--threads", "--engine")
+    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads", "--steps")
     run_command("spectrum-scan", cmd_spectrum_scan, "instantaneous-spectrum region scan")
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")

@@ -1,4 +1,8 @@
-"""Run configuration: a single JSON document with a schema version."""
+"""Run configuration: a single JSON document with a schema version.
+
+:func:`parse_config` is the one place where each setting gets its
+default and its check; a key it does not read is an error.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +17,9 @@ from .model import PresetTemplate
 from .sweep import ENGINES
 
 SCHEMA_VERSION = 1
+# the top-level keys parse_config reads; any other is an error
+_KEYS = {"schema_version", "model", "gamma", "omega", "engine", "cutoff",
+         "berry_steps", "richardson", "threads", "out_dir"}
 
 
 class ConfigError(ValueError):
@@ -44,47 +51,47 @@ class AxisSpec:
     def is_range(self) -> bool:
         return self.value is None
 
-    def validate(self, name: str, positive: bool = False, nonnegative: bool = False):
-        if self.is_range:
-            if self.min is None or self.max is None or self.count is None:
-                raise ConfigError(f"{name}: range needs min, max and count")
-            if not (math.isfinite(self.min) and math.isfinite(self.max)):
-                raise ConfigError(f"{name}: range bounds must be finite")
-            if self.count < 2:
-                raise ConfigError(f"{name}: range count must be >= 2")
-            if self.max <= self.min:
-                raise ConfigError(f"{name}: range must be non-degenerate (max > min)")
-            if positive and self.min <= 0:
-                raise ConfigError(f"{name}: values must be > 0")
-            if nonnegative and self.min < 0:
-                raise ConfigError(f"{name}: values must be >= 0")
-        else:
-            if not math.isfinite(self.value):
-                raise ConfigError(f"{name}: value must be finite")
-            if positive and self.value <= 0:
-                raise ConfigError(f"{name}: value must be > 0")
-            if nonnegative and self.value < 0:
-                raise ConfigError(f"{name}: value must be >= 0")
+
+def _reject_unknown(doc: dict, known: set, prefix: str = ""):
+    """Name every key of ``doc`` that the parser does not read."""
+    extra = set(doc) - known
+    if extra:
+        raise ConfigError(f"{prefix}unexpected keys {sorted(extra)}")
 
 
-def _axis_from(doc, name) -> AxisSpec:
+def _axis_from(doc, name: str, positive: bool, scalar: bool) -> AxisSpec:
+    """The axis ``doc`` gives, checked as it is read: a finite ``value``
+    (only where ``scalar``) or ``count`` >= 2 finite values from ``min``
+    to ``max`` > ``min``; all > 0 if ``positive``, else >= 0."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{name}: expected an object with value or min/max/count")
-    if "value" in doc:
-        extra = set(doc) - {"value"}
-        if extra:
-            raise ConfigError(f"{name}: unexpected keys {sorted(extra)}")
-        return AxisSpec(value=_number(doc["value"], f"{name}: value"))
-    missing = {"min", "max", "count"} - set(doc)
+        forms = "value or min/max/count" if scalar else "min/max/count"
+        raise ConfigError(f"{name}: expected an object with {forms}")
+    if "value" in doc and not scalar:
+        raise ConfigError(f"{name}: must be a range (min, max, count), not a single value")
+    keys = {"value"} if "value" in doc else {"min", "max", "count"}
+    missing = keys - set(doc)
     if missing:
         raise ConfigError(f"{name}: missing keys {sorted(missing)}")
-    extra = set(doc) - {"min", "max", "count"}
-    if extra:
-        raise ConfigError(f"{name}: unexpected keys {sorted(extra)}")
-    if not _is_int(doc["count"]):
-        raise ConfigError(f"{name}: count must be an integer")
-    lo, hi = (_number(doc[key], f"{name}: {key}") for key in ("min", "max"))
-    return AxisSpec(min=lo, max=hi, count=doc["count"])
+    _reject_unknown(doc, keys, f"{name}: ")
+    if "value" in doc:
+        lo = hi = _number(doc["value"], f"{name}: value")
+        spec = AxisSpec(value=lo)
+    else:
+        if not _is_int(doc["count"]):
+            raise ConfigError(f"{name}: count must be an integer")
+        if doc["count"] < 2:
+            raise ConfigError(f"{name}: range count must be >= 2")
+        lo, hi = (_number(doc[key], f"{name}: {key}") for key in ("min", "max"))
+        spec = AxisSpec(min=lo, max=hi, count=doc["count"])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"{name}: values must be finite")
+    if spec.is_range and hi <= lo:
+        raise ConfigError(f"{name}: range must be non-degenerate (max > min)")
+    if positive and lo <= 0:
+        raise ConfigError(f"{name}: values must be > 0")
+    if lo < 0:
+        raise ConfigError(f"{name}: values must be >= 0")
+    return spec
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class RunConfig:
     cutoff: int
     berry_steps: int
     richardson: bool
-    threads: int | None
+    threads: int
     out_dir: str
 
 
@@ -107,9 +114,11 @@ def parse_config(doc: dict) -> RunConfig:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    _reject_unknown(doc, _KEYS)
     model = doc.get("model")
     if not isinstance(model, dict):
         raise ConfigError("missing 'model' object")
+    _reject_unknown(model, {"preset", "J", "beta", "family"}, "model: ")
     try:
         template = PresetTemplate(
             model.get("preset"),
@@ -120,10 +129,9 @@ def parse_config(doc: dict) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
 
-    gamma = _axis_from(doc.get("gamma", {"value": 0.5}), "gamma")
-    gamma.validate("gamma", nonnegative=True)
-    omega = _axis_from(doc.get("omega", {"value": 1.0}), "omega")
-    omega.validate("omega", positive=True)
+    # every subcommand sweeps gamma, so it has no default and no single value
+    gamma = _axis_from(doc.get("gamma"), "gamma", positive=False, scalar=False)
+    omega = _axis_from(doc.get("omega", {"value": 1.0}), "omega", positive=True, scalar=True)
 
     engine = doc.get("engine", "monodromy-piecewise")
     if engine not in ENGINES:
@@ -139,8 +147,8 @@ def parse_config(doc: dict) -> RunConfig:
     richardson = doc.get("richardson", True)
     if not isinstance(richardson, bool):
         raise ConfigError("richardson must be a boolean")
-    threads = doc.get("threads")
-    if threads is not None and (not _is_int(threads) or threads < 1):
+    threads = doc.get("threads", 1)
+    if not _is_int(threads) or threads < 1:
         raise ConfigError("threads must be a positive integer")
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:

@@ -76,16 +76,20 @@ def write_config(path, **overrides):
 
 class TestConfig:
     def test_scalar_axes(self):
-        cfg = parse_config(
-            {
-                "schema_version": 1,
-                "model": {"preset": "apt-cosx-siny", "beta": 1},
-                "gamma": {"value": 0.5},
-                "omega": {"value": 1.0},
-            }
-        )
-        assert not cfg.gamma.is_range
+        # every subcommand sweeps gamma, so only omega takes a single value
+        doc = {
+            "schema_version": 1,
+            "model": {"preset": "apt-cosx-siny", "beta": 1},
+            "gamma": {"min": 0.5, "max": 1.5, "count": 3},
+            "omega": {"value": 1.0},
+        }
+        cfg = parse_config(doc)
+        assert cfg.gamma.is_range and not cfg.omega.is_range
         assert cfg.template.name == "apt-cosx-siny"
+        with pytest.raises(ConfigError, match="^gamma: must be a range"):
+            parse_config({**doc, "gamma": {"value": 0.5}})
+        with pytest.raises(ConfigError, match="^gamma: expected an object"):
+            parse_config({k: v for k, v in doc.items() if k != "gamma"})
 
     @pytest.mark.parametrize(
         "patch",
@@ -111,11 +115,14 @@ class TestConfig:
             # real-valued fields take numbers only, not booleans, strings or null
             {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "J": True}},
             {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "J": "1.0"}},
-            {"gamma": {"value": "0.5"}},
-            {"gamma": {"value": None}},
+            {"omega": {"value": "0.5"}},
+            {"omega": {"value": None}},
             {"omega": {"min": True, "max": 2.5, "count": 3}},
             {"omega": {"min": 1.0, "max": "2.5", "count": 3}},
             {"gamma": {"min": None, "max": 2.0, "count": 3}},
+            # a misspelt key is an error, not a silent default
+            {"cuttoff": 40},
+            {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "gama": 0.5}},
         ],
     )
     def test_invalid_configs(self, patch):
@@ -215,24 +222,34 @@ class TestPhaseDiagramCommand:
         assert len(svg.findall(".//{*}rect")) == 2  # the background and the plot frame
         assert len(svg.findall(".//{*}image")) == 1
 
-    def test_exit_1_on_bad_config(self, tmp_path):
+    def test_exit_1_on_bad_config(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, engine="bogus")
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        write_config(p, cuttoff=40, threds=2)
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "unexpected keys ['cuttoff', 'threds']\n" in capsys.readouterr().err
 
     def test_exit_1_on_bad_model(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, model={"preset": "pt-cosy-cosz", "beta": True})
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
         assert "configuration error: model: beta" in capsys.readouterr().err
+        write_config(p, model={"preset": "pt-cosy-cosz", "beta": 3, "gama": 0.5})
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "configuration error: model: unexpected keys ['gama']\n" in capsys.readouterr().err
 
     def test_exit_1_on_missing_config(self):
         assert cli.main(["phase-diagram"]) == 1
 
-    def test_exit_1_on_scalar_axis(self, tmp_path):
+    def test_exit_1_on_scalar_axis(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "configuration error: gamma: must be a range" in capsys.readouterr().err
+        write_config(p, omega={"value": 0.9})
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        assert "need an omega range" in capsys.readouterr().err
 
     def test_exit_1_on_overflowing_floquet_diagonal(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
@@ -298,13 +315,15 @@ class TestPhaseDiagramCommand:
         write_config(p, engine="floquet")  # square family model
         assert cli.main(["phase-diagram", "--config", str(p)]) == 1
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
+    def test_threads_env_default(self, tmp_path, monkeypatch, capsys):
+        # the worker count comes from --threads or the config, else 1: the
+        # FLOQUET_EP_THREADS variable neither changes nor fails a run
         p = tmp_path / "cfg.json"
         write_config(p)
-        monkeypatch.setenv("FLOQUET_EP_THREADS", "2")
-        assert cli.main(["phase-diagram", "--config", str(p)]) == 0
-        monkeypatch.setenv("FLOQUET_EP_THREADS", "zero")
-        assert cli.main(["phase-diagram", "--config", str(p)]) == 1
+        for env in ("2", "zero"):
+            monkeypatch.setenv("FLOQUET_EP_THREADS", env)
+            assert cli.main(["phase-diagram", "--config", str(p)]) == 0
+            assert ", 1 thread(s)" in capsys.readouterr().err
 
 
 class TestDegenerateAxes:
@@ -388,6 +407,7 @@ class TestOverrideFlags:
             ["berry", "--engine", "floquet"],
             ["spectrum-scan", "--steps", "512"],
             ["phase-diagram", "--steps", "512"],
+            ["spectrum-scan", "--threads", "2"],  # it runs serially
         ],
     )
     def test_usage_errors_exit_1(self, tmp_path, argv, capsys):
@@ -457,10 +477,11 @@ class TestOtherCommands:
         meta = json.loads((out / "spectrum_scan.csv.meta.json").read_text())
         assert meta["thresholds"][0]["gamma"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_berry_needs_range(self, tmp_path):
+    def test_berry_needs_range(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"value": 0.4})
         assert cli.main(["berry", "--config", str(p)]) == 1
+        assert "configuration error: gamma: must be a range" in capsys.readouterr().err
 
     def test_berry_ignores_omega(self, tmp_path):
         # a loop runs in drive phase: any omega, scalar or range, gives the
