@@ -396,11 +396,24 @@ class SpectralPhase(NamedTuple):
     delta: float       # max band |theta(points) - theta(points / 2)|
 
 
-def _spectral_sums(model: ModelSpec, points: int):
+def _loop_vectors(model: ModelSpec, points: int, amplitudes=None):
+    """Bloch vectors and their phase derivatives on ``points`` uniform
+    drive phases, stacked ``(loops, points, 3)``: one loop per row of
+    ``amplitudes`` (see :func:`~floqep.model.bloch_vector_at`), or the
+    model's own loop alone."""
+    t = np.arange(points) * (model.period / points)
+    if amplitudes is None:
+        return bloch_vector_at(model, t)[None], bloch_phase_derivative(model, t)[None]
+    return bloch_vector_at(model, t, amplitudes), bloch_phase_derivative(model, t, amplitudes)
+
+
+def _spectral_sums(d, dd):
     """Trapezoid values of ``i * loop integral of L dR / (L R)`` for both
-    bands, on ``points`` uniform drive phases and on their even half, as
-    ``(fine, coarse)`` complex pairs; None where the integrand cannot be
-    trusted there.
+    bands of each loop whose Bloch vectors ``d`` and phase derivatives
+    ``dd`` are stacked ``(loops, points, 3)`` on uniform drive phases, on
+    all the points and on their even half.  Returns ``(kept, fine,
+    coarse)``: the indices of the loops whose integrand can be trusted,
+    and their ``(len(kept), 2)`` complex sums.
 
     ``eps`` follows ``sqrt(d.d)`` continuously from point to point: the
     principal root can jump to its negative between neighbours (a
@@ -412,54 +425,90 @@ def _spectral_sums(model: ModelSpec, points: int):
     with ``L R = 2 eps (eps - d_z)``; the two gauges differ by a factor
     that varies along the loop, so they are never mixed.
 
-    It declines on a non-finite value, a gap ``|2 eps|`` below
+    A loop is declined on a non-finite value, a gap ``|2 eps|`` below
     ``GAP_TOL``, a step of ``arg(d.d)`` of pi/2 or more (which a sign
     change of a real ``d.d`` is: the loop crosses an exceptional point
     between two samples), a band that comes back as the other one after a
-    turn, or a frame that vanishes.
+    turn, or a frame that vanishes.  Every test is per loop, and a
+    declined loop is dropped before the next division, so no loop's
+    value or warning depends on the others in the stack.
     """
-    t = np.arange(points) * (model.period / points)
-    d = bloch_vector_at(model, t)
-    dd = bloch_phase_derivative(model, t)
-    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
-    ddx, ddy, ddz = dd[:, 0], dd[:, 1], dd[:, 2]
+    points = d.shape[1]
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     # summed in the order of _raw_eigenframes, so both routes start band 0
     # on the same root
     q = dx * dx
     q += dy * dy
     q += dz * dz
-    if not (np.isfinite(q).all() and np.isfinite(dd).all()):
-        return None
+    ok = np.isfinite(q).all(axis=1) & np.isfinite(dd).all(axis=(1, 2))
     root = np.sqrt(q)
-    if np.min(np.abs(2.0 * root)) < GAP_TOL:
-        return None
-    if np.any((q * np.roll(q, 1).conj()).real <= 0.0):
-        return None
+    ok &= ~(np.abs(2.0 * root).min(axis=1) < GAP_TOL)
+    ok &= ~((q * _previous(q).conj()).real <= 0.0).any(axis=1)
     # with arg(d.d) steps below pi/2, a root step of more than pi/2 is a
     # jump to the other root
-    flip = (root * np.roll(root, 1).conj()).real < 0.0
-    flip[0] = False
-    eps = np.where(np.logical_xor.accumulate(flip), -root, root)
-    if (eps[-1] * eps[0].conj()).real < 0.0:
-        return None
+    flip = (root * _previous(root).conj()).real < 0.0
+    flip[:, 0] = False
+    eps = np.where(np.logical_xor.accumulate(flip, axis=1), -root, root)
+    ok &= ~((eps[:, -1] * eps[:, 0].conj()).real < 0.0)
+    kept = ok.nonzero()[0]
+    if kept.size < ok.size:  # the declined loops leave before the first division
+        d, dd, eps = d[kept], dd[kept], eps[kept]
+        dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    ddx, ddy, ddz = dd[..., 0], dd[..., 1], dd[..., 2]
     deps = (dx * ddx + dy * ddy + dz * ddz) / eps
-    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
-    dw, dwc = ddx + 1.0j * ddy, ddx - 1.0j * ddy
-    fine, coarse = np.empty(2, dtype=complex), np.empty(2, dtype=complex)
-    for band, (e, de) in enumerate(((eps, deps), (-eps, -deps))):
-        a, b = e + dz, e - dz
-        if np.min(np.abs(a)) >= np.min(np.abs(b)):
-            g, num = a, a * (de + ddz) + wc * dw
-        else:
-            g, num = b, b * (de - ddz) + w * dwc
-        if not g.all():
-            return None
-        f = num / (2.0 * e * g)
-        fine[band] = f.sum() * (2.0j * math.pi / points)
-        coarse[band] = f[::2].sum() * (4.0j * math.pi / points)
-    if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
-        return None
-    return fine, coarse
+    # both bands at once, (band, loop, point): band 1 is eps -> -eps
+    e, de = np.array((eps, -eps)), np.array((deps, -deps))
+    a, b = e + dz, e - dz
+    use_a = (np.abs(a).min(axis=2) >= np.abs(b).min(axis=2))[..., None]
+    g = np.where(use_a, a, b)
+    idy, iddy = 1.0j * dy, 1.0j * ddy
+    num = np.where(use_a, a * (de + ddz) + (dx - idy) * (ddx + iddy),
+                   b * (de - ddz) + (dx + idy) * (ddx - iddy))
+    ok = g.all(axis=(0, 2))
+    if not ok.all():
+        kept, e, g, num = kept[ok], e[:, ok], g[:, ok], num[:, ok]
+    f = num / (2.0 * e * g)
+    fine = (f.sum(axis=2) * (2.0j * math.pi / points)).T
+    coarse = (f[..., ::2].sum(axis=2) * (4.0j * math.pi / points)).T
+    ok = np.isfinite(fine).all(axis=1) & np.isfinite(coarse).all(axis=1)
+    return kept[ok], fine[ok], coarse[ok]
+
+
+def _previous(x):
+    """``x`` at the previous point of each loop (the last for the first)."""
+    return np.concatenate((x[:, -1:], x[:, :-1]), axis=1)
+
+
+def spectral_phase_rows(model: ModelSpec, amplitudes) -> list[SpectralPhase | None]:
+    """:func:`spectral_phase_loop` of the model with each row of
+    ``amplitudes`` as its term amplitudes (see
+    :func:`~floqep.model.bloch_vector_at`), or of the model itself for
+    None, as one stacked pass per grid size: each doubling re-runs only
+    the loops neither accepted nor declined.  Each loop's result is the
+    bits of its own pass."""
+    n = 1 if amplitudes is None else len(amplitudes)
+    out: list[SpectralPhase | None] = [None] * n
+    if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
+        return out
+    rows = np.arange(n)
+    points = SPECTRAL_MIN_POINTS
+    # an overflow surfaces as a non-finite value, which declines
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size and points <= SPECTRAL_MAX_POINTS:
+            kept, fine, coarse = _spectral_sums(
+                *_loop_vectors(model, points, None if amplitudes is None else amplitudes[rows])
+            )
+            deltas = np.abs(fine - coarse).max(axis=1)
+            done = deltas <= SPECTRAL_TOL
+            thetas = np.array([
+                [_principal_theta(f0, 0), _principal_theta(f1, 1)]
+                for f0, f1 in fine[done].tolist()
+            ])
+            for row, theta, delta in zip(rows[kept[done]].tolist(), thetas, deltas[done].tolist()):
+                out[row] = SpectralPhase(theta, points, delta)
+            rows = rows[kept[~done]]
+            points *= 2
+    return out
 
 
 def spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
@@ -478,24 +527,10 @@ def spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
 
     None for a square waveform, for any loop that
     :func:`_spectral_sums` declines, and for no agreement by
-    ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.
+    ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.  This is
+    the one-loop case of :func:`spectral_phase_rows`.
     """
-    if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
-        return None
-    points = SPECTRAL_MIN_POINTS
-    # an overflow surfaces as a non-finite value, which declines
-    with np.errstate(over="ignore", invalid="ignore"):
-        while points <= SPECTRAL_MAX_POINTS:
-            sums = _spectral_sums(model, points)
-            if sums is None:
-                return None
-            fine, coarse = sums
-            delta = float(np.max(np.abs(fine - coarse)))
-            if delta <= SPECTRAL_TOL:
-                theta = np.array([_principal_theta(complex(fine[b]), b) for b in (0, 1)])
-                return SpectralPhase(theta, points, delta)
-            points *= 2
-    return None
+    return spectral_phase_rows(model, None)[0]
 
 
 def _solid_angle_pivot(u: np.ndarray) -> np.ndarray:

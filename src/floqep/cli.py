@@ -231,12 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="log errors only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def run_command(name, func, summary, *flags):
+    def run_command(name, func, summary, *flags, helps=None):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="path to the JSON run configuration")
         for flag in ("--out", *flags):
             field, kind, text = _OVERRIDES[flag]
+            text = (helps or {}).get(flag, text)
             p.add_argument(flag, dest=field, type=kind, metavar=flag[2:].upper(), help=text)
         return p
 
@@ -248,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
     # perfbench/run.py passes it to every workload
     run_command("ep-contours", cmd_ep_contours, "exceptional-point contours",
                 "--threads", "--engine")
-    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads", "--steps")
+    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads", "--steps",
+                helps={"--threads": "worker processes for the Wilson-loop fallbacks; the "
+                                    "spectral pass runs in-process (default: config, then 1)"})
     run_command("spectrum-scan", cmd_spectrum_scan, "instantaneous-spectrum region scan")
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")

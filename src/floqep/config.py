@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .berry import DEFAULT_LOOP_STEPS, MIN_LOOP_STEPS
 from .floquet import DEFAULT_CUTOFF
-from .model import PresetTemplate
+from .model import PresetTemplate, _is_int
 from .sweep import ENGINES
 
 SCHEMA_VERSION = 1
@@ -24,11 +24,6 @@ _KEYS = {"schema_version", "model", "gamma", "omega", "engine", "cutoff",
 
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
-
-
-def _is_int(value) -> bool:
-    """An integer, not a boolean (``isinstance(True, int)`` holds)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, name: str) -> float:
@@ -112,7 +107,7 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     _reject_unknown(doc, _KEYS)
     model = doc.get("model")

@@ -44,6 +44,11 @@ SMOOTH_WAVEFORMS = frozenset({Waveform.COS, Waveform.SIN})
 SQUARE_WAVEFORMS = frozenset({Waveform.SQUARE_COS, Waveform.SQUARE_SIN})
 
 
+def _is_int(value) -> bool:
+    """An integer, not a boolean (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DriveTerm:
     """One additive term ``amplitude * waveform(multiplier*omega*t) * P``.
@@ -62,7 +67,7 @@ class DriveTerm:
     def __post_init__(self):
         if not math.isfinite(self.amplitude):
             raise ValueError("drive amplitude must be finite")
-        if not isinstance(self.multiplier, int) or isinstance(self.multiplier, bool):
+        if not _is_int(self.multiplier):
             raise ValueError("harmonic multiplier must be an integer")
         if self.multiplier < 1:
             raise ValueError("harmonic multiplier must be >= 1")
@@ -179,53 +184,71 @@ def _waveform_values(waveform: Waveform, theta):
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
-def bloch_vector_at(model: ModelSpec, t):
+def bloch_vector_at(model: ModelSpec, t, amplitudes=None):
     """Complex Bloch vector ``d(t)`` of the model Hamiltonian.
 
     ``t`` may be a scalar or an array; the result has shape
     ``t.shape + (3,)``.  Models assembled from drive terms are traceless,
     so ``d`` fully determines ``H(t) = d(t) . sigma``.
+
+    ``amplitudes``, a ``(rows, terms)`` array, stands in for the terms'
+    own amplitudes, one row per model: the result then has a leading
+    ``rows`` axis, and row ``r`` holds the bits of the model whose term
+    ``k`` has amplitude ``amplitudes[r, k]``.
     """
     t_arr = np.asarray(t, dtype=float)
-    d = np.zeros(t_arr.shape + (3,), dtype=complex)
     w = model.base_omega
-    for term in model.terms:
-        _add_term(d, term, _waveform_values(term.waveform, term.multiplier * w * t_arr))
-    return d
+    return _term_sum(
+        model, t_arr, amplitudes,
+        lambda term: _waveform_values(term.waveform, term.multiplier * w * t_arr),
+    )
 
 
-def bloch_phase_derivative(model: ModelSpec, t):
+def bloch_phase_derivative(model: ModelSpec, t, amplitudes=None):
     """Exact derivative ``dd/dtheta`` of the Bloch vector in the drive
-    phase ``theta = base_omega*t``, at the times ``t`` (shape as for
-    :func:`bloch_vector_at`).
+    phase ``theta = base_omega*t``, at the times ``t`` (shape, and
+    ``amplitudes``, as for :func:`bloch_vector_at`).
 
     A term ``cos(m*theta)`` gives ``-m*sin(m*theta)``, a term
     ``sin(m*theta)`` gives ``m*cos(m*theta)`` and a constant term nothing;
     a square waveform has no derivative and raises ``ValueError``.
     """
     t_arr = np.asarray(t, dtype=float)
-    dd = np.zeros(t_arr.shape + (3,), dtype=complex)
     w = model.base_omega
-    for term in model.terms:
+
+    def values(term):
         if term.waveform is Waveform.CONSTANT:
-            continue
+            return None
         if term.waveform not in SMOOTH_WAVEFORMS:
             raise ValueError(f"a {term.waveform.value} drive has no derivative")
         m = term.multiplier
         if term.waveform is Waveform.COS:
-            vals = -m * np.sin(m * w * t_arr)
-        else:
-            vals = m * np.cos(m * w * t_arr)
-        _add_term(dd, term, vals)
-    return dd
+            return -m * np.sin(m * w * t_arr)
+        return m * np.cos(m * w * t_arr)
+
+    return _term_sum(model, t_arr, amplitudes, values)
 
 
-def _add_term(d, term: DriveTerm, values):
-    """Add ``term``'s amplitude times ``values`` to its axis of ``d``."""
-    coeff = term.amplitude * values
-    if term.hermiticity is Hermiticity.ANTI_HERMITIAN:
-        coeff = 1.0j * coeff
-    d[..., term.axis.value] += coeff
+def _term_sum(model: ModelSpec, t_arr, amplitudes, values_of):
+    """Sum over the terms of amplitude times ``values_of(term)`` on the
+    term's axis (a term whose values are None adds nothing); see
+    :func:`bloch_vector_at` for ``amplitudes``."""
+    if amplitudes is None:
+        lead, amps = (), [term.amplitude for term in model.terms]
+    else:
+        amplitudes = np.asarray(amplitudes, dtype=float)
+        lead = amplitudes.shape[:1]
+        # one column per term, broadcast over the times
+        amps = amplitudes.T.reshape((len(model.terms),) + lead + (1,) * t_arr.ndim)
+    d = np.zeros(lead + t_arr.shape + (3,), dtype=complex)
+    for term, amp in zip(model.terms, amps):
+        values = values_of(term)
+        if values is not None:
+            coeff = amp * values
+            if term.hermiticity is Hermiticity.ANTI_HERMITIAN:
+                coeff = 1.0j * coeff
+            d[..., term.axis.value] += coeff
+    return d
 
 
 def hamiltonian_at(model: ModelSpec, t: float) -> np.ndarray:
@@ -309,7 +332,7 @@ class PresetTemplate:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}; known: {', '.join(PRESET_NAMES)}")
-        if not isinstance(self.beta, int) or isinstance(self.beta, bool) or self.beta < 1:
+        if not _is_int(self.beta) or self.beta < 1:
             raise ValueError("beta must be a positive integer")
         if self.family not in ("smooth", "square"):
             raise ValueError(f"unknown waveform family {self.family!r} (use 'smooth' or 'square')")
@@ -320,13 +343,21 @@ class PresetTemplate:
         """The model at drive strength ``gamma`` and base frequency ``omega``."""
         waveforms = _FAMILY_WAVEFORMS[self.family]
         terms = tuple(
-            DriveTerm(axis, coef * gamma if coef else self.J, waveforms[slot],
+            DriveTerm(axis, amplitude, waveforms[slot],
                       self.beta if harmonic is _BETA else harmonic, hermiticity)
-            for axis, hermiticity, slot, harmonic, coef in _PRESET_TABLE[self.name]
+            for (axis, hermiticity, slot, harmonic, _), amplitude
+            in zip(_PRESET_TABLE[self.name], self.amplitudes(gamma))
         )
         label = (f"{self.name}[J={self.J:g},gamma={gamma:g},omega={omega:g},"
                  f"beta={self.beta},{self.family}]")
         return ModelSpec(terms=terms, base_omega=omega, label=label)
+
+    def amplitudes(self, gamma) -> list:
+        """The drive terms' amplitudes at drive strength ``gamma``, in the
+        term order of :meth:`instantiate`: ``J`` for the static coupling,
+        ``coef * gamma`` for each drive.  For an array of gammas a drive's
+        entry is an array of that shape, and ``J`` stays a scalar."""
+        return [coef * gamma if coef else self.J for *_, coef in _PRESET_TABLE[self.name]]
 
     @property
     def label(self) -> str:

@@ -13,9 +13,9 @@ Numerical failures become NaN sentinel cells, summarised in one log
 line; more than 1% failures aborts the sweep.  EP contours come from the
 indicator on the grid blocks, a lockstep bisection of every sign-change
 bracket, and one batched classification of the roots.  A Berry sweep
-runs one loop per gamma over the same pool, each loop in drive phase, so
-it takes no omega: the spectral route where it accepts the loop, else
-the Wilson loop.
+runs each loop in drive phase, so it takes no omega: the spectral route
+for all its gammas in-process, in stacked blocks, and the Wilson loop,
+over the same pool, for each gamma the spectral route declines.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_loop
+from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_rows
 from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, column_max_im
-from .model import PresetTemplate, half_period_parity
+from .model import PresetTemplate, _is_int, half_period_parity
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
@@ -67,6 +67,9 @@ MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
 # cells per kernel call; fixed, so no result depends on how a grid is split
 BLOCK_CELLS = 512
+# gammas per stacked spectral Berry pass; it bounds the pass's memory (a
+# 128-point pass of 16 loops allocates no array above 100 kB)
+BERRY_BLOCK_LOOPS = 16
 
 
 class FailureBudgetExceeded(RuntimeError):
@@ -445,7 +448,8 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     is scanned in gamma for sign changes, and all brackets of all columns
     are bisected together until both the bracket width and ``|f|`` at the
     root fall below ``ROOT_TOL``.  A root not pinned down within
-    ``MAX_BISECTIONS`` steps (indicator discontinuity) is dropped and logged.
+    ``MAX_BISECTIONS`` steps, or whose bracket can no longer be halved
+    (an indicator discontinuity), is dropped and logged.
 
     Linking takes the columns in omega order and each column's roots in
     gamma order.  A diabolic root is a singleton line.  The exceptional
@@ -479,6 +483,7 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     w_br = omegas[br_j]
     found = np.full(br_i.size, np.nan)
     active = np.arange(br_i.size)
+    stuck = []
     for _ in range(MAX_BISECTIONS):
         if not active.size:
             break
@@ -486,11 +491,15 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
         fmid = f_at(mid, w_br[active])
         done = ((hi[active] - lo[active] < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
         found[active[done]] = mid[done]
-        active, mid, fmid = active[~done], mid[~done], fmid[~done]
+        # a midpoint that rounds onto an end leaves the bracket as it is, for good
+        lost = ~done & ((mid == lo[active]) | (mid == hi[active]))
+        stuck.extend(active[lost])
+        go_on = ~(done | lost)
+        active, mid, fmid = active[go_on], mid[go_on], fmid[go_on]
         same = (fmid > 0) == (flo[active] > 0)
         lo[active[same]], flo[active[same]] = mid[same], fmid[same]
         hi[active[~same]] = mid[~same]
-    for k in active:
+    for k in sorted([*stuck, *active]):
         log.warning(
             "EP root lost during bisection at omega=%.6g, gamma in [%.6g, %.6g]",
             w_br[k], gammas[br_i[k]], gammas[br_i[k] + 1],
@@ -548,18 +557,28 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
     return lines
 
 
-def _berry_task(args):
-    """One gamma's ``(theta, flags, certified, loop)``, where ``loop`` is
-    the sidecar's record of the route taken: the spectral route where it
-    accepts the loop, else the Wilson loop at ``steps``."""
+def _spectral_column(template: PresetTemplate, gammas) -> list:
+    """:func:`~floqep.berry.spectral_phase_loop` at each gamma (omega 1),
+    one stacked pass per block of :data:`BERRY_BLOCK_LOOPS` gammas."""
+    # the preset's terms; each gamma's amplitudes stand in for theirs
+    model = template.instantiate(1.0, 1.0)
+    amplitudes = np.empty((len(gammas), len(model.terms)))
+    for k, column in enumerate(template.amplitudes(gammas)):
+        amplitudes[:, k] = column
+    return [
+        phase
+        for start in range(0, len(gammas), BERRY_BLOCK_LOOPS)
+        for phase in spectral_phase_rows(model, amplitudes[start:start + BERRY_BLOCK_LOOPS])
+    ]
+
+
+def _wilson_task(args):
+    """One gamma's Wilson loop at ``steps`` as ``(theta, flags, certified,
+    loop)``, where ``loop`` is the sidecar's record of the route."""
     gamma, template, steps, richardson = args
-    # at omega = 1 the time t is the drive phase theta, bit for bit
-    model = template.instantiate(float(gamma), 1.0)
-    spectral = spectral_phase_loop(model)
-    if spectral is not None:
-        loop = {"route": "spectral", "points": spectral.points, "delta": spectral.delta}
-        return spectral.theta, (), True, loop
     loop = {"route": "wilson", "points": 2 * steps if richardson else steps, "delta": None}
+    # at omega = 1 the time t is the drive phase theta, bit for bit
+    model = template.instantiate(gamma, 1.0)
     try:
         res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
     except DefectivePointError:
@@ -584,15 +603,27 @@ def berry_gamma_sweep(
     phases in ``[0, 2*pi)``.  A loop takes
     :func:`~floqep.berry.spectral_phase_loop` where that accepts it, and
     otherwise falls back to the Wilson loop, which ``steps`` and
-    ``richardson`` steer.  The Wilson loop runs with ``on_ep='flag'``, so
-    a sweep can cross drive strengths whose loop grazes an exceptional
-    point without aborting the whole curve; a loop through a zero Bloch
-    vector reads NaN and uncertified.  The metadata's ``loops`` records
-    each gamma's route, points and delta.
+    ``richardson`` steer.  The spectral route runs in-process for the
+    whole sweep, in stacked blocks of gammas; only the gammas it declines
+    go to the Wilson loop, over a pool of at most ``threads`` processes
+    (none when every loop is spectral).  The Wilson loop runs with
+    ``on_ep='flag'``, so a sweep can cross drive strengths whose loop
+    grazes an exceptional point without aborting the whole curve; a loop
+    through a zero Bloch vector reads NaN and uncertified.  The metadata's
+    ``loops`` records each gamma's route, points and delta.
     """
     gammas = np.asarray(gammas, dtype=float)
-    tasks = [(float(g), template, steps, richardson) for g in gammas]
-    results = _map_tasks(_berry_task, tasks, threads)
+    results = [
+        None if phase is None else (
+            phase.theta, (), True,
+            {"route": "spectral", "points": phase.points, "delta": phase.delta},
+        )
+        for phase in _spectral_column(template, gammas)
+    ]
+    declined = [k for k, r in enumerate(results) if r is None]
+    tasks = [(float(gammas[k]), template, steps, richardson) for k in declined]
+    for k, r in zip(declined, _map_tasks(_wilson_task, tasks, threads)):
+        results[k] = r
     thetas = np.array([r[0] for r in results])
     flags = tuple(tuple(r[1]) for r in results)
     loops = [r[3] for r in results]
@@ -634,10 +665,9 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
         raise FileNotFoundError(f"missing metadata sidecar {mp}")
     with open(mp) as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != _SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported schema version {doc.get('schema_version')!r} in {mp}"
-        )
+    version = doc.get("schema_version")
+    if not _is_int(version) or version != _SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema version {version!r} in {mp}")
     if doc.get("format") != expected_fmt:
         raise ValueError(f"expected format {expected_fmt!r}, found {doc.get('format')!r}")
     return doc

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import floqep.berry as berry_module
+import floqep.sweep as sweep_mod
 from floqep.berry import (
     _DEFECT_REL_TOL,
     _TIE_REL_TOL,
@@ -18,6 +19,7 @@ from floqep.berry import (
     SPECTRAL_MIN_POINTS,
     SPECTRAL_TOL,
     BerryPhaseResult,
+    SpectralPhase,
     DefectivePointError,
     EPOnPathError,
     SpectralRegion,
@@ -25,6 +27,7 @@ from floqep.berry import (
     _check_on_ep,
     _defective,
     _loop_frames,
+    _loop_vectors,
     _principal_theta,
     _raw_eigenframes,
     _spectral_sums,
@@ -32,6 +35,7 @@ from floqep.berry import (
     classify_instantaneous,
     half_solid_angle,
     spectral_phase_loop,
+    spectral_phase_rows,
     spectrum_region_scan,
     wilson_loop_phase,
 )
@@ -41,12 +45,14 @@ from floqep.model import (
     DriveTerm,
     Hermiticity,
     ModelSpec,
+    SQUARE_WAVEFORMS,
     PresetTemplate,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     Waveform,
     bloch_decompose,
+    bloch_phase_derivative,
     bloch_vector_at,
     preset,
 )
@@ -849,11 +855,129 @@ class TestReferenceBits:
         assert got == _loop_outcome(_reference_component_wilson_loop_phase, right, left, on_ep)
 
 
-def _quiet_spectral(model):
-    """``spectral_phase_loop(model)``, failing on any RuntimeWarning."""
+# The per-loop spectral route, frozen as the oracle for the stacked pass
+# in floqep.berry: one loop per call, declining by returning None.
+
+
+def _reference_spectral_sums(model: ModelSpec, points: int):
+    """Trapezoid values of ``i * loop integral of L dR / (L R)`` for both
+    bands, on ``points`` uniform drive phases and on their even half, as
+    ``(fine, coarse)`` complex pairs; None where the integrand cannot be
+    trusted there.
+
+    ``eps`` follows ``sqrt(d.d)`` continuously from point to point: the
+    principal root can jump to its negative between neighbours (a
+    ``-0.0`` imaginary part on a negative ``d.d`` does), so it is not the
+    band.  Each band keeps one adjugate column on the whole loop,
+    ``R = (d_z + eps, d_x + i d_y)`` and ``L = (d_z + eps, d_x - i d_y)``
+    with ``L R = 2 eps (eps + d_z)``, or, if ``eps + d_z`` comes closer to
+    0, ``R = (d_x - i d_y, eps - d_z)`` and ``L = (d_x + i d_y, eps - d_z)``
+    with ``L R = 2 eps (eps - d_z)``; the two gauges differ by a factor
+    that varies along the loop, so they are never mixed.
+
+    It declines on a non-finite value, a gap ``|2 eps|`` below
+    ``GAP_TOL``, a step of ``arg(d.d)`` of pi/2 or more (which a sign
+    change of a real ``d.d`` is: the loop crosses an exceptional point
+    between two samples), a band that comes back as the other one after a
+    turn, or a frame that vanishes.
+    """
+    t = np.arange(points) * (model.period / points)
+    d = bloch_vector_at(model, t)
+    dd = bloch_phase_derivative(model, t)
+    dx, dy, dz = d[:, 0], d[:, 1], d[:, 2]
+    ddx, ddy, ddz = dd[:, 0], dd[:, 1], dd[:, 2]
+    # summed in the order of _raw_eigenframes, so both routes start band 0
+    # on the same root
+    q = dx * dx
+    q += dy * dy
+    q += dz * dz
+    if not (np.isfinite(q).all() and np.isfinite(dd).all()):
+        return None
+    root = np.sqrt(q)
+    if np.min(np.abs(2.0 * root)) < GAP_TOL:
+        return None
+    if np.any((q * np.roll(q, 1).conj()).real <= 0.0):
+        return None
+    # with arg(d.d) steps below pi/2, a root step of more than pi/2 is a
+    # jump to the other root
+    flip = (root * np.roll(root, 1).conj()).real < 0.0
+    flip[0] = False
+    eps = np.where(np.logical_xor.accumulate(flip), -root, root)
+    if (eps[-1] * eps[0].conj()).real < 0.0:
+        return None
+    deps = (dx * ddx + dy * ddy + dz * ddz) / eps
+    w, wc = dx + 1.0j * dy, dx - 1.0j * dy
+    dw, dwc = ddx + 1.0j * ddy, ddx - 1.0j * ddy
+    fine, coarse = np.empty(2, dtype=complex), np.empty(2, dtype=complex)
+    for band, (e, de) in enumerate(((eps, deps), (-eps, -deps))):
+        a, b = e + dz, e - dz
+        if np.min(np.abs(a)) >= np.min(np.abs(b)):
+            g, num = a, a * (de + ddz) + wc * dw
+        else:
+            g, num = b, b * (de - ddz) + w * dwc
+        if not g.all():
+            return None
+        f = num / (2.0 * e * g)
+        fine[band] = f.sum() * (2.0j * math.pi / points)
+        coarse[band] = f[::2].sum() * (4.0j * math.pi / points)
+    if not (np.isfinite(fine).all() and np.isfinite(coarse).all()):
+        return None
+    return fine, coarse
+
+
+def _reference_spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
+    """Complex geometric phase of a smooth loop by the trapezoid rule,
+    or None where this route cannot be trusted.
+
+    A smooth model's ``d(theta)`` is a trigonometric polynomial, so with
+    the gap open the integrand of ``i * loop integral of L dR / (L R)`` is
+    analytic and periodic, and the trapezoid rule converges exponentially
+    (Trefethen & Weideman, SIAM Rev. 56, 2014); the value is the
+    biorthogonal complex phase (Garrison & Wright, Phys. Lett. A 128,
+    1988), band 0 starting on the principal root as in
+    :func:`berry_phase_loop`.  The grid doubles from
+    ``SPECTRAL_MIN_POINTS`` until the fine and coarse sums agree within
+    ``SPECTRAL_TOL``, and returns the fine value with that ``delta``.
+
+    None for a square waveform, for any loop that
+    :func:`_reference_spectral_sums` declines, and for no agreement by
+    ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.
+    """
+    if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
+        return None
+    points = SPECTRAL_MIN_POINTS
+    # an overflow surfaces as a non-finite value, which declines
+    with np.errstate(over="ignore", invalid="ignore"):
+        while points <= SPECTRAL_MAX_POINTS:
+            sums = _reference_spectral_sums(model, points)
+            if sums is None:
+                return None
+            fine, coarse = sums
+            delta = float(np.max(np.abs(fine - coarse)))
+            if delta <= SPECTRAL_TOL:
+                theta = np.array([_principal_theta(complex(fine[b]), b) for b in (0, 1)])
+                return SpectralPhase(theta, points, delta)
+            points *= 2
+    return None
+
+
+def _quiet(fn, *args):
+    """``fn(*args)``, failing on any RuntimeWarning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        return spectral_phase_loop(model)
+        return fn(*args)
+
+
+def _quiet_spectral(model):
+    """``spectral_phase_loop(model)``, failing on any RuntimeWarning."""
+    return _quiet(spectral_phase_loop, model)
+
+
+def _one_loop_sums(model, points):
+    """The stacked sums of the model's loop alone: its ``(fine, coarse)``
+    band pairs, or None where the loop is declined."""
+    kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points))
+    return (fine[0], coarse[0]) if kept.size else None
 
 
 # loops whose d.d is real and changes sign on the loop: each crosses
@@ -941,7 +1065,7 @@ class TestSpectralRoute:
         # d.d = 1 + gamma^2 cos(2 theta) stays positive, but its minimum at
         # the sample pi/2 is 2e-14: a gap of 2.8e-7
         m = preset("pt-cosy-sinz", gamma=1.0 - 1e-14, beta=1)
-        assert _spectral_sums(m, SPECTRAL_MIN_POINTS) is None
+        assert _one_loop_sums(m, SPECTRAL_MIN_POINTS) is None
         assert _quiet_spectral(m) is None
 
     def test_band_that_does_not_close_declines(self):
@@ -964,7 +1088,7 @@ class TestSpectralRoute:
         dd = np.einsum("nk,nk->n", d, d)
         assert np.min(np.abs(dd)) > 2.9
         assert np.allclose(dd, 1.0 + 4.0 * np.exp(1j * np.arange(256) * (2 * np.pi / 256)))
-        assert _spectral_sums(m, SPECTRAL_MIN_POINTS) is None
+        assert _one_loop_sums(m, SPECTRAL_MIN_POINTS) is None
         assert _quiet_spectral(m) is None
         assert not berry_phase_loop(m, steps=1024, on_ep="flag").certified
 
@@ -979,7 +1103,7 @@ class TestSpectralRoute:
         # d.d = 1 + gamma^2 cos(2 theta) stays positive, but its dip at pi/2
         # is ~1e-4 wide, finer than the largest grid
         m = preset("pt-cosy-sinz", gamma=1.0 - 1e-8, beta=1)
-        assert _spectral_sums(m, SPECTRAL_MAX_POINTS) is not None
+        assert _one_loop_sums(m, SPECTRAL_MAX_POINTS) is not None
         assert _quiet_spectral(m) is None
 
     def test_negative_zero_does_not_swap_bands(self, monkeypatch):
@@ -1015,11 +1139,66 @@ class TestSpectralRoute:
     def test_delta_monotone_under_doubling(self):
         m = PresetTemplate("apt-cosx-siny", beta=3, family="smooth").instantiate(0.7, 1.0)
         deltas = [
-            float(np.max(np.abs(np.subtract(*_spectral_sums(m, n))))) for n in (128, 256, 512)
+            float(np.max(np.abs(np.subtract(*_one_loop_sums(m, n))))) for n in (128, 256, 512)
         ]
         assert deltas[0] > deltas[1] > SPECTRAL_TOL >= deltas[2]
         got = _quiet_spectral(m)
         assert (got.points, got.delta) == (512, deltas[2])
+
+
+# a gamma range across every preset's thresholds, longer than one block of
+# the sweep's stacked pass, then the edge cases 0, sqrt(0.5), 1 and 1e200
+# (whose d.d overflows)
+STACKED_GAMMAS = np.concatenate([np.linspace(0.0, 3.0, 37), [0.0, math.sqrt(0.5), 1.0, 1e200]])
+
+
+def _spectral_outcome(phase):
+    return None if phase is None else (phase.theta.tobytes(), phase.points, phase.delta)
+
+
+class TestStackedSpectralPass:
+    """The stacked spectral pass against the frozen per-loop route, bit for
+    bit, with any RuntimeWarning an error: a declined loop in the stack
+    must not reach a division the per-loop route never made."""
+
+    @staticmethod
+    def _reference_column(tpl, gammas):
+        return [
+            _spectral_outcome(_quiet(_reference_spectral_phase_loop, tpl.instantiate(float(g), 1.0)))
+            for g in gammas
+        ]
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_sweep_column(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="smooth")
+        assert len(STACKED_GAMMAS) > sweep_mod.BERRY_BLOCK_LOOPS
+        want = self._reference_column(tpl, STACKED_GAMMAS)
+        got = _quiet(sweep_mod._spectral_column, tpl, STACKED_GAMMAS)
+        assert list(map(_spectral_outcome, got)) == want
+        # one loop alone is the stack of one
+        alone = [_quiet_spectral(tpl.instantiate(float(g), 1.0)) for g in STACKED_GAMMAS]
+        assert list(map(_spectral_outcome, alone)) == want
+
+    def test_one_stack_mixes_levels_and_declines(self):
+        # one pass of 16 loops: accepted at 128, 256 and 2048 points, and
+        # declined across exceptional points
+        tpl = PresetTemplate("apt-cosx-siny", beta=3, family="smooth")
+        gammas = STACKED_GAMMAS[:16]
+        amplitudes = np.stack(np.broadcast_arrays(*tpl.amplitudes(gammas)), axis=-1)
+        got = _quiet(spectral_phase_rows, tpl.instantiate(1.0, 1.0), amplitudes)
+        assert {p.points for p in got if p is not None} == {128, 256, 2048}
+        assert None in got
+        assert list(map(_spectral_outcome, got)) == self._reference_column(tpl, gammas)
+
+    def test_zero_bloch_vector_in_the_stack(self):
+        # J = 0 and gamma = 0: d = 0 on the whole loop, so eps = 0, which
+        # the per-loop route declines before it divides by it
+        tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth")
+        gammas = np.array([0.5, 0.0, 1.5, 0.0, 1e200])
+        got = _quiet(sweep_mod._spectral_column, tpl, gammas)
+        assert [p is None for p in got] == [False, True, False, True, True]
+        assert list(map(_spectral_outcome, got)) == self._reference_column(tpl, gammas)
 
 
 class TestHalfSolidAngle:

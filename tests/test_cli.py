@@ -123,6 +123,9 @@ class TestConfig:
             # a misspelt key is an error, not a silent default
             {"cuttoff": 40},
             {"model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "square", "gama": 0.5}},
+            # the version is an integer: true and 1.0 compare equal to 1
+            {"schema_version": True},
+            {"schema_version": 1.0},
         ],
     )
     def test_invalid_configs(self, patch):

@@ -163,6 +163,19 @@ SCAN_META = """\
 
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN))
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_sidecar_version_must_be_the_integer(fmt, version, tmp_path):
+    # true and 1.0 compare equal to 1, but are not the integer version
+    make, _, meta_text = GOLDEN[fmt]
+    path = persist(make(), tmp_path / "out.csv")
+    doc = json.loads(meta_text)
+    doc["schema_version"] = version
+    (tmp_path / "out.csv.meta.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"unsupported schema version {version!r}"):
+        load(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN))
 def test_result_bytes(fmt, tmp_path):
     make, csv_text, meta_text = GOLDEN[fmt]
     path = persist(make(), tmp_path / "out.csv")

@@ -534,6 +534,31 @@ class TestEPContours:
             warnings.simplefilter("error")
             trace_ep_contours(tpl, GridSpec(4.5, 5.0, 6, 0.07, 0.08, 2))
 
+    def test_stuck_bracket_is_lost_at_once(self, monkeypatch, caplog):
+        # a step with no root: each column's bracket halves down to two
+        # adjacent doubles around the step, whose midpoint rounds onto one
+        # of them; from there no pass can move it, so it is lost on that pass
+        # rather than re-evaluated up to MAX_BISECTIONS times
+        calls = []
+
+        def step(template, gammas, omegas, engine):
+            calls.append(len(gammas))
+            return np.where(np.asarray(gammas) < 0.3, -1.0, 1.0)
+
+        monkeypatch.setattr(sweep_mod, "_indicator_at", step)
+        grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 2)
+        with caplog.at_level("WARNING", logger="floqep.sweep"):
+            cs = trace_ep_contours(PT3, grid)
+        assert cs.contours == ()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"EP root lost during bisection at omega={w:.6g}, gamma in [0.2, 0.3]"
+            for w in (0.6, 1.0)
+        ]
+        # the grid, then one call per halving: about 53 bits from width 0.1
+        # down to adjacent doubles, well short of MAX_BISECTIONS passes
+        assert calls[0] == 22 and set(calls[1:]) == {2}
+        assert len(calls) < 60 < sweep_mod.MAX_BISECTIONS
+
     def test_rejects_floquet_engine(self):
         grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 3, engine="floquet")
         with pytest.raises(ValueError, match="monodromy"):
@@ -564,6 +589,15 @@ class TestBerrySweep:
             assert a.metadata["loops"] == b.metadata["loops"]
             assert {loop["route"] for loop in a.metadata["loops"]} == {route}
             assert a.metadata["all_certified"] and b.metadata["all_certified"]
+
+    def test_mixed_routes_match_across_threads(self):
+        # the spectral pass runs in-process and the two Wilson fallbacks
+        # over a pool: the sweep is the same bits at 1 and 2 threads
+        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
+        a, b = (berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, threads=n) for n in (1, 2))
+        assert [loop["route"] for loop in a.metadata["loops"]] == ["spectral", "wilson", "wilson"]
+        assert a.thetas.tobytes() == b.thetas.tobytes() and a.flags == b.flags
+        assert a.metadata["loops"] == b.metadata["loops"]
 
     def test_wilson_fallback_is_the_wilson_loop(self):
         # square loops and loops across exceptional points keep the Wilson
@@ -651,14 +685,27 @@ class TestPoolSize:
         assert wide.tobytes() == phase_diagram(tpl, grid, threads=1, cutoff=8).values.tobytes()
 
     def test_no_more_processes_than_gammas(self, pools):
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        # square loops all take the Wilson route: one task per gamma
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
         wide = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=64)
         assert pools == [2]
         one = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=1)
         assert wide.thetas.tobytes() == one.thetas.tobytes() and wide.flags == one.flags
 
-    def test_one_task_runs_in_process(self, pools):
+    def test_spectral_loops_start_no_pool(self, pools):
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
+        sw = berry_gamma_sweep(tpl, np.linspace(0.05, 2.95, 40), steps=256, threads=64)
+        assert {loop["route"] for loop in sw.metadata["loops"]} == {"spectral"}
+        assert pools == []
+
+    def test_only_wilson_fallbacks_are_tasks(self, pools):
+        # gamma 0.5 is spectral; 1.0 and 1.5 fall back to the Wilson loop
+        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
+        berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, threads=64)
+        assert pools == [2]
+
+    def test_one_task_runs_in_process(self, pools):
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
         berry_gamma_sweep(tpl, [0.3], steps=256, threads=64)
         assert pools == []
 
