@@ -35,6 +35,7 @@ from .model import (
     SQUARE_WAVEFORMS,
     ModelSpec,
     PresetTemplate,
+    _is_int,
     bloch_phase_derivative,
     bloch_vector_at,
 )
@@ -340,8 +341,8 @@ def berry_phase_loop(
     reference; the phase equals it modulo 2*pi up to discretization
     error.
     """
-    if steps < MIN_LOOP_STEPS:
-        raise ValueError(f"steps must be >= {MIN_LOOP_STEPS}")
+    if not _is_int(steps) or steps < MIN_LOOP_STEPS:
+        raise ValueError(f"steps must be an integer >= {MIN_LOOP_STEPS}")
     _check_on_ep(on_ep)
 
     phases, d, gap, right, left, bad = _loop_frames(
@@ -396,14 +397,11 @@ class SpectralPhase(NamedTuple):
     delta: float       # max band |theta(points) - theta(points / 2)|
 
 
-def _loop_vectors(model: ModelSpec, points: int, amplitudes=None):
+def _loop_vectors(model: ModelSpec, points: int, amplitudes):
     """Bloch vectors and their phase derivatives on ``points`` uniform
     drive phases, stacked ``(loops, points, 3)``: one loop per row of
-    ``amplitudes`` (see :func:`~floqep.model.bloch_vector_at`), or the
-    model's own loop alone."""
+    ``amplitudes`` (see :func:`~floqep.model.bloch_vector_at`)."""
     t = np.arange(points) * (model.period / points)
-    if amplitudes is None:
-        return bloch_vector_at(model, t)[None], bloch_phase_derivative(model, t)[None]
     return bloch_vector_at(model, t, amplitudes), bloch_phase_derivative(model, t, amplitudes)
 
 
@@ -482,22 +480,18 @@ def _previous(x):
 def spectral_phase_rows(model: ModelSpec, amplitudes) -> list[SpectralPhase | None]:
     """:func:`spectral_phase_loop` of the model with each row of
     ``amplitudes`` as its term amplitudes (see
-    :func:`~floqep.model.bloch_vector_at`), or of the model itself for
-    None, as one stacked pass per grid size: each doubling re-runs only
-    the loops neither accepted nor declined.  Each loop's result is the
-    bits of its own pass."""
-    n = 1 if amplitudes is None else len(amplitudes)
-    out: list[SpectralPhase | None] = [None] * n
+    :func:`~floqep.model.bloch_vector_at`), as one stacked pass per grid
+    size: each doubling re-runs only the loops neither accepted nor
+    declined.  Each loop's result is the bits of its own pass."""
+    out: list[SpectralPhase | None] = [None] * len(amplitudes)
     if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
         return out
-    rows = np.arange(n)
+    rows = np.arange(len(amplitudes))
     points = SPECTRAL_MIN_POINTS
     # an overflow surfaces as a non-finite value, which declines
     with np.errstate(over="ignore", invalid="ignore"):
         while rows.size and points <= SPECTRAL_MAX_POINTS:
-            kept, fine, coarse = _spectral_sums(
-                *_loop_vectors(model, points, None if amplitudes is None else amplitudes[rows])
-            )
+            kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points, amplitudes[rows]))
             deltas = np.abs(fine - coarse).max(axis=1)
             done = deltas <= SPECTRAL_TOL
             thetas = np.array([
@@ -528,9 +522,9 @@ def spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
     None for a square waveform, for any loop that
     :func:`_spectral_sums` declines, and for no agreement by
     ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.  This is
-    the one-loop case of :func:`spectral_phase_rows`.
+    the one-row case of :func:`spectral_phase_rows`, on the model's own amplitudes.
     """
-    return spectral_phase_rows(model, None)[0]
+    return spectral_phase_rows(model, np.array([[term.amplitude for term in model.terms]]))[0]
 
 
 def _solid_angle_pivot(u: np.ndarray) -> np.ndarray:

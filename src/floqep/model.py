@@ -45,8 +45,8 @@ SQUARE_WAVEFORMS = frozenset({Waveform.SQUARE_COS, Waveform.SQUARE_SIN})
 
 
 def _is_int(value) -> bool:
-    """An integer, not a boolean (``isinstance(True, int)`` holds)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A Python or numpy integer, not a boolean (``isinstance(True, int)`` holds)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,12 @@ def _term_sum(model: ModelSpec, t_arr, amplitudes, values_of):
     """Sum over the terms of amplitude times ``values_of(term)`` on the
     term's axis (a term whose values are None adds nothing); see
     :func:`bloch_vector_at` for ``amplitudes``."""
+    # the model's own (terms,) or (rows, terms): one column per term, broadcast over the times
     if amplitudes is None:
-        lead, amps = (), [term.amplitude for term in model.terms]
-    else:
-        amplitudes = np.asarray(amplitudes, dtype=float)
-        lead = amplitudes.shape[:1]
-        # one column per term, broadcast over the times
-        amps = amplitudes.T.reshape((len(model.terms),) + lead + (1,) * t_arr.ndim)
+        amplitudes = [term.amplitude for term in model.terms]
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    lead = amplitudes.shape[:-1]
+    amps = amplitudes.T.reshape((len(model.terms),) + lead + (1,) * t_arr.ndim)
     d = np.zeros(lead + t_arr.shape + (3,), dtype=complex)
     for term, amp in zip(model.terms, amps):
         values = values_of(term)

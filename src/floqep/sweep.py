@@ -90,7 +90,7 @@ class GridSpec:
 
     def __post_init__(self):
         counts = (self.gamma_count, self.omega_count)
-        if any(isinstance(n, bool) or not isinstance(n, (int, np.integer)) for n in counts):
+        if not all(map(_is_int, counts)):
             raise ValueError("grid counts must be integers")
         bounds = (self.gamma_min, self.gamma_max, self.omega_min, self.omega_max)
         if not all(math.isfinite(x) for x in bounds):

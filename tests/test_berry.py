@@ -655,6 +655,17 @@ class TestBerryLoop:
         with pytest.raises(ValueError, match="steps"):
             berry_phase_loop(equator_model(), steps=128)
 
+    @pytest.mark.parametrize("steps", [300.5, 512.0, True])
+    def test_steps_must_be_an_integer(self, steps):
+        # a fractional count gave a 2*steps grid whose even points are not the coarse grid
+        with pytest.raises(ValueError, match="integer"):
+            berry_phase_loop(preset("apt-cosx-siny", gamma=0.5, beta=1), steps=steps)
+
+    def test_numpy_integer_steps(self):
+        m = preset("apt-cosx-siny", gamma=0.5, beta=1)
+        want = berry_phase_loop(m, steps=512).theta
+        assert berry_phase_loop(m, steps=np.int64(512)).theta.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("n", [256, 1024])
     def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
@@ -976,7 +987,8 @@ def _quiet_spectral(model):
 def _one_loop_sums(model, points):
     """The stacked sums of the model's loop alone: its ``(fine, coarse)``
     band pairs, or None where the loop is declined."""
-    kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points))
+    own = np.array([[term.amplitude for term in model.terms]])
+    kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points, own))
     return (fine[0], coarse[0]) if kept.size else None
 
 
@@ -1114,13 +1126,13 @@ class TestSpectralRoute:
         # the loop, which leaves every value of d and d.d as it was.
         m = preset("apt-cosx-siny", gamma=1.5, beta=1)
 
-        def signed_zeros(model, t):
-            d = bloch_vector_at(model, t)
-            half = slice(d.shape[0] // 2, None)
+        def signed_zeros(model, t, amplitudes=None):
+            d = bloch_vector_at(model, t, amplitudes)
+            half = slice(d.shape[-2] // 2, None)
             # the x and y drives are anti-Hermitian, the z coupling Hermitian:
             # each square's imaginary part 2 Re Im becomes -0.0
-            d.real[half, :2] = np.copysign(0.0, -d.imag[half, :2])
-            d.imag[half, 2] = np.copysign(0.0, -d.real[half, 2])
+            d.real[..., half, :2] = np.copysign(0.0, -d.imag[..., half, :2])
+            d.imag[..., half, 2] = np.copysign(0.0, -d.real[..., half, 2])
             return d
 
         t = np.arange(128) * (m.period / 128)

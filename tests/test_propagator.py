@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -16,14 +17,17 @@ from floqep.model import (
     ModelSpec,
     PresetTemplate,
     Waveform,
+    bloch_vector_at,
     half_period_parity,
     matrix_from_bloch_vector,
     preset,
 )
 from floqep.propagator import (
+    DEFAULT_STEPS_PER_PERIOD,
     EPKind,
     MonodromyResult,
     NumericalError,
+    _integrate_monodromy,
     _segment_product,
     ep_indicator,
     expm_two_level,
@@ -213,6 +217,118 @@ class TestMonodromy:
         m = preset("pt-cosy-cosz", family="square")
         with pytest.raises(ValueError, match="unknown engine"):
             monodromy(m, engine="magnus")
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("steps", [4000.7, 4000.0, True])
+    def test_steps_must_be_an_integer(self, family, steps):
+        # smooth models truncated 4000.7 to 4000; square ones took its ceiling per segment
+        m = preset("pt-cosy-cosz", gamma=0.7, omega=0.8, beta=2, family=family)
+        with pytest.raises(ValueError, match="integer"):
+            monodromy(m, engine="integrate", steps_per_period=steps)
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    def test_numpy_integer_steps(self, family):
+        m = preset("pt-cosy-cosz", gamma=0.7, omega=0.8, beta=2, family=family)
+        want = monodromy(m, engine="integrate", steps_per_period=4001).G
+        got = monodromy(m, engine="integrate", steps_per_period=np.int64(4001)).G
+        assert got.tobytes() == want.tobytes()
+
+
+# The RK4 oracle before it ran both families through one batch-last
+# pipeline, copied verbatim (names prefixed) as the reference it must keep.
+def _reference_ordered_product(mats: np.ndarray) -> np.ndarray:
+    """Product ``mats[-1] @ ... @ mats[0]`` by deterministic pairwise tree."""
+    while mats.shape[0] > 1:
+        n = mats.shape[0]
+        even = n - (n % 2)
+        paired = np.matmul(mats[1:even:2], mats[0:even:2])
+        if n % 2:
+            mats = np.concatenate([paired, mats[-1:]], axis=0)
+        else:
+            mats = paired
+    return mats[0]
+
+
+def _reference_rk4_transfer(a_start, a_mid, a_end, h):
+    """Per-step RK4 transfer matrices for ``G' = A(t) G`` (batched)."""
+    eye = np.eye(2, dtype=complex)
+    k1 = a_start
+    k2 = a_mid + (0.5 * h) * np.matmul(a_mid, k1)
+    k3 = a_mid + (0.5 * h) * np.matmul(a_mid, k2)
+    k4 = a_end + h * np.matmul(a_end, k3)
+    return eye + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _reference_integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
+    """Fixed-step RK4 solution of ``G' = -i H(t) G`` over one period.
+
+    Square-family models are integrated segment by segment so the jump
+    discontinuities always coincide with step boundaries; the constant
+    per-segment step matrix is raised to the step count by binary
+    powering.  The composition order is a fixed pairwise tree, making the
+    result bitwise reproducible.
+    """
+    if steps_per_period < 4:
+        raise ValueError("steps_per_period must be >= 4")
+    T = model.period
+    if model.is_square_family:
+        ds = segment_hamiltonians(model)
+        m = int(math.ceil(steps_per_period / len(ds)))
+        h = T / len(ds) / m
+        g = np.eye(2, dtype=complex)
+        for d in ds:
+            a = -1.0j * matrix_from_bloch_vector(d)
+            step = _reference_rk4_transfer(a, a, a, h)
+            g = np.linalg.matrix_power(step, m) @ g
+        return g
+    n = int(steps_per_period)
+    h = T / n
+
+    def a_at(t):
+        return -1.0j * matrix_from_bloch_vector(bloch_vector_at(model, t))
+
+    a_edges = a_at(np.arange(n + 1) * h)
+    steps = _reference_rk4_transfer(a_edges[:-1], a_at((np.arange(n) + 0.5) * h), a_edges[1:], h)
+    return _reference_ordered_product(steps)
+
+
+def _oracle_gap(model, steps):
+    """``|G - G_ref| / max(1, ||G_ref||)`` of the oracle against the reference."""
+    got, want = _integrate_monodromy(model, steps), _reference_integrate_monodromy(model, steps)
+    return float(np.max(np.abs(got - want))) / max(1.0, float(np.linalg.norm(want)))
+
+
+def _seeded_cells(name, beta, family, count=3):
+    rng = np.random.default_rng([beta, PRESET_NAMES.index(name)])
+    tpl = PresetTemplate(name, beta=beta, family=family)
+    return [tpl.instantiate(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.3, 3.0))) for _ in range(count)]
+
+
+class TestOracleReference:
+    # 4001 is odd, so the smooth tree carries a step, and no square
+    # segment count (4 * beta) divides it; a smooth cell at the default
+    # steps costs ~0.5 s here, so those run on one cell per preset
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_matches_the_reference(self, name, beta, family):
+        steps = [4001] + ([DEFAULT_STEPS_PER_PERIOD] if family == "square" else [])
+        gap = max(_oracle_gap(m, n) for m in _seeded_cells(name, beta, family) for n in steps)
+        print(f"{name} beta={beta} {family} steps {steps}: max |dG|/max(1, ||G||) = {gap:.2e}")
+        assert gap <= 1e-10
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_smooth_matches_the_reference_at_the_default_steps(self, name):
+        beta = 1 + PRESET_NAMES.index(name) % 3
+        gap = _oracle_gap(_seeded_cells(name, beta, "smooth", 1)[0], DEFAULT_STEPS_PER_PERIOD)
+        print(f"{name} beta={beta} smooth steps {DEFAULT_STEPS_PER_PERIOD}: {gap:.2e}")
+        assert gap <= 1e-10
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    def test_bitwise_reproducible(self, family):
+        model = preset("pt-cosy-cosz", gamma=0.9, omega=1.1, beta=3, family=family)
+        first = _integrate_monodromy(model, 4001)
+        assert first.tobytes() == _integrate_monodromy(model, 4001).tobytes()
 
 
 def _grid_cells(n=40):
