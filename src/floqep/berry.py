@@ -42,7 +42,7 @@ from .model import (
 
 
 class DefectivePointError(ValueError):
-    """A loop point has no eigenframe pair: an eigenvector came out zero."""
+    """A loop point has no eigenframe pair: a zero eigenvector, or a non-finite d.d or frame norm."""
 
 
 class EPOnPathError(RuntimeError):
@@ -74,6 +74,7 @@ MIN_LOOP_STEPS = 256
 SPECTRAL_TOL = 1e-12  # the largest |theta(n) - theta(n/2)| a spectral loop accepts
 SPECTRAL_MIN_POINTS = 128  # the first spectral grid, compared with its 64 even points
 SPECTRAL_MAX_POINTS = 4096  # a spectral loop not accepted on this many points declines
+SPECTRAL_STACK_POINTS = 2048  # loops x points of one stacked spectral pass, to bound its memory
 
 
 def _raw_eigenframes(d):
@@ -130,10 +131,13 @@ def _canonical_gauge(right, left):
     for b in (0, 1):
         (r0, r1), (l0, l1) = right[b], left[b]
         a0, a1 = np.abs(r0), np.abs(r1)
-        rnorm = np.sqrt(a0 * a0 + a1 * a1)
-        lnorm = np.sqrt(np.abs(l0) ** 2 + np.abs(l1) ** 2)
+        with np.errstate(over="ignore"):  # an overflowed norm is not finite, which raises
+            rnorm = np.sqrt(a0 * a0 + a1 * a1)
+            lnorm = np.sqrt(np.abs(l0) ** 2 + np.abs(l1) ** 2)
         if not (rnorm.all() and lnorm.all()):
             raise DefectivePointError("zero eigenvector encountered")
+        if not np.isfinite(rnorm + lnorm).all():
+            raise DefectivePointError("eigenvector norm is not finite")
         use1 = a1 > a0 * (1.0 + 1e-9)
         # |pick| / pick, and 1 / rnorm, as one complex factor
         right[b] *= np.conj(np.where(use1, r1, r0)) * (1.0 / (np.where(use1, a1, a0) * rnorm))
@@ -142,6 +146,14 @@ def _canonical_gauge(right, left):
         bad[b] = np.abs(ov) < OVERLAP_TOL
         left[b] *= 1.0 / np.where(bad[b], 1.0, ov)  # biorthonormal where the pairing allows
     return bad
+
+
+def _check_loop_settings(steps, richardson):
+    """``ValueError`` unless ``steps`` is an integer >= ``MIN_LOOP_STEPS`` and ``richardson`` a bool."""
+    if not _is_int(steps) or steps < MIN_LOOP_STEPS:
+        raise ValueError(f"steps must be an integer >= {MIN_LOOP_STEPS}")
+    if not isinstance(richardson, bool):
+        raise ValueError("richardson must be a bool")
 
 
 def _check_on_ep(on_ep: str):
@@ -303,14 +315,19 @@ def _loop_frames(model: ModelSpec, steps: int, on_ep: str):
     k = np.arange(steps)
     phases = k * (2.0 * math.pi / steps)
     d = bloch_vector_at(model, k * (model.period / steps))
-    mu, gap, right, left = _raw_eigenframes(d)
-    if on_ep == "raise":
-        defective = _defective(d, mu)
-        if np.any(defective):
-            raise EPOnPathError(
-                f"loop passes through a defective point at drive phase "
-                f"{float(phases[np.argmax(defective)]):.6g}"
-            )
+    # an overflowed d.d raises before any frame is used; against an overflowed
+    # |d|, any finite mu is 0, so the point is defective
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, gap, right, left = _raw_eigenframes(d)
+        if not np.isfinite(mu).all():
+            raise DefectivePointError("d.d is not finite on the loop")
+        if on_ep == "raise":
+            defective = _defective(d, mu)
+            if np.any(defective):
+                raise EPOnPathError(
+                    f"loop passes through a defective point at drive phase "
+                    f"{float(phases[np.argmax(defective)]):.6g}"
+                )
     bad = _canonical_gauge(right, left)
     return phases, d, gap, right, left, bad
 
@@ -341,8 +358,7 @@ def berry_phase_loop(
     reference; the phase equals it modulo 2*pi up to discretization
     error.
     """
-    if not _is_int(steps) or steps < MIN_LOOP_STEPS:
-        raise ValueError(f"steps must be an integer >= {MIN_LOOP_STEPS}")
+    _check_loop_settings(steps, richardson)
     _check_on_ep(on_ep)
 
     phases, d, gap, right, left, bad = _loop_frames(
@@ -397,12 +413,11 @@ class SpectralPhase(NamedTuple):
     delta: float       # max band |theta(points) - theta(points / 2)|
 
 
-def _loop_vectors(model: ModelSpec, points: int, amplitudes):
-    """Bloch vectors and their phase derivatives on ``points`` uniform
-    drive phases, stacked ``(loops, points, 3)``: one loop per row of
-    ``amplitudes`` (see :func:`~floqep.model.bloch_vector_at`)."""
-    t = np.arange(points) * (model.period / points)
-    return bloch_vector_at(model, t, amplitudes), bloch_phase_derivative(model, t, amplitudes)
+def _affine(static, slope, gammas):
+    """``static + g * slope`` for each ``g`` of ``gammas``, stacked on a new
+    leading axis; on the real and imaginary parts apart, so ``x + 0 * x``
+    is ``x`` bit for bit for every finite ``x``, signed zeros included."""
+    return (static.view(float) + gammas[:, None, None] * slope.view(float)).view(complex)
 
 
 def _spectral_sums(d, dd):
@@ -477,30 +492,37 @@ def _previous(x):
     return np.concatenate((x[:, -1:], x[:, :-1]), axis=1)
 
 
-def spectral_phase_rows(model: ModelSpec, amplitudes) -> list[SpectralPhase | None]:
-    """:func:`spectral_phase_loop` of the model with each row of
-    ``amplitudes`` as its term amplitudes (see
-    :func:`~floqep.model.bloch_vector_at`), as one stacked pass per grid
-    size: each doubling re-runs only the loops neither accepted nor
-    declined.  Each loop's result is the bits of its own pass."""
-    out: list[SpectralPhase | None] = [None] * len(amplitudes)
-    if any(term.waveform in SQUARE_WAVEFORMS for term in model.terms):
+def spectral_phase_rows(static: ModelSpec, slope: ModelSpec, gammas) -> list[SpectralPhase | None]:
+    """:func:`spectral_phase_loop` of ``static + g * slope`` for each ``g``
+    of ``gammas`` (see :meth:`~floqep.model.PresetTemplate.parts`), as
+    stacked passes of at most ``SPECTRAL_STACK_POINTS`` loops x points:
+    each doubling of the grid evaluates the two parts once, and re-runs
+    only the loops neither accepted nor declined.  Each loop's result is
+    the bits of its own pass."""
+    gammas = np.asarray(gammas, dtype=float)
+    out: list[SpectralPhase | None] = [None] * len(gammas)
+    if any(term.waveform in SQUARE_WAVEFORMS for term in static.terms):
         return out
-    rows = np.arange(len(amplitudes))
+    rows = np.arange(len(gammas))
     points = SPECTRAL_MIN_POINTS
     # an overflow surfaces as a non-finite value, which declines
     with np.errstate(over="ignore", invalid="ignore"):
         while rows.size and points <= SPECTRAL_MAX_POINTS:
-            kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points, amplitudes[rows]))
-            deltas = np.abs(fine - coarse).max(axis=1)
-            done = deltas <= SPECTRAL_TOL
-            thetas = np.array([
-                [_principal_theta(f0, 0), _principal_theta(f1, 1)]
-                for f0, f1 in fine[done].tolist()
-            ])
-            for row, theta, delta in zip(rows[kept[done]].tolist(), thetas, deltas[done].tolist()):
-                out[row] = SpectralPhase(theta, points, delta)
-            rows = rows[kept[~done]]
+            t = np.arange(points) * (static.period / points)
+            # Bloch vectors and phase derivatives of the two parts on the uniform drive phases
+            parts = [(f(static, t), f(slope, t)) for f in (bloch_vector_at, bloch_phase_derivative)]
+            pending, block = [], max(1, SPECTRAL_STACK_POINTS // points)
+            for start in range(0, rows.size, block):
+                stack = rows[start:start + block]
+                kept, fine, coarse = _spectral_sums(*(_affine(*part, gammas[stack]) for part in parts))
+                deltas = np.abs(fine - coarse).max(axis=1)
+                done = deltas <= SPECTRAL_TOL
+                for row, (f0, f1), delta in zip(stack[kept[done]].tolist(), fine[done].tolist(),
+                                                deltas[done].tolist()):
+                    theta = np.array([_principal_theta(f0, 0), _principal_theta(f1, 1)])
+                    out[row] = SpectralPhase(theta, points, delta)
+                pending.append(stack[kept[~done]])
+            rows = np.concatenate(pending)
             points *= 2
     return out
 
@@ -522,9 +544,9 @@ def spectral_phase_loop(model: ModelSpec) -> SpectralPhase | None:
     None for a square waveform, for any loop that
     :func:`_spectral_sums` declines, and for no agreement by
     ``SPECTRAL_MAX_POINTS``.  A declined loop emits no warning.  This is
-    the one-row case of :func:`spectral_phase_rows`, on the model's own amplitudes.
+    :func:`spectral_phase_rows` of the model as ``model + 0 * model``.
     """
-    return spectral_phase_rows(model, np.array([[term.amplitude for term in model.terms]]))[0]
+    return spectral_phase_rows(model, model, np.zeros(1))[0]
 
 
 def _solid_angle_pivot(u: np.ndarray) -> np.ndarray:

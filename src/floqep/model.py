@@ -11,7 +11,7 @@ coupling ``J`` setting the scale (all presets default to ``J = 1``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -184,34 +184,28 @@ def _waveform_values(waveform: Waveform, theta):
     raise ValueError(f"unknown waveform {waveform!r}")
 
 
-def bloch_vector_at(model: ModelSpec, t, amplitudes=None):
+def bloch_vector_at(model: ModelSpec, t):
     """Complex Bloch vector ``d(t)`` of the model Hamiltonian.
 
     ``t`` may be a scalar or an array; the result has shape
     ``t.shape + (3,)``.  Models assembled from drive terms are traceless,
     so ``d`` fully determines ``H(t) = d(t) . sigma``.
-
-    ``amplitudes``, a ``(rows, terms)`` array, stands in for the terms'
-    own amplitudes, one row per model: the result then has a leading
-    ``rows`` axis, and row ``r`` holds the bits of the model whose term
-    ``k`` has amplitude ``amplitudes[r, k]``.
     """
     t_arr = np.asarray(t, dtype=float)
     w = model.base_omega
     return _term_sum(
-        model, t_arr, amplitudes,
-        lambda term: _waveform_values(term.waveform, term.multiplier * w * t_arr),
+        model, t_arr, lambda term: _waveform_values(term.waveform, term.multiplier * w * t_arr)
     )
 
 
-def bloch_phase_derivative(model: ModelSpec, t, amplitudes=None):
+def bloch_phase_derivative(model: ModelSpec, t):
     """Exact derivative ``dd/dtheta`` of the Bloch vector in the drive
-    phase ``theta = base_omega*t``, at the times ``t`` (shape, and
-    ``amplitudes``, as for :func:`bloch_vector_at`).
+    phase ``theta = base_omega*t``, at the times ``t`` (shape as for
+    :func:`bloch_vector_at`).
 
     A term ``cos(m*theta)`` gives ``-m*sin(m*theta)``, a term
     ``sin(m*theta)`` gives ``m*cos(m*theta)`` and a constant term nothing;
-    a square waveform has no derivative and raises ``ValueError``.
+    a square-wave term of nonzero amplitude has no derivative (``ValueError``).
     """
     t_arr = np.asarray(t, dtype=float)
     w = model.base_omega
@@ -226,24 +220,18 @@ def bloch_phase_derivative(model: ModelSpec, t, amplitudes=None):
             return -m * np.sin(m * w * t_arr)
         return m * np.cos(m * w * t_arr)
 
-    return _term_sum(model, t_arr, amplitudes, values)
+    return _term_sum(model, t_arr, values)
 
 
-def _term_sum(model: ModelSpec, t_arr, amplitudes, values_of):
+def _term_sum(model: ModelSpec, t_arr, values_of):
     """Sum over the terms of amplitude times ``values_of(term)`` on the
-    term's axis (a term whose values are None adds nothing); see
-    :func:`bloch_vector_at` for ``amplitudes``."""
-    # the model's own (terms,) or (rows, terms): one column per term, broadcast over the times
-    if amplitudes is None:
-        amplitudes = [term.amplitude for term in model.terms]
-    amplitudes = np.asarray(amplitudes, dtype=float)
-    lead = amplitudes.shape[:-1]
-    amps = amplitudes.T.reshape((len(model.terms),) + lead + (1,) * t_arr.ndim)
-    d = np.zeros(lead + t_arr.shape + (3,), dtype=complex)
-    for term, amp in zip(model.terms, amps):
-        values = values_of(term)
+    term's axis.  A term of amplitude 0, or whose values are None, adds
+    nothing: the sum starts at +0, so adding a zero would not change a bit."""
+    d = np.zeros(t_arr.shape + (3,), dtype=complex)
+    for term in model.terms:
+        values = values_of(term) if term.amplitude else None
         if values is not None:
-            coeff = amp * values
+            coeff = term.amplitude * values
             if term.hermiticity is Hermiticity.ANTI_HERMITIAN:
                 coeff = 1.0j * coeff
             d[..., term.axis.value] += coeff
@@ -319,8 +307,9 @@ class PresetTemplate:
     ``apt-cosx-cosy``, ``apt-cosx-siny`` (a static Z coupling, two
     anti-Hermitian drives).  The second drive runs at ``beta * omega``
     for an integer ``beta >= 1``; ``family`` is ``smooth`` for sinusoids,
-    ``square`` for their sign (piecewise constant).  Sweeps instantiate
-    one concrete :class:`ModelSpec` per grid cell.
+    ``square`` for their sign (piecewise constant).  Sweeps evaluate the
+    preset on its gamma split :meth:`parts`, or instantiate one
+    :class:`ModelSpec` per grid cell where a route takes a model.
     """
 
     name: str
@@ -342,21 +331,20 @@ class PresetTemplate:
         """The model at drive strength ``gamma`` and base frequency ``omega``."""
         waveforms = _FAMILY_WAVEFORMS[self.family]
         terms = tuple(
-            DriveTerm(axis, amplitude, waveforms[slot],
+            DriveTerm(axis, coef * gamma if coef else self.J, waveforms[slot],
                       self.beta if harmonic is _BETA else harmonic, hermiticity)
-            for (axis, hermiticity, slot, harmonic, _), amplitude
-            in zip(_PRESET_TABLE[self.name], self.amplitudes(gamma))
+            for axis, hermiticity, slot, harmonic, coef in _PRESET_TABLE[self.name]
         )
         label = (f"{self.name}[J={self.J:g},gamma={gamma:g},omega={omega:g},"
                  f"beta={self.beta},{self.family}]")
         return ModelSpec(terms=terms, base_omega=omega, label=label)
 
-    def amplitudes(self, gamma) -> list:
-        """The drive terms' amplitudes at drive strength ``gamma``, in the
-        term order of :meth:`instantiate`: ``J`` for the static coupling,
-        ``coef * gamma`` for each drive.  For an array of gammas a drive's
-        entry is an array of that shape, and ``J`` stays a scalar."""
-        return [coef * gamma if coef else self.J for *_, coef in _PRESET_TABLE[self.name]]
+    def parts(self) -> tuple[ModelSpec, ModelSpec]:
+        """The gamma split ``(static, slope)``, both at omega 1: the model
+        at gamma 0, and the model at gamma 1 with ``J = 0``, whose drives
+        have their table coefficients as amplitudes.  Any quantity linear
+        in the amplitudes is then ``q(static) + gamma * q(slope)``."""
+        return self.instantiate(0.0, 1.0), replace(self, J=0.0).instantiate(1.0, 1.0)
 
     @property
     def label(self) -> str:

@@ -1,8 +1,11 @@
 """(gamma, omega) grids, EP contour tracing, and persistence.
 
-The piecewise engine evaluates a grid in fixed-size, row-major blocks of
-cells, each one call of the batched segment-product kernel, in-process,
-over half the period where the preset has the half-period parity (see
+A preset is affine in gamma: the piecewise and ``floquet`` engines and
+the spectral Berry pass evaluate it on its split
+:meth:`~floqep.model.PresetTemplate.parts`.  The piecewise engine
+evaluates a grid in fixed-size, row-major blocks of cells, each one call
+of the batched segment-product kernel, in-process, over half the period
+where the preset has the half-period parity (see
 :mod:`floqep.propagator`); the block size is a constant, so the output
 does not depend on the worker count.  The ``floquet`` and
 ``monodromy-integrate`` engines farm frequency columns out to a process
@@ -14,7 +17,7 @@ line; more than 1% failures aborts the sweep.  EP contours come from the
 indicator on the grid blocks, a lockstep bisection of every sign-change
 bracket, and one batched classification of the roots.  A Berry sweep
 runs each loop in drive phase, so it takes no omega: the spectral route
-for all its gammas in-process, in stacked blocks, and the Wilson loop,
+for all its gammas in-process, in stacked passes, and the Wilson loop,
 over the same pool, for each gamma the spectral route declines.
 """
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_rows
+from .berry import _check_loop_settings
 from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, column_max_im
 from .model import PresetTemplate, _is_int, half_period_parity
 from .propagator import (
@@ -67,9 +71,6 @@ MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
 # cells per kernel call; fixed, so no result depends on how a grid is split
 BLOCK_CELLS = 512
-# gammas per stacked spectral Berry pass; it bounds the pass's memory (a
-# 128-point pass of 16 loops allocates no array above 100 kB)
-BERRY_BLOCK_LOOPS = 16
 
 
 class FailureBudgetExceeded(RuntimeError):
@@ -165,10 +166,9 @@ def _segment_vectors(template: PresetTemplate):
 
     Every preset is affine in gamma, and its segment midpoints sit at
     fixed drive phases, so segment ``l`` has the Bloch vector
-    ``a[l] + gamma * b[l]`` at every omega.
+    ``a[l] + gamma * b[l]`` at every omega, from the preset's ``parts()``.
     """
-    a = segment_hamiltonians(template.instantiate(0.0, 1.0))
-    b = segment_hamiltonians(template.instantiate(1.0, 1.0)) - a
+    a, b = map(segment_hamiltonians, template.parts())
     a.flags.writeable = b.flags.writeable = False
     return a, b
 
@@ -178,11 +178,10 @@ def _floquet_sector(template: PresetTemplate, cutoff: int):
     """Sector matrices ``(a, b, harmonics)`` of a smooth preset (read-only arrays).
 
     The Floquet matrix is affine in gamma, so the ``+1`` parity sector
-    at ``(gamma, omega)`` is ``a + gamma * b + omega * diag(harmonics)``
-    (see :func:`~floqep.floquet._sector_matrix`).
+    at ``(gamma, omega)`` is ``a + gamma * b + omega * diag(harmonics)``,
+    from the preset's ``parts()`` (see :func:`~floqep.floquet._sector_matrix`).
     """
-    a, harmonics = _sector_matrix(template.instantiate(0.0, 1.0), cutoff)
-    b = _sector_matrix(template.instantiate(1.0, 1.0), cutoff)[0] - a
+    (a, harmonics), (b, _) = (_sector_matrix(part, cutoff) for part in template.parts())
     a.flags.writeable = b.flags.writeable = harmonics.flags.writeable = False
     return a, b, harmonics
 
@@ -557,21 +556,6 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
     return lines
 
 
-def _spectral_column(template: PresetTemplate, gammas) -> list:
-    """:func:`~floqep.berry.spectral_phase_loop` at each gamma (omega 1),
-    one stacked pass per block of :data:`BERRY_BLOCK_LOOPS` gammas."""
-    # the preset's terms; each gamma's amplitudes stand in for theirs
-    model = template.instantiate(1.0, 1.0)
-    amplitudes = np.empty((len(gammas), len(model.terms)))
-    for k, column in enumerate(template.amplitudes(gammas)):
-        amplitudes[:, k] = column
-    return [
-        phase
-        for start in range(0, len(gammas), BERRY_BLOCK_LOOPS)
-        for phase in spectral_phase_rows(model, amplitudes[start:start + BERRY_BLOCK_LOOPS])
-    ]
-
-
 def _wilson_task(args):
     """One gamma's Wilson loop at ``steps`` as ``(theta, flags, certified,
     loop)``, where ``loop`` is the sidecar's record of the route."""
@@ -582,8 +566,8 @@ def _wilson_task(args):
     try:
         res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
     except DefectivePointError:
-        # a loop through d = 0 (H = 0) has no eigenframes there, and so, like
-        # a loop whose overlaps were dropped, no phase
+        # a loop through d = 0 (H = 0) has no eigenframes there, nor one whose
+        # d.d overflows, so, like a loop whose overlaps were dropped, no phase
         return np.full(2, complex(np.nan, np.nan)), (), False, loop
     loop["delta"] = res.step_delta
     return res.theta, res.degeneracy_flags, res.certified, loop
@@ -603,22 +587,24 @@ def berry_gamma_sweep(
     phases in ``[0, 2*pi)``.  A loop takes
     :func:`~floqep.berry.spectral_phase_loop` where that accepts it, and
     otherwise falls back to the Wilson loop, which ``steps`` and
-    ``richardson`` steer.  The spectral route runs in-process for the
-    whole sweep, in stacked blocks of gammas; only the gammas it declines
-    go to the Wilson loop, over a pool of at most ``threads`` processes
-    (none when every loop is spectral).  The Wilson loop runs with
-    ``on_ep='flag'``, so a sweep can cross drive strengths whose loop
-    grazes an exceptional point without aborting the whole curve; a loop
-    through a zero Bloch vector reads NaN and uncertified.  The metadata's
-    ``loops`` records each gamma's route, points and delta.
+    ``richardson`` steer; both are checked before any loop runs.  The
+    spectral route runs in-process for the whole sweep, in stacked passes
+    on the preset's ``parts()``; only the gammas it declines go to the
+    Wilson loop, over a pool of at most ``threads`` processes (none when
+    every loop is spectral).  The Wilson loop runs with ``on_ep='flag'``,
+    so a sweep can cross drive strengths whose loop grazes an exceptional
+    point without aborting the whole curve; a loop through a zero Bloch
+    vector, or whose ``d.d`` overflows, reads NaN and uncertified.  The
+    metadata's ``loops`` records each gamma's route, points and delta.
     """
+    _check_loop_settings(steps, richardson)
     gammas = np.asarray(gammas, dtype=float)
     results = [
         None if phase is None else (
             phase.theta, (), True,
             {"route": "spectral", "points": phase.points, "delta": phase.delta},
         )
-        for phase in _spectral_column(template, gammas)
+        for phase in spectral_phase_rows(*template.parts(), gammas)
     ]
     declined = [k for k, r in enumerate(results) if r is None]
     tasks = [(float(gammas[k]), template, steps, richardson) for k in declined]

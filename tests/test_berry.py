@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import floqep.berry as berry_module
-import floqep.sweep as sweep_mod
 from floqep.berry import (
     _DEFECT_REL_TOL,
     _TIE_REL_TOL,
@@ -17,17 +16,18 @@ from floqep.berry import (
     OVERLAP_TOL,
     SPECTRAL_MAX_POINTS,
     SPECTRAL_MIN_POINTS,
+    SPECTRAL_STACK_POINTS,
     SPECTRAL_TOL,
     BerryPhaseResult,
     SpectralPhase,
     DefectivePointError,
     EPOnPathError,
     SpectralRegion,
+    _affine,
     _canonical_gauge,
     _check_on_ep,
     _defective,
     _loop_frames,
-    _loop_vectors,
     _principal_theta,
     _raw_eigenframes,
     _spectral_sums,
@@ -666,6 +666,37 @@ class TestBerryLoop:
         want = berry_phase_loop(m, steps=512).theta
         assert berry_phase_loop(m, steps=np.int64(512)).theta.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("richardson", ["yes", 0, 1, None])
+    def test_richardson_must_be_a_bool(self, richardson):
+        with pytest.raises(ValueError, match="richardson"):
+            berry_phase_loop(preset("apt-cosx-siny", gamma=0.5), steps=256, richardson=richardson)
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("gamma", [1e160, 1e200])
+    @pytest.mark.parametrize("on_ep", ["raise", "flag"])
+    def test_overflowing_loop_is_defective(self, family, gamma, on_ep):
+        # d.d overflows on the whole loop: no frame is built from it, and no
+        # warning is raised on the way (warnings are errors in this suite)
+        m = PresetTemplate("apt-cosx-siny", beta=1, family=family).instantiate(gamma, 1.0)
+        with pytest.raises(DefectivePointError, match="not finite"):
+            berry_phase_loop(m, steps=256, on_ep=on_ep)
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    def test_overflowing_bloch_norm(self, family):
+        # d.d = J^2 cancels, but |d|^2 and the frame norms overflow: against
+        # that |d| the loop is defective, and its frames have no norm
+        m = PresetTemplate("pt-cosy-cosz", beta=1, family=family).instantiate(1e154, 1.0)
+        with pytest.raises(EPOnPathError, match="defective point"):
+            berry_phase_loop(m, steps=256, on_ep="raise")
+        with pytest.raises(DefectivePointError, match="not finite"):
+            berry_phase_loop(m, steps=256, on_ep="flag")
+
+    def test_overflowing_frame_norm_is_defective(self):
+        # finite frames whose norm overflows
+        frames = np.full((4, 2, 2), 1e200 + 0j)
+        with pytest.raises(DefectivePointError, match="not finite"):
+            wilson_loop_phase(frames, frames.copy())
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     @pytest.mark.parametrize("n", [256, 1024])
     def test_even_points_of_doubled_grid_are_the_grid(self, name, n):
@@ -987,8 +1018,9 @@ def _quiet_spectral(model):
 def _one_loop_sums(model, points):
     """The stacked sums of the model's loop alone: its ``(fine, coarse)``
     band pairs, or None where the loop is declined."""
-    own = np.array([[term.amplitude for term in model.terms]])
-    kept, fine, coarse = _spectral_sums(*_loop_vectors(model, points, own))
+    t = np.arange(points) * (model.period / points)
+    d, dd = bloch_vector_at(model, t), bloch_phase_derivative(model, t)
+    kept, fine, coarse = _spectral_sums(d[None], dd[None])
     return (fine[0], coarse[0]) if kept.size else None
 
 
@@ -1126,8 +1158,8 @@ class TestSpectralRoute:
         # the loop, which leaves every value of d and d.d as it was.
         m = preset("apt-cosx-siny", gamma=1.5, beta=1)
 
-        def signed_zeros(model, t, amplitudes=None):
-            d = bloch_vector_at(model, t, amplitudes)
+        def signed_zeros(model, t):
+            d = bloch_vector_at(model, t)
             half = slice(d.shape[-2] // 2, None)
             # the x and y drives are anti-Hermitian, the z coupling Hermitian:
             # each square's imaginary part 2 Re Im becomes -0.0
@@ -1184,9 +1216,9 @@ class TestStackedSpectralPass:
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])
     def test_sweep_column(self, name, beta):
         tpl = PresetTemplate(name, beta=beta, family="smooth")
-        assert len(STACKED_GAMMAS) > sweep_mod.BERRY_BLOCK_LOOPS
+        assert len(STACKED_GAMMAS) * SPECTRAL_MIN_POINTS > SPECTRAL_STACK_POINTS
         want = self._reference_column(tpl, STACKED_GAMMAS)
-        got = _quiet(sweep_mod._spectral_column, tpl, STACKED_GAMMAS)
+        got = _quiet(spectral_phase_rows, *tpl.parts(), STACKED_GAMMAS)
         assert list(map(_spectral_outcome, got)) == want
         # one loop alone is the stack of one
         alone = [_quiet_spectral(tpl.instantiate(float(g), 1.0)) for g in STACKED_GAMMAS]
@@ -1197,8 +1229,7 @@ class TestStackedSpectralPass:
         # declined across exceptional points
         tpl = PresetTemplate("apt-cosx-siny", beta=3, family="smooth")
         gammas = STACKED_GAMMAS[:16]
-        amplitudes = np.stack(np.broadcast_arrays(*tpl.amplitudes(gammas)), axis=-1)
-        got = _quiet(spectral_phase_rows, tpl.instantiate(1.0, 1.0), amplitudes)
+        got = _quiet(spectral_phase_rows, *tpl.parts(), gammas)
         assert {p.points for p in got if p is not None} == {128, 256, 2048}
         assert None in got
         assert list(map(_spectral_outcome, got)) == self._reference_column(tpl, gammas)
@@ -1208,9 +1239,47 @@ class TestStackedSpectralPass:
         # the per-loop route declines before it divides by it
         tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth")
         gammas = np.array([0.5, 0.0, 1.5, 0.0, 1e200])
-        got = _quiet(sweep_mod._spectral_column, tpl, gammas)
+        got = _quiet(spectral_phase_rows, *tpl.parts(), gammas)
         assert [p is None for p in got] == [False, True, False, True, True]
         assert list(map(_spectral_outcome, got)) == self._reference_column(tpl, gammas)
+
+
+SPLIT_GAMMAS = [0.0, math.sqrt(0.5), 1.0, 2.95, 1e200]
+
+
+class TestGammaSplit:
+    """``static + g * slope`` from :meth:`PresetTemplate.parts` is the
+    model at ``g``, byte for byte."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_bloch_vectors(self, name, family, beta):
+        tpl = PresetTemplate(name, beta=beta, family=family)
+        static, slope = tpl.parts()
+        t = np.arange(96) * (2.0 * np.pi / 96)
+        got = _affine(bloch_vector_at(static, t), bloch_vector_at(slope, t), np.array(SPLIT_GAMMAS))
+        for g, d in zip(SPLIT_GAMMAS, got):
+            assert d.tobytes() == bloch_vector_at(tpl.instantiate(g, 1.0), t).tobytes()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_phase_derivatives(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="smooth")
+        static, slope = tpl.parts()
+        t = np.arange(128) * (2.0 * np.pi / 128)
+        got = _affine(bloch_phase_derivative(static, t), bloch_phase_derivative(slope, t),
+                      np.array(SPLIT_GAMMAS))
+        for g, dd in zip(SPLIT_GAMMAS, got):
+            assert dd.tobytes() == bloch_phase_derivative(tpl.instantiate(g, 1.0), t).tobytes()
+
+    def test_zero_gamma_keeps_signed_zeros(self):
+        # a complex product 0 * x would turn the zeros of (0.0, -0.0) and
+        # (-0.0, -1.0) positive
+        x = np.array([[0.0, -0.0, -0.0, -1.0, 1.5, -0.0],
+                      [-2.0, 0.0, -0.0, 0.0, 0.0, 3.0]]).view(complex)
+        got = _affine(x, x, np.zeros(1))[0]
+        assert got.tobytes() == x.tobytes()
 
 
 class TestHalfSolidAngle:

@@ -480,6 +480,24 @@ class TestOtherCommands:
         meta = json.loads((out / "spectrum_scan.csv.meta.json").read_text())
         assert meta["thresholds"][0]["gamma"] == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_berry_overflowing_gamma_exits_0(self, tmp_path, capsys, family, big):
+        # a valid config: the loop at the large gamma has no phase, and the
+        # run says so in its outputs rather than failing
+        p = tmp_path / "cfg.json"
+        write_config(p, model={"preset": "apt-cosx-siny", "beta": 1, "family": family},
+                     gamma={"min": 0.5, "max": big, "count": 2}, omega={"value": 1.0},
+                     berry_steps=256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["berry", "--config", str(p)]) == 0
+        assert "error" not in capsys.readouterr().err
+        rows = (tmp_path / "out" / "berry.csv").read_text().splitlines()[3:]
+        assert [r.split(",")[2:4] for r in rows] == [["nan", "nan"]] * 2
+        meta = json.loads((tmp_path / "out" / "berry.csv.meta.json").read_text())["metadata"]
+        assert meta["uncertified_gammas"] == [big]
+
     def test_berry_needs_range(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"
         write_config(p, gamma={"value": 0.4})

@@ -8,6 +8,7 @@ from floqep.model import (
     DriveTerm,
     Hermiticity,
     ModelSpec,
+    PRESET_NAMES,
     PresetTemplate,
     Waveform,
     SIGMA_X,
@@ -247,6 +248,21 @@ class TestPresetTemplate:
     def test_rejects_bad_fields_on_construction(self, field):
         with pytest.raises(ValueError):
             PresetTemplate(**{"name": "pt-cosy-cosz", **field})
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    def test_parts(self, family):
+        for name in PRESET_NAMES:
+            tpl = PresetTemplate(name, J=0.7, beta=3, family=family)
+            static, slope = tpl.parts()
+            assert static == tpl.instantiate(0.0, 1.0)
+            assert slope.base_omega == 1.0
+            model = tpl.instantiate(2.5, 1.0)
+            for s, d, m in zip(static.terms, slope.terms, model.terms):
+                assert (d.axis, d.waveform, d.multiplier, d.hermiticity) == (
+                    m.axis, m.waveform, m.multiplier, m.hermiticity)
+                # J for the coupling, coef * gamma for a drive
+                assert m.amplitude == s.amplitude + 2.5 * d.amplitude
+                assert (s.amplitude, d.amplitude) in ((0.7, 0.0), (0.0, 1.0), (-0.0, -1.0))
 
     def test_instantiate(self):
         tpl = PresetTemplate("apt-cosx-cosy", J=1.0, beta=3, family="square")

@@ -7,6 +7,7 @@ import pytest
 import floqep.propagator as propagator_mod
 import floqep.sweep as sweep_mod
 from floqep.berry import berry_phase_loop
+from floqep.floquet import _sector_matrix
 from floqep.model import PRESET_NAMES, PresetTemplate
 from floqep.render import berry_svg
 from floqep.propagator import (
@@ -16,6 +17,7 @@ from floqep.propagator import (
     indicator_from_trace,
     monodromy,
     piecewise_traces,
+    segment_hamiltonians,
 )
 from floqep.sweep import (
     INSTABILITY_THRESHOLD,
@@ -651,6 +653,59 @@ class TestBerrySweep:
         svg = ET.fromstring(berry_svg(loaded))
         assert "nan" not in ET.tostring(svg).decode()
         assert len(svg.findall(".//{*}polyline")) == 4
+
+
+    # every loop of this sweep takes the spectral route, which uses neither setting
+    ALL_SPECTRAL = (PresetTemplate("apt-cosx-siny", beta=1), np.linspace(0.05, 2.95, 8))
+
+    @pytest.mark.parametrize("steps", [300.5, 10, True, 512.0])
+    def test_steps_checked_before_any_loop(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            berry_gamma_sweep(*self.ALL_SPECTRAL, steps=steps)
+
+    @pytest.mark.parametrize("richardson", ["yes", 0, 1, None])
+    def test_richardson_checked_before_any_loop(self, richardson):
+        with pytest.raises(ValueError, match="richardson must be a bool"):
+            berry_gamma_sweep(*self.ALL_SPECTRAL, richardson=richardson)
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_overflowing_loop_reads_nan(self, family, big):
+        # d.d overflows at the large gamma: the spectral route declines it and
+        # the Wilson loop finds it defective, with no warning; the sweep keeps
+        # its other gamma
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family=family)
+        sw = berry_gamma_sweep(tpl, [0.5, big], steps=256)
+        alone = berry_gamma_sweep(tpl, [0.5], steps=256)
+        assert sw.thetas[0].tobytes() == alone.thetas[0].tobytes()
+        assert np.isnan(sw.thetas[1].view(float)).all() and sw.flags[1] == ()
+        assert sw.metadata["uncertified_gammas"] == [big]
+        assert sw.metadata["loops"][1] == {"route": "wilson", "points": 512, "delta": None}
+
+
+class TestGammaSplit:
+    """The grid engines' affine forms from :meth:`PresetTemplate.parts`
+    equal the old instantiate-at-1-minus-instantiate-at-0 construction."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_segment_vectors(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        a, b = sweep_mod._segment_vectors(tpl)
+        at_0, at_1 = (segment_hamiltonians(tpl.instantiate(g, 1.0)) for g in (0.0, 1.0))
+        assert np.array_equal(a, at_0) and np.array_equal(b, at_1 - at_0)
+        for g in (0.0, np.sqrt(0.5), 1.0, 2.95, 1e200):
+            assert np.array_equal(a + g * b, segment_hamiltonians(tpl.instantiate(g, 1.0)))
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_floquet_sector(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta)
+        a, b, harmonics = sweep_mod._floquet_sector(tpl, 8)
+        (at_0, want_harmonics), (at_1, _) = (
+            _sector_matrix(tpl.instantiate(g, 1.0), 8) for g in (0.0, 1.0))
+        assert np.array_equal(a, at_0) and np.array_equal(b, at_1 - at_0)
+        assert np.array_equal(harmonics, want_harmonics)
 
 
 class TestPoolSize:
