@@ -148,12 +148,14 @@ def _canonical_gauge(right, left):
     return bad
 
 
-def _check_loop_settings(steps, richardson):
-    """``ValueError`` unless ``steps`` is an integer >= ``MIN_LOOP_STEPS`` and ``richardson`` a bool."""
+def _check_loop_settings(steps, richardson) -> tuple[int, bool]:
+    """``(steps, richardson)`` with ``steps`` an int; ``ValueError`` unless
+    ``steps`` is an integer >= ``MIN_LOOP_STEPS`` and ``richardson`` a bool."""
     if not _is_int(steps) or steps < MIN_LOOP_STEPS:
         raise ValueError(f"steps must be an integer >= {MIN_LOOP_STEPS}")
     if not isinstance(richardson, bool):
         raise ValueError("richardson must be a bool")
+    return int(steps), richardson
 
 
 def _check_on_ep(on_ep: str):
@@ -358,7 +360,7 @@ def berry_phase_loop(
     reference; the phase equals it modulo 2*pi up to discretization
     error.
     """
-    _check_loop_settings(steps, richardson)
+    steps, richardson = _check_loop_settings(steps, richardson)
     _check_on_ep(on_ep)
 
     phases, d, gap, right, left, bad = _loop_frames(

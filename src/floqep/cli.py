@@ -20,8 +20,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, render, verify
 from .berry import SCAN_SAMPLES, DefectivePointError, spectrum_region_scan
 from .config import ConfigError, RunConfig, load_config
@@ -82,17 +80,9 @@ def _load(args) -> RunConfig:
 
 
 def _grid_from(config: RunConfig) -> GridSpec:
-    if not config.omega.is_range:
+    if config.grid is None:
         raise ConfigError("phase-diagram and ep-contours need an omega range")
-    return GridSpec(
-        gamma_min=config.gamma.min,
-        gamma_max=config.gamma.max,
-        gamma_count=config.gamma.count,
-        omega_min=config.omega.min,
-        omega_max=config.omega.max,
-        omega_count=config.omega.count,
-        engine=config.engine,
-    )
+    return config.grid
 
 
 def cmd_phase_diagram(args) -> int:
@@ -148,15 +138,14 @@ def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
     out = Path(config.out_dir)
-    gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
         f"complex phase sweep: {tpl.name} beta={tpl.beta}, "
-        f"{config.gamma.count} gamma values; Wilson fallback at "
+        f"{len(config.gammas)} gamma values; Wilson fallback at "
         f"{config.berry_steps} steps, richardson={'on' if config.richardson else 'off'}"
     )
     sweep = berry_gamma_sweep(
         tpl,
-        gammas,
+        config.gammas,
         steps=config.berry_steps,
         richardson=config.richardson,
         threads=config.threads,
@@ -175,12 +164,11 @@ def cmd_berry(args) -> int:
 def cmd_spectrum_scan(args) -> int:
     config = _load(args)
     tpl = config.template
-    gammas = np.linspace(config.gamma.min, config.gamma.max, config.gamma.count)
     _progress(
         f"instantaneous-spectrum scan: {tpl.name} beta={tpl.beta}, "
-        f"{config.gamma.count} gamma values"
+        f"{len(config.gammas)} gamma values"
     )
-    scan = spectrum_region_scan(tpl, gammas)
+    scan = spectrum_region_scan(tpl, config.gammas)
     csv_path = write_table(
         Path(config.out_dir) / "spectrum_scan.csv",
         "gamma,classification",

@@ -1,20 +1,25 @@
 """Run configuration: a single JSON document with a schema version.
 
-:func:`parse_config` is the one place where each setting gets its
-default and its check; a key it does not read is an error.
+:func:`parse_config` gives each setting its default and checks the
+document's shape: its keys, its objects and the JSON types of ``J`` and
+a single ``omega``.  Every rule on a setting's value lives in the library
+and is called from here: the grid's axes and engine
+(:class:`~floqep.sweep.GridSpec`), the cutoff and the Wilson-loop
+settings.  A key it does not read is an error.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .berry import DEFAULT_LOOP_STEPS, MIN_LOOP_STEPS
-from .floquet import DEFAULT_CUTOFF
+import numpy as np
+
+from .berry import DEFAULT_LOOP_STEPS, _check_loop_settings
+from .floquet import DEFAULT_CUTOFF, _check_cutoff
 from .model import PresetTemplate, _is_int
-from .sweep import ENGINES
+from .sweep import GridSpec, _check_axis, _check_engine
 
 SCHEMA_VERSION = 1
 # the top-level keys parse_config reads; any other is an error
@@ -33,18 +38,13 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class AxisSpec:
-    """Either a single value or a uniform range for one sweep axis."""
-
-    value: float | None = None
-    min: float | None = None
-    max: float | None = None
-    count: int | None = None
-
-    @property
-    def is_range(self) -> bool:
-        return self.value is None
+def _checked(key: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ``ValueError`` or ``TypeError``
+    raised as a :class:`ConfigError` that names ``key``."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _reject_unknown(doc: dict, known: set, prefix: str = ""):
@@ -54,10 +54,9 @@ def _reject_unknown(doc: dict, known: set, prefix: str = ""):
         raise ConfigError(f"{prefix}unexpected keys {sorted(extra)}")
 
 
-def _axis_from(doc, name: str, positive: bool, scalar: bool) -> AxisSpec:
-    """The axis ``doc`` gives, checked as it is read: a finite ``value``
-    (only where ``scalar``) or ``count`` >= 2 finite values from ``min``
-    to ``max`` > ``min``; all > 0 if ``positive``, else >= 0."""
+def _axis_keys(doc, name: str, scalar: bool) -> dict:
+    """``doc`` once it is an object with exactly a ``value`` (only where
+    ``scalar``) or ``min``, ``max`` and ``count``."""
     if not isinstance(doc, dict):
         forms = "value or min/max/count" if scalar else "min/max/count"
         raise ConfigError(f"{name}: expected an object with {forms}")
@@ -68,33 +67,14 @@ def _axis_from(doc, name: str, positive: bool, scalar: bool) -> AxisSpec:
     if missing:
         raise ConfigError(f"{name}: missing keys {sorted(missing)}")
     _reject_unknown(doc, keys, f"{name}: ")
-    if "value" in doc:
-        lo = hi = _number(doc["value"], f"{name}: value")
-        spec = AxisSpec(value=lo)
-    else:
-        if not _is_int(doc["count"]):
-            raise ConfigError(f"{name}: count must be an integer")
-        if doc["count"] < 2:
-            raise ConfigError(f"{name}: range count must be >= 2")
-        lo, hi = (_number(doc[key], f"{name}: {key}") for key in ("min", "max"))
-        spec = AxisSpec(min=lo, max=hi, count=doc["count"])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"{name}: values must be finite")
-    if spec.is_range and hi <= lo:
-        raise ConfigError(f"{name}: range must be non-degenerate (max > min)")
-    if positive and lo <= 0:
-        raise ConfigError(f"{name}: values must be > 0")
-    if lo < 0:
-        raise ConfigError(f"{name}: values must be >= 0")
-    return spec
+    return doc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     template: PresetTemplate
-    gamma: AxisSpec
-    omega: AxisSpec
-    engine: str
+    gammas: np.ndarray
+    grid: GridSpec | None  # None where omega is a single value
     cutoff: int
     berry_steps: int
     richardson: bool
@@ -114,34 +94,32 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(model, dict):
         raise ConfigError("missing 'model' object")
     _reject_unknown(model, {"preset", "J", "beta", "family"}, "model: ")
-    try:
-        template = PresetTemplate(
-            model.get("preset"),
-            J=_number(model.get("J", 1.0), "J"),
-            beta=model.get("beta", 1),
-            family=model.get("family", "smooth"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+    template = _checked(
+        "model", PresetTemplate, model.get("preset"), J=_number(model.get("J", 1.0), "model: J"),
+        beta=model.get("beta", 1), family=model.get("family", "smooth"),
+    )
 
     # every subcommand sweeps gamma, so it has no default and no single value
-    gamma = _axis_from(doc.get("gamma"), "gamma", positive=False, scalar=False)
-    omega = _axis_from(doc.get("omega", {"value": 1.0}), "omega", positive=True, scalar=True)
-
-    engine = doc.get("engine", "monodromy-piecewise")
-    if engine not in ENGINES:
-        raise ConfigError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
+    gamma = _axis_keys(doc.get("gamma"), "gamma", scalar=False)
+    gamma = _checked("gamma", _check_axis, "gamma", gamma["min"], gamma["max"], gamma["count"],
+                     False)
+    omega = _axis_keys(doc.get("omega", {"value": 1.0}), "omega", scalar=True)
+    engine = _checked("engine", _check_engine, doc.get("engine", "monodromy-piecewise"))
+    if "value" in omega:
+        # a single omega is held to the axis rule as the range [value, value]
+        value = _number(omega["value"], "omega: value")
+        _checked("omega", _check_axis, "omega", value, value, 2, True)
+        grid = None
+    else:
+        grid = _checked("omega", GridSpec, *gamma, omega["min"], omega["max"], omega["count"],
+                        engine)
     # whether cutoff reaches beta matters to the floquet engine only;
     # phase_diagram checks it there
-    cutoff = doc.get("cutoff", DEFAULT_CUTOFF)
-    if not _is_int(cutoff) or cutoff < 1:
-        raise ConfigError("cutoff must be a positive integer")
-    berry_steps = doc.get("berry_steps", DEFAULT_LOOP_STEPS)
-    if not _is_int(berry_steps) or berry_steps < MIN_LOOP_STEPS:
-        raise ConfigError(f"berry_steps must be an integer >= {MIN_LOOP_STEPS}")
-    richardson = doc.get("richardson", True)
-    if not isinstance(richardson, bool):
-        raise ConfigError("richardson must be a boolean")
+    cutoff = _checked("cutoff", _check_cutoff, doc.get("cutoff", DEFAULT_CUTOFF), 1)
+    berry_steps, richardson = _checked(
+        "berry_steps, richardson", _check_loop_settings,
+        doc.get("berry_steps", DEFAULT_LOOP_STEPS), doc.get("richardson", True),
+    )
     threads = doc.get("threads", 1)
     if not _is_int(threads) or threads < 1:
         raise ConfigError("threads must be a positive integer")
@@ -151,9 +129,8 @@ def parse_config(doc: dict) -> RunConfig:
 
     return RunConfig(
         template=template,
-        gamma=gamma,
-        omega=omega,
-        engine=engine,
+        gammas=np.linspace(*gamma),
+        grid=grid,
         cutoff=cutoff,
         berry_steps=berry_steps,
         richardson=richardson,

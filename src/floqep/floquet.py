@@ -58,6 +58,7 @@ from .model import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    _is_int,
     half_period_parity,
 )
 
@@ -144,9 +145,13 @@ def fourier_components(model: ModelSpec) -> dict[int, np.ndarray]:
     return comps
 
 
-def _check_cutoff(cutoff: int, n_max: int):
+def _check_cutoff(cutoff, n_max: int) -> int:
+    """``cutoff`` as an int; ``ValueError`` unless an integer >= ``n_max`` (not a bool)."""
+    if not _is_int(cutoff):
+        raise ValueError("cutoff must be an integer")
     if cutoff < n_max:
         raise ValueError(f"cutoff {cutoff} below largest drive harmonic {n_max}")
+    return int(cutoff)
 
 
 def _harmonic_blocks(model: ModelSpec, cutoff: int) -> np.ndarray:
@@ -155,7 +160,7 @@ def _harmonic_blocks(model: ModelSpec, cutoff: int) -> np.ndarray:
     Each Fourier component ``H^(k)`` fills block diagonal ``k`` in one
     write, on the ``(block row, row, block column, column)`` view.
     """
-    _check_cutoff(cutoff, model.max_multiplier)
+    cutoff = _check_cutoff(cutoff, model.max_multiplier)
     nb = 2 * cutoff + 1
     mat = np.zeros((2 * nb, 2 * nb), dtype=complex)
     blocks = mat.reshape(nb, 2, nb, 2)

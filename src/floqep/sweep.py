@@ -77,9 +77,38 @@ class FailureBudgetExceeded(RuntimeError):
     """Too many grid cells failed numerically."""
 
 
+def _check_axis(name: str, lo, hi, count, positive: bool) -> tuple[float, float, int]:
+    """``(lo, hi, count)`` as floats and an int: a count >= 2 and finite
+    ``lo <= hi``, ``lo > 0`` if ``positive``, else ``lo >= 0``
+    (``ValueError``); a bound that is not a number is a ``TypeError``."""
+    if not _is_int(count):
+        raise ValueError("grid counts must be integers")
+    if not all(_is_int(x) or isinstance(x, (float, np.floating)) for x in (lo, hi)):
+        raise TypeError("grid bounds must be numbers")
+    lo, hi, count = float(lo), float(hi), int(count)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("grid bounds must be finite")
+    if count < 2:
+        raise ValueError("grid counts must be >= 2")
+    if positive and not lo > 0:
+        raise ValueError(f"{name}_min must be > 0")
+    if lo < 0:
+        raise ValueError(f"{name}_min must be >= 0")
+    if hi < lo:
+        raise ValueError("grid ranges must be ordered")
+    return lo, hi, count
+
+
+def _check_engine(engine) -> str:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
+    return engine
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Rectangular (gamma, omega) grid plus the evaluation engine."""
+    """Rectangular (gamma, omega) grid plus the evaluation engine; the
+    fields are stored as Python floats and ints (see :func:`_check_axis`)."""
 
     gamma_min: float
     gamma_max: float
@@ -90,22 +119,12 @@ class GridSpec:
     engine: str = "monodromy-piecewise"
 
     def __post_init__(self):
-        counts = (self.gamma_count, self.omega_count)
-        if not all(map(_is_int, counts)):
-            raise ValueError("grid counts must be integers")
-        bounds = (self.gamma_min, self.gamma_max, self.omega_min, self.omega_max)
-        if not all(math.isfinite(x) for x in bounds):
-            raise ValueError("grid bounds must be finite")
-        if self.gamma_count < 2 or self.omega_count < 2:
-            raise ValueError("grid counts must be >= 2")
-        if not self.omega_min > 0:
-            raise ValueError("omega_min must be > 0")
-        if self.gamma_min < 0:
-            raise ValueError("gamma_min must be >= 0")
-        if self.gamma_max < self.gamma_min or self.omega_max < self.omega_min:
-            raise ValueError("grid ranges must be ordered")
-        if self.engine not in ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}; known: {', '.join(ENGINES)}")
+        for name, positive in (("gamma", False), ("omega", True)):
+            fields = (f"{name}_min", f"{name}_max", f"{name}_count")
+            checked = _check_axis(name, *(getattr(self, f) for f in fields), positive)
+            for field, value in zip(fields, checked):
+                object.__setattr__(self, field, value)
+        _check_engine(self.engine)
 
     @property
     def gammas(self) -> np.ndarray:
@@ -371,8 +390,8 @@ def phase_diagram(
     _engine_family_check(template, grid.engine)
     # argument errors raise here: inside a cell they would only become NaN
     if grid.engine == "floquet":
-        _check_cutoff(cutoff, template.beta)  # beta: a preset's largest harmonic
-        if not math.isfinite(float(grid.omega_max) * float(cutoff)):
+        cutoff = _check_cutoff(cutoff, template.beta)  # beta: a preset's largest harmonic
+        if not math.isfinite(grid.omega_max * cutoff):
             raise ValueError(f"omega_max {grid.omega_max:g} times cutoff {cutoff} "
                              "overflows the Floquet matrix diagonal")
     if grid.engine == "monodromy-piecewise":
@@ -409,7 +428,8 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
 
     ``gamma`` is matched to the nearest grid row; each returned interval
     spans the first to last contiguous node with
-    ``max Im eps > 1e-8``.
+    ``max Im eps > 1e-8``.  A failed (non-finite) cell in that row would
+    split or hide a window, so it raises ``NumericalError``.
     """
     gammas = diagram.grid.gammas
     if not (gammas[0] - 1e-12 <= gamma <= gammas[-1] + 1e-12):
@@ -417,6 +437,9 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
     i = int(np.argmin(np.abs(gammas - gamma)))
     row = diagram.values[:, i]
     omegas = diagram.grid.omegas
+    failed = ", ".join(f"{w:g}" for w in omegas[~np.isfinite(row)])
+    if failed:
+        raise NumericalError(f"failed cells at gamma {gammas[i]:g}, omega {failed}")
     unstable = row > INSTABILITY_THRESHOLD
     windows = []
     start = None
@@ -597,7 +620,7 @@ def berry_gamma_sweep(
     vector, or whose ``d.d`` overflows, reads NaN and uncertified.  The
     metadata's ``loops`` records each gamma's route, points and delta.
     """
-    _check_loop_settings(steps, richardson)
+    steps, richardson = _check_loop_settings(steps, richardson)
     gammas = np.asarray(gammas, dtype=float)
     results = [
         None if phase is None else (
@@ -637,14 +660,6 @@ def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
 
-def _write_meta(path: Path, fmt: str, payload: dict):
-    doc = {"schema_version": _SCHEMA_VERSION, "format": fmt}
-    doc.update(payload)
-    with open(_meta_path(path), "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _read_meta(path: Path, expected_fmt: str) -> dict:
     mp = _meta_path(path)
     if not mp.exists():
@@ -662,13 +677,17 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
 def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
     """Write the CSV line ``header``, then ``chunks`` (strings of whole
     lines) as they come, then the sidecar of format ``fmt`` carrying
-    ``payload``."""
+    ``payload``.  The sidecar text is built first, so a payload that JSON
+    cannot encode raises before any file is opened."""
     path = Path(path)
+    meta = json.dumps({"schema_version": _SCHEMA_VERSION, "format": fmt, **payload},
+                      indent=2, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
         fh.writelines(chunks)
-    _write_meta(path, fmt, payload)
+    with open(_meta_path(path), "w", newline="\n") as fh:
+        fh.write(meta + "\n")
     return path
 
 

@@ -15,6 +15,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import floqep.cli as cli
@@ -68,3 +69,15 @@ def test_benchmark_argv_is_valid_input(tmp_path, workload, trace):
         config = cli._load(args)
         assert config.threads == phase["workers"]
         assert config.out_dir == str(out)
+        # the check's _grid_matches compares the sidecar grid with these fields
+        g, w = cfg["gamma"], cfg["omega"]
+        if "value" in w:
+            assert config.grid is None
+            assert config.gammas.tolist() == np.linspace(g["min"], g["max"], g["count"]).tolist()
+        else:
+            grid = config.grid
+            assert (grid.gamma_min, grid.gamma_max, grid.gamma_count) == (
+                g["min"], g["max"], g["count"])
+            assert (grid.omega_min, grid.omega_max, grid.omega_count) == (
+                w["min"], w["max"], w["count"])
+            assert grid.engine == cfg["engine"]

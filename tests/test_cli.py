@@ -84,7 +84,7 @@ class TestConfig:
             "omega": {"value": 1.0},
         }
         cfg = parse_config(doc)
-        assert cfg.gamma.is_range and not cfg.omega.is_range
+        assert cfg.grid is None and cfg.gammas.tolist() == [0.5, 1.0, 1.5]
         assert cfg.template.name == "apt-cosx-siny"
         with pytest.raises(ConfigError, match="^gamma: must be a range"):
             parse_config({**doc, "gamma": {"value": 0.5}})
@@ -138,6 +138,21 @@ class TestConfig:
         doc.update(patch)
         with pytest.raises(ConfigError):
             parse_config(doc)
+
+    def test_grid_is_the_library_grid(self):
+        # the config builds the GridSpec a run maps, by GridSpec's own
+        # rules: a range with min == max is one point, as in the library
+        doc = {
+            "schema_version": 1,
+            "model": {"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"},
+            "gamma": {"min": 1, "max": 1, "count": 2},
+            "omega": {"min": 0.4, "max": 2.8, "count": np.int64(5)},
+            "engine": "floquet",
+        }
+        cfg = parse_config(doc)
+        assert cfg.grid == GridSpec(1.0, 1.0, 2, 0.4, 2.8, 5, engine="floquet")
+        assert cfg.gammas.tolist() == [1.0, 1.0]
+        assert [type(v) for v in (cfg.grid.gamma_min, cfg.grid.omega_count)] == [float, int]
 
     def test_model_message_has_one_prefix(self):
         doc = {"schema_version": 1, "model": {"preset": "pt-cosy-cosz", "J": True}}

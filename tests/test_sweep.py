@@ -100,8 +100,12 @@ class TestCellKernels:
 
     @pytest.mark.parametrize(
         "template, engine, kwargs, match",
-        [(PT3_SMOOTH, "floquet", {"cutoff": 2}, "cutoff 2 below")],
-        ids=["floquet-cutoff"],
+        [
+            (PT3_SMOOTH, "floquet", {"cutoff": 2}, "cutoff 2 below"),
+            (PT3_SMOOTH, "floquet", {"cutoff": 2.5}, "cutoff must be an integer"),
+            (PT3_SMOOTH, "floquet", {"cutoff": True}, "cutoff must be an integer"),
+        ],
+        ids=["floquet-cutoff", "float-cutoff", "bool-cutoff"],
     )
     def test_argument_errors_raise_before_the_cells(self, template, engine, kwargs, match):
         # a bad argument fails every cell alike: it must not turn into NaN
@@ -110,12 +114,16 @@ class TestCellKernels:
         with pytest.raises(ValueError, match=match):
             phase_diagram(template, grid, **kwargs)
 
-    def test_programming_errors_propagate_from_the_cells(self):
-        # a float cutoff passes the argument check and breaks every cell: only
-        # numerical failures may become NaN cells and FailureBudgetExceeded
+    def test_programming_errors_propagate_from_the_cells(self, monkeypatch):
+        # a column solve that breaks on a bug: only numerical failures may
+        # become NaN cells and FailureBudgetExceeded
+        def broken(*args):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(sweep_mod, "column_max_im", broken)
         grid = GridSpec(0.2, 1, 3, 0.6, 1, 2, engine="floquet")
-        with pytest.raises(TypeError):
-            phase_diagram(PresetTemplate("pt-cosy-cosz", beta=1), grid, cutoff=2.5)
+        with pytest.raises(TypeError, match="injected"):
+            phase_diagram(PresetTemplate("pt-cosy-cosz", beta=1), grid)
 
 
 class TestPhaseDiagram:
@@ -132,6 +140,15 @@ class TestPhaseDiagram:
         ref = phase_diagram(PT3, grid, threads=1).values.tobytes()
         par = phase_diagram(PT3, grid, threads=2).values.tobytes()
         assert ref == par
+
+    def test_floquet_worker_count_identity(self):
+        # the piecewise engine above starts no pool; this map runs its
+        # columns over two real worker processes
+        tpl = PresetTemplate("apt-cosx-siny", beta=2, family="smooth")
+        grid = GridSpec(0.0, 1.5, 6, 0.5, 2.0, 4, engine="floquet")
+        ref = phase_diagram(tpl, grid, threads=1, cutoff=10).values
+        par = phase_diagram(tpl, grid, threads=2, cutoff=10).values
+        assert np.isfinite(ref).all() and ref.tobytes() == par.tobytes()
 
     def test_gamma_sign_symmetry(self):
         # diagrams depend on gamma only through |gamma|
@@ -357,6 +374,17 @@ class TestInstabilityWindow:
     def test_out_of_range(self, diagram):
         with pytest.raises(ValueError):
             instability_window(diagram, 2.0)
+
+    def test_failed_cell_raises(self):
+        # one NaN cell at omega 0.73 would split the window (0.53, 0.92)
+        grid = GridSpec(0.0, 0.5, 2, 0.3, 3.0, 271, engine="monodromy-piecewise")
+        diag = phase_diagram(PT3, grid)
+        assert [(round(a, 6), round(b, 6)) for a, b in instability_window(diag, 0.5)] == [
+            (0.53, 0.92)]
+        diag.values[43, 1] = np.nan
+        with pytest.raises(propagator_mod.NumericalError, match=r"gamma 0\.5, omega 0\.73$"):
+            instability_window(diag, 0.5)
+        assert instability_window(diag, 0.0) == []  # the other row is unaffected
 
 
 def _reference_link(omegas, column_roots, dgamma):
@@ -781,6 +809,26 @@ class TestPersistence:
         meta1 = (tmp_path / "d.csv.meta.json").read_bytes()
         meta2 = (tmp_path / "d2.csv.meta.json").read_bytes()
         assert meta1 == meta2
+
+    @pytest.mark.parametrize("run", ["counts", "cutoff", "steps"])
+    def test_numpy_integer_settings_roundtrip(self, tmp_path, run):
+        # numpy integers pass every check and are written as plain integers
+        if run == "counts":
+            result = phase_diagram(PT3, GridSpec(0.0, 1.0, np.int64(3), 0.5, 1.0, 3))
+        elif run == "cutoff":
+            grid = GridSpec(0.0, 1.0, 3, 0.5, 1.0, 2, engine="floquet")
+            result = phase_diagram(PT3_SMOOTH, grid, cutoff=np.int64(8))
+        else:
+            tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
+            result = berry_gamma_sweep(tpl, [0.5], steps=np.int64(256))
+        p = persist(result, tmp_path / "r.csv")
+        assert load(p).metadata == result.metadata
+
+    def test_unwritable_payload_writes_nothing(self, diagram, tmp_path):
+        diagram.metadata["bad"] = object()
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            persist(diagram, tmp_path / "out" / "d.csv")
+        assert not (tmp_path / "out").exists()
 
     def test_nan_survives_roundtrip(self, diagram, tmp_path):
         diagram.values[1, 2] = np.nan
