@@ -4,8 +4,8 @@
 document's shape: its keys, its objects and the JSON types of ``J`` and
 a single ``omega``.  Every rule on a setting's value lives in the library
 and is called from here: the grid's axes and engine
-(:class:`~floqep.sweep.GridSpec`), the cutoff and the Wilson-loop
-settings.  A key it does not read is an error.
+(:class:`~floqep.sweep.GridSpec`), the cutoff, the Wilson-loop settings
+and the worker count.  A key it does not read is an error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .berry import DEFAULT_LOOP_STEPS, _check_loop_settings
 from .floquet import DEFAULT_CUTOFF, _check_cutoff
 from .model import PresetTemplate, _is_int
-from .sweep import GridSpec, _check_axis, _check_engine
+from .sweep import GridSpec, _check_axis, _check_engine, _check_threads
 
 SCHEMA_VERSION = 1
 # the top-level keys parse_config reads; any other is an error
@@ -120,9 +120,10 @@ def parse_config(doc: dict) -> RunConfig:
         "berry_steps, richardson", _check_loop_settings,
         doc.get("berry_steps", DEFAULT_LOOP_STEPS), doc.get("richardson", True),
     )
-    threads = doc.get("threads", 1)
-    if not _is_int(threads) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
+    try:
+        threads = _check_threads(doc.get("threads", 1))
+    except ValueError as exc:  # the message names the key already
+        raise ConfigError(str(exc)) from exc
     out_dir = doc.get("out_dir", "out")
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("out_dir must be a non-empty string")

@@ -37,9 +37,9 @@ The dense route, :func:`build_floquet_matrix`, :func:`complex_eigenvalues`
 and :func:`fold_spectrum`, is the reference the reduced solve is tested
 against.
 
-A phase diagram solves one frequency column at a time
-(:func:`column_max_im`): a preset is affine in gamma, so its sector is
-``S_a + gamma*S_b + omega*diag(m)``, and the column's matrices go through
+A phase diagram solves any list of (gamma, omega) cells
+(:func:`cells_max_im`): a preset is affine in gamma, so a cell's sector is
+``S_a + gamma*S_b + omega*diag(m)``, and the cells' matrices go through
 one stacked eigensolve per :data:`STACK_CELLS` cells.
 """
 
@@ -66,8 +66,8 @@ _PAULI = {0: SIGMA_X, 1: SIGMA_Y, 2: SIGMA_Z}
 
 DEFAULT_CUTOFF = 20  # 2*(2*20+1) = 82-dimensional truncation
 
-# matrices per stacked eigensolve: bounds a column's memory (a 162x162
-# complex matrix, cutoff 40 without parity, is 0.42 MB)
+# matrices per stacked eigensolve, which a map keeps within one omega row: bounds
+# its memory (a 162x162 complex matrix, cutoff 40 without parity, is 0.42 MB)
 STACK_CELLS = 32
 
 _TRUNCATED = "no eigenvalues survived central-third filtering"
@@ -330,9 +330,9 @@ def _sector_matrix(model: ModelSpec, cutoff: int):
     return np.einsum("ma,manb,nb->mn", basis, mat.reshape(nb, 2, nb, 2), basis), blocks
 
 
-def _solve_stack(stack: np.ndarray, harmonics, omega: float, cutoff: int):
-    """``max |Im|`` over the central third of each matrix of ``stack``
-    (``m*omega`` added on its diagonal, in place), and each matrix's error.
+def _solve_stack(stack: np.ndarray, harmonics, omegas, cutoff: int):
+    """``max |Im|`` over the central third of each matrix ``k`` of ``stack``
+    (``omegas[k]*m`` added on its diagonal, in place), and each matrix's error.
 
     The stack is solved in one call; if that fails, matrix by matrix, so
     a matrix that fails (``RuntimeError``) or keeps no central-third
@@ -340,7 +340,7 @@ def _solve_stack(stack: np.ndarray, harmonics, omega: float, cutoff: int):
     the others their values.  Non-finite entries raise ``ValueError``.
     """
     diag = np.arange(stack.shape[-1])
-    stack[:, diag, diag] += omega * harmonics
+    stack[:, diag, diag] += omegas[:, None] * harmonics
     errors = [None] * len(stack)
     try:
         eigs = complex_eigenvalues(stack)
@@ -351,7 +351,7 @@ def _solve_stack(stack: np.ndarray, harmonics, omega: float, cutoff: int):
                 eigs[i] = complex_eigenvalues(mat)
             except RuntimeError as exc:
                 errors[i] = exc
-    _, keep = _central_mask(eigs, omega, cutoff)
+    _, keep = _central_mask(eigs, omegas[:, None], cutoff)
     values = np.max(np.abs(eigs.imag), axis=-1, where=keep, initial=-np.inf)
     for i in np.flatnonzero(~keep.any(axis=-1)):
         values[i] = np.nan
@@ -359,21 +359,21 @@ def _solve_stack(stack: np.ndarray, harmonics, omega: float, cutoff: int):
     return values, errors
 
 
-def column_max_im(a, b, harmonics, gammas, omega: float, cutoff: int):
-    """``max |Im eps|`` over the central third at each gamma of one frequency
-    column, from the sector matrices ``a + gamma*b + omega*diag(harmonics)``
-    (see :func:`_sector_matrix`), :data:`STACK_CELLS` per eigensolve.
+def cells_max_im(a, b, harmonics, gammas, omegas, cutoff: int):
+    """``max |Im eps|`` over the central third at each cell ``(gammas[k], omegas[k])``,
+    from the sector matrices ``a + gamma*b + omega*diag(harmonics)`` (see
+    :func:`_sector_matrix`), :data:`STACK_CELLS` consecutive cells per eigensolve.
 
     Returns the values and the error text of each failed cell, in cell
     order; a failed cell reads NaN.
     """
-    gammas = np.asarray(gammas, dtype=float)
+    gammas, omegas = np.asarray(gammas, dtype=float), np.asarray(omegas, dtype=float)
     values = np.empty(len(gammas))
     errors = []
     for start in range(0, len(gammas), STACK_CELLS):
-        g = gammas[start:start + STACK_CELLS]
-        values[start:start + len(g)], errs = _solve_stack(a + g[:, None, None] * b,
-                                                          harmonics, omega, cutoff)
+        cells = slice(start, start + STACK_CELLS)
+        values[cells], errs = _solve_stack(a + gammas[cells, None, None] * b,
+                                           harmonics, omegas[cells], cutoff)
         errors.extend(f"{type(e).__name__}: {e}" for e in errs if e is not None)
     return values, errors
 
@@ -381,9 +381,9 @@ def column_max_im(a, b, harmonics, gammas, omega: float, cutoff: int):
 def max_im_quasienergy(model: ModelSpec, cutoff: int = DEFAULT_CUTOFF) -> float:
     """Largest |Im quasienergy| over the central third of the truncated
     Floquet spectrum (the ``max_im`` of :func:`fold_spectrum`), solved in
-    the ``+1`` parity sector as a stack of one."""
+    the ``+1`` parity sector as one cell of :func:`_solve_stack`."""
     mat, harmonics = _sector_matrix(model, cutoff)
-    (value,), (error,) = _solve_stack(mat[None], harmonics, model.base_omega, cutoff)
+    (value,), (error,) = _solve_stack(mat[None], harmonics, np.full(1, model.base_omega), cutoff)
     if error is not None:
         raise error
     return float(value)

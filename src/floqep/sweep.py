@@ -2,23 +2,24 @@
 
 A preset is affine in gamma: the piecewise and ``floquet`` engines and
 the spectral Berry pass evaluate it on its split
-:meth:`~floqep.model.PresetTemplate.parts`.  The piecewise engine
-evaluates a grid in fixed-size, row-major blocks of cells, each one call
-of the batched segment-product kernel, in-process, over half the period
-where the preset has the half-period parity (see
-:mod:`floqep.propagator`); the block size is a constant, so the output
-does not depend on the worker count.  The ``floquet`` and
-``monodromy-integrate`` engines farm frequency columns out to a process
-pool and reassemble them by index, bit-identical for any worker count:
-a ``floquet`` column is stacked eigensolves of one parity sector (see
-:mod:`floqep.floquet`), an ``integrate`` column runs cell by cell.
-Numerical failures become NaN sentinel cells, summarised in one log
-line; more than 1% failures aborts the sweep.  EP contours come from the
-indicator on the grid blocks, a lockstep bisection of every sign-change
-bracket, and one batched classification of the roots.  A Berry sweep
-runs each loop in drive phase, so it takes no omega: the spectral route
-for all its gammas in-process, in stacked passes, and the Wilson loop,
-over the same pool, for each gamma the spectral route declines.
+:meth:`~floqep.model.PresetTemplate.parts`.  Every engine evaluates a
+list of (gamma, omega) cells through one function, :func:`_map_cells`:
+the piecewise engine in fixed-size blocks of cells, each one call of the
+batched segment-product kernel, over half the period where the preset
+has the half-period parity (see :mod:`floqep.propagator`); the
+``floquet`` engine in stacked eigensolves of one parity sector (see
+:mod:`floqep.floquet`); the ``monodromy-integrate`` engine cell by cell.
+A map runs the piecewise engine as one in-process task, and the other
+two as one task per omega row over a process pool, reassembled by index;
+block and stack sizes are constants, so the output is bit-identical for
+any worker count.  Numerical failures become NaN sentinel cells,
+summarised in one log line; more than 1% failures aborts the sweep.  EP
+contours come from the indicator on the grid blocks, a lockstep
+bisection of every sign-change bracket, and one batched classification
+of the roots.  A Berry sweep runs each loop in drive phase, so it takes
+no omega: the spectral route for all its gammas in-process, in stacked
+passes, and the Wilson loop, over the same pool, for each gamma the
+spectral route declines.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_rows
 from .berry import _check_loop_settings
-from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, column_max_im
+from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, cells_max_im
 from .model import PresetTemplate, _is_int, half_period_parity
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -103,6 +104,13 @@ def _check_engine(engine) -> str:
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known: {', '.join(ENGINES)}")
     return engine
+
+
+def _check_threads(threads) -> int:
+    """``threads`` as an int; ``ValueError`` unless a positive integer (not a bool)."""
+    if not _is_int(threads) or threads < 1:
+        raise ValueError("threads must be a positive integer")
+    return int(threads)
 
 
 @dataclass(frozen=True)
@@ -220,8 +228,8 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     block, over the first half of the segments where the preset has the
     half-period parity (every preset at odd beta), and then the bound is
     the half product's; see :func:`~floqep.propagator.piecewise_traces`.
-    The integrate engine is :func:`_oracle_traces` (bound None), whose
-    failed cells are NaN, as the kernel's non-finite cells are.
+    The integrate engine runs the RK4 oracle cell by cell (bound None); a
+    cell whose propagator is not finite is NaN, as in the kernel.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
@@ -232,22 +240,14 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
         if engine == "monodromy-piecewise":
             traces, bound = piecewise_traces(a, b, gammas[cells], T, parity)
         else:
-            traces, bound = _oracle_traces(template, gammas[cells], omegas[cells]), None
+            G = np.empty((len(T), 4), dtype=complex)
+            for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
+                try:
+                    G[k] = monodromy(template.instantiate(float(g), float(w)), "integrate").G.ravel()
+                except NumericalError:
+                    G[k] = np.nan
+            traces, bound = Traces(G.T, T, half_period=False), None
         yield cells, T, traces, bound
-
-
-def _oracle_traces(template: PresetTemplate, gammas, omegas) -> Traces:
-    """:class:`~floqep.propagator.Traces` of the RK4 oracle at the cells
-    ``(gammas[k], omegas[k])``, one integration per cell at
-    :data:`DEFAULT_STEPS_PER_PERIOD`.  A cell whose propagator is not
-    finite is NaN in all four entries, as in the piecewise kernel."""
-    G = np.empty((len(gammas), 4), dtype=complex)
-    for k, (g, w) in enumerate(zip(gammas, omegas)):
-        try:
-            G[k] = monodromy(template.instantiate(float(g), float(w)), "integrate").G.ravel()
-        except NumericalError:
-            G[k] = np.nan
-    return Traces(G.T, 2.0 * math.pi / np.asarray(omegas, dtype=float), half_period=False)
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
@@ -316,23 +316,31 @@ def _cell_max_im(template: PresetTemplate, gamma, omega, engine) -> float:
     return _cell_monodromy(template, gamma, omega, engine).max_im_eps
 
 
-def _column_task(args):
-    omega, template, gammas, engine, cutoff = args
+def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omegas):
+    """``max Im eps`` at the cells ``(gammas[k], omegas[k])`` (NaN where one
+    fails), the count of cells undecided by the piecewise kernel's rounding
+    bound (None for the other engines), and the error text of each failed
+    floquet cell (a failed propagator cell has one cause, so no text)."""
     if engine == "floquet":
-        return column_max_im(*_floquet_sector(template, cutoff), gammas, omega, cutoff)
-    # a failed oracle cell is NaN, budget-checked later; its one failure needs no text
-    traces = _oracle_traces(template, gammas, np.full(len(gammas), omega))
-    return np.abs(traces.eps_F.imag), []
+        values, errors = cells_max_im(*_floquet_sector(template, cutoff), gammas, omegas, cutoff)
+        return values, None, errors
+    values = np.empty(len(gammas))
+    undecided = 0 if engine == "monodromy-piecewise" else None
+    for cells, T, traces, bound in _block_propagators(template, gammas, omegas, engine):
+        values[cells] = np.abs(traces.eps_F.imag)
+        if bound is not None:
+            undecided += int(np.count_nonzero(_undecided(traces, bound, T)))
+    return values, undecided, []
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:
-    """``[fn(t) for t in tasks]``, over a pool of ``min(threads, len(tasks))``
-    processes when that is above 1; ``Pool.map`` keeps the order."""
+    """``[fn(*t) for t in tasks]``, over a pool of ``min(threads, len(tasks))``
+    processes when that is above 1; ``Pool.starmap`` keeps the order."""
     processes = min(threads, len(tasks))
     if processes > 1:
         with Pool(processes=processes) as pool:
-            return pool.map(fn, tasks, chunksize=1)
-    return [fn(t) for t in tasks]
+            return pool.starmap(fn, tasks, chunksize=1)
+    return [fn(*t) for t in tasks]
 
 
 def _run_metadata(template: PresetTemplate, **fields) -> dict:
@@ -353,40 +361,22 @@ def _engine_family_check(template: PresetTemplate, engine: str):
         raise ValueError("the piecewise engine needs a square-family model")
 
 
-def _piecewise_map(template: PresetTemplate, grid: GridSpec):
-    """``max Im eps`` on the grid in kernel blocks, plus the undecided count."""
-    gammas, omegas = grid.cells()
-    values = np.empty(gammas.size)
-    undecided = 0
-    for cells, T, traces, bound in _block_propagators(template, gammas, omegas, grid.engine):
-        values[cells] = np.abs(traces.eps_F.imag)
-        undecided += int(np.count_nonzero(_undecided(traces, bound, T)))
-    return values.reshape(grid.omega_count, grid.gamma_count), undecided
-
-
-def _column_map(template, grid, threads, cutoff):
-    """``max Im eps`` by frequency column, the columns over a process pool."""
-    tasks = [(float(w), template, grid.gammas, grid.engine, cutoff) for w in grid.omegas]
-    results = _map_tasks(_column_task, tasks, threads)
-    values = np.array([vals for vals, _ in results])
-    return values, [e for _, errs in results for e in errs]
-
-
 def phase_diagram(
     template: PresetTemplate,
     grid: GridSpec,
     threads: int = 1,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> PhaseDiagram:
-    """Evaluate ``max Im eps`` on every grid node.
+    """Evaluate ``max Im eps`` on every grid node, by :func:`_map_cells`.
 
-    The piecewise engine runs in-process in fixed blocks whatever
-    ``threads`` is, and counts the cells whose verdict is within its
-    rounding bound of the threshold (``undecided_cells``).  The other
-    engines distribute frequency columns over ``threads`` processes and
-    write them back into pre-assigned rows.  Either way the result does
-    not depend on the worker count.
+    The piecewise engine runs as one in-process task whatever ``threads``
+    is, and counts the cells whose verdict is within its rounding bound of
+    the threshold (``undecided_cells``).  The other engines run one task
+    per omega row over at most ``threads`` processes, and the rows are
+    written back in order.  Either way the result does not depend on the
+    worker count.
     """
+    threads = _check_threads(threads)
     _engine_family_check(template, grid.engine)
     # argument errors raise here: inside a cell they would only become NaN
     if grid.engine == "floquet":
@@ -394,12 +384,13 @@ def phase_diagram(
         if not math.isfinite(grid.omega_max * cutoff):
             raise ValueError(f"omega_max {grid.omega_max:g} times cutoff {cutoff} "
                              "overflows the Floquet matrix diagonal")
-    if grid.engine == "monodromy-piecewise":
-        values, undecided = _piecewise_map(template, grid)
-        errors = []
-    else:
-        values, errors = _column_map(template, grid, threads, cutoff)
-        undecided = None
+    rows = 1 if grid.engine == "monodromy-piecewise" else grid.omega_count
+    tasks = [(template, grid.engine, cutoff, g, w)
+             for g, w in zip(*(np.split(axis, rows) for axis in grid.cells()))]
+    values, undecided, errors = zip(*_map_tasks(_map_cells, tasks, threads))
+    values = np.concatenate(values).reshape(grid.omega_count, grid.gamma_count)
+    undecided = None if None in undecided else sum(undecided)
+    errors = [e for errs in errors for e in errs]
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         log.warning(
@@ -579,10 +570,9 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
     return lines
 
 
-def _wilson_task(args):
+def _wilson_task(gamma, template, steps, richardson):
     """One gamma's Wilson loop at ``steps`` as ``(theta, flags, certified,
     loop)``, where ``loop`` is the sidecar's record of the route."""
-    gamma, template, steps, richardson = args
     loop = {"route": "wilson", "points": 2 * steps if richardson else steps, "delta": None}
     # at omega = 1 the time t is the drive phase theta, bit for bit
     model = template.instantiate(gamma, 1.0)
@@ -620,6 +610,7 @@ def berry_gamma_sweep(
     vector, or whose ``d.d`` overflows, reads NaN and uncertified.  The
     metadata's ``loops`` records each gamma's route, points and delta.
     """
+    threads = _check_threads(threads)
     steps, richardson = _check_loop_settings(steps, richardson)
     gammas = np.asarray(gammas, dtype=float)
     results = [
@@ -666,6 +657,8 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
         raise FileNotFoundError(f"missing metadata sidecar {mp}")
     with open(mp) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"sidecar {mp} is not a JSON object")
     version = doc.get("schema_version")
     if not _is_int(version) or version != _SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {version!r} in {mp}")
@@ -815,8 +808,8 @@ def persist(result, path) -> Path:
 def load(path):
     """Inverse of :func:`persist`; dispatches on the CSV header.
 
-    A row with the wrong field count, or rows that do not fit their
-    format, raise ``ValueError``.
+    A row with the wrong field count, rows that do not fit their format,
+    and a sidecar that is not an object or lacks a field raise ``ValueError``.
     """
     path = Path(path)
     with open(path, newline="\n") as fh:
@@ -825,7 +818,10 @@ def load(path):
         if fmt is None:
             raise ValueError(f"unrecognized file header {header!r} in {path}")
         doc = _read_meta(path, fmt.name)
-        return fmt.from_rows(_rows(fh, header.count(",") + 1, path), doc, path)
+        try:
+            return fmt.from_rows(_rows(fh, header.count(",") + 1, path), doc, path)
+        except KeyError as exc:  # the sidecar lacks a field the format reads
+            raise ValueError(f"sidecar {_meta_path(path)} has no {exc} field") from exc
 
 
 def _rows(lines, n_fields: int, path: Path):

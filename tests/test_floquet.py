@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from floqep.floquet import (
     _reductions,
     _sector_matrix,
     build_floquet_matrix,
-    column_max_im,
+    cells_max_im,
     complex_eigenvalues,
     convergence_check,
     fold_spectrum,
@@ -423,15 +424,30 @@ class TestStackedColumn:
 
     def test_non_finite_matrix_raises(self):
         # omega * m overflows (numpy warns, as the dense build does); a map
-        # rejects such a grid before any column, so the column is called directly
+        # rejects such a grid before any cell, so the cell solve is called directly
         sector = sweep_mod._floquet_sector(PresetTemplate("pt-cosy-cosz", beta=3), 20)
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-            column_max_im(*sector, np.linspace(0.0, 1.0, 4), 1e307, 20)
+            cells_max_im(*sector, np.linspace(0.0, 1.0, 4), np.full(4, 1e307), 20)
+
+    def test_smooth_map_heap_peak(self):
+        # the smooth-map benchmark's shape: a stack never spans two omega
+        # rows, so the traced peak stays near one row's stack (~0.26 MiB;
+        # stacks of 32 across rows read ~0.88 MiB)
+        tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
+        grid = GridSpec(0.0, 2.0, 8, 0.7, 3.0, 8, engine="floquet")
+        phase_diagram(tpl, grid, cutoff=20)  # warm-up: the sector matrices are cached
+        tracemalloc.start()
+        try:
+            phase_diagram(tpl, grid, cutoff=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.30 * 2**20
 
     def test_map_rejects_an_overflowing_diagonal(self, monkeypatch):
         calls = []
-        real = sweep_mod.column_max_im
-        monkeypatch.setattr(sweep_mod, "column_max_im", lambda *a: calls.append(a) or real(*a))
+        real = sweep_mod.cells_max_im
+        monkeypatch.setattr(sweep_mod, "cells_max_im", lambda *a: calls.append(a) or real(*a))
         tpl = PresetTemplate("pt-cosy-cosz", beta=3)
 
         def grid(omega_max):

@@ -1,3 +1,4 @@
+import re
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -28,7 +29,6 @@ from floqep.sweep import (
     GridSpec,
     PhaseDiagram,
     _cell_half_trace,
-    _cell_max_im,
     berry_gamma_sweep,
     instability_window,
     load,
@@ -82,13 +82,21 @@ class TestGridSpec:
 
 class TestCellKernels:
     def test_cell_equals_monodromy(self):
-        # the sweep fast path and the full monodromy must agree exactly
+        # a map cell has the bits of the one-cell monodromy route, on grids
+        # with random bounds: piecewise at even and odd beta, and integrate
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            g, w = rng.uniform(0.1, 2), rng.uniform(0.4, 3)
-            got = _cell_max_im(PT3, g, w, "monodromy-piecewise")
-            want = monodromy(PT3.instantiate(g, w), engine="piecewise").max_im_eps
-            assert got == want
+        for template, engine in [
+            (PresetTemplate("pt-cosy-cosz", beta=2, family="square"), "monodromy-piecewise"),
+            (PT3, "monodromy-piecewise"),
+            (PT3, "monodromy-integrate"),
+        ]:
+            g0, w0 = rng.uniform(0.1, 1.0), rng.uniform(0.4, 1.5)
+            grid = GridSpec(g0, g0 + rng.uniform(0.5, 1.5), 5, w0, w0 + rng.uniform(0.5, 1.5), 4,
+                            engine=engine)
+            values = phase_diagram(template, grid).values.ravel()
+            for k, (g, w) in enumerate(zip(*grid.cells())):
+                want = monodromy(template.instantiate(g, w), engine.removeprefix("monodromy-"))
+                assert np.float64(want.max_im_eps).tobytes() == values[k].tobytes()
 
     def test_engine_family_mismatch(self):
         grid = GridSpec(0, 1, 4, 0.5, 2, 4, engine="floquet")
@@ -120,7 +128,7 @@ class TestCellKernels:
         def broken(*args):
             raise TypeError("injected")
 
-        monkeypatch.setattr(sweep_mod, "column_max_im", broken)
+        monkeypatch.setattr(sweep_mod, "cells_max_im", broken)
         grid = GridSpec(0.2, 1, 3, 0.6, 1, 2, engine="floquet")
         with pytest.raises(TypeError, match="injected"):
             phase_diagram(PresetTemplate("pt-cosy-cosz", beta=1), grid)
@@ -148,6 +156,13 @@ class TestPhaseDiagram:
         grid = GridSpec(0.0, 1.5, 6, 0.5, 2.0, 4, engine="floquet")
         ref = phase_diagram(tpl, grid, threads=1, cutoff=10).values
         par = phase_diagram(tpl, grid, threads=2, cutoff=10).values
+        assert np.isfinite(ref).all() and ref.tobytes() == par.tobytes()
+
+    def test_integrate_worker_count_identity(self):
+        # the RK4 oracle's rows over two real worker processes
+        grid = GridSpec(0.0, 1.5, 6, 0.5, 2.0, 3, engine="monodromy-integrate")
+        ref = phase_diagram(PT3, grid, threads=1).values
+        par = phase_diagram(PT3, grid, threads=2).values
         assert np.isfinite(ref).all() and ref.tobytes() == par.tobytes()
 
     def test_gamma_sign_symmetry(self):
@@ -736,6 +751,32 @@ class TestGammaSplit:
         assert np.array_equal(harmonics, want_harmonics)
 
 
+class TestMapCells:
+    @pytest.mark.parametrize(
+        "template, engine",
+        [
+            (PT3, "monodromy-piecewise"),
+            (PT3_SMOOTH, "floquet"),
+            (PT3, "monodromy-integrate"),
+        ],
+        ids=["piecewise", "floquet", "integrate"],
+    )
+    def test_split_invariance(self, template, engine):
+        # any contiguous split of a cell list gives the same bits
+        grid = GridSpec(0.0, 2.0, 7, 0.5, 2.5, 3, engine=engine)
+        gammas, omegas = grid.cells()
+        whole = sweep_mod._map_cells(template, engine, 8, gammas, omegas)
+        n = gammas.size
+        for cuts in (np.arange(grid.gamma_count, n, grid.gamma_count), np.arange(1, n), [n // 3]):
+            values, undecided, errors = zip(*(
+                sweep_mod._map_cells(template, engine, 8, g, w)
+                for g, w in zip(np.split(gammas, cuts), np.split(omegas, cuts))
+            ))
+            assert np.concatenate(values).tobytes() == whole[0].tobytes()
+            assert (None if None in undecided else sum(undecided)) == whole[1]
+            assert [e for errs in errors for e in errs] == whole[2] == []
+
+
 class TestPoolSize:
     class FakePool:
         """Records the process count it is asked for and maps in-process."""
@@ -751,8 +792,8 @@ class TestPoolSize:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
+        def starmap(self, fn, tasks, chunksize=1):
+            return [fn(*t) for t in tasks]
 
     @pytest.fixture()
     def pools(self, monkeypatch):
@@ -791,6 +832,24 @@ class TestPoolSize:
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
         berry_gamma_sweep(tpl, [0.3], steps=256, threads=64)
         assert pools == []
+
+    @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2", None])
+    def test_bad_threads_raise_before_any_cell(self, pools, monkeypatch, threads):
+        calls = []
+        monkeypatch.setattr(sweep_mod, "_map_cells", lambda *a: calls.append(a))
+        monkeypatch.setattr(sweep_mod, "spectral_phase_rows", lambda *a: calls.append(a))
+        grid = GridSpec(0.2, 0.8, 2, 1.0, 2.0, 3, engine="floquet")
+        with pytest.raises(ValueError, match="^threads must be a positive integer$"):
+            phase_diagram(PT3_SMOOTH, grid, threads=threads, cutoff=8)
+        with pytest.raises(ValueError, match="^threads must be a positive integer$"):
+            berry_gamma_sweep(PT3_SMOOTH, [0.3, 0.6], steps=256, threads=threads)
+        assert calls == [] and pools == []
+
+    def test_numpy_integer_threads(self, pools):
+        grid = GridSpec(0.2, 0.8, 2, 1.0, 2.0, 3, engine="floquet")
+        two = phase_diagram(PT3_SMOOTH, grid, threads=np.int64(2), cutoff=8).values
+        assert pools == [2]
+        assert two.tobytes() == phase_diagram(PT3_SMOOTH, grid, cutoff=8).values.tobytes()
 
 
 class TestPersistence:
@@ -940,15 +999,43 @@ class TestPersistence:
         ],
     )
     def test_rejects_bad_rows(self, diagram, tmp_path, result, rows, match):
-        results = {
+        p = persist(self._results(diagram)[result], tmp_path / "r.csv")
+        header = p.read_text().splitlines()[0]
+        p.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match=match):
+            load(p)
+
+    @staticmethod
+    def _results(diagram):
+        return {
             "diagram": diagram,
             "contours": EPContourSet(((ContourPoint(1.0, 0.5, "EP"),),), 1e-6, {}),
             "berry": BerrySweep(np.array([1.0]), np.zeros((1, 2), complex), ((),), {}),
         }
-        p = persist(results[result], tmp_path / "r.csv")
-        header = p.read_text().splitlines()[0]
-        p.write_text("\n".join([header, *rows]) + "\n")
-        with pytest.raises(ValueError, match=match):
+
+    @pytest.mark.parametrize(
+        "result, key",
+        [
+            ("diagram", "grid"),
+            ("diagram", "metadata"),
+            ("contours", "tolerance"),
+            ("contours", "metadata"),
+            ("berry", "metadata"),
+            ("diagram", None),  # the sidecar is a JSON list
+        ],
+    )
+    def test_malformed_sidecar_names_it(self, diagram, tmp_path, result, key):
+        import json
+
+        p = persist(self._results(diagram)[result], tmp_path / "r.csv")
+        meta_path = tmp_path / "r.csv.meta.json"
+        doc = json.loads(meta_path.read_text())
+        if key is None:
+            doc = [doc]
+        else:
+            del doc[key]
+        meta_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(meta_path))):
             load(p)
 
     @pytest.mark.parametrize("edit", ["swap", "rewrite"])
