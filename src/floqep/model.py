@@ -122,6 +122,31 @@ def half_period_parity(model: ModelSpec) -> Axis | None:
     return next((p for p in (Axis.Z, Axis.X) if all(k % 2 == (a is not p) for k, a in terms)), None)
 
 
+def time_reflection(model: ModelSpec) -> Axis | None:
+    """The time reflection ``H(s - t) = Q H(t)^T Q`` of the span ``s`` that
+    the piecewise kernel multiplies, named by the Bloch axis it flips; or None.
+
+    The span is half the period where :func:`half_period_parity` holds,
+    else the whole period.  For ``H = d.sigma``, ``(Q H Q)^T`` flips one
+    Bloch component: y for ``Q = I``, z for ``Q = sigma_x``, x for
+    ``Q = sigma_z``, the axis returned (X first).  The reflection turns a
+    term at harmonic ``k`` (0 for a constant) over ``m`` half periods into
+    ``(-1)^(k m)`` times itself, and a sine (or its square wave) into minus
+    that; the flipped terms must be exactly those on the returned axis.
+    Amplitudes do not enter, as for the parity.  The presets:
+    ``pt-cosy-sinz`` has ``Q = I`` at odd beta and ``sigma_x`` at even
+    beta, ``apt-cosx-siny`` ``sigma_z`` at odd and ``I`` at even beta, and
+    the ``*-cos*`` presets none.
+    """
+    m = 1 if half_period_parity(model) else 2
+    flips = [
+        ((0 if t.waveform is Waveform.CONSTANT else t.multiplier) * m % 2 == 1)
+        != (t.waveform in (Waveform.SIN, Waveform.SQUARE_SIN))
+        for t in model.terms
+    ]
+    return next((p for p in Axis if all(f == (t.axis is p) for f, t in zip(flips, model.terms))), None)
+
+
 def bloch_decompose(matrix) -> tuple[complex, np.ndarray]:
     """Project a 2x2 matrix onto the identity and Pauli basis.
 

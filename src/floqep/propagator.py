@@ -18,6 +18,14 @@ Near ``c = +1``, ``arccos(c)`` keeps only half the digits of ``c``,
 because ``c - 1`` is second order in ``eps_F``; ``t`` is first order
 there, so the arcsin of ``t`` keeps them all.  It also costs half the
 segment products.
+
+A drive with a time reflection ``H(s - t) = Q H(t)^T Q`` of the span
+``s`` multiplied (the half period with the parity, else the whole
+period; read from the drive terms by
+:func:`~floqep.model.time_reflection`) has ``U(s, s/2) = Q U(s/2, 0)^T Q``,
+so the kernel multiplies the first half of the span, ``A``, and composes
+``S = Q A^T Q A``: half the segment products again.  The ``*-sin*``
+presets have one at every beta.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .model import (
     bloch_vector_at,
     half_period_parity,
     matrix_from_bloch_vector,
+    time_reflection,
 )
 
 # below this |mu*tau| the cos/sinc factors switch to 5-term Taylor series,
@@ -257,23 +266,39 @@ class Traces:
     """The trace quantities of a batch of one-period propagators (arrays).
 
     Built from the entries of ``G``, or, on the half-period route
-    (``half_period``), of ``M = P G_h``.  There ``t = tr M`` is
+    (``half_period``), of ``M = P G_h``, as a ``[part, row, col, cell]``
+    array of their real and imaginary parts.  There ``t = tr M`` is
     ``parity_trace``, ``c = 1 + t^2/2``, ``eps_F T = 2 arcsin(-i t/2)``
     on the branch of :func:`quasienergy_from_trace`, and, since
     Cayley-Hamilton with ``det M = -1`` gives ``G = t M + I``,
-    ``||G - c*I||_F = |t| ||M - (t/2) I||_F``.  ``eps_F`` and
-    ``defectiveness`` are computed on first use.
+    ``||G - c*I||_F = |t| ||M - (t/2) I||_F``.  A cell with any entry not
+    finite is NaN throughout.  ``half_trace`` and ``parity_trace`` are
+    formed at once; ``entries`` (the four complex entries, row-major),
+    ``bound`` (the kernel's rounding bound, from the zero-argument
+    ``bound``; None without one), ``eps_F`` and ``defectiveness`` on first
+    use, so a caller that reads only ``half_trace`` pays for nothing else.
     """
 
-    def __init__(self, entries, T, half_period: bool):
-        self._entries = entries
+    def __init__(self, parts, T, half_period: bool, bound=None):
+        self._parts = parts
         self._T = np.asarray(T, dtype=float)
+        self._bound = bound
         with np.errstate(all="ignore"):
+            self._finite = np.isfinite(parts).all(axis=(0, 1, 2))
+            t = _complex((parts[0, 0, 0] + parts[0, 1, 1], parts[1, 0, 0] + parts[1, 1, 1]))
+            t[~self._finite] = np.nan
             if half_period:
-                t = entries[0] + entries[3]
                 self.parity_trace, self.half_trace = t, 1.0 + (0.5 * t) * t
             else:
-                self.parity_trace, self.half_trace = None, 0.5 * (entries[0] + entries[3])
+                self.parity_trace, self.half_trace = None, 0.5 * t
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        return _packed(self._parts, self._finite)
+
+    @functools.cached_property
+    def bound(self):
+        return None if self._bound is None else self._bound()
 
     @functools.cached_property
     def eps_F(self) -> np.ndarray:
@@ -288,12 +313,20 @@ class Traces:
     def defectiveness(self) -> np.ndarray:
         t = self.parity_trace
         if t is None:
-            return defectiveness(*self._entries, self.half_trace)
-        m00, m01, m10, m11 = self._entries
+            return defectiveness(*self.entries, self.half_trace)
+        m00, m01, m10, m11 = self.entries
         h = 0.5 * t
         with np.errstate(all="ignore"):
             off = np.abs(m00 - h) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(m11 - h) ** 2
             return np.abs(t) * np.sqrt(off)
+
+
+def _packed(parts, finite):
+    """The four complex entries (row-major) of ``[part, row, col, cell]``
+    parts, NaN in all four where a cell is not ``finite``."""
+    G = _complex(parts)
+    G[:, :, ~finite] = np.nan
+    return G[0, 0], G[0, 1], G[1, 0], G[1, 1]
 
 
 def _doubled_arcsin(t):
@@ -301,54 +334,122 @@ def _doubled_arcsin(t):
     return 2.0 * np.arcsin(_complex((0.5 * t.imag, -0.5 * t.real)))
 
 
-def _parity_product(axis: Axis, g00, g01, g10, g11):
-    """Entries of ``M = P G_h`` for the parity axis ``P`` of ``G_h``'s drive."""
+def _parity_product(axis: Axis, G):
+    """``M = P G_h`` for the parity axis ``P`` of ``G_h``'s drive, on
+    ``[part, row, col, cell]`` arrays: ``P`` swaps the rows or negates the second."""
     if axis is Axis.X:
-        return g10, g11, g00, g01
-    return g00, g01, -g10, -g11
+        return G[:, ::-1]
+    return G * np.array([1.0, -1.0])[:, None, None]
+
+
+def _reflected(axis: Axis, A):
+    """``S = Q A^T Q A`` for the reflection ``Q`` that flips ``axis`` (see
+    :func:`~floqep.model.time_reflection`), on ``[part, row, col, cell]``
+    arrays, written over ``A``: one step of the kernel's unfused
+    left-multiply."""
+    R = A.transpose(0, 2, 1, 3)  # Q = I
+    if axis is Axis.Z:  # Q = sigma_x: R[i, j] = A[1 - j, 1 - i]
+        R = R[:, ::-1, ::-1]
+    elif axis is Axis.X:  # Q = sigma_z: the off-diagonal negated
+        R = R * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    with np.errstate(all="ignore"):
+        _left_multiply(R, A, np.empty((2, 2, 2, 2, 2, A.shape[-1])))
+    return A
 
 
 @functools.lru_cache(maxsize=32)
-def _distinct_segments(rows: bytes):
-    """``(order, first)`` for the segment rows ``(a[l], b[l])``, packed as complex bytes.
+def _segment_plan(rows: bytes):
+    """``(order, parts, n_groups, groups)`` for the segment rows
+    ``(a[l], b[l])``, packed as complex bytes: decided once per row set.
 
     Rows compare by value, so ``-0.0`` matches ``0.0``.  ``order[l]`` is
-    the distinct row of segment ``l``, and ``first[j]`` the first segment
-    with distinct row ``j``.
+    the distinct row of segment ``l``; ``parts`` holds the real and
+    imaginary parts of ``a`` and ``b`` on the distinct rows, each
+    ``(n_distinct, 3, 1)``.  Two rows whose ``(a_k, b_k)`` agree up to
+    sign in each component ``k`` have bitwise-equal ``d.d`` at every
+    gamma, since rounding is odd, so they share a group, whose
+    transcendental factors are computed once: rows ``0 .. n_groups - 1``
+    stand for the groups, and ``groups[j]`` is the group of row ``j``
+    (None when every row is its own group).
     """
-    distinct: dict = {}
-    order = tuple(
-        distinct.setdefault(tuple(r), len(distinct))
-        for r in np.frombuffer(rows, dtype=complex).reshape(-1, 6)
-    )
-    return order, tuple(order.index(j) for j in range(len(distinct)))
+    segments = [tuple(r) for r in np.frombuffer(rows, dtype=complex).reshape(-1, 6)]
+    # each row's (a_k, b_k) up to sign, per component: its group
+    keys = [tuple(frozenset({(r[k], r[k + 3]), (-r[k], -r[k + 3])}) for k in range(3)) for r in segments]
+    first = list(dict.fromkeys(keys))
+    # the distinct rows: the first of each group, in group order, then the rest
+    distinct = list(dict.fromkeys([segments[keys.index(key)] for key in first] + segments))
+    groups = [first.index(keys[segments.index(r)]) for r in distinct]
+    ab = np.array(distinct).reshape(-1, 2, 3, 1)
+    parts = tuple(np.ascontiguousarray(x) for x in (ab[:, 0].real, ab[:, 0].imag, ab[:, 1].real, ab[:, 1].imag))
+    for x in parts:
+        x.flags.writeable = False
+    order = tuple(distinct.index(r) for r in segments)
+    return order, parts, len(first), None if len(first) == len(distinct) else np.array(groups)
 
 
-def _segment_exponentials(a, b, gammas, taus):
-    """The distinct segment exponentials of a batch, stacked.
+def _segment_exponentials(parts, n_groups, groups, gammas, taus):
+    """The distinct segment exponentials of a batch, as ``E[row, part, i, j, cell]``
+    for the distinct rows of :func:`_segment_plan`."""
+    ar, ai, br, bi = parts
+    d = (ar + gammas * br, ai + gammas * bi)
+    # d.d as _dot forms it, the three squares at once, then their sum, on
+    # the rows that stand for the groups
+    lead = (d[0][:n_groups], d[1][:n_groups])
+    sq = _mul(lead, lead)
+    factors = _cos_sinc(tuple(s[:, 0] + s[:, 1] + s[:, 2] for s in sq), taus)
+    if groups is not None:
+        factors = [(x[0][groups], x[1][groups]) for x in factors]
+    e = _expm_pauli_elements([(d[0][:, k], d[1][:, k]) for k in range(3)], factors, taus)
+    E = np.empty((len(ar), 2, 2, 2, len(gammas)))
+    for i, (re, im) in enumerate(e):
+        E[:, 0, i // 2, i % 2], E[:, 1, i // 2, i % 2] = re, im
+    return E
 
-    Returns ``(order, E, norms)``: segment ``l`` of cell ``k`` has the
-    exponential ``E[order[l], :, :, :, k]`` as ``[part, row, col]`` and
-    its Frobenius norm ``norms[order[l], k]``.
+
+def _left_multiply(x, G, prod):
+    """``G <- x G`` in place for ``[part, row, col, cell]`` arrays.
+
+    Every product ``x[px] * y[py]`` of ``x[r, k]`` and ``G[k, c]`` at once
+    into the buffer ``prod``, then, in place, the ``(real, imag)`` parts
+    into ``prod[0]`` and their sum over ``k``: the unfused products and
+    sums of :func:`_mul` and :func:`_add`, in their order.
     """
-    order, first = _distinct_segments(np.concatenate([a, b], axis=1).tobytes())
-    a, b = a[first, :, None], b[first, :, None]
-    d = (a.real + gammas * b.real, a.imag + gammas * b.imag)
-    # d.d as _dot forms it: the three squares at once, then their sum
-    sq = _mul(d, d)
-    dd = tuple(s[:, 0] + s[:, 1] + s[:, 2] for s in sq)
-    # distinct vectors often share d.d bit for bit (the square-wave signs
-    # square away), so its transcendental factors are computed once
-    keys = [dd[0][j].tobytes() + dd[1][j].tobytes() for j in range(len(first))]
-    unique = list(dict.fromkeys(keys))
-    factors = _cos_sinc(tuple(x[[keys.index(k) for k in unique]] for x in dd), taus)
-    rows = [unique.index(k) for k in keys]
-    e = _expm_pauli_elements(
-        [(d[0][:, k], d[1][:, k]) for k in range(3)], [(x[0][rows], x[1][rows]) for x in factors], taus
-    )
-    E = np.moveaxis(np.array([[[e[0][p], e[1][p]], [e[2][p], e[3][p]]] for p in (0, 1)]), 3, 0)
-    sq = E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1]
-    return order, E, np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
+    np.multiply(x[:, None, :, :, None], G[None, :, None], out=prod)
+    np.subtract(prod[0, 0], prod[1, 1], out=prod[0, 0])
+    np.add(prod[0, 1], prod[1, 0], out=prod[0, 1])
+    np.add(prod[0, :, :, 0], prod[0, :, :, 1], out=G)
+
+
+def _segment_pairs(a, b, gammas, taus):
+    """The ordered segment product of a batch as ``[part, row, col, cell]``
+    parts, with the distinct exponentials ``E`` and the segment ``order``
+    that its rounding bound reads (see :func:`_segment_product`)."""
+    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
+    gammas = np.asarray(gammas, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    order, *plan = _segment_plan(np.concatenate([a, b], axis=1).tobytes())
+    with np.errstate(all="ignore"):
+        E = _segment_exponentials(*plan, gammas, taus)
+        G = E[order[0]].copy()
+        prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
+        for l in order[1:]:
+            _left_multiply(E[l], G, prod)
+    return G, E, order
+
+
+def _product_bound(E, order, reflected: bool):
+    """The rounding bound of :func:`_segment_product` on the product ``A``
+    of the segments ``order``, ``b = n * 8u * N`` with ``N = prod_l ||E_l||_F``;
+    and with ``reflected``, that of ``S = Q A^T Q A``:
+    ``(2 N + b) b + 8u (N + b)^2``, since ``Q A^T Q`` has ``A``'s error
+    norm and the one product adds ``8u ||A||^2``."""
+    with np.errstate(all="ignore"):
+        sq = E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1]
+        norms = np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
+        # accumulate multiplies in order: the same rounding as a loop
+        N = np.multiply.accumulate(norms[list(order)], axis=0)[-1]
+        b = len(order) * 8.0 * UNIT_ROUNDOFF * N
+        return (2.0 * N + b) * b + 8.0 * UNIT_ROUNDOFF * (N + b) ** 2 if reflected else b
 
 
 def _segment_product(a, b, gammas, taus):
@@ -358,41 +459,21 @@ def _segment_product(a, b, gammas, taus):
     ``taus[k]``; its segment ``l`` has the Bloch vector
     ``a[l] + gammas[k] * b[l]`` (``a`` and ``b`` are ``(n_seg, 3)``
     complex), and segment 0 is applied first.  The distinct row pairs
-    ``(a[l], b[l])`` are stacked on a leading axis, and their
-    exponentials for the whole (1-D) batch come from one pass over
-    ``(n_distinct, cells)`` arrays.  The left-multiplies then run on one
-    ``[part, row, col, cell]`` array through a preallocated buffer: the
-    unfused products and sums of :func:`_mul` and :func:`_add`, in their
-    order.  All arithmetic is elementwise, so a cell gives the same bits
-    alone or at any position of any batch.
+    ``(a[l], b[l])`` are stacked on a leading axis (a cached
+    :func:`_segment_plan`), and their exponentials for the whole (1-D)
+    batch come from one pass over ``(n_distinct, cells)`` arrays.  The
+    left-multiplies then run on one ``[part, row, col, cell]`` array
+    through a preallocated buffer (:func:`_left_multiply`).  All
+    arithmetic is elementwise, so a cell gives the same bits alone or at
+    any position of any batch.
 
     Returns the four entries of ``G`` (row-major) and the forward rounding
     bound ``n_seg * 8u * prod_l ||E_l||_F`` on the half-trace (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Cells whose
     product is not finite come back as NaN in all four entries.
     """
-    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
-    gammas = np.asarray(gammas, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    with np.errstate(all="ignore"):
-        order, E, norms = _segment_exponentials(a, b, gammas, taus)
-        # left-multiply G[r, c] <- E[r, 0] G[0, c] + E[r, 1] G[1, c]: every
-        # product x[px] * y[py] of E[r, k] and G[k, c] at once, then, in
-        # place, the (real, imag) parts into prod[0] and their sum over k
-        G = E[order[0]].copy()
-        prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
-        x0y0, x0y1, x1y0, x1y1 = prod[0, 0], prod[0, 1], prod[1, 0], prod[1, 1]
-        left, right = E[:, :, None, :, :, None], G[None, :, None]
-        for l in order[1:]:
-            np.multiply(left[l], right, out=prod)
-            np.subtract(x0y0, x1y1, out=x0y0)
-            np.add(x0y1, x1y0, out=x0y1)
-            np.add(prod[0, :, :, 0], prod[0, :, :, 1], out=G)
-        # accumulate multiplies in order: the same rounding as a loop
-        norm = np.multiply.accumulate(norms[list(order)], axis=0)[-1]
-    G = _complex(G)
-    G[:, :, ~np.all(np.isfinite(G), axis=(0, 1))] = np.nan
-    return G[0, 0], G[0, 1], G[1, 0], G[1, 1], len(order) * 8.0 * UNIT_ROUNDOFF * norm
+    G, E, order = _segment_pairs(a, b, gammas, taus)
+    return (*_packed(G, np.isfinite(G).all(axis=(0, 1, 2))), _product_bound(E, order, reflected=False))
 
 
 def _matmul(x, y):
@@ -457,22 +538,29 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     return _ordered_product(_power(_rk4_transfer(starts, mids, ends, h), runs))
 
 
-def piecewise_traces(a, b, gammas, T, parity: Axis | None) -> tuple[Traces, np.ndarray]:
-    """:class:`Traces` and the kernel's rounding bound for a batch of cells.
+def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | None) -> Traces:
+    """:class:`Traces` for a batch of cells, with the kernel's rounding bound.
 
     The cells and segments are those of :func:`_segment_product`, with
     periods ``T``.  With a ``parity`` axis (see
-    :func:`~floqep.model.half_period_parity`) only the first half of the
-    segments is multiplied, and the bound is the half product's;
-    otherwise the whole period is.
+    :func:`~floqep.model.half_period_parity`) the span multiplied is the
+    first half of the segments, else all of them.  With a ``reflection``
+    (see :func:`~floqep.model.time_reflection`) only the first half of
+    that span, ``A``, is multiplied, and the span is ``S = Q A^T Q A``,
+    since ``U(s, s/2) = Q U(s/2, 0)^T Q``.  The bound is on ``S``: the
+    product's own, or, reflected, the composed one of
+    :func:`_product_bound`, ``(2 N + b) b + 8u (N + b)^2`` for ``A``'s
+    bound ``b`` and norm product ``N``.
     """
-    tau = T / len(a)
-    if parity is None:
-        *G, bound = _segment_product(a, b, gammas, tau)
-        return Traces(G, T, half_period=False), bound
-    half = len(a) // 2
-    *G_h, bound = _segment_product(a[:half], b[:half], gammas, tau)
-    return Traces(_parity_product(parity, *G_h), T, half_period=True), bound
+    span = len(a) // 2 if parity else len(a)
+    half = span // 2 if reflection else span
+    G, E, order = _segment_pairs(a[:half], b[:half], gammas, T / len(a))
+    if reflection is not None:
+        G = _reflected(reflection, G)
+    if parity is not None:
+        G = _parity_product(parity, G)
+    bound = functools.partial(_product_bound, E, order, reflection is not None)
+    return Traces(G, T, half_period=parity is not None, bound=bound)
 
 
 def monodromy(
@@ -485,8 +573,9 @@ def monodromy(
     ``engine='piecewise'`` multiplies the closed-form segment
     exponentials of a square-family model, on a one-cell batch of the
     grid kernel, so a cell has the same bits here as in a sweep: ``G`` is
-    the full-period product, and with the half-period parity everything
-    else comes from the half-period route (:func:`piecewise_traces`).
+    the full-period product, and everything else comes from the route of
+    :func:`piecewise_traces`, halved by the parity and the reflection
+    where the model has them.
     ``engine='integrate'`` runs the fixed-step RK4 integrator (the oracle
     route, valid for any family).  A propagator that is not finite raises
     :class:`NumericalError` on either route, under any numpy error state.
@@ -498,18 +587,14 @@ def monodromy(
         G = np.stack(_segment_product(ds, zero, cell, T / len(ds))[:4])
         if not np.isfinite(G[0, 0]):
             raise NumericalError("non-finite propagator in the segment product")
-        parity = half_period_parity(model)
-        if parity is None:
-            traces = Traces(G, T, half_period=False)
-        else:
-            traces = piecewise_traces(ds, zero, cell, T, parity)[0]
+        traces = piecewise_traces(ds, zero, cell, T, half_period_parity(model), time_reflection(model))
     elif engine == "integrate":
         # an overflow is a non-finite G, checked below, not a trap or warning
         with np.errstate(all="ignore"):
-            G = _integrate_monodromy(model, steps_per_period).reshape(4, 1)
+            G = _integrate_monodromy(model, steps_per_period).reshape(2, 2, 1)
         if not np.all(np.isfinite(G.view(float))):
             raise NumericalError("non-finite monodromy matrix")
-        traces = Traces(G, T, half_period=False)
+        traces = Traces(np.stack((G.real, G.imag)), T, half_period=False)
     else:
         raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
     eps = complex(traces.eps_F[0])

@@ -6,7 +6,8 @@ the spectral Berry pass evaluate it on its split
 list of (gamma, omega) cells through one function, :func:`_map_cells`:
 the piecewise engine in fixed-size blocks of cells, each one call of the
 batched segment-product kernel, over half the period where the preset
-has the half-period parity (see :mod:`floqep.propagator`); the
+has the half-period parity and half again where it has the time
+reflection (see :mod:`floqep.propagator`); the
 ``floquet`` engine in stacked eigensolves of one parity sector (see
 :mod:`floqep.floquet`); the ``monodromy-integrate`` engine cell by cell.
 A map runs the piecewise engine as one in-process task, and the other
@@ -41,7 +42,7 @@ from . import __version__
 from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_rows
 from .berry import _check_loop_settings
 from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, cells_max_im
-from .model import PresetTemplate, _is_int, half_period_parity
+from .model import PresetTemplate, _is_int, half_period_parity, time_reflection
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
@@ -214,46 +215,49 @@ def _floquet_sector(template: PresetTemplate, cutoff: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _segment_parity(template: PresetTemplate):
-    """The half-period parity axis of a square preset, or None (the same at every gamma)."""
-    return half_period_parity(template.instantiate(1.0, 1.0))
+def _segment_symmetries(template: PresetTemplate):
+    """The half-period parity and the time reflection of a square preset,
+    each an axis or None (the same at every gamma)."""
+    model = template.instantiate(1.0, 1.0)
+    return half_period_parity(model), time_reflection(model)
 
 
 def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     """Propagator traces at the cells ``(gammas[k], omegas[k])``, block by block.
 
-    Yields ``(cells, T, traces, bound)`` per block of :data:`BLOCK_CELLS`:
-    the slice, the periods, the :class:`~floqep.propagator.Traces` and the
-    kernel's rounding bound.  The piecewise engine is one kernel call per
-    block, over the first half of the segments where the preset has the
-    half-period parity (every preset at odd beta), and then the bound is
-    the half product's; see :func:`~floqep.propagator.piecewise_traces`.
-    The integrate engine runs the RK4 oracle cell by cell (bound None); a
-    cell whose propagator is not finite is NaN, as in the kernel.
+    Yields ``(cells, T, traces)`` per block of :data:`BLOCK_CELLS`: the
+    slice, the periods and the :class:`~floqep.propagator.Traces`.  The
+    piecewise engine is one kernel call per block, over the span and the
+    half of it that the preset's parity and reflection leave, and
+    ``traces.bound`` is the span's rounding bound; see
+    :func:`~floqep.propagator.piecewise_traces`.  The integrate engine runs
+    the RK4 oracle cell by cell (bound None); a cell whose propagator is
+    not finite is NaN, as in the kernel.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
-        parity = _segment_parity(template)
+        symmetries = _segment_symmetries(template)
     for start in range(0, len(gammas), BLOCK_CELLS):
         cells = slice(start, start + BLOCK_CELLS)
         T = 2.0 * math.pi / omegas[cells]
         if engine == "monodromy-piecewise":
-            traces, bound = piecewise_traces(a, b, gammas[cells], T, parity)
+            traces = piecewise_traces(a, b, gammas[cells], T, *symmetries)
         else:
-            G = np.empty((len(T), 4), dtype=complex)
+            G = np.empty((2, 2, 2, len(T)))
             for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
                 try:
-                    G[k] = monodromy(template.instantiate(float(g), float(w)), "integrate").G.ravel()
+                    G_k = monodromy(template.instantiate(float(g), float(w)), "integrate").G
+                    G[..., k] = G_k.real, G_k.imag
                 except NumericalError:
-                    G[k] = np.nan
-            traces, bound = Traces(G.T, T, half_period=False), None
-        yield cells, T, traces, bound
+                    G[..., k] = np.nan
+            traces = Traces(G, T, half_period=False)
+        yield cells, T, traces
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
     """EP indicator ``f`` at the cells; a non-finite propagator raises."""
     f = np.empty(len(gammas))
-    for cells, _, traces, _ in _block_propagators(template, gammas, omegas, engine):
+    for cells, _, traces in _block_propagators(template, gammas, omegas, engine):
         f[cells] = indicator_from_trace(traces.half_trace)
     n_bad = int(np.count_nonzero(~np.isfinite(f)))
     if n_bad:
@@ -261,7 +265,7 @@ def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarra
     return f
 
 
-def _undecided(traces, bound, T) -> np.ndarray:
+def _undecided(traces, T) -> np.ndarray:
     """Cells whose stability verdict rests on the rounding alone.
 
     Full-period route: ``max Im eps`` crosses the threshold where
@@ -269,7 +273,7 @@ def _undecided(traces, bound, T) -> np.ndarray:
     real ``c`` within ``bound`` of that may fall either side.
 
     Half-period route: the verdict differs somewhere in the box of
-    half-width ``s``, twice the half product's bound, around ``t``.
+    half-width ``s``, twice the half-period product's bound, around ``t``.
     ``|Im eps_F| T = |Im 2 arcsin(-i t/2)|`` grows with ``|Re t|`` and
     ``|Im t|``, so over the box it is least at the point nearest 0 and
     greatest at the corner ``t + s (+/-1 +/- i)`` farthest from it; those
@@ -278,7 +282,7 @@ def _undecided(traces, bound, T) -> np.ndarray:
     ``w = eps_F T``, doubled for the higher orders, puts near the
     threshold are tried.
     """
-    t = traces.parity_trace
+    t, bound = traces.parity_trace, traces.bound
     if t is None:
         c = traces.half_trace
         gap = np.abs(c) - 1.0 - 0.5 * (INSTABILITY_THRESHOLD * T) ** 2
@@ -326,10 +330,10 @@ def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omega
         return values, None, errors
     values = np.empty(len(gammas))
     undecided = 0 if engine == "monodromy-piecewise" else None
-    for cells, T, traces, bound in _block_propagators(template, gammas, omegas, engine):
+    for cells, T, traces in _block_propagators(template, gammas, omegas, engine):
         values[cells] = np.abs(traces.eps_F.imag)
-        if bound is not None:
-            undecided += int(np.count_nonzero(_undecided(traces, bound, T)))
+        if undecided is not None:
+            undecided += int(np.count_nonzero(_undecided(traces, T)))
     return values, undecided, []
 
 
@@ -448,7 +452,7 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
 def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     """Kinds of the roots at the cells ``(gammas[k], omegas[k])``, in one batch."""
     kinds = []
-    for _, _, traces, _ in _block_propagators(template, gammas, omegas, engine):
+    for _, _, traces in _block_propagators(template, gammas, omegas, engine):
         f = indicator_from_trace(traces.half_trace)
         kinds.extend(root_kinds(f, traces.defectiveness))
     return kinds

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import floqep.propagator as propagator_mod
 import floqep.sweep as sweep_mod
 from floqep.model import (
     PRESET_NAMES,
@@ -21,6 +22,7 @@ from floqep.model import (
     half_period_parity,
     matrix_from_bloch_vector,
     preset,
+    time_reflection,
 )
 from floqep.propagator import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -31,6 +33,7 @@ from floqep.propagator import (
     _segment_product,
     ep_indicator,
     expm_two_level,
+    indicator_from_trace,
     Traces,
     monodromy,
     piecewise_traces,
@@ -390,12 +393,11 @@ class TestHalfPeriod:
         a, b = sweep_mod._segment_vectors(PresetTemplate(name, beta=beta, family="square"))
         gammas, T = _grid_cells()
         parity = half_period_parity(PresetTemplate(name, beta=beta, family="square").instantiate(1.0, 1.0))
-        half, _ = piecewise_traces(a, b, gammas, T, parity)
-        g00, g01, g10, g11, _ = _segment_product(a, b, gammas, T / len(a))
-        full = Traces((g00, g01, g10, g11), T, half_period=False)
+        half = piecewise_traces(a, b, gammas, T, parity, None)
+        full = piecewise_traces(a, b, gammas, T, None, None)
         scale = np.maximum(np.abs(full.half_trace), 1.0)
         assert np.all(np.abs(half.half_trace - full.half_trace) <= 2e-12 * scale)
-        norm = np.sqrt(sum(np.abs(g) ** 2 for g in (g00, g01, g10, g11)))
+        norm = np.sqrt(sum(np.abs(g) ** 2 for g in full.entries))
         assert np.all(np.abs(half.defectiveness - full.defectiveness) <= 1e-11 * norm)
         # the branch of quasienergy_from_trace, which arccos(c) resolves away from |c| = 1
         eps_T = half.eps_F * T
@@ -405,13 +407,16 @@ class TestHalfPeriod:
         assert np.allclose(eps_T[away], full.eps_F[away] * T[away], rtol=1e-9, atol=1e-12)
 
     def test_monodromy_keeps_the_full_period_G(self):
-        model = preset("pt-cosy-cosz", gamma=0.7, omega=0.9, beta=3, family="square")
-        ds = segment_hamiltonians(model)
-        G = np.stack(_segment_product(ds, np.zeros_like(ds), np.zeros(1),
-                                      np.full(1, model.period / len(ds)))[:4])
-        r = monodromy(model, "piecewise")
-        assert r.G.tobytes() == G.reshape(2, 2).tobytes()
-        assert r.half_trace == pytest.approx(0.5 * np.trace(r.G), rel=1e-12)
+        # the half-period and reflected routes leave G the full-period product (C07)
+        cases = [("pt-cosy-cosz", 3)] + [(n, beta) for n in _REFLECTIONS for beta in (1, 2, 3)]
+        for name, beta in cases:
+            model = preset(name, gamma=0.7, omega=0.9, beta=beta, family="square")
+            ds = segment_hamiltonians(model)
+            G = np.stack(_segment_product(ds, np.zeros_like(ds), np.zeros(1),
+                                          np.full(1, model.period / len(ds)))[:4])
+            r = monodromy(model, "piecewise")
+            assert r.G.tobytes() == G.reshape(2, 2).tobytes()
+            assert r.half_trace == pytest.approx(0.5 * np.trace(r.G), rel=1e-12)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_c_plus_one_is_diabolic(self, name):
@@ -420,6 +425,126 @@ class TestHalfPeriod:
         r = monodromy(preset(name, J=1.0, gamma=0.0, omega=0.5, beta=3, family="square"), "piecewise")
         assert abs(r.half_trace - 1.0) < 1e-12
         assert r.defectiveness < 1e-12 and ep_indicator(r)[1] is EPKind.DIABOLIC
+
+
+# the reflections of the presets that have one, at (odd, even) beta, as the
+# Bloch axis flipped: Y for Q = I, Z for Q = sigma_x, X for Q = sigma_z
+_REFLECTIONS = {"pt-cosy-sinz": (Axis.Y, Axis.Z), "apt-cosx-siny": (Axis.X, Axis.Y)}
+_REFLECTION_Q = {Axis.X: SIGMA_Z, Axis.Y: np.eye(2), Axis.Z: SIGMA_X}
+
+
+def _reflects(d, span, Q) -> bool:
+    """``H[span - 1 - l] = Q H[l]^T Q`` for the segment vectors ``d``, compared exactly."""
+    H = matrix_from_bloch_vector(d[:span])
+    return np.array_equal(H[::-1], Q @ np.swapaxes(H, -1, -2) @ Q)
+
+
+def _reference_reflection(model):
+    """The time reflection read off each term's segment vectors at unit
+    amplitude, on the half period where :func:`_reference_parity` finds a
+    parity and the whole period otherwise (X first)."""
+    units = [segment_hamiltonians(ModelSpec((replace(t, amplitude=1.0),), 1.0)) for t in model.terms]
+    half = _reference_parity(model) is not None
+    for axis, Q in _REFLECTION_Q.items():
+        if all(_reflects(d, len(d) // 2 if half else len(d), Q) for d in units):
+            return axis
+    return None
+
+
+def _mp_span_product(mp, a, b, gamma, tau, span):
+    """The product of segments ``0 .. span - 1`` in 40-digit arithmetic, on
+    the same double inputs as the kernel: the segment vectors, gamma and
+    the segment duration."""
+    with mp.workdps(40):
+        G = mp.eye(2)
+        for l in range(span):
+            dx, dy, dz = (mp.mpc(complex(a[l, k])) + mp.mpf(gamma) * mp.mpc(complex(b[l, k]))
+                          for k in range(3))
+            mu = mp.sqrt(dx * dx + dy * dy + dz * dz)
+            sinc = mp.sin(mu * tau) / mu if mu != 0 else mp.mpf(tau)
+            d_sigma = mp.matrix([[dz, dx - 1j * dy], [dx + 1j * dy, -dz]])
+            G = (mp.cos(mu * tau) * mp.eye(2) - 1j * sinc * d_sigma) * G
+        return G
+
+
+class TestReflection:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_preset_table(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        want = _REFLECTIONS.get(name, (None, None))[beta % 2 == 0]
+        # the same at every gamma, 0 included
+        for gamma in (0.0, 1.3):
+            assert time_reflection(tpl.instantiate(gamma, 0.7)) is want
+        assert sweep_mod._segment_symmetries(tpl)[1] is want
+        # the segment vectors have it, on the span the kernel multiplies
+        a, b = sweep_mod._segment_vectors(tpl)
+        span = len(a) // 2 if beta % 2 else len(a)
+        for axis, Q in _REFLECTION_Q.items():
+            assert (_reflects(a, span, Q) and _reflects(b, span, Q)) == (want is axis)
+
+    def test_rule_matches_the_segment_vectors(self):
+        # random square models against the exact comparison of their segment vectors
+        rng = np.random.default_rng(28)
+        waveforms = (Waveform.CONSTANT, Waveform.SQUARE_COS, Waveform.SQUARE_SIN)
+        found = {Axis.X: 0, Axis.Y: 0, Axis.Z: 0, None: 0}
+        for _ in range(1500):
+            terms = tuple(
+                DriveTerm(Axis(rng.integers(3)), float(rng.choice([0.0, 1.0, -0.7, 2.5])),
+                          waveforms[rng.integers(3)], int(rng.integers(1, 7)),
+                          (Hermiticity.HERMITIAN, Hermiticity.ANTI_HERMITIAN)[rng.integers(2)])
+                for _ in range(rng.integers(5))
+            )
+            model = ModelSpec(terms, 1.0)
+            reflection = time_reflection(model)
+            assert reflection is _reference_reflection(model), terms
+            found[reflection] += 1
+        assert min(found.values()) > 100  # every outcome is exercised
+
+    def test_the_reflected_span_halves_the_segments(self):
+        # apt-cosx-siny beta=3: the half period's 6 segments become 3, and
+        # their distinct rows, equal up to sign per component, share one d.d
+        a, b = sweep_mod._segment_vectors(PresetTemplate("apt-cosx-siny", beta=3, family="square"))
+        half, _, half_groups, _ = propagator_mod._segment_plan(np.concatenate([a[:6], b[:6]], axis=1).tobytes())
+        quarter, _, quarter_groups, _ = propagator_mod._segment_plan(np.concatenate([a[:3], b[:3]], axis=1).tobytes())
+        assert half == (0, 0, 1, 2, 3, 3) and quarter == (0, 0, 1)
+        assert half_groups == quarter_groups == 1
+
+    @pytest.mark.parametrize("name", sorted(_REFLECTIONS))
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_identity_against_the_full_period(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        a, b = sweep_mod._segment_vectors(tpl)
+        gammas, T = _grid_cells()
+        parity, reflection = sweep_mod._segment_symmetries(tpl)
+        assert reflection is not None
+        got = piecewise_traces(a, b, gammas, T, parity, reflection)
+        full = piecewise_traces(a, b, gammas, T, None, None)
+        scale = np.maximum(np.abs(full.half_trace), 1.0)
+        assert np.all(np.abs(got.half_trace - full.half_trace) <= 2e-12 * scale)
+        norm = np.sqrt(sum(np.abs(g) ** 2 for g in full.entries))
+        assert np.all(np.abs(got.defectiveness - full.defectiveness) <= 1e-11 * norm)
+
+    @pytest.mark.parametrize("name", sorted(_REFLECTIONS))
+    @pytest.mark.parametrize("beta", [1, 2, 3, 4])
+    def test_bound_holds_against_the_exact_product(self, name, beta):
+        # the composed bound on S = Q A^T Q A against 40-digit arithmetic on
+        # the span's own double segment vectors, entry by entry
+        mp = pytest.importorskip("mpmath")
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        a, b = sweep_mod._segment_vectors(tpl)
+        parity, reflection = sweep_mod._segment_symmetries(tpl)
+        span = len(a) // 2 if parity else len(a)
+        rng = np.random.default_rng([beta, PRESET_NAMES.index(name)])
+        gammas, omegas = rng.uniform(0.0, 5.0, 20), rng.uniform(0.2, 3.0, 20)
+        T = 2.0 * np.pi / omegas
+        traces = piecewise_traces(a, b, gammas, T, parity, reflection)
+        P = mp.matrix(SIGMA_Z if parity is Axis.Z else SIGMA_X if parity is Axis.X else np.eye(2))
+        for k in range(gammas.size):
+            exact = P * _mp_span_product(mp, a, b, gammas[k], float(T[k] / len(a)), span)
+            got = [complex(e[k]) for e in traces.entries]
+            err = math.sqrt(sum(float(abs(mp.mpc(g) - exact[i // 2, i % 2])) ** 2 for i, g in enumerate(got)))
+            assert 0.0 < traces.bound[k] and err <= traces.bound[k], (gammas[k], omegas[k])
 
 
 class TestQuasienergy:
@@ -514,6 +639,19 @@ class TestErrors:
         m = preset("pt-cosy-cosz", gamma=1e308, omega=0.05, beta=1, family="square")
         with pytest.raises(NumericalError, match="segment"):
             monodromy(m, engine="piecewise")
+
+    @pytest.mark.parametrize("half_period", [False, True])
+    def test_a_non_finite_entry_masks_the_cell(self, half_period):
+        # an entry that is not finite makes the whole cell NaN, even where the
+        # trace the indicator reads is finite, so no finite f comes of it
+        parts = np.zeros((2, 2, 2, 3))
+        parts[0, 0, 0] = parts[0, 1, 1] = 1.0
+        parts[0, 0, 1, 1] = np.inf
+        parts[1, 1, 0, 2] = np.nan
+        traces = Traces(parts, np.ones(3), half_period)
+        f = indicator_from_trace(traces.half_trace)
+        assert np.isfinite(f[0]) and np.isnan(f[1:]).all()
+        assert all(np.isfinite(e[0]) and np.isnan(e[1:]).all() for e in traces.entries)
 
     @pytest.mark.parametrize("engine", ["piecewise", "integrate"])
     def test_overflow_raises_numerical_error_not_a_trap(self, engine):

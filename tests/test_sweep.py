@@ -38,6 +38,7 @@ from floqep.sweep import (
 )
 
 PT3 = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
+APT3 = PresetTemplate("apt-cosx-siny", beta=3, family="square")  # the C05 model: reflected
 PT3_SMOOTH = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
 
 
@@ -193,38 +194,55 @@ class TestPhaseDiagram:
         assert {k: meta[k] for k in ("cutoff", "steps_per_period") if k in meta} == settings
 
     @staticmethod
-    def _overflow_kernel(monkeypatch, hit):
+    def _overflow_kernel(monkeypatch, template, hit):
         """Run the real kernel, with gamma 1e300 (an overflow) where ``hit``."""
-        real = propagator_mod._segment_product
-        # the half-period route passes half the segments, each still period / n_seg long
-        n_seg = len(sweep_mod._segment_vectors(PT3)[0])
+        real = propagator_mod._segment_pairs
+        # the halved routes pass fewer segments, each still period / n_seg long
+        n_seg = len(sweep_mod._segment_vectors(template)[0])
 
         def overflowing(a, b, gammas, taus):
             gammas = np.where(hit(gammas, 2.0 * np.pi / (n_seg * taus)), 1e300, gammas)
             return real(a, b, gammas, taus)
 
-        monkeypatch.setattr(propagator_mod, "_segment_product", overflowing)
+        monkeypatch.setattr(propagator_mod, "_segment_pairs", overflowing)
 
     def test_failure_budget(self, monkeypatch):
-        # ~14% of the cells overflow
-        self._overflow_kernel(monkeypatch, lambda g, w: np.arange(g.size) % 7 == 6)
-        grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-piecewise")
-        with pytest.raises(FailureBudgetExceeded):
-            phase_diagram(PT3, grid)
+        # ~14% of the cells overflow, on the half-period and the reflected route
+        for template in (PT3, APT3):
+            with monkeypatch.context() as patch:
+                self._overflow_kernel(patch, template, lambda g, w: np.arange(g.size) % 7 == 6)
+                grid = GridSpec(0.0, 1.0, 6, 0.4, 2.8, 6, engine="monodromy-piecewise")
+                with pytest.raises(FailureBudgetExceeded):
+                    phase_diagram(template, grid)
 
     def test_isolated_failures_become_nan(self, monkeypatch, caplog):
+        for template in (PT3, APT3):
+            caplog.clear()
+            with monkeypatch.context() as patch:
+                self._overflow_kernel(
+                    patch, template, lambda g, w: (np.abs(g - 1.0) < 1e-12) & (np.abs(w - 0.4) < 1e-12)
+                )
+                grid = GridSpec(0.0, 1.0, 21, 0.4, 2.8, 13, engine="monodromy-piecewise")
+                with caplog.at_level("WARNING", logger="floqep.sweep"), np.errstate(all="raise"):
+                    diag = phase_diagram(template, grid)
+            assert np.isnan(diag.values[0, -1])
+            assert np.sum(~np.isfinite(diag.values)) == 1
+            assert diag.metadata["failed_cells"] == 1
+            assert [r.getMessage() for r in caplog.records] == [
+                "1 of 273 cells failed; first (omega index, gamma index): (0, 20)"
+            ]
+
+    @pytest.mark.parametrize("template", [PT3, APT3], ids=["pt-cosy-cosz", "apt-cosx-siny"])
+    def test_contour_scan_raises_on_an_overflowed_product(self, monkeypatch, template):
+        # the scan and the bisection read only f: an overflowed cell still raises
         self._overflow_kernel(
-            monkeypatch, lambda g, w: (np.abs(g - 1.0) < 1e-12) & (np.abs(w - 0.4) < 1e-12)
+            monkeypatch, template, lambda g, w: (np.abs(g - 1.0) < 1e-12) & (np.abs(w - 0.4) < 1e-12)
         )
         grid = GridSpec(0.0, 1.0, 21, 0.4, 2.8, 13, engine="monodromy-piecewise")
-        with caplog.at_level("WARNING", logger="floqep.sweep"), np.errstate(all="raise"):
-            diag = phase_diagram(PT3, grid)
-        assert np.isnan(diag.values[0, -1])
-        assert np.sum(~np.isfinite(diag.values)) == 1
-        assert diag.metadata["failed_cells"] == 1
-        assert [r.getMessage() for r in caplog.records] == [
-            "1 of 273 cells failed; first (omega index, gamma index): (0, 20)"
-        ]
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(propagator_mod.NumericalError, match="non-finite propagator at 1 of"):
+                trace_ep_contours(template, grid)
 
     @staticmethod
     def _overflow_oracle(monkeypatch, gamma, omega):
@@ -261,10 +279,11 @@ class TestPhaseDiagram:
     @pytest.mark.parametrize("engine", ["monodromy-piecewise", "monodromy-integrate"])
     def test_contour_scan_raises_on_non_finite_cells(self, engine):
         grid = GridSpec(0.0, 1e300, 3, 0.5, 1.0, 2, engine=engine)
-        with warnings.catch_warnings(), np.errstate(all="raise"):
-            warnings.simplefilter("error")
-            with pytest.raises(propagator_mod.NumericalError, match="non-finite propagator at"):
-                trace_ep_contours(PT3, grid)
+        for template in (PT3, APT3):
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                with pytest.raises(propagator_mod.NumericalError, match="non-finite propagator at"):
+                    trace_ep_contours(template, grid)
 
 
 def _oracle_max_im(mp, template, gamma, omega):
@@ -303,7 +322,7 @@ class TestNoiseFloor:
 
         a, b = sweep_mod._segment_vectors(PT3)
         T = 2.0 * np.pi / np.full(gammas.size, 1.0 / 3.0)
-        full, _ = piecewise_traces(a, b, gammas, T, None)
+        full = piecewise_traces(a, b, gammas, T, None, None)
         misread = (np.abs(full.eps_F.imag) > INSTABILITY_THRESHOLD) != want
         assert np.count_nonzero(~want) > 100 and np.count_nonzero(misread) > 10
 
@@ -320,7 +339,7 @@ class TestHalfPeriodRoute:
         assert roots
         gammas = np.concatenate([grid.cells()[0], [pt.gamma for pt in roots]])
         omegas = np.concatenate([grid.cells()[1], [pt.omega for pt in roots]])
-        (_, _, traces, _), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
+        (_, _, traces), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
         kinds = sweep_mod._classify_root(tpl, gammas, omegas, grid.engine)
         for k, (g, w) in enumerate(zip(gammas, omegas)):
             r = monodromy(tpl.instantiate(g, w), "piecewise")
@@ -334,22 +353,33 @@ class TestHalfPeriodRoute:
     @pytest.mark.parametrize("beta", [2, 4])
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_even_beta_keeps_the_full_period(self, name, beta):
+        # no parity at even beta: the *-cos* presets multiply the full period,
+        # bit for bit; the *-sin* presets multiply half of it and reflect, so
+        # their map has the bits of monodromy, within the bounds of the full product
         tpl = PresetTemplate(name, beta=beta, family="square")
-        assert sweep_mod._segment_parity(tpl) is None
+        parity, reflection = sweep_mod._segment_symmetries(tpl)
+        assert parity is None and (reflection is None) == name.endswith(("cosz", "cosy"))
         grid = GridSpec(0.0, 5.0, 40, 0.2, 3.0, 30, engine="monodromy-piecewise")
         gammas, omegas = grid.cells()
         a, b = sweep_mod._segment_vectors(tpl)
         T = 2.0 * np.pi / omegas
-        g00, _, _, g11, _ = propagator_mod._segment_product(a, b, gammas, T / len(a))
-        want = np.abs(propagator_mod.quasienergy_from_trace(0.5 * (g00 + g11), T).imag)
-        assert phase_diagram(tpl, grid).values.ravel().tobytes() == want.tobytes()
+        g00, _, _, g11, full_bound = propagator_mod._segment_product(a, b, gammas, T / len(a))
+        values = phase_diagram(tpl, grid).values.ravel()
+        if reflection is None:
+            want = np.abs(propagator_mod.quasienergy_from_trace(0.5 * (g00 + g11), T).imag)
+            assert values.tobytes() == want.tobytes()
+            return
+        want = [monodromy(tpl.instantiate(g, w), "piecewise").max_im_eps for g, w in zip(gammas, omegas)]
+        assert values.tobytes() == np.array(want).tobytes()
+        traces = piecewise_traces(a, b, gammas, T, parity, reflection)
+        assert np.all(np.abs(traces.half_trace - 0.5 * (g00 + g11)) <= traces.bound + full_bound)
 
     def test_a_verdict_on_the_threshold_is_undecided(self):
         # gamma bisected to adjacent doubles across a stability edge: the two
         # verdicts differ by the rounding alone, so both count as undecided
         gammas = np.linspace(0.0, 3.0, 61)
         omegas = np.full(gammas.size, 0.9)
-        (_, _, traces, _), = sweep_mod._block_propagators(PT3, gammas, omegas, "monodromy-piecewise")
+        (_, _, traces), = sweep_mod._block_propagators(PT3, gammas, omegas, "monodromy-piecewise")
         unstable = np.abs(traces.eps_F.imag) > INSTABILITY_THRESHOLD
         edges = np.flatnonzero(unstable[:-1] != unstable[1:])
         assert edges.size
@@ -357,16 +387,16 @@ class TestHalfPeriodRoute:
             lo, hi = gammas[i], gammas[i + 1]
             while np.nextafter(lo, hi) != hi:
                 mid = 0.5 * (lo + hi)
-                (_, _, tr, _), = sweep_mod._block_propagators(PT3, np.array([mid]), omegas[:1], "monodromy-piecewise")
+                (_, _, tr), = sweep_mod._block_propagators(PT3, np.array([mid]), omegas[:1], "monodromy-piecewise")
                 if (abs(tr.eps_F[0].imag) > INSTABILITY_THRESHOLD) == unstable[i]:
                     lo = mid
                 else:
                     hi = mid
-            (_, T, tr, bound), = sweep_mod._block_propagators(
+            (_, T, tr), = sweep_mod._block_propagators(
                 PT3, np.array([lo, hi]), omegas[:2], "monodromy-piecewise"
             )
             assert (np.abs(tr.eps_F.imag) > INSTABILITY_THRESHOLD).tolist() == [unstable[i], not unstable[i]]
-            assert sweep_mod._undecided(tr, bound, T).all()
+            assert sweep_mod._undecided(tr, T).all()
 
 
 @pytest.fixture(scope="module")
