@@ -56,7 +56,7 @@ from .model import (
 SMALL_PHASE = 1e-4
 
 DEFAULT_STEPS_PER_PERIOD = 200_000
-REAL_TRACE_TOL = 1e-9  # |Im c| below this: a numerically real half-trace
+REAL_TRACE_TOL = 1e-9  # |Im c| below this times max(1, |c|): a numerically real half-trace
 DEFECT_TOL = 1e-6  # ||G - c*I||_F above this at a root: an exceptional point
 ROOT_TOL = 1e-6  # |f| at most this: a root of the degeneracy indicator
 
@@ -620,11 +620,14 @@ def indicator_from_trace(c):
 
     ``f = |Re c| - 1`` while the half-trace is numerically real (negative
     in the stable phase, positive in the broken phase), else ``f = |Im c|``
-    deep in the broken phase.  Elementwise over arrays; a scalar gives a
-    float.
+    deep in the broken phase.  ``c`` counts as real while ``|Im c|`` is
+    below ``REAL_TRACE_TOL * max(1, |c|)``: relative to ``|c|``, because
+    the rounding noise in ``Im c`` grows with it.  Elementwise over
+    arrays; a scalar gives a float.
     """
     c = np.asarray(c, dtype=complex)
-    f = np.where(np.abs(c.imag) < REAL_TRACE_TOL, np.abs(c.real) - 1.0, np.abs(c.imag))
+    real = np.abs(c.imag) < REAL_TRACE_TOL * np.maximum(1.0, np.abs(c))
+    f = np.where(real, np.abs(c.real) - 1.0, np.abs(c.imag))
     return float(f) if f.ndim == 0 else f
 
 

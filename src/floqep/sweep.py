@@ -17,10 +17,11 @@ any worker count.  Numerical failures become NaN sentinel cells,
 summarised in one log line; more than 1% failures aborts the sweep.  EP
 contours come from the indicator on the grid blocks, a lockstep
 bisection of every sign-change bracket, and one batched classification
-of the roots.  A Berry sweep runs each loop in drive phase, so it takes
-no omega: the spectral route for all its gammas in-process, in stacked
-passes, and the Wilson loop, over the same pool, for each gamma the
-spectral route declines.
+of the roots; a bisection pass evaluates a tree of midpoints of every
+bracket in one kernel call.  A Berry sweep runs each loop in drive
+phase, so it takes no omega: the spectral route for all its gammas
+in-process, in stacked passes, and the Wilson loop, over the same pool,
+for each gamma the spectral route declines.
 """
 
 from __future__ import annotations
@@ -255,10 +256,16 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
-    """EP indicator ``f`` at the cells; a non-finite propagator raises."""
+    """EP indicator ``f`` at the cells; NaN where the propagator is not
+    finite (see :func:`_finite`)."""
     f = np.empty(len(gammas))
     for cells, _, traces in _block_propagators(template, gammas, omegas, engine):
         f[cells] = indicator_from_trace(traces.half_trace)
+    return f
+
+
+def _finite(f: np.ndarray) -> np.ndarray:
+    """``f`` if every value is finite, else ``NumericalError``."""
     n_bad = int(np.count_nonzero(~np.isfinite(f)))
     if n_bad:
         raise NumericalError(f"non-finite propagator at {n_bad} of {f.size} cells")
@@ -458,15 +465,79 @@ def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     return kinds
 
 
+def _refine_brackets(f_at, lo, hi, flo, pass_cells: int = BLOCK_CELLS):
+    """Bisect the sign-change brackets ``[lo[b], hi[b]]`` of ``f`` in
+    lockstep (``flo`` is ``f`` at ``lo``); returns ``(roots, passes,
+    cells)``, a lost bracket's root NaN.  ``f_at(x, b)`` is ``f`` at the
+    points ``x`` of brackets ``b``, NaN where not finite.
+
+    One step per pass would end a bracket at its midpoint once the width
+    and ``|f|`` are within ``ROOT_TOL`` (or ``f`` is 0), and lose it when
+    the midpoint rounds onto an end or after ``MAX_BISECTIONS`` steps.  A
+    pass here takes ``k = max(1, floor(log2(pass_cells // n + 1)))`` of
+    those steps for all ``n`` active brackets in one call, on the tree of
+    midpoints below each: the same roots, bit for bit.  A non-finite node
+    raises ``NumericalError`` only if the walk reads it.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # of the active brackets
+    up = np.asarray(flo) > 0  # lo only ever moves to a midpoint where f has this sign
+    roots = np.full(lo.size, np.nan)
+    active = np.arange(lo.size)
+    passes = cells = steps = 0  # every active bracket has taken `steps` steps
+    while active.size and steps < MAX_BISECTIONS:
+        n = active.size
+        depth = min(max(1, (pass_cells // n + 1).bit_length() - 1), MAX_BISECTIONS - steps)
+        span = 1 << depth
+        half = span >> np.arange(1, depth + 1)  # per level: half a bracket's width, in columns
+        tree = np.empty((n, span + 1))  # per row: the ends and every level's midpoints, in order
+        tree[:, 0], tree[:, span] = lo, hi
+        for h in half.tolist():
+            tree[:, h::2 * h] = 0.5 * (tree[:, :-h:2 * h] + tree[:, 2 * h::2 * h])
+        f = f_at(tree[:, 1:-1].ravel(), np.repeat(active, span - 1)).reshape(n, span - 1)
+        passes, cells, steps = passes + 1, cells + f.size, steps + depth
+        # each bracket's path down its tree: at a level of half-width h its
+        # ends are columns left and left + 2h, its midpoint left + h
+        right_of = (f > 0) == up[active, None]  # the root lies right of this node
+        row = np.arange(n)
+        lefts = np.empty((n, depth), dtype=int)
+        left = np.zeros(n, dtype=int)
+        for level, h in enumerate(half.tolist()):
+            lefts[:, level] = left
+            left = left + h * right_of[row, left + h - 1]
+        row = row[:, None]
+        col, right = lefts + half, lefts + 2 * half
+        mid, fmid = tree[row, col], f[row, col - 1]
+        end_lo, end_hi = tree[row, lefts], tree[row, right]
+        done = ((end_hi - end_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
+        # a midpoint that rounds onto an end leaves the bracket as it is, for good
+        stop = done | (mid == end_lo) | (mid == end_hi)
+        walked = np.cumsum(stop, axis=1) == stop  # the steps up to the first stop
+        if not np.isfinite(fmid).all():
+            bad = walked & ~np.isfinite(fmid)
+            if bad.any():  # raised as one step per pass would, at the first such step
+                level = bad.any(axis=0).argmax()
+                _finite(fmid[walked[:, level], level])
+        rows, level = np.nonzero(walked & stop)
+        found = done[rows, level]
+        roots[active[rows[found]]] = mid[rows[found], level[found]]
+        go_on = ~stop.any(axis=1)
+        row, left = row[go_on, 0], left[go_on]
+        active, lo, hi = active[go_on], tree[row, left], tree[row, left + 1]
+    return roots, passes, cells
+
+
 def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     """Locate and link degeneracy roots of the half-trace indicator.
 
     The indicator ``f`` is evaluated on every node; each frequency column
     is scanned in gamma for sign changes, and all brackets of all columns
-    are bisected together until both the bracket width and ``|f|`` at the
-    root fall below ``ROOT_TOL``.  A root not pinned down within
-    ``MAX_BISECTIONS`` steps, or whose bracket can no longer be halved
-    (an indicator discontinuity), is dropped and logged.
+    are bisected together by :func:`_refine_brackets` until both the
+    bracket width and ``|f|`` at the root fall below ``ROOT_TOL``.  A
+    root not pinned down within ``MAX_BISECTIONS`` steps, or whose bracket
+    can no longer be halved (an indicator discontinuity), is dropped and
+    logged.  The metadata's ``refinement`` counts the brackets, the roots
+    on grid nodes, the passes, the cells they evaluated, and the brackets
+    found and lost.
 
     Linking takes the columns in omega order and each column's roots in
     gamma order.  A diabolic root is a singleton line.  The exceptional
@@ -488,51 +559,39 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     def f_at(g, w):
         return _indicator_at(template, g, w, grid.engine)
 
-    fs = f_at(*grid.cells()).reshape(grid.omega_count, grid.gamma_count)
+    fs = _finite(f_at(*grid.cells())).reshape(grid.omega_count, grid.gamma_count)
     # roots on a node (tangency roots never change sign), then brackets
     node_j, node_i = np.nonzero(np.abs(fs) <= ROOT_TOL)
     f0, f1 = fs[:, :-1], fs[:, 1:]
     off_root = (np.abs(f0) > ROOT_TOL) & (np.abs(f1) > ROOT_TOL)
     br_j, br_i = np.nonzero(off_root & ((f0 > 0) != (f1 > 0)))
 
-    # every bracket bisected in lockstep, each with its own stop rule
-    lo, hi, flo = gammas[br_i], gammas[br_i + 1], f0[br_j, br_i]
     w_br = omegas[br_j]
-    found = np.full(br_i.size, np.nan)
-    active = np.arange(br_i.size)
-    stuck = []
-    for _ in range(MAX_BISECTIONS):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        fmid = f_at(mid, w_br[active])
-        done = ((hi[active] - lo[active] < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
-        found[active[done]] = mid[done]
-        # a midpoint that rounds onto an end leaves the bracket as it is, for good
-        lost = ~done & ((mid == lo[active]) | (mid == hi[active]))
-        stuck.extend(active[lost])
-        go_on = ~(done | lost)
-        active, mid, fmid = active[go_on], mid[go_on], fmid[go_on]
-        same = (fmid > 0) == (flo[active] > 0)
-        lo[active[same]], flo[active[same]] = mid[same], fmid[same]
-        hi[active[~same]] = mid[~same]
-    for k in sorted([*stuck, *active]):
+    found, passes, cells = _refine_brackets(
+        lambda g, b: f_at(g, w_br[b]), gammas[br_i], gammas[br_i + 1], f0[br_j, br_i],
+        # a kernel call costs nearly the same up to a block; the oracle pays per cell
+        BLOCK_CELLS if grid.engine == "monodromy-piecewise" else 1,
+    )
+    lost = np.isnan(found)
+    for k in np.flatnonzero(lost):
         log.warning(
             "EP root lost during bisection at omega=%.6g, gamma in [%.6g, %.6g]",
             w_br[k], gammas[br_i[k]], gammas[br_i[k] + 1],
         )
 
-    ok = ~np.isnan(found)
-    root_j = np.concatenate([node_j, br_j[ok]])
-    root_g = np.concatenate([gammas[node_i], found[ok]])
+    root_j = np.concatenate([node_j, br_j[~lost]])
+    root_g = np.concatenate([gammas[node_i], found[~lost]])
     kinds = _classify_root(template, root_g, omegas[root_j], grid.engine)
     column_roots: list[list[tuple[float, EPKind]]] = [[] for _ in omegas]
     for j, g, kind in zip(root_j, root_g, kinds):
         column_roots[j].append((float(g), kind))
+    refinement = {"brackets": br_i.size, "node_roots": node_i.size, "passes": passes,
+                  "cells": cells, "found": br_i.size - lost.sum(), "lost": lost.sum()}
     return EPContourSet(
         contours=tuple(map(tuple, _link_ep_roots(omegas, column_roots, dgamma))),
         tolerance=ROOT_TOL,
-        metadata=_run_metadata(template, engine=grid.engine, tolerance=ROOT_TOL),
+        metadata=_run_metadata(template, engine=grid.engine, tolerance=ROOT_TOL,
+                               refinement={k: int(v) for k, v in refinement.items()}),
     )
 
 

@@ -633,6 +633,19 @@ class TestEPIndicator:
         f, _ = ep_indicator(self._result(np.diag([2.0, 0.5])))
         assert f == pytest.approx(0.25)
 
+    @pytest.mark.parametrize(
+        "c, f",
+        [
+            (5.6e5 + 1.5e-9j, 5.6e5 - 1.0),  # Im c at the rounding level of |c|: real
+            (-1.8e6 - 5e-9j, 1.8e6 - 1.0),
+            (0.5 + 2e-9j, 2e-9),  # |c| < 1: the absolute tolerance
+            (3.0 + 1e-3j, 1e-3),
+        ],
+    )
+    def test_real_trace_tolerance_scales_with_c(self, c, f):
+        assert indicator_from_trace(c) == f
+        assert indicator_from_trace(np.array([c]))[0] == f
+
 
 class TestErrors:
     def test_nonfinite_segment_reported(self):

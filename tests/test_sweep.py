@@ -480,6 +480,33 @@ def _reference_link(omegas, column_roots, dgamma):
     return closed_lines
 
 
+def _reference_refine(f_at, lo, hi, flo):
+    """One midpoint of every active bracket per pass, the lockstep
+    bisection that :func:`sweep._refine_brackets` walks in trees of
+    midpoints: the two must find the same roots and lose the same
+    brackets.  Returns the roots (NaN where lost) and the cells evaluated."""
+    lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
+    found = np.full(lo.size, np.nan)
+    active = np.arange(lo.size)
+    cells = 0
+    for _ in range(sweep_mod.MAX_BISECTIONS):
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        fmid = f_at(mid, active)
+        cells += mid.size
+        if not np.isfinite(fmid).all():
+            raise propagator_mod.NumericalError("non-finite midpoint")
+        done = ((hi[active] - lo[active] < 1e-6) & (np.abs(fmid) <= 1e-6)) | (fmid == 0.0)
+        found[active[done]] = mid[done]
+        go_on = ~done & (mid != lo[active]) & (mid != hi[active])
+        active, mid, fmid = active[go_on], mid[go_on], fmid[go_on]
+        same = (fmid > 0) == (flo[active] > 0)
+        lo[active[same]], flo[active[same]] = mid[same], fmid[same]
+        hi[active[~same]] = mid[~same]
+    return found, cells
+
+
 @pytest.fixture(scope="module")
 def contours():
     grid = GridSpec(0.0, 1.2, 61, 0.6, 1.0, 5, engine="monodromy-piecewise")
@@ -629,10 +656,128 @@ class TestEPContours:
             f"EP root lost during bisection at omega={w:.6g}, gamma in [0.2, 0.3]"
             for w in (0.6, 1.0)
         ]
-        # the grid, then one call per halving: about 53 bits from width 0.1
-        # down to adjacent doubles, well short of MAX_BISECTIONS passes
-        assert calls[0] == 22 and set(calls[1:]) == {2}
-        assert len(calls) < 60 < sweep_mod.MAX_BISECTIONS
+        # the grid, then passes of k = floor(log2(512 // 2 + 1)) = 8 halvings
+        # of both brackets: about 53 bits from width 0.1 down to adjacent
+        # doubles, well short of MAX_BISECTIONS passes
+        assert calls[0] == 22 and max(calls[1:]) <= sweep_mod.BLOCK_CELLS
+        assert len(calls) - 1 <= -(-54 // 8) + 1 < sweep_mod.MAX_BISECTIONS
+        assert cs.metadata["refinement"] == {
+            "brackets": 2, "node_roots": 0, "passes": len(calls) - 1,
+            "cells": sum(calls[1:]), "found": 0, "lost": 2,
+        }
+
+    @pytest.mark.parametrize(
+        "template, grid, max_calls",
+        [
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 16),  # the ep-contours benchmark's shape
+            (APT3, GridSpec(0.0, 1.5, 151, 0.05, 0.1, 2), None),  # criterion C05's grid
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 240), None),  # over BLOCK_CELLS brackets
+            (APT3, GridSpec(0.0, 5.0, 24, 0.2, 3.0, 6, engine="monodromy-integrate"), None),
+        ],
+        ids=["benchmark-shape", "c05", "many-brackets", "integrate"],
+    )
+    def test_refinement_matches_one_step_passes(self, monkeypatch, template, grid, max_calls):
+        refinements, kernel_cells = [], []
+        refine, kernel = sweep_mod._refine_brackets, sweep_mod.piecewise_traces
+
+        def refine_spy(f_at, lo, hi, flo, pass_cells):
+            refinements.append((f_at, lo, hi, flo, refine(f_at, lo, hi, flo, pass_cells)))
+            return refinements[-1][-1]
+
+        def kernel_spy(a, b, gammas, *args):
+            kernel_cells.append(len(gammas))
+            return kernel(a, b, gammas, *args)
+
+        monkeypatch.setattr(sweep_mod, "_refine_brackets", refine_spy)
+        monkeypatch.setattr(sweep_mod, "piecewise_traces", kernel_spy)
+        cs = trace_ep_contours(template, grid)
+        traced = kernel_cells[:]  # the trace's kernel calls, not the reference's below
+        [(f_at, lo, hi, flo, got)] = refinements
+        want, want_cells = _reference_refine(f_at, lo, hi, flo)
+        roots, passes, cells = got
+        np.testing.assert_array_equal(roots, want)  # NaN where both lost the bracket
+        record = cs.metadata["refinement"]
+        assert record["brackets"] == lo.size > 0 and record["found"] + record["lost"] == lo.size
+        assert (record["passes"], record["cells"]) == (passes, cells)
+        if grid.engine == "monodromy-integrate":
+            assert not traced and cells == want_cells  # one step per pass: no extra cell
+        else:
+            assert 0 < max(traced) <= sweep_mod.BLOCK_CELLS
+        if max_calls is not None:
+            assert len(traced) <= max_calls
+
+    @staticmethod
+    def _brackets(name):
+        """``(f(x, b), lo, hi)`` of a synthetic indicator over its brackets."""
+        dyadic = np.array([0.5, 0.25, 0.375, 0.4375, 0.5 + 2.0**-12, 0.3])
+        if name == "exact-zero-at-node":  # f = 0 exactly at a tree node, at levels 1-4 and 12
+            return lambda x, b: x - dyadic[b], np.zeros(6), np.ones(6)
+        if name == "nan-off-path":  # NaN above 0.55, where the walk from [0, 1] never goes
+            return lambda x, b: np.where(x > 0.55, np.nan, x - 0.3), [0.0], [1.0]
+        if name == "step":  # no root: lost at adjacent doubles
+            return lambda x, b: np.where(x < 0.3, -1.0, 1.0), [0.0, 0.0], [1.0, 0.5]
+        if name == "width-at-tol":  # widths 16e-6, 8e-6, ... exactly: one is ROOT_TOL itself
+            return lambda x, b: x - 1e-9, [0.0], [2.0**4 * 1e-6]
+        rng = np.random.default_rng(29)
+        n = 1 if name == "one" else 600
+        lo = rng.uniform(0.0, 5.0, n)
+        hi = lo + rng.uniform(1e-3, 5.0, n)  # often across a binade: hi - lo rounds
+        root = rng.uniform(lo, hi)
+        return lambda x, b: np.sin(x - root[b]) * (1.0 + b % 3), lo, hi
+
+    @pytest.mark.parametrize(
+        "name, max_bisections",
+        [("exact-zero-at-node", 200), ("exact-zero-at-node", 3), ("nan-off-path", 200),
+         ("step", 200), ("width-at-tol", 200), ("one", 200), ("one", 5), ("many", 200),
+         ("many", 13)],
+    )
+    def test_synthetic_refinement_matches_one_step_passes(self, monkeypatch, name, max_bisections):
+        monkeypatch.setattr(sweep_mod, "MAX_BISECTIONS", max_bisections)
+        f, lo, hi = self._brackets(name)
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        flo = f(lo, np.arange(lo.size))
+        seen, xs = [], []
+
+        def f_at(x, b):
+            xs.append(x)
+            seen.append(f(x, b))
+            return seen[-1]
+
+        roots, passes, cells = sweep_mod._refine_brackets(f_at, lo, hi, flo)
+        midpoints = []
+        want, _ = _reference_refine(lambda x, b: f(midpoints.append(x) or x, b), lo, hi, flo)
+        np.testing.assert_array_equal(roots, want)
+        # every midpoint of one step per pass is a tree node, to the bit
+        assert set(np.concatenate(midpoints).tolist()) <= set(np.concatenate(xs).tolist())
+        assert (passes, cells) == (len(seen), sum(v.size for v in seen))
+        assert max(v.size for v in seen) <= max(sweep_mod.BLOCK_CELLS, lo.size)
+        if name == "nan-off-path":
+            assert np.isnan(np.concatenate(seen)).any() and not np.isnan(roots).any()
+        if name == "step":
+            assert np.isnan(roots).all()
+        if max_bisections < 200:
+            assert np.isnan(want).any()  # some bracket runs out of steps
+
+    def test_non_finite_midpoint_on_the_path_raises(self):
+        # NaN around 0.5, the first midpoint of [0, 1]: one step per pass evaluates it too
+        f = lambda x, b: np.where(abs(x - 0.5) < 0.01, np.nan, x - 0.3)
+        for refine in (sweep_mod._refine_brackets, _reference_refine):
+            with pytest.raises(propagator_mod.NumericalError):
+                refine(f, [0.0], [1.0], [-0.3])
+
+    def test_large_real_traces_are_not_roots(self):
+        # Im c of a real half-trace carries rounding noise that grows with
+        # |c|: against REAL_TRACE_TOL alone, 27 nodes here with |Re c| of
+        # 5.5e5 and more (omega 0.44-0.57, gamma >= 4.09) read as EP roots
+        tpl = PresetTemplate("pt-cosy-sinz", beta=4, family="square")
+        grid = GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)
+        cs = trace_ep_contours(tpl, grid)
+        g, w = grid.cells()
+        c = np.concatenate([
+            traces.half_trace for _, _, traces in sweep_mod._block_propagators(tpl, g, w, grid.engine)
+        ])
+        large = {(float(wk), float(gk)) for gk, wk, ck in zip(g, w, c) if abs(ck.real) > 2.0}
+        assert large and not large & {(pt.omega, pt.gamma) for line in cs.contours for pt in line}
 
     def test_rejects_floquet_engine(self):
         grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 3, engine="floquet")
@@ -944,6 +1089,9 @@ class TestPersistence:
         persist(cs, p1)
         loaded = load(p1)
         assert isinstance(loaded, EPContourSet)
+        assert set(loaded.metadata["refinement"]) == {
+            "brackets", "node_roots", "passes", "cells", "found", "lost",
+        }
         p2 = tmp_path / "c2.csv"
         persist(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
