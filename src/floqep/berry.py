@@ -5,13 +5,15 @@ eigenvectors are not related by conjugation, and the geometric phase
 accumulated on a closed parameter loop is complex.  A loop is
 parametrized by the drive phase ``theta = omega*t`` in ``[0, 2*pi)``:
 the phase depends on the closed path ``d(theta)`` only, not on how fast
-it is traversed, so omega does not enter.  It is computed two ways.  A
-smooth loop with an open gap takes the spectral route: the trapezoid
-rule on ``i * loop integral of L dR / (L R)`` over one adjugate frame,
-with the exact ``dd/dtheta``, which converges exponentially in the point
-count; see :func:`spectral_phase_loop`.  Any loop can take the discrete
-biorthogonal Wilson loop: per-step overlaps of the tracked left
-and right frames, with the forward and backward logarithms averaged.
+it is traversed, so omega does not enter.  A smooth loop with an open
+gap takes the spectral route: the trapezoid rule on ``i * loop integral
+of L dR / (L R)`` over one adjugate frame, with the exact
+``dd/dtheta``, which converges exponentially in the point count; see
+:func:`spectral_phase_loop`.  A square loop is the polygon of its
+segment vectors; see :func:`polygon_phase_rows`.  Any sampled loop can
+take the discrete biorthogonal Wilson loop, the oracle of both: per-step
+overlaps of the tracked left and right frames, with the forward and
+backward logarithms averaged.
 The averaged form is gauge invariant, second-order accurate in the step
 size, and for Hermitian loops its imaginary part cancels identically.  A
 Richardson loop at ``n`` steps builds and gauges its frames once, at
@@ -73,7 +75,7 @@ DEFAULT_LOOP_STEPS = 8192
 MIN_LOOP_STEPS = 256
 SPECTRAL_TOL = 1e-12  # the largest |theta(n) - theta(n/2)| a spectral loop accepts
 SPECTRAL_MIN_POINTS = 128  # the first spectral grid, compared with its 64 even points
-SPECTRAL_MAX_POINTS = 4096  # a spectral loop not accepted on this many points declines
+SPECTRAL_MAX_POINTS = 32768  # a spectral loop not accepted on this many points declines
 SPECTRAL_STACK_POINTS = 2048  # loops x points of one stacked spectral pass, to bound its memory
 
 
@@ -405,6 +407,47 @@ def berry_phase_loop(
         step_delta=step_delta,
         certified=bool(closed and skipped == 0 and not flags),
     )
+
+
+class PolygonPhase(NamedTuple):
+    """The complex phase of one square loop, from its vertices."""
+
+    theta: np.ndarray  # (2,) complex, band-major, Re on [-pi, pi]; NaN where no phase
+    flags: tuple       # drive phases of the vertices with gap < GAP_TOL
+    certified: bool
+
+
+def polygon_phase_rows(a, b, gammas) -> list[PolygonPhase]:
+    """The phase of the square loop with segment vectors ``a + g * b`` for
+    each ``g`` of ``gammas``: the Wilson core, with ``on_ep='flag'``, run
+    once on the ``n`` vertices.  A sampled Wilson loop's steps inside a
+    segment have overlap 1, so its value is this discrete Pancharatnam
+    phase (Samuel & Bhandari, PRL 60, 2339, 1988) at any step count.
+    Vertex ``l`` is flagged at the drive phase ``2*pi*l/n``, where its
+    segment starts.  A zero eigenvector, a non-finite ``d.d`` or a pairing
+    below ``OVERLAP_TOL`` leaves the loop NaN, as it does the sampled one.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    phases = np.arange(len(a)) * (2.0 * math.pi / len(a))
+    return [_polygon_phase(d, phases) for d in _affine(a, b, np.asarray(gammas, dtype=float))]
+
+
+def _polygon_phase(d, phases) -> PolygonPhase:
+    nan = np.full(2, complex(np.nan, np.nan))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed d.d is no phase
+        mu, gap, right, left = _raw_eigenframes(d)
+    if not np.isfinite(mu).all():
+        return PolygonPhase(nan, (), False)
+    try:
+        bad = _canonical_gauge(right, left)
+    except DefectivePointError:
+        return PolygonPhase(nan, (), False)
+    flags = tuple(float(v) for v in phases[gap < GAP_TOL])
+    if bad.any():
+        return PolygonPhase(nan, flags, False)
+    theta, closed, _, skipped = _wilson_core(right, left, bad, "flag")
+    theta = np.array([_principal_theta(complex(theta[band]), band) for band in (0, 1)])
+    return PolygonPhase(theta, flags, bool(closed and not skipped and not flags))
 
 
 class SpectralPhase(NamedTuple):

@@ -35,6 +35,7 @@ from .sweep import (
     csv_lines,
     write_table,
     _fmt,
+    _run_metadata,
 )
 
 EXIT_OK = 0
@@ -68,7 +69,6 @@ _OVERRIDES = {
     "--threads": ("threads", int, "worker processes (default: config, then 1)"),
     "--engine": ("engine", str, "engine override"),
     "--cutoff": ("cutoff", int, "Floquet harmonic cutoff override"),
-    "--steps": ("berry_steps", int, "loop steps override"),
 }
 
 
@@ -138,24 +138,15 @@ def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
     out = Path(config.out_dir)
-    _progress(
-        f"complex phase sweep: {tpl.name} beta={tpl.beta}, "
-        f"{len(config.gammas)} gamma values; Wilson fallback at "
-        f"{config.berry_steps} steps, richardson={'on' if config.richardson else 'off'}"
-    )
-    sweep = berry_gamma_sweep(
-        tpl,
-        config.gammas,
-        steps=config.berry_steps,
-        richardson=config.richardson,
-        threads=config.threads,
-    )
+    _progress(f"complex phase sweep: {tpl.name} beta={tpl.beta} {tpl.family}, "
+              f"{len(config.gammas)} gamma values")
+    sweep = berry_gamma_sweep(tpl, config.gammas)
     csv_path = persist(sweep, out / "berry.csv")
     render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
     routes = [loop["route"] for loop in sweep.metadata["loops"]]
     _progress(
-        f"wrote {csv_path}; {routes.count('spectral')} spectral and "
-        f"{routes.count('wilson')} Wilson loops, max delta = "
+        f"wrote {csv_path}; {routes.count('spectral')} spectral, {routes.count('polygon')} "
+        f"polygon and {routes.count('declined')} declined loops, max delta = "
         f"{sweep.metadata['max_step_delta']}"
     )
     return EXIT_OK
@@ -169,20 +160,13 @@ def cmd_spectrum_scan(args) -> int:
         f"{len(config.gammas)} gamma values"
     )
     scan = spectrum_region_scan(tpl, config.gammas)
+    thresholds = [{"gamma": t.gamma, "below": t.below, "above": t.above} for t in scan.thresholds]
     csv_path = write_table(
         Path(config.out_dir) / "spectrum_scan.csv",
         "gamma,classification",
         csv_lines((map(_fmt, scan.gammas), scan.classifications)),
         "spectrum-scan",
-        {
-            "model": tpl.label,
-            "samples": SCAN_SAMPLES,
-            "thresholds": [
-                {"gamma": t.gamma, "below": t.below, "above": t.above}
-                for t in scan.thresholds
-            ],
-            "version": __version__,
-        },
+        _run_metadata(tpl, samples=SCAN_SAMPLES, thresholds=thresholds),
     )
     _progress(f"wrote {csv_path}; thresholds at {[round(t.gamma, 6) for t in scan.thresholds]}")
     return EXIT_OK
@@ -233,13 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "--threads", "--engine", "--cutoff")
     p.add_argument("--overlay-contours", action="store_true",
                    help="also trace EP contours and overlay them on the heatmap")
-    # ep-contours runs serially; it still takes --threads because
+    # ep-contours and berry run serially; they still take --threads because
     # perfbench/run.py passes it to every workload
     run_command("ep-contours", cmd_ep_contours, "exceptional-point contours",
                 "--threads", "--engine")
-    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads", "--steps",
-                helps={"--threads": "worker processes for the Wilson-loop fallbacks; the "
-                                    "spectral pass runs in-process (default: config, then 1)"})
+    run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads",
+                helps={"--threads": "accepted and unused: every loop runs in-process"})
     run_command("spectrum-scan", cmd_spectrum_scan, "instantaneous-spectrum region scan")
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")

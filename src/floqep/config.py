@@ -5,7 +5,8 @@ document's shape: its keys, its objects and the JSON types of ``J`` and
 a single ``omega``.  Every rule on a setting's value lives in the library
 and is called from here: the grid's axes and engine
 (:class:`~floqep.sweep.GridSpec`), the cutoff, the Wilson-loop settings
-and the worker count.  A key it does not read is an error.
+(which no run reads) and the worker count.  A key it does not know is an
+error.
 """
 
 from __future__ import annotations
@@ -76,8 +77,6 @@ class RunConfig:
     gammas: np.ndarray
     grid: GridSpec | None  # None where omega is a single value
     cutoff: int
-    berry_steps: int
-    richardson: bool
     threads: int
     out_dir: str
 
@@ -116,10 +115,9 @@ def parse_config(doc: dict) -> RunConfig:
     # whether cutoff reaches beta matters to the floquet engine only;
     # phase_diagram checks it there
     cutoff = _checked("cutoff", _check_cutoff, doc.get("cutoff", DEFAULT_CUTOFF), 1)
-    berry_steps, richardson = _checked(
-        "berry_steps, richardson", _check_loop_settings,
-        doc.get("berry_steps", DEFAULT_LOOP_STEPS), doc.get("richardson", True),
-    )
+    # no run reads these; perfbench's berry_sweep_config sets both
+    _checked("berry_steps, richardson", _check_loop_settings,
+             doc.get("berry_steps", DEFAULT_LOOP_STEPS), doc.get("richardson", True))
     try:
         threads = _check_threads(doc.get("threads", 1))
     except ValueError as exc:  # the message names the key already
@@ -133,8 +131,6 @@ def parse_config(doc: dict) -> RunConfig:
         gammas=np.linspace(*gamma),
         grid=grid,
         cutoff=cutoff,
-        berry_steps=berry_steps,
-        richardson=richardson,
         threads=threads,
         out_dir=out_dir,
     )

@@ -19,9 +19,9 @@ contours come from the indicator on the grid blocks, a lockstep
 bisection of every sign-change bracket, and one batched classification
 of the roots; a bisection pass evaluates a tree of midpoints of every
 bracket in one kernel call.  A Berry sweep runs each loop in drive
-phase, so it takes no omega: the spectral route for all its gammas
-in-process, in stacked passes, and the Wilson loop, over the same pool,
-for each gamma the spectral route declines.
+phase, so it takes no omega, and in-process, one route per family: a
+square loop as the polygon of its segment vectors, a smooth loop by the
+spectral route in stacked passes, NaN where that route declines.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from .berry import DEFAULT_LOOP_STEPS, DefectivePointError, berry_phase_loop, spectral_phase_rows
-from .berry import _check_loop_settings
+from . import __version__, propagator
+from .berry import polygon_phase_rows, spectral_phase_rows
 from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, cells_max_im
 from .model import PresetTemplate, _is_int, half_period_parity, time_reflection
 from .propagator import (
@@ -60,6 +59,7 @@ from .propagator import (
     _doubled_arcsin,
 )
 # unused here: perfbench wraps these names in this module
+from .berry import berry_phase_loop  # noqa: F401
 from .floquet import max_im_quasienergy  # noqa: F401
 from .propagator import ep_indicator, quasienergy_from_trace, _segment_product  # noqa: F401
 
@@ -246,11 +246,11 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
         else:
             G = np.empty((2, 2, 2, len(T)))
             for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
-                try:
-                    G_k = monodromy(template.instantiate(float(g), float(w)), "integrate").G
-                    G[..., k] = G_k.real, G_k.imag
-                except NumericalError:
-                    G[..., k] = np.nan
+                model = template.instantiate(float(g), float(w))
+                # an overflow is a non-finite cell, which Traces makes NaN
+                with np.errstate(all="ignore"):
+                    G_k = propagator._integrate_monodromy(model, DEFAULT_STEPS_PER_PERIOD)
+                G[..., k] = G_k.real, G_k.imag
             traces = Traces(G, T, half_period=False)
         yield cells, T, traces
 
@@ -633,68 +633,37 @@ def _link_ep_roots(omegas, column_roots, dgamma: float) -> list[list[ContourPoin
     return lines
 
 
-def _wilson_task(gamma, template, steps, richardson):
-    """One gamma's Wilson loop at ``steps`` as ``(theta, flags, certified,
-    loop)``, where ``loop`` is the sidecar's record of the route."""
-    loop = {"route": "wilson", "points": 2 * steps if richardson else steps, "delta": None}
-    # at omega = 1 the time t is the drive phase theta, bit for bit
-    model = template.instantiate(gamma, 1.0)
-    try:
-        res = berry_phase_loop(model, steps=steps, richardson=richardson, on_ep="flag")
-    except DefectivePointError:
-        # a loop through d = 0 (H = 0) has no eigenframes there, nor one whose
-        # d.d overflows, so, like a loop whose overlaps were dropped, no phase
-        return np.full(2, complex(np.nan, np.nan)), (), False, loop
-    loop["delta"] = res.step_delta
-    return res.theta, res.degeneracy_flags, res.certified, loop
-
-
-def berry_gamma_sweep(
-    template: PresetTemplate,
-    gammas,
-    steps: int = DEFAULT_LOOP_STEPS,
-    richardson: bool = True,
-    threads: int = 1,
-) -> BerrySweep:
+def berry_gamma_sweep(template: PresetTemplate, gammas) -> BerrySweep:
     """Geometric phase of both bands for each gamma (deterministic order).
 
     A loop is one turn of the drive phase, which omega only traverses
     faster or slower, so the sweep takes no omega; its flags are drive
-    phases in ``[0, 2*pi)``.  A loop takes
-    :func:`~floqep.berry.spectral_phase_loop` where that accepts it, and
-    otherwise falls back to the Wilson loop, which ``steps`` and
-    ``richardson`` steer; both are checked before any loop runs.  The
-    spectral route runs in-process for the whole sweep, in stacked passes
-    on the preset's ``parts()``; only the gammas it declines go to the
-    Wilson loop, over a pool of at most ``threads`` processes (none when
-    every loop is spectral).  The Wilson loop runs with ``on_ep='flag'``,
-    so a sweep can cross drive strengths whose loop grazes an exceptional
-    point without aborting the whole curve; a loop through a zero Bloch
-    vector, or whose ``d.d`` overflows, reads NaN and uncertified.  The
-    metadata's ``loops`` records each gamma's route, points and delta.
+    phases in ``[0, 2*pi)``.  Each family has one route, run in-process
+    on the preset's ``parts()``: a square loop is the polygon of its
+    segment vectors (:func:`~floqep.berry.polygon_phase_rows`, delta 0); a
+    smooth loop takes :func:`~floqep.berry.spectral_phase_loop` in stacked
+    passes, and a loop that route declines, as it does every loop across
+    an exceptional point, reads NaN and uncertified.  So does a loop
+    through a zero Bloch vector, or whose ``d.d`` overflows, on either
+    route.  The metadata's ``loops`` records each gamma's route
+    (``"polygon"``, ``"spectral"`` or ``"declined"``), points and delta.
     """
-    threads = _check_threads(threads)
-    steps, richardson = _check_loop_settings(steps, richardson)
     gammas = np.asarray(gammas, dtype=float)
-    results = [
-        None if phase is None else (
-            phase.theta, (), True,
-            {"route": "spectral", "points": phase.points, "delta": phase.delta},
-        )
-        for phase in spectral_phase_rows(*template.parts(), gammas)
-    ]
-    declined = [k for k, r in enumerate(results) if r is None]
-    tasks = [(float(gammas[k]), template, steps, richardson) for k in declined]
-    for k, r in zip(declined, _map_tasks(_wilson_task, tasks, threads)):
-        results[k] = r
-    thetas = np.array([r[0] for r in results])
-    flags = tuple(tuple(r[1]) for r in results)
-    loops = [r[3] for r in results]
-    deltas = [r[3]["delta"] for r in results if r[2] and r[3]["delta"] is not None]
-    uncertified = [float(g) for g, r in zip(gammas, results) if not r[2]]
+    if template.family == "square":
+        a, b = _segment_vectors(template)
+        rows = [(p.theta, p.flags, p.certified, "polygon", len(a),
+                 0.0 if np.isfinite(p.theta).all() else None)
+                for p in polygon_phase_rows(a, b, gammas)]
+    else:
+        rows = [(np.full(2, complex(np.nan, np.nan)), (), False, "declined", None, None)
+                if p is None else (p.theta, (), True, "spectral", p.points, p.delta)
+                for p in spectral_phase_rows(*template.parts(), gammas)]
+    thetas = np.array([r[0] for r in rows])
+    flags = tuple(r[1] for r in rows)
+    loops = [{"route": r[3], "points": r[4], "delta": r[5]} for r in rows]
+    uncertified = [float(g) for g, r in zip(gammas, rows) if not r[2]]
     metadata = _run_metadata(
-        template, steps=steps, richardson=richardson,
-        max_step_delta=max(deltas) if deltas else None,
+        template, max_step_delta=max((r[5] for r in rows if r[2]), default=None),
         all_certified=not uncertified, uncertified_gammas=uncertified, loops=loops,
     )
     return BerrySweep(gammas=gammas, thetas=thetas, flags=flags, metadata=metadata)

@@ -34,6 +34,7 @@ from floqep.berry import (
     berry_phase_loop,
     classify_instantaneous,
     half_solid_angle,
+    polygon_phase_rows,
     spectral_phase_loop,
     spectral_phase_rows,
     spectrum_region_scan,
@@ -56,6 +57,7 @@ from floqep.model import (
     bloch_vector_at,
     preset,
 )
+from floqep.sweep import _segment_vectors as segment_vectors
 
 
 def _eigensystem(H):
@@ -1242,6 +1244,61 @@ class TestStackedSpectralPass:
         got = _quiet(spectral_phase_rows, *tpl.parts(), gammas)
         assert [p is None for p in got] == [False, True, False, True, True]
         assert list(map(_spectral_outcome, got)) == self._reference_column(tpl, gammas)
+
+
+SQUARE_GAMMAS = np.linspace(0.05, 2.95, 16)
+
+
+class TestPolygonRoute:
+    """A square loop's phase from its vertices against the sampled loop:
+    the 8192-step Richardson Wilson loop, with ``on_ep='flag'``."""
+
+    @staticmethod
+    def _rows(tpl, gammas):
+        return polygon_phase_rows(*segment_vectors(tpl), gammas)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("beta", [1, 2, 3])
+    def test_matches_the_sampled_wilson_loop(self, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        for g, got in zip(SQUARE_GAMMAS, self._rows(tpl, SQUARE_GAMMAS)):
+            want = berry_phase_loop(tpl.instantiate(float(g), 1.0), 8192, True, on_ep="flag")
+            assert np.isnan(got.theta).any() == np.isnan(want.theta).any()
+            if not np.isnan(want.theta).any():
+                assert np.max(np.abs(got.theta - want.theta)) <= 1e-12
+            assert got.certified == want.certified
+
+    @pytest.mark.parametrize("name", ["apt-cosx-cosy", "apt-cosx-siny"])
+    @pytest.mark.parametrize("beta", [1, 2])
+    def test_degenerate_vertices_flag_where_their_segment_starts(self, name, beta):
+        # at gamma = sqrt(1/2), d.d = 1 - 2 gamma^2 rounds to ~0 on every
+        # vertex: the sampled loop flags every point, the polygon every vertex
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        (got,) = self._rows(tpl, [math.sqrt(0.5)])
+        want = berry_phase_loop(tpl.instantiate(math.sqrt(0.5), 1.0), 1024, True, on_ep="flag")
+        n = 4 * beta
+        assert got.flags == tuple((np.arange(n) * (2.0 * math.pi / n)).tolist())
+        assert set(got.flags) <= set(want.degeneracy_flags) and len(want.degeneracy_flags) == 1024
+        assert not got.certified and not want.certified
+        assert np.max(np.abs(got.theta - want.theta)) <= 1e-12
+
+    @pytest.mark.parametrize("big", [1e160, 1e200])
+    def test_overflowing_loop_reads_nan(self, big):
+        # the sampled loop finds d.d not finite, and so does the polygon, with no warning
+        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
+        with pytest.raises(DefectivePointError):
+            berry_phase_loop(tpl.instantiate(big, 1.0), 256, on_ep="flag")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (got,) = self._rows(tpl, [big])
+        assert np.isnan(got.theta.view(float)).all() and got.flags == () and not got.certified
+
+    def test_zero_bloch_vector_reads_nan(self):
+        tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="square")
+        with pytest.raises(DefectivePointError, match="zero eigenvector"):
+            berry_phase_loop(tpl.instantiate(0.0, 1.0), 256, on_ep="flag")
+        (got,) = self._rows(tpl, [0.0])
+        assert np.isnan(got.theta.view(float)).all() and got.flags == () and not got.certified
 
 
 SPLIT_GAMMAS = [0.0, math.sqrt(0.5), 1.0, 2.95, 1e200]

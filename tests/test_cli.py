@@ -358,7 +358,7 @@ class TestDegenerateAxes:
 
     def test_berry_with_one_gamma(self):
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
-        self.check(render.berry_svg(berry_gamma_sweep(tpl, [0.5], steps=256)))
+        self.check(render.berry_svg(berry_gamma_sweep(tpl, [0.5])))
 
 
 class TestOverrideFlags:
@@ -378,13 +378,13 @@ class TestOverrideFlags:
         assert (meta["engine"], meta["cutoff"]) == ("floquet", 5)
         write_config(p, gamma={"min": 0.2, "max": 1.0, "count": 2}, omega={"value": 0.9},
                      model={"preset": "pt-cosy-cosz", "beta": 3, "family": "smooth"})
-        assert cli.main(["berry", *argv, "--steps", "256"]) == 0
+        assert cli.main(["berry", *argv, "--threads", "2"]) == 0
         meta = json.loads((out / "berry.csv.meta.json").read_text())["metadata"]
-        assert meta["steps"] == 256 and "omega" not in meta
+        assert not {"omega", "threads", "steps", "richardson"} & set(meta)
 
     @pytest.mark.parametrize(
         "flag",  # the subcommand, then the flag it reads
-        [["phase-diagram", "--cutoff", "0"], ["berry", "--steps", "100"],
+        [["phase-diagram", "--cutoff", "0"], ["berry", "--threads", "0"],
          ["phase-diagram", "--threads", "0"]],
     )
     def test_invalid_flag_exits_1(self, tmp_path, flag, monkeypatch):
@@ -426,6 +426,7 @@ class TestOverrideFlags:
             ["spectrum-scan", "--steps", "512"],
             ["phase-diagram", "--steps", "512"],
             ["spectrum-scan", "--threads", "2"],  # it runs serially
+            ["berry", "--steps", "512"],  # no loop takes a step count
         ],
     )
     def test_usage_errors_exit_1(self, tmp_path, argv, capsys):
@@ -464,7 +465,6 @@ class TestOtherCommands:
             model={"preset": "apt-cosx-siny", "beta": 1, "family": "smooth"},
             gamma={"min": 0.2, "max": 1.8, "count": 5},
             omega={"value": 1.0},
-            berry_steps=512,
         )
         assert cli.main(["berry", "--config", str(p)]) == 0
         out = tmp_path / "out"
@@ -474,12 +474,12 @@ class TestOtherCommands:
         ET.parse(out / "berry.svg")
         meta = json.loads((out / "berry.csv.meta.json").read_text())
         assert "max_step_delta" in meta["metadata"]
-        # gamma = 1 closes the gap on the whole loop: the one Wilson loop
+        # gamma = 1 closes the gap on the whole loop: the spectral route declines it
         routes = [loop["route"] for loop in meta["metadata"]["loops"]]
-        assert routes == ["spectral", "spectral", "wilson", "spectral", "spectral"]
+        assert routes == ["spectral", "spectral", "declined", "spectral", "spectral"]
         err = capsys.readouterr().err
-        assert "Wilson fallback at 512 steps, richardson=on" in err
-        assert "4 spectral and 1 Wilson loops" in err
+        assert "apt-cosx-siny beta=1 smooth, 5 gamma values" in err
+        assert "4 spectral, 0 polygon and 1 declined loops" in err
 
     def test_spectrum_scan(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ The round-trip tests in ``test_sweep.py`` only show that ``persist`` and
 the files (scripts, plots, other tools) see.
 """
 
+import datetime
 import json
 import math
 
@@ -157,6 +158,7 @@ SCAN_META = """\
       "gamma": 0.9999996185302734
     }
   ],
+  "timestamp": TIMESTAMP,
   "version": VERSION
 }
 """
@@ -200,21 +202,23 @@ def test_spectrum_scan_bytes(tmp_path):
     out = tmp_path / "out"
     assert (out / "spectrum_scan.csv").read_bytes() == SCAN_CSV.encode()
     meta = SCAN_META.replace("VERSION", json.dumps(floqep.__version__))
-    assert (out / "spectrum_scan.csv.meta.json").read_bytes() == meta.encode()
+    text = (out / "spectrum_scan.csv.meta.json").read_text()
+    stamp = json.loads(text)["timestamp"]
+    assert datetime.datetime.fromisoformat(stamp).tzinfo is not None
+    assert text.replace(json.dumps(stamp), "TIMESTAMP").encode() == meta.encode()
 
 
 # gamma = 0.5 takes the spectral route; gamma = 1.0 puts the loop through
-# two defective points: NaN theta, and the flags at the drive phases pi/2
-# and 3pi/2; gamma = 1.5 crosses exceptional points.  The last two fall
-# back to the 256-step Wilson loop.
+# two defective points and gamma = 1.5 crosses exceptional points, so the
+# spectral route declines both: NaN theta, no flags.
 BERRY_CSV = """\
 gamma,band,re_theta,im_theta,flags
 5.000000000000e-01,0,8.719671245022e-17,-4.006653052961e-01,
 5.000000000000e-01,1,-8.719671245022e-17,4.006653052961e-01,
-1.000000000000e+00,0,nan,nan,1.570796326795e+00;4.712388980385e+00
-1.000000000000e+00,1,nan,nan,1.570796326795e+00;4.712388980385e+00
-1.500000000000e+00,0,-2.445010958046e+00,-9.810193519872e-01,
-1.500000000000e+00,1,-6.965816955441e-01,9.810193519872e-01,
+1.000000000000e+00,0,nan,nan,
+1.000000000000e+00,1,nan,nan,
+1.500000000000e+00,0,nan,nan,
+1.500000000000e+00,1,nan,nan,
 """
 
 
@@ -225,7 +229,6 @@ def test_berry_bytes(tmp_path):
         "model": {"preset": "pt-cosy-sinz", "beta": 1, "family": "smooth"},
         "gamma": {"min": 0.5, "max": 1.5, "count": 3},
         "omega": {"value": 1.0},
-        "berry_steps": 256,
         "out_dir": str(tmp_path / "out"),
     }))
     assert cli.main(["berry", "--config", str(cfg)]) == 0

@@ -1,3 +1,5 @@
+import json
+import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -5,9 +7,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import floqep.cli as cli
 import floqep.propagator as propagator_mod
 import floqep.sweep as sweep_mod
-from floqep.berry import berry_phase_loop
+from floqep.berry import berry_phase_loop, polygon_phase_rows
 from floqep.floquet import _sector_matrix
 from floqep.model import PRESET_NAMES, PresetTemplate
 from floqep.render import berry_svg
@@ -786,119 +789,135 @@ class TestEPContours:
 
 
 class TestBerrySweep:
-    def test_deterministic_threads(self):
-        # these smooth loops all take the spectral route
-        self._check_deterministic_threads("smooth", "spectral")
+    def test_deterministic_threads(self, tmp_path, monkeypatch):
+        # berry accepts --threads and runs every loop in-process: the CSV is
+        # the same bytes at any worker count, and no pool starts
+        monkeypatch.setattr(sweep_mod, "Pool", None)
+        for family in ("smooth", "square"):
+            cfg = tmp_path / f"{family}.json"
+            cfg.write_text(json.dumps({
+                "schema_version": 1,
+                "model": {"preset": "pt-cosy-sinz", "beta": 1, "family": family},
+                "gamma": {"min": 0.5, "max": 1.5, "count": 3},
+            }))
+            csv = set()
+            for threads in ("1", "2"):
+                out = tmp_path / f"{family}-{threads}"
+                argv = ["berry", "--config", str(cfg), "--threads", threads, "--out", str(out)]
+                assert cli.main(argv) == 0
+                csv.add((out / "berry.csv").read_bytes())
+            assert len(csv) == 1
 
-    def test_deterministic_threads_wilson_route(self):
-        # square loops fall back to the Wilson loop, which at 8192 steps with
-        # Richardson (the CLI default) reuses one loop workspace per worker
-        # across its gammas
-        self._check_deterministic_threads("square", "wilson")
+    def test_square_loops_are_the_polygon(self):
+        # a square sweep is polygon_phase_rows on the preset's segment
+        # vectors, bit for bit: one point per segment and delta 0
+        gammas = [0.5, math.sqrt(0.5), 1.5]
+        for name, beta in (("pt-cosy-sinz", 1), ("apt-cosx-cosy", 2)):
+            tpl = PresetTemplate(name, beta=beta, family="square")
+            sw = berry_gamma_sweep(tpl, gammas)
+            want = polygon_phase_rows(*sweep_mod._segment_vectors(tpl), gammas)
+            assert sw.thetas.tobytes() == np.array([p.theta for p in want]).tobytes()
+            assert sw.flags == tuple(p.flags for p in want)
+            record = {"route": "polygon", "points": 4 * beta, "delta": 0.0}
+            assert sw.metadata["loops"] == [record] * 3
+            uncertified = [g for g, p in zip(gammas, want) if not p.certified]
+            assert sw.metadata["uncertified_gammas"] == uncertified
+        # at gamma = sqrt(1/2), d.d = 1 - 2 gamma^2 rounds to ~0 on every vertex of apt-cosx-cosy
+        assert uncertified == [math.sqrt(0.5)] and sw.flags[1]
 
-    @staticmethod
-    def _check_deterministic_threads(family, route):
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family=family)
-        gammas = np.array([0.3, 0.6, 1.4])
-        for steps, richardson in ((512, False), (8192, True)):
-            a = berry_gamma_sweep(tpl, gammas, steps=steps, richardson=richardson, threads=1)
-            b = berry_gamma_sweep(tpl, gammas, steps=steps, richardson=richardson, threads=2)
-            assert a.thetas.tobytes() == b.thetas.tobytes()
-            assert a.flags == b.flags
-            assert a.metadata["max_step_delta"] == b.metadata["max_step_delta"]
-            assert a.metadata["loops"] == b.metadata["loops"]
-            assert {loop["route"] for loop in a.metadata["loops"]} == {route}
-            assert a.metadata["all_certified"] and b.metadata["all_certified"]
-
-    def test_mixed_routes_match_across_threads(self):
-        # the spectral pass runs in-process and the two Wilson fallbacks
-        # over a pool: the sweep is the same bits at 1 and 2 threads
-        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
-        a, b = (berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, threads=n) for n in (1, 2))
-        assert [loop["route"] for loop in a.metadata["loops"]] == ["spectral", "wilson", "wilson"]
-        assert a.thetas.tobytes() == b.thetas.tobytes() and a.flags == b.flags
-        assert a.metadata["loops"] == b.metadata["loops"]
-
-    def test_wilson_fallback_is_the_wilson_loop(self):
-        # square loops and loops across exceptional points keep the Wilson
-        # loop's theta, flags and certificate bit for bit
-        cases = [(PresetTemplate("pt-cosy-sinz", beta=1, family="square"), [0.5, 1.5])]
-        cases += [
-            (PresetTemplate(name, beta=beta, family="smooth"), [gamma])
-            for name, beta, gamma in (
-                ("pt-cosy-cosz", 3, 1.5), ("pt-cosy-cosz", 3, 2.5), ("apt-cosx-cosy", 2, 0.9),
-                ("apt-cosx-cosy", 2, 1.5), ("pt-cosy-sinz", 1, 1.5),
-            )
-        ]
-        for tpl, gammas in cases:
-            sw = berry_gamma_sweep(tpl, gammas, steps=1024)
-            for g, theta, flags, loop in zip(gammas, sw.thetas, sw.flags, sw.metadata["loops"]):
-                want = berry_phase_loop(tpl.instantiate(g, 1.0), 1024, True, on_ep="flag")
-                assert theta.tobytes() == want.theta.tobytes() and flags == want.degeneracy_flags
-                assert loop == {"route": "wilson", "points": 2048, "delta": want.step_delta}
-                assert (g in sw.metadata["uncertified_gammas"]) == (not want.certified)
-                assert tpl.family == "square" or not want.certified
+    def test_slow_loops_take_the_spectral_route(self):
+        # loops that the spectral route accepts only beyond 4096 points; the
+        # 65536-step Richardson Wilson loop is their oracle
+        for name, beta, gamma, points in (("apt-cosx-siny", 3, 2.0843917928676112, 32768),
+                                          ("pt-cosy-sinz", 4, 1.07720156555773, 8192)):
+            tpl = PresetTemplate(name, beta=beta, family="smooth")
+            sw = berry_gamma_sweep(tpl, [gamma])
+            loop = sw.metadata["loops"][0]
+            assert (loop["route"], loop["points"]) == ("spectral", points)
+            assert loop["delta"] <= 1e-12 and sw.metadata["all_certified"]
+            wilson = berry_phase_loop(tpl.instantiate(gamma, 1.0), 65536, True)
+            assert np.max(np.abs(sw.thetas[0] - wilson.theta)) <= 1e-9
 
     def test_loop_records(self):
         # gamma 0.5 goes spectral; gamma 1.0 touches defective points and
-        # 1.5 crosses exceptional points, so both fall back, uncertified
+        # 1.5 crosses exceptional points, so the spectral route declines
+        # both: NaN, no flags, uncertified
         tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
-        sw = berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, richardson=False)
+        sw = berry_gamma_sweep(tpl, [0.5, 1.0, 1.5])
         loops = sw.metadata["loops"]
-        assert [loop["route"] for loop in loops] == ["spectral", "wilson", "wilson"]
-        assert [loop["points"] for loop in loops] == [128, 256, 256]
+        assert [loop["route"] for loop in loops] == ["spectral", "declined", "declined"]
+        assert [loop["points"] for loop in loops] == [128, None, None]
         assert [loop["delta"] for loop in loops[1:]] == [None, None]
         assert sw.metadata["max_step_delta"] == loops[0]["delta"] <= 1e-12
         assert sw.metadata["uncertified_gammas"] == [1.0, 1.5]
+        assert np.isnan(sw.thetas[1:].view(float)).all() and sw.flags == ((), (), ())
 
     def test_zero_bloch_vector_reads_nan(self, tmp_path):
         # J = 0 and gamma = 0: H = 0 on the whole loop, which has no
         # eigenframes; the sweep keeps its other gammas
-        tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family="smooth")
-        sw = berry_gamma_sweep(tpl, [0.0, 0.5], steps=256)
-        alone = berry_gamma_sweep(tpl, [0.5], steps=256)
-        assert np.isnan(sw.thetas[0].view(float)).all()
-        assert sw.flags == ((), alone.flags[0])
-        assert sw.thetas[1].tobytes() == alone.thetas[0].tobytes()
-        assert sw.metadata["uncertified_gammas"] == [0.0]
-        assert not sw.metadata["all_certified"] and alone.metadata["all_certified"]
-        assert sw.metadata["max_step_delta"] == alone.metadata["max_step_delta"]
-        assert sw.metadata["loops"][0] == {"route": "wilson", "points": 512, "delta": None}
-        persist(sw, tmp_path / "b.csv")
-        loaded = load(tmp_path / "b.csv")
-        assert np.isnan(loaded.thetas[0].view(float)).all()
-        assert np.max(np.abs(loaded.thetas[1] - sw.thetas[1])) < 1e-12
-        svg = ET.fromstring(berry_svg(loaded))
-        assert "nan" not in ET.tostring(svg).decode()
-        assert len(svg.findall(".//{*}polyline")) == 4
+        for family, record in (("smooth", {"route": "declined", "points": None, "delta": None}),
+                               ("square", {"route": "polygon", "points": 4, "delta": None})):
+            tpl = PresetTemplate("apt-cosx-siny", J=0.0, beta=1, family=family)
+            sw = berry_gamma_sweep(tpl, [0.0, 0.5])
+            alone = berry_gamma_sweep(tpl, [0.5])
+            assert np.isnan(sw.thetas[0].view(float)).all()
+            assert sw.flags == ((), alone.flags[0])
+            assert sw.thetas[1].tobytes() == alone.thetas[0].tobytes()
+            # the square loop at 0.5 is uncertified, as the sampled Wilson loop is
+            assert sw.metadata["uncertified_gammas"] == [0.0, *alone.metadata["uncertified_gammas"]]
+            assert not sw.metadata["all_certified"]
+            assert sw.metadata["max_step_delta"] == alone.metadata["max_step_delta"]
+            assert sw.metadata["loops"][0] == record
+            persist(sw, tmp_path / "b.csv")
+            loaded = load(tmp_path / "b.csv")
+            assert np.isnan(loaded.thetas[0].view(float)).all()
+            assert np.max(np.abs(loaded.thetas[1] - sw.thetas[1])) < 1e-12
+            svg = ET.fromstring(berry_svg(loaded))
+            assert "nan" not in ET.tostring(svg).decode()
+            assert len(svg.findall(".//{*}polyline")) == 4
 
-
-    # every loop of this sweep takes the spectral route, which uses neither setting
-    ALL_SPECTRAL = (PresetTemplate("apt-cosx-siny", beta=1), np.linspace(0.05, 2.95, 8))
+    # the Wilson-loop settings steer no sweep, but a run configuration
+    # still accepts them, and checks them before any loop runs
+    @staticmethod
+    def _run_with(tmp_path, monkeypatch, **settings):
+        calls = []
+        monkeypatch.setattr(sweep_mod, "spectral_phase_rows", lambda *a: calls.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "model": {"preset": "apt-cosx-siny", "beta": 1},
+            "gamma": {"min": 0.05, "max": 2.95, "count": 8}, **settings,
+        }))
+        assert cli.main(["berry", "--config", str(cfg)]) == 1
+        assert calls == []
 
     @pytest.mark.parametrize("steps", [300.5, 10, True, 512.0])
-    def test_steps_checked_before_any_loop(self, steps):
-        with pytest.raises(ValueError, match="steps must be an integer"):
-            berry_gamma_sweep(*self.ALL_SPECTRAL, steps=steps)
+    def test_steps_checked_before_any_loop(self, tmp_path, monkeypatch, capsys, steps):
+        self._run_with(tmp_path, monkeypatch, berry_steps=steps)
+        assert "steps must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("richardson", ["yes", 0, 1, None])
-    def test_richardson_checked_before_any_loop(self, richardson):
-        with pytest.raises(ValueError, match="richardson must be a bool"):
-            berry_gamma_sweep(*self.ALL_SPECTRAL, richardson=richardson)
+    def test_richardson_checked_before_any_loop(self, tmp_path, monkeypatch, capsys, richardson):
+        self._run_with(tmp_path, monkeypatch, richardson=richardson)
+        assert "richardson must be a bool" in capsys.readouterr().err
 
     @pytest.mark.parametrize("family", ["smooth", "square"])
     @pytest.mark.parametrize("big", [1e160, 1e200])
     def test_overflowing_loop_reads_nan(self, family, big):
         # d.d overflows at the large gamma: the spectral route declines it and
-        # the Wilson loop finds it defective, with no warning; the sweep keeps
+        # the polygon finds it defective, with no warning; the sweep keeps
         # its other gamma
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family=family)
-        sw = berry_gamma_sweep(tpl, [0.5, big], steps=256)
-        alone = berry_gamma_sweep(tpl, [0.5], steps=256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sw = berry_gamma_sweep(tpl, [0.5, big])
+        alone = berry_gamma_sweep(tpl, [0.5])
         assert sw.thetas[0].tobytes() == alone.thetas[0].tobytes()
         assert np.isnan(sw.thetas[1].view(float)).all() and sw.flags[1] == ()
         assert sw.metadata["uncertified_gammas"] == [big]
-        assert sw.metadata["loops"][1] == {"route": "wilson", "points": 512, "delta": None}
+        assert sw.metadata["loops"][1] == {
+            "route": "declined" if family == "smooth" else "polygon",
+            "points": None if family == "smooth" else 4, "delta": None,
+        }
 
 
 class TestGammaSplit:
@@ -983,41 +1002,45 @@ class TestPoolSize:
         assert pools == [2]
         assert wide.tobytes() == phase_diagram(tpl, grid, threads=1, cutoff=8).values.tobytes()
 
-    def test_no_more_processes_than_gammas(self, pools):
-        # square loops all take the Wilson route: one task per gamma
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
-        wide = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=64)
-        assert pools == [2]
-        one = berry_gamma_sweep(tpl, [0.3, 0.6], steps=256, threads=1)
-        assert wide.thetas.tobytes() == one.thetas.tobytes() and wide.flags == one.flags
+    @pytest.fixture()
+    def no_wilson_loop(self, monkeypatch):
+        def wilson(*args, **kwargs):
+            raise AssertionError("a sweep ran the Wilson loop")
 
-    def test_spectral_loops_start_no_pool(self, pools):
+        monkeypatch.setattr(sweep_mod, "berry_phase_loop", wilson)
+
+    def test_spectral_loops_start_no_pool(self, pools, no_wilson_loop):
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
-        sw = berry_gamma_sweep(tpl, np.linspace(0.05, 2.95, 40), steps=256, threads=64)
+        sw = berry_gamma_sweep(tpl, np.linspace(0.05, 2.95, 40))
         assert {loop["route"] for loop in sw.metadata["loops"]} == {"spectral"}
         assert pools == []
 
-    def test_only_wilson_fallbacks_are_tasks(self, pools):
-        # gamma 0.5 is spectral; 1.0 and 1.5 fall back to the Wilson loop
-        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
-        berry_gamma_sweep(tpl, [0.5, 1.0, 1.5], steps=256, threads=64)
-        assert pools == [2]
+    def test_declined_and_square_loops_start_no_pool(self, pools, no_wilson_loop):
+        # gamma 0.5 is spectral; 1.0 and 1.5 are declined.  Every square
+        # loop is a polygon
+        smooth = PresetTemplate("pt-cosy-sinz", beta=1, family="smooth")
+        loops = berry_gamma_sweep(smooth, [0.5, 1.0, 1.5]).metadata["loops"]
+        assert [loop["route"] for loop in loops] == ["spectral", "declined", "declined"]
+        for name in PRESET_NAMES:
+            square = PresetTemplate(name, beta=3, family="square")
+            loops = berry_gamma_sweep(square, np.linspace(0.05, 2.95, 16)).metadata["loops"]
+            assert {loop["route"] for loop in loops} == {"polygon"}
+        assert pools == []
 
     def test_one_task_runs_in_process(self, pools):
-        tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
-        berry_gamma_sweep(tpl, [0.3], steps=256, threads=64)
+        # the piecewise engine runs the whole grid as one task
+        grid = GridSpec(0.2, 0.8, 3, 1.0, 2.0, 4, engine="monodromy-piecewise")
+        wide = phase_diagram(PT3, grid, threads=64).values
         assert pools == []
+        assert wide.tobytes() == phase_diagram(PT3, grid, threads=1).values.tobytes()
 
     @pytest.mark.parametrize("threads", [0, -3, True, 2.5, "2", None])
     def test_bad_threads_raise_before_any_cell(self, pools, monkeypatch, threads):
         calls = []
         monkeypatch.setattr(sweep_mod, "_map_cells", lambda *a: calls.append(a))
-        monkeypatch.setattr(sweep_mod, "spectral_phase_rows", lambda *a: calls.append(a))
         grid = GridSpec(0.2, 0.8, 2, 1.0, 2.0, 3, engine="floquet")
         with pytest.raises(ValueError, match="^threads must be a positive integer$"):
             phase_diagram(PT3_SMOOTH, grid, threads=threads, cutoff=8)
-        with pytest.raises(ValueError, match="^threads must be a positive integer$"):
-            berry_gamma_sweep(PT3_SMOOTH, [0.3, 0.6], steps=256, threads=threads)
         assert calls == [] and pools == []
 
     def test_numpy_integer_threads(self, pools):
@@ -1044,17 +1067,14 @@ class TestPersistence:
         meta2 = (tmp_path / "d2.csv.meta.json").read_bytes()
         assert meta1 == meta2
 
-    @pytest.mark.parametrize("run", ["counts", "cutoff", "steps"])
+    @pytest.mark.parametrize("run", ["counts", "cutoff"])
     def test_numpy_integer_settings_roundtrip(self, tmp_path, run):
         # numpy integers pass every check and are written as plain integers
         if run == "counts":
             result = phase_diagram(PT3, GridSpec(0.0, 1.0, np.int64(3), 0.5, 1.0, 3))
-        elif run == "cutoff":
+        else:
             grid = GridSpec(0.0, 1.0, 3, 0.5, 1.0, 2, engine="floquet")
             result = phase_diagram(PT3_SMOOTH, grid, cutoff=np.int64(8))
-        else:
-            tpl = PresetTemplate("apt-cosx-siny", beta=1, family="square")
-            result = berry_gamma_sweep(tpl, [0.5], steps=np.int64(256))
         p = persist(result, tmp_path / "r.csv")
         assert load(p).metadata == result.metadata
 
@@ -1098,7 +1118,7 @@ class TestPersistence:
 
     def test_berry_roundtrip(self, tmp_path):
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
-        sw = berry_gamma_sweep(tpl, np.array([0.3, 1.5]), steps=512, richardson=False)
+        sw = berry_gamma_sweep(tpl, np.array([0.3, 1.5]))
         p1 = tmp_path / "b.csv"
         persist(sw, p1)
         loaded = load(p1)
