@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     # ep-contours and berry run serially; they still take --threads because
     # perfbench/run.py passes it to every workload
     run_command("ep-contours", cmd_ep_contours, "exceptional-point contours",
-                "--threads", "--engine")
+                "--threads", "--engine",
+                helps={"--threads": "accepted and unused: the trace runs in-process"})
     run_command("berry", cmd_berry, "complex geometric phase vs gamma", "--threads",
                 helps={"--threads": "accepted and unused: every loop runs in-process"})
     run_command("spectrum-scan", cmd_spectrum_scan, "instantaneous-spectrum region scan")

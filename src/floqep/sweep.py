@@ -15,10 +15,11 @@ two as one task per omega row over a process pool, reassembled by index;
 block and stack sizes are constants, so the output is bit-identical for
 any worker count.  Numerical failures become NaN sentinel cells,
 summarised in one log line; more than 1% failures aborts the sweep.  EP
-contours come from the indicator on the grid blocks, a lockstep
-bisection of every sign-change bracket, and one batched classification
-of the roots; a bisection pass evaluates a tree of midpoints of every
-bracket in one kernel call.  A Berry sweep runs each loop in drive
+contours come from the indicator on the grid blocks, a bisection of
+every sign-change bracket, and one batched classification of the roots;
+a bisection pass evaluates, in one kernel call, the midpoints of every
+bracket down the path towards its secant root, under a small full tree
+that hedges the estimate.  A Berry sweep runs each loop in drive
 phase, so it takes no omega, and in-process, one route per family: a
 square loop as the polygon of its segment vectors, a smooth loop by the
 spectral route in stacked passes, NaN where that route declines.
@@ -465,65 +466,121 @@ def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
     return kinds
 
 
-def _refine_brackets(f_at, lo, hi, flo, pass_cells: int = BLOCK_CELLS):
-    """Bisect the sign-change brackets ``[lo[b], hi[b]]`` of ``f`` in
-    lockstep (``flo`` is ``f`` at ``lo``); returns ``(roots, passes,
-    cells)``, a lost bracket's root NaN.  ``f_at(x, b)`` is ``f`` at the
+def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
+    """Bisect the sign-change brackets ``[lo[b], hi[b]]`` of ``f`` (``flo``
+    and ``fhi`` are ``f`` at the ends); returns ``(roots, passes, cells,
+    steps)``, a lost bracket's root NaN.  ``f_at(x, b)`` is ``f`` at the
     points ``x`` of brackets ``b``, NaN where not finite.
 
-    One step per pass would end a bracket at its midpoint once the width
-    and ``|f|`` are within ``ROOT_TOL`` (or ``f`` is 0), and lose it when
-    the midpoint rounds onto an end or after ``MAX_BISECTIONS`` steps.  A
-    pass here takes ``k = max(1, floor(log2(pass_cells // n + 1)))`` of
-    those steps for all ``n`` active brackets in one call, on the tree of
-    midpoints below each: the same roots, bit for bit.  A non-finite node
-    raises ``NumericalError`` only if the walk reads it.
+    One step at a time, a bracket would end at its midpoint once the width
+    and ``|f|`` are within ``ROOT_TOL`` (or ``f`` is 0), and be lost when
+    the midpoint rounds onto an end or after ``MAX_BISECTIONS`` of its
+    steps.  A pass here evaluates, in one call, up to ``pass_cells // n``
+    midpoints of each of the ``n`` active brackets, each the midpoint of
+    the ends that one step at a time would hold: a full tree of the top
+    ``hedge`` levels, then one midpoint per level down the path towards
+    the root of the secant through the ends on ``asinh(f)`` (``|f|`` grows
+    exponentially in gamma), no deeper than the bracket can use.  A
+    bracket walks down by the one-step rule until it stops or reaches a
+    midpoint not evaluated, where ``f`` leaves the predicted path: the
+    same roots, bit for bit.  With ``k = floor(log2(pass_cells // n + 1))``
+    the depth of the full tree the cells hold, ``hedge`` is one level
+    short of it on the first pass (and at least one level); then it is
+    ``k`` after a pass on which the estimate held for fewer than ``k``
+    levels, and one (the path alone) after one on which it held for
+    ``k``.  ``steps`` sums the steps walked.  A non-finite node raises
+    ``NumericalError`` only if the walk reads it.
     """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # of the active brackets
-    up = np.asarray(flo) > 0  # lo only ever moves to a midpoint where f has this sign
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    up = flo > 0  # lo only ever moves to a midpoint where f has this sign
     roots = np.full(lo.size, np.nan)
     active = np.arange(lo.size)
-    passes = cells = steps = 0  # every active bracket has taken `steps` steps
-    while active.size and steps < MAX_BISECTIONS:
+    room = np.full(lo.size, MAX_BISECTIONS)  # the steps each bracket may still take
+    held = None  # per bracket: the estimate led its last walk as deep as the full tree
+    passes = cells = steps = 0
+    while active.size:
         n = active.size
-        depth = min(max(1, (pass_cells // n + 1).bit_length() - 1), MAX_BISECTIONS - steps)
-        span = 1 << depth
-        half = span >> np.arange(1, depth + 1)  # per level: half a bracket's width, in columns
-        tree = np.empty((n, span + 1))  # per row: the ends and every level's midpoints, in order
-        tree[:, 0], tree[:, span] = lo, hi
-        for h in half.tolist():
-            tree[:, h::2 * h] = 0.5 * (tree[:, :-h:2 * h] + tree[:, 2 * h::2 * h])
-        f = f_at(tree[:, 1:-1].ravel(), np.repeat(active, span - 1)).reshape(n, span - 1)
-        passes, cells, steps = passes + 1, cells + f.size, steps + depth
-        # each bracket's path down its tree: at a level of half-width h its
-        # ends are columns left and left + 2h, its midpoint left + h
-        right_of = (f > 0) == up[active, None]  # the root lies right of this node
         row = np.arange(n)
-        lefts = np.empty((n, depth), dtype=int)
-        left = np.zeros(n, dtype=int)
-        for level, h in enumerate(half.tolist()):
-            lefts[:, level] = left
-            left = left + h * right_of[row, left + h - 1]
-        row = row[:, None]
-        col, right = lefts + half, lefts + 2 * half
-        mid, fmid = tree[row, col], f[row, col - 1]
-        end_lo, end_hi = tree[row, lefts], tree[row, right]
+        budget = max(1, pass_cells // n)
+        k = (budget + 1).bit_length() - 1  # the depth of the full tree the budget holds
+        with np.errstate(all="ignore"):
+            a_lo, a_hi = np.arcsinh(flo), np.arcsinh(fhi)
+            x = lo + (hi - lo) * (a_lo / (a_lo - a_hi))  # the secant's root
+            # about the levels until the width and |f| ~ slope * width are
+            # within ROOT_TOL; two more allow for the slope's error
+            need = np.frexp(np.maximum(hi - lo, np.abs(a_hi - a_lo)) / ROOT_TOL)[1]
+        cap = np.minimum(room, np.maximum(need, 0) + 2)
+        hedge = np.minimum(max(1, k - 1) if held is None else np.where(held, 1, k), cap)
+        depth = np.minimum(hedge + (budget + 1) - (1 << hedge), cap)
+        H, D = int(hedge.max()), int(depth.max())
+        # nodes: the hedge tree of H levels by columns, then the predicted
+        # path, one row per level
+        span = 1 << H
+        half = span >> np.arange(1, H + 1)
+        nodes = np.empty((span + 1 + D, n))
+        nodes[0], nodes[span] = lo, hi
+        for h in half.tolist():
+            nodes[h:span:2 * h] = 0.5 * (nodes[:span - h:2 * h] + nodes[2 * h:span + 1:2 * h])
+        end_lo, end_hi = np.empty((D, n)), np.empty((D, n))  # each level's bracket
+        right = np.empty((D, n), dtype=bool)  # the step the estimate predicts
+        plo, phi = lo, hi
+        for lv in range(D):
+            m = plo + phi
+            m *= 0.5
+            r = np.greater(x, m, out=right[lv])
+            end_lo[lv], end_hi[lv] = plo, phi
+            nodes[span + 1 + lv] = m
+            plo, phi = np.where(r, m, plo), np.where(r, phi, m)
+        level = np.arange(D)[:, None]
+        in_hedge = level < hedge
+        wanted = np.zeros(nodes.shape, dtype=bool)
+        lowbit = np.arange(1, span) & -np.arange(1, span)  # half a node's width, in columns
+        wanted[1:span] = lowbit[:, None] >= span >> hedge
+        wanted[span + 1:] = ~in_hedge & (level < depth)
+        f = np.full(nodes.shape, np.nan)
+        f[wanted] = fx = f_at(nodes[wanted], active[np.nonzero(wanted)[1]])
+        passes, cells = passes + 1, cells + fx.size
+        # the walk: down the hedge by the signs, then along the path
+        right_of = (f > 0) == up
+        left, lefts = np.zeros(n, dtype=int), []
+        for h in half.tolist():
+            lefts.append(left)
+            left = left + h * right_of[left + h, row]
+        lefts = np.array(lefts)
+        cols = lefts + half[:, None]
+        at = (span + 1 + level).repeat(n, axis=1)  # the node each level's step reads
+        at[:H] = np.where(in_hedge[:H], cols, at[:H])
+        end_lo[:H] = np.where(in_hedge[:H], nodes[lefts, row], end_lo[:H])
+        end_hi[:H] = np.where(in_hedge[:H], nodes[cols + half[:, None], row], end_hi[:H])
+        mid, fmid = nodes[at, row], f[at, row]
+        go_right = (fmid > 0) == up
+        on_path = np.logical_and.accumulate(go_right == right, axis=0)  # the estimate held
+        known = in_hedge.copy()
+        known[1:] |= on_path[:-1] & (level[1:] < depth)
         done = ((end_hi - end_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
         # a midpoint that rounds onto an end leaves the bracket as it is, for good
         stop = done | (mid == end_lo) | (mid == end_hi)
-        walked = np.cumsum(stop, axis=1) == stop  # the steps up to the first stop
-        if not np.isfinite(fmid).all():
-            bad = walked & ~np.isfinite(fmid)
-            if bad.any():  # raised as one step per pass would, at the first such step
-                level = bad.any(axis=0).argmax()
-                _finite(fmid[walked[:, level], level])
-        rows, level = np.nonzero(walked & stop)
-        found = done[rows, level]
-        roots[active[rows[found]]] = mid[rows[found], level[found]]
-        go_on = ~stop.any(axis=1)
-        row, left = row[go_on, 0], left[go_on]
-        active, lo, hi = active[go_on], tree[row, left], tree[row, left + 1]
-    return roots, passes, cells
+        walked = known.copy()  # up to the first stop
+        walked[1:] &= np.logical_and.accumulate(known & ~stop, axis=0)[:-1]
+        _finite(fmid[walked])
+        walked_n = walked.sum(axis=0)
+        steps += int(walked_n.sum())
+        room -= walked_n
+        last = walked_n - 1
+        ended = stop[last, row]
+        found = ended & done[last, row]
+        roots[active[found]] = mid[last, row][found]
+        held = on_path.sum(axis=0) >= np.minimum(k, depth)
+        # the bracket that remains: its last midpoints with a step right, and left
+        i_lo = np.where(walked & go_right, level, -1).max(axis=0)
+        i_hi = np.where(walked & ~go_right, level, -1).max(axis=0)
+        lo, flo = np.where(i_lo < 0, lo, mid[i_lo, row]), np.where(i_lo < 0, flo, fmid[i_lo, row])
+        hi, fhi = np.where(i_hi < 0, hi, mid[i_hi, row]), np.where(i_hi < 0, fhi, fmid[i_hi, row])
+        go_on = ~ended & (room > 0)
+        active, lo, hi, flo, fhi, up, held, room = (
+            v[go_on] for v in (active, lo, hi, flo, fhi, up, held, room))
+    return roots, passes, cells, steps
 
 
 def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
@@ -533,11 +590,13 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     is scanned in gamma for sign changes, and all brackets of all columns
     are bisected together by :func:`_refine_brackets` until both the
     bracket width and ``|f|`` at the root fall below ``ROOT_TOL``.  A
-    root not pinned down within ``MAX_BISECTIONS`` steps, or whose bracket
-    can no longer be halved (an indicator discontinuity), is dropped and
-    logged.  The metadata's ``refinement`` counts the brackets, the roots
-    on grid nodes, the passes, the cells they evaluated, and the brackets
-    found and lost.
+    root not pinned down within ``MAX_BISECTIONS`` steps of its bracket,
+    or whose bracket can no longer be halved (an indicator
+    discontinuity), is dropped and logged.  The metadata's
+    ``refinement`` counts the brackets, the roots on grid nodes, the
+    passes, the cells they evaluated, the one-midpoint steps walked
+    (summed over the brackets; ``cells - steps`` were evaluated ahead of
+    a walk that did not need them), and the brackets found and lost.
 
     Linking takes the columns in omega order and each column's roots in
     gamma order.  A diabolic root is a singleton line.  The exceptional
@@ -567,8 +626,9 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     br_j, br_i = np.nonzero(off_root & ((f0 > 0) != (f1 > 0)))
 
     w_br = omegas[br_j]
-    found, passes, cells = _refine_brackets(
-        lambda g, b: f_at(g, w_br[b]), gammas[br_i], gammas[br_i + 1], f0[br_j, br_i],
+    found, passes, cells, steps = _refine_brackets(
+        lambda g, b: f_at(g, w_br[b]),
+        gammas[br_i], gammas[br_i + 1], f0[br_j, br_i], f1[br_j, br_i],
         # a kernel call costs nearly the same up to a block; the oracle pays per cell
         BLOCK_CELLS if grid.engine == "monodromy-piecewise" else 1,
     )
@@ -586,7 +646,8 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     for j, g, kind in zip(root_j, root_g, kinds):
         column_roots[j].append((float(g), kind))
     refinement = {"brackets": br_i.size, "node_roots": node_i.size, "passes": passes,
-                  "cells": cells, "found": br_i.size - lost.sum(), "lost": lost.sum()}
+                  "cells": cells, "steps": steps, "found": br_i.size - lost.sum(),
+                  "lost": lost.sum()}
     return EPContourSet(
         contours=tuple(map(tuple, _link_ep_roots(omegas, column_roots, dgamma))),
         tolerance=ROOT_TOL,

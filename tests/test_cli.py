@@ -441,6 +441,17 @@ class TestOverrideFlags:
             cli.main(argv)
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize(
+        "command, why",
+        [("ep-contours", "the trace runs in-process"), ("berry", "every loop runs in-process")],
+    )
+    def test_serial_commands_call_threads_unused(self, command, why, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps help lines
+        assert f"--threads THREADS accepted and unused: {why}" in text
+        assert "worker processes" not in text
+
 
 class TestOtherCommands:
     def test_ep_contours(self, tmp_path):

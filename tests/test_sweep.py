@@ -485,19 +485,20 @@ def _reference_link(omegas, column_roots, dgamma):
 
 def _reference_refine(f_at, lo, hi, flo):
     """One midpoint of every active bracket per pass, the lockstep
-    bisection that :func:`sweep._refine_brackets` walks in trees of
+    bisection that :func:`sweep._refine_brackets` walks down trees of
     midpoints: the two must find the same roots and lose the same
-    brackets.  Returns the roots (NaN where lost) and the cells evaluated."""
+    brackets.  Returns the roots (NaN where lost) and, per bracket, the
+    midpoints evaluated: the steps the bracket took."""
     lo, hi, flo = (np.array(v, dtype=float) for v in (lo, hi, flo))
     found = np.full(lo.size, np.nan)
     active = np.arange(lo.size)
-    cells = 0
+    steps = np.zeros(lo.size, dtype=int)
     for _ in range(sweep_mod.MAX_BISECTIONS):
         if not active.size:
             break
         mid = 0.5 * (lo[active] + hi[active])
         fmid = f_at(mid, active)
-        cells += mid.size
+        steps[active] += 1
         if not np.isfinite(fmid).all():
             raise propagator_mod.NumericalError("non-finite midpoint")
         done = ((hi[active] - lo[active] < 1e-6) & (np.abs(fmid) <= 1e-6)) | (fmid == 0.0)
@@ -507,7 +508,20 @@ def _reference_refine(f_at, lo, hi, flo):
         same = (fmid > 0) == (flo[active] > 0)
         lo[active[same]], flo[active[same]] = mid[same], fmid[same]
         hi[active[~same]] = mid[~same]
-    return found, cells
+    return found, steps
+
+
+def _tree_passes(steps, pass_cells=sweep_mod.BLOCK_CELLS):
+    """Passes of the lockstep tree bisection that preceded the predicted
+    path: every active bracket takes ``max(1, floor(log2(pass_cells // n
+    + 1)))`` steps per pass, and a bracket leaves after the pass that
+    holds its last step (``steps`` from :func:`_reference_refine`)."""
+    taken = passes = 0
+    while (steps > taken).any():
+        n = int((steps > taken).sum())
+        taken += max(1, (pass_cells // n + 1).bit_length() - 1)
+        passes += 1
+    return passes
 
 
 @pytest.fixture(scope="module")
@@ -659,20 +673,23 @@ class TestEPContours:
             f"EP root lost during bisection at omega={w:.6g}, gamma in [0.2, 0.3]"
             for w in (0.6, 1.0)
         ]
-        # the grid, then passes of k = floor(log2(512 // 2 + 1)) = 8 halvings
-        # of both brackets: about 53 bits from width 0.1 down to adjacent
-        # doubles, well short of MAX_BISECTIONS passes
+        # the grid, then passes over both brackets: about 53 halvings from
+        # width 0.1 down to adjacent doubles, in no more passes than trees of
+        # k = floor(log2(512 // 2 + 1)) = 8 levels, well short of
+        # MAX_BISECTIONS passes
+        lo, hi = grid.gammas[[2, 2]], grid.gammas[[3, 3]]
+        _, want = _reference_refine(lambda x, b: np.where(x < 0.3, -1.0, 1.0), lo, hi, [-1.0, -1.0])
         assert calls[0] == 22 and max(calls[1:]) <= sweep_mod.BLOCK_CELLS
-        assert len(calls) - 1 <= -(-54 // 8) + 1 < sweep_mod.MAX_BISECTIONS
+        assert len(calls) - 1 <= _tree_passes(want) <= -(-54 // 8) + 1 < sweep_mod.MAX_BISECTIONS
         assert cs.metadata["refinement"] == {
             "brackets": 2, "node_roots": 0, "passes": len(calls) - 1,
-            "cells": sum(calls[1:]), "found": 0, "lost": 2,
+            "cells": sum(calls[1:]), "steps": want.sum(), "found": 0, "lost": 2,
         }
 
     @pytest.mark.parametrize(
         "template, grid, max_calls",
         [
-            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 16),  # the ep-contours benchmark's shape
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 12),  # the ep-contours benchmark's shape
             (APT3, GridSpec(0.0, 1.5, 151, 0.05, 0.1, 2), None),  # criterion C05's grid
             (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 240), None),  # over BLOCK_CELLS brackets
             (APT3, GridSpec(0.0, 5.0, 24, 0.2, 3.0, 6, engine="monodromy-integrate"), None),
@@ -683,8 +700,8 @@ class TestEPContours:
         refinements, kernel_cells = [], []
         refine, kernel = sweep_mod._refine_brackets, sweep_mod.piecewise_traces
 
-        def refine_spy(f_at, lo, hi, flo, pass_cells):
-            refinements.append((f_at, lo, hi, flo, refine(f_at, lo, hi, flo, pass_cells)))
+        def refine_spy(f_at, lo, hi, flo, fhi, pass_cells):
+            refinements.append((f_at, lo, hi, flo, pass_cells, refine(f_at, lo, hi, flo, fhi, pass_cells)))
             return refinements[-1][-1]
 
         def kernel_spy(a, b, gammas, *args):
@@ -695,15 +712,16 @@ class TestEPContours:
         monkeypatch.setattr(sweep_mod, "piecewise_traces", kernel_spy)
         cs = trace_ep_contours(template, grid)
         traced = kernel_cells[:]  # the trace's kernel calls, not the reference's below
-        [(f_at, lo, hi, flo, got)] = refinements
-        want, want_cells = _reference_refine(f_at, lo, hi, flo)
-        roots, passes, cells = got
+        [(f_at, lo, hi, flo, pass_cells, got)] = refinements
+        want, want_steps = _reference_refine(f_at, lo, hi, flo)
+        roots, passes, cells, steps = got
         np.testing.assert_array_equal(roots, want)  # NaN where both lost the bracket
         record = cs.metadata["refinement"]
         assert record["brackets"] == lo.size > 0 and record["found"] + record["lost"] == lo.size
-        assert (record["passes"], record["cells"]) == (passes, cells)
+        assert (record["passes"], record["cells"], record["steps"]) == (passes, cells, steps)
+        assert steps == want_steps.sum() and passes <= _tree_passes(want_steps, pass_cells)
         if grid.engine == "monodromy-integrate":
-            assert not traced and cells == want_cells  # one step per pass: no extra cell
+            assert not traced and cells == steps  # one step per pass: no extra cell
         else:
             assert 0 < max(traced) <= sweep_mod.BLOCK_CELLS
         if max_calls is not None:
@@ -738,7 +756,7 @@ class TestEPContours:
         monkeypatch.setattr(sweep_mod, "MAX_BISECTIONS", max_bisections)
         f, lo, hi = self._brackets(name)
         lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        flo = f(lo, np.arange(lo.size))
+        flo, fhi = f(lo, np.arange(lo.size)), f(hi, np.arange(lo.size))
         seen, xs = [], []
 
         def f_at(x, b):
@@ -746,10 +764,11 @@ class TestEPContours:
             seen.append(f(x, b))
             return seen[-1]
 
-        roots, passes, cells = sweep_mod._refine_brackets(f_at, lo, hi, flo)
+        roots, passes, cells, steps = sweep_mod._refine_brackets(f_at, lo, hi, flo, fhi)
         midpoints = []
-        want, _ = _reference_refine(lambda x, b: f(midpoints.append(x) or x, b), lo, hi, flo)
+        want, want_steps = _reference_refine(lambda x, b: f(midpoints.append(x) or x, b), lo, hi, flo)
         np.testing.assert_array_equal(roots, want)
+        assert steps == want_steps.sum()
         # every midpoint of one step per pass is a tree node, to the bit
         assert set(np.concatenate(midpoints).tolist()) <= set(np.concatenate(xs).tolist())
         assert (passes, cells) == (len(seen), sum(v.size for v in seen))
@@ -761,12 +780,36 @@ class TestEPContours:
         if max_bisections < 200:
             assert np.isnan(want).any()  # some bracket runs out of steps
 
+    @pytest.mark.parametrize("name", ["steep-cubic", "step", "step-pair", "kink"])
+    def test_misleading_estimates_take_no_more_passes_than_trees(self, name):
+        # the secant on asinh(f) points the path the wrong way: a cubic is
+        # flat at its root, a step gives the midpoint, a kink's slopes differ
+        # by 1e6; brackets then fall back to full trees
+        rng = np.random.default_rng(31)
+        lo = rng.uniform(0.0, 1.0, 64)
+        hi = lo + rng.uniform(0.01, 1.0, 64)
+        root = rng.uniform(lo, hi)
+        f = {
+            "steep-cubic": lambda x, b: 1e6 * (x - root[b]) ** 3,
+            "step": lambda x, b: np.where(x < root[b], -1.0, 1.0),
+            "step-pair": lambda x, b: np.where(x < 0.3, -1.0, 1.0),
+            "kink": lambda x, b: (x - root[b]) * np.where(x < root[b], 1e-3, 1e3),
+        }[name]
+        if name == "step-pair":  # 256 cells per bracket and pass
+            lo, hi = np.zeros(2), np.array([1.0, 0.5])
+        b = np.arange(lo.size)
+        roots, passes, _, steps = sweep_mod._refine_brackets(f, lo, hi, f(lo, b), f(hi, b))
+        want, want_steps = _reference_refine(f, lo, hi, f(lo, b))
+        np.testing.assert_array_equal(roots, want)
+        assert steps == want_steps.sum() and passes <= _tree_passes(want_steps)
+
     def test_non_finite_midpoint_on_the_path_raises(self):
         # NaN around 0.5, the first midpoint of [0, 1]: one step per pass evaluates it too
         f = lambda x, b: np.where(abs(x - 0.5) < 0.01, np.nan, x - 0.3)
-        for refine in (sweep_mod._refine_brackets, _reference_refine):
-            with pytest.raises(propagator_mod.NumericalError):
-                refine(f, [0.0], [1.0], [-0.3])
+        with pytest.raises(propagator_mod.NumericalError):
+            sweep_mod._refine_brackets(f, [0.0], [1.0], [-0.3], [0.7])
+        with pytest.raises(propagator_mod.NumericalError):
+            _reference_refine(f, [0.0], [1.0], [-0.3])
 
     def test_large_real_traces_are_not_roots(self):
         # Im c of a real half-trace carries rounding noise that grows with
@@ -1110,7 +1153,7 @@ class TestPersistence:
         loaded = load(p1)
         assert isinstance(loaded, EPContourSet)
         assert set(loaded.metadata["refinement"]) == {
-            "brackets", "node_roots", "passes", "cells", "found", "lost",
+            "brackets", "node_roots", "passes", "cells", "steps", "found", "lost",
         }
         p2 = tmp_path / "c2.csv"
         persist(loaded, p2)
