@@ -146,6 +146,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if overrides and isinstance(doc, dict):

@@ -292,6 +292,16 @@ class Traces:
             else:
                 self.parity_trace, self.half_trace = None, 0.5 * t
 
+    def take(self, cells) -> Traces:
+        """The cells ``cells`` alone, with the same bits (no bound)."""
+        return Traces(self._parts[..., cells], self._T[cells], self.parity_trace is not None)
+
+    @staticmethod
+    def concat(batches) -> Traces:
+        """The cells of ``batches`` (of one route) in order, with the same bits (no bound)."""
+        return Traces(np.concatenate([t._parts for t in batches], axis=-1),
+                      np.concatenate([t._T for t in batches]), batches[0].parity_trace is not None)
+
     @functools.cached_property
     def entries(self) -> tuple:
         return _packed(self._parts, self._finite)
@@ -387,6 +397,12 @@ def _segment_plan(rows: bytes):
     return order, parts, len(first), None if len(first) == len(distinct) else np.array(groups)
 
 
+def _plan(a, b):
+    """:func:`_segment_plan` of the segment rows ``(a[l], b[l])``."""
+    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
+    return _segment_plan(np.concatenate([a, b], axis=1).tobytes())
+
+
 def _segment_exponentials(parts, n_groups, groups, gammas, taus):
     """The distinct segment exponentials of a batch, as ``E[row, part, i, j, cell]``
     for the distinct rows of :func:`_segment_plan`."""
@@ -424,10 +440,9 @@ def _segment_pairs(a, b, gammas, taus):
     """The ordered segment product of a batch as ``[part, row, col, cell]``
     parts, with the distinct exponentials ``E`` and the segment ``order``
     that its rounding bound reads (see :func:`_segment_product`)."""
-    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
     gammas = np.asarray(gammas, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    order, *plan = _segment_plan(np.concatenate([a, b], axis=1).tobytes())
+    order, *plan = _plan(a, b)
     with np.errstate(all="ignore"):
         E = _segment_exponentials(*plan, gammas, taus)
         G = E[order[0]].copy()
@@ -552,8 +567,7 @@ def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | No
     :func:`_product_bound`, ``(2 N + b) b + 8u (N + b)^2`` for ``A``'s
     bound ``b`` and norm product ``N``.
     """
-    span = len(a) // 2 if parity else len(a)
-    half = span // 2 if reflection else span
+    half = _multiplied(len(a), parity, reflection)
     G, E, order = _segment_pairs(a[:half], b[:half], gammas, T / len(a))
     if reflection is not None:
         G = _reflected(reflection, G)
@@ -561,6 +575,19 @@ def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | No
         G = _parity_product(parity, G)
     bound = functools.partial(_product_bound, E, order, reflection is not None)
     return Traces(G, T, half_period=parity is not None, bound=bound)
+
+
+def _multiplied(n_seg: int, parity: Axis | None, reflection: Axis | None) -> int:
+    """How many leading segments of ``n_seg`` :func:`piecewise_traces` multiplies."""
+    span = n_seg // 2 if parity else n_seg
+    return span // 2 if reflection else span
+
+
+def span_rows(a, b, parity: Axis | None, reflection: Axis | None) -> int:
+    """The distinct segment rows that :func:`piecewise_traces` stacks per
+    cell: its arrays, and so its memory per cell, grow with them."""
+    half = _multiplied(len(a), parity, reflection)
+    return len(_plan(a[:half], b[:half])[1][0])
 
 
 def monodromy(

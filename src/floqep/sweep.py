@@ -4,25 +4,25 @@ A preset is affine in gamma: the piecewise and ``floquet`` engines and
 the spectral Berry pass evaluate it on its split
 :meth:`~floqep.model.PresetTemplate.parts`.  Every engine evaluates a
 list of (gamma, omega) cells through one function, :func:`_map_cells`:
-the piecewise engine in fixed-size blocks of cells, each one call of the
-batched segment-product kernel, over half the period where the preset
-has the half-period parity and half again where it has the time
-reflection (see :mod:`floqep.propagator`); the
-``floquet`` engine in stacked eigensolves of one parity sector (see
-:mod:`floqep.floquet`); the ``monodromy-integrate`` engine cell by cell.
-A map runs the piecewise engine as one in-process task, and the other
-two as one task per omega row over a process pool, reassembled by index;
-block and stack sizes are constants, so the output is bit-identical for
-any worker count.  Numerical failures become NaN sentinel cells,
-summarised in one log line; more than 1% failures aborts the sweep.  EP
-contours come from the indicator on the grid blocks, a bisection of
-every sign-change bracket, and one batched classification of the roots;
-a bisection pass evaluates, in one kernel call, the midpoints of every
-bracket down the path towards its secant root, under a small full tree
-that hedges the estimate.  A Berry sweep runs each loop in drive
-phase, so it takes no omega, and in-process, one route per family: a
-square loop as the polygon of its segment vectors, a smooth loop by the
-spectral route in stacked passes, NaN where that route declines.
+the piecewise engine in blocks of cells, each one call of the batched
+segment-product kernel, over half the period where the preset has the
+half-period parity and half again where it has the time reflection (see
+:mod:`floqep.propagator`); the ``floquet`` engine in stacked eigensolves
+of one parity sector (see :mod:`floqep.floquet`); the
+``monodromy-integrate`` engine cell by cell.  A map runs the piecewise
+engine as one in-process task, and the other two as one task per omega
+row over a process pool, reassembled by index; block and stack sizes
+are fixed per preset, so the output is bit-identical for any worker
+count.  Numerical failures become NaN sentinel cells, summarised in one
+log line; more than 1% failures aborts the sweep.  EP contours come from
+the indicator on the grid blocks and a bisection of every sign-change
+bracket; a bisection pass evaluates, in one kernel call, the midpoints
+of every bracket down the path towards an estimate of its root, under a
+small full tree that hedges the estimate, and a root's kind comes from
+the traces of the call that evaluated it.  A Berry sweep runs each loop
+in drive phase, so it takes no omega, and in-process, one route per
+family: a square loop as the polygon of its segment vectors, a smooth
+loop by the spectral route in stacked passes, NaN where that route declines.
 """
 
 from __future__ import annotations
@@ -73,7 +73,12 @@ INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 FAILURE_BUDGET = 0.01  # a larger share of failed cells aborts a map
 MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
-# cells per kernel call; fixed, so no result depends on how a grid is split
+# cells per block, fixed per preset, so no result depends on how a grid is
+# split: a piecewise kernel call stacks each distinct segment row of its
+# span for every cell, so it holds BLOCK_ROWS // rows cells of a span of
+# ``rows`` rows (see _block_cells), BLOCK_CELLS at 4 rows; an integrate
+# block holds BLOCK_CELLS
+BLOCK_ROWS = 2048
 BLOCK_CELLS = 512
 
 
@@ -224,10 +229,21 @@ def _segment_symmetries(template: PresetTemplate):
     return half_period_parity(model), time_reflection(model)
 
 
+@functools.lru_cache(maxsize=32)
+def _block_cells(template: PresetTemplate, engine: str) -> int:
+    """Cells per block of :func:`_block_propagators`: ``BLOCK_ROWS // rows``
+    for the ``rows`` distinct segment rows of the span the piecewise kernel
+    multiplies (:func:`~floqep.propagator.span_rows`), else
+    :data:`BLOCK_CELLS`."""
+    if engine != "monodromy-piecewise":
+        return BLOCK_CELLS
+    return BLOCK_ROWS // propagator.span_rows(*_segment_vectors(template), *_segment_symmetries(template))
+
+
 def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     """Propagator traces at the cells ``(gammas[k], omegas[k])``, block by block.
 
-    Yields ``(cells, T, traces)`` per block of :data:`BLOCK_CELLS`: the
+    Yields ``(cells, T, traces)`` per block of :func:`_block_cells`: the
     slice, the periods and the :class:`~floqep.propagator.Traces`.  The
     piecewise engine is one kernel call per block, over the span and the
     half of it that the preset's parity and reflection leave, and
@@ -239,8 +255,9 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
         symmetries = _segment_symmetries(template)
-    for start in range(0, len(gammas), BLOCK_CELLS):
-        cells = slice(start, start + BLOCK_CELLS)
+    size = _block_cells(template, engine)
+    for start in range(0, len(gammas), size):
+        cells = slice(start, start + size)
         T = 2.0 * math.pi / omegas[cells]
         if engine == "monodromy-piecewise":
             traces = piecewise_traces(a, b, gammas[cells], T, *symmetries)
@@ -254,14 +271,21 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
                 G[..., k] = G_k.real, G_k.imag
             traces = Traces(G, T, half_period=False)
         yield cells, T, traces
+        del traces  # before the next block's kernel call, as the callers do
 
 
-def _indicator_at(template: PresetTemplate, gammas, omegas, engine) -> np.ndarray:
+def _indicator_at(template: PresetTemplate, gammas, omegas, engine, roots: list) -> np.ndarray:
     """EP indicator ``f`` at the cells; NaN where the propagator is not
-    finite (see :func:`_finite`)."""
+    finite (see :func:`_finite`).  Each block with root cells, ``|f| <=
+    ROOT_TOL``, appends their gammas, omegas, ``f`` and traces to ``roots``
+    (see :func:`_classify_root`)."""
     f = np.empty(len(gammas))
     for cells, _, traces in _block_propagators(template, gammas, omegas, engine):
-        f[cells] = indicator_from_trace(traces.half_trace)
+        f[cells] = f_block = indicator_from_trace(traces.half_trace)
+        at = np.flatnonzero(np.abs(f_block) <= ROOT_TOL)
+        if at.size:
+            roots.append((gammas[cells][at], omegas[cells][at], f_block[at], traces.take(at)))
+        del traces
     return f
 
 
@@ -342,6 +366,7 @@ def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omega
         values[cells] = np.abs(traces.eps_F.imag)
         if undecided is not None:
             undecided += int(np.count_nonzero(_undecided(traces, T)))
+        del traces
     return values, undecided, []
 
 
@@ -457,13 +482,15 @@ def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float,
     return windows
 
 
-def _classify_root(template, gammas, omegas, engine) -> list[EPKind]:
-    """Kinds of the roots at the cells ``(gammas[k], omegas[k])``, in one batch."""
-    kinds = []
-    for _, _, traces in _block_propagators(template, gammas, omegas, engine):
-        f = indicator_from_trace(traces.half_trace)
-        kinds.extend(root_kinds(f, traces.defectiveness))
-    return kinds
+def _classify_root(roots: list) -> dict[tuple[float, float], EPKind]:
+    """The kind of each root cell of ``roots`` (from :func:`_indicator_at`)
+    under its ``(gamma, omega)``: the traces their kernel calls built, so
+    the defectiveness is formed once, on those cells alone."""
+    if not roots:
+        return {}
+    g, w, f, traces = zip(*roots)
+    kinds = root_kinds(np.concatenate(f), Traces.concat(traces).defectiveness)
+    return dict(zip(zip(np.concatenate(g).tolist(), np.concatenate(w).tolist()), kinds))
 
 
 def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
@@ -479,107 +506,141 @@ def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
     midpoints of each of the ``n`` active brackets, each the midpoint of
     the ends that one step at a time would hold: a full tree of the top
     ``hedge`` levels, then one midpoint per level down the path towards
-    the root of the secant through the ends on ``asinh(f)`` (``|f|`` grows
-    exponentially in gamma), no deeper than the bracket can use.  A
+    an estimate of the root, no deeper than the bracket can use.  A
     bracket walks down by the one-step rule until it stops or reaches a
     midpoint not evaluated, where ``f`` leaves the predicted path: the
-    same roots, bit for bit.  With ``k = floor(log2(pass_cells // n + 1))``
-    the depth of the full tree the cells hold, ``hedge`` is one level
-    short of it on the first pass (and at least one level); then it is
-    ``k`` after a pass on which the estimate held for fewer than ``k``
-    levels, and one (the path alone) after one on which it held for
-    ``k``.  ``steps`` sums the steps walked.  A non-finite node raises
-    ``NumericalError`` only if the walk reads it.
+    same roots, bit for bit, whatever the estimate.
+
+    The estimate is the root of the secant through the ends on
+    ``asinh(f)`` (``|f|`` grows exponentially in gamma).  Once a walk has
+    left a third point behind (the latest midpoint it passed, else an end
+    it replaced), the root of the quadratic in ``f`` through the three
+    points replaces it (inverse quadratic interpolation, as in Brent's
+    method) where that root is nearer the secant's than either end.  With
+    ``k = floor(log2(pass_cells // n + 1))`` the depth of the full tree
+    the cells hold, ``hedge`` is one level short of it on the first pass
+    (and at least one level), where the untested estimate's path takes at
+    most ``hedge + 2`` levels; then it is ``k`` after a pass on which the
+    estimate held for fewer than ``k`` levels, and one (the path alone)
+    after one on which it held for ``k``.  ``steps`` sums the steps
+    walked.  A non-finite node raises ``NumericalError`` only if the walk
+    reads it.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # of the active brackets
-    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
-    up = flo > 0  # lo only ever moves to a midpoint where f has this sign
-    roots = np.full(lo.size, np.nan)
-    active = np.arange(lo.size)
-    room = np.full(lo.size, MAX_BISECTIONS)  # the steps each bracket may still take
-    held = None  # per bracket: the estimate led its last walk as deep as the full tree
+    # of the active brackets: lo, hi and the third point (NaN until a walk
+    # leaves one), then f at each
+    nan = np.full(np.shape(lo), np.nan)
+    points = np.array([lo, hi, nan, flo, fhi, nan], dtype=float).reshape(2, 3, -1)
+    # of the active brackets: the index, the steps it may still take, the
+    # sign of f that moves lo, and whether the estimate led its last walk as
+    # deep as the full tree
+    n = points.shape[2]
+    index, room, up, held = state = np.zeros((4, n), dtype=int)
+    index[:], room[:], up[:] = np.arange(n), MAX_BISECTIONS, points[1, 0] > 0
+    roots = np.full(n, np.nan)
     passes = cells = steps = 0
-    while active.size:
-        n = active.size
-        row = np.arange(n)
+    while state.shape[1]:
+        index, room, up, held = state
+        n = state.shape[1]
         budget = max(1, pass_cells // n)
         k = (budget + 1).bit_length() - 1  # the depth of the full tree the budget holds
+        (lo, hi, _), (f_lo, _, f3) = xs, fs = points
         with np.errstate(all="ignore"):
-            a_lo, a_hi = np.arcsinh(flo), np.arcsinh(fhi)
-            x = lo + (hi - lo) * (a_lo / (a_lo - a_hi))  # the secant's root
+            a_lo, a_hi = np.arcsinh(fs[:2])
+            width, rise = hi - lo, a_lo - a_hi
+            x = lo + width * (a_lo / rise)  # the secant's root
             # about the levels until the width and |f| ~ slope * width are
             # within ROOT_TOL; two more allow for the slope's error
-            need = np.frexp(np.maximum(hi - lo, np.abs(a_hi - a_lo)) / ROOT_TOL)[1]
+            need = np.frexp(np.maximum(width, np.abs(rise)) / ROOT_TOL)[1]
+            if passes:  # Neville's scheme for x(f) at f = 0
+                x_01, x_12 = (xs[:2] * fs[1:] - xs[1:] * fs[:2]) / (fs[1:] - fs[:2])
+                quad = (x_01 * f3 - x_12 * f_lo) / (f3 - f_lo)
+                x = np.where(np.abs(quad - x) < np.minimum(x - lo, hi - x), quad, x)
         cap = np.minimum(room, np.maximum(need, 0) + 2)
-        hedge = np.minimum(max(1, k - 1) if held is None else np.where(held, 1, k), cap)
+        hedge = np.minimum(np.where(held, 1, k) if passes else max(1, k - 1), cap)
         depth = np.minimum(hedge + (budget + 1) - (1 << hedge), cap)
+        if not passes:
+            depth = np.minimum(depth, 2 * hedge + 2)
         H, D = int(hedge.max()), int(depth.max())
-        # nodes: the hedge tree of H levels by columns, then the predicted
-        # path, one row per level
-        span = 1 << H
-        half = span >> np.arange(1, H + 1)
-        nodes = np.empty((span + 1 + D, n))
-        nodes[0], nodes[span] = lo, hi
-        for h in half.tolist():
-            nodes[h:span:2 * h] = 0.5 * (nodes[:span - h:2 * h] + nodes[2 * h:span + 1:2 * h])
-        end_lo, end_hi = np.empty((D, n)), np.empty((D, n))  # each level's bracket
-        right = np.empty((D, n), dtype=bool)  # the step the estimate predicts
-        plo, phi = lo, hi
-        for lv in range(D):
-            m = plo + phi
+        # rows: the hedge tree of H levels by columns, then the predicted
+        # path, one row per level, and the ends below its last; planes: the
+        # lower end, the node (the midpoint of its ends), the upper end, f
+        span, top = 1 << H, (1 << H) + 1
+        halves = [span >> i for i in range(1, H + 1)]
+        table = np.empty((4, top + D + 1, n))
+        node, f = table[1], table[3]
+        node[0], node[span] = lo, hi
+        for h in halves:
+            node[h:span:2 * h] = (node[:span - h:2 * h] + node[2 * h:span + 1:2 * h]) * 0.5
+        col = np.arange(1, span)
+        lowbit = col & -col  # half a node's width, in columns
+        node.take(col - lowbit, axis=0, out=table[0, 1:span])
+        node.take(col + lowbit, axis=0, out=table[2, 1:span])
+        table[0, top], table[2, top] = lo, hi
+        right = np.empty((D, n), dtype=bool)  # per level: the estimate steps right
+        for r in range(top, top + D):
+            m = np.add(table[0, r], table[2, r], out=node[r])
             m *= 0.5
-            r = np.greater(x, m, out=right[lv])
-            end_lo[lv], end_hi[lv] = plo, phi
-            nodes[span + 1 + lv] = m
-            plo, phi = np.where(r, m, plo), np.where(r, phi, m)
+            table[0:3:2, r + 1] = np.where(np.greater(x, m, out=right[r - top]), table[1:3, r], table[0:2, r])
         level = np.arange(D)[:, None]
-        in_hedge = level < hedge
-        wanted = np.zeros(nodes.shape, dtype=bool)
-        lowbit = np.arange(1, span) & -np.arange(1, span)  # half a node's width, in columns
-        wanted[1:span] = lowbit[:, None] >= span >> hedge
-        wanted[span + 1:] = ~in_hedge & (level < depth)
-        f = np.full(nodes.shape, np.nan)
-        f[wanted] = fx = f_at(nodes[wanted], active[np.nonzero(wanted)[1]])
+        on_path = level >= hedge
+        wanted = np.zeros(node.shape, dtype=bool)
+        np.greater_equal(lowbit[:, None], span >> hedge, out=wanted[1:span])
+        np.less(level, depth, out=wanted[top:top + D], where=on_path)
+        wanted = np.flatnonzero(wanted)
+        f.fill(np.nan)
+        fx = f_at(node.take(wanted), index[wanted % n])
+        f.put(wanted, fx)
         passes, cells = passes + 1, cells + fx.size
-        # the walk: down the hedge by the signs, then along the path
-        right_of = (f > 0) == up
-        left, lefts = np.zeros(n, dtype=int), []
-        for h in half.tolist():
-            lefts.append(left)
-            left = left + h * right_of[left + h, row]
-        lefts = np.array(lefts)
-        cols = lefts + half[:, None]
-        at = (span + 1 + level).repeat(n, axis=1)  # the node each level's step reads
-        at[:H] = np.where(in_hedge[:H], cols, at[:H])
-        end_lo[:H] = np.where(in_hedge[:H], nodes[lefts, row], end_lo[:H])
-        end_hi[:H] = np.where(in_hedge[:H], nodes[cols + half[:, None], row], end_hi[:H])
-        mid, fmid = nodes[at, row], f[at, row]
+        # the walk: down the tree by the signs, then along the path; at: the
+        # flat index of the node each level's step reads
+        right_of = ((f[:span] > 0) == up).ravel()
+        path_at = np.arange(top * n, (top + D) * n).reshape(D, n)
+        at = np.empty((D, n), dtype=int)
+        left = row = path_at[0] - top * n
+        for lv, h in enumerate(halves):
+            c = np.add(left, h * n, out=at[lv])
+            left = np.where(right_of.take(c), c, left)
+        np.copyto(at, path_at, where=on_path)
+        mid_lo, mid, mid_hi, fmid = step = table.reshape(4, -1).take(at, axis=1)
         go_right = (fmid > 0) == up
-        on_path = np.logical_and.accumulate(go_right == right, axis=0)  # the estimate held
-        known = in_hedge.copy()
-        known[1:] |= on_path[:-1] & (level[1:] < depth)
-        done = ((end_hi - end_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
-        # a midpoint that rounds onto an end leaves the bracket as it is, for good
-        stop = done | (mid == end_lo) | (mid == end_hi)
-        walked = known.copy()  # up to the first stop
-        walked[1:] &= np.logical_and.accumulate(known & ~stop, axis=0)[:-1]
-        _finite(fmid[walked])
-        walked_n = walked.sum(axis=0)
+        off_path = np.ones((D + 1, n), dtype=bool)  # the row below the last: off every path
+        np.not_equal(go_right, right, out=off_path[:D])
+        held_for = off_path.argmax(axis=0)  # the levels the estimate held
+        # the levels known: the tree, then the path while the estimate held
+        known = np.maximum(hedge, np.minimum(held_for + 1, depth))
+        done = ((mid_hi - mid_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
+        # a midpoint that rounds onto an end leaves the bracket as it is, for
+        # good; the row below the last stops every walk
+        stop = np.ones((D + 1, n), dtype=bool)
+        np.logical_or(done, mid == mid_lo, out=stop[:D])
+        stop[:D] |= mid == mid_hi
+        first_stop = stop.argmax(axis=0)
+        walked_n = np.minimum(known, first_stop + 1)
+        walked = level < walked_n
+        if not np.isfinite(fx).all():
+            _finite(fmid[walked])
         steps += int(walked_n.sum())
         room -= walked_n
         last = walked_n - 1
-        ended = stop[last, row]
+        ended = first_stop < known
         found = ended & done[last, row]
-        roots[active[found]] = mid[last, row][found]
-        held = on_path.sum(axis=0) >= np.minimum(k, depth)
-        # the bracket that remains: its last midpoints with a step right, and left
-        i_lo = np.where(walked & go_right, level, -1).max(axis=0)
-        i_hi = np.where(walked & ~go_right, level, -1).max(axis=0)
-        lo, flo = np.where(i_lo < 0, lo, mid[i_lo, row]), np.where(i_lo < 0, flo, fmid[i_lo, row])
-        hi, fhi = np.where(i_hi < 0, hi, mid[i_hi, row]), np.where(i_hi < 0, fhi, fmid[i_hi, row])
+        roots[index[found]] = mid[last, row][found]
+        held[:] = held_for >= np.minimum(k, depth)
+        # the points that remain: the last midpoints with a step right and
+        # left, the new ends, and the latest midpoint walked past, else an
+        # end the walk replaced (lo before hi)
+        rightward = walked & go_right
+        i_lo = np.where(rightward, level, -1).max(axis=0)
+        i_hi = np.where(walked ^ rightward, level, -1).max(axis=0)
+        # the other end is the walk's last level or the one before it
+        i_3 = last - 1 - (np.minimum(i_lo, i_hi) == last - 1)
+        keep = np.concatenate([step[1::2], points], axis=1)  # the walk's points, then the old ones
+        # the old lo, hi and third point are at D, D + 1 and D + 2; a walk
+        # moves an end, so the one it replaced falls back to lo or hi
+        at = np.array([i_lo % (D + 1), i_hi % (D + 2), np.where(i_3 < 0, D + (i_lo < 0), i_3)])
+        points = keep[:, at, row]
         go_on = ~ended & (room > 0)
-        active, lo, hi, flo, fhi, up, held, room = (
-            v[go_on] for v in (active, lo, hi, flo, fhi, up, held, room))
+        points, state = points[..., go_on], state[:, go_on]
     return roots, passes, cells, steps
 
 
@@ -596,7 +657,11 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     ``refinement`` counts the brackets, the roots on grid nodes, the
     passes, the cells they evaluated, the one-midpoint steps walked
     (summed over the brackets; ``cells - steps`` were evaluated ahead of
-    a walk that did not need them), and the brackets found and lost.
+    a walk that did not need them), the kernel calls (grid blocks plus
+    passes, a pass over more cells than a block taking more), and the
+    brackets found and lost.  Every kernel call classifies the cells
+    where ``|f| <= ROOT_TOL`` from its own traces (see
+    :func:`_classify_root`), so a root's kind takes no call of its own.
 
     Linking takes the columns in omega order and each column's roots in
     gamma order.  A diabolic root is a singleton line.  The exceptional
@@ -615,8 +680,14 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     omegas = grid.omegas
     dgamma = float(gammas[1] - gammas[0])
 
+    block = _block_cells(template, grid.engine)
+    roots: list = []  # the root cells of every kernel call, by block
+    kernel_calls = 0
+
     def f_at(g, w):
-        return _indicator_at(template, g, w, grid.engine)
+        nonlocal kernel_calls
+        kernel_calls += -(-len(g) // block)
+        return _indicator_at(template, g, w, grid.engine, roots)
 
     fs = _finite(f_at(*grid.cells())).reshape(grid.omega_count, grid.gamma_count)
     # roots on a node (tangency roots never change sign), then brackets
@@ -630,7 +701,7 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
         lambda g, b: f_at(g, w_br[b]),
         gammas[br_i], gammas[br_i + 1], f0[br_j, br_i], f1[br_j, br_i],
         # a kernel call costs nearly the same up to a block; the oracle pays per cell
-        BLOCK_CELLS if grid.engine == "monodromy-piecewise" else 1,
+        block if grid.engine == "monodromy-piecewise" else 1,
     )
     lost = np.isnan(found)
     for k in np.flatnonzero(lost):
@@ -640,14 +711,14 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
         )
 
     root_j = np.concatenate([node_j, br_j[~lost]])
-    root_g = np.concatenate([gammas[node_i], found[~lost]])
-    kinds = _classify_root(template, root_g, omegas[root_j], grid.engine)
+    root_g = np.concatenate([gammas[node_i], found[~lost]]).tolist()
+    kinds = _classify_root(roots)
     column_roots: list[list[tuple[float, EPKind]]] = [[] for _ in omegas]
-    for j, g, kind in zip(root_j, root_g, kinds):
-        column_roots[j].append((float(g), kind))
+    for j, g, w in zip(root_j, root_g, omegas[root_j].tolist()):
+        column_roots[j].append((g, kinds[g, w]))
     refinement = {"brackets": br_i.size, "node_roots": node_i.size, "passes": passes,
-                  "cells": cells, "steps": steps, "found": br_i.size - lost.sum(),
-                  "lost": lost.sum()}
+                  "cells": cells, "steps": steps, "kernel_calls": kernel_calls,
+                  "found": br_i.size - lost.sum(), "lost": lost.sum()}
     return EPContourSet(
         contours=tuple(map(tuple, _link_ep_roots(omegas, column_roots, dgamma))),
         tolerance=ROOT_TOL,

@@ -169,6 +169,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="JSON"):
             load_config(p)
 
+    def test_unreadable_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="^cannot read config file .*: Is a directory$"):
+            load_config(tmp_path)
+
 
 class TestPhaseDiagramCommand:
     def test_writes_outputs_and_reruns_identically(self, tmp_path):
@@ -259,6 +263,43 @@ class TestPhaseDiagramCommand:
 
     def test_exit_1_on_missing_config(self):
         assert cli.main(["phase-diagram"]) == 1
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "ep-contours", "berry", "spectrum-scan"])
+    def test_exit_1_on_a_directory_as_config(self, tmp_path, capsys, command):
+        assert cli.main([command, "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot read config file {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command, compute", [
+        ("phase-diagram", "phase_diagram"), ("ep-contours", "trace_ep_contours"),
+        ("berry", "berry_gamma_sweep"), ("spectrum-scan", "spectrum_region_scan"),
+    ])
+    def test_exit_1_on_a_file_as_output_directory(self, tmp_path, capsys, monkeypatch, command, compute):
+        # before any computation: the run would otherwise fail only when it writes
+        p = tmp_path / "cfg.json"
+        write_config(p, gamma={"min": 0.1, "max": 1.2, "count": 4})
+        out = tmp_path / "taken"
+        out.write_text("a file")
+        monkeypatch.setattr(cli, compute, lambda *a, **kw: pytest.fail("computed"))
+        assert cli.main([command, "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: cannot create output directory {out}: File exists"]
+        assert out.read_text() == "a file"
+
+    def test_failed_run_removes_the_output_directory_it_made(self, tmp_path, monkeypatch):
+        p = tmp_path / "cfg.json"
+        write_config(p)
+
+        def fail(*args, **kwargs):
+            assert (tmp_path / "out").is_dir()  # made before the computation
+            raise cli.NumericalError("no")
+
+        monkeypatch.setattr(cli, "phase_diagram", fail)
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "out").mkdir()
+        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
+        assert (tmp_path / "out").is_dir()  # one that was there stays
 
     def test_exit_1_on_scalar_axis(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -133,6 +133,7 @@ def test_map_blocks_match_single_cells(n_cells, engine):
     # an integrate column is longer than a block
     tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
     grid = GridSpec(0.0, 5.0, n_cells, 0.4, 2.8, 2, engine=f"monodromy-{engine}")
+    assert sweep_mod._block_cells(tpl, grid.engine) == sweep_mod.BLOCK_CELLS  # its 4-row span
     values = phase_diagram(tpl, grid).values
     rng = np.random.default_rng(n_cells)
     for j, i in zip(rng.integers(0, 2, 12), rng.integers(0, n_cells, 12)):

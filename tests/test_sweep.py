@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -21,6 +22,7 @@ from floqep.propagator import (
     indicator_from_trace,
     monodromy,
     piecewise_traces,
+    root_kinds,
     segment_hamiltonians,
 )
 from floqep.sweep import (
@@ -43,6 +45,12 @@ from floqep.sweep import (
 PT3 = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
 APT3 = PresetTemplate("apt-cosx-siny", beta=3, family="square")  # the C05 model: reflected
 PT3_SMOOTH = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
+# the ep-contours benchmark's grids at seeds 1-3 (its 128x24 shape, jittered)
+BENCH_GRIDS = [
+    GridSpec(0.0, 5.08271687071928, 128, 0.20260572287649456, 2.9937473792716625, 24),
+    GridSpec(0.0, 4.9887467361092925, 128, 0.20159773011458626, 2.946846347343983, 24),
+    GridSpec(0.0, 4.961567344169439, 128, 0.19822875307917653, 2.992495375445624, 24),
+]
 
 
 class TestGridSpec:
@@ -343,7 +351,7 @@ class TestHalfPeriodRoute:
         gammas = np.concatenate([grid.cells()[0], [pt.gamma for pt in roots]])
         omegas = np.concatenate([grid.cells()[1], [pt.omega for pt in roots]])
         (_, _, traces), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
-        kinds = sweep_mod._classify_root(tpl, gammas, omegas, grid.engine)
+        kinds = root_kinds(indicator_from_trace(traces.half_trace), traces.defectiveness)
         for k, (g, w) in enumerate(zip(gammas, omegas)):
             r = monodromy(tpl.instantiate(g, w), "piecewise")
             if k < values.size:
@@ -660,7 +668,7 @@ class TestEPContours:
         # rather than re-evaluated up to MAX_BISECTIONS times
         calls = []
 
-        def step(template, gammas, omegas, engine):
+        def step(template, gammas, omegas, engine, roots):
             calls.append(len(gammas))
             return np.where(np.asarray(gammas) < 0.3, -1.0, 1.0)
 
@@ -679,19 +687,20 @@ class TestEPContours:
         # MAX_BISECTIONS passes
         lo, hi = grid.gammas[[2, 2]], grid.gammas[[3, 3]]
         _, want = _reference_refine(lambda x, b: np.where(x < 0.3, -1.0, 1.0), lo, hi, [-1.0, -1.0])
-        assert calls[0] == 22 and max(calls[1:]) <= sweep_mod.BLOCK_CELLS
+        assert calls[0] == 22 and max(calls[1:]) <= sweep_mod._block_cells(PT3, grid.engine) == 512
         assert len(calls) - 1 <= _tree_passes(want) <= -(-54 // 8) + 1 < sweep_mod.MAX_BISECTIONS
         assert cs.metadata["refinement"] == {
             "brackets": 2, "node_roots": 0, "passes": len(calls) - 1,
-            "cells": sum(calls[1:]), "steps": want.sum(), "found": 0, "lost": 2,
+            "cells": sum(calls[1:]), "steps": want.sum(), "kernel_calls": len(calls),
+            "found": 0, "lost": 2,
         }
 
     @pytest.mark.parametrize(
         "template, grid, max_calls",
         [
-            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 12),  # the ep-contours benchmark's shape
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 7),  # the ep-contours benchmark's shape
             (APT3, GridSpec(0.0, 1.5, 151, 0.05, 0.1, 2), None),  # criterion C05's grid
-            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 240), None),  # over BLOCK_CELLS brackets
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 240), None),  # more brackets than a call holds
             (APT3, GridSpec(0.0, 5.0, 24, 0.2, 3.0, 6, engine="monodromy-integrate"), None),
         ],
         ids=["benchmark-shape", "c05", "many-brackets", "integrate"],
@@ -723,7 +732,10 @@ class TestEPContours:
         if grid.engine == "monodromy-integrate":
             assert not traced and cells == steps  # one step per pass: no extra cell
         else:
-            assert 0 < max(traced) <= sweep_mod.BLOCK_CELLS
+            # every call within the size the span's distinct segment rows set, the
+            # passes' budget too
+            assert 0 < max(traced) <= pass_cells == sweep_mod._block_cells(template, grid.engine)
+            assert record["kernel_calls"] == len(traced)
         if max_calls is not None:
             assert len(traced) <= max_calls
 
@@ -829,6 +841,99 @@ class TestEPContours:
         grid = GridSpec(0.0, 1.0, 11, 0.6, 1.0, 3, engine="floquet")
         with pytest.raises(ValueError, match="monodromy"):
             trace_ep_contours(PT3_SMOOTH, grid)
+
+    @pytest.mark.parametrize("grid", BENCH_GRIDS, ids=["seed1", "seed2", "seed3"])
+    def test_benchmark_grids_take_seven_kernel_calls(self, monkeypatch, grid):
+        # three grid blocks and four passes of 1024 cells, where 512-cell
+        # calls took six blocks, five passes and a classification call
+        calls = []
+        kernel = sweep_mod.piecewise_traces
+        monkeypatch.setattr(sweep_mod, "piecewise_traces",
+                            lambda a, b, g, *rest: (calls.append(len(g)), kernel(a, b, g, *rest))[1])
+        record = trace_ep_contours(APT3, grid).metadata["refinement"]
+        assert record["kernel_calls"] == len(calls) <= 7 and record["passes"] == len(calls) - 3
+        assert calls[:3] == [1024] * 3 and max(calls) <= sweep_mod._block_cells(APT3, grid.engine) == 1024
+
+    @pytest.mark.parametrize(
+        "template, grid, node_roots",
+        [
+            *((APT3, grid, 0) for grid in BENCH_GRIDS),
+            (APT3, GridSpec(0.0, 1.5, 151, 0.05, 0.1, 2), 2),  # criterion C05's grid
+            (APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 240), 1),
+            (PresetTemplate("pt-cosy-sinz", beta=4, family="square"), GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24), 1),
+            (APT3, GridSpec(0.0, 5.0, 24, 0.2, 3.0, 6, engine="monodromy-integrate"), 1),
+        ],
+        ids=["seed1", "seed2", "seed3", "c05", "128x240", "pt-cosy-sinz-4", "integrate"],
+    )
+    def test_kinds_from_the_passes_match_one_call(self, template, grid, node_roots):
+        # each root's kind comes from the kernel call that evaluated it: the
+        # grid block for a root on a node, the pass for a bisected one; one
+        # call over all the roots must give the same kinds
+        cs = trace_ep_contours(template, grid)
+        points = [pt for line in cs.contours for pt in line]
+        gammas, omegas = (np.array(v) for v in zip(*((pt.gamma, pt.omega) for pt in points)))
+        blocks = list(sweep_mod._block_propagators(template, gammas, omegas, grid.engine))
+        assert len(blocks) == 1
+        (_, _, traces), = blocks
+        want = root_kinds(indicator_from_trace(traces.half_trace), traces.defectiveness)
+        assert [pt.kind for pt in points] == [kind.value for kind in want]
+        record = cs.metadata["refinement"]
+        assert np.count_nonzero(np.isin(gammas, grid.gammas)) == record["node_roots"] == node_roots
+        assert len(points) == node_roots + record["found"] and record["found"] > 0
+        if grid.omega_max == 0.1:  # C05's root at the static limit stays an exceptional point
+            assert [pt.kind for pt in points if pt.omega == 0.05 and round(pt.gamma, 6) == 0.14326] == ["EP"]
+
+
+# cells per kernel call of each square preset: BLOCK_ROWS over the distinct
+# segment rows of the span the kernel multiplies
+BLOCK_SIZES = {
+    ("apt-cosx-siny", 1): 2048, ("apt-cosx-siny", 2): 1024, ("apt-cosx-siny", 3): 1024, ("apt-cosx-siny", 4): 512,
+    ("apt-cosx-cosy", 1): 1024, ("apt-cosx-cosy", 2): 512, ("apt-cosx-cosy", 3): 512, ("apt-cosx-cosy", 4): 512,
+    ("pt-cosy-cosz", 1): 1024, ("pt-cosy-cosz", 2): 512, ("pt-cosy-cosz", 3): 512, ("pt-cosy-cosz", 4): 512,
+    ("pt-cosy-sinz", 1): 2048, ("pt-cosy-sinz", 2): 1024, ("pt-cosy-sinz", 3): 1024, ("pt-cosy-sinz", 4): 512,
+}
+
+
+class TestBlockSizes:
+    @pytest.mark.parametrize("name, beta", sorted(BLOCK_SIZES))
+    def test_cells_per_call(self, monkeypatch, name, beta):
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        size = BLOCK_SIZES[name, beta]
+        rows = propagator_mod.span_rows(*sweep_mod._segment_vectors(tpl), *sweep_mod._segment_symmetries(tpl))
+        assert sweep_mod._block_cells(tpl, "monodromy-piecewise") == size == sweep_mod.BLOCK_ROWS // rows
+        assert sweep_mod._block_cells(tpl, "monodromy-integrate") == sweep_mod.BLOCK_CELLS
+        calls = []
+        kernel = sweep_mod.piecewise_traces
+        monkeypatch.setattr(sweep_mod, "piecewise_traces",
+                            lambda a, b, g, *rest: (calls.append(len(g)), kernel(a, b, g, *rest))[1])
+        phase_diagram(tpl, GridSpec(0.0, 5.0, size + 3, 0.2, 3.0, 2))
+        assert calls == [size, size, 6]
+
+    def test_the_square_map_keeps_its_calls(self):
+        assert BLOCK_SIZES["pt-cosy-cosz", 3] == sweep_mod.BLOCK_CELLS == 512
+
+    @pytest.mark.parametrize(
+        "run, limit_mib",
+        [
+            # 0.83 MiB at 1024-cell calls; 2048-cell ones would take 1.15
+            (lambda: trace_ep_contours(APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)), 1.0),
+            # 0.59 MiB at 512-cell calls; 1024-cell ones would take 1.03
+            (lambda: phase_diagram(PT3, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24)), 0.80),
+        ],
+        ids=["ep-contours", "square-map"],
+    )
+    def test_peak_traced_memory(self, run, limit_mib):
+        # the benchmark's shapes: the peak of numpy's and Python's allocations
+        if tracemalloc.is_tracing():
+            pytest.skip("tracemalloc is already tracing")
+        run()  # warm-up: the cached preset plans
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20
 
 
 class TestBerrySweep:
@@ -1153,11 +1258,13 @@ class TestPersistence:
         loaded = load(p1)
         assert isinstance(loaded, EPContourSet)
         assert set(loaded.metadata["refinement"]) == {
-            "brackets", "node_roots", "passes", "cells", "steps", "found", "lost",
+            "brackets", "node_roots", "passes", "cells", "steps", "kernel_calls", "found", "lost",
         }
         p2 = tmp_path / "c2.csv"
         persist(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        sidecars = [json.loads(p.with_name(p.name + ".meta.json").read_text()) for p in (p1, p2)]
+        assert sidecars[0] == sidecars[1] and sidecars[1]["metadata"]["refinement"] == cs.metadata["refinement"]
 
     def test_berry_roundtrip(self, tmp_path):
         tpl = PresetTemplate("apt-cosx-siny", beta=1, family="smooth")
