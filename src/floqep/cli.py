@@ -15,9 +15,9 @@ directory (plus the verify report on stdout).  Log records of the
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -80,25 +80,20 @@ def _load(args) -> RunConfig:
     return load_config(args.config, {k: v for k, v in flags.items() if v is not None})
 
 
-@contextlib.contextmanager
-def _out_dir(config: RunConfig):
-    """The output directory, created before the run computes, so that one
-    that cannot be created is a configuration error rather than a
-    traceback after the run.  A run that fails removes it again if it made
-    it and wrote nothing there."""
+def _out_dir(config: RunConfig) -> Path:
+    """The output directory, checked before the run computes, so that one
+    that cannot be made is a configuration error rather than a traceback
+    after the run.  The run makes it when it writes, so a run that fails
+    leaves none behind."""
     out = Path(config.out_dir)
-    made = not out.exists()
     try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way, no permission, ...
+        there = next(p for p in (out, *out.parents) if p.exists())  # the part that exists
+    except OSError as exc:  # no permission to look
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from None
-    try:
-        yield out
-    except BaseException:
-        if made:
-            with contextlib.suppress(OSError):  # not empty: keep what was written
-                out.rmdir()
-        raise
+    if not there.is_dir() or not os.access(there, os.W_OK | os.X_OK):
+        why = "not a directory" if not there.is_dir() else "not writable"
+        raise ConfigError(f"cannot create output directory {out}: {there} is {why}")
+    return out
 
 
 def _grid_from(config: RunConfig) -> GridSpec:
@@ -111,88 +106,88 @@ def cmd_phase_diagram(args) -> int:
     config = _load(args)
     tpl = config.template
     grid = _grid_from(config)
-    with _out_dir(config) as out:
-        _progress(
-            f"phase diagram: {tpl.name} beta={tpl.beta} {tpl.family}, "
-            f"{grid.gamma_count}x{grid.omega_count} grid, engine {grid.engine}, "
-            f"{config.threads} thread(s)"
-        )
-        contours = None
-        if args.overlay_contours:  # first: an engine without contours fails before the map
-            _progress("tracing EP contours for overlay")
-            contours = trace_ep_contours(tpl, grid)
-        diagram = phase_diagram(tpl, grid, threads=config.threads, cutoff=config.cutoff)
-        csv_path = persist(diagram, out / "phase_diagram.csv")
-        if contours is not None:
-            persist(contours, out / "ep_contours.csv")
-        render.heatmap_svg(
-            diagram, out / "phase_diagram.svg", contours=contours,
-            title=f"max Im eps: {tpl.label}",
-        )
-        _progress(f"wrote {csv_path} and {out / 'phase_diagram.svg'}")
-        return EXIT_OK
+    out = _out_dir(config)
+    _progress(
+        f"phase diagram: {tpl.name} beta={tpl.beta} {tpl.family}, "
+        f"{grid.gamma_count}x{grid.omega_count} grid, engine {grid.engine}, "
+        f"{config.threads} thread(s)"
+    )
+    contours = None
+    if args.overlay_contours:  # first: an engine without contours fails before the map
+        _progress("tracing EP contours for overlay")
+        contours = trace_ep_contours(tpl, grid)
+    diagram = phase_diagram(tpl, grid, threads=config.threads, cutoff=config.cutoff)
+    csv_path = persist(diagram, out / "phase_diagram.csv")
+    if contours is not None:
+        persist(contours, out / "ep_contours.csv")
+    render.heatmap_svg(
+        diagram, out / "phase_diagram.svg", contours=contours,
+        title=f"max Im eps: {tpl.label}",
+    )
+    _progress(f"wrote {csv_path} and {out / 'phase_diagram.svg'}")
+    return EXIT_OK
 
 
 def cmd_ep_contours(args) -> int:
     config = _load(args)
     tpl = config.template
     grid = _grid_from(config)
-    with _out_dir(config) as out:
-        _progress(
-            f"EP contours: {tpl.name} beta={tpl.beta} {tpl.family}, "
-            f"{grid.gamma_count}x{grid.omega_count} grid"
-        )
-        contours = trace_ep_contours(tpl, grid)
-        csv_path = persist(contours, out / "ep_contours.csv")
-        render.contours_svg(
-            contours,
-            (grid.gamma_min, grid.gamma_max),
-            (grid.omega_min, grid.omega_max),
-            out / "ep_contours.svg",
-            title=f"EP contours: {tpl.label}",
-        )
-        n_pts = sum(len(line) for line in contours.contours)
-        _progress(f"wrote {csv_path} ({len(contours.contours)} contours, {n_pts} points)")
-        return EXIT_OK
+    out = _out_dir(config)
+    _progress(
+        f"EP contours: {tpl.name} beta={tpl.beta} {tpl.family}, "
+        f"{grid.gamma_count}x{grid.omega_count} grid"
+    )
+    contours = trace_ep_contours(tpl, grid)
+    csv_path = persist(contours, out / "ep_contours.csv")
+    render.contours_svg(
+        contours,
+        (grid.gamma_min, grid.gamma_max),
+        (grid.omega_min, grid.omega_max),
+        out / "ep_contours.svg",
+        title=f"EP contours: {tpl.label}",
+    )
+    n_pts = sum(len(line) for line in contours.contours)
+    _progress(f"wrote {csv_path} ({len(contours.contours)} contours, {n_pts} points)")
+    return EXIT_OK
 
 
 def cmd_berry(args) -> int:
     config = _load(args)
     tpl = config.template
-    with _out_dir(config) as out:
-        _progress(f"complex phase sweep: {tpl.name} beta={tpl.beta} {tpl.family}, "
-                  f"{len(config.gammas)} gamma values")
-        sweep = berry_gamma_sweep(tpl, config.gammas)
-        csv_path = persist(sweep, out / "berry.csv")
-        render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
-        routes = [loop["route"] for loop in sweep.metadata["loops"]]
-        _progress(
-            f"wrote {csv_path}; {routes.count('spectral')} spectral, {routes.count('polygon')} "
-            f"polygon and {routes.count('declined')} declined loops, max delta = "
-            f"{sweep.metadata['max_step_delta']}"
-        )
-        return EXIT_OK
+    out = _out_dir(config)
+    _progress(f"complex phase sweep: {tpl.name} beta={tpl.beta} {tpl.family}, "
+              f"{len(config.gammas)} gamma values")
+    sweep = berry_gamma_sweep(tpl, config.gammas)
+    csv_path = persist(sweep, out / "berry.csv")
+    render.berry_svg(sweep, out / "berry.svg", title=f"complex phase: {tpl.label}")
+    routes = [loop["route"] for loop in sweep.metadata["loops"]]
+    _progress(
+        f"wrote {csv_path}; {routes.count('spectral')} spectral, {routes.count('polygon')} "
+        f"polygon and {routes.count('declined')} declined loops, max delta = "
+        f"{sweep.metadata['max_step_delta']}"
+    )
+    return EXIT_OK
 
 
 def cmd_spectrum_scan(args) -> int:
     config = _load(args)
     tpl = config.template
-    with _out_dir(config) as out:
-        _progress(
-            f"instantaneous-spectrum scan: {tpl.name} beta={tpl.beta}, "
-            f"{len(config.gammas)} gamma values"
-        )
-        scan = spectrum_region_scan(tpl, config.gammas)
-        thresholds = [{"gamma": t.gamma, "below": t.below, "above": t.above} for t in scan.thresholds]
-        csv_path = write_table(
-            out / "spectrum_scan.csv",
-            "gamma,classification",
-            csv_lines((map(_fmt, scan.gammas), scan.classifications)),
-            "spectrum-scan",
-            _run_metadata(tpl, samples=SCAN_SAMPLES, thresholds=thresholds),
-        )
-        _progress(f"wrote {csv_path}; thresholds at {[round(t.gamma, 6) for t in scan.thresholds]}")
-        return EXIT_OK
+    out = _out_dir(config)
+    _progress(
+        f"instantaneous-spectrum scan: {tpl.name} beta={tpl.beta}, "
+        f"{len(config.gammas)} gamma values"
+    )
+    scan = spectrum_region_scan(tpl, config.gammas)
+    thresholds = [{"gamma": t.gamma, "below": t.below, "above": t.above} for t in scan.thresholds]
+    csv_path = write_table(
+        out / "spectrum_scan.csv",
+        "gamma,classification",
+        csv_lines((map(_fmt, scan.gammas), scan.classifications)),
+        "spectrum-scan",
+        _run_metadata(tpl, samples=SCAN_SAMPLES, thresholds=thresholds),
+    )
+    _progress(f"wrote {csv_path}; thresholds at {[round(t.gamma, 6) for t in scan.thresholds]}")
+    return EXIT_OK
 
 
 def cmd_verify(args) -> int:

@@ -76,10 +76,13 @@ MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 # cells per block, fixed per preset, so no result depends on how a grid is
 # split: a piecewise kernel call stacks each distinct segment row of its
 # span for every cell, so it holds BLOCK_ROWS // rows cells of a span of
-# ``rows`` rows (see _block_cells), BLOCK_CELLS at 4 rows; an integrate
-# block holds BLOCK_CELLS
+# ``rows`` rows (see _block_cells), BLOCK_CELLS at 4 rows, but no more than
+# MAX_BLOCK_CELLS: the product and reflection buffers do not shrink with
+# the rows, so 2048-cell calls of a 1-row span take ~0.35 MiB more peak
+# heap than 1024-cell ones; an integrate block holds BLOCK_CELLS
 BLOCK_ROWS = 2048
 BLOCK_CELLS = 512
+MAX_BLOCK_CELLS = 1024
 
 
 class FailureBudgetExceeded(RuntimeError):
@@ -231,13 +234,14 @@ def _segment_symmetries(template: PresetTemplate):
 
 @functools.lru_cache(maxsize=32)
 def _block_cells(template: PresetTemplate, engine: str) -> int:
-    """Cells per block of :func:`_block_propagators`: ``BLOCK_ROWS // rows``
-    for the ``rows`` distinct segment rows of the span the piecewise kernel
-    multiplies (:func:`~floqep.propagator.span_rows`), else
-    :data:`BLOCK_CELLS`."""
+    """Cells per block of :func:`_block_propagators`: ``BLOCK_ROWS // rows``,
+    at most :data:`MAX_BLOCK_CELLS`, for the ``rows`` distinct segment rows
+    of the span the piecewise kernel multiplies
+    (:func:`~floqep.propagator.span_rows`), else :data:`BLOCK_CELLS`."""
     if engine != "monodromy-piecewise":
         return BLOCK_CELLS
-    return BLOCK_ROWS // propagator.span_rows(*_segment_vectors(template), *_segment_symmetries(template))
+    rows = propagator.span_rows(*_segment_vectors(template), *_segment_symmetries(template))
+    return min(MAX_BLOCK_CELLS, BLOCK_ROWS // rows)
 
 
 def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
@@ -526,121 +530,109 @@ def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
     walked.  A non-finite node raises ``NumericalError`` only if the walk
     reads it.
     """
-    # of the active brackets: lo, hi and the third point (NaN until a walk
-    # leaves one), then f at each
-    nan = np.full(np.shape(lo), np.nan)
-    points = np.array([lo, hi, nan, flo, fhi, nan], dtype=float).reshape(2, 3, -1)
-    # of the active brackets: the index, the steps it may still take, the
-    # sign of f that moves lo, and whether the estimate led its last walk as
-    # deep as the full tree
-    n = points.shape[2]
-    index, room, up, held = state = np.zeros((4, n), dtype=int)
-    index[:], room[:], up[:] = np.arange(n), MAX_BISECTIONS, points[1, 0] > 0
-    roots = np.full(n, np.nan)
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)  # of the active brackets
+    flo, fhi = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    x3, f3 = np.full(lo.size, np.nan), np.full(lo.size, np.nan)  # the third point, once a walk leaves one
+    up = flo > 0  # lo only ever moves to a midpoint where f has this sign
+    roots = np.full(lo.size, np.nan)
+    active = np.arange(lo.size)
+    room = np.full(lo.size, MAX_BISECTIONS)  # the steps each bracket may still take
+    held = None  # per bracket: the estimate led its last walk as deep as the full tree
     passes = cells = steps = 0
-    while state.shape[1]:
-        index, room, up, held = state
-        n = state.shape[1]
+    while active.size:
+        n = active.size
+        row = np.arange(n)
         budget = max(1, pass_cells // n)
         k = (budget + 1).bit_length() - 1  # the depth of the full tree the budget holds
-        (lo, hi, _), (f_lo, _, f3) = xs, fs = points
         with np.errstate(all="ignore"):
-            a_lo, a_hi = np.arcsinh(fs[:2])
-            width, rise = hi - lo, a_lo - a_hi
-            x = lo + width * (a_lo / rise)  # the secant's root
+            a_lo, a_hi = np.arcsinh(flo), np.arcsinh(fhi)
+            x = lo + (hi - lo) * (a_lo / (a_lo - a_hi))  # the secant's root
             # about the levels until the width and |f| ~ slope * width are
             # within ROOT_TOL; two more allow for the slope's error
-            need = np.frexp(np.maximum(width, np.abs(rise)) / ROOT_TOL)[1]
-            if passes:  # Neville's scheme for x(f) at f = 0
-                x_01, x_12 = (xs[:2] * fs[1:] - xs[1:] * fs[:2]) / (fs[1:] - fs[:2])
-                quad = (x_01 * f3 - x_12 * f_lo) / (f3 - f_lo)
+            need = np.frexp(np.maximum(hi - lo, np.abs(a_hi - a_lo)) / ROOT_TOL)[1]
+            if held is not None:  # Neville's scheme for x(f) at f = 0
+                x_01 = (lo * fhi - hi * flo) / (fhi - flo)
+                x_12 = (hi * f3 - x3 * fhi) / (f3 - fhi)
+                quad = (x_01 * f3 - x_12 * flo) / (f3 - flo)
                 x = np.where(np.abs(quad - x) < np.minimum(x - lo, hi - x), quad, x)
         cap = np.minimum(room, np.maximum(need, 0) + 2)
-        hedge = np.minimum(np.where(held, 1, k) if passes else max(1, k - 1), cap)
+        hedge = np.minimum(max(1, k - 1) if held is None else np.where(held, 1, k), cap)
         depth = np.minimum(hedge + (budget + 1) - (1 << hedge), cap)
-        if not passes:
+        if held is None:
             depth = np.minimum(depth, 2 * hedge + 2)
         H, D = int(hedge.max()), int(depth.max())
-        # rows: the hedge tree of H levels by columns, then the predicted
-        # path, one row per level, and the ends below its last; planes: the
-        # lower end, the node (the midpoint of its ends), the upper end, f
-        span, top = 1 << H, (1 << H) + 1
-        halves = [span >> i for i in range(1, H + 1)]
-        table = np.empty((4, top + D + 1, n))
-        node, f = table[1], table[3]
-        node[0], node[span] = lo, hi
-        for h in halves:
-            node[h:span:2 * h] = (node[:span - h:2 * h] + node[2 * h:span + 1:2 * h]) * 0.5
-        col = np.arange(1, span)
-        lowbit = col & -col  # half a node's width, in columns
-        node.take(col - lowbit, axis=0, out=table[0, 1:span])
-        node.take(col + lowbit, axis=0, out=table[2, 1:span])
-        table[0, top], table[2, top] = lo, hi
-        right = np.empty((D, n), dtype=bool)  # per level: the estimate steps right
-        for r in range(top, top + D):
-            m = np.add(table[0, r], table[2, r], out=node[r])
+        # nodes: the hedge tree of H levels by columns, then the predicted
+        # path, one row per level
+        span = 1 << H
+        half = span >> np.arange(1, H + 1)
+        nodes = np.empty((span + 1 + D, n))
+        nodes[0], nodes[span] = lo, hi
+        for h in half.tolist():
+            nodes[h:span:2 * h] = 0.5 * (nodes[:span - h:2 * h] + nodes[2 * h:span + 1:2 * h])
+        end_lo, end_hi = np.empty((D, n)), np.empty((D, n))  # each level's bracket
+        right = np.empty((D, n), dtype=bool)  # the step the estimate predicts
+        plo, phi = lo, hi
+        for lv in range(D):
+            m = plo + phi
             m *= 0.5
-            table[0:3:2, r + 1] = np.where(np.greater(x, m, out=right[r - top]), table[1:3, r], table[0:2, r])
+            r = np.greater(x, m, out=right[lv])
+            end_lo[lv], end_hi[lv] = plo, phi
+            nodes[span + 1 + lv] = m
+            plo, phi = np.where(r, m, plo), np.where(r, phi, m)
         level = np.arange(D)[:, None]
-        on_path = level >= hedge
-        wanted = np.zeros(node.shape, dtype=bool)
-        np.greater_equal(lowbit[:, None], span >> hedge, out=wanted[1:span])
-        np.less(level, depth, out=wanted[top:top + D], where=on_path)
-        wanted = np.flatnonzero(wanted)
-        f.fill(np.nan)
-        fx = f_at(node.take(wanted), index[wanted % n])
-        f.put(wanted, fx)
+        in_hedge = level < hedge
+        wanted = np.zeros(nodes.shape, dtype=bool)
+        lowbit = np.arange(1, span) & -np.arange(1, span)  # half a node's width, in columns
+        wanted[1:span] = lowbit[:, None] >= span >> hedge
+        wanted[span + 1:] = ~in_hedge & (level < depth)
+        f = np.full(nodes.shape, np.nan)
+        f[wanted] = fx = f_at(nodes[wanted], active[np.nonzero(wanted)[1]])
         passes, cells = passes + 1, cells + fx.size
-        # the walk: down the tree by the signs, then along the path; at: the
-        # flat index of the node each level's step reads
-        right_of = ((f[:span] > 0) == up).ravel()
-        path_at = np.arange(top * n, (top + D) * n).reshape(D, n)
-        at = np.empty((D, n), dtype=int)
-        left = row = path_at[0] - top * n
-        for lv, h in enumerate(halves):
-            c = np.add(left, h * n, out=at[lv])
-            left = np.where(right_of.take(c), c, left)
-        np.copyto(at, path_at, where=on_path)
-        mid_lo, mid, mid_hi, fmid = step = table.reshape(4, -1).take(at, axis=1)
+        # the walk: down the hedge by the signs, then along the path
+        right_of = (f > 0) == up
+        left, lefts = np.zeros(n, dtype=int), []
+        for h in half.tolist():
+            lefts.append(left)
+            left = left + h * right_of[left + h, row]
+        lefts = np.array(lefts)
+        cols = lefts + half[:, None]
+        at = (span + 1 + level).repeat(n, axis=1)  # the node each level's step reads
+        at[:H] = np.where(in_hedge[:H], cols, at[:H])
+        end_lo[:H] = np.where(in_hedge[:H], nodes[lefts, row], end_lo[:H])
+        end_hi[:H] = np.where(in_hedge[:H], nodes[cols + half[:, None], row], end_hi[:H])
+        mid, fmid = nodes[at, row], f[at, row]
         go_right = (fmid > 0) == up
-        off_path = np.ones((D + 1, n), dtype=bool)  # the row below the last: off every path
-        np.not_equal(go_right, right, out=off_path[:D])
-        held_for = off_path.argmax(axis=0)  # the levels the estimate held
-        # the levels known: the tree, then the path while the estimate held
-        known = np.maximum(hedge, np.minimum(held_for + 1, depth))
-        done = ((mid_hi - mid_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
-        # a midpoint that rounds onto an end leaves the bracket as it is, for
-        # good; the row below the last stops every walk
-        stop = np.ones((D + 1, n), dtype=bool)
-        np.logical_or(done, mid == mid_lo, out=stop[:D])
-        stop[:D] |= mid == mid_hi
-        first_stop = stop.argmax(axis=0)
-        walked_n = np.minimum(known, first_stop + 1)
-        walked = level < walked_n
-        if not np.isfinite(fx).all():
-            _finite(fmid[walked])
+        on_path = np.logical_and.accumulate(go_right == right, axis=0)  # the estimate held
+        known = in_hedge.copy()
+        known[1:] |= on_path[:-1] & (level[1:] < depth)
+        done = ((end_hi - end_lo < ROOT_TOL) & (np.abs(fmid) <= ROOT_TOL)) | (fmid == 0.0)
+        # a midpoint that rounds onto an end leaves the bracket as it is, for good
+        stop = done | (mid == end_lo) | (mid == end_hi)
+        walked = known.copy()  # up to the first stop
+        walked[1:] &= np.logical_and.accumulate(known & ~stop, axis=0)[:-1]
+        _finite(fmid[walked])
+        walked_n = walked.sum(axis=0)
         steps += int(walked_n.sum())
         room -= walked_n
         last = walked_n - 1
-        ended = first_stop < known
+        ended = stop[last, row]
         found = ended & done[last, row]
-        roots[index[found]] = mid[last, row][found]
-        held[:] = held_for >= np.minimum(k, depth)
-        # the points that remain: the last midpoints with a step right and
-        # left, the new ends, and the latest midpoint walked past, else an
-        # end the walk replaced (lo before hi)
-        rightward = walked & go_right
-        i_lo = np.where(rightward, level, -1).max(axis=0)
-        i_hi = np.where(walked ^ rightward, level, -1).max(axis=0)
-        # the other end is the walk's last level or the one before it
+        roots[active[found]] = mid[last, row][found]
+        held = on_path.sum(axis=0) >= np.minimum(k, depth)
+        # the bracket that remains: its last midpoints with a step right, and left
+        i_lo = np.where(walked & go_right, level, -1).max(axis=0)
+        i_hi = np.where(walked & ~go_right, level, -1).max(axis=0)
+        # the third point: the latest midpoint walked past (the last is an
+        # end, and so may be the one before it), else the end the walk replaced
         i_3 = last - 1 - (np.minimum(i_lo, i_hi) == last - 1)
-        keep = np.concatenate([step[1::2], points], axis=1)  # the walk's points, then the old ones
-        # the old lo, hi and third point are at D, D + 1 and D + 2; a walk
-        # moves an end, so the one it replaced falls back to lo or hi
-        at = np.array([i_lo % (D + 1), i_hi % (D + 2), np.where(i_3 < 0, D + (i_lo < 0), i_3)])
-        points = keep[:, at, row]
+        past = np.maximum(i_3, 0)
+        x3 = np.where(i_3 < 0, np.where(i_lo < 0, hi, lo), mid[past, row])
+        f3 = np.where(i_3 < 0, np.where(i_lo < 0, fhi, flo), fmid[past, row])
+        lo, flo = np.where(i_lo < 0, lo, mid[i_lo, row]), np.where(i_lo < 0, flo, fmid[i_lo, row])
+        hi, fhi = np.where(i_hi < 0, hi, mid[i_hi, row]), np.where(i_hi < 0, fhi, fmid[i_hi, row])
         go_on = ~ended & (room > 0)
-        points, state = points[..., go_on], state[:, go_on]
+        active, lo, hi, flo, fhi, x3, f3, up, held, room = (
+            v[go_on] for v in (active, lo, hi, flo, fhi, x3, f3, up, held, room))
     return roots, passes, cells, steps
 
 

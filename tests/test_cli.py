@@ -283,23 +283,22 @@ class TestPhaseDiagramCommand:
         monkeypatch.setattr(cli, compute, lambda *a, **kw: pytest.fail("computed"))
         assert cli.main([command, "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"configuration error: cannot create output directory {out}: File exists"]
+        assert err == [f"configuration error: cannot create output directory {out}: {out} is not a directory"]
         assert out.read_text() == "a file"
+        assert cli.main([command, "--config", str(p), "--out", str(out / "sub")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: cannot create output directory {out / 'sub'}: {out} is not a directory"]
 
-    def test_failed_run_removes_the_output_directory_it_made(self, tmp_path, monkeypatch):
+    def test_exit_1_on_an_output_directory_not_writable(self, tmp_path, capsys, monkeypatch):
         p = tmp_path / "cfg.json"
         write_config(p)
-
-        def fail(*args, **kwargs):
-            assert (tmp_path / "out").is_dir()  # made before the computation
-            raise cli.NumericalError("no")
-
-        monkeypatch.setattr(cli, "phase_diagram", fail)
-        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
-        assert not (tmp_path / "out").exists()
-        (tmp_path / "out").mkdir()
-        assert cli.main(["phase-diagram", "--config", str(p)]) == 2
-        assert (tmp_path / "out").is_dir()  # one that was there stays
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != tmp_path)
+        monkeypatch.setattr(cli, "phase_diagram", lambda *a, **kw: pytest.fail("computed"))
+        assert cli.main(["phase-diagram", "--config", str(p), "--out", str(tmp_path / "a" / "b")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"configuration error: cannot create output directory {tmp_path / 'a' / 'b'}: "
+                       f"{tmp_path} is not writable"]
+        assert not (tmp_path / "a").exists()
 
     def test_exit_1_on_scalar_axis(self, tmp_path, capsys):
         p = tmp_path / "cfg.json"

@@ -44,6 +44,7 @@ from floqep.sweep import (
 
 PT3 = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
 APT3 = PresetTemplate("apt-cosx-siny", beta=3, family="square")  # the C05 model: reflected
+APT1 = PresetTemplate("apt-cosx-siny", beta=1, family="square")  # one distinct segment row
 PT3_SMOOTH = PresetTemplate("pt-cosy-cosz", beta=3, family="smooth")
 # the ep-contours benchmark's grids at seeds 1-3 (its 128x24 shape, jittered)
 BENCH_GRIDS = [
@@ -885,12 +886,12 @@ class TestEPContours:
 
 
 # cells per kernel call of each square preset: BLOCK_ROWS over the distinct
-# segment rows of the span the kernel multiplies
+# segment rows of the span the kernel multiplies, at most MAX_BLOCK_CELLS
 BLOCK_SIZES = {
-    ("apt-cosx-siny", 1): 2048, ("apt-cosx-siny", 2): 1024, ("apt-cosx-siny", 3): 1024, ("apt-cosx-siny", 4): 512,
+    ("apt-cosx-siny", 1): 1024, ("apt-cosx-siny", 2): 1024, ("apt-cosx-siny", 3): 1024, ("apt-cosx-siny", 4): 512,
     ("apt-cosx-cosy", 1): 1024, ("apt-cosx-cosy", 2): 512, ("apt-cosx-cosy", 3): 512, ("apt-cosx-cosy", 4): 512,
     ("pt-cosy-cosz", 1): 1024, ("pt-cosy-cosz", 2): 512, ("pt-cosy-cosz", 3): 512, ("pt-cosy-cosz", 4): 512,
-    ("pt-cosy-sinz", 1): 2048, ("pt-cosy-sinz", 2): 1024, ("pt-cosy-sinz", 3): 1024, ("pt-cosy-sinz", 4): 512,
+    ("pt-cosy-sinz", 1): 1024, ("pt-cosy-sinz", 2): 1024, ("pt-cosy-sinz", 3): 1024, ("pt-cosy-sinz", 4): 512,
 }
 
 
@@ -900,7 +901,8 @@ class TestBlockSizes:
         tpl = PresetTemplate(name, beta=beta, family="square")
         size = BLOCK_SIZES[name, beta]
         rows = propagator_mod.span_rows(*sweep_mod._segment_vectors(tpl), *sweep_mod._segment_symmetries(tpl))
-        assert sweep_mod._block_cells(tpl, "monodromy-piecewise") == size == sweep_mod.BLOCK_ROWS // rows
+        assert sweep_mod._block_cells(tpl, "monodromy-piecewise") == size
+        assert size == min(sweep_mod.MAX_BLOCK_CELLS, sweep_mod.BLOCK_ROWS // rows)
         assert sweep_mod._block_cells(tpl, "monodromy-integrate") == sweep_mod.BLOCK_CELLS
         calls = []
         kernel = sweep_mod.piecewise_traces
@@ -915,15 +917,20 @@ class TestBlockSizes:
     @pytest.mark.parametrize(
         "run, limit_mib",
         [
-            # 0.83 MiB at 1024-cell calls; 2048-cell ones would take 1.15
+            # 0.77 MiB at 1024-cell calls; 2048-cell ones would take 1.16
             (lambda: trace_ep_contours(APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)), 1.0),
             # 0.59 MiB at 512-cell calls; 1024-cell ones would take 1.03
             (lambda: phase_diagram(PT3, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24)), 0.80),
+            # a 1-row span: 0.67 and 0.73 MiB at 1024-cell calls; 2048-cell
+            # ones would take 1.03 and 1.12
+            (lambda: trace_ep_contours(APT1, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)), 0.85),
+            (lambda: phase_diagram(APT1, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24)), 0.85),
         ],
-        ids=["ep-contours", "square-map"],
+        ids=["ep-contours", "square-map", "1-row-contours", "1-row-map"],
     )
     def test_peak_traced_memory(self, run, limit_mib):
-        # the benchmark's shapes: the peak of numpy's and Python's allocations
+        # the benchmark's shapes and a 1-row span's: the peak of numpy's and
+        # Python's allocations
         if tracemalloc.is_tracing():
             pytest.skip("tracemalloc is already tracing")
         run()  # warm-up: the cached preset plans
