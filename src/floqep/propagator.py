@@ -98,6 +98,23 @@ def _mul(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
+def _split(x):
+    """Veltkamp's split ``x = hi + lo``, each half of 26 bits at most."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_prod(x, y):
+    """``(p, e)`` with ``p = fl(x*y)`` and ``p + e = x*y`` exactly: Dekker's
+    TwoProduct (Numer. Math. 18, 224, 1971), unfused as :func:`_mul` is.
+    Exact while ``2**27 x`` and ``2**27 y`` stay finite and ``e`` does
+    not underflow."""
+    (xh, xl), (yh, yl) = _split(x), _split(y)
+    p = x * y
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def _add(x, y):
     return x[0] + y[0], x[1] + y[1]
 
@@ -274,9 +291,10 @@ class Traces:
     ``||G - c*I||_F = |t| ||M - (t/2) I||_F``.  A cell with any entry not
     finite is NaN throughout.  ``half_trace`` and ``parity_trace`` are
     formed at once; ``entries`` (the four complex entries, row-major),
-    ``bound`` (the kernel's rounding bound, from the zero-argument
-    ``bound``; None without one), ``eps_F`` and ``defectiveness`` on first
-    use, so a caller that reads only ``half_trace`` pays for nothing else.
+    ``bound`` (a bound on the half-trace's error, the kernel's rounding
+    bound or the oracle's, from the zero-argument ``bound``; None without
+    one), ``eps_F``, ``max_im_eps`` and ``defectiveness`` on first use,
+    so a caller that reads only ``half_trace`` pays for nothing else.
     """
 
     def __init__(self, parts, T, half_period: bool, bound=None):
@@ -318,6 +336,15 @@ class Traces:
         with np.errstate(all="ignore"):
             w = _doubled_arcsin(t)
             return _on_branch(np.where(w.real < 0.0, -w, w), self._T)  # -w: same cosine, Re >= 0
+
+    @functools.cached_property
+    def max_im_eps(self) -> np.ndarray:
+        """``|Im eps_F|``, the same bits as ``abs(eps_F.imag)`` without the
+        branch fold, which only negates ``Im w``: ``|Im w| / T``."""
+        t = self.parity_trace
+        with np.errstate(all="ignore"):
+            w = np.arccos(self.half_trace) if t is None else _doubled_arcsin(t)
+            return np.abs(w.imag) / self._T
 
     @functools.cached_property
     def defectiveness(self) -> np.ndarray:

@@ -84,6 +84,10 @@ BLOCK_ROWS = 2048
 BLOCK_CELLS = 512
 MAX_BLOCK_CELLS = 1024
 
+# the RK4 oracle's trace error per unit ||G||_F (at least 1): at c = 1
+# exactly, square pt-cosy-cosz beta=2 at omega 0.5 reads 1 - 3.9e-12
+INTEGRATE_BOUND = 1.5e-11
+
 
 class FailureBudgetExceeded(RuntimeError):
     """Too many grid cells failed numerically."""
@@ -253,8 +257,9 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     half of it that the preset's parity and reflection leave, and
     ``traces.bound`` is the span's rounding bound; see
     :func:`~floqep.propagator.piecewise_traces`.  The integrate engine runs
-    the RK4 oracle cell by cell (bound None); a cell whose propagator is
-    not finite is NaN, as in the kernel.
+    the RK4 oracle cell by cell, with the bound ``INTEGRATE_BOUND *
+    max(1, ||G||_F)``; a cell whose propagator is not finite is NaN, as in
+    the kernel.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
@@ -273,9 +278,16 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
                 with np.errstate(all="ignore"):
                     G_k = propagator._integrate_monodromy(model, DEFAULT_STEPS_PER_PERIOD)
                 G[..., k] = G_k.real, G_k.imag
-            traces = Traces(G, T, half_period=False)
+            traces = Traces(G, T, half_period=False, bound=functools.partial(_oracle_bound, G))
         yield cells, T, traces
         del traces  # before the next block's kernel call, as the callers do
+
+
+def _oracle_bound(G) -> np.ndarray:
+    """The integrate engine's bound on the half-traces of the ``[part,
+    row, col, cell]`` propagators ``G``; ``hypot`` keeps ``||G||_F`` finite
+    where its square is not."""
+    return INTEGRATE_BOUND * np.maximum(1.0, np.hypot.reduce(G.reshape(8, -1)))
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine, roots: list) -> np.ndarray:
@@ -302,7 +314,8 @@ def _finite(f: np.ndarray) -> np.ndarray:
 
 
 def _undecided(traces, T) -> np.ndarray:
-    """Cells whose stability verdict rests on the rounding alone.
+    """Cells whose stability verdict rests on the propagator's error
+    alone, as ``traces.bound`` bounds it.
 
     Full-period route: ``max Im eps`` crosses the threshold where
     ``|c| - 1`` reaches ``(threshold * T)**2 / 2``, and a numerically
@@ -326,7 +339,7 @@ def _undecided(traces, T) -> np.ndarray:
     step = 2.0 * bound  # |dt| <= sqrt(2) step
     undecided = np.zeros(t.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        gap = np.abs(np.abs(traces.eps_F.imag) - INSTABILITY_THRESHOLD) * T
+        gap = np.abs(traces.max_im_eps - INSTABILITY_THRESHOLD) * T
         near = np.flatnonzero(gap * np.sqrt(np.abs(1.0 + traces.half_trace)) <= 4.0 * step)
     if near.size:
         t, s, T = t[near], step[near], T[near]
@@ -358,18 +371,17 @@ def _cell_max_im(template: PresetTemplate, gamma, omega, engine) -> float:
 
 def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omegas):
     """``max Im eps`` at the cells ``(gammas[k], omegas[k])`` (NaN where one
-    fails), the count of cells undecided by the piecewise kernel's rounding
-    bound (None for the other engines), and the error text of each failed
-    floquet cell (a failed propagator cell has one cause, so no text)."""
+    fails), the count of cells undecided by the propagator's bound (None
+    for the floquet engine), and the error text of each failed floquet
+    cell (a failed propagator cell has one cause, so no text)."""
     if engine == "floquet":
         values, errors = cells_max_im(*_floquet_sector(template, cutoff), gammas, omegas, cutoff)
         return values, None, errors
     values = np.empty(len(gammas))
-    undecided = 0 if engine == "monodromy-piecewise" else None
+    undecided = 0
     for cells, T, traces in _block_propagators(template, gammas, omegas, engine):
-        values[cells] = np.abs(traces.eps_F.imag)
-        if undecided is not None:
-            undecided += int(np.count_nonzero(_undecided(traces, T)))
+        values[cells] = traces.max_im_eps
+        undecided += int(np.count_nonzero(_undecided(traces, T)))
         del traces
     return values, undecided, []
 
@@ -411,11 +423,13 @@ def phase_diagram(
     """Evaluate ``max Im eps`` on every grid node, by :func:`_map_cells`.
 
     The piecewise engine runs as one in-process task whatever ``threads``
-    is, and counts the cells whose verdict is within its rounding bound of
-    the threshold (``undecided_cells``).  The other engines run one task
-    per omega row over at most ``threads`` processes, and the rows are
-    written back in order.  Either way the result does not depend on the
-    worker count.
+    is.  The other engines run one task per omega row over at most
+    ``threads`` processes, and the rows are written back in order.  Either
+    way the result does not depend on the worker count.  Both monodromy
+    engines count the cells whose verdict is within their bound of the
+    threshold (``undecided_cells``; None for the floquet engine): the
+    piecewise kernel's rounding bound, or the oracle's
+    ``INTEGRATE_BOUND * max(1, ||G||_F)``.
     """
     threads = _check_threads(threads)
     _engine_family_check(template, grid.engine)
@@ -803,6 +817,115 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12e}"
 
 
+# _fmt_array writes each value in a field of _FIELD bytes, NUL where it
+# writes no character
+_FIELD = 24  # sign, digit, point; 12 digits; "e", sign, 2-3 digits; the end
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280  # nonzero |x| that _fmt_array formats itself
+_DECADES = 282  # |e| of the decades it may scale from (one to spare)
+DIAGRAM_CHUNK_CELLS = 1024  # cells per chunk of the phase-diagram writer
+
+
+@functools.cache
+def _scale_table() -> np.ndarray:
+    """Columns ``(hi, lo)`` of ``10**(12 - e)`` for ``e`` from ``-_DECADES``
+    to ``_DECADES``: ``hi`` the nearest double, ``lo`` the double nearest
+    the rest, by exact integer arithmetic (0 where ``10**(12 - e)`` is a
+    double)."""
+    table = []
+    for k in range(12 + _DECADES, 11 - _DECADES, -1):
+        hi = float(f"1e{k}")  # correctly rounded, as int / int is
+        num, den = hi.as_integer_ratio()
+        lo = (10**k * den - num) / den if k >= 0 else (den - num * 10**-k) / (den * 10**-k)
+        table.append((hi, lo))
+    return np.array(table).T
+
+
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Entry ``n`` holds the 4 ASCII digits of ``n < 10**4`` as its bytes
+    (little-endian uint32, as every word :func:`_fmt_array` writes)."""
+    digits = np.frombuffer(b"0123456789", dtype=np.uint8)
+    table = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for place in range(4):  # the digit of place ``place`` varies along axis ``place``
+        table[..., place] = digits.reshape([-1 if axis == place else 1 for axis in range(4)])
+    return table.view("<u4").ravel()
+
+
+@functools.cache
+def _exponent_table() -> np.ndarray:
+    """Entry ``e + _DECADES`` holds ``"e%+03d" % e``, NUL-padded to 8 bytes
+    (little-endian uint64)."""
+    text = b"".join((b"e%+03d" % e).ljust(8, b"\0") for e in range(-_DECADES, _DECADES + 1))
+    return np.frombuffer(text, dtype="<u8")
+
+
+def _scaled_digits(a, e):
+    """``a * 10**(12 - e)`` rounded half-even, and whether that rounding is
+    certain.  The product is ``p + err``, TwoProduct by ``10**(12 - e)``'s
+    ``hi`` plus ``a * lo``: exact where ``lo`` is 0, else within ``2**-104
+    p``.  The rounding reads the sign of ``d``, the distance to the
+    half-integer above ``floor(p)``, which a float sum keeps; so a tie is
+    ``d == 0`` where the product is exact, and elsewhere a ``|d|`` within
+    ``2**-100 p`` leaves the rounding uncertain."""
+    hi, lo = _scale_table().take(e + _DECADES, axis=1)
+    p, err = propagator._two_prod(a, hi)
+    err += a * lo
+    q = np.floor(p)
+    d = (p - q - 0.5) + err  # p - q and the 0.5 exact, so |d| < 1
+    tie = np.flatnonzero(d == 0.0)
+    q += np.ceil(d)  # 1 above the half-integer, 0 at or below it
+    q[tie] += q[tie] % 2.0  # to even
+    return q, (lo == 0.0) | (np.abs(d) > p * 2.0**-100)
+
+
+def _fmt_array(x, end: str) -> np.ndarray:
+    """:func:`_fmt` of every float64 of the 1-d ``x``, then the character
+    ``end``, as rows of :data:`_FIELD` ASCII bytes with NULs between.
+
+    A nonzero ``|x|`` in ``[1e-280, 1e280]`` is rounded to 13 digits as
+    ``q = |x| * 10**(12 - e)`` by :func:`_scaled_digits`, from ``e =
+    floor(log10 |x| - 1e-12)``: the decade, or one below it where
+    ``log10 |x|`` lies within ``1e-12`` above an integer (the log's error
+    is far smaller), so ``q >= 10**12``.  A ``q`` of ``10**13`` reads
+    ``10**12`` of the next decade, as ``%.12e`` writes a value rounded up
+    into it; a ``q`` past ``10**13`` has ``e`` one below, and goes to
+    :func:`_fmt`, as do non-finite values, those outside that range (0
+    aside) and those whose rounding is uncertain.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    zero = a == 0.0
+    a[~fast] = 1.0  # formatted as 1: a zero then as 0, the rest by _fmt
+    e = np.log(a)  # not log10, a numpy loop no other code runs (64 KiB more RSS)
+    e = np.floor(e / math.log(10.0) - 1e-12, out=e).astype(np.int64)
+    q, sure = _scaled_digits(a, e)
+    sure &= q <= 1e13
+    carry = q == 1e13
+    q[carry] = 1e12
+    e[carry] += 1
+    q[zero] = 0.0  # formatted as 1, so e is 0
+
+    # little-endian words: sign, lead digit, point, NUL; the 12 digits by 4;
+    # the exponent and the end, NUL-padded to 8 bytes
+    out = np.empty((x.size, _FIELD // 8), dtype="<u8")
+    words = out.view("<u4")
+    index = np.empty((x.size, 3), dtype=np.int64)
+    lead, rest = np.divmod(q.astype(np.int64), 10**12)
+    np.divmod(rest, 10**8, out=(index[:, 0], rest))
+    np.divmod(rest, 10**4, out=(index[:, 1], index[:, 2]))
+    point = ord(".") << 16 | ord("0") << 8
+    words[:, 0] = (lead << 8) + np.where(np.signbit(x), point | ord("-"), point)
+    words[:, 1:4] = _digit_table().take(index)
+    out[:, 2] = _exponent_table().take(e + _DECADES) + (ord(end) << 40)
+    text = out.view(np.uint8)
+    for k in np.flatnonzero(~((fast | zero) & sure)).tolist():
+        field = (_fmt(x[k]) + end).encode()
+        text[k] = 0
+        text[k, :len(field)] = np.frombuffer(field, dtype=np.uint8)
+    return text
+
+
 def _meta_path(path: Path) -> Path:
     return path.with_name(path.name + ".meta.json")
 
@@ -824,7 +947,7 @@ def _read_meta(path: Path, expected_fmt: str) -> dict:
 
 
 def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
-    """Write the CSV line ``header``, then ``chunks`` (strings of whole
+    """Write the CSV line ``header``, then ``chunks`` (ASCII bytes of whole
     lines) as they come, then the sidecar of format ``fmt`` carrying
     ``payload``.  The sidecar text is built first, so a payload that JSON
     cannot encode raises before any file is opened."""
@@ -832,8 +955,8 @@ def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
     meta = json.dumps({"schema_version": _SCHEMA_VERSION, "format": fmt, **payload},
                       indent=2, sort_keys=True)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         fh.writelines(chunks)
     with open(_meta_path(path), "w", newline="\n") as fh:
         fh.write(meta + "\n")
@@ -841,21 +964,33 @@ def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
 
 
 def csv_lines(columns):
-    """One CSV line per row of ``columns`` (one iterable of fields per column)."""
+    """One chunk of one CSV line per row of ``columns`` (one iterable of
+    fields per column)."""
     row = ",".join(["%s"] * len(columns)) + "\n"
-    return map(row.__mod__, zip(*columns))
+    return ["".join(map(row.__mod__, zip(*columns))).encode()]
 
 
 def _diagram_table(diagram: PhaseDiagram):
+    return _diagram_chunks(diagram), {"grid": asdict(diagram.grid), "metadata": diagram.metadata}
+
+
+def _diagram_chunks(diagram: PhaseDiagram):
+    """The CSV lines of ``diagram``, :data:`DIAGRAM_CHUNK_CELLS` cells at a
+    time: each chunk the fields of its omegas, gammas and values, those of
+    the axes formatted once, then the NULs dropped."""
     grid = diagram.grid
-    # one chunk per omega row: a template holding the row's omega and gamma
-    # fields, formatted once with the row's values; %.12e writes what _fmt does
-    cells = [_fmt(g) + ",%.12e\n" for g in grid.gammas]
-    chunks = (
-        (_fmt(w) + ",").join(["", *cells]) % tuple(row.tolist())
-        for w, row in zip(grid.omegas, diagram.values)
-    )
-    return chunks, {"grid": asdict(grid), "metadata": diagram.metadata}
+    field = f"V{_FIELD}"  # a field as one array item
+    axes = _fmt_array(np.concatenate([grid.omegas, grid.gammas]), ",").view(field).ravel()
+    omegas, gammas = axes[:grid.omega_count], axes[grid.omega_count:]
+    values = diagram.values.ravel()
+    for start in range(0, values.size, DIAGRAM_CHUNK_CELLS):
+        chunk = values[start:start + DIAGRAM_CHUNK_CELLS]
+        j, i = np.divmod(np.arange(start, start + chunk.size), grid.gamma_count)
+        text = bytearray(3 * _FIELD * chunk.size)
+        line = np.frombuffer(text, dtype=field).reshape(-1, 3)
+        line[:, 0], line[:, 1] = omegas.take(j), gammas.take(i)
+        line[:, 2] = _fmt_array(chunk, "\n").view(field).ravel()
+        yield text.translate(None, b"\0")
 
 
 def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:

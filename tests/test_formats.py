@@ -8,9 +8,13 @@ the files (scripts, plots, other tools) see.
 import datetime
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import floqep
 import floqep.cli as cli
@@ -278,7 +282,127 @@ def test_row_chunks_match_the_per_field_encoder(shape, tmp_path):
     diagram = PhaseDiagram(grid, values, {"model": "m"})
     path = persist(diagram, tmp_path / "map.csv")
     assert path.read_bytes() == _per_field_diagram_csv(diagram).encode()
-    # streamed: one chunk of whole lines per omega row, made as it is written
+    # streamed: chunks of whole lines, at most DIAGRAM_CHUNK_CELLS each, made
+    # as they are written
     chunks, _ = sweep_mod._diagram_table(diagram)
     assert iter(chunks) is chunks
-    assert [chunk.count("\n") for chunk in chunks] == [grid.gamma_count] * grid.omega_count
+    chunks = list(chunks)
+    assert all(chunk.endswith(b"\n") for chunk in chunks)
+    assert all(chunk.count(b"\n") <= sweep_mod.DIAGRAM_CHUNK_CELLS for chunk in chunks)
+    assert sum(chunk.count(b"\n") for chunk in chunks) == values.size
+
+
+def test_chunks_split_rows_anywhere(monkeypatch, tmp_path):
+    # 10-cell chunks cut the 17-cell rows at every offset
+    monkeypatch.setattr(sweep_mod, "DIAGRAM_CHUNK_CELLS", 10)
+    grid = GridSpec(0.0, 4.7, 17, 0.21, 2.9, 9, engine="monodromy-piecewise")
+    values = np.random.default_rng(8).lognormal(-10.0, 6.0, (9, 17))
+    diagram = PhaseDiagram(grid, values, {"model": "m"})
+    chunks = list(sweep_mod._diagram_table(diagram)[0])
+    assert [chunk.count(b"\n") for chunk in chunks] == [10] * 15 + [3]
+    assert b"".join(chunks) == _per_field_diagram_csv(diagram).encode().split(b"\n", 1)[1]
+
+
+def test_persist_streams_a_large_map_in_bounded_memory(tmp_path):
+    # 400x400 cells write ~9 MB of CSV, through chunks of at most 1024 cells
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    grid = GridSpec(0.0, 5.0, 400, 0.05, 3.0, 400, engine="monodromy-piecewise")
+    values = np.random.default_rng(9).lognormal(-10.0, 6.0, (400, 400))
+    diagram = PhaseDiagram(grid, values, {"model": "m"})
+    persist(diagram, tmp_path / "warm.csv")  # builds the lazy tables
+    tracemalloc.start()
+    try:
+        path = persist(diagram, tmp_path / "map.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 8 * 2**20
+    assert peak < 2**20
+
+
+def _fields(x) -> list:
+    """The fields ``_fmt_array`` writes for the floats ``x``, without their end."""
+    text = sweep_mod._fmt_array(np.asarray(x, dtype=float).ravel(), ",")
+    return [row[row != 0].tobytes().decode()[:-1] for row in text]
+
+
+def _assert_percent_e12(x):
+    x = np.asarray(x, dtype=float).ravel()
+    assert _fields(x) == ["%.12e" % v for v in x.tolist()]
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # the largest double's neighbour is inf
+        return np.concatenate([x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)])
+
+
+def _ties() -> np.ndarray:
+    """The doubles nearest the ties ``(m + 0.5) / 10**k`` of 13-digit
+    ``m``, ``k = 0..22``: exact where ``5**k`` divides ``2m + 1`` (``k <=
+    19``), and ``(m + 0.5) * 10**k``, ``k = 1..5``, ties in the decades
+    where ``10**(12 - e)`` is not a double."""
+    rng = np.random.default_rng(11)
+    ties, exact = [], 0
+    for k in range(23):
+        for m in rng.integers(10**12, 10**13, 8).tolist():
+            ties.append(float(Fraction(2 * m + 1, 2 * 10**k)))
+        for r in range(-(-2 * 10**12 // 5**k) | 1, 2 * 10**13 // 5**k, 2)[:8]:
+            ties.append(r * 5**k / (2 * 10**k))
+            exact += Fraction(ties[-1]) == Fraction(r * 5**k, 2 * 10**k)
+    for k in range(1, 6):
+        ties += [float((2 * m + 1) * 10**k // 2) for m in rng.integers(10**12, 10**13, 8).tolist()]
+    assert exact >= 20 * 3
+    return np.array(ties)
+
+
+# the map test's specials, the limits of the double and of the fast range,
+# and three-digit exponents
+SPECIAL_FORMATS = SPECIAL + [
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1.5e-123, -2.7e200,
+    1e-280, 1e280, 9.99e-100, -1e100,
+]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        _ties(),
+        np.array([float(f"1e{k}") for k in range(-300, 301)]),
+        # within 5e-13 below a power of ten, where log |x| / log 10 may round
+        # up to the integer: 9.999999999999488e-107 needs decade -107
+        np.array([float(f"1e{k}") * (1.0 - t) for k in range(-300, 301) for t in (5e-14, 2e-13, 4.9e-13)]),
+        np.array([9.9999999999995 * 10.0**k for k in range(-30, 31)]
+                 + [99999999999999.5, 9.999999999999499, 9.9999999999995e-5]),
+        np.array(SPECIAL_FORMATS),
+    ],
+    ids=["ties", "powers-of-ten", "below-powers-of-ten", "next-decade", "special"],
+)
+def test_array_formatter_matches_percent_e12(values):
+    _assert_percent_e12(_neighbours(values))
+    _assert_percent_e12(-_neighbours(values))
+
+
+def test_array_formatter_on_random_bit_patterns():
+    bits = np.random.default_rng(12).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+    _assert_percent_e12(bits.view(np.float64))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(
+    lambda b: float(np.array(b, dtype=np.uint64).view(np.float64)))), min_size=1, max_size=64))
+def test_array_formatter_on_any_double(values):
+    _assert_percent_e12(values)
+
+
+def test_array_formatter_falls_back_to_the_scalar_format(monkeypatch):
+    # non-finite values, those outside [1e-280, 1e280] and a tie its product
+    # cannot decide (10**-1 is not a double) go to _fmt; the rest do not
+    seen = []
+    monkeypatch.setattr(sweep_mod, "_fmt", lambda x: seen.append(x) or f"{float(x):.12e}")
+    fallback = [np.nan, np.inf, -np.inf, 1e-300, -5e-324, 1e300, 12345678901235.0]
+    decided = [0.0, -0.0, 0.5, 1e-280, 1e280, 1.0001220703125, 1234567890123.5]
+    assert "%.12e" % 12345678901235.0 == "1.234567890124e+13"  # half-even: 3 to 4
+    _assert_percent_e12(fallback + decided)
+    assert np.array_equal(seen, fallback, equal_nan=True)

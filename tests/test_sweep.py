@@ -280,7 +280,7 @@ class TestPhaseDiagram:
         assert np.isnan(diag.values[0, -1])
         assert np.sum(~np.isfinite(diag.values)) == 1
         assert diag.metadata["failed_cells"] == 1
-        assert diag.metadata["undecided_cells"] is None
+        assert diag.metadata["undecided_cells"] == 3
         assert [r.getMessage() for r in caplog.records] == [
             "1 of 110 cells failed; first (omega index, gamma index): (0, 10)"
         ]
@@ -409,6 +409,35 @@ class TestHalfPeriodRoute:
             )
             assert (np.abs(tr.eps_F.imag) > INSTABILITY_THRESHOLD).tolist() == [unstable[i], not unstable[i]]
             assert sweep_mod._undecided(tr, T).all()
+
+    @pytest.mark.parametrize(
+        "template, engine, parity",
+        [
+            (PT3, "monodromy-piecewise", True),
+            (PresetTemplate("pt-cosy-cosz", beta=2, family="square"), "monodromy-piecewise", False),
+            (PT3, "monodromy-integrate", False),
+        ],
+        ids=["parity", "full-period", "integrate"],
+    )
+    def test_max_im_eps_has_the_bits_of_the_folded_quasienergy(self, template, engine, parity):
+        # the branch fold only negates Im w, so |Im w| / T needs no fold;
+        # gamma 1e300 overflows the propagator, a NaN cell
+        gammas, omegas = (np.append(x, y) for x, y in zip(GridSpec(0.0, 4.0, 8, 0.3, 3.0, 6).cells(), (1e300, 1.0)))
+        (_, _, traces), = sweep_mod._block_propagators(template, gammas, omegas, engine)
+        assert (traces.parity_trace is not None) == parity
+        want = np.abs(traces.eps_F.imag)
+        assert np.isnan(want[-1]) and np.count_nonzero(want[:-1] > INSTABILITY_THRESHOLD) >= 20
+        assert traces.max_im_eps.tobytes() == want.tobytes()
+
+    def test_integrate_map_counts_undecided_cells(self):
+        # G is the identity at omega 0.5, gamma 0, so c = 1 exactly on the
+        # threshold; the oracle reads 1 - 3.9e-12, within its bound
+        tpl = PresetTemplate("pt-cosy-cosz", beta=2, family="square")
+        grid = GridSpec(0.0, 4.0, 2, 0.5, 3.0, 2, engine="monodromy-integrate")
+        (_, T, traces), = sweep_mod._block_propagators(tpl, *grid.cells(), grid.engine)
+        assert traces.half_trace[0] == 0.9999999999960831
+        assert sweep_mod._undecided(traces, T).tolist() == [True, False, False, False]
+        assert phase_diagram(tpl, grid).metadata["undecided_cells"] == 1
 
 
 @pytest.fixture(scope="module")
