@@ -31,6 +31,7 @@ presets have one at every beta.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -62,6 +63,13 @@ ROOT_TOL = 1e-6  # |f| at most this: a root of the degeneracy indicator
 
 UNIT_ROUNDOFF = 2.0 ** -53
 
+# elements per numpy ufunc buffer inside the kernel and the map verdict:
+# at numpy's default (8192) each broadcast or strided operation of a
+# 1024-cell call copies operands through 64 KiB buffers, which took 0.1
+# MiB of peak heap on the square map; at 1024 numpy runs its loops over
+# the contiguous cell axis of the arrays themselves
+KERNEL_BUFSIZE = 1024
+
 
 class NumericalError(RuntimeError):
     """Non-finite value produced during propagation."""
@@ -89,13 +97,35 @@ class MonodromyResult:
     defectiveness: float
 
 
-def _mul(x, y):
-    """Product of complex numbers held as ``(real, imag)`` pairs.
+@contextlib.contextmanager
+def _kernel_state():
+    """numpy's state for one kernel call or map verdict, entered once:
+    every floating-point error ignored (an overflow is a non-finite cell,
+    which the callers turn into NaN), and ufunc buffers of
+    :data:`KERNEL_BUFSIZE` elements.  Neither changes a bit; both are
+    restored on exit."""
+    with np.errstate(all="ignore"):
+        bufsize = np.setbufsize(KERNEL_BUFSIZE)
+        try:
+            yield
+        finally:
+            np.setbufsize(bufsize)
+
+
+def _mul(x, y, out=None):
+    """Product of complex numbers held as ``(real, imag)`` pairs, or written
+    into ``out[0]`` and ``out[1]`` (which must not overlap ``x`` or ``y``).
 
     Written out so that no step is fused: the same four products and two
     sums as Python's complex multiply, whatever numpy's SIMD dispatch.
     """
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+    if out is None:
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+    np.multiply(x[0], y[0], out=out[0])
+    out[0] -= x[1] * y[1]
+    np.multiply(x[0], y[1], out=out[1])
+    out[1] += x[1] * y[0]
+    return out
 
 
 def _split(x):
@@ -157,47 +187,45 @@ def _cos_sinc(dd, tau):
     ``sqrt`` is on the principal branch; below ``|z| = SMALL_PHASE`` both
     switch to their 5-term Taylor series.
     """
-    with np.errstate(all="ignore"):
-        mu = np.sqrt(_complex(dd))
-        z = (mu.real * tau, mu.imag * tau)
-        zc = _complex(z)
-        cos_z, sin_z = np.cos(zc), np.sin(zc)
-        cosz, sinc = (cos_z.real, cos_z.imag), _div((sin_z.real, sin_z.imag), z)
-        small = np.hypot(*z) < SMALL_PHASE
-        if small.any():
-            z2 = _mul(z, z)
-            taylor = (
-                _series(z2, (-1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0), 40320.0),
-                _series(z2, (-1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0), 362880.0),
-            )
-            cosz, sinc = (
-                (np.where(small, t[0], c[0]), np.where(small, t[1], c[1]))
-                for t, c in zip(taylor, (cosz, sinc))
-            )
+    mu = np.sqrt(_complex(dd))
+    z = (mu.real * tau, mu.imag * tau)
+    zc = _complex(z)
+    cos_z, sin_z = np.cos(zc), np.sin(zc)
+    cosz, sinc = (cos_z.real, cos_z.imag), _div((sin_z.real, sin_z.imag), z)
+    small = np.hypot(*z) < SMALL_PHASE
+    if small.any():
+        z2 = _mul(z, z)
+        taylor = (
+            _series(z2, (-1.0 / 720.0, 1.0 / 24.0, -1.0 / 2.0), 40320.0),
+            _series(z2, (-1.0 / 5040.0, 1.0 / 120.0, -1.0 / 6.0), 362880.0),
+        )
+        cosz, sinc = (
+            (np.where(small, t[0], c[0]), np.where(small, t[1], c[1]))
+            for t, c in zip(taylor, (cosz, sinc))
+        )
     return cosz, sinc
 
 
-def _expm_pauli_elements(d, factors, tau):
-    """Entries of ``exp(-i tau d.sigma)`` for a traceless Bloch vector.
+def _expm_pauli_elements(d, factors, tau, out):
+    """Entries of ``exp(-i tau d.sigma)`` for a traceless Bloch vector,
+    written into ``out[part, i, j]``, which it returns.
 
     Closed form ``cos(mu tau) I - i tau sinc(mu tau) (d.sigma)`` with
     ``mu = sqrt(d.d)``; ``factors`` is :func:`_cos_sinc` of ``d.d``.  The
     components are ``(real, imag)`` pairs and ``tau`` is real; they may be
-    arrays, and every operation is elementwise, so an entry's bits do not
-    depend on the array it sits in.  Returns the four matrix entries
-    (row-major) as ``(real, imag)`` pairs.
+    arrays that broadcast to ``out[part, i, j]``, and every operation is
+    elementwise, so an entry's bits do not depend on the array it sits in.
     """
     dx, dy, dz = d
     cosz, sinc = factors
-    with np.errstate(all="ignore"):
-        a = (tau * sinc[1], -tau * sinc[0])  # -i tau sinc
-        a_dz = _mul(a, dz)
-        return (
-            _add(cosz, a_dz),
-            _mul(a, (dx[0] + dy[1], dx[1] - dy[0])),  # a (dx - i dy)
-            _mul(a, (dx[0] - dy[1], dx[1] + dy[0])),  # a (dx + i dy)
-            (cosz[0] - a_dz[0], cosz[1] - a_dz[1]),
-        )
+    a = (tau * sinc[1], -tau * sinc[0])  # -i tau sinc
+    a_dz = _mul(a, dz, out=out[:, 1, 1])  # the (1, 1) entry is written over it
+    for p in (0, 1):
+        np.add(cosz[p], a_dz[p], out=out[p, 0, 0])
+        np.subtract(cosz[p], a_dz[p], out=out[p, 1, 1])
+    _mul(a, (dx[0] + dy[1], dx[1] - dy[0]), out=out[:, 0, 1])  # a (dx - i dy)
+    _mul(a, (dx[0] - dy[1], dx[1] + dy[0]), out=out[:, 1, 0])  # a (dx + i dy)
+    return out
 
 
 def expm_two_level(H, tau: float) -> np.ndarray:
@@ -212,10 +240,9 @@ def expm_two_level(H, tau: float) -> np.ndarray:
     d0, d = bloch_decompose(H)
     d = [(x.real, x.imag) for x in d]
     tau = float(tau)
-    e00, e01, e10, e11 = (
-        complex(*e) for e in _expm_pauli_elements(d, _cos_sinc(_dot(d), tau), tau)
-    )
-    out = np.array([[e00, e01], [e10, e11]], dtype=complex)
+    with np.errstate(all="ignore"):
+        entries = _expm_pauli_elements(d, _cos_sinc(_dot(d), tau), tau, np.empty((2, 2, 2, 1)))
+    out = _complex(entries[..., 0])
     if d0 != 0:
         out *= cmath.exp(-1.0j * d0 * tau)
     return out
@@ -295,20 +322,23 @@ class Traces:
     bound or the oracle's, from the zero-argument ``bound``; None without
     one), ``eps_F``, ``max_im_eps`` and ``defectiveness`` on first use,
     so a caller that reads only ``half_trace`` pays for nothing else.
+
+    Neither the constructor nor a quantity enters numpy's error state:
+    the caller that may meet an overflow holds it once (the kernel's entry
+    points, a map block's verdict).
     """
 
     def __init__(self, parts, T, half_period: bool, bound=None):
         self._parts = parts
         self._T = np.asarray(T, dtype=float)
         self._bound = bound
-        with np.errstate(all="ignore"):
-            self._finite = np.isfinite(parts).all(axis=(0, 1, 2))
-            t = _complex((parts[0, 0, 0] + parts[0, 1, 1], parts[1, 0, 0] + parts[1, 1, 1]))
-            t[~self._finite] = np.nan
-            if half_period:
-                self.parity_trace, self.half_trace = t, 1.0 + (0.5 * t) * t
-            else:
-                self.parity_trace, self.half_trace = None, 0.5 * t
+        self._finite = np.isfinite(parts).all(axis=(0, 1, 2))
+        t = _complex((parts[0, 0, 0] + parts[0, 1, 1], parts[1, 0, 0] + parts[1, 1, 1]))
+        t[~self._finite] = np.nan
+        if half_period:
+            self.parity_trace, self.half_trace = t, 1.0 + (0.5 * t) * t
+        else:
+            self.parity_trace, self.half_trace = None, 0.5 * t
 
     def take(self, cells) -> Traces:
         """The cells ``cells`` alone, with the same bits (no bound)."""
@@ -333,18 +363,16 @@ class Traces:
         t = self.parity_trace
         if t is None:
             return quasienergy_from_trace(self.half_trace, self._T)
-        with np.errstate(all="ignore"):
-            w = _doubled_arcsin(t)
-            return _on_branch(np.where(w.real < 0.0, -w, w), self._T)  # -w: same cosine, Re >= 0
+        w = _doubled_arcsin(t)
+        return _on_branch(np.where(w.real < 0.0, -w, w), self._T)  # -w: same cosine, Re >= 0
 
     @functools.cached_property
     def max_im_eps(self) -> np.ndarray:
         """``|Im eps_F|``, the same bits as ``abs(eps_F.imag)`` without the
         branch fold, which only negates ``Im w``: ``|Im w| / T``."""
         t = self.parity_trace
-        with np.errstate(all="ignore"):
-            w = np.arccos(self.half_trace) if t is None else _doubled_arcsin(t)
-            return np.abs(w.imag) / self._T
+        w = np.arccos(self.half_trace) if t is None else _doubled_arcsin(t)
+        return np.abs(w.imag) / self._T
 
     @functools.cached_property
     def defectiveness(self) -> np.ndarray:
@@ -353,9 +381,8 @@ class Traces:
             return defectiveness(*self.entries, self.half_trace)
         m00, m01, m10, m11 = self.entries
         h = 0.5 * t
-        with np.errstate(all="ignore"):
-            off = np.abs(m00 - h) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(m11 - h) ** 2
-            return np.abs(t) * np.sqrt(off)
+        off = np.abs(m00 - h) ** 2 + np.abs(m01) ** 2 + np.abs(m10) ** 2 + np.abs(m11 - h) ** 2
+        return np.abs(t) * np.sqrt(off)
 
 
 def _packed(parts, finite):
@@ -389,8 +416,7 @@ def _reflected(axis: Axis, A):
         R = R[:, ::-1, ::-1]
     elif axis is Axis.X:  # Q = sigma_z: the off-diagonal negated
         R = R * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
-    with np.errstate(all="ignore"):
-        _left_multiply(R, A, np.empty((2, 2, 2, 2, 2, A.shape[-1])))
+    _left_multiply(R, A, np.empty((2, 2, 2, 2, 2, A.shape[-1])))
     return A
 
 
@@ -407,7 +433,8 @@ def _segment_plan(rows: bytes):
     gamma, since rounding is odd, so they share a group, whose
     transcendental factors are computed once: rows ``0 .. n_groups - 1``
     stand for the groups, and ``groups[j]`` is the group of row ``j``
-    (None when every row is its own group).
+    (None when every row is its own group, or when all share one, whose
+    factors broadcast over the rows).
     """
     segments = [tuple(r) for r in np.frombuffer(rows, dtype=complex).reshape(-1, 6)]
     # each row's (a_k, b_k) up to sign, per component: its group
@@ -421,7 +448,7 @@ def _segment_plan(rows: bytes):
     for x in parts:
         x.flags.writeable = False
     order = tuple(distinct.index(r) for r in segments)
-    return order, parts, len(first), None if len(first) == len(distinct) else np.array(groups)
+    return order, parts, len(first), None if len(first) in (1, len(distinct)) else np.array(groups)
 
 
 def _plan(a, b):
@@ -432,20 +459,28 @@ def _plan(a, b):
 
 def _segment_exponentials(parts, n_groups, groups, gammas, taus):
     """The distinct segment exponentials of a batch, as ``E[row, part, i, j, cell]``
-    for the distinct rows of :func:`_segment_plan`."""
+    for the distinct rows of :func:`_segment_plan`.
+
+    Lean in memory, with the bits of the plain formulas: ``d = gamma b + a``
+    is formed in place (the sum commutes), the cos/sinc factors of one
+    group broadcast over the rows, and the entries are written straight
+    into ``E``.
+    """
     ar, ai, br, bi = parts
-    d = (ar + gammas * br, ai + gammas * bi)
+    d = np.empty((2, *br.shape[:2], len(gammas)))
+    for x, a, b in ((d[0], ar, br), (d[1], ai, bi)):
+        np.multiply(gammas, b, out=x)
+        x += a
     # d.d as _dot forms it, the three squares at once, then their sum, on
     # the rows that stand for the groups
-    lead = (d[0][:n_groups], d[1][:n_groups])
+    lead = d[:, :n_groups]
     sq = _mul(lead, lead)
     factors = _cos_sinc(tuple(s[:, 0] + s[:, 1] + s[:, 2] for s in sq), taus)
+    del sq
     if groups is not None:
         factors = [(x[0][groups], x[1][groups]) for x in factors]
-    e = _expm_pauli_elements([(d[0][:, k], d[1][:, k]) for k in range(3)], factors, taus)
     E = np.empty((len(ar), 2, 2, 2, len(gammas)))
-    for i, (re, im) in enumerate(e):
-        E[:, 0, i // 2, i % 2], E[:, 1, i // 2, i % 2] = re, im
+    _expm_pauli_elements(d.transpose(2, 0, 1, 3), factors, taus, E.transpose(1, 2, 3, 0, 4))
     return E
 
 
@@ -470,12 +505,11 @@ def _segment_pairs(a, b, gammas, taus):
     gammas = np.asarray(gammas, dtype=float)
     taus = np.asarray(taus, dtype=float)
     order, *plan = _plan(a, b)
-    with np.errstate(all="ignore"):
-        E = _segment_exponentials(*plan, gammas, taus)
-        G = E[order[0]].copy()
-        prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
-        for l in order[1:]:
-            _left_multiply(E[l], G, prod)
+    E = _segment_exponentials(*plan, gammas, taus)
+    G = E[order[0]].copy()
+    prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
+    for l in order[1:]:
+        _left_multiply(E[l], G, prod)
     return G, E, order
 
 
@@ -484,14 +518,28 @@ def _product_bound(E, order, reflected: bool):
     of the segments ``order``, ``b = n * 8u * N`` with ``N = prod_l ||E_l||_F``;
     and with ``reflected``, that of ``S = Q A^T Q A``:
     ``(2 N + b) b + 8u (N + b)^2``, since ``Q A^T Q`` has ``A``'s error
-    norm and the one product adds ``8u ||A||^2``."""
-    with np.errstate(all="ignore"):
-        sq = E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1]
-        norms = np.sqrt(sq[:, 0, 0] + sq[:, 0, 1] + sq[:, 1, 0] + sq[:, 1, 1])
-        # accumulate multiplies in order: the same rounding as a loop
-        N = np.multiply.accumulate(norms[list(order)], axis=0)[-1]
-        b = len(order) * 8.0 * UNIT_ROUNDOFF * N
-        return (2.0 * N + b) * b + 8.0 * UNIT_ROUNDOFF * (N + b) ** 2 if reflected else b
+    norm and the one product adds ``8u ||A||^2``.
+
+    Each norm sums ``re^2 + im^2`` of the entries in row-major order, one
+    entry at a time through a buffer, and ``N`` multiplies the norms in
+    ``order``, one at a time."""
+    entries = E.reshape(len(E), 2, 4, -1)  # [row, part, entry, cell]
+    sq = np.empty((2, len(E), E.shape[-1]))  # one entry's re^2 and im^2
+    norms = np.empty_like(sq[0])
+    for k in range(4):
+        re, im = entries[:, 0, k], entries[:, 1, k]
+        np.multiply(re, re, out=sq[0])
+        np.multiply(im, im, out=sq[1])
+        if k:
+            norms += np.add(sq[0], sq[1], out=sq[0])
+        else:
+            np.add(sq[0], sq[1], out=norms)
+    np.sqrt(norms, out=norms)
+    N = norms[order[0]].copy()
+    for l in order[1:]:
+        N *= norms[l]
+    b = len(order) * 8.0 * UNIT_ROUNDOFF * N
+    return (2.0 * N + b) * b + 8.0 * UNIT_ROUNDOFF * (N + b) ** 2 if reflected else b
 
 
 def _segment_product(a, b, gammas, taus):
@@ -512,10 +560,12 @@ def _segment_product(a, b, gammas, taus):
     Returns the four entries of ``G`` (row-major) and the forward rounding
     bound ``n_seg * 8u * prod_l ||E_l||_F`` on the half-trace (Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 3).  Cells whose
-    product is not finite come back as NaN in all four entries.
+    product is not finite come back as NaN in all four entries.  Overflows
+    raise no warning: the call holds numpy's error state ignored.
     """
-    G, E, order = _segment_pairs(a, b, gammas, taus)
-    return (*_packed(G, np.isfinite(G).all(axis=(0, 1, 2))), _product_bound(E, order, reflected=False))
+    with _kernel_state():
+        G, E, order = _segment_pairs(a, b, gammas, taus)
+        return (*_packed(G, np.isfinite(G).all(axis=(0, 1, 2))), _product_bound(E, order, reflected=False))
 
 
 def _matmul(x, y):
@@ -593,28 +643,29 @@ def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | No
     product's own, or, reflected, the composed one of
     :func:`_product_bound`, ``(2 N + b) b + 8u (N + b)^2`` for ``A``'s
     bound ``b`` and norm product ``N``.
+
+    The call enters numpy's state once (:func:`_kernel_state`), and its
+    helpers not at all, so an overflow is a non-finite (NaN) cell without
+    a warning; the bound and the lazy quantities are formed later, under
+    the caller's.  Per cell it holds 8 doubles of ``E`` and 6 of ``d`` for
+    each distinct segment row of the span, and 32 of the product buffer,
+    each array written in place.
     """
     half = _multiplied(len(a), parity, reflection)
-    G, E, order = _segment_pairs(a[:half], b[:half], gammas, T / len(a))
-    if reflection is not None:
-        G = _reflected(reflection, G)
-    if parity is not None:
-        G = _parity_product(parity, G)
-    bound = functools.partial(_product_bound, E, order, reflection is not None)
-    return Traces(G, T, half_period=parity is not None, bound=bound)
+    with _kernel_state():
+        G, E, order = _segment_pairs(a[:half], b[:half], gammas, T / len(a))
+        if reflection is not None:
+            G = _reflected(reflection, G)
+        if parity is not None:
+            G = _parity_product(parity, G)
+        bound = functools.partial(_product_bound, E, order, reflection is not None)
+        return Traces(G, T, half_period=parity is not None, bound=bound)
 
 
 def _multiplied(n_seg: int, parity: Axis | None, reflection: Axis | None) -> int:
     """How many leading segments of ``n_seg`` :func:`piecewise_traces` multiplies."""
     span = n_seg // 2 if parity else n_seg
     return span // 2 if reflection else span
-
-
-def span_rows(a, b, parity: Axis | None, reflection: Axis | None) -> int:
-    """The distinct segment rows that :func:`piecewise_traces` stacks per
-    cell: its arrays, and so its memory per cell, grow with them."""
-    half = _multiplied(len(a), parity, reflection)
-    return len(_plan(a[:half], b[:half])[1][0])
 
 
 def monodromy(
@@ -635,30 +686,30 @@ def monodromy(
     :class:`NumericalError` on either route, under any numpy error state.
     """
     T = np.full(1, model.period)
-    if engine == "piecewise":
-        ds = segment_hamiltonians(model)
-        zero, cell = np.zeros_like(ds), np.zeros(1)
-        G = np.stack(_segment_product(ds, zero, cell, T / len(ds))[:4])
-        if not np.isfinite(G[0, 0]):
-            raise NumericalError("non-finite propagator in the segment product")
-        traces = piecewise_traces(ds, zero, cell, T, half_period_parity(model), time_reflection(model))
-    elif engine == "integrate":
-        # an overflow is a non-finite G, checked below, not a trap or warning
-        with np.errstate(all="ignore"):
+    # an overflow is a non-finite G, checked below, not a trap or warning
+    with np.errstate(all="ignore"):
+        if engine == "piecewise":
+            ds = segment_hamiltonians(model)
+            zero, cell = np.zeros_like(ds), np.zeros(1)
+            G = np.stack(_segment_product(ds, zero, cell, T / len(ds))[:4])
+            if not np.isfinite(G[0, 0]):
+                raise NumericalError("non-finite propagator in the segment product")
+            traces = piecewise_traces(ds, zero, cell, T, half_period_parity(model), time_reflection(model))
+        elif engine == "integrate":
             G = _integrate_monodromy(model, steps_per_period).reshape(2, 2, 1)
-        if not np.all(np.isfinite(G.view(float))):
-            raise NumericalError("non-finite monodromy matrix")
-        traces = Traces(np.stack((G.real, G.imag)), T, half_period=False)
-    else:
-        raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
-    eps = complex(traces.eps_F[0])
-    return MonodromyResult(
-        G=G.reshape(2, 2),
-        half_trace=complex(traces.half_trace[0]),
-        eps_F=eps,
-        max_im_eps=abs(eps.imag),
-        defectiveness=float(traces.defectiveness[0]),
-    )
+            if not np.all(np.isfinite(G.view(float))):
+                raise NumericalError("non-finite monodromy matrix")
+            traces = Traces(np.stack((G.real, G.imag)), T, half_period=False)
+        else:
+            raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
+        eps = complex(traces.eps_F[0])
+        return MonodromyResult(
+            G=G.reshape(2, 2),
+            half_trace=complex(traces.half_trace[0]),
+            eps_F=eps,
+            max_im_eps=abs(eps.imag),
+            defectiveness=float(traces.defectiveness[0]),
+        )
 
 
 def defectiveness(g00, g01, g10, g11, c):

@@ -5,24 +5,26 @@ the spectral Berry pass evaluate it on its split
 :meth:`~floqep.model.PresetTemplate.parts`.  Every engine evaluates a
 list of (gamma, omega) cells through one function, :func:`_map_cells`:
 the piecewise engine in blocks of cells, each one call of the batched
-segment-product kernel, over half the period where the preset has the
-half-period parity and half again where it has the time reflection (see
-:mod:`floqep.propagator`); the ``floquet`` engine in stacked eigensolves
-of one parity sector (see :mod:`floqep.floquet`); the
-``monodromy-integrate`` engine cell by cell.  A map runs the piecewise
-engine as one in-process task, and the other two as one task per omega
-row over a process pool, reassembled by index; block and stack sizes
-are fixed per preset, so the output is bit-identical for any worker
-count.  Numerical failures become NaN sentinel cells, summarised in one
-log line; more than 1% failures aborts the sweep.  EP contours come from
-the indicator on the grid blocks and a bisection of every sign-change
-bracket; a bisection pass evaluates, in one kernel call, the midpoints
-of every bracket down the path towards an estimate of its root, under a
-small full tree that hedges the estimate, and a root's kind comes from
-the traces of the call that evaluated it.  A Berry sweep runs each loop
-in drive phase, so it takes no omega, and in-process, one route per
-family: a square loop as the polygon of its segment vectors, a smooth
-loop by the spectral route in stacked passes, NaN where that route declines.
+segment-product kernel, of one size whatever the span, over half the
+period where the preset has the half-period parity and half again where
+it has the time reflection (see :mod:`floqep.propagator`); the
+``floquet`` engine in stacked eigensolves of one parity sector (see
+:mod:`floqep.floquet`); the ``monodromy-integrate`` engine cell by cell.
+A map runs the piecewise engine as one in-process task, and the other
+two as one task per omega row over a process pool, reassembled by index;
+block and stack sizes are fixed per engine, so the output is
+bit-identical for any worker count, and the sidecar records the calls
+and the workers that ran.  Numerical failures become NaN sentinel
+cells, summarised in one log line; more than 1% failures aborts the
+sweep.  EP contours come from the indicator on the grid blocks and a
+bisection of every sign-change bracket; a bisection pass evaluates, in
+one kernel call, the midpoints of every bracket down the path towards
+an estimate of its root, under a small full tree that hedges the
+estimate, and a root's kind comes from the traces of the call that
+evaluated it.  A Berry sweep runs each loop in drive phase, so it takes
+no omega, and in-process, one route per family: a square loop as the
+polygon of its segment vectors, a smooth loop by the spectral route in
+stacked passes, NaN where that route declines.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import itertools
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 from pathlib import Path
@@ -42,7 +45,7 @@ import numpy as np
 
 from . import __version__, propagator
 from .berry import polygon_phase_rows, spectral_phase_rows
-from .floquet import DEFAULT_CUTOFF, _check_cutoff, _sector_matrix, cells_max_im
+from .floquet import DEFAULT_CUTOFF, STACK_CELLS, _check_cutoff, _sector_matrix, cells_max_im
 from .model import PresetTemplate, _is_int, half_period_parity, time_reflection
 from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
@@ -58,6 +61,7 @@ from .propagator import (
     segment_hamiltonians,
     _complex,
     _doubled_arcsin,
+    _kernel_state,
 )
 # unused here: perfbench wraps these names in this module
 from .berry import berry_phase_loop  # noqa: F401
@@ -73,14 +77,12 @@ INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 FAILURE_BUDGET = 0.01  # a larger share of failed cells aborts a map
 MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
-# cells per block, fixed per preset, so no result depends on how a grid is
-# split: a piecewise kernel call stacks each distinct segment row of its
-# span for every cell, so it holds BLOCK_ROWS // rows cells of a span of
-# ``rows`` rows (see _block_cells), BLOCK_CELLS at 4 rows, but no more than
-# MAX_BLOCK_CELLS: the product and reflection buffers do not shrink with
-# the rows, so 2048-cell calls of a 1-row span take ~0.35 MiB more peak
-# heap than 1024-cell ones; an integrate block holds BLOCK_CELLS
-BLOCK_ROWS = 2048
+# cells per block, fixed per engine, so no result depends on how a grid is
+# split: a piecewise kernel call holds MAX_BLOCK_CELLS cells of any span,
+# over which its fixed cost (~0.1 ms a call) spreads; the kernel writes its
+# arrays in place, so the square map's 4-row span peaks at ~0.75 MiB of
+# heap, and 2048-cell calls would take ~0.45 MiB more on any span.  An
+# integrate block holds BLOCK_CELLS
 BLOCK_CELLS = 512
 MAX_BLOCK_CELLS = 1024
 
@@ -236,16 +238,14 @@ def _segment_symmetries(template: PresetTemplate):
     return half_period_parity(model), time_reflection(model)
 
 
-@functools.lru_cache(maxsize=32)
-def _block_cells(template: PresetTemplate, engine: str) -> int:
-    """Cells per block of :func:`_block_propagators`: ``BLOCK_ROWS // rows``,
-    at most :data:`MAX_BLOCK_CELLS`, for the ``rows`` distinct segment rows
-    of the span the piecewise kernel multiplies
-    (:func:`~floqep.propagator.span_rows`), else :data:`BLOCK_CELLS`."""
-    if engine != "monodromy-piecewise":
-        return BLOCK_CELLS
-    rows = propagator.span_rows(*_segment_vectors(template), *_segment_symmetries(template))
-    return min(MAX_BLOCK_CELLS, BLOCK_ROWS // rows)
+def _block_cells(engine: str) -> int:
+    """Cells per kernel call of ``engine``: a block of :func:`_block_propagators`,
+    :data:`MAX_BLOCK_CELLS` for the piecewise kernel whatever its span and
+    :data:`BLOCK_CELLS` for the integrate engine, or a floquet stack of
+    :data:`~floqep.floquet.STACK_CELLS`."""
+    if engine == "floquet":
+        return STACK_CELLS
+    return MAX_BLOCK_CELLS if engine == "monodromy-piecewise" else BLOCK_CELLS
 
 
 def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
@@ -259,12 +259,12 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     :func:`~floqep.propagator.piecewise_traces`.  The integrate engine runs
     the RK4 oracle cell by cell, with the bound ``INTEGRATE_BOUND *
     max(1, ||G||_F)``; a cell whose propagator is not finite is NaN, as in
-    the kernel.
+    the kernel.  Either enters numpy's error state once per block.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
         symmetries = _segment_symmetries(template)
-    size = _block_cells(template, engine)
+    size = _block_cells(engine)
     for start in range(0, len(gammas), size):
         cells = slice(start, start + size)
         T = 2.0 * math.pi / omegas[cells]
@@ -272,13 +272,13 @@ def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
             traces = piecewise_traces(a, b, gammas[cells], T, *symmetries)
         else:
             G = np.empty((2, 2, 2, len(T)))
-            for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
-                model = template.instantiate(float(g), float(w))
-                # an overflow is a non-finite cell, which Traces makes NaN
-                with np.errstate(all="ignore"):
+            # an overflow is a non-finite cell, which Traces makes NaN
+            with np.errstate(all="ignore"):
+                for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
+                    model = template.instantiate(float(g), float(w))
                     G_k = propagator._integrate_monodromy(model, DEFAULT_STEPS_PER_PERIOD)
-                G[..., k] = G_k.real, G_k.imag
-            traces = Traces(G, T, half_period=False, bound=functools.partial(_oracle_bound, G))
+                    G[..., k] = G_k.real, G_k.imag
+                traces = Traces(G, T, half_period=False, bound=functools.partial(_oracle_bound, G))
         yield cells, T, traces
         del traces  # before the next block's kernel call, as the callers do
 
@@ -329,7 +329,8 @@ def _undecided(traces, T) -> np.ndarray:
     two verdicts decide.  Only the cells that the first-order bound
     ``|dw| <= 2 |dt| / |sqrt(4 + t^2)| = 2 |dt| / sqrt(2 |1 + c|)`` on
     ``w = eps_F T``, doubled for the higher orders, puts near the
-    threshold are tried.
+    threshold are tried.  Overflows are the caller's: it holds numpy's
+    error state (see :func:`_map_cells`).
     """
     t, bound = traces.parity_trace, traces.bound
     if t is None:
@@ -338,9 +339,8 @@ def _undecided(traces, T) -> np.ndarray:
         return (np.abs(c.imag) <= bound) & (np.abs(gap) <= bound)
     step = 2.0 * bound  # |dt| <= sqrt(2) step
     undecided = np.zeros(t.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        gap = np.abs(traces.max_im_eps - INSTABILITY_THRESHOLD) * T
-        near = np.flatnonzero(gap * np.sqrt(np.abs(1.0 + traces.half_trace)) <= 4.0 * step)
+    gap = np.abs(traces.max_im_eps - INSTABILITY_THRESHOLD) * T
+    near = np.flatnonzero(gap * np.sqrt(np.abs(1.0 + traces.half_trace)) <= 4.0 * step)
     if near.size:
         t, s, T = t[near], step[near], T[near]
         least = _complex((t.real - np.clip(t.real, -s, s), t.imag - np.clip(t.imag, -s, s)))
@@ -373,15 +373,18 @@ def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omega
     """``max Im eps`` at the cells ``(gammas[k], omegas[k])`` (NaN where one
     fails), the count of cells undecided by the propagator's bound (None
     for the floquet engine), and the error text of each failed floquet
-    cell (a failed propagator cell has one cause, so no text)."""
+    cell (a failed propagator cell has one cause, so no text).  A
+    monodromy engine enters numpy's error state once per block for its
+    verdict."""
     if engine == "floquet":
         values, errors = cells_max_im(*_floquet_sector(template, cutoff), gammas, omegas, cutoff)
         return values, None, errors
     values = np.empty(len(gammas))
     undecided = 0
     for cells, T, traces in _block_propagators(template, gammas, omegas, engine):
-        values[cells] = traces.max_im_eps
-        undecided += int(np.count_nonzero(_undecided(traces, T)))
+        with _kernel_state():  # the verdict of a non-finite cell is NaN
+            values[cells] = traces.max_im_eps
+            undecided += int(np.count_nonzero(_undecided(traces, T)))
         del traces
     return values, undecided, []
 
@@ -398,12 +401,15 @@ def _map_tasks(fn, tasks, threads: int) -> list:
 
 def _run_metadata(template: PresetTemplate, **fields) -> dict:
     """A result's sidecar metadata: the model label, ``fields``, a UTC
-    timestamp and the package version."""
+    timestamp, the package version, and the machine's CPU count and numpy
+    version."""
     return {
         "model": template.label,
         **fields,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "version": __version__,
+        "cpu_count": os.cpu_count(),
+        "numpy": np.__version__,
     }
 
 
@@ -429,7 +435,10 @@ def phase_diagram(
     engines count the cells whose verdict is within their bound of the
     threshold (``undecided_cells``; None for the floquet engine): the
     piecewise kernel's rounding bound, or the oracle's
-    ``INTEGRATE_BOUND * max(1, ||G||_F)``.
+    ``INTEGRATE_BOUND * max(1, ||G||_F)``.  The metadata records what ran:
+    ``workers`` (the processes), ``kernel_calls`` (blocks of the monodromy
+    engines, stacked eigensolves of the floquet engine) and
+    ``cells_per_call`` (their size, the last of a task smaller).
     """
     threads = _check_threads(threads)
     _engine_family_check(template, grid.engine)
@@ -442,7 +451,8 @@ def phase_diagram(
     rows = 1 if grid.engine == "monodromy-piecewise" else grid.omega_count
     tasks = [(template, grid.engine, cutoff, g, w)
              for g, w in zip(*(np.split(axis, rows) for axis in grid.cells()))]
-    values, undecided, errors = zip(*_map_tasks(_map_cells, tasks, threads))
+    workers = min(threads, len(tasks))
+    values, undecided, errors = zip(*_map_tasks(_map_cells, tasks, workers))
     values = np.concatenate(values).reshape(grid.omega_count, grid.gamma_count)
     undecided = None if None in undecided else sum(undecided)
     errors = [e for errs in errors for e in errs]
@@ -463,8 +473,11 @@ def phase_diagram(
         "floquet": {"cutoff": cutoff},
         "monodromy-integrate": {"steps_per_period": DEFAULT_STEPS_PER_PERIOD},
     }.get(grid.engine, {})
+    size = _block_cells(grid.engine)
+    calls = rows * -(-values.size // rows // size)
     metadata = _run_metadata(
         template, engine=grid.engine, **settings, failed_cells=n_bad, undecided_cells=undecided,
+        workers=workers, kernel_calls=calls, cells_per_call=size,
     )
     return PhaseDiagram(grid=grid, values=values, metadata=metadata)
 
@@ -507,7 +520,9 @@ def _classify_root(roots: list) -> dict[tuple[float, float], EPKind]:
     if not roots:
         return {}
     g, w, f, traces = zip(*roots)
-    kinds = root_kinds(np.concatenate(f), Traces.concat(traces).defectiveness)
+    with np.errstate(all="ignore"):
+        defect = Traces.concat(traces).defectiveness
+    kinds = root_kinds(np.concatenate(f), defect)
     return dict(zip(zip(np.concatenate(g).tolist(), np.concatenate(w).tolist()), kinds))
 
 
@@ -686,7 +701,7 @@ def trace_ep_contours(template: PresetTemplate, grid: GridSpec) -> EPContourSet:
     omegas = grid.omegas
     dgamma = float(gammas[1] - gammas[0])
 
-    block = _block_cells(template, grid.engine)
+    block = _block_cells(grid.engine)
     roots: list = []  # the root cells of every kernel call, by block
     kernel_calls = 0
 

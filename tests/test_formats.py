@@ -8,6 +8,7 @@ the files (scripts, plots, other tools) see.
 import datetime
 import json
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -151,8 +152,10 @@ gamma,classification
 
 SCAN_META = """\
 {
+  "cpu_count": CPU_COUNT,
   "format": "spectrum-scan",
   "model": "apt-cosx-siny[J=1,beta=1,smooth]",
+  "numpy": NUMPY,
   "samples": 256,
   "schema_version": 1,
   "thresholds": [
@@ -205,7 +208,8 @@ def test_spectrum_scan_bytes(tmp_path):
     assert cli.main(["spectrum-scan", "--config", str(cfg)]) == 0
     out = tmp_path / "out"
     assert (out / "spectrum_scan.csv").read_bytes() == SCAN_CSV.encode()
-    meta = SCAN_META.replace("VERSION", json.dumps(floqep.__version__))
+    meta = SCAN_META.replace("VERSION", json.dumps(floqep.__version__)).replace(
+        "CPU_COUNT", json.dumps(os.cpu_count())).replace("NUMPY", json.dumps(np.__version__))
     text = (out / "spectrum_scan.csv.meta.json").read_text()
     stamp = json.loads(text)["timestamp"]
     assert datetime.datetime.fromisoformat(stamp).tzinfo is not None

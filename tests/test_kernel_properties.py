@@ -124,8 +124,9 @@ def test_worker_count_bit_identity(template, n_gamma, n_omega, engine):
     "n_cells, engine",
     [
         pytest.param(n, engine, id=f"{n}" if engine == "piecewise" else f"{n}-{engine}")
-        for engine in ("piecewise", "integrate")
-        for n in (sweep_mod.BLOCK_CELLS - 1, sweep_mod.BLOCK_CELLS + 3)
+        # the piecewise map is one task over both rows, the integrate map a task per row
+        for engine, size in (("piecewise", sweep_mod.MAX_BLOCK_CELLS // 2), ("integrate", sweep_mod.BLOCK_CELLS))
+        for n in (size - 1, size + 3)
     ],
 )
 def test_map_blocks_match_single_cells(n_cells, engine):
@@ -133,7 +134,9 @@ def test_map_blocks_match_single_cells(n_cells, engine):
     # an integrate column is longer than a block
     tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
     grid = GridSpec(0.0, 5.0, n_cells, 0.4, 2.8, 2, engine=f"monodromy-{engine}")
-    assert sweep_mod._block_cells(tpl, grid.engine) == sweep_mod.BLOCK_CELLS  # its 4-row span
+    # one call size for every span, this preset's 4-row half period too
+    want = sweep_mod.MAX_BLOCK_CELLS if engine == "piecewise" else sweep_mod.BLOCK_CELLS
+    assert sweep_mod._block_cells(grid.engine) == want
     values = phase_diagram(tpl, grid).values
     rng = np.random.default_rng(n_cells)
     for j, i in zip(rng.integers(0, 2, 12), rng.integers(0, n_cells, 12)):
@@ -176,8 +179,7 @@ def _reference_segment_product(a, b, gammas, taus):
             key = dd[0].tobytes() + dd[1].tobytes()
             if key not in factors:
                 factors[key] = _cos_sinc(dd, taus)
-            e00, e01, e10, e11 = _expm_pauli_elements(d, factors[key], taus)
-            re, im = (np.array([[e00[p], e01[p]], [e10[p], e11[p]]]) for p in (0, 1))
+            re, im = _expm_pauli_elements(d, factors[key], taus, np.empty((2, 2, 2, gammas.size)))
             E.append((re, im))
             sq = re * re + im * im
             norms.append(np.sqrt(sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]))

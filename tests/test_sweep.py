@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ import floqep.cli as cli
 import floqep.propagator as propagator_mod
 import floqep.sweep as sweep_mod
 from floqep.berry import berry_phase_loop, polygon_phase_rows
-from floqep.floquet import _sector_matrix
+from floqep.floquet import STACK_CELLS, _sector_matrix
 from floqep.model import PRESET_NAMES, PresetTemplate
 from floqep.render import berry_svg
 from floqep.propagator import (
@@ -713,12 +714,12 @@ class TestEPContours:
         ]
         # the grid, then passes over both brackets: about 53 halvings from
         # width 0.1 down to adjacent doubles, in no more passes than trees of
-        # k = floor(log2(512 // 2 + 1)) = 8 levels, well short of
+        # k = floor(log2(1024 // 2 + 1)) = 9 levels, well short of
         # MAX_BISECTIONS passes
         lo, hi = grid.gammas[[2, 2]], grid.gammas[[3, 3]]
         _, want = _reference_refine(lambda x, b: np.where(x < 0.3, -1.0, 1.0), lo, hi, [-1.0, -1.0])
-        assert calls[0] == 22 and max(calls[1:]) <= sweep_mod._block_cells(PT3, grid.engine) == 512
-        assert len(calls) - 1 <= _tree_passes(want) <= -(-54 // 8) + 1 < sweep_mod.MAX_BISECTIONS
+        assert calls[0] == 22 and max(calls[1:]) <= sweep_mod._block_cells(grid.engine) == 1024
+        assert len(calls) - 1 <= _tree_passes(want, 1024) <= -(-54 // 9) + 1 < sweep_mod.MAX_BISECTIONS
         assert cs.metadata["refinement"] == {
             "brackets": 2, "node_roots": 0, "passes": len(calls) - 1,
             "cells": sum(calls[1:]), "steps": want.sum(), "kernel_calls": len(calls),
@@ -762,9 +763,8 @@ class TestEPContours:
         if grid.engine == "monodromy-integrate":
             assert not traced and cells == steps  # one step per pass: no extra cell
         else:
-            # every call within the size the span's distinct segment rows set, the
-            # passes' budget too
-            assert 0 < max(traced) <= pass_cells == sweep_mod._block_cells(template, grid.engine)
+            # every call within the engine's call size, the passes' budget too
+            assert 0 < max(traced) <= pass_cells == sweep_mod._block_cells(grid.engine)
             assert record["kernel_calls"] == len(traced)
         if max_calls is not None:
             assert len(traced) <= max_calls
@@ -882,7 +882,7 @@ class TestEPContours:
                             lambda a, b, g, *rest: (calls.append(len(g)), kernel(a, b, g, *rest))[1])
         record = trace_ep_contours(APT3, grid).metadata["refinement"]
         assert record["kernel_calls"] == len(calls) <= 7 and record["passes"] == len(calls) - 3
-        assert calls[:3] == [1024] * 3 and max(calls) <= sweep_mod._block_cells(APT3, grid.engine) == 1024
+        assert calls[:3] == [1024] * 3 and max(calls) <= sweep_mod._block_cells(grid.engine) == 1024
 
     @pytest.mark.parametrize(
         "template, grid, node_roots",
@@ -914,44 +914,96 @@ class TestEPContours:
             assert [pt.kind for pt in points if pt.omega == 0.05 and round(pt.gamma, 6) == 0.14326] == ["EP"]
 
 
-# cells per kernel call of each square preset: BLOCK_ROWS over the distinct
-# segment rows of the span the kernel multiplies, at most MAX_BLOCK_CELLS
-BLOCK_SIZES = {
-    ("apt-cosx-siny", 1): 1024, ("apt-cosx-siny", 2): 1024, ("apt-cosx-siny", 3): 1024, ("apt-cosx-siny", 4): 512,
-    ("apt-cosx-cosy", 1): 1024, ("apt-cosx-cosy", 2): 512, ("apt-cosx-cosy", 3): 512, ("apt-cosx-cosy", 4): 512,
-    ("pt-cosy-cosz", 1): 1024, ("pt-cosy-cosz", 2): 512, ("pt-cosy-cosz", 3): 512, ("pt-cosy-cosz", 4): 512,
-    ("pt-cosy-sinz", 1): 1024, ("pt-cosy-sinz", 2): 1024, ("pt-cosy-sinz", 3): 1024, ("pt-cosy-sinz", 4): 512,
-}
-
-
 class TestBlockSizes:
-    @pytest.mark.parametrize("name, beta", sorted(BLOCK_SIZES))
-    def test_cells_per_call(self, monkeypatch, name, beta):
-        tpl = PresetTemplate(name, beta=beta, family="square")
-        size = BLOCK_SIZES[name, beta]
-        rows = propagator_mod.span_rows(*sweep_mod._segment_vectors(tpl), *sweep_mod._segment_symmetries(tpl))
-        assert sweep_mod._block_cells(tpl, "monodromy-piecewise") == size
-        assert size == min(sweep_mod.MAX_BLOCK_CELLS, sweep_mod.BLOCK_ROWS // rows)
-        assert sweep_mod._block_cells(tpl, "monodromy-integrate") == sweep_mod.BLOCK_CELLS
+    @staticmethod
+    def _kernel_calls(monkeypatch) -> list:
+        """The cell count of every piecewise kernel call the sweeps make from now."""
         calls = []
         kernel = sweep_mod.piecewise_traces
         monkeypatch.setattr(sweep_mod, "piecewise_traces",
                             lambda a, b, g, *rest: (calls.append(len(g)), kernel(a, b, g, *rest))[1])
-        phase_diagram(tpl, GridSpec(0.0, 5.0, size + 3, 0.2, 3.0, 2))
-        assert calls == [size, size, 6]
+        return calls
 
-    def test_the_square_map_keeps_its_calls(self):
-        assert BLOCK_SIZES["pt-cosy-cosz", 3] == sweep_mod.BLOCK_CELLS == 512
+    @pytest.mark.parametrize("name, beta", sorted((name, beta) for name in PRESET_NAMES for beta in range(1, 5)))
+    def test_cells_per_call(self, monkeypatch, name, beta):
+        # one call size for every span, of 1, 2 or 4 distinct segment rows
+        tpl = PresetTemplate(name, beta=beta, family="square")
+        size = sweep_mod.MAX_BLOCK_CELLS
+        assert sweep_mod._block_cells("monodromy-piecewise") == size
+        assert sweep_mod._block_cells("monodromy-integrate") == sweep_mod.BLOCK_CELLS
+        calls = self._kernel_calls(monkeypatch)
+        meta = phase_diagram(tpl, GridSpec(0.0, 5.0, size + 3, 0.2, 3.0, 2)).metadata
+        assert calls == [size, size, 6]
+        assert (meta["kernel_calls"], meta["cells_per_call"], meta["workers"]) == (3, size, 1)
+
+    def test_the_square_map_keeps_its_calls(self, monkeypatch, tmp_path):
+        # the square-map benchmark's shape: 6 calls of 1024 cells, in process
+        # at 2 threads, which the sidecar records and load keeps
+        calls = self._kernel_calls(monkeypatch)
+        diagram = phase_diagram(PT3, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24), threads=2)
+        assert calls == [1024] * 6
+        meta = diagram.metadata
+        assert (meta["kernel_calls"], meta["cells_per_call"], meta["workers"]) == (6, 1024, 1)
+        assert (meta["cpu_count"], meta["numpy"]) == (os.cpu_count(), np.__version__)
+        assert load(persist(diagram, tmp_path / "d.csv")).metadata == meta
+
+    @pytest.mark.parametrize(
+        "template, engine, calls, per_call, workers",
+        [
+            (PT3, "monodromy-integrate", 3 * 2, sweep_mod.BLOCK_CELLS, 2),  # a 515-cell row: 2 blocks
+            (PT3_SMOOTH, "floquet", 3 * 17, STACK_CELLS, 2),  # 17 stacks of at most 32 per row
+        ],
+        ids=["integrate", "floquet"],
+    )
+    def test_sidecar_counts_the_calls(self, monkeypatch, template, engine, calls, per_call, workers):
+        # a task per omega row, over at most `threads` processes
+        monkeypatch.setattr(sweep_mod, "Pool", TestPoolSize.FakePool)
+        monkeypatch.setattr(propagator_mod, "_integrate_monodromy", lambda *args: np.eye(2) + 0j)
+        monkeypatch.setattr(sweep_mod, "cells_max_im", lambda a, b, h, g, w, cutoff: (np.zeros(len(g)), []))
+        meta = phase_diagram(template, GridSpec(0.0, 1.0, 515, 0.5, 1.0, 3, engine=engine), threads=2).metadata
+        assert (meta["kernel_calls"], meta["cells_per_call"], meta["workers"]) == (calls, per_call, workers)
+
+    @pytest.mark.parametrize("beta", [3, 4])
+    def test_four_row_maps_keep_their_bytes_at_any_call_size(self, monkeypatch, beta):
+        # the call size moves no bit: 97x23 cells cut into blocks anywhere in a row
+        tpl = PresetTemplate("pt-cosy-cosz", beta=beta, family="square")
+        maps = []
+        for cap in (512, 1024):
+            monkeypatch.setattr(sweep_mod, "MAX_BLOCK_CELLS", cap)
+            diagram = phase_diagram(tpl, GridSpec(0.0, 5.0, 97, 0.2, 3.0, 23))
+            assert diagram.metadata["kernel_calls"] == -(-97 * 23 // cap)
+            maps.append((diagram.values.tobytes(), diagram.metadata["undecided_cells"]))
+        assert maps[0] == maps[1]
+
+    @pytest.mark.parametrize("engine", ["monodromy-piecewise", "monodromy-integrate"])
+    def test_one_error_state_per_kernel_call_and_verdict(self, monkeypatch, engine):
+        # each block enters numpy's error state twice: its kernel call (or
+        # integrate block) and its verdict; pytest's error::RuntimeWarning
+        # filter shows that no warning escapes the others
+        entries = []
+
+        class Counting(np.errstate):
+            def __enter__(self):
+                entries.append(None)
+                return super().__enter__()
+
+        monkeypatch.setattr(propagator_mod, "_integrate_monodromy", lambda *args: np.eye(2) + 0j)
+        monkeypatch.setattr(np, "errstate", Counting)
+        grid = GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24, engine=engine)
+        blocks = phase_diagram(PT3, grid).metadata["kernel_calls"]
+        assert blocks == (6 if engine == "monodromy-piecewise" else 24)
+        assert len(entries) == 2 * blocks
 
     @pytest.mark.parametrize(
         "run, limit_mib",
         [
-            # 0.77 MiB at 1024-cell calls; 2048-cell ones would take 1.16
+            # 0.66 MiB at 1024-cell calls; 2048-cell ones would take 1.09
             (lambda: trace_ep_contours(APT3, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)), 1.0),
-            # 0.59 MiB at 512-cell calls; 1024-cell ones would take 1.03
+            # 0.75 MiB at 1024-cell calls of its 4-row span; 2048-cell ones
+            # would take 1.35
             (lambda: phase_diagram(PT3, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24)), 0.80),
-            # a 1-row span: 0.67 and 0.73 MiB at 1024-cell calls; 2048-cell
-            # ones would take 1.03 and 1.12
+            # a 1-row span: 0.54 and 0.60 MiB at 1024-cell calls; 2048-cell
+            # ones would take 0.97 and 1.05
             (lambda: trace_ep_contours(APT1, GridSpec(0.0, 5.0, 128, 0.2, 3.0, 24)), 0.85),
             (lambda: phase_diagram(APT1, GridSpec(0.0, 5.0, 256, 0.2, 3.0, 24)), 0.85),
         ],
