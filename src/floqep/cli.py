@@ -182,7 +182,7 @@ def cmd_spectrum_scan(args) -> int:
     csv_path = write_table(
         out / "spectrum_scan.csv",
         "gamma,classification",
-        csv_lines((map(_fmt, scan.gammas), scan.classifications)),
+        csv_lines(zip(map(_fmt, scan.gammas), scan.classifications)),
         "spectrum-scan",
         _run_metadata(tpl, samples=SCAN_SAMPLES, thresholds=thresholds),
     )

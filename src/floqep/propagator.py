@@ -311,13 +311,14 @@ class Traces:
 
     Built from the entries of ``G``, or, on the half-period route
     (``half_period``), of ``M = P G_h``, as a ``[part, row, col, cell]``
-    array of their real and imaginary parts.  There ``t = tr M`` is
-    ``parity_trace``, ``c = 1 + t^2/2``, ``eps_F T = 2 arcsin(-i t/2)``
-    on the branch of :func:`quasienergy_from_trace`, and, since
-    Cayley-Hamilton with ``det M = -1`` gives ``G = t M + I``,
+    array of their real and imaginary parts, and the periods ``T``.  On
+    that route ``t = tr M`` is ``parity_trace``, ``c = 1 + t^2/2``,
+    ``eps_F T = 2 arcsin(-i t/2)`` on the branch of
+    :func:`quasienergy_from_trace`, and, since Cayley-Hamilton with
+    ``det M = -1`` gives ``G = t M + I``,
     ``||G - c*I||_F = |t| ||M - (t/2) I||_F``.  A cell with any entry not
-    finite is NaN throughout.  ``half_trace`` and ``parity_trace`` are
-    formed at once; ``entries`` (the four complex entries, row-major),
+    finite is NaN throughout.  ``T``, ``half_trace`` and ``parity_trace``
+    are formed at once; ``entries`` (the four complex entries, row-major),
     ``bound`` (a bound on the half-trace's error, the kernel's rounding
     bound or the oracle's, from the zero-argument ``bound``; None without
     one), ``eps_F``, ``max_im_eps`` and ``defectiveness`` on first use,
@@ -330,7 +331,7 @@ class Traces:
 
     def __init__(self, parts, T, half_period: bool, bound=None):
         self._parts = parts
-        self._T = np.asarray(T, dtype=float)
+        self.T = np.asarray(T, dtype=float)
         self._bound = bound
         self._finite = np.isfinite(parts).all(axis=(0, 1, 2))
         t = _complex((parts[0, 0, 0] + parts[0, 1, 1], parts[1, 0, 0] + parts[1, 1, 1]))
@@ -342,13 +343,13 @@ class Traces:
 
     def take(self, cells) -> Traces:
         """The cells ``cells`` alone, with the same bits (no bound)."""
-        return Traces(self._parts[..., cells], self._T[cells], self.parity_trace is not None)
+        return Traces(self._parts[..., cells], self.T[cells], self.parity_trace is not None)
 
     @staticmethod
     def concat(batches) -> Traces:
         """The cells of ``batches`` (of one route) in order, with the same bits (no bound)."""
         return Traces(np.concatenate([t._parts for t in batches], axis=-1),
-                      np.concatenate([t._T for t in batches]), batches[0].parity_trace is not None)
+                      np.concatenate([t.T for t in batches]), batches[0].parity_trace is not None)
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -362,9 +363,9 @@ class Traces:
     def eps_F(self) -> np.ndarray:
         t = self.parity_trace
         if t is None:
-            return quasienergy_from_trace(self.half_trace, self._T)
+            return quasienergy_from_trace(self.half_trace, self.T)
         w = _doubled_arcsin(t)
-        return _on_branch(np.where(w.real < 0.0, -w, w), self._T)  # -w: same cosine, Re >= 0
+        return _on_branch(np.where(w.real < 0.0, -w, w), self.T)  # -w: same cosine, Re >= 0
 
     @functools.cached_property
     def max_im_eps(self) -> np.ndarray:
@@ -372,7 +373,7 @@ class Traces:
         branch fold, which only negates ``Im w``: ``|Im w| / T``."""
         t = self.parity_trace
         w = np.arccos(self.half_trace) if t is None else _doubled_arcsin(t)
-        return np.abs(w.imag) / self._T
+        return np.abs(w.imag) / self.T
 
     @functools.cached_property
     def defectiveness(self) -> np.ndarray:
@@ -422,63 +423,50 @@ def _reflected(axis: Axis, A):
 
 @functools.lru_cache(maxsize=32)
 def _segment_plan(rows: bytes):
-    """``(order, parts, n_groups, groups)`` for the segment rows
-    ``(a[l], b[l])``, packed as complex bytes: decided once per row set.
+    """``(order, parts, shared)`` for the segment rows ``(a[l], b[l])``,
+    packed as complex bytes: decided once per row set.
 
     Rows compare by value, so ``-0.0`` matches ``0.0``.  ``order[l]`` is
-    the distinct row of segment ``l``; ``parts`` holds the real and
-    imaginary parts of ``a`` and ``b`` on the distinct rows, each
-    ``(n_distinct, 3, 1)``.  Two rows whose ``(a_k, b_k)`` agree up to
-    sign in each component ``k`` have bitwise-equal ``d.d`` at every
-    gamma, since rounding is odd, so they share a group, whose
-    transcendental factors are computed once: rows ``0 .. n_groups - 1``
-    stand for the groups, and ``groups[j]`` is the group of row ``j``
-    (None when every row is its own group, or when all share one, whose
-    factors broadcast over the rows).
+    the distinct row of segment ``l``, numbered in order of first
+    appearance; ``parts`` holds the real and imaginary parts of ``a`` and
+    ``b`` on the distinct rows, each ``(n_distinct, 3, 1)``.  ``shared``
+    holds when every distinct row's ``(a_k, b_k)`` agrees up to sign with
+    the first row's in each component ``k``, as on every preset span:
+    then every row has the first row's ``d.d`` at every gamma, since
+    rounding is odd, and its transcendental factors are computed once and
+    broadcast over the rows.  Otherwise each row computes its own.
     """
     segments = [tuple(r) for r in np.frombuffer(rows, dtype=complex).reshape(-1, 6)]
-    # each row's (a_k, b_k) up to sign, per component: its group
-    keys = [tuple(frozenset({(r[k], r[k + 3]), (-r[k], -r[k + 3])}) for k in range(3)) for r in segments]
-    first = list(dict.fromkeys(keys))
-    # the distinct rows: the first of each group, in group order, then the rest
-    distinct = list(dict.fromkeys([segments[keys.index(key)] for key in first] + segments))
-    groups = [first.index(keys[segments.index(r)]) for r in distinct]
+    distinct = list(dict.fromkeys(segments))
+    # each row's (a_k, b_k) up to sign, per component
+    keys = {tuple(frozenset({(r[k], r[k + 3]), (-r[k], -r[k + 3])}) for k in range(3)) for r in distinct}
     ab = np.array(distinct).reshape(-1, 2, 3, 1)
     parts = tuple(np.ascontiguousarray(x) for x in (ab[:, 0].real, ab[:, 0].imag, ab[:, 1].real, ab[:, 1].imag))
     for x in parts:
         x.flags.writeable = False
     order = tuple(distinct.index(r) for r in segments)
-    return order, parts, len(first), None if len(first) in (1, len(distinct)) else np.array(groups)
+    return order, parts, len(keys) == 1
 
 
-def _plan(a, b):
-    """:func:`_segment_plan` of the segment rows ``(a[l], b[l])``."""
-    a, b = (np.asarray(x, dtype=complex) for x in (a, b))
-    return _segment_plan(np.concatenate([a, b], axis=1).tobytes())
-
-
-def _segment_exponentials(parts, n_groups, groups, gammas, taus):
+def _segment_exponentials(parts, shared, gammas, taus):
     """The distinct segment exponentials of a batch, as ``E[row, part, i, j, cell]``
     for the distinct rows of :func:`_segment_plan`.
 
     Lean in memory, with the bits of the plain formulas: ``d = gamma b + a``
-    is formed in place (the sum commutes), the cos/sinc factors of one
-    group broadcast over the rows, and the entries are written straight
-    into ``E``.
+    is formed in place (the sum commutes), the cos/sinc factors are the
+    first row's, broadcast over the rows, where the rows are ``shared``,
+    else each row's own, and the entries are written straight into ``E``.
     """
     ar, ai, br, bi = parts
     d = np.empty((2, *br.shape[:2], len(gammas)))
     for x, a, b in ((d[0], ar, br), (d[1], ai, bi)):
         np.multiply(gammas, b, out=x)
         x += a
-    # d.d as _dot forms it, the three squares at once, then their sum, on
-    # the rows that stand for the groups
-    lead = d[:, :n_groups]
+    # d.d as _dot forms it, the three squares at once, then their sum
+    lead = d[:, :1] if shared else d
     sq = _mul(lead, lead)
     factors = _cos_sinc(tuple(s[:, 0] + s[:, 1] + s[:, 2] for s in sq), taus)
     del sq
-    if groups is not None:
-        factors = [(x[0][groups], x[1][groups]) for x in factors]
     E = np.empty((len(ar), 2, 2, 2, len(gammas)))
     _expm_pauli_elements(d.transpose(2, 0, 1, 3), factors, taus, E.transpose(1, 2, 3, 0, 4))
     return E
@@ -504,7 +492,7 @@ def _segment_pairs(a, b, gammas, taus):
     that its rounding bound reads (see :func:`_segment_product`)."""
     gammas = np.asarray(gammas, dtype=float)
     taus = np.asarray(taus, dtype=float)
-    order, *plan = _plan(a, b)
+    order, *plan = _segment_plan(np.concatenate([a, b], axis=1, dtype=complex).tobytes())
     E = _segment_exponentials(*plan, gammas, taus)
     G = E[order[0]].copy()
     prod = np.empty((2, 2, 2, 2, 2, len(gammas)))
@@ -540,6 +528,18 @@ def _product_bound(E, order, reflected: bool):
         N *= norms[l]
     b = len(order) * 8.0 * UNIT_ROUNDOFF * N
     return (2.0 * N + b) * b + 8.0 * UNIT_ROUNDOFF * (N + b) ** 2 if reflected else b
+
+
+# the RK4 oracle's trace error per unit ||G||_F (at least 1): at c = 1
+# exactly, square pt-cosy-cosz beta=2 at omega 0.5 reads 1 - 3.9e-12
+INTEGRATE_BOUND = 1.5e-11
+
+
+def _oracle_bound(G) -> np.ndarray:
+    """The RK4 oracle's bound on the half-traces of the ``[part, row, col,
+    cell]`` propagators ``G``; ``hypot`` keeps ``||G||_F`` finite where its
+    square is not."""
+    return INTEGRATE_BOUND * np.maximum(1.0, np.hypot.reduce(G.reshape(8, -1)))
 
 
 def _segment_product(a, b, gammas, taus):
@@ -630,6 +630,19 @@ def _integrate_monodromy(model: ModelSpec, steps_per_period: int) -> np.ndarray:
     return _ordered_product(_power(_rk4_transfer(starts, mids, ends, h), runs))
 
 
+def integrate_traces(models, T, steps_per_period: int) -> Traces:
+    """:class:`Traces` of the RK4 oracle, :func:`_integrate_monodromy` of
+    each of ``models`` (a cell each), with periods ``T`` and the lazy bound
+    :func:`_oracle_bound`.  The call enters numpy's error state once, so an
+    overflow is a NaN cell without a warning, as in the kernel."""
+    G = np.empty((2, 2, 2, len(models)))
+    with np.errstate(all="ignore"):
+        for k, model in enumerate(models):
+            G_k = _integrate_monodromy(model, steps_per_period)
+            G[..., k] = G_k.real, G_k.imag
+        return Traces(G, T, half_period=False, bound=functools.partial(_oracle_bound, G))
+
+
 def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | None) -> Traces:
     """:class:`Traces` for a batch of cells, with the kernel's rounding bound.
 
@@ -651,7 +664,8 @@ def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | No
     each distinct segment row of the span, and 32 of the product buffer,
     each array written in place.
     """
-    half = _multiplied(len(a), parity, reflection)
+    span = len(a) // 2 if parity else len(a)
+    half = span // 2 if reflection else span
     with _kernel_state():
         G, E, order = _segment_pairs(a[:half], b[:half], gammas, T / len(a))
         if reflection is not None:
@@ -660,12 +674,6 @@ def piecewise_traces(a, b, gammas, T, parity: Axis | None, reflection: Axis | No
             G = _parity_product(parity, G)
         bound = functools.partial(_product_bound, E, order, reflection is not None)
         return Traces(G, T, half_period=parity is not None, bound=bound)
-
-
-def _multiplied(n_seg: int, parity: Axis | None, reflection: Axis | None) -> int:
-    """How many leading segments of ``n_seg`` :func:`piecewise_traces` multiplies."""
-    span = n_seg // 2 if parity else n_seg
-    return span // 2 if reflection else span
 
 
 def monodromy(
@@ -696,10 +704,10 @@ def monodromy(
                 raise NumericalError("non-finite propagator in the segment product")
             traces = piecewise_traces(ds, zero, cell, T, half_period_parity(model), time_reflection(model))
         elif engine == "integrate":
-            G = _integrate_monodromy(model, steps_per_period).reshape(2, 2, 1)
-            if not np.all(np.isfinite(G.view(float))):
+            traces = integrate_traces([model], T, steps_per_period)
+            G = np.stack(traces.entries)
+            if not np.isfinite(G[0, 0]):
                 raise NumericalError("non-finite monodromy matrix")
-            traces = Traces(np.stack((G.real, G.imag)), T, half_period=False)
         else:
             raise ValueError(f"unknown engine {engine!r} (use 'piecewise' or 'integrate')")
         eps = complex(traces.eps_F[0])

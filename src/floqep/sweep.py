@@ -4,17 +4,17 @@ A preset is affine in gamma: the piecewise and ``floquet`` engines and
 the spectral Berry pass evaluate it on its split
 :meth:`~floqep.model.PresetTemplate.parts`.  Every engine evaluates a
 list of (gamma, omega) cells through one function, :func:`_map_cells`:
-the piecewise engine in blocks of cells, each one call of the batched
-segment-product kernel, of one size whatever the span, over half the
+both monodromy engines in blocks of one size, a piecewise block one call
+of the batched segment-product kernel whatever the span, over half the
 period where the preset has the half-period parity and half again where
-it has the time reflection (see :mod:`floqep.propagator`); the
+it has the time reflection (see :mod:`floqep.propagator`), a
+``monodromy-integrate`` block the RK4 oracle cell by cell; the
 ``floquet`` engine in stacked eigensolves of one parity sector (see
-:mod:`floqep.floquet`); the ``monodromy-integrate`` engine cell by cell.
-A map runs the piecewise engine as one in-process task, and the other
-two as one task per omega row over a process pool, reassembled by index;
-block and stack sizes are fixed per engine, so the output is
-bit-identical for any worker count, and the sidecar records the calls
-and the workers that ran.  Numerical failures become NaN sentinel
+:mod:`floqep.floquet`).  A map runs the piecewise engine as one
+in-process task, and the other two as one task per omega row over a
+process pool, reassembled by index; block and stack sizes are fixed per
+engine, so the output is bit-identical for any worker count, and the
+sidecar records the calls and the workers that ran.  Numerical failures become NaN sentinel
 cells, summarised in one log line; more than 1% failures aborts the
 sweep.  EP contours come from the indicator on the grid blocks and a
 bisection of every sign-change bracket; a bisection pass evaluates, in
@@ -51,10 +51,10 @@ from .propagator import (
     DEFAULT_STEPS_PER_PERIOD,
     ROOT_TOL,
     EPKind,
-    MonodromyResult,
     NumericalError,
     Traces,
     indicator_from_trace,
+    integrate_traces,
     monodromy,
     piecewise_traces,
     root_kinds,
@@ -77,18 +77,11 @@ INSTABILITY_THRESHOLD = 1e-8  # max Im eps above this counts as unstable
 FAILURE_BUDGET = 0.01  # a larger share of failed cells aborts a map
 MAX_BISECTIONS = 200  # per bracket; a root not found by then is lost
 
-# cells per block, fixed per engine, so no result depends on how a grid is
-# split: a piecewise kernel call holds MAX_BLOCK_CELLS cells of any span,
-# over which its fixed cost (~0.1 ms a call) spreads; the kernel writes its
-# arrays in place, so the square map's 4-row span peaks at ~0.75 MiB of
-# heap, and 2048-cell calls would take ~0.45 MiB more on any span.  An
-# integrate block holds BLOCK_CELLS
-BLOCK_CELLS = 512
-MAX_BLOCK_CELLS = 1024
-
-# the RK4 oracle's trace error per unit ||G||_F (at least 1): at c = 1
-# exactly, square pt-cosy-cosz beta=2 at omega 0.5 reads 1 - 3.9e-12
-INTEGRATE_BOUND = 1.5e-11
+# cells per block of either monodromy engine, fixed, so no result depends
+# on how a grid is split: a piecewise kernel call's fixed cost (~0.1 ms)
+# spreads over them, and the square map's 4-row span peaks at ~0.75 MiB of
+# heap (2048-cell calls take ~0.45 MiB more); the RK4 oracle runs cell by cell
+BLOCK_CELLS = 1024
 
 
 class FailureBudgetExceeded(RuntimeError):
@@ -240,54 +233,36 @@ def _segment_symmetries(template: PresetTemplate):
 
 def _block_cells(engine: str) -> int:
     """Cells per kernel call of ``engine``: a block of :func:`_block_propagators`,
-    :data:`MAX_BLOCK_CELLS` for the piecewise kernel whatever its span and
-    :data:`BLOCK_CELLS` for the integrate engine, or a floquet stack of
+    :data:`BLOCK_CELLS` for either monodromy engine, or a floquet stack of
     :data:`~floqep.floquet.STACK_CELLS`."""
-    if engine == "floquet":
-        return STACK_CELLS
-    return MAX_BLOCK_CELLS if engine == "monodromy-piecewise" else BLOCK_CELLS
+    return STACK_CELLS if engine == "floquet" else BLOCK_CELLS
 
 
 def _block_propagators(template: PresetTemplate, gammas, omegas, engine):
     """Propagator traces at the cells ``(gammas[k], omegas[k])``, block by block.
 
-    Yields ``(cells, T, traces)`` per block of :func:`_block_cells`: the
-    slice, the periods and the :class:`~floqep.propagator.Traces`.  The
-    piecewise engine is one kernel call per block, over the span and the
-    half of it that the preset's parity and reflection leave, and
-    ``traces.bound`` is the span's rounding bound; see
-    :func:`~floqep.propagator.piecewise_traces`.  The integrate engine runs
-    the RK4 oracle cell by cell, with the bound ``INTEGRATE_BOUND *
-    max(1, ||G||_F)``; a cell whose propagator is not finite is NaN, as in
-    the kernel.  Either enters numpy's error state once per block.
+    Yields ``(cells, traces)`` per block of :data:`BLOCK_CELLS` cells: the
+    slice and the :class:`~floqep.propagator.Traces`, periods in
+    ``traces.T``.  A piecewise block is one kernel call over the span that
+    the preset's parity and reflection leave, with the span's rounding
+    bound (:func:`~floqep.propagator.piecewise_traces`); an integrate block
+    runs the RK4 oracle cell by cell (:func:`~floqep.propagator.integrate_traces`).
+    Either enters numpy's error state once per block, and a cell whose
+    propagator is not finite is NaN.
     """
     if engine == "monodromy-piecewise":
         a, b = _segment_vectors(template)
         symmetries = _segment_symmetries(template)
-    size = _block_cells(engine)
-    for start in range(0, len(gammas), size):
-        cells = slice(start, start + size)
+    for start in range(0, len(gammas), BLOCK_CELLS):
+        cells = slice(start, start + BLOCK_CELLS)
         T = 2.0 * math.pi / omegas[cells]
         if engine == "monodromy-piecewise":
             traces = piecewise_traces(a, b, gammas[cells], T, *symmetries)
         else:
-            G = np.empty((2, 2, 2, len(T)))
-            # an overflow is a non-finite cell, which Traces makes NaN
-            with np.errstate(all="ignore"):
-                for k, (g, w) in enumerate(zip(gammas[cells], omegas[cells])):
-                    model = template.instantiate(float(g), float(w))
-                    G_k = propagator._integrate_monodromy(model, DEFAULT_STEPS_PER_PERIOD)
-                    G[..., k] = G_k.real, G_k.imag
-                traces = Traces(G, T, half_period=False, bound=functools.partial(_oracle_bound, G))
-        yield cells, T, traces
+            models = [template.instantiate(float(g), float(w)) for g, w in zip(gammas[cells], omegas[cells])]
+            traces = integrate_traces(models, T, DEFAULT_STEPS_PER_PERIOD)
+        yield cells, traces
         del traces  # before the next block's kernel call, as the callers do
-
-
-def _oracle_bound(G) -> np.ndarray:
-    """The integrate engine's bound on the half-traces of the ``[part,
-    row, col, cell]`` propagators ``G``; ``hypot`` keeps ``||G||_F`` finite
-    where its square is not."""
-    return INTEGRATE_BOUND * np.maximum(1.0, np.hypot.reduce(G.reshape(8, -1)))
 
 
 def _indicator_at(template: PresetTemplate, gammas, omegas, engine, roots: list) -> np.ndarray:
@@ -296,7 +271,7 @@ def _indicator_at(template: PresetTemplate, gammas, omegas, engine, roots: list)
     ROOT_TOL``, appends their gammas, omegas, ``f`` and traces to ``roots``
     (see :func:`_classify_root`)."""
     f = np.empty(len(gammas))
-    for cells, _, traces in _block_propagators(template, gammas, omegas, engine):
+    for cells, traces in _block_propagators(template, gammas, omegas, engine):
         f[cells] = f_block = indicator_from_trace(traces.half_trace)
         at = np.flatnonzero(np.abs(f_block) <= ROOT_TOL)
         if at.size:
@@ -313,9 +288,9 @@ def _finite(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _undecided(traces, T) -> np.ndarray:
+def _undecided(traces) -> np.ndarray:
     """Cells whose stability verdict rests on the propagator's error
-    alone, as ``traces.bound`` bounds it.
+    alone, as ``traces.bound`` bounds it; ``T`` is ``traces.T``.
 
     Full-period route: ``max Im eps`` crosses the threshold where
     ``|c| - 1`` reaches ``(threshold * T)**2 / 2``, and a numerically
@@ -332,7 +307,7 @@ def _undecided(traces, T) -> np.ndarray:
     threshold are tried.  Overflows are the caller's: it holds numpy's
     error state (see :func:`_map_cells`).
     """
-    t, bound = traces.parity_trace, traces.bound
+    t, bound, T = traces.parity_trace, traces.bound, traces.T
     if t is None:
         c = traces.half_trace
         gap = np.abs(c) - 1.0 - 0.5 * (INSTABILITY_THRESHOLD * T) ** 2
@@ -354,19 +329,14 @@ def _unstable(t, T) -> np.ndarray:
     return np.abs(_doubled_arcsin(t).imag / T) > INSTABILITY_THRESHOLD
 
 
-def _cell_monodromy(template: PresetTemplate, gamma, omega, engine) -> MonodromyResult:
-    if engine not in ("monodromy-piecewise", "monodromy-integrate"):
-        raise ValueError(f"engine {engine!r} has no half-trace route")
-    model = template.instantiate(float(gamma), float(omega))
-    return monodromy(model, engine=engine.removeprefix("monodromy-"))
-
-
 def _cell_half_trace(template: PresetTemplate, gamma, omega, engine):
-    return _cell_monodromy(template, gamma, omega, engine).half_trace
+    model = template.instantiate(float(gamma), float(omega))
+    return monodromy(model, engine.removeprefix("monodromy-")).half_trace
 
 
 def _cell_max_im(template: PresetTemplate, gamma, omega, engine) -> float:
-    return _cell_monodromy(template, gamma, omega, engine).max_im_eps
+    model = template.instantiate(float(gamma), float(omega))
+    return monodromy(model, engine.removeprefix("monodromy-")).max_im_eps
 
 
 def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omegas):
@@ -381,10 +351,10 @@ def _map_cells(template: PresetTemplate, engine: str, cutoff: int, gammas, omega
         return values, None, errors
     values = np.empty(len(gammas))
     undecided = 0
-    for cells, T, traces in _block_propagators(template, gammas, omegas, engine):
+    for cells, traces in _block_propagators(template, gammas, omegas, engine):
         with _kernel_state():  # the verdict of a non-finite cell is NaN
             values[cells] = traces.max_im_eps
-            undecided += int(np.count_nonzero(_undecided(traces, T)))
+            undecided += int(np.count_nonzero(_undecided(traces)))
         del traces
     return values, undecided, []
 
@@ -485,9 +455,9 @@ def phase_diagram(
 def instability_window(diagram: PhaseDiagram, gamma: float) -> list[tuple[float, float]]:
     """Maximal contiguous frequency intervals that are unstable at ``gamma``.
 
-    ``gamma`` is matched to the nearest grid row; each returned interval
+    ``gamma`` is matched to the nearest grid column; each returned interval
     spans the first to last contiguous node with
-    ``max Im eps > 1e-8``.  A failed (non-finite) cell in that row would
+    ``max Im eps > 1e-8``.  A failed (non-finite) cell in that column would
     split or hide a window, so it raises ``NumericalError``.
     """
     gammas = diagram.grid.gammas
@@ -526,7 +496,7 @@ def _classify_root(roots: list) -> dict[tuple[float, float], EPKind]:
     return dict(zip(zip(np.concatenate(g).tolist(), np.concatenate(w).tolist()), kinds))
 
 
-def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
+def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int):
     """Bisect the sign-change brackets ``[lo[b], hi[b]]`` of ``f`` (``flo``
     and ``fhi`` are ``f`` at the ends); returns ``(roots, passes, cells,
     steps)``, a lost bracket's root NaN.  ``f_at(x, b)`` is ``f`` at the
@@ -545,11 +515,12 @@ def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
     same roots, bit for bit, whatever the estimate.
 
     The estimate is the root of the secant through the ends on
-    ``asinh(f)`` (``|f|`` grows exponentially in gamma).  Once a walk has
-    left a third point behind (the latest midpoint it passed, else an end
-    it replaced), the root of the quadratic in ``f`` through the three
-    points replaces it (inverse quadratic interpolation, as in Brent's
-    method) where that root is nearer the secant's than either end.  With
+    ``asinh(f)`` (``|f|`` grows exponentially in gamma).  The root of the
+    quadratic in ``f`` through the ends and a third point, the latest
+    midpoint the last walk passed, else an end it replaced (inverse
+    quadratic interpolation, as in Brent's method), replaces it where that
+    root is nearer the secant's than either end; before a walk, the NaN
+    third point leaves the secant's.  With
     ``k = floor(log2(pass_cells // n + 1))`` the depth of the full tree
     the cells hold, ``hedge`` is one level short of it on the first pass
     (and at least one level), where the untested estimate's path takes at
@@ -579,11 +550,11 @@ def _refine_brackets(f_at, lo, hi, flo, fhi, pass_cells: int = BLOCK_CELLS):
             # about the levels until the width and |f| ~ slope * width are
             # within ROOT_TOL; two more allow for the slope's error
             need = np.frexp(np.maximum(hi - lo, np.abs(a_hi - a_lo)) / ROOT_TOL)[1]
-            if held is not None:  # Neville's scheme for x(f) at f = 0
-                x_01 = (lo * fhi - hi * flo) / (fhi - flo)
-                x_12 = (hi * f3 - x3 * fhi) / (f3 - fhi)
-                quad = (x_01 * f3 - x_12 * flo) / (f3 - flo)
-                x = np.where(np.abs(quad - x) < np.minimum(x - lo, hi - x), quad, x)
+            # Neville's scheme for x(f) at f = 0; NaN without a third point, which keeps the secant
+            x_01 = (lo * fhi - hi * flo) / (fhi - flo)
+            x_12 = (hi * f3 - x3 * fhi) / (f3 - fhi)
+            quad = (x_01 * f3 - x_12 * flo) / (f3 - flo)
+            x = np.where(np.abs(quad - x) < np.minimum(x - lo, hi - x), quad, x)
         cap = np.minimum(room, np.maximum(need, 0) + 2)
         hedge = np.minimum(max(1, k - 1) if held is None else np.where(held, 1, k), cap)
         depth = np.minimum(hedge + (budget + 1) - (1 << hedge), cap)
@@ -800,8 +771,11 @@ def berry_gamma_sweep(template: PresetTemplate, gammas) -> BerrySweep:
     through a zero Bloch vector, or whose ``d.d`` overflows, on either
     route.  The metadata's ``loops`` records each gamma's route
     (``"polygon"``, ``"spectral"`` or ``"declined"``), points and delta.
+    ``gammas`` must be a non-empty 1-d array (``ValueError``).
     """
     gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 1 or gammas.size == 0:
+        raise ValueError("gammas must be a non-empty 1-d array")
     if template.family == "square":
         a, b = _segment_vectors(template)
         rows = [(p.theta, p.flags, p.certified, "polygon", len(a),
@@ -978,11 +952,10 @@ def write_table(path, header: str, chunks, fmt: str, payload: dict) -> Path:
     return path
 
 
-def csv_lines(columns):
-    """One chunk of one CSV line per row of ``columns`` (one iterable of
-    fields per column)."""
-    row = ",".join(["%s"] * len(columns)) + "\n"
-    return ["".join(map(row.__mod__, zip(*columns))).encode()]
+def csv_lines(rows):
+    """One chunk of one CSV line per row of ``rows`` (each an iterable of
+    text fields)."""
+    return ["".join(",".join(row) + "\n" for row in rows).encode()]
 
 
 def _diagram_table(diagram: PhaseDiagram):
@@ -1033,13 +1006,12 @@ def _diagram_from(rows, doc: dict, path: Path) -> PhaseDiagram:
 
 
 def _contours_table(contours: EPContourSet):
-    rows = [
+    rows = (
         (str(cid), _fmt(pt.omega), _fmt(pt.gamma), pt.kind)
         for cid, line in enumerate(contours.contours)
         for pt in line
-    ]
-    columns = tuple(zip(*rows))
-    return csv_lines(columns), {"tolerance": contours.tolerance, "metadata": contours.metadata}
+    )
+    return csv_lines(rows), {"tolerance": contours.tolerance, "metadata": contours.metadata}
 
 
 def _contours_from(rows, doc: dict, path: Path) -> EPContourSet:
@@ -1056,16 +1028,12 @@ def _contours_from(rows, doc: dict, path: Path) -> EPContourSet:
 
 
 def _berry_table(sweep: BerrySweep):
-    gammas = [_fmt(g) for g in sweep.gammas]
-    flags = [";".join(map(_fmt, f)) for f in sweep.flags]
-    columns = (
-        (g for g in gammas for _ in range(2)),  # one row per band
-        ("0", "1") * len(gammas),
-        map(_fmt, sweep.thetas.real.ravel().tolist()),
-        map(_fmt, sweep.thetas.imag.ravel().tolist()),
-        (f for f in flags for _ in range(2)),
+    rows = (  # one row per band
+        (_fmt(g), str(band), _fmt(theta.real), _fmt(theta.imag), ";".join(map(_fmt, flags)))
+        for g, pair, flags in zip(sweep.gammas, sweep.thetas.tolist(), sweep.flags)
+        for band, theta in enumerate(pair)
     )
-    return csv_lines(columns), {"metadata": sweep.metadata}
+    return csv_lines(rows), {"metadata": sweep.metadata}
 
 
 def _berry_from(rows, doc: dict, path: Path) -> BerrySweep:

@@ -1,5 +1,6 @@
-"""Every name a floqep module imports is used in that module, and every
-function and class it defines is used somewhere.
+"""Every name a floqep module imports is used in that module, every
+function and class it defines is used somewhere, and every UPPER_CASE
+constant it assigns is read somewhere.
 
 No linter ships with the project, so these are the checks for imports
 and definitions left behind by a refactor.  ``__init__.py`` re-exports by
@@ -7,10 +8,12 @@ design, and an import statement whose first line carries ``# noqa: F401``
 re-exports or keeps a name that something outside the module patches.  A
 definition counts as used when the package exports it or its class, when
 the benchmark's tracer patches it (``perfbench/tracing.py``), or when its
-name is read elsewhere in the package.
+name is read elsewhere in the package; a constant, when its name is read
+anywhere in the package.
 """
 
 import ast
+import re
 import runpy
 from collections import Counter
 from pathlib import Path
@@ -109,3 +112,35 @@ def test_the_check_sees_a_dead_definition():
     )
     unused = unused_definitions({"m": ast.parse(source)}, {"Exported"})
     assert unused == ["m: leftover", "m: Hidden.stale"]
+
+
+# The dead-constant check: every module-level UPPER_CASE name has a reader.
+def _constants(tree):
+    """The UPPER_CASE names, a leading underscore allowed, that the
+    module-level assignments of ``tree`` bind."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", n.id):
+                        yield n.id
+
+
+def unused_constants(trees: dict) -> list[str]:
+    """The module-level constants of ``trees`` (module name -> parsed
+    source) whose name nothing in ``trees`` reads."""
+    reads = sum((_read_names(tree) for tree in trees.values()), Counter())
+    return [f"{module}: {name}" for module, tree in trees.items() for name in _constants(tree) if not reads[name]]
+
+
+def test_every_constant_is_read():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    assert unused_constants(trees) == []
+
+
+def test_the_check_sees_a_dead_constant():
+    source = (
+        "LIMIT = 3\n_SCALE, OTHER = 2.0, 1\nTABLE: dict = {}\nlower = LIMIT\n\n"
+        "def f():\n    INNER = TABLE\n    return OTHER\n"
+    )
+    assert unused_constants({"m": ast.parse(source)}) == ["m: _SCALE"]

@@ -124,19 +124,21 @@ def test_worker_count_bit_identity(template, n_gamma, n_omega, engine):
     "n_cells, engine",
     [
         pytest.param(n, engine, id=f"{n}" if engine == "piecewise" else f"{n}-{engine}")
-        # the piecewise map is one task over both rows, the integrate map a task per row
-        for engine, size in (("piecewise", sweep_mod.MAX_BLOCK_CELLS // 2), ("integrate", sweep_mod.BLOCK_CELLS))
-        for n in (size - 1, size + 3)
+        for engine in ("piecewise", "integrate")
+        for n in (511, 515)
     ],
 )
-def test_map_blocks_match_single_cells(n_cells, engine):
-    # a grid that does not fill its last block, and one that spills into it;
-    # an integrate column is longer than a block
+def test_map_blocks_match_single_cells(monkeypatch, n_cells, engine):
+    # a grid that does not fill its last block, and one that spills into it:
+    # the piecewise map is one task over both rows of 1024-cell blocks, the
+    # integrate map a task per row, here in 512-cell blocks so that a row
+    # spills into a second
     tpl = PresetTemplate("pt-cosy-cosz", beta=3, family="square")
     grid = GridSpec(0.0, 5.0, n_cells, 0.4, 2.8, 2, engine=f"monodromy-{engine}")
     # one call size for every span, this preset's 4-row half period too
-    want = sweep_mod.MAX_BLOCK_CELLS if engine == "piecewise" else sweep_mod.BLOCK_CELLS
-    assert sweep_mod._block_cells(grid.engine) == want
+    assert sweep_mod._block_cells(grid.engine) == sweep_mod.BLOCK_CELLS == 1024
+    if engine == "integrate":
+        monkeypatch.setattr(sweep_mod, "BLOCK_CELLS", 512)
     values = phase_diagram(tpl, grid).values
     rng = np.random.default_rng(n_cells)
     for j, i in zip(rng.integers(0, 2, 12), rng.integers(0, n_cells, 12)):

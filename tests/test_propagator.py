@@ -153,6 +153,53 @@ class TestSegments:
         with pytest.raises(ValueError, match="square-family"):
             segment_hamiltonians(m)
 
+    # custom square models whose distinct segment rows fall in two sign
+    # groups (X terms at harmonics 1 and 2), so no row shares another's
+    # cos/sinc factors; the values were frozen when each group shared its first row's
+    MIXED = (
+        ModelSpec((DriveTerm(Axis.X, 1.0, Waveform.SQUARE_COS, 1),
+                   DriveTerm(Axis.X, 0.5, Waveform.SQUARE_COS, 2),
+                   DriveTerm(Axis.Z, 0.3, Waveform.CONSTANT, 1, Hermiticity.ANTI_HERMITIAN)), 0.7),
+        ModelSpec((DriveTerm(Axis.X, 1.0, Waveform.SQUARE_COS, 1, Hermiticity.ANTI_HERMITIAN),
+                   DriveTerm(Axis.X, 0.25, Waveform.SQUARE_SIN, 2),
+                   DriveTerm(Axis.Y, 0.6, Waveform.SQUARE_COS, 1)), 1.3),
+    )
+
+    @pytest.mark.parametrize("k, want, defect", [
+        (0, [(0.7217165598312942, 0.0), (0.0, -0.04939667351678084), (0.0, -0.04939667351678087),
+             (1.3822046273659874, 0.0), (1.0519605935986407, 0.0), (-0.0, 0.03576081159107222)],
+         0.4722312001413116),
+        (1, [(0.9999999999999992, 2.7755575615628914e-17), (2.220446049250313e-16, -2.7755575615628914e-17),
+             (8.881784197001252e-16, 1.1102230246251565e-16), (0.9999999999999996, 1.3877787807814457e-16),
+             (0.9999999999999993, 8.326672684688674e-17), (-7.566630486605802e-09, 4.710813763032362e-10)],
+         9.586729210015212e-16),
+    ])
+    def test_mixed_sign_groups_keep_the_monodromy_bits(self, k, want, defect):
+        # want: the entries of G (row-major), the half-trace and eps_F, as (re, im)
+        ds = segment_hamiltonians(self.MIXED[k])
+        assert not propagator_mod._segment_plan(np.concatenate([ds, 0 * ds], axis=1).tobytes())[2]
+        r = monodromy(self.MIXED[k], "piecewise")
+        got = np.array([*r.G.ravel(), r.half_trace, r.eps_F])
+        assert got.view(float).tobytes() == np.array(want).tobytes()
+        assert np.float64(r.defectiveness).tobytes() == np.float64(defect).tobytes()
+
+    def test_mixed_sign_groups_keep_the_segment_product(self):
+        # the segment product of a (model 0) + gamma b at three cells: equal
+        # to the frozen values under ==, which leaves the sign of a zero free
+        slope = ModelSpec((DriveTerm(Axis.X, 0.4, Waveform.SQUARE_COS, 1),
+                           DriveTerm(Axis.X, 0.2, Waveform.SQUARE_COS, 2),
+                           DriveTerm(Axis.Z, 0.1, Waveform.SQUARE_SIN, 1, Hermiticity.ANTI_HERMITIAN)), 0.7)
+        a, b = segment_hamiltonians(self.MIXED[0]), segment_hamiltonians(slope)
+        *entries, bound = _segment_product(a, b, np.array([0.0, 0.5, 1.7]), np.array([0.3, 0.2, 0.9]))
+        want = [
+            [1.7575438791838247, 1.5057407322715752, 1.372828019055064],
+            [-0.12581297295741015j, -0.08409056617876925j, 0.10813139507228903j],
+            [-0.12581297295741012j, -0.014050076438642034j, 0.016045037610562307j],
+            [0.5599695731594769, 0.6633403080028207, 0.7271595668525928],
+        ]
+        assert np.array_equal(entries, want)
+        assert bound.tolist() == [1.2097227043216125e-13, 1.1701156865915651e-13, 1.600991469283467e-13]
+
 
 class TestMonodromy:
     def test_static_limit(self):
@@ -505,10 +552,10 @@ class TestReflection:
         # apt-cosx-siny beta=3: the half period's 6 segments become 3, and
         # their distinct rows, equal up to sign per component, share one d.d
         a, b = sweep_mod._segment_vectors(PresetTemplate("apt-cosx-siny", beta=3, family="square"))
-        half, _, half_groups, _ = propagator_mod._segment_plan(np.concatenate([a[:6], b[:6]], axis=1).tobytes())
-        quarter, _, quarter_groups, _ = propagator_mod._segment_plan(np.concatenate([a[:3], b[:3]], axis=1).tobytes())
+        half, _, half_shared = propagator_mod._segment_plan(np.concatenate([a[:6], b[:6]], axis=1).tobytes())
+        quarter, _, quarter_shared = propagator_mod._segment_plan(np.concatenate([a[:3], b[:3]], axis=1).tobytes())
         assert half == (0, 0, 1, 2, 3, 3) and quarter == (0, 0, 1)
-        assert half_groups == quarter_groups == 1
+        assert half_shared and quarter_shared
 
     @pytest.mark.parametrize("name", sorted(_REFLECTIONS))
     @pytest.mark.parametrize("beta", [1, 2, 3, 4])

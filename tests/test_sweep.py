@@ -352,7 +352,7 @@ class TestHalfPeriodRoute:
         assert roots
         gammas = np.concatenate([grid.cells()[0], [pt.gamma for pt in roots]])
         omegas = np.concatenate([grid.cells()[1], [pt.omega for pt in roots]])
-        (_, _, traces), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
+        (_, traces), = sweep_mod._block_propagators(tpl, gammas, omegas, grid.engine)
         kinds = root_kinds(indicator_from_trace(traces.half_trace), traces.defectiveness)
         for k, (g, w) in enumerate(zip(gammas, omegas)):
             r = monodromy(tpl.instantiate(g, w), "piecewise")
@@ -392,7 +392,7 @@ class TestHalfPeriodRoute:
         # verdicts differ by the rounding alone, so both count as undecided
         gammas = np.linspace(0.0, 3.0, 61)
         omegas = np.full(gammas.size, 0.9)
-        (_, _, traces), = sweep_mod._block_propagators(PT3, gammas, omegas, "monodromy-piecewise")
+        (_, traces), = sweep_mod._block_propagators(PT3, gammas, omegas, "monodromy-piecewise")
         unstable = np.abs(traces.eps_F.imag) > INSTABILITY_THRESHOLD
         edges = np.flatnonzero(unstable[:-1] != unstable[1:])
         assert edges.size
@@ -400,16 +400,16 @@ class TestHalfPeriodRoute:
             lo, hi = gammas[i], gammas[i + 1]
             while np.nextafter(lo, hi) != hi:
                 mid = 0.5 * (lo + hi)
-                (_, _, tr), = sweep_mod._block_propagators(PT3, np.array([mid]), omegas[:1], "monodromy-piecewise")
+                (_, tr), = sweep_mod._block_propagators(PT3, np.array([mid]), omegas[:1], "monodromy-piecewise")
                 if (abs(tr.eps_F[0].imag) > INSTABILITY_THRESHOLD) == unstable[i]:
                     lo = mid
                 else:
                     hi = mid
-            (_, T, tr), = sweep_mod._block_propagators(
+            (_, tr), = sweep_mod._block_propagators(
                 PT3, np.array([lo, hi]), omegas[:2], "monodromy-piecewise"
             )
             assert (np.abs(tr.eps_F.imag) > INSTABILITY_THRESHOLD).tolist() == [unstable[i], not unstable[i]]
-            assert sweep_mod._undecided(tr, T).all()
+            assert sweep_mod._undecided(tr).all()
 
     @pytest.mark.parametrize(
         "template, engine, parity",
@@ -424,7 +424,7 @@ class TestHalfPeriodRoute:
         # the branch fold only negates Im w, so |Im w| / T needs no fold;
         # gamma 1e300 overflows the propagator, a NaN cell
         gammas, omegas = (np.append(x, y) for x, y in zip(GridSpec(0.0, 4.0, 8, 0.3, 3.0, 6).cells(), (1e300, 1.0)))
-        (_, _, traces), = sweep_mod._block_propagators(template, gammas, omegas, engine)
+        (_, traces), = sweep_mod._block_propagators(template, gammas, omegas, engine)
         assert (traces.parity_trace is not None) == parity
         want = np.abs(traces.eps_F.imag)
         assert np.isnan(want[-1]) and np.count_nonzero(want[:-1] > INSTABILITY_THRESHOLD) >= 20
@@ -435,9 +435,9 @@ class TestHalfPeriodRoute:
         # threshold; the oracle reads 1 - 3.9e-12, within its bound
         tpl = PresetTemplate("pt-cosy-cosz", beta=2, family="square")
         grid = GridSpec(0.0, 4.0, 2, 0.5, 3.0, 2, engine="monodromy-integrate")
-        (_, T, traces), = sweep_mod._block_propagators(tpl, *grid.cells(), grid.engine)
+        (_, traces), = sweep_mod._block_propagators(tpl, *grid.cells(), grid.engine)
         assert traces.half_trace[0] == 0.9999999999960831
-        assert sweep_mod._undecided(traces, T).tolist() == [True, False, False, False]
+        assert sweep_mod._undecided(traces).tolist() == [True, False, False, False]
         assert phase_diagram(tpl, grid).metadata["undecided_cells"] == 1
 
 
@@ -550,7 +550,7 @@ def _reference_refine(f_at, lo, hi, flo):
     return found, steps
 
 
-def _tree_passes(steps, pass_cells=sweep_mod.BLOCK_CELLS):
+def _tree_passes(steps, pass_cells):
     """Passes of the lockstep tree bisection that preceded the predicted
     path: every active bracket takes ``max(1, floor(log2(pass_cells // n
     + 1)))`` steps per pass, and a bracket leaves after the pass that
@@ -806,7 +806,7 @@ class TestEPContours:
             seen.append(f(x, b))
             return seen[-1]
 
-        roots, passes, cells, steps = sweep_mod._refine_brackets(f_at, lo, hi, flo, fhi)
+        roots, passes, cells, steps = sweep_mod._refine_brackets(f_at, lo, hi, flo, fhi, 512)
         midpoints = []
         want, want_steps = _reference_refine(lambda x, b: f(midpoints.append(x) or x, b), lo, hi, flo)
         np.testing.assert_array_equal(roots, want)
@@ -814,7 +814,7 @@ class TestEPContours:
         # every midpoint of one step per pass is a tree node, to the bit
         assert set(np.concatenate(midpoints).tolist()) <= set(np.concatenate(xs).tolist())
         assert (passes, cells) == (len(seen), sum(v.size for v in seen))
-        assert max(v.size for v in seen) <= max(sweep_mod.BLOCK_CELLS, lo.size)
+        assert max(v.size for v in seen) <= max(512, lo.size)
         if name == "nan-off-path":
             assert np.isnan(np.concatenate(seen)).any() and not np.isnan(roots).any()
         if name == "step":
@@ -840,16 +840,16 @@ class TestEPContours:
         if name == "step-pair":  # 256 cells per bracket and pass
             lo, hi = np.zeros(2), np.array([1.0, 0.5])
         b = np.arange(lo.size)
-        roots, passes, _, steps = sweep_mod._refine_brackets(f, lo, hi, f(lo, b), f(hi, b))
+        roots, passes, _, steps = sweep_mod._refine_brackets(f, lo, hi, f(lo, b), f(hi, b), 512)
         want, want_steps = _reference_refine(f, lo, hi, f(lo, b))
         np.testing.assert_array_equal(roots, want)
-        assert steps == want_steps.sum() and passes <= _tree_passes(want_steps)
+        assert steps == want_steps.sum() and passes <= _tree_passes(want_steps, 512)
 
     def test_non_finite_midpoint_on_the_path_raises(self):
         # NaN around 0.5, the first midpoint of [0, 1]: one step per pass evaluates it too
         f = lambda x, b: np.where(abs(x - 0.5) < 0.01, np.nan, x - 0.3)
         with pytest.raises(propagator_mod.NumericalError):
-            sweep_mod._refine_brackets(f, [0.0], [1.0], [-0.3], [0.7])
+            sweep_mod._refine_brackets(f, [0.0], [1.0], [-0.3], [0.7], 512)
         with pytest.raises(propagator_mod.NumericalError):
             _reference_refine(f, [0.0], [1.0], [-0.3])
 
@@ -862,7 +862,7 @@ class TestEPContours:
         cs = trace_ep_contours(tpl, grid)
         g, w = grid.cells()
         c = np.concatenate([
-            traces.half_trace for _, _, traces in sweep_mod._block_propagators(tpl, g, w, grid.engine)
+            traces.half_trace for _, traces in sweep_mod._block_propagators(tpl, g, w, grid.engine)
         ])
         large = {(float(wk), float(gk)) for gk, wk, ck in zip(g, w, c) if abs(ck.real) > 2.0}
         assert large and not large & {(pt.omega, pt.gamma) for line in cs.contours for pt in line}
@@ -872,10 +872,15 @@ class TestEPContours:
         with pytest.raises(ValueError, match="monodromy"):
             trace_ep_contours(PT3_SMOOTH, grid)
 
-    @pytest.mark.parametrize("grid", BENCH_GRIDS, ids=["seed1", "seed2", "seed3"])
-    def test_benchmark_grids_take_seven_kernel_calls(self, monkeypatch, grid):
+    @pytest.mark.parametrize(
+        "grid, work",
+        zip(BENCH_GRIDS, [(4, 2314, 1232), (4, 2089, 1380), (4, 2209, 1377)]),
+        ids=["seed1", "seed2", "seed3"],
+    )
+    def test_benchmark_grids_take_seven_kernel_calls(self, monkeypatch, grid, work):
         # three grid blocks and four passes of 1024 cells, where 512-cell
-        # calls took six blocks, five passes and a classification call
+        # calls took six blocks, five passes and a classification call; the
+        # passes, cells and steps pin the nodes the refinement evaluates
         calls = []
         kernel = sweep_mod.piecewise_traces
         monkeypatch.setattr(sweep_mod, "piecewise_traces",
@@ -883,6 +888,7 @@ class TestEPContours:
         record = trace_ep_contours(APT3, grid).metadata["refinement"]
         assert record["kernel_calls"] == len(calls) <= 7 and record["passes"] == len(calls) - 3
         assert calls[:3] == [1024] * 3 and max(calls) <= sweep_mod._block_cells(grid.engine) == 1024
+        assert (record["passes"], record["cells"], record["steps"]) == work
 
     @pytest.mark.parametrize(
         "template, grid, node_roots",
@@ -904,7 +910,7 @@ class TestEPContours:
         gammas, omegas = (np.array(v) for v in zip(*((pt.gamma, pt.omega) for pt in points)))
         blocks = list(sweep_mod._block_propagators(template, gammas, omegas, grid.engine))
         assert len(blocks) == 1
-        (_, _, traces), = blocks
+        (_, traces), = blocks
         want = root_kinds(indicator_from_trace(traces.half_trace), traces.defectiveness)
         assert [pt.kind for pt in points] == [kind.value for kind in want]
         record = cs.metadata["refinement"]
@@ -928,9 +934,8 @@ class TestBlockSizes:
     def test_cells_per_call(self, monkeypatch, name, beta):
         # one call size for every span, of 1, 2 or 4 distinct segment rows
         tpl = PresetTemplate(name, beta=beta, family="square")
-        size = sweep_mod.MAX_BLOCK_CELLS
-        assert sweep_mod._block_cells("monodromy-piecewise") == size
-        assert sweep_mod._block_cells("monodromy-integrate") == sweep_mod.BLOCK_CELLS
+        size = sweep_mod.BLOCK_CELLS
+        assert sweep_mod._block_cells("monodromy-piecewise") == sweep_mod._block_cells("monodromy-integrate") == size
         calls = self._kernel_calls(monkeypatch)
         meta = phase_diagram(tpl, GridSpec(0.0, 5.0, size + 3, 0.2, 3.0, 2)).metadata
         assert calls == [size, size, 6]
@@ -950,7 +955,7 @@ class TestBlockSizes:
     @pytest.mark.parametrize(
         "template, engine, calls, per_call, workers",
         [
-            (PT3, "monodromy-integrate", 3 * 2, sweep_mod.BLOCK_CELLS, 2),  # a 515-cell row: 2 blocks
+            (PT3, "monodromy-integrate", 3 * 1, sweep_mod.BLOCK_CELLS, 2),  # a 515-cell row: one block
             (PT3_SMOOTH, "floquet", 3 * 17, STACK_CELLS, 2),  # 17 stacks of at most 32 per row
         ],
         ids=["integrate", "floquet"],
@@ -963,17 +968,30 @@ class TestBlockSizes:
         meta = phase_diagram(template, GridSpec(0.0, 1.0, 515, 0.5, 1.0, 3, engine=engine), threads=2).metadata
         assert (meta["kernel_calls"], meta["cells_per_call"], meta["workers"]) == (calls, per_call, workers)
 
+    @staticmethod
+    def _oracle_stand_in(model, steps):
+        """A cheap propagator of the cell: ``diag(e^z, e^-z)`` with ``z =
+        max(0, gamma - 2.5) + i gamma omega``, so the identity at gamma 0
+        (undecided), stable below gamma 2.5 and unstable above."""
+        gamma, omega = model.terms[1].amplitude, model.base_omega
+        z = complex(max(0.0, gamma - 2.5), gamma * omega)
+        return np.diag(np.exp([z, -z]))
+
     @pytest.mark.parametrize("beta", [3, 4])
     def test_four_row_maps_keep_their_bytes_at_any_call_size(self, monkeypatch, beta):
-        # the call size moves no bit: 97x23 cells cut into blocks anywhere in a row
+        # the call size moves no bit: 97x23 cells cut into blocks anywhere in
+        # a row, or a row to a block, on the piecewise kernel and the integrate engine
+        monkeypatch.setattr(propagator_mod, "_integrate_monodromy", self._oracle_stand_in)
         tpl = PresetTemplate("pt-cosy-cosz", beta=beta, family="square")
-        maps = []
-        for cap in (512, 1024):
-            monkeypatch.setattr(sweep_mod, "MAX_BLOCK_CELLS", cap)
-            diagram = phase_diagram(tpl, GridSpec(0.0, 5.0, 97, 0.2, 3.0, 23))
-            assert diagram.metadata["kernel_calls"] == -(-97 * 23 // cap)
-            maps.append((diagram.values.tobytes(), diagram.metadata["undecided_cells"]))
-        assert maps[0] == maps[1]
+        for engine, rows in (("monodromy-piecewise", 1), ("monodromy-integrate", 23)):
+            maps = []
+            for size in (40, 512, 1024):
+                monkeypatch.setattr(sweep_mod, "BLOCK_CELLS", size)
+                diagram = phase_diagram(tpl, GridSpec(0.0, 5.0, 97, 0.2, 3.0, 23, engine=engine))
+                assert diagram.metadata["kernel_calls"] == rows * -(-97 * 23 // rows // size)
+                maps.append((diagram.values.tobytes(), diagram.metadata["undecided_cells"]))
+            assert maps[0] == maps[1] == maps[2]
+        assert maps[0][1] == 23  # the identity at gamma 0, on every row
 
     @pytest.mark.parametrize("engine", ["monodromy-piecewise", "monodromy-integrate"])
     def test_one_error_state_per_kernel_call_and_verdict(self, monkeypatch, engine):
@@ -1043,6 +1061,14 @@ class TestBerrySweep:
                 assert cli.main(argv) == 0
                 csv.add((out / "berry.csv").read_bytes())
             assert len(csv) == 1
+
+    @pytest.mark.parametrize("family", ["smooth", "square"])
+    @pytest.mark.parametrize("gammas", [[], [[0.5, 1.0]], 0.5], ids=["empty", "2-d", "0-d"])
+    def test_rejects_gammas_that_are_not_a_non_empty_list(self, family, gammas):
+        # an empty sweep would give thetas of shape (0,), which no (n, 2) reader takes
+        tpl = PresetTemplate("pt-cosy-sinz", beta=1, family=family)
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            berry_gamma_sweep(tpl, gammas)
 
     def test_square_loops_are_the_polygon(self):
         # a square sweep is polygon_phase_rows on the preset's segment
